@@ -8,7 +8,11 @@ are the thin shells that face real sockets:
   can drive it without this repo importing one.
 - :func:`make_server` builds a ``ThreadingHTTPServer`` whose handlers
   serialize into the shared service under one mutex, with explicit
-  socket timeouts (the REP009 contract: no unbounded waits).
+  socket timeouts (the REP009 contract: no unbounded waits).  Every
+  response leaves as one ``status line + headers + body`` buffer in a
+  single ``sendall`` on a ``TCP_NODELAY`` socket: a head and a small
+  body written separately on a keep-alive connection stall ~40 ms on
+  Nagle x delayed-ACK.
 
 Routes (both adapters)::
 
@@ -21,15 +25,21 @@ Routes (both adapters)::
 
 Responses carry the pipeline's verdict: 200 (fresh or ``stale: true``),
 429 with ``Retry-After`` (shed), 503 (bulkhead full / breaker open),
-504 (deadline unmeetable), 400/404/501 (client errors).  Request ids
-are counter-based (``http-1``, ``http-2``, …) — deterministic, no
-UUIDs (REP102).
+504 (deadline unmeetable), 400/404/413/501 (client errors), 500 (a
+handler bug: answered, never a silent EOF).  Every body is canonical
+JSON, including the errors the stdlib shell raises itself.  The
+threaded server keeps the connection alive except after a framing
+error, a 413, a 500 or a stdlib-raised error, where the request
+stream can no longer be trusted: those carry ``Connection: close``.
+Request ids are counter-based (``http-1``, ``http-2``, …) —
+deterministic, no UUIDs (REP102).
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Awaitable, Callable, Dict, Mapping, Optional, Tuple
 
@@ -57,18 +67,24 @@ class ServiceGateway:
         payload: Mapping[str, Any],
     ) -> Tuple[int, Dict[str, Any], Optional[float]]:
         """Handle one request; returns (status, body, retry_after_s)."""
+        deadline = payload.get("deadline_s")
+        try:
+            deadline_s = float(deadline) if deadline is not None else None
+        except (TypeError, ValueError):
+            return 400, {
+                "error": f"deadline_s must be a number, got {deadline!r}"
+            }, None
         with self._lock:
             self._counter += 1
             request_id = str(
                 payload.get("request_id") or f"http-{self._counter}"
             )
             params = payload.get("params")
-            deadline = payload.get("deadline_s")
             request = ServiceRequest(
                 request_id=request_id,
                 endpoint=endpoint,
                 params=params if isinstance(params, Mapping) else {},
-                deadline_s=float(deadline) if deadline is not None else None,
+                deadline_s=deadline_s,
             )
             response = self.service.handle(request)
         body = dict(response.body)
@@ -189,27 +205,73 @@ def make_server(
     class Handler(BaseHTTPRequestHandler):
         timeout = _SOCKET_TIMEOUT_S
         protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
+
+        def _send(
+            self,
+            status: int,
+            payload: Mapping[str, Any],
+            retry_after: Optional[float] = None,
+            close: bool = False,
+        ) -> None:
+            """Write the whole response with one ``sendall``."""
+            body = canonical_json(payload).encode("utf-8")
+            head = [
+                f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                "Content-Type: application/json",
+                f"Content-Length: {len(body)}",
+            ]
+            if retry_after is not None:
+                head.append(f"Retry-After: {retry_after:.6f}")
+            if close:
+                head.append("Connection: close")
+                self.close_connection = True
+            if self.command == "HEAD":
+                body = b""
+            head.extend(("", ""))
+            self.wfile.write("\r\n".join(head).encode("latin-1") + body)
 
         def _respond(self, raw_body: bytes) -> None:
-            status, payload, retry_after = _route(
-                gateway, self.command, self.path, raw_body
-            )
-            encoded = canonical_json(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(encoded)))
-            if retry_after is not None:
-                self.send_header("Retry-After", f"{retry_after:.6f}")
-            self.end_headers()
-            self.wfile.write(encoded)
+            try:
+                reply = _route(gateway, self.command, self.path, raw_body)
+            except Exception:
+                # A handler bug must reach the client as an answer, not
+                # as EOF; the traceback goes where socketserver puts it.
+                self.server.handle_error(self.request, self.client_address)
+                self._send(500, {"error": "internal server error"}, close=True)
+            else:
+                self._send(*reply)
+
+        def send_error(
+            self,
+            code: int,
+            message: Optional[str] = None,
+            explain: Optional[str] = None,
+        ) -> None:
+            """The stdlib's own errors (bad request line, 414, 431, 501)
+            as JSON in one write; the stream is suspect, so close."""
+            error = message or HTTPStatus(code).phrase
+            self._send(code, {"error": error}, close=True)
 
         def do_GET(self) -> None:  # noqa: N802 (http.server API)
             self._respond(b"")
 
         def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(min(length, _MAX_BODY_BYTES + 1))
-            self._respond(raw)
+            declared = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if length < 0:
+                error = f"Content-Length must be an integer >= 0: {declared[:32]!r}"
+                self._send(400, {"error": error}, close=True)
+            elif length > _MAX_BODY_BYTES:
+                # Unread, the body would be parsed as the next request.
+                self._send(413, {"error": "request body too large"}, close=True)
+            else:
+                self._respond(self.rfile.read(length))
 
         def log_message(self, format: str, *args: Any) -> None:
             pass  # the request log is the service's, not stderr's
