@@ -609,8 +609,8 @@ def _profile_workload(count: int):
 def _cmd_profile(args) -> int:
     import pathlib
 
+    from repro.lint.cli import DEFAULT_PERF_CACHE
     from repro.lint.perf import (
-        DEFAULT_PERF_CACHE_NAME,
         DEFAULT_PROFILE_NAME,
         analyze_perf,
         build_profile_document,
@@ -652,7 +652,7 @@ def _cmd_profile(args) -> int:
     result = analyze_perf(
         list(args.paths),
         root=root,
-        cache_path=str(root / DEFAULT_PERF_CACHE_NAME),
+        cache_path=str(root / DEFAULT_PERF_CACHE),
         certificate_path=None,
         profile_path=None,
     )

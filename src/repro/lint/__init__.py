@@ -68,8 +68,8 @@ from repro.lint.effects import (
 from repro.lint.errors import LintError
 from repro.lint.findings import Finding, Fix
 from repro.lint.fixes import apply_fixes
-from repro.lint.flow import FLOW_CODES, FLOW_RULES, FlowRule, analyze_paths
-from repro.lint.registry import RULES, Rule, all_rules, register
+from repro.lint.flow import FLOW_CODES, FLOW_RULES, analyze_paths
+from repro.lint.registry import RULES, ProgramRule, Rule, all_rules, register
 from repro.lint.reporters import (
     REPORT_FORMATS,
     LintReport,
@@ -92,12 +92,12 @@ __all__ = [
     "FLOW_RULES",
     "Finding",
     "Fix",
-    "FlowRule",
     "analyze_paths",
     "LintError",
     "LintReport",
     "ModuleContext",
     "PARSE_ERROR_CODE",
+    "ProgramRule",
     "REPORT_FORMATS",
     "RULES",
     "Rule",

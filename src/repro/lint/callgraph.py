@@ -1,9 +1,11 @@
 """Project call graph over extracted summaries, with SCC condensation.
 
-Nodes are canonical function qualnames that have a summary (project
-functions); edges point caller → callee and only edges whose callee is
-itself a project function are kept — external calls stay in the
-summaries as atoms but do not shape the propagation order.
+Shared by the flow, effect, and perf layers, whose summaries all carry
+identically shaped ``calls`` and ``arg_flows``.  Nodes are canonical
+function qualnames that have a summary (project functions); edges point
+caller → callee and only edges whose callee is itself a project function
+are kept — external calls stay in the summaries as atoms but do not
+shape the propagation order.
 
 Summaries are propagated bottom-up: callees before callers.  Mutual
 recursion makes that impossible per-function, so the graph is condensed
@@ -16,11 +18,9 @@ component's members to a local fixpoint.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
-from repro.lint.flow.extract import ModuleExtract
-
-__all__ = ["CallGraph", "build_callgraph"]
+__all__ = ["CallGraph", "build_callgraph", "slot_params"]
 
 
 @dataclasses.dataclass
@@ -33,28 +33,53 @@ class CallGraph:
     #: (every component's project callees appear in earlier components
     #: or inside itself)
     order: Tuple[Tuple[str, ...], ...]
+    #: every project function's summary, and the relpath defining it
+    functions: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    modules: Dict[str, str] = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, List[str]]:
         return {caller: list(callees) for caller, callees in sorted(self.edges.items())}
 
+    def reachable(self, roots: Iterable[str]) -> Set[str]:
+        """Project functions reachable from ``roots`` (roots included);
+        roots the graph does not know are ignored."""
+        seen: Set[str] = set()
+        work = [r for r in roots if r in self.edges]
+        while work:
+            node = work.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            work.extend(c for c in self.edges[node] if c not in seen)
+        return seen
 
-def build_callgraph(extracts: Sequence[ModuleExtract]) -> CallGraph:
-    known: Set[str] = set()
-    for extract in extracts:
-        known.update(extract.functions)
 
-    edges: Dict[str, Set[str]] = {name: set() for name in sorted(known)}
+def build_callgraph(extracts: Sequence[Any]) -> CallGraph:
+    """Graph over any layer's extracts: each needs ``functions``, a map
+    of qualname to a summary carrying ``calls`` and ``arg_flows``."""
+    functions: Dict[str, Any] = {}
+    modules: Dict[str, str] = {}
     for extract in extracts:
         for qualname, summary in extract.functions.items():
-            for callee, _line, _caught in summary.calls:
-                if callee in known:
-                    edges[qualname].add(callee)
-            for callee, _line, _pos, _kw in summary.arg_flows:
-                if callee in known:
-                    edges[qualname].add(callee)
+            functions[qualname] = summary
+            modules[qualname] = extract.relpath
+
+    edges: Dict[str, Set[str]] = {name: set() for name in sorted(functions)}
+    for qualname, summary in functions.items():
+        for callee, _line, _caught in summary.calls:
+            if callee in functions:
+                edges[qualname].add(callee)
+        for callee, _line, _pos, _kw in summary.arg_flows:
+            if callee in functions:
+                edges[qualname].add(callee)
 
     frozen = {caller: tuple(sorted(callees)) for caller, callees in edges.items()}
-    return CallGraph(edges=frozen, order=_condense(frozen))
+    return CallGraph(
+        edges=frozen,
+        order=_condense(frozen),
+        functions=functions,
+        modules=modules,
+    )
 
 
 def _condense(
@@ -113,3 +138,28 @@ def _condense(
                 parent, _ = work[-1]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
     return tuple(components)
+
+
+def slot_params(
+    callee: Any,
+    pos_atoms: Sequence[Tuple[str, ...]],
+    kw_atoms: Mapping[str, Tuple[str, ...]],
+) -> List[Tuple[str, Tuple[str, ...]]]:
+    """Map call-site argument atoms onto the callee's formals.
+
+    ``callee`` is a summary carrying ``params`` and ``is_method``; the
+    result pairs each formal that a positional or keyword argument
+    lands on with that argument's atoms.
+    """
+    params = list(callee.params)
+    if callee.is_method and params and params[0] in ("self", "cls"):
+        params = params[1:]
+    slots = [
+        (params[i], atoms)
+        for i, atoms in enumerate(pos_atoms)
+        if i < len(params)
+    ]
+    slots.extend(
+        (name, atoms) for name, atoms in kw_atoms.items() if name in params
+    )
+    return slots

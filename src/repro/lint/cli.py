@@ -12,20 +12,23 @@ argparse.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.lint.baseline import Baseline
-from repro.lint.engine import lint_paths, relative_finding_path
+from repro.lint.effects import EFFECT_RULES, EffectPass, write_certificate
+from repro.lint.engine import Pass, RulesPass, relative_finding_path, scan
+from repro.lint.errors import LintError
 from repro.lint.findings import Finding
 from repro.lint.fixes import apply_fixes
-from repro.lint.effects.ruledefs import EFFECT_CODES, EFFECT_RULES
-from repro.lint.flow.ruledefs import FLOW_CODES, FLOW_RULES
-from repro.lint.perf.ruledefs import PERF_CODES, PERF_RULES
-from repro.lint.registry import all_rules
+from repro.lint.flow import FLOW_RULES, FlowPass
+from repro.lint.perf import PERF_RULES, PerfPass
+from repro.lint.registry import RULES, ProgramRule, Rule, all_rules
 from repro.lint.reporters import REPORT_FORMATS, LintReport, render
+from repro.lint.summaries import LayerResult, SummaryPass
 
 __all__ = ["add_lint_arguments", "run_lint_command", "main"]
 
@@ -161,6 +164,75 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class _Layer:
+    """One whole-program layer as the CLI sees it.
+
+    ``name`` is the flag stem: ``--NAME`` forces the layer on,
+    ``--no-NAME`` off, ``--NAME-cache`` moves its summary cache.
+    """
+
+    name: str
+    rules: Tuple[ProgramRule, ...]
+    cache_name: str
+    #: Analyze the original PATH scope even under --changed.  Tier
+    #: regressions surface in *unchanged* files (a helper edit demotes a
+    #: distant entry point) and decorating one function can pull a
+    #: distant, unchanged callee into the hot region, so a diff-narrowed
+    #: file list would miss exactly the regressions these layers exist
+    #: to catch.  The summary cache keeps the full pass cheap.
+    full_scope: bool
+    #: (cache path, certificate path or None, profile path) -> the pass
+    make_pass: Callable[[str, Optional[str], str], SummaryPass]
+
+    @property
+    def codes(self) -> FrozenSet[str]:
+        return frozenset(rule.code for rule in self.rules)
+
+    def cache_path(self, args: argparse.Namespace, root: pathlib.Path) -> str:
+        given = getattr(args, f"{self.name}_cache")
+        return given or str(root / self.cache_name)
+
+    def enabled(
+        self,
+        args: argparse.Namespace,
+        paths: Sequence[str],
+        selected: Optional[FrozenSet[str]],
+    ) -> bool:
+        """Whether this run includes the layer.
+
+        Explicit flags win; an explicit --select decides by whether it
+        names any of the layer's codes.  Otherwise flow defaults on for
+        directory runs (single-file and --changed runs stay fast and
+        intraprocedural), while effects and perf — whole-program passes
+        with committed artifacts of their own — run when asked for.
+        """
+        if getattr(args, f"no_{self.name}"):
+            return False
+        if getattr(args, self.name):
+            return True
+        if self.name == "effects" and args.write_certificate:
+            return True
+        if selected is not None:
+            return bool(selected & self.codes)
+        if self.name == "flow" and not args.changed:
+            return any(pathlib.Path(p).is_dir() for p in paths)
+        return False
+
+
+LAYERS: Tuple[_Layer, ...] = (
+    _Layer(
+        "flow", FLOW_RULES, DEFAULT_FLOW_CACHE, False,
+        lambda cache, certificate, profile: FlowPass(cache),
+    ),
+    _Layer(
+        "effects", EFFECT_RULES, DEFAULT_EFFECTS_CACHE, True,
+        lambda cache, certificate, profile: EffectPass(cache, certificate),
+    ),
+    _Layer("perf", PERF_RULES, DEFAULT_PERF_CACHE, True, PerfPass),
+)
+
+
 def run_lint_command(args: argparse.Namespace) -> int:
     """Execute one lint run from parsed arguments."""
     if args.list_rules:
@@ -168,10 +240,9 @@ def run_lint_command(args: argparse.Namespace) -> int:
         return 0
     root = pathlib.Path(args.root) if args.root else pathlib.Path.cwd()
     if args.clear_cache:
-        _clear_caches(args, root)
-    rules, flow_selected, effects_selected, perf_selected = _selected_rules(
-        args.select
-    )
+        for layer in LAYERS:
+            pathlib.Path(layer.cache_path(args, root)).unlink(missing_ok=True)
+    rules, selected = _selected_rules(args.select)
     paths: List[str] = list(args.paths)
     if args.changed:
         from repro.lint.gitdiff import changed_python_files
@@ -182,100 +253,58 @@ def run_lint_command(args: argparse.Namespace) -> int:
                 args.base, scope=[pathlib.Path(p) for p in args.paths]
             )
         ]
-    findings = lint_paths(paths, root=root, rules=rules)
+    layers = [
+        layer for layer in LAYERS if layer.enabled(args, paths, selected)
+    ]
+    certificate = args.certificate or str(root / DEFAULT_CERTIFICATE)
+    profile = args.profile or str(root / DEFAULT_PROFILE)
+
+    def scan_once() -> Tuple[List[Finding], int, List[SummaryPass]]:
+        """Every enabled pass over its scope; one scan unless --changed
+        gives the rules and the full-scope layers different file sets."""
+        rules_pass = RulesPass(rules)
+        layer_passes = [
+            layer.make_pass(
+                layer.cache_path(args, root),
+                # A certificate about to be rewritten judges nothing.
+                None if args.write_certificate else certificate,
+                profile,
+            )
+            for layer in layers
+        ]
+        scopes: Dict[Tuple[str, ...], List[Pass]] = {
+            tuple(paths): [rules_pass]
+        }
+        for layer, layer_pass in zip(layers, layer_passes):
+            scope = args.paths if layer.full_scope else paths
+            scopes.setdefault(tuple(scope), []).append(layer_pass)
+        scanned = {
+            scope: scan(scope, root, passes)
+            for scope, passes in scopes.items()
+        }
+        return rules_pass.finish(), scanned[tuple(paths)], layer_passes
+
+    findings, files_scanned, layer_passes = scan_once()
     fixed = 0
     if args.fix:
-        applied = apply_fixes(findings, root)
-        fixed = sum(applied.values())
+        fixed = sum(apply_fixes(findings, root).values())
         if fixed:
-            findings = lint_paths(paths, root=root, rules=rules)
-    if _flow_enabled(args, paths, flow_selected):
-        from repro.lint.flow import analyze_paths
-
-        cache_path = args.flow_cache or str(root / DEFAULT_FLOW_CACHE)
-        flow_result = analyze_paths(paths, root=root, cache_path=cache_path)
-        flow_findings = flow_result.findings
-        if flow_selected is not None:
-            flow_findings = [
-                f for f in flow_findings if f.code in flow_selected
-            ]
-        findings = sorted(
-            findings + flow_findings, key=Finding.sort_key
-        )
-    if _effects_enabled(args, effects_selected):
-        from repro.lint.effects import analyze_effects, write_certificate
-
-        cache_path = args.effects_cache or str(
-            root / DEFAULT_EFFECTS_CACHE
-        )
-        certificate_path = args.certificate or str(
-            root / DEFAULT_CERTIFICATE
-        )
-        # The effect pass always covers the original PATH scope: tier
-        # regressions surface in *unchanged* files (a helper edit
-        # demotes a distant entry point), so a --changed-narrowed file
-        # list would miss exactly the regressions the pass exists to
-        # catch.  The summary cache keeps the full pass cheap.
-        effect_result = analyze_effects(
-            list(args.paths),
-            root=root,
-            cache_path=cache_path,
-            certificate_path=(
-                None if args.write_certificate else certificate_path
-            ),
-        )
-        if args.write_certificate:
-            write_certificate(
-                certificate_path,
-                effect_result.analysis,
-                effect_result.module_digests,
-                allow_demotions=args.allow_demotions,
+            # Every pass was handed the pre-fix text: scan again.
+            findings, files_scanned, layer_passes = scan_once()
+    for layer, layer_pass in zip(layers, layer_passes):
+        result = layer_pass.finish()
+        if layer.name == "effects" and args.write_certificate:
+            return _write_certificate(
+                certificate, result, args.allow_demotions
             )
-            certified = sum(
-                1
-                for tier in effect_result.analysis.tiers.values()
-                if tier != "effectful"
-            )
-            print(
-                f"determinism certificate written to {certificate_path} "
-                f"({certified} certified function(s))"
-            )
-            return 0
-        effect_findings = effect_result.findings
-        if effects_selected is not None:
-            effect_findings = [
-                f for f in effect_findings if f.code in effects_selected
-            ]
         findings = sorted(
-            findings + effect_findings, key=Finding.sort_key
-        )
-    if _perf_enabled(args, perf_selected):
-        from repro.lint.perf import analyze_perf
-
-        perf_cache = args.perf_cache or str(root / DEFAULT_PERF_CACHE)
-        perf_certificate = args.certificate or str(
-            root / DEFAULT_CERTIFICATE
-        )
-        profile_path = args.profile or str(root / DEFAULT_PROFILE)
-        # Like the effect pass, the perf pass always covers the original
-        # PATH scope even under --changed: decorating one function can
-        # pull a distant, unchanged callee into the hot region (or push
-        # it out), so a diff-narrowed file list would miss exactly the
-        # regressions REP301-REP304 exist to catch.
-        perf_result = analyze_perf(
-            list(args.paths),
-            root=root,
-            cache_path=perf_cache,
-            certificate_path=perf_certificate,
-            profile_path=profile_path,
-        )
-        perf_findings_list = perf_result.findings
-        if perf_selected is not None:
-            perf_findings_list = [
-                f for f in perf_findings_list if f.code in perf_selected
-            ]
-        findings = sorted(
-            findings + perf_findings_list, key=Finding.sort_key
+            findings
+            + [
+                f
+                for f in result.findings
+                if selected is None or f.code in selected
+            ],
+            key=Finding.sort_key,
         )
     if args.write_baseline:
         if not args.baseline:
@@ -300,7 +329,7 @@ def run_lint_command(args: argparse.Namespace) -> int:
         partition=baseline.partition(
             findings, scanned_paths=scanned_paths
         ),
-        files_scanned=_count_files(paths),
+        files_scanned=files_scanned,
         fixed=fixed,
     )
     output = render(report, args.format)
@@ -309,121 +338,48 @@ def run_lint_command(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _flow_enabled(
-    args: argparse.Namespace,
-    paths: Sequence[str],
-    flow_selected: Optional[frozenset],
-) -> bool:
-    """Whether this run includes the whole-program pass.
-
-    Explicit flags win; an explicit --select decides by whether it names
-    any flow code; otherwise directory runs get the full analysis and
-    single-file / --changed runs stay fast and intraprocedural.
-    """
-    if args.no_flow:
-        return False
-    if args.flow:
-        return True
-    if flow_selected is not None:
-        return bool(flow_selected)
-    if args.changed:
-        return False
-    return any(pathlib.Path(p).is_dir() for p in paths)
+def _write_certificate(
+    certificate_path: str, result: LayerResult, allow_demotions: bool
+) -> int:
+    write_certificate(
+        certificate_path,
+        result.analysis,
+        result.module_digests,
+        allow_demotions=allow_demotions,
+    )
+    certified = sum(
+        1 for tier in result.analysis.tiers.values() if tier != "effectful"
+    )
+    print(
+        f"determinism certificate written to {certificate_path} "
+        f"({certified} certified function(s))"
+    )
+    return 0
 
 
-def _effects_enabled(
-    args: argparse.Namespace,
-    effects_selected: Optional[frozenset],
-) -> bool:
-    """Whether this run includes the effect/determinism pass.
+def _selected_rules(
+    select: Optional[str],
+) -> Tuple[Optional[List[Rule]], Optional[FrozenSet[str]]]:
+    """Split a --select list into engine rules and the selected codes.
 
-    Off by default — it is a whole-program pass with its own committed
-    artifact, so it runs when asked for: --effects, --write-certificate,
-    or a --select naming a REP2xx code.
-    """
-    if args.no_effects:
-        return False
-    if args.effects or args.write_certificate:
-        return True
-    if effects_selected is not None:
-        return bool(effects_selected)
-    return False
-
-
-def _perf_enabled(
-    args: argparse.Namespace,
-    perf_selected: Optional[frozenset],
-) -> bool:
-    """Whether this run includes the performance-contract pass.
-
-    Off by default, exactly like the effect pass: it is a whole-program
-    analysis that reads the committed certificate and profile artifacts,
-    so it runs when asked for: --perf, or a --select naming a REP3xx
-    code.
-    """
-    if args.no_perf:
-        return False
-    if args.perf:
-        return True
-    if perf_selected is not None:
-        return bool(perf_selected)
-    return False
-
-
-def _clear_caches(args: argparse.Namespace, root: pathlib.Path) -> None:
-    for candidate in (
-        args.flow_cache or root / DEFAULT_FLOW_CACHE,
-        args.effects_cache or root / DEFAULT_EFFECTS_CACHE,
-        args.perf_cache or root / DEFAULT_PERF_CACHE,
-    ):
-        pathlib.Path(candidate).unlink(missing_ok=True)
-
-
-def _selected_rules(select: Optional[str]):
-    """Split a --select list into engine, flow, effect, and perf codes.
-
-    Returns ``(engine_rules, flow_codes, effect_codes, perf_codes)``,
-    all ``None`` when no --select was given (meaning: everything).
+    Returns ``(engine_rules, codes)``, both ``None`` when no --select
+    was given (meaning: everything).
     """
     if not select:
-        return None, None, None, None
-    from repro.lint.errors import LintError
-    from repro.lint.registry import RULES
-
+        return None, None
     codes = [c.strip().upper() for c in select.split(",") if c.strip()]
     all_instances = {rule.code: rule for rule in all_rules()}
+    layer_codes = [code for layer in LAYERS for code in sorted(layer.codes)]
     unknown = [
-        c
-        for c in codes
-        if c not in all_instances
-        and c not in FLOW_CODES
-        and c not in EFFECT_CODES
-        and c not in PERF_CODES
+        c for c in codes if c not in all_instances and c not in layer_codes
     ]
     if unknown:
-        registered = (
-            sorted(RULES)
-            + sorted(FLOW_CODES)
-            + sorted(EFFECT_CODES)
-            + sorted(PERF_CODES)
-        )
         raise LintError(
             f"unknown rule code(s) {', '.join(unknown)} in --select "
-            f"(registered: {', '.join(registered)})"
+            f"(registered: {', '.join(sorted(RULES) + layer_codes)})"
         )
-    engine_rules = [
-        all_instances[c] for c in codes if c in all_instances
-    ]
-    flow_codes = frozenset(c for c in codes if c in FLOW_CODES)
-    effect_codes = frozenset(c for c in codes if c in EFFECT_CODES)
-    perf_codes = frozenset(c for c in codes if c in PERF_CODES)
-    return engine_rules, flow_codes, effect_codes, perf_codes
-
-
-def _count_files(paths: Sequence[str]) -> int:
-    from repro.lint.engine import iter_python_files
-
-    return len(iter_python_files([pathlib.Path(p) for p in paths]))
+    engine_rules = [all_instances[c] for c in codes if c in all_instances]
+    return engine_rules, frozenset(codes)
 
 
 def _rule_table() -> str:
@@ -442,20 +398,11 @@ def _rule_table() -> str:
                 "        scope: modules matching "
                 + ", ".join(rule.scope)
             )
-    for flow_rule in FLOW_RULES:
-        lines.append(f"{flow_rule.code}  {flow_rule.name} (flow)")
-        lines.append(f"        {flow_rule.summary}")
-        lines.append(f"        why: {flow_rule.rationale}")
-    for effect_rule in EFFECT_RULES:
-        lines.append(
-            f"{effect_rule.code}  {effect_rule.name} (effects)"
-        )
-        lines.append(f"        {effect_rule.summary}")
-        lines.append(f"        why: {effect_rule.rationale}")
-    for perf_rule in PERF_RULES:
-        lines.append(f"{perf_rule.code}  {perf_rule.name} (perf)")
-        lines.append(f"        {perf_rule.summary}")
-        lines.append(f"        why: {perf_rule.rationale}")
+    for layer in LAYERS:
+        for rule in layer.rules:
+            lines.append(f"{rule.code}  {rule.name} ({layer.name})")
+            lines.append(f"        {rule.summary}")
+            lines.append(f"        why: {rule.rationale}")
     return "\n".join(lines)
 
 
@@ -475,8 +422,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-# Re-exported for the docs generator and tests.
-def findings_for(paths: Sequence[str]) -> List[Finding]:
-    return lint_paths(paths)

@@ -1,17 +1,13 @@
 """Interprocedural effect-and-determinism analysis (REP201-REP205).
 
 The third lint layer: per-function effect summaries, bottom-up fixpoint
-propagation over the flow layer's call graph, certificate tiers
+propagation over the shared call graph, certificate tiers
 (``pure`` / ``process-pool-safe`` / ``deterministic``), and the
 committed ``.repro-effects.json`` determinism certificate that gates
 ``repro campaign --workers N``.
 """
 
-from repro.lint.effects.api import (
-    DEFAULT_EFFECT_CACHE_NAME,
-    EffectResult,
-    analyze_effects,
-)
+from repro.lint.effects.api import EffectPass, analyze_effects
 from repro.lint.effects.certificate import (
     CERTIFICATE_NAME,
     build_certificate,
@@ -36,8 +32,7 @@ from repro.lint.effects.ruledefs import (
 )
 
 __all__ = [
-    "DEFAULT_EFFECT_CACHE_NAME",
-    "EffectResult",
+    "EffectPass",
     "analyze_effects",
     "CERTIFICATE_NAME",
     "build_certificate",

@@ -1,30 +1,20 @@
 """The effect layer's entry point: files in, REP201-REP205 findings out.
 
-``analyze_effects`` is to the effect layer what ``analyze_paths`` is to
-the flow layer: it expands paths the same way, anchors finding paths on
-the same ``root``, and returns plain :class:`Finding` objects the CLI
-concatenates with the other layers' and hands to the same baseline
-partition and reporters.
-
-Per file: hash the source, hit the effect cache or parse + extract,
-then build the call graph over all summaries (the flow layer's builder,
-unchanged — effect summaries carry identically-shaped ``calls`` and
-``arg_flows``), propagate, and generate findings.  When a committed
-determinism certificate is present, tier regressions against it are
-reported as REP205 findings anchored on the demoted function's
-definition line.
+:class:`EffectPass` is the layer as a scan pass (see
+:mod:`repro.lint.summaries` for the shared cache-or-extract pipeline);
+``analyze_effects`` runs it alone, ``repro lint`` runs it beside the
+other passes in one scan.  When a committed determinism certificate is
+present, tier regressions against it are reported as REP205 findings
+anchored on the demoted function's definition line.
 """
 
 from __future__ import annotations
 
-import ast
-import dataclasses
 import pathlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.engine import iter_python_files, relative_finding_path
-from repro.lint.findings import Finding
-from repro.lint.effects.cache import EffectCache, source_digest
+from repro.lint.callgraph import CallGraph
+from repro.lint.context import ModuleContext
 from repro.lint.effects.certificate import (
     certificate_demotions,
     load_certificate,
@@ -35,28 +25,43 @@ from repro.lint.effects.propagate import (
     effect_findings,
     propagate_effects,
 )
-from repro.lint.flow.callgraph import CallGraph, build_callgraph
+from repro.lint.findings import Finding
+from repro.lint.summaries import LayerResult, SummaryPass
 
-__all__ = ["EffectResult", "analyze_effects", "DEFAULT_EFFECT_CACHE_NAME"]
+__all__ = ["EffectPass", "analyze_effects", "EFFECT_ANALYSIS_VERSION"]
 
-DEFAULT_EFFECT_CACHE_NAME = ".repro-effects-cache.json"
+# Semantic version of effects/extract.py; see SummaryCache.
+EFFECT_ANALYSIS_VERSION = 1
 
 
-@dataclasses.dataclass
-class EffectResult:
-    """Findings plus the analysis artifacts tests and tooling inspect."""
+class EffectPass(SummaryPass[EffectExtract, EffectAnalysis]):
+    kind = "effect"
+    analysis_version = EFFECT_ANALYSIS_VERSION
+    extract_type = EffectExtract
 
-    findings: List[Finding]
-    analysis: EffectAnalysis
-    files_analyzed: int
-    cache_hits: int
-    cache_misses: int
-    #: relpath -> sha256 of the analyzed source (certificate input)
-    module_digests: Dict[str, str]
+    def __init__(
+        self,
+        cache_path: Optional[str | pathlib.Path],
+        certificate_path: Optional[str | pathlib.Path] = None,
+    ) -> None:
+        super().__init__(cache_path)
+        self.certificate_path = certificate_path
 
-    @property
-    def callgraph(self) -> CallGraph:
-        return self.analysis.graph
+    def extract(self, module: ModuleContext) -> EffectExtract:
+        return extract_effects(module)
+
+    def analyze(
+        self, graph: CallGraph
+    ) -> Tuple[EffectAnalysis, List[Finding]]:
+        analysis = propagate_effects(self.extracts, graph)
+        findings = effect_findings(analysis, self.sources)
+        if self.certificate_path is not None:
+            certificate = load_certificate(self.certificate_path)
+            if certificate is not None:
+                findings.extend(
+                    _demotion_findings(certificate, analysis, self.sources)
+                )
+        return analysis, findings
 
 
 def analyze_effects(
@@ -65,57 +70,9 @@ def analyze_effects(
     root: Optional[str | pathlib.Path] = None,
     cache_path: Optional[str | pathlib.Path] = None,
     certificate_path: Optional[str | pathlib.Path] = None,
-) -> EffectResult:
+) -> LayerResult[EffectAnalysis]:
     """Run the whole-program effect analysis over files and directories."""
-    rootpath = (
-        pathlib.Path(root) if root is not None else pathlib.Path.cwd()
-    )
-    cache = EffectCache.load(
-        pathlib.Path(cache_path) if cache_path is not None else None
-    )
-
-    extracts: List[EffectExtract] = []
-    sources: Dict[str, Sequence[str]] = {}
-    module_digests: Dict[str, str] = {}
-    for path in iter_python_files([pathlib.Path(p) for p in paths]):
-        relpath = relative_finding_path(path, rootpath)
-        source = path.read_text(encoding="utf-8")
-        sources[relpath] = source.splitlines()
-        digest = source_digest(source)
-        cached = cache.get(relpath, digest)
-        if cached is not None:
-            extracts.append(cached)
-        else:
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue  # REP000 is the engine's report, not ours
-            extract = extract_effects(tree, relpath)
-            extracts.append(extract)
-            cache.put(relpath, digest, extract)
-        module_digests[relpath] = digest
-
-    graph = build_callgraph(extracts)
-    analysis = propagate_effects(extracts, graph)
-    findings = effect_findings(analysis, sources)
-
-    if certificate_path is not None:
-        certificate = load_certificate(certificate_path)
-        if certificate is not None:
-            findings.extend(
-                _demotion_findings(certificate, analysis, sources)
-            )
-    findings.sort(key=Finding.sort_key)
-
-    cache.save()
-    return EffectResult(
-        findings=findings,
-        analysis=analysis,
-        files_analyzed=len(extracts),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
-        module_digests=module_digests,
-    )
+    return EffectPass(cache_path, certificate_path).run(paths, root)
 
 
 def _demotion_findings(
@@ -128,28 +85,20 @@ def _demotion_findings(
         certificate, analysis
     ):
         summary = analysis.summary_of(qualname)
-        relpath, line = "", 1
-        for extract in analysis.extracts:
-            if qualname in extract.functions:
-                relpath = extract.relpath
-                break
-        if summary is not None:
-            line = summary.lineno
-        lines = sources.get(relpath, ())
-        snippet = lines[line - 1].strip() if 0 < line <= len(lines) else ""
+        relpath = analysis.graph.modules.get(qualname, "")
+        line = summary.lineno if summary is not None else 1
         findings.append(
-            Finding(
-                code="REP205",
-                message=(
+            Finding.at(
+                "REP205",
+                (
                     f"'{qualname}' is certified '{certified}' in the "
                     f"determinism certificate but now analyzes as "
                     f"'{current}' "
                     f"(effects: {analysis.effect_words(qualname)})"
                 ),
-                path=relpath or "(deleted)",
-                line=line,
-                col=1,
-                snippet=snippet,
+                relpath or "(deleted)",
+                line,
+                sources.get(relpath, ()),
             )
         )
     return findings

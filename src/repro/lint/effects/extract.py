@@ -21,11 +21,11 @@ propagation pass closes over the call graph:
   value derived from *iterating* one; ``sorted()`` and friends launder
   both (REP203).
 - ``calls`` — resolved call edges; shaped exactly like the flow
-  layer's so :func:`repro.lint.flow.callgraph.build_callgraph` works
+  layer's so :func:`repro.lint.callgraph.build_callgraph` works
   unchanged over effect extracts.
 
-The walker is the flow extractor's two-pass flow-insensitive scheme
-(atoms reach fixpoint through loops and re-assignments) with the same
+The walker is the two-pass flow-insensitive scheme of
+:mod:`repro.lint.atoms`, shared with the flow extractor, with the same
 soundness caveats: instance-attribute state and dynamic dispatch are
 not tracked, and a method mutating ``self`` does not propagate to the
 caller's receiver value.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.effects.ruledefs import (
@@ -53,9 +54,15 @@ from repro.lint.effects.ruledefs import (
     SET_RETURNING_ATTRS,
     UNSEEDED_RNG_CONSTRUCTORS,
 )
-from repro.lint.flow.extract import MODULE_BODY
+from repro.lint.atoms import (
+    AtomSummary,
+    AtomWalker,
+    SummaryExtract,
+    extract_functions,
+)
+from repro.lint.context import ModuleContext
 from repro.lint.flow.ruledefs import DURABLE_SINKS
-from repro.lint.flow.symbols import ModuleSymbols, dotted, module_name_for
+from repro.lint.symbols import FunctionNode, ModuleSymbols, dotted
 
 __all__ = [
     "EffectSummary",
@@ -69,9 +76,6 @@ __all__ = [
 ATOM_SETLIKE = "setlike"  # the value is a set/frozenset
 ATOM_UNORDERED = "unordered"  # derived from iterating an unordered value
 ATOM_EXECUTOR = "executor"  # the value is a pool/executor instance
-
-_IO_CALLS = frozenset({"open", "os.replace", "os.rename", "os.fsync"})
-_IO_ATTR_CALLS = frozenset({"write", "write_text", "write_bytes"})
 
 #: Calls that expose iteration order of their (first) argument.
 _ITERATING_CALLS = frozenset(
@@ -94,14 +98,9 @@ _MUTABLE_DEFAULT_CALLS = frozenset(
 
 
 @dataclasses.dataclass
-class EffectSummary:
+class EffectSummary(AtomSummary):
     """Local (callee-independent) effect facts of one function."""
 
-    qualname: str
-    lineno: int
-    params: Tuple[str, ...]
-    is_public: bool
-    is_method: bool
     #: direct effect kind -> first line observed
     direct: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: direct effect kind -> short human detail ("time.time", "CACHE")
@@ -128,25 +127,10 @@ class EffectSummary:
     submits: List[Tuple[str, int, str]] = dataclasses.field(
         default_factory=list
     )
-    #: durable-sink calls with the atoms of their arguments (REP203)
-    sink_flows: List[Tuple[str, int, Tuple[str, ...]]] = dataclasses.field(
-        default_factory=list
-    )
-    ret_atoms: List[str] = dataclasses.field(default_factory=list)
-    calls: List[Tuple[str, int, Tuple[str, ...]]] = dataclasses.field(
-        default_factory=list
-    )
-    arg_flows: List[
-        Tuple[str, int, Tuple[Tuple[str, ...], ...], Dict[str, Tuple[str, ...]]]
-    ] = dataclasses.field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "params": list(self.params),
-            "is_public": self.is_public,
-            "is_method": self.is_method,
+            **super().to_dict(),
             "direct": dict(self.direct),
             "detail": dict(self.detail),
             "global_writes": [[n, ln] for n, ln in self.global_writes],
@@ -158,30 +142,12 @@ class EffectSummary:
                 for d, ln, captured in self.closure_submits
             ],
             "submits": [[q, ln, d] for q, ln, d in self.submits],
-            "sink_flows": [
-                [s, ln, sorted(atoms)] for s, ln, atoms in self.sink_flows
-            ],
-            "ret_atoms": sorted(self.ret_atoms),
-            "calls": [[c, ln, list(caught)] for c, ln, caught in self.calls],
-            "arg_flows": [
-                [
-                    callee,
-                    ln,
-                    [sorted(a) for a in pos],
-                    {k: sorted(v) for k, v in sorted(kw.items())},
-                ]
-                for callee, ln, pos, kw in self.arg_flows
-            ],
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "EffectSummary":
         return cls(
-            qualname=str(data["qualname"]),
-            lineno=int(data["lineno"]),
-            params=tuple(data["params"]),
-            is_public=bool(data["is_public"]),
-            is_method=bool(data["is_method"]),
+            **cls.shared_fields(data),
             direct={str(k): int(v) for k, v in data["direct"].items()},
             detail={str(k): str(v) for k, v in data["detail"].items()},
             global_writes=[
@@ -201,113 +167,27 @@ class EffectSummary:
             submits=[
                 (str(q), int(ln), str(d)) for q, ln, d in data["submits"]
             ],
-            sink_flows=[
-                (str(s), int(ln), tuple(atoms))
-                for s, ln, atoms in data["sink_flows"]
-            ],
-            ret_atoms=list(data["ret_atoms"]),
-            calls=[
-                (str(c), int(ln), tuple(caught))
-                for c, ln, caught in data["calls"]
-            ],
-            arg_flows=[
-                (
-                    str(callee),
-                    int(ln),
-                    tuple(tuple(a) for a in pos),
-                    {str(k): tuple(v) for k, v in kw.items()},
-                )
-                for callee, ln, pos, kw in data["arg_flows"]
-            ],
         )
 
 
-@dataclasses.dataclass
-class EffectExtract:
+class EffectExtract(SummaryExtract):
     """Everything effect propagation needs about one module."""
 
-    relpath: str
-    module: str
+    summary_type = EffectSummary
     functions: Dict[str, EffectSummary]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "relpath": self.relpath,
-            "module": self.module,
-            "functions": {
-                name: fn.to_dict()
-                for name, fn in sorted(self.functions.items())
-            },
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EffectExtract":
-        return cls(
-            relpath=str(data["relpath"]),
-            module=str(data["module"]),
-            functions={
-                str(name): EffectSummary.from_dict(fn)
-                for name, fn in data["functions"].items()
-            },
-        )
-
-
-def extract_effects(tree: ast.Module, relpath: str) -> EffectExtract:
+def extract_effects(ctx: ModuleContext) -> EffectExtract:
     """Extract every function's effect summary from one parsed module."""
-    posix = relpath.replace("\\", "/")
-    module = module_name_for(posix)
-    is_package = posix.endswith("__init__.py")
-    symbols = ModuleSymbols.collect(tree, module, is_package=is_package)
-    allowlisted = any(posix.endswith(sfx) for sfx in AMBIENT_ALLOWLIST)
-
-    extract = EffectExtract(relpath=posix, module=module, functions={})
-    index = _DefIndex(module)
-    index.scan(tree)
-    module_state = _module_level_names(tree)
-
-    body_walker = _EffectWalker(
-        qualname=f"{module}.{MODULE_BODY}" if module else MODULE_BODY,
-        lineno=1,
-        params=(),
-        is_public=False,
-        is_method=False,
-        symbols=symbols,
-        index=index,
-        allowlisted=allowlisted,
-        module_state=frozenset(),  # body assignments are definitions
-        globals_env={},
-        cls=None,
+    assert ctx.tree is not None
+    walker = functools.partial(
+        _EffectWalker, module_state=_module_level_names(ctx.tree)
     )
-    module_stmts = [
-        s
-        for s in tree.body
-        if not isinstance(
-            s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        )
-    ]
-    summary = body_walker.run(module_stmts)
-    extract.functions[summary.qualname] = summary
-    globals_env = body_walker.env
-
-    for qualname, node, cls_name in index.definitions:
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        walker = _EffectWalker(
-            qualname=qualname,
-            lineno=node.lineno,
-            params=_param_names(node),
-            is_public=_is_public(qualname, module),
-            is_method=cls_name is not None,
-            symbols=symbols,
-            index=index,
-            allowlisted=allowlisted,
-            module_state=module_state,
-            globals_env=globals_env,
-            cls=cls_name,
-        )
-        fn = walker.run(node.body)
-        fn.mutable_defaults = _mutable_defaults(node, symbols)
-        extract.functions[qualname] = fn
-    return extract
+    return EffectExtract(
+        relpath=ctx.relpath,
+        module=ctx.module,
+        functions=extract_functions(ctx, walker, AMBIENT_ALLOWLIST),
+    )
 
 
 def _module_level_names(tree: ast.Module) -> frozenset:
@@ -335,28 +215,10 @@ def _binding_names(target: ast.expr) -> List[str]:
     return []
 
 
-def _param_names(node: ast.AST) -> Tuple[str, ...]:
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    args = node.args
-    names = [a.arg for a in args.posonlyargs + args.args]
-    if args.vararg:
-        names.append(args.vararg.arg)
-    names.extend(a.arg for a in args.kwonlyargs)
-    if args.kwarg:
-        names.append(args.kwarg.arg)
-    return tuple(names)
-
-
-def _is_public(qualname: str, module: str) -> bool:
-    local = qualname[len(module) + 1 :] if module else qualname
-    return not any(part.startswith("_") for part in local.split("."))
-
-
 def _mutable_defaults(
-    node: ast.AST, symbols: ModuleSymbols
+    node: FunctionNode, symbols: ModuleSymbols
 ) -> List[Tuple[str, int]]:
     """(param, line) for every default that denotes fresh mutable state."""
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     args = node.args
     found: List[Tuple[str, int]] = []
     positional = args.posonlyargs + args.args
@@ -377,34 +239,6 @@ def _mutable_defaults(
             if callee in _MUTABLE_DEFAULT_CALLS:
                 found.append((param, default.lineno))
     return found
-
-
-class _DefIndex:
-    """All function/method definitions of a module, in source order."""
-
-    def __init__(self, module: str) -> None:
-        self.module = module
-        #: (qualname, def node, owning class name or None)
-        self.definitions: List[Tuple[str, ast.AST, Optional[str]]] = []
-        self.by_qualname: Dict[str, ast.AST] = {}
-
-    def scan(self, tree: ast.Module) -> None:
-        for stmt in tree.body:
-            self._scan_node(stmt, prefix=self.module, cls=None)
-
-    def _scan_node(
-        self, node: ast.AST, prefix: str, cls: Optional[str]
-    ) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qual = f"{prefix}.{node.name}" if prefix else node.name
-            self.definitions.append((qual, node, cls))
-            self.by_qualname[qual] = node
-            for child in node.body:
-                self._scan_node(child, prefix=qual, cls=None)
-        elif isinstance(node, ast.ClassDef):
-            qual = f"{prefix}.{node.name}" if prefix else node.name
-            for child in node.body:
-                self._scan_node(child, prefix=qual, cls=node.name)
 
 
 def _free_names(node: ast.AST) -> Set[str]:
@@ -432,56 +266,42 @@ def _free_names(node: ast.AST) -> Set[str]:
     return loaded - bound
 
 
-class _EffectWalker:
-    """Two-pass flow-insensitive effect collection over one body."""
+class _EffectWalker(AtomWalker):
+    """Atom propagation reading off writes, mutations, and submits."""
+
+    summary_type = EffectSummary
+    summary: EffectSummary
 
     def __init__(
         self,
-        *,
+        ctx: ModuleContext,
         qualname: str,
-        lineno: int,
-        params: Tuple[str, ...],
-        is_public: bool,
-        is_method: bool,
-        symbols: ModuleSymbols,
-        index: _DefIndex,
-        allowlisted: bool,
-        module_state: frozenset,
-        globals_env: Dict[str, Set[str]],
+        node: Optional[FunctionNode],
         cls: Optional[str],
+        allowlisted: bool,
+        globals_env: Dict[str, Set[str]],
+        *,
+        module_state: frozenset,
     ) -> None:
-        self.summary = EffectSummary(
-            qualname=qualname,
-            lineno=lineno,
-            params=params,
-            is_public=is_public,
-            is_method=is_method,
-        )
-        self.symbols = symbols
-        self.index = index
-        self.allowlisted = allowlisted
-        self.module_state = module_state
-        self.globals_env = globals_env
-        self.cls = cls
-        self.env: Dict[str, Set[str]] = {}
+        super().__init__(ctx, qualname, node, cls, allowlisted, globals_env)
+        # In the module body itself, assignments are definitions.
+        self.module_state = module_state if node is not None else frozenset()
+        if node is not None:
+            self.summary.mutable_defaults = _mutable_defaults(
+                node, ctx.symbols
+            )
         #: names truly *bound* in this scope (plain-Name assignment,
         #: loop/with/comprehension targets) — ``env`` also holds names
         #: that merely received container-mutation taint, which must
         #: not shadow the module-global check.
         self._locals: Set[str] = set()
-        self._ret: Set[str] = set()
         self._declared_globals: Set[str] = set()
-        self._caught: Tuple[str, ...] = ()
-        self._collect = False
 
     def run(self, body: Sequence[ast.stmt]) -> EffectSummary:
-        self._collect = False
-        self._walk(body)
-        self._collect = True
-        self._walk(body)
-        self.summary.ret_atoms = sorted(
-            a for a in self._ret if a != ATOM_EXECUTOR
-        )
+        super().run(body)
+        self.summary.ret_atoms = [
+            a for a in self.summary.ret_atoms if a != ATOM_EXECUTOR
+        ]
         return self.summary
 
     # ---- effect recording --------------------------------------------
@@ -520,15 +340,11 @@ class _EffectWalker:
 
     # ---- statements --------------------------------------------------
 
-    def _walk(self, stmts: Sequence[ast.stmt]) -> None:
-        for stmt in stmts:
-            self._stmt(stmt)
+    def _bind_target(self, target: ast.expr, atoms: Set[str]) -> None:
+        self._locals.update(_binding_names(target))
+        super()._bind_target(target, atoms)
 
     def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs are indexed and summarized separately
-        if isinstance(stmt, ast.ClassDef):
-            return
         if isinstance(stmt, ast.Global):
             self._declared_globals.update(stmt.names)
             return
@@ -553,9 +369,7 @@ class _EffectWalker:
                     self._classify_write(
                         _base_name(target), stmt.lineno
                     )
-                self._locals.update(_binding_names(target))
-                for name in _target_names(target):
-                    self.env.setdefault(name, set()).update(atoms)
+                self._bind_target(target, atoms)
             return
         if isinstance(stmt, ast.Delete):
             for target in stmt.targets:
@@ -575,53 +389,7 @@ class _EffectWalker:
                     ):
                         self.summary.returned_params.append(stmt.value.id)
             return
-        if isinstance(stmt, ast.Try):
-            caught = self._caught
-            names = _handler_names(stmt.handlers)
-            self._caught = caught + names
-            self._walk(stmt.body)
-            self._caught = caught
-            for handler in stmt.handlers:
-                self._walk(handler.body)
-            self._walk(stmt.orelse)
-            self._walk(stmt.finalbody)
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            atoms = self._iterated(self._atoms(stmt.iter), stmt.iter.lineno)
-            self._locals.update(_binding_names(stmt.target))
-            for name in _target_names(stmt.target):
-                self.env.setdefault(name, set()).update(atoms)
-            self._walk(stmt.body)
-            self._walk(stmt.orelse)
-            return
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                atoms = self._atoms(item.context_expr)
-                if item.optional_vars is not None:
-                    self._locals.update(
-                        _binding_names(item.optional_vars)
-                    )
-                    for name in _target_names(item.optional_vars):
-                        self.env.setdefault(name, set()).update(atoms)
-            self._walk(stmt.body)
-            return
-        # Generic fallback (If, While, Match, Expr, Assert, Raise, ...):
-        # evaluate expression children, recurse into statement lists.
-        for field in ast.iter_fields(stmt):
-            _, value = field
-            if isinstance(value, ast.expr):
-                self._atoms(value)
-            elif isinstance(value, list):
-                for expr in (v for v in value if isinstance(v, ast.expr)):
-                    self._atoms(expr)
-                inner = [v for v in value if isinstance(v, ast.stmt)]
-                if inner:
-                    self._walk(inner)
-                for v in value:
-                    if hasattr(ast, "match_case") and isinstance(
-                        v, ast.match_case
-                    ):
-                        self._walk(v.body)
+        super()._stmt(stmt)  # loops, with, try, and the generic rest
 
     # ---- expressions -------------------------------------------------
 
@@ -658,10 +426,7 @@ class _EffectWalker:
         marks: Set[str] = set()
         for gen in generators:
             it = self._atoms(gen.iter)
-            bound = self._iterated(it, gen.iter.lineno)
-            self._locals.update(_binding_names(gen.target))
-            for name in _target_names(gen.target):
-                self.env.setdefault(name, set()).update(bound)
+            self._bind_target(gen.target, self._iterated(it))
             for cond in gen.ifs:
                 self._atoms(cond)
             marks |= it
@@ -679,19 +444,10 @@ class _EffectWalker:
             result.add(ATOM_UNORDERED)
         return result
 
-    def _iterated(self, atoms: Set[str], lineno: int) -> Set[str]:
-        """Atoms of an element drawn from ``atoms``-marked iterable."""
+    def _iterated(self, atoms: Set[str]) -> Set[str]:
         if ATOM_SETLIKE in atoms:
             return (atoms - {ATOM_SETLIKE}) | {ATOM_UNORDERED}
         return set(atoms)
-
-    def _name_atoms(self, node: ast.Name) -> Set[str]:
-        result: Set[str] = set(self.env.get(node.id, ()))
-        if node.id in self.summary.params:
-            result.add(f"param:{node.id}")
-        elif node.id not in self.env and node.id in self.globals_env:
-            result |= self.globals_env[node.id]
-        return result
 
     def _ambient(self, kind: str, lineno: int, detail: str) -> None:
         if self.allowlisted:
@@ -699,24 +455,7 @@ class _EffectWalker:
         self._record(EFFECT_AMBIENT, lineno, f"{detail} ({kind})")
 
     def _call_atoms(self, node: ast.Call) -> Set[str]:
-        pos_atoms: List[Set[str]] = []
-        for arg in node.args:
-            if isinstance(arg, ast.Starred):
-                pos_atoms.append(self._atoms(arg.value))
-            else:
-                pos_atoms.append(self._atoms(arg))
-        kw_atoms: Dict[str, Set[str]] = {}
-        star_kw: Set[str] = set()
-        for kw in node.keywords:
-            if kw.arg is None:
-                star_kw |= self._atoms(kw.value)
-            else:
-                kw_atoms[kw.arg] = self._atoms(kw.value)
-        arg_union: Set[str] = set().union(*pos_atoms) if pos_atoms else set()
-        for atoms in kw_atoms.values():
-            arg_union |= atoms
-        arg_union |= star_kw
-
+        pos_atoms, kw_atoms, arg_union = self._arg_atoms(node)
         callee = self._resolve_callee(node.func)
         recv_atoms: Set[str] = set()
         if isinstance(node.func, ast.Attribute):
@@ -752,10 +491,7 @@ class _EffectWalker:
                 self._ambient("rng", node.lineno, f"{callee}()")
 
         # I/O and durable sinks.
-        if callee in _IO_CALLS or (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _IO_ATTR_CALLS
-        ):
+        if self._is_io(callee, node.func):
             self._record(EFFECT_IO, node.lineno, callee or node.func.attr)
         if callee in DURABLE_SINKS:
             self._record(EFFECT_IO, node.lineno, callee)
@@ -799,20 +535,9 @@ class _EffectWalker:
         result = arg_union | recv_atoms
         if callee:
             result.add(f"call:{callee}")
-            if self._collect:
-                self.summary.calls.append((callee, node.lineno, self._caught))
-                if arg_union or any(pos_atoms) or any(kw_atoms.values()):
-                    self.summary.arg_flows.append(
-                        (
-                            callee,
-                            node.lineno,
-                            tuple(tuple(sorted(a)) for a in pos_atoms),
-                            {
-                                k: tuple(sorted(v))
-                                for k, v in kw_atoms.items()
-                            },
-                        )
-                    )
+            self._record_call(
+                callee, node.lineno, pos_atoms, kw_atoms, arg_union
+            )
         return result
 
     # ---- executor submissions ----------------------------------------
@@ -862,24 +587,6 @@ class _EffectWalker:
             (resolved, line, dotted(arg) or "<dynamic>")
         )
 
-    # ---- name resolution ---------------------------------------------
-
-    def _resolve_callee(self, func: ast.expr) -> str:
-        name = dotted(func)
-        if not name:
-            return ""
-        head, _, rest = name.partition(".")
-        if head in ("self", "cls") and self.cls is not None and rest:
-            candidate = (
-                f"{self.symbols.module}.{self.cls}.{rest}"
-                if self.symbols.module
-                else f"{self.cls}.{rest}"
-            )
-            if candidate in self.index.by_qualname:
-                return candidate
-            return ""
-        return self.symbols.resolve(name)
-
 
 def _base_name(expr: ast.expr) -> Optional[str]:
     """The innermost Name of a Subscript/Attribute chain, if any."""
@@ -887,37 +594,3 @@ def _base_name(expr: ast.expr) -> Optional[str]:
     while isinstance(node, (ast.Subscript, ast.Attribute)):
         node = node.value
     return node.id if isinstance(node, ast.Name) else None
-
-
-def _handler_names(
-    handlers: Sequence[ast.ExceptHandler],
-) -> Tuple[str, ...]:
-    names: List[str] = []
-    for handler in handlers:
-        if handler.type is None:
-            names.append("*")
-        elif isinstance(handler.type, ast.Tuple):
-            for element in handler.type.elts:
-                name = dotted(element)
-                if name:
-                    names.append(name.rsplit(".", 1)[-1])
-        else:
-            name = dotted(handler.type)
-            if name:
-                names.append(name.rsplit(".", 1)[-1])
-    return tuple(names)
-
-
-def _target_names(target: ast.expr) -> List[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: List[str] = []
-        for element in target.elts:
-            names.extend(_target_names(element))
-        return names
-    if isinstance(target, ast.Starred):
-        return _target_names(target.value)
-    if isinstance(target, (ast.Subscript, ast.Attribute)):
-        return _target_names(target.value)
-    return []

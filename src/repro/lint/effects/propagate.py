@@ -37,9 +37,9 @@ import dataclasses
 import pathlib
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import CallGraph
-from repro.lint.flow.extract import MODULE_BODY
+from repro.lint.atoms import MODULE_BODY
+from repro.lint.callgraph import CallGraph, slot_params
+from repro.lint.findings import Finding, FindingSink
 from repro.lint.flow.ruledefs import SINK_MODULE_FRAGMENTS
 from repro.lint.effects.extract import (
     ATOM_UNORDERED,
@@ -79,11 +79,7 @@ class EffectAnalysis:
     tiers: Dict[str, str]
 
     def summary_of(self, qualname: str) -> Optional[EffectSummary]:
-        for extract in self.extracts:
-            found = extract.functions.get(qualname)
-            if found is not None:
-                return found
-        return None
+        return self.graph.functions.get(qualname)
 
     def tier_of(self, qualname: str) -> str:
         return self.tiers.get(qualname, TIER_EFFECTFUL)
@@ -105,12 +101,8 @@ class EffectAnalysis:
 def propagate_effects(
     extracts: Sequence[EffectExtract], graph: CallGraph
 ) -> EffectAnalysis:
-    functions: Dict[str, EffectSummary] = {}
-    modules: Dict[str, str] = {}
-    for extract in extracts:
-        for qualname, summary in extract.functions.items():
-            functions[qualname] = summary
-            modules[qualname] = extract.relpath
+    functions: Dict[str, EffectSummary] = graph.functions
+    modules = graph.modules
 
     flags: Dict[str, Set[str]] = {
         q: _direct_flags(functions[q]) for q in functions
@@ -221,22 +213,6 @@ def _update_flags(
     return len(mine) != before
 
 
-def _slot_params(
-    callee: EffectSummary,
-    npos: int,
-    kwnames: Sequence[str],
-) -> Tuple[List[Optional[str]], Dict[str, str]]:
-    """Map call-site argument slots onto the callee's formals."""
-    params = list(callee.params)
-    if callee.is_method and params and params[0] in ("self", "cls"):
-        params = params[1:]
-    positional: List[Optional[str]] = [
-        params[i] if i < len(params) else None for i in range(npos)
-    ]
-    keywords = {name: name for name in kwnames if name in params}
-    return positional, keywords
-
-
 def _update_mutated(
     summary: EffectSummary,
     functions: Dict[str, EffectSummary],
@@ -251,15 +227,7 @@ def _update_mutated(
         theirs = mutated.get(callee_name, set())
         if not theirs:
             continue
-        positional, keywords = _slot_params(
-            callee, len(pos_atoms), list(kw_atoms)
-        )
-        slots = [
-            (target, pos_atoms[i])
-            for i, target in enumerate(positional)
-            if target is not None
-        ] + [(target, kw_atoms[name]) for name, target in keywords.items()]
-        for target, atoms in slots:
+        for target, atoms in slot_params(callee, pos_atoms, kw_atoms):
             if target not in theirs:
                 continue
             for atom in atoms:
@@ -302,58 +270,16 @@ def _tier(
 # ---------------------------------------------------------------------------
 
 
-def _reachable(
-    graph: CallGraph, roots: Sequence[str]
-) -> Set[str]:
-    seen: Set[str] = set()
-    work = [r for r in roots if r in graph.edges]
-    while work:
-        node = work.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        work.extend(
-            callee
-            for callee in graph.edges.get(node, ())
-            if callee not in seen
-        )
-    return seen
-
-
 def effect_findings(
     analysis: EffectAnalysis,
     sources: Dict[str, Sequence[str]],
     roots: Sequence[str] = CERTIFIED_ROOTS,
 ) -> List[Finding]:
     """REP201-REP205 findings from a propagated effect analysis."""
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, str, int, str]] = set()
-
-    def emit(code: str, relpath: str, line: int, message: str) -> None:
-        key = (code, relpath, line, message)
-        if key in seen:
-            return
-        seen.add(key)
-        lines = sources.get(relpath, ())
-        snippet = lines[line - 1].strip() if 0 < line <= len(lines) else ""
-        findings.append(
-            Finding(
-                code=code,
-                message=message,
-                path=relpath,
-                line=line,
-                col=1,
-                snippet=snippet,
-            )
-        )
-
-    functions: Dict[str, EffectSummary] = {}
-    modules: Dict[str, str] = {}
-    for extract in analysis.extracts:
-        functions.update(extract.functions)
-        for qualname in extract.functions:
-            modules[qualname] = extract.relpath
-    sink_params = _serialization_params(functions, modules)
+    sink = FindingSink(sources)
+    emit = sink.emit
+    functions: Dict[str, EffectSummary] = analysis.graph.functions
+    sink_params = _serialization_params(functions, analysis.graph.modules)
 
     submit_targets = sorted(
         {
@@ -363,7 +289,7 @@ def effect_findings(
             if target
         }
     )
-    guarded = _reachable(analysis.graph, list(roots) + submit_targets)
+    guarded = analysis.graph.reachable(list(roots) + submit_targets)
 
     for extract in analysis.extracts:
         for qualname, summary in extract.functions.items():
@@ -378,9 +304,7 @@ def effect_findings(
             )
             _aliasing_findings(extract, summary, emit)
             _submit_findings(analysis, extract, summary, functions, emit)
-
-    findings.sort(key=Finding.sort_key)
-    return findings
+    return sink.sorted()
 
 
 def _shared_state_findings(

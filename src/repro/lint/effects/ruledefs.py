@@ -9,16 +9,11 @@ result is the determinism certificate (``.repro-effects.json``) that
 gates the process-pool campaign executor — the same purity discipline
 history-based predictors assume when replaying recorded workloads.
 
-Like the flow rules these are whole-program and do not fit the
-node-dispatch :class:`repro.lint.registry.Rule` interface; they share
-the stable-code contract (reporters, baselines, and ``--select`` key on
-the codes) and surface through the same
-:class:`~repro.lint.findings.Finding` type.
+Whole-program rules (:class:`repro.lint.registry.ProgramRule`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, FrozenSet, Tuple
 
 from repro.lint.flow.ruledefs import (
@@ -26,9 +21,9 @@ from repro.lint.flow.ruledefs import (
     RNG_GLOBAL_SOURCES,
     RNG_SEEDED_CONSTRUCTORS,
 )
+from repro.lint.registry import ProgramRule
 
 __all__ = [
-    "EffectRule",
     "EFFECT_RULES",
     "EFFECT_CODES",
     "EFFECT_AMBIENT",
@@ -54,18 +49,8 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class EffectRule:
-    """Identity card of one effect rule (for tables and docs)."""
-
-    code: str
-    name: str
-    summary: str
-    rationale: str
-
-
-EFFECT_RULES: Tuple[EffectRule, ...] = (
-    EffectRule(
+EFFECT_RULES: Tuple[ProgramRule, ...] = (
+    ProgramRule(
         code="REP201",
         name="shared-state-write",
         summary=(
@@ -81,7 +66,7 @@ EFFECT_RULES: Tuple[EffectRule, ...] = (
             "certified root it can reach."
         ),
     ),
-    EffectRule(
+    ProgramRule(
         code="REP202",
         name="closure-over-pool-boundary",
         summary=(
@@ -98,7 +83,7 @@ EFFECT_RULES: Tuple[EffectRule, ...] = (
             "flow."
         ),
     ),
-    EffectRule(
+    ProgramRule(
         code="REP203",
         name="unordered-iteration-to-sink",
         summary=(
@@ -114,7 +99,7 @@ EFFECT_RULES: Tuple[EffectRule, ...] = (
             "like taint until ``sorted()`` launders it."
         ),
     ),
-    EffectRule(
+    ProgramRule(
         code="REP204",
         name="mutable-default-or-aliased-return",
         summary=(
@@ -130,7 +115,7 @@ EFFECT_RULES: Tuple[EffectRule, ...] = (
             "mutate upstream state."
         ),
     ),
-    EffectRule(
+    ProgramRule(
         code="REP205",
         name="uncertified-pool-submit",
         summary=(

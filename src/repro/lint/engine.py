@@ -1,9 +1,15 @@
-"""The AST-visitor rule engine: one walk per file, event dispatch to rules.
+"""The scan loop and the AST-visitor rule engine that rides on it.
 
-The engine parses each module once, builds a node-type → interested-rules
-dispatch table, and hands every node of :func:`ast.walk` to exactly the
-rules that declared that node type.  Adding a rule therefore never adds
-another tree traversal, and a rule never sees nodes it did not ask for.
+:func:`scan` is the only place lint reads source files: it loads each
+module once into a :class:`~repro.lint.context.ModuleContext` and hands
+it to every enabled :class:`Pass` — the REP00x rules here, the flow,
+effect, and perf extractors in their packages — before moving to the
+next file.
+
+The rules pass builds a node-type → interested-rules dispatch table and
+hands every node of :func:`ast.walk` to exactly the rules that declared
+that node type.  Adding a rule therefore never adds another tree
+traversal, and a rule never sees nodes it did not ask for.
 
 Files that fail to parse are reported as findings under the synthetic
 code ``REP000`` rather than aborting the run: a syntax error in one file
@@ -14,16 +20,21 @@ from __future__ import annotations
 
 import ast
 import pathlib
-from typing import Dict, Iterable, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence, Type
 
-from repro.lint.context import ModuleContext
+from repro.lint.context import ModuleContext, relative_finding_path
 from repro.lint.errors import LintError
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules
 
 __all__ = [
     "PARSE_ERROR_CODE",
+    "Pass",
+    "RulesPass",
+    "scan",
     "iter_python_files",
+    "relative_finding_path",
+    "lint_module",
     "lint_source",
     "lint_file",
     "lint_paths",
@@ -69,27 +80,76 @@ def _dispatch_table(
     return table
 
 
-def lint_source(
-    source: str,
-    relpath: str,
-    rules: Optional[Sequence[Rule]] = None,
+class Pass:
+    """One consumer of a scan: sees every module once, then ``finish()``es
+    into its findings.
+
+    ``visit`` must not keep the :class:`ModuleContext` (or its tree)
+    beyond the call — the scan streams, so at most one parsed module is
+    alive at a time.
+    """
+
+    def visit(self, module: ModuleContext) -> None:
+        raise NotImplementedError  # interface method; passes override
+
+
+def scan(
+    paths: Sequence[str | pathlib.Path],
+    root: Optional[str | pathlib.Path],
+    passes: Sequence[Pass],
+) -> int:
+    """The one module-loading loop: each file is read once and handed to
+    every pass before the next file is touched.  Returns the file count.
+
+    ``root`` anchors the relative paths used in findings and baselines;
+    it defaults to the current working directory (the repo root in CI
+    and in the test suite).
+    """
+    rootpath = pathlib.Path(root) if root is not None else pathlib.Path.cwd()
+    files = iter_python_files([pathlib.Path(p) for p in paths])
+    for path in files:
+        module = ModuleContext.load(path, rootpath)
+        for each in passes:
+            each.visit(module)
+    return len(files)
+
+
+class RulesPass(Pass):
+    """The REP00x node-dispatch rules as a scan pass."""
+
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
+        self.rules = list(rules) if rules is not None else all_rules()
+        self.findings: List[Finding] = []
+
+    def visit(self, module: ModuleContext) -> None:
+        self.findings.extend(lint_module(module, self.rules))
+
+    def finish(self) -> List[Finding]:
+        self.findings.sort(key=Finding.sort_key)
+        return self.findings
+
+
+def lint_module(
+    ctx: ModuleContext, rules: Optional[Sequence[Rule]] = None
 ) -> List[Finding]:
-    """Lint one module given as text; the unit the fixture tests use."""
-    active = list(rules) if rules is not None else all_rules()
-    try:
-        ctx = ModuleContext.parse(source, relpath)
-    except SyntaxError as exc:
+    """Run ``rules`` (default: all) over one loaded module; a module that
+    does not parse is one REP000 finding."""
+    if rules is None:
+        rules = all_rules()
+    if ctx.tree is None:
+        exc = ctx.syntax_error
+        assert exc is not None
         return [
             Finding(
                 code=PARSE_ERROR_CODE,
                 message=f"file does not parse: {exc.msg}",
-                path=relpath.replace("\\", "/"),
+                path=ctx.relpath,
                 line=exc.lineno or 1,
                 col=(exc.offset or 1),
                 snippet=(exc.text or "").strip(),
             )
         ]
-    applicable = [r for r in active if r.applies_to(ctx.relpath)]
+    applicable = [r for r in rules if r.applies_to(ctx.relpath)]
     if not applicable:
         return []
     table = _dispatch_table(applicable)
@@ -101,17 +161,22 @@ def lint_source(
     return findings
 
 
+def lint_source(
+    source: str,
+    relpath: str,
+    rules: Optional[Sequence[Rule]] = None,
+) -> List[Finding]:
+    """Lint one module given as text; the unit the fixture tests use."""
+    return lint_module(ModuleContext(relpath, source), rules)
+
+
 def lint_file(
     path: pathlib.Path,
     root: pathlib.Path,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
     """Lint one file on disk, reporting paths relative to ``root``."""
-    return lint_source(
-        path.read_text(encoding="utf-8"),
-        relative_finding_path(path, root),
-        rules,
-    )
+    return lint_module(ModuleContext.load(path, root), rules)
 
 
 def lint_paths(
@@ -120,34 +185,7 @@ def lint_paths(
     root: Optional[str | pathlib.Path] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """Lint files and directories; the programmatic entry point.
-
-    ``root`` anchors the relative paths used in findings and baselines;
-    it defaults to the current working directory (the repo root in CI
-    and in the test suite).
-    """
-    rootpath = pathlib.Path(root) if root is not None else pathlib.Path.cwd()
-    active = list(rules) if rules is not None else all_rules()
-    findings: List[Finding] = []
-    for path in iter_python_files([pathlib.Path(p) for p in paths]):
-        findings.extend(lint_file(path, rootpath, active))
-    findings.sort(key=Finding.sort_key)
-    return findings
-
-
-def relative_finding_path(path: pathlib.Path, root: pathlib.Path) -> str:
-    """The path form findings and baseline identities use: ``root``-relative
-    with posix separators, falling back to the path as given when it lies
-    outside ``root``."""
-    try:
-        rel = path.resolve().relative_to(root.resolve())
-    except ValueError:
-        return path.as_posix()
-    return rel.as_posix()
-
-
-def iter_rule_findings(  # pragma: no cover - thin convenience wrapper
-    source: str, relpath: str, rule: Rule
-) -> Iterable[Finding]:
-    """Findings of a single rule on one source blob (doc/test helper)."""
-    return lint_source(source, relpath, [rule])
+    """Lint files and directories; the programmatic entry point."""
+    rules_pass = RulesPass(rules)
+    scan(paths, root, [rules_pass])
+    return rules_pass.finish()

@@ -10,9 +10,9 @@ edit that *touches the violating line itself* does.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-__all__ = ["Finding", "Fix"]
+__all__ = ["Finding", "FindingSink", "Fix"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,6 +43,23 @@ class Finding:
     snippet: str  # the violating source line, stripped (baseline identity)
     fix: Optional[Fix] = None
 
+    @classmethod
+    def at(
+        cls,
+        code: str,
+        message: str,
+        path: str,
+        line: int,
+        lines: Sequence[str],
+        *,
+        col: int = 1,
+        fix: Optional[Fix] = None,
+    ) -> "Finding":
+        """A finding whose snippet is line ``line`` of ``lines``, stripped
+        ('' when the line is out of range, e.g. a deleted function)."""
+        snippet = lines[line - 1].strip() if 0 < line <= len(lines) else ""
+        return cls(code, message, path, line, col, snippet, fix)
+
     @property
     def fixable(self) -> bool:
         return self.fix is not None
@@ -65,3 +82,30 @@ class Finding:
             "snippet": self.snippet,
             "fixable": self.fixable,
         }
+
+
+class FindingSink:
+    """Collects whole-program findings, dropping exact repeats.
+
+    ``sources`` maps each analyzed relpath to its source lines (for
+    snippets — baseline identity needs the violating line's text).
+    """
+
+    def __init__(self, sources: Mapping[str, Sequence[str]]) -> None:
+        self.sources = sources
+        self.findings: List[Finding] = []
+        self._seen: Set[Tuple[str, str, int, str]] = set()
+
+    def emit(self, code: str, relpath: str, line: int, message: str) -> None:
+        key = (code, relpath, line, message)
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        self.findings.append(
+            Finding.at(
+                code, message, relpath, line, self.sources.get(relpath, ())
+            )
+        )
+
+    def sorted(self) -> List[Finding]:
+        return sorted(self.findings, key=Finding.sort_key)

@@ -1,10 +1,10 @@
 """Whole-program (interprocedural) analysis layer of ``repro.lint``.
 
-The intraprocedural rules (REP001-REP008) see one file at a time and
-match surface syntax.  This package resolves imports to canonical names,
-extracts per-function dataflow summaries, condenses the project call
-graph into SCCs, and propagates taint, sink-reachability, and raise
-sets bottom-up — producing the REP101-REP104 rule family:
+The intraprocedural rules (REP001-REP009) see one file at a time and
+match surface syntax.  This package extracts per-function dataflow
+summaries over canonical (import-resolved) names and propagates taint,
+sink-reachability, and raise sets bottom-up over the SCC-condensed
+project call graph — producing the REP101-REP104 rule family:
 
 - REP101 — wall-clock/environment taint reaching a durable sink
 - REP102 — unseeded-RNG taint reaching a durable sink
@@ -15,13 +15,12 @@ sets bottom-up — producing the REP101-REP104 rule family:
 Entry point: :func:`repro.lint.flow.analyze_paths`.
 """
 
-from repro.lint.flow.api import FlowResult, analyze_paths
-from repro.lint.flow.ruledefs import FLOW_CODES, FLOW_RULES, FlowRule
+from repro.lint.flow.api import FlowPass, analyze_paths
+from repro.lint.flow.ruledefs import FLOW_CODES, FLOW_RULES
 
 __all__ = [
-    "FlowResult",
+    "FlowPass",
     "analyze_paths",
     "FLOW_CODES",
     "FLOW_RULES",
-    "FlowRule",
 ]

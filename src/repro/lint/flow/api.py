@@ -1,51 +1,59 @@
 """The flow layer's entry point: files in, REP101-REP104 findings out.
 
-``analyze_paths`` is to the flow layer what ``lint_paths`` is to the
-intraprocedural engine.  It expands paths the same way, anchors finding
-paths on the same ``root``, and returns plain :class:`Finding` objects,
-so the CLI can concatenate both result lists and hand them to the same
+:class:`FlowPass` is the layer as a scan pass (see
+:mod:`repro.lint.summaries` for the shared cache-or-extract pipeline);
+``analyze_paths`` runs it alone, ``repro lint`` runs it beside the other
+passes in one scan.  Findings are plain :class:`Finding` objects, so the
+CLI concatenates every pass's list and hands the lot to the same
 baseline partition and reporters.
 
-Per file: hash the source, hit the summary cache or parse + extract,
-then build the call graph over *all* summaries and run propagation.
-Files that do not parse are skipped here — the intraprocedural engine
-already reports them as REP000, and a broken module contributes no
-summaries rather than aborting the whole-program pass.
+REP104's dimensional check reads annotations across the handful of
+prediction-core modules at once, so the pass keeps *their* trees (and
+only theirs) until ``finish()``.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.lint.engine import iter_python_files, relative_finding_path
+from repro.lint.callgraph import CallGraph
+from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
-from repro.lint.flow.cache import SummaryCache, source_digest
-from repro.lint.flow.callgraph import CallGraph, build_callgraph
 from repro.lint.flow.extract import ModuleExtract, extract_module
 from repro.lint.flow.propagate import FlowAnalysis, flow_findings, propagate
 from repro.lint.flow.units import applies_to_units, check_units
+from repro.lint.summaries import LayerResult, SummaryPass
 
-__all__ = ["FlowResult", "analyze_paths"]
+__all__ = ["FlowPass", "analyze_paths", "FLOW_ANALYSIS_VERSION"]
 
-DEFAULT_CACHE_NAME = ".repro-flow-cache.json"
+# Semantic version of flow/extract.py; see SummaryCache.
+FLOW_ANALYSIS_VERSION = 1
 
 
-@dataclasses.dataclass
-class FlowResult:
-    """Findings plus the analysis artifacts tests and tooling inspect."""
+class FlowPass(SummaryPass[ModuleExtract, FlowAnalysis]):
+    kind = "flow"
+    analysis_version = FLOW_ANALYSIS_VERSION
+    extract_type = ModuleExtract
 
-    findings: List[Finding]
-    analysis: FlowAnalysis
-    files_analyzed: int
-    cache_hits: int
-    cache_misses: int
+    def __init__(self, cache_path: Optional[str | pathlib.Path]) -> None:
+        super().__init__(cache_path)
+        self.unit_modules: List[Tuple[str, ast.Module]] = []
 
-    @property
-    def callgraph(self) -> CallGraph:
-        return self.analysis.graph
+    def visit(self, module: ModuleContext) -> None:
+        super().visit(module)
+        if applies_to_units(module.relpath) and module.tree is not None:
+            self.unit_modules.append((module.relpath, module.tree))
+
+    def extract(self, module: ModuleContext) -> ModuleExtract:
+        return extract_module(module)
+
+    def analyze(self, graph: CallGraph) -> Tuple[FlowAnalysis, List[Finding]]:
+        analysis = propagate(self.extracts, graph)
+        findings = flow_findings(analysis, self.sources)
+        findings.extend(check_units(self.unit_modules, self.sources))
+        return analysis, findings
 
 
 def analyze_paths(
@@ -53,54 +61,6 @@ def analyze_paths(
     *,
     root: Optional[str | pathlib.Path] = None,
     cache_path: Optional[str | pathlib.Path] = None,
-) -> FlowResult:
-    """Run the whole-program analysis over files and directories."""
-    rootpath = (
-        pathlib.Path(root) if root is not None else pathlib.Path.cwd()
-    )
-    cache = SummaryCache.load(
-        pathlib.Path(cache_path) if cache_path is not None else None
-    )
-
-    extracts: List[ModuleExtract] = []
-    sources: Dict[str, Sequence[str]] = {}
-    unit_modules: List[Tuple[str, ast.Module]] = []
-    for path in iter_python_files([pathlib.Path(p) for p in paths]):
-        relpath = relative_finding_path(path, rootpath)
-        source = path.read_text(encoding="utf-8")
-        sources[relpath] = source.splitlines()
-        digest = source_digest(source)
-        cached = cache.get(relpath, digest)
-        tree: Optional[ast.Module] = None
-        if cached is not None:
-            extracts.append(cached)
-        else:
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue  # REP000 is the engine's report, not ours
-            extract = extract_module(tree, relpath)
-            extracts.append(extract)
-            cache.put(relpath, digest, extract)
-        if applies_to_units(relpath):
-            if tree is None:
-                try:
-                    tree = ast.parse(source, filename=str(path))
-                except SyntaxError:
-                    continue
-            unit_modules.append((relpath, tree))
-
-    graph = build_callgraph(extracts)
-    analysis = propagate(extracts, graph)
-    findings = flow_findings(analysis, sources)
-    findings.extend(check_units(unit_modules, sources))
-    findings.sort(key=Finding.sort_key)
-
-    cache.save()
-    return FlowResult(
-        findings=findings,
-        analysis=analysis,
-        files_analyzed=len(extracts),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
-    )
+) -> LayerResult[FlowAnalysis]:
+    """Run the whole-program flow analysis over files and directories."""
+    return FlowPass(cache_path).run(paths, root)

@@ -36,11 +36,11 @@ import dataclasses
 import pathlib
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import CallGraph
+from repro.lint.atoms import MODULE_BODY
+from repro.lint.callgraph import CallGraph, slot_params
+from repro.lint.findings import Finding, FindingSink
 from repro.lint.flow.extract import (
     FunctionSummary,
-    MODULE_BODY,
     ModuleExtract,
     handler_covers,
 )
@@ -67,11 +67,7 @@ class FlowAnalysis:
     effects: Dict[str, Set[str]]
 
     def summary_of(self, qualname: str) -> Optional[FunctionSummary]:
-        for extract in self.extracts:
-            found = extract.functions.get(qualname)
-            if found is not None:
-                return found
-        return None
+        return self.graph.functions.get(qualname)
 
     def purity(self, qualname: str) -> str:
         """One deterministic word per function, for reports and goldens."""
@@ -84,12 +80,8 @@ class FlowAnalysis:
 def propagate(
     extracts: Sequence[ModuleExtract], graph: CallGraph
 ) -> FlowAnalysis:
-    functions: Dict[str, FunctionSummary] = {}
-    modules: Dict[str, str] = {}
-    for extract in extracts:
-        for qualname, summary in extract.functions.items():
-            functions[qualname] = summary
-            modules[qualname] = extract.relpath
+    functions: Dict[str, FunctionSummary] = graph.functions
+    modules = graph.modules
 
     ret_kinds: Dict[str, Set[str]] = {q: set() for q in functions}
     param_sinks: Dict[str, Dict[str, Set[str]]] = {
@@ -181,22 +173,6 @@ def _update_ret_kinds(
     return False
 
 
-def _slot_params(
-    callee: FunctionSummary,
-    npos: int,
-    kwnames: Sequence[str],
-) -> Tuple[List[Optional[str]], Dict[str, str]]:
-    """Map call-site argument slots onto the callee's formals."""
-    params = list(callee.params)
-    if callee.is_method and params and params[0] in ("self", "cls"):
-        params = params[1:]
-    positional: List[Optional[str]] = [
-        params[i] if i < len(params) else None for i in range(npos)
-    ]
-    keywords = {name: name for name in kwnames if name in params}
-    return positional, keywords
-
-
 def _update_param_sinks(
     summary: FunctionSummary,
     functions: Dict[str, FunctionSummary],
@@ -215,18 +191,7 @@ def _update_param_sinks(
         if callee is None:
             continue
         theirs = param_sinks.get(callee_name, {})
-        positional, keywords = _slot_params(
-            callee, len(pos_atoms), list(kw_atoms)
-        )
-        slots = [
-            (target, pos_atoms[i])
-            for i, target in enumerate(positional)
-            if target is not None
-        ] + [
-            (target, kw_atoms[name])
-            for name, target in keywords.items()
-        ]
-        for target, atoms in slots:
+        for target, atoms in slot_params(callee, pos_atoms, kw_atoms):
             reached = theirs.get(target, set())
             if not reached:
                 continue
@@ -286,45 +251,17 @@ def flow_findings(
 ) -> List[Finding]:
     """REP101/REP102/REP103 findings from a propagated analysis.
 
-    ``sources`` maps each extract's relpath to its source lines (for
-    snippets — baseline identity needs the violating line's text).
+    ``sources`` maps each extract's relpath to its source lines.
     """
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, str, int, str]] = set()
-
-    def emit(code: str, relpath: str, line: int, message: str) -> None:
-        key = (code, relpath, line, message)
-        if key in seen:
-            return
-        seen.add(key)
-        lines = sources.get(relpath, ())
-        snippet = (
-            lines[line - 1].strip() if 0 < line <= len(lines) else ""
-        )
-        findings.append(
-            Finding(
-                code=code,
-                message=message,
-                path=relpath,
-                line=line,
-                col=1,
-                snippet=snippet,
-            )
-        )
-
-    functions: Dict[str, FunctionSummary] = {}
-    for extract in analysis.extracts:
-        functions.update(extract.functions)
-
+    sink = FindingSink(sources)
+    functions: Dict[str, FunctionSummary] = analysis.graph.functions
     for extract in analysis.extracts:
         for qualname, summary in extract.functions.items():
             _taint_findings(
-                analysis, extract, summary, functions, emit
+                analysis, extract, summary, functions, sink.emit
             )
-            _escape_findings(analysis, extract, summary, emit)
-
-    findings.sort(key=Finding.sort_key)
-    return findings
+            _escape_findings(analysis, extract, summary, sink.emit)
+    return sink.sorted()
 
 
 def _taint_findings(
@@ -349,15 +286,7 @@ def _taint_findings(
         theirs = analysis.param_sinks.get(callee_name, {})
         if not theirs:
             continue
-        positional, keywords = _slot_params(
-            callee, len(pos_atoms), list(kw_atoms)
-        )
-        slots = [
-            (target, pos_atoms[i])
-            for i, target in enumerate(positional)
-            if target is not None
-        ] + [(target, kw_atoms[name]) for name, target in keywords.items()]
-        for target, atoms in slots:
+        for target, atoms in slot_params(callee, pos_atoms, kw_atoms):
             reached = theirs.get(target, ())
             if not reached:
                 continue

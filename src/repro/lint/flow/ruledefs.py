@@ -1,19 +1,15 @@
 """The flow rule family REP101-REP104: identity, sources, and sinks.
 
-These rules are whole-program: they need the call graph and per-function
-summaries, so they do not fit the node-dispatch :class:`repro.lint.registry.Rule`
-interface.  They share the same stable-code contract — reporters,
-baselines, and ``--select`` key on the codes — and surface through the
-same :class:`~repro.lint.findings.Finding` type.
+Whole-program rules (:class:`repro.lint.registry.ProgramRule`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, FrozenSet, Tuple
 
+from repro.lint.registry import ProgramRule
+
 __all__ = [
-    "FlowRule",
     "FLOW_RULES",
     "FLOW_CODES",
     "CLOCK_SOURCES",
@@ -30,18 +26,8 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class FlowRule:
-    """Identity card of one whole-program rule (for tables and docs)."""
-
-    code: str
-    name: str
-    summary: str
-    rationale: str
-
-
-FLOW_RULES: Tuple[FlowRule, ...] = (
-    FlowRule(
+FLOW_RULES: Tuple[ProgramRule, ...] = (
+    ProgramRule(
         code="REP101",
         name="clock-taint-to-sink",
         summary=(
@@ -55,7 +41,7 @@ FLOW_RULES: Tuple[FlowRule, ...] = (
             "call edges to the durable writers."
         ),
     ),
-    FlowRule(
+    ProgramRule(
         code="REP102",
         name="rng-taint-to-sink",
         summary=(
@@ -68,7 +54,7 @@ FLOW_RULES: Tuple[FlowRule, ...] = (
             "taint pass follows it interprocedurally to the writers."
         ),
     ),
-    FlowRule(
+    ProgramRule(
         code="REP103",
         name="cross-module-error-escape",
         summary=(
@@ -82,7 +68,7 @@ FLOW_RULES: Tuple[FlowRule, ...] = (
             "summary propagates uncaught builtins up the call graph."
         ),
     ),
-    FlowRule(
+    ProgramRule(
         code="REP104",
         name="dimensional-consistency",
         summary=(

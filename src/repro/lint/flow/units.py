@@ -385,19 +385,13 @@ class _FunctionUnits:
                 )
 
     def _flag(self, line: int, detail: str) -> None:
-        snippet = (
-            self.lines[line - 1].strip()
-            if 0 < line <= len(self.lines)
-            else ""
-        )
         self.findings.append(
-            Finding(
-                code=CODE,
-                message=f"dimensional inconsistency: {detail}",
-                path=self.relpath,
-                line=line,
-                col=1,
-                snippet=snippet,
+            Finding.at(
+                CODE,
+                f"dimensional inconsistency: {detail}",
+                self.relpath,
+                line,
+                self.lines,
             )
         )
 

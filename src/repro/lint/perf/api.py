@@ -1,30 +1,23 @@
 """The perf layer's entry point: files in, REP301-REP305 findings out.
 
-``analyze_perf`` mirrors ``analyze_effects``: expand paths the same
-way, anchor finding paths on the same ``root``, and return plain
-:class:`Finding` objects the CLI concatenates with the other layers'
-and hands to the same baseline partition and reporters.
-
-Per file: hash the source, hit the perf cache or parse + extract, then
-build the call graph over all summaries (the flow layer's builder,
-unchanged — perf summaries carry identically-shaped ``calls`` and
-``arg_flows``), close the declared hot set over it, and generate
-REP301-REP304.  When a committed call profile is present, REP305 fires
-for every measured-hot function outside the static hot region.
+:class:`PerfPass` is the layer as a scan pass (see
+:mod:`repro.lint.summaries` for the shared cache-or-extract pipeline);
+``analyze_perf`` runs it alone, ``repro lint`` runs it beside the other
+passes in one scan.  The declared hot set is closed over the call graph
+to generate REP301-REP304; when a committed call profile is present,
+REP305 fires for every measured-hot function outside the static hot
+region.
 """
 
 from __future__ import annotations
 
-import ast
-import dataclasses
 import pathlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.lint.callgraph import CallGraph
+from repro.lint.context import ModuleContext
 from repro.lint.effects.certificate import load_certificate
-from repro.lint.engine import iter_python_files, relative_finding_path
 from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import CallGraph, build_callgraph
-from repro.lint.perf.cache import PerfCache, source_digest
 from repro.lint.perf.extract import PerfExtract, extract_perf
 from repro.lint.perf.hotset import (
     PerfAnalysis,
@@ -32,27 +25,55 @@ from repro.lint.perf.hotset import (
     perf_findings,
 )
 from repro.lint.perf.profile import cross_validate, load_profile
+from repro.lint.summaries import LayerResult, SummaryPass
 
-__all__ = ["PerfResult", "analyze_perf", "DEFAULT_PERF_CACHE_NAME"]
+__all__ = ["PerfPass", "analyze_perf", "PERF_ANALYSIS_VERSION"]
 
-DEFAULT_PERF_CACHE_NAME = ".repro-perf-cache.json"
+# Semantic version of perf/extract.py; see SummaryCache.
+PERF_ANALYSIS_VERSION = 1
 
 
-@dataclasses.dataclass
-class PerfResult:
-    """Findings plus the analysis artifacts tests and tooling inspect."""
+class PerfPass(SummaryPass[PerfExtract, PerfAnalysis]):
+    kind = "perf"
+    analysis_version = PERF_ANALYSIS_VERSION
+    extract_type = PerfExtract
 
-    findings: List[Finding]
-    analysis: PerfAnalysis
-    files_analyzed: int
-    cache_hits: int
-    cache_misses: int
-    #: relpath -> sha256 of the analyzed source
-    module_digests: Dict[str, str]
+    def __init__(
+        self,
+        cache_path: Optional[str | pathlib.Path],
+        certificate_path: Optional[str | pathlib.Path] = None,
+        profile_path: Optional[str | pathlib.Path] = None,
+    ) -> None:
+        super().__init__(cache_path)
+        self.certificate_path = certificate_path
+        self.profile_path = profile_path
 
-    @property
-    def callgraph(self) -> CallGraph:
-        return self.analysis.graph
+    def extract(self, module: ModuleContext) -> PerfExtract:
+        return extract_perf(module)
+
+    def analyze(
+        self, graph: CallGraph
+    ) -> Tuple[PerfAnalysis, List[Finding]]:
+        analysis = build_analysis(self.extracts, graph)
+
+        certificate_tiers: Optional[Dict[str, str]] = None
+        if self.certificate_path is not None:
+            certificate = load_certificate(self.certificate_path)
+            if certificate is not None:
+                functions = certificate.get("functions")
+                if isinstance(functions, dict):
+                    certificate_tiers = {
+                        str(k): str(v) for k, v in functions.items()
+                    }
+        findings = perf_findings(analysis, self.sources, certificate_tiers)
+
+        if self.profile_path is not None:
+            profile = load_profile(self.profile_path)
+            if profile is not None:
+                findings.extend(
+                    _rep305_findings(profile, analysis, self.sources)
+                )
+        return analysis, findings
 
 
 def analyze_perf(
@@ -62,67 +83,10 @@ def analyze_perf(
     cache_path: Optional[str | pathlib.Path] = None,
     certificate_path: Optional[str | pathlib.Path] = None,
     profile_path: Optional[str | pathlib.Path] = None,
-) -> PerfResult:
+) -> LayerResult[PerfAnalysis]:
     """Run the whole-program perf analysis over files and directories."""
-    rootpath = (
-        pathlib.Path(root) if root is not None else pathlib.Path.cwd()
-    )
-    cache = PerfCache.load(
-        pathlib.Path(cache_path) if cache_path is not None else None
-    )
-
-    extracts: List[PerfExtract] = []
-    sources: Dict[str, Sequence[str]] = {}
-    module_digests: Dict[str, str] = {}
-    for path in iter_python_files([pathlib.Path(p) for p in paths]):
-        relpath = relative_finding_path(path, rootpath)
-        source = path.read_text(encoding="utf-8")
-        sources[relpath] = source.splitlines()
-        digest = source_digest(source)
-        cached = cache.get(relpath, digest)
-        if cached is not None:
-            extracts.append(cached)
-        else:
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue  # REP000 is the engine's report, not ours
-            extract = extract_perf(tree, relpath)
-            extracts.append(extract)
-            cache.put(relpath, digest, extract)
-        module_digests[relpath] = digest
-
-    graph = build_callgraph(extracts)
-    analysis = build_analysis(extracts, graph)
-
-    certificate_tiers: Optional[Dict[str, str]] = None
-    if certificate_path is not None:
-        certificate = load_certificate(certificate_path)
-        if certificate is not None:
-            functions = certificate.get("functions")
-            if isinstance(functions, dict):
-                certificate_tiers = {
-                    str(k): str(v) for k, v in functions.items()
-                }
-
-    findings = perf_findings(analysis, sources, certificate_tiers)
-
-    if profile_path is not None:
-        profile = load_profile(profile_path)
-        if profile is not None:
-            findings.extend(
-                _rep305_findings(profile, analysis, sources)
-            )
-    findings.sort(key=Finding.sort_key)
-
-    cache.save()
-    return PerfResult(
-        findings=findings,
-        analysis=analysis,
-        files_analyzed=len(extracts),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
-        module_digests=module_digests,
+    return PerfPass(cache_path, certificate_path, profile_path).run(
+        paths, root
     )
 
 
@@ -140,21 +104,18 @@ def _rep305_findings(
     findings: List[Finding] = []
     for qualname, share in agreement.undeclared_hot:
         relpath, line = analysis.locations.get(qualname, ("(profile)", 1))
-        lines = sources.get(relpath, ())
-        snippet = lines[line - 1].strip() if 0 < line <= len(lines) else ""
         findings.append(
-            Finding(
-                code="REP305",
-                message=(
+            Finding.at(
+                "REP305",
+                (
                     f"'{qualname}' holds {share:.2%} of profiled calls "
                     f"(threshold {agreement.threshold:.2%}) but is not "
                     f"in the declared hot region — declare it @hot or "
                     f"shrink the workload's reliance on it"
                 ),
-                path=relpath,
-                line=line,
-                col=1,
-                snippet=snippet,
+                relpath,
+                line,
+                sources.get(relpath, ()),
             )
         )
     return findings

@@ -4,7 +4,7 @@ One parse per module produces, for every function, the *local* cost
 facts the hot-region pass (``hotset.py``) closes over the call graph:
 
 - ``calls`` / ``arg_flows`` — resolved call edges, shaped exactly like
-  the flow layer's so :func:`repro.lint.flow.callgraph.build_callgraph`
+  the flow layer's so :func:`repro.lint.callgraph.build_callgraph`
   works unchanged over perf extracts (``arg_flows`` is always empty —
   the cost lattice needs edges, not argument taint).
 - ``is_hot`` — the function carries a resolved
@@ -38,7 +38,9 @@ import ast
 import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.flow.symbols import ModuleSymbols, dotted, module_name_for
+from repro.lint.atoms import SummaryExtract
+from repro.lint.context import ModuleContext
+from repro.lint.symbols import ModuleSymbols, dotted
 from repro.lint.perf.ruledefs import (
     HOT_DECORATORS,
     LINEAR_SCAN_ATTRS,
@@ -155,23 +157,16 @@ class ClassInfo:
 
 
 @dataclasses.dataclass
-class PerfExtract:
+class PerfExtract(SummaryExtract):
     """Everything the hot-region pass needs from one module."""
 
-    relpath: str
-    module: str
-    functions: Dict[str, PerfSummary] = dataclasses.field(
-        default_factory=dict
-    )
+    summary_type = PerfSummary
+    functions: Dict[str, PerfSummary]
     classes: Dict[str, ClassInfo] = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "relpath": self.relpath,
-            "module": self.module,
-            "functions": {
-                q: s.to_dict() for q, s in sorted(self.functions.items())
-            },
+            **super().to_dict(),
             "classes": {
                 q: c.to_dict() for q, c in sorted(self.classes.items())
             },
@@ -179,54 +174,28 @@ class PerfExtract:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PerfExtract":
-        return cls(
-            relpath=str(data["relpath"]),
-            module=str(data["module"]),
-            functions={
-                q: PerfSummary.from_dict(s)
-                for q, s in data["functions"].items()
-            },
-            classes={
-                q: ClassInfo.from_dict(c)
-                for q, c in data["classes"].items()
-            },
-        )
+        extract = super().from_dict(data)
+        extract.classes = {
+            q: ClassInfo.from_dict(c) for q, c in data["classes"].items()
+        }
+        return extract
 
 
-def extract_perf(tree: ast.Module, relpath: str) -> PerfExtract:
+def extract_perf(ctx: ModuleContext) -> PerfExtract:
     """Extract per-function cost summaries from one parsed module."""
-    module = module_name_for(relpath)
-    symbols = ModuleSymbols.collect(
-        tree, module, is_package=relpath.endswith("__init__.py")
+    extract = PerfExtract(
+        relpath=ctx.relpath, module=ctx.module, functions={}
     )
-    extract = PerfExtract(relpath=relpath, module=module)
-    for stmt in tree.body:
-        _scan(stmt, module, None, symbols, extract)
-    return extract
-
-
-def _scan(
-    node: ast.stmt,
-    prefix: str,
-    cls: Optional[str],
-    symbols: ModuleSymbols,
-    extract: PerfExtract,
-) -> None:
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        qual = f"{prefix}.{node.name}" if prefix else node.name
-        walker = _PerfWalker(qual, node, cls, symbols)
-        extract.functions[qual] = walker.run()
-        for child in node.body:
-            _scan(child, qual, None, symbols, extract)
-    elif isinstance(node, ast.ClassDef):
-        qual = f"{prefix}.{node.name}" if prefix else node.name
-        extract.classes[qual] = ClassInfo(
-            qualname=qual,
-            lineno=node.lineno,
-            slotted=_is_compact(node, symbols),
+    for qualname, node, cls in ctx.defs.definitions:
+        walker = _PerfWalker(qualname, node, cls, ctx.symbols)
+        extract.functions[qualname] = walker.run()
+    for qualname, class_node in ctx.defs.classes:
+        extract.classes[qualname] = ClassInfo(
+            qualname=qualname,
+            lineno=class_node.lineno,
+            slotted=_is_compact(class_node, ctx.symbols),
         )
-        for child in node.body:
-            _scan(child, qual, node.name, symbols, extract)
+    return extract
 
 
 def _is_compact(node: ast.ClassDef, symbols: ModuleSymbols) -> bool:
@@ -484,6 +453,9 @@ class _PerfWalker:
     # ---- name resolution ---------------------------------------------
 
     def _resolve_callee(self, func: ast.expr) -> str:
+        # Unlike symbols.resolve_callee this keeps ``self.x`` edges the
+        # module does not define: REP301 looks constructions up among
+        # *classes*, which the function index does not list.
         name = dotted(func)
         if not name:
             return ""

@@ -25,9 +25,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.lint.callgraph import CallGraph
 from repro.lint.effects.ruledefs import TIER_PURE
-from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import CallGraph
+from repro.lint.findings import Finding, FindingSink
 from repro.lint.perf.extract import ClassInfo, PerfExtract, PerfSummary
 
 __all__ = ["PerfAnalysis", "build_analysis", "perf_findings"]
@@ -49,11 +49,7 @@ class PerfAnalysis:
     locations: Dict[str, Tuple[str, int]]
 
     def summary_of(self, qualname: str) -> Optional[PerfSummary]:
-        for extract in self.extracts:
-            summary = extract.functions.get(qualname)
-            if summary is not None:
-                return summary
-        return None
+        return self.graph.functions.get(qualname)
 
     def in_hot_region(self, qualname: str) -> bool:
         return qualname in self.hot_region
@@ -72,29 +68,14 @@ def build_analysis(
             locations[qualname] = (extract.relpath, summary.lineno)
             if summary.is_hot:
                 entries.add(qualname)
-    region = _reachable(graph.edges, entries)
     return PerfAnalysis(
         extracts=list(extracts),
         graph=graph,
         hot_entries=frozenset(entries),
-        hot_region=frozenset(region & set(locations)),
+        hot_region=frozenset(graph.reachable(entries)),
         classes=classes,
         locations=locations,
     )
-
-
-def _reachable(
-    edges: Dict[str, Tuple[str, ...]], roots: Set[str]
-) -> Set[str]:
-    seen: Set[str] = set(roots)
-    work: List[str] = list(roots)
-    while work:
-        current = work.pop()
-        for callee in edges.get(current, ()):
-            if callee not in seen:
-                seen.add(callee)
-                work.append(callee)
-    return seen
 
 
 def perf_findings(
@@ -103,27 +84,8 @@ def perf_findings(
     certificate_tiers: Optional[Dict[str, str]] = None,
 ) -> List[Finding]:
     """REP301-REP304 findings for every hot-region function."""
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, str, int, str]] = set()
-
-    def emit(code: str, relpath: str, line: int, message: str) -> None:
-        key = (code, relpath, line, message)
-        if key in seen:
-            return
-        seen.add(key)
-        lines = sources.get(relpath, ())
-        snippet = lines[line - 1].strip() if 0 < line <= len(lines) else ""
-        findings.append(
-            Finding(
-                code=code,
-                message=message,
-                path=relpath,
-                line=line,
-                col=1,
-                snippet=snippet,
-            )
-        )
-
+    sink = FindingSink(sources)
+    emit = sink.emit
     for extract in analysis.extracts:
         for qualname, summary in extract.functions.items():
             if qualname not in analysis.hot_region:
@@ -139,8 +101,7 @@ def perf_findings(
                     analysis, extract, qualname, summary,
                     certificate_tiers, emit,
                 )
-    findings.sort(key=Finding.sort_key)
-    return findings
+    return sink.sorted()
 
 
 def _rule_301(analysis, extract, qualname, summary, emit) -> None:

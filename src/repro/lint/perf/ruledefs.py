@@ -7,7 +7,7 @@ scans, and recomputes per iteration of its loops, and whether the
 project's claim about which code is hot agrees with a measured call
 profile.
 
-The hot set is declared with :func:`repro.core.hotpath.hot` and closed
+The hot set is declared with :func:`repro.hotpath.hot` and closed
 over the project call graph: every function reachable from a declared
 entry is in the *hot region*, and REP301-REP304 only fire inside it —
 cold code may allocate freely.  REP305 runs the contract in the other
@@ -15,19 +15,16 @@ direction: a function that dominates the measured profile but is not in
 the hot region is an undeclared hot path, invisible to the cost rules
 precisely where they matter most.
 
-Like the flow and effect families these are whole-program rules that do
-not fit the node-dispatch :class:`repro.lint.registry.Rule` interface;
-they share the stable-code contract (reporters, baselines, ``--select``)
-and surface through the same :class:`~repro.lint.findings.Finding`.
+Whole-program rules (:class:`repro.lint.registry.ProgramRule`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import FrozenSet, Tuple
 
+from repro.lint.registry import ProgramRule
+
 __all__ = [
-    "PerfRule",
     "PERF_RULES",
     "PERF_CODES",
     "HOT_DECORATORS",
@@ -37,18 +34,8 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class PerfRule:
-    """Identity card of one performance rule (for tables and docs)."""
-
-    code: str
-    name: str
-    summary: str
-    rationale: str
-
-
-PERF_RULES: Tuple[PerfRule, ...] = (
-    PerfRule(
+PERF_RULES: Tuple[ProgramRule, ...] = (
+    ProgramRule(
         code="REP301",
         name="hot-loop-allocation",
         summary=(
@@ -65,7 +52,7 @@ PERF_RULES: Tuple[PerfRule, ...] = (
             "record."
         ),
     ),
-    PerfRule(
+    ProgramRule(
         code="REP302",
         name="superlinear-scan",
         summary=(
@@ -82,7 +69,7 @@ PERF_RULES: Tuple[PerfRule, ...] = (
             "this layer exists."
         ),
     ),
-    PerfRule(
+    ProgramRule(
         code="REP303",
         name="loop-invariant-pure-call",
         summary=(
@@ -98,7 +85,7 @@ PERF_RULES: Tuple[PerfRule, ...] = (
             "from many."
         ),
     ),
-    PerfRule(
+    ProgramRule(
         code="REP304",
         name="uncertified-hot-callee",
         summary=(
@@ -114,7 +101,7 @@ PERF_RULES: Tuple[PerfRule, ...] = (
             "silence is the one option the contract forbids."
         ),
     ),
-    PerfRule(
+    ProgramRule(
         code="REP305",
         name="undeclared-hot-path",
         summary=(
@@ -141,10 +128,7 @@ PERF_CODES: FrozenSet[str] = frozenset(rule.code for rule in PERF_RULES)
 #: Canonical decorator qualnames that declare a function hot.  The
 #: extractor resolves decorator expressions through the module import
 #: table, so ``from repro.hotpath import hot as fast`` still registers.
-#: Both the implementation module and its ``repro.core`` alias count.
-HOT_DECORATORS: FrozenSet[str] = frozenset(
-    {"repro.hotpath.hot", "repro.core.hotpath.hot"}
-)
+HOT_DECORATORS: FrozenSet[str] = frozenset({"repro.hotpath.hot"})
 
 #: Constructors/transforms whose result is list-backed — a membership
 #: test against one of these is a linear scan (REP302).  ``dict``/``set``

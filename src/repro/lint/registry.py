@@ -21,15 +21,18 @@ A rule declares:
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from typing import ClassVar, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.lint.context import ModuleContext
 from repro.lint.errors import LintError
 from repro.lint.findings import Finding, Fix
+from repro.lint.symbols import dotted as dotted_name
 
 __all__ = [
     "Rule",
+    "ProgramRule",
     "RULES",
     "register",
     "all_rules",
@@ -76,17 +79,32 @@ class Rule:
         *,
         fix: Optional[Fix] = None,
     ) -> Finding:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0) + 1
-        return Finding(
-            code=self.code,
-            message=message,
-            path=ctx.relpath,
-            line=line,
-            col=col,
-            snippet=ctx.line(line).strip(),
+        return Finding.at(
+            self.code,
+            message,
+            ctx.relpath,
+            getattr(node, "lineno", 1),
+            ctx.lines,
+            col=getattr(node, "col_offset", 0) + 1,
             fix=fix,
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class ProgramRule:
+    """Identity card of one whole-program rule (for tables and docs).
+
+    The flow (REP10x), effect (REP20x), and perf (REP30x) families need
+    the call graph and per-function summaries, so they do not fit the
+    node-dispatch :class:`Rule` interface; they share its stable-code
+    contract — reporters, baselines, and ``--select`` key on the codes —
+    and surface through the same :class:`~repro.lint.findings.Finding`.
+    """
+
+    code: str
+    name: str
+    summary: str
+    rationale: str
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:
@@ -112,13 +130,3 @@ def all_rules() -> List[Rule]:
     import repro.lint.rules  # noqa: F401  (registration side effect)
 
     return [RULES[code]() for code in sorted(RULES)]
-
-
-def dotted_name(node: ast.AST) -> str:
-    """``a.b.c`` for a Name/Attribute chain, '' for anything dynamic."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_name(node.value)
-        return f"{base}.{node.attr}" if base else ""
-    return ""

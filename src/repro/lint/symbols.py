@@ -1,4 +1,11 @@
-"""Import and symbol resolution: local names to canonical dotted names.
+"""The shared program representation: symbols, definitions, callees.
+
+Everything the whole-program extractors (flow, effects, perf) need to
+know about one module *before* they compute their own facts lives here,
+once: the import/symbol table, the index of function definitions, and
+the helpers that read parameters, ``except`` clauses, and assignment
+targets off the AST.  :class:`repro.lint.context.ModuleContext` builds
+the table and the index lazily, at most once per module per scan.
 
 The intraprocedural rules match call sites by their *surface* dotted
 name (``time.time()``), which an alias launders trivially::
@@ -6,8 +13,8 @@ name (``time.time()``), which an alias launders trivially::
     from time import time as ticks
     ticks()          # invisible to REP001
 
-The flow layer instead resolves every name through the module's import
-table and local definitions, producing a canonical fully qualified name
+The whole-program layers instead resolve every name through the
+module's import table and local definitions, producing a canonical fully qualified name
 ("time.time", "repro.core.durable.atomic_write_json",
 "pkg.mod.Helper.method") that sources, sinks, and call-graph edges are
 keyed on.
@@ -24,9 +31,22 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["ModuleSymbols", "module_name_for", "dotted"]
+__all__ = [
+    "ModuleSymbols",
+    "DefIndex",
+    "FunctionNode",
+    "module_name_for",
+    "dotted",
+    "param_names",
+    "is_public",
+    "resolve_callee",
+    "handler_names",
+    "target_names",
+]
+
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Surface-module spellings normalized to their canonical package name.
 _MODULE_ALIASES = {"np": "numpy"}
@@ -161,3 +181,114 @@ def _normalize(qualname: str) -> str:
             "datetime.datetime.datetime.", "datetime.datetime.", 1
         )
     return qualname
+
+
+def param_names(node: FunctionNode) -> Tuple[str, ...]:
+    """Every formal of a def, in signature order (``*args``/``**kw`` too)."""
+    args = node.args
+    names = [a.arg for a in args.posonlyargs + args.args]
+    if args.vararg:
+        names.append(args.vararg.arg)
+    names.extend(a.arg for a in args.kwonlyargs)
+    if args.kwarg:
+        names.append(args.kwarg.arg)
+    return tuple(names)
+
+
+def is_public(qualname: str, module: str) -> bool:
+    local = qualname[len(module) + 1 :] if module else qualname
+    return not any(part.startswith("_") for part in local.split("."))
+
+
+class DefIndex:
+    """All function/method/class definitions of a module, in source order."""
+
+    def __init__(self, tree: ast.Module, module: str) -> None:
+        #: (qualname, def node, owning class name or None)
+        self.definitions: List[
+            Tuple[str, FunctionNode, Optional[str]]
+        ] = []
+        self.by_qualname: Dict[str, FunctionNode] = {}
+        self.classes: List[Tuple[str, ast.ClassDef]] = []
+        for stmt in tree.body:
+            self._scan_node(stmt, prefix=module, cls=None)
+
+    def _scan_node(
+        self, node: ast.AST, prefix: str, cls: Optional[str]
+    ) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qual = f"{prefix}.{node.name}" if prefix else node.name
+            self.definitions.append((qual, node, cls))
+            self.by_qualname[qual] = node
+            for child in node.body:
+                self._scan_node(child, prefix=qual, cls=None)
+        elif isinstance(node, ast.ClassDef):
+            qual = f"{prefix}.{node.name}" if prefix else node.name
+            self.classes.append((qual, node))
+            for child in node.body:
+                self._scan_node(child, prefix=qual, cls=node.name)
+
+
+def resolve_callee(
+    func: ast.expr,
+    symbols: ModuleSymbols,
+    defs: DefIndex,
+    cls: Optional[str],
+) -> str:
+    """Canonical callee of a call expression, '' when unresolvable.
+
+    ``self.x``/``cls.x`` inside a method of class ``cls`` resolves to
+    that class's own ``x`` only when the module defines it — inherited
+    and dynamically attached callables are dangling edges.
+    """
+    name = dotted(func)
+    if not name:
+        return ""
+    head, _, rest = name.partition(".")
+    if head in ("self", "cls") and cls is not None and rest:
+        candidate = (
+            f"{symbols.module}.{cls}.{rest}"
+            if symbols.module
+            else f"{cls}.{rest}"
+        )
+        return candidate if candidate in defs.by_qualname else ""
+    return symbols.resolve(name)
+
+
+def handler_names(
+    handlers: Sequence[ast.ExceptHandler],
+) -> Tuple[str, ...]:
+    """The exception names a try-statement's handlers catch; bare = '*'."""
+    names: List[str] = []
+    for handler in handlers:
+        if handler.type is None:
+            names.append("*")
+            continue
+        caught = (
+            handler.type.elts
+            if isinstance(handler.type, ast.Tuple)
+            else [handler.type]
+        )
+        for element in caught:
+            name = dotted(element)
+            if name:
+                names.append(name.rsplit(".", 1)[-1])
+    return tuple(names)
+
+
+def target_names(target: ast.expr) -> List[str]:
+    """Names an assignment target binds or, through a container, taints."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        names: List[str] = []
+        for element in target.elts:
+            names.extend(target_names(element))
+        return names
+    if isinstance(target, ast.Starred):
+        return target_names(target.value)
+    if isinstance(target, (ast.Subscript, ast.Attribute)):
+        # d[k] = tainted / obj.field = tainted: the mutation taints the
+        # container itself, so a later write of `d` carries the taint.
+        return target_names(target.value)
+    return []

@@ -3,8 +3,9 @@
 Covers the analysis itself (effect extraction, bottom-up propagation,
 tier assignment), every rule's positive and negative fixture, the
 determinism certificate (round-trip, shrink-only refusal, demotion
-findings, corruption), the content-hash cache, and the ``--effects``
-CLI surface.
+findings, corruption), and the ``--effects`` CLI surface.  The
+content-hash cache is covered once for all layers in
+``test_summary_cache.py``.
 """
 
 from __future__ import annotations
@@ -287,41 +288,6 @@ class TestCertificate:
 
     def test_missing_certificate_is_none(self, tmp_path):
         assert load_certificate(tmp_path / "absent.json") is None
-
-
-# ----------------------------------------------------------------------
-# Cache
-# ----------------------------------------------------------------------
-
-
-class TestCache:
-    def test_warm_run_hits_every_module(self, tmp_path):
-        cache = tmp_path / "effects-cache.json"
-        cold = analyze_source(tmp_path, CLEAN, cache_path=cache)
-        assert cold.cache_misses == 1 and cold.cache_hits == 0
-        warm = analyze_source(tmp_path, CLEAN, cache_path=cache)
-        assert warm.cache_hits == 1 and warm.cache_misses == 0
-        assert [f.code for f in warm.findings] == [
-            f.code for f in cold.findings
-        ]
-
-    def test_corrupt_cache_degrades_to_full_extract(self, tmp_path):
-        cache = tmp_path / "effects-cache.json"
-        cache.write_text("{definitely not json")
-        result = analyze_source(tmp_path, CLEAN, cache_path=cache)
-        assert result.cache_misses == 1
-        # And the save repaired the file for the next run.
-        warm = analyze_source(tmp_path, CLEAN, cache_path=cache)
-        assert warm.cache_hits == 1
-
-    def test_stale_analyzer_version_discards_cache(self, tmp_path):
-        cache = tmp_path / "effects-cache.json"
-        analyze_source(tmp_path, CLEAN, cache_path=cache)
-        data = json.loads(cache.read_text())
-        data["analysis_version"] = -1
-        cache.write_text(json.dumps(data, sort_keys=True))
-        result = analyze_source(tmp_path, CLEAN, cache_path=cache)
-        assert result.cache_hits == 0 and result.cache_misses == 1
 
 
 # ----------------------------------------------------------------------

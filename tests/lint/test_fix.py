@@ -78,3 +78,39 @@ def test_fix_handles_empty_and_trailing_comma_calls():
     assert "json.dumps({}, sort_keys=True)" in fixed
     assert "{'k': 1}, sort_keys=True)" in fixed
     assert lint_source(fixed, "src/repro/x.py") == []
+
+
+def test_fix_then_whole_program_passes_see_the_rewritten_text(
+    tmp_path, capsys
+):
+    """One scan hands every pass the same text, so after ``--fix`` rewrote
+    a file the run must scan again: the REP101 finding below sits on the
+    very line the REP003 fix edits, and its snippet is baseline identity."""
+    import json
+
+    from repro.lint.cli import main as lint_main
+
+    target = tmp_path / "src" / "repro" / "broker" / "stamp.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(
+        "import json\n"
+        "from time import time as ticks\n\n"
+        "from repro.core.durable import atomic_write_text\n\n\n"
+        "def flush(path):\n"
+        "    atomic_write_text(path, json.dumps({'at': ticks()}))\n"
+    )
+    argv = [
+        str(tmp_path / "src"), "--root", str(tmp_path), "--flow",
+        "--format", "json",
+    ]
+    assert lint_main(argv + ["--fix"]) == 1
+    fixing = json.loads(capsys.readouterr().out)
+    assert "sort_keys=True" in target.read_text()
+    assert lint_main(argv) == 1
+    plain = json.loads(capsys.readouterr().out)
+
+    assert fixing["summary"]["fixed"] == 1
+    assert fixing["findings"] == plain["findings"]
+    (finding,) = plain["findings"]
+    assert finding["code"] == "REP101"
+    assert "sort_keys=True" in finding["snippet"]

@@ -14,7 +14,6 @@ import shutil
 import pytest
 
 from repro.lint import analyze_paths, lint_paths
-from repro.lint.flow.cache import SummaryCache
 
 FLOW_FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "flow"
 
@@ -173,52 +172,6 @@ def test_container_mutation_carries_taint(tmp_path):
     assert codes_of(result) == ["REP101"]
     (finding,) = result.findings
     assert finding.path == "src/repro/broker/writer.py"
-
-
-# ---------------------------------------------------------------------------
-# Summary cache
-# ---------------------------------------------------------------------------
-
-
-def _copy_tree(case: str, tmp_path: pathlib.Path) -> pathlib.Path:
-    dest = tmp_path / case
-    shutil.copytree(FLOW_FIXTURES / case, dest)
-    return dest
-
-
-def test_cache_hits_and_invalidation(tmp_path):
-    tree = _copy_tree("rep101_bad", tmp_path)
-    cache = tmp_path / "cache.json"
-
-    cold = analyze_tree(tree, cache_path=cache)
-    assert cold.cache_hits == 0
-    assert cold.cache_misses == cold.files_analyzed > 0
-
-    warm = analyze_tree(tree, cache_path=cache)
-    assert warm.cache_misses == 0
-    assert warm.cache_hits == cold.files_analyzed
-    assert [f.message for f in warm.findings] == [
-        f.message for f in cold.findings
-    ]
-
-    # Editing one module invalidates exactly that module's entry.
-    target = tree / "src" / "repro" / "broker" / "timeutil.py"
-    target.write_text(target.read_text() + "\n# touched\n")
-    edited = analyze_tree(tree, cache_path=cache)
-    assert edited.cache_misses == 1
-    assert edited.cache_hits == cold.files_analyzed - 1
-    assert codes_of(edited) == ["REP101"]
-
-
-def test_corrupt_cache_degrades_to_full_reextract(tmp_path):
-    tree = _copy_tree("rep101_bad", tmp_path)
-    cache = tmp_path / "cache.json"
-    cache.write_text("{ not json")
-    result = analyze_tree(tree, cache_path=cache)
-    assert result.cache_hits == 0
-    assert codes_of(result) == ["REP101"]
-    # ... and the save repaired the file for the next run.
-    assert SummaryCache.load(cache)._modules
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Covers the hot-region closure, every cost rule's positive and negative
 fixture (including the planted pool-safe quadratic scan — certified
 pure by the effect layer, caught by REP302), the deterministic call
 profiler and its artifact, cross-validation in both directions, the
-content-hash cache, the ``--perf`` CLI surface, and the ``repro
-profile`` exit-code contract.
+``--perf`` CLI surface, and the ``repro profile`` exit-code contract.
+The content-hash cache is covered once for all layers in
+``test_summary_cache.py``.
 """
 
 from __future__ import annotations
@@ -409,41 +410,6 @@ class TestRep305:
     def test_silent_without_a_profile(self, tmp_path):
         target = copy_fixture(tmp_path, "rep305_host.py")
         assert analyze_perf([target], root=tmp_path).findings == []
-
-
-# ----------------------------------------------------------------------
-# Cache
-# ----------------------------------------------------------------------
-
-
-class TestCache:
-    def test_second_run_hits_for_every_module(self, tmp_path):
-        target = copy_fixture(tmp_path, "rep301_bad.py")
-        cache = tmp_path / "perf-cache.json"
-        first = analyze_perf([target], root=tmp_path, cache_path=cache)
-        assert (first.cache_hits, first.cache_misses) == (0, 1)
-        second = analyze_perf([target], root=tmp_path, cache_path=cache)
-        assert (second.cache_hits, second.cache_misses) == (1, 0)
-        assert codes_of(second) == codes_of(first) == ["REP301"]
-
-    def test_source_edit_invalidates_the_entry(self, tmp_path):
-        target = copy_fixture(tmp_path, "rep301_bad.py")
-        cache = tmp_path / "perf-cache.json"
-        analyze_perf([target], root=tmp_path, cache_path=cache)
-        target.write_text(
-            target.read_text().replace("class Sample:", "class Sample2:")
-        )
-        result = analyze_perf([target], root=tmp_path, cache_path=cache)
-        assert (result.cache_hits, result.cache_misses) == (0, 1)
-
-    def test_corrupt_cache_degrades_to_full_reextract(self, tmp_path):
-        target = copy_fixture(tmp_path, "rep301_bad.py")
-        cache = tmp_path / "perf-cache.json"
-        analyze_perf([target], root=tmp_path, cache_path=cache)
-        cache.write_text("{definitely not json")
-        result = analyze_perf([target], root=tmp_path, cache_path=cache)
-        assert (result.cache_hits, result.cache_misses) == (0, 1)
-        assert codes_of(result) == ["REP301"]
 
 
 # ----------------------------------------------------------------------

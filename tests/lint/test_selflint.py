@@ -137,14 +137,7 @@ def test_certificate_covers_every_pool_reachable_function(
         "functions"
     ]
 
-    edges = result.analysis.graph.edges
-    reachable = set(CERTIFIED_ROOTS)
-    frontier = list(CERTIFIED_ROOTS)
-    while frontier:
-        for callee in edges.get(frontier.pop(), ()):
-            if callee not in reachable:
-                reachable.add(callee)
-                frontier.append(callee)
+    reachable = result.analysis.graph.reachable(CERTIFIED_ROOTS)
     assert reachable >= set(CERTIFIED_ROOTS)  # roots exist in the graph
 
     missing = sorted(q for q in reachable if q not in certified)
