@@ -900,7 +900,7 @@ class GridBroker:
                         if not feasible_idx:
                             last_block = (head.job_id, ledger.version)
                             break
-                        if state is None and policy_impl.scalar_choice:
+                        if state is None:
                             # Scalar fast path: score each feasible
                             # candidate with one calibrated float
                             # (bit-identical to the option's
@@ -946,24 +946,6 @@ class GridBroker:
                                     calibrator,
                                     candidates=[feas_cands[choice]],
                                 )[0]
-                        elif state is None:
-                            # Fallback for policies without the scalar
-                            # protocol: price only the candidates that
-                            # fit right now — identical values to a
-                            # full build filtered afterwards, at a
-                            # fraction of the correction calls.
-                            cands = outcome.candidates
-                            feasible = self._options(
-                                head,
-                                outcome,
-                                calibrator,
-                                candidates=[
-                                    cands[i] for i in feasible_idx
-                                ],
-                            )
-                            decision = policy_impl.choose(
-                                head, feasible, now
-                            )
                         else:
                             opts = job_options(head, outcome)
                             feasible = [opts[i] for i in feasible_idx]

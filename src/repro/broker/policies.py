@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.broker.jobs import BrokerJob
 from repro.core.models import PredictedBreakdown
@@ -107,16 +107,6 @@ class PlacementOption:
             total = self.remaining_fraction * stretched + self.resume_charge
         object.__setattr__(self, "predicted_total", total)
 
-    @property
-    def node_hours(self) -> float:
-        """Predicted cost: machines reserved x predicted time."""
-        return (self.data_nodes + self.compute_nodes) * self.predicted_total
-
-    @property
-    def sort_label(self) -> tuple:
-        """Deterministic final tie-break (cached on the candidate)."""
-        return self.candidate.sort_key
-
 
 @dataclass(frozen=True)
 class Rejection:
@@ -132,17 +122,9 @@ class PlacementPolicy(abc.ABC):
     #: CLI/report name.
     name: str = "policy"
 
-    #: Whether :meth:`choose_index` implements this policy's decision.
-    #: When true, the indexed engine's fault-free dispatch skips building
-    #: :class:`PlacementOption` objects per candidate and scores the
-    #: selection candidates with one calibrated scalar each (the fast
-    #: path); only the winner is materialized.  Policies that leave this
-    #: false fall back to :meth:`choose` over full option lists.
-    scalar_choice: bool = False
-
-    #: Whether the fast path must supply calibrated totals.  A policy
-    #: that never reads predictions (round-robin) sets this to ``False``
-    #: and the engine skips the correction calls entirely.
+    #: Whether :meth:`choose_index` reads ``totals``.  A policy that
+    #: never reads predictions (round-robin) sets this to ``False`` and
+    #: the indexed engine skips the correction calls entirely.
     needs_totals: bool = True
 
     def wants_admission_options(self, job: BrokerJob) -> bool:
@@ -171,15 +153,28 @@ class PlacementPolicy(abc.ABC):
         """
         return None
 
-    @abc.abstractmethod
     def choose(
         self,
         job: BrokerJob,
         options: Sequence[PlacementOption],
         now: float,
     ) -> PlacementOption | Rejection:
-        """Pick among currently feasible options (never empty)."""
+        """Pick among currently feasible options (never empty).
 
+        The option-level view of :meth:`choose_index`, used wherever
+        full options already exist (the linear engine, and dispatch
+        under a fault schedule, where ``predicted_total`` carries the
+        resume state).
+        """
+        choice = self.choose_index(
+            job,
+            [o.candidate for o in options],
+            [o.predicted_total for o in options],
+            now,
+        )
+        return choice if isinstance(choice, Rejection) else options[choice]
+
+    @abc.abstractmethod
     def choose_index(
         self,
         job: BrokerJob,
@@ -187,30 +182,23 @@ class PlacementPolicy(abc.ABC):
         totals: Sequence[float],
         now: float,
     ) -> int | Rejection:
-        """Scalar twin of :meth:`choose` for the indexed engine.
+        """The policy's decision: the winning index, or a refusal.
 
         ``candidates`` are the currently feasible selection candidates
         (never empty, in enumeration order) and ``totals[i]`` is the
-        calibrated predicted total of ``candidates[i]`` — bit-identical
-        to ``PlacementOption.predicted_total`` of the corresponding
-        fault-free option (empty when :attr:`needs_totals` is false).
-        Returns the winning index, or the same :class:`Rejection` that
-        :meth:`choose` would return.  Only consulted when
-        :attr:`scalar_choice` is true.
+        calibrated predicted total of ``candidates[i]`` (may be empty
+        when :attr:`needs_totals` is false).  The indexed engine's
+        fault-free dispatch calls this directly with one calibrated
+        scalar per candidate — bit-identical to the corresponding
+        option's ``predicted_total`` — and materializes a
+        :class:`PlacementOption` for the winner alone.
         """
-        raise ConfigurationError(
-            f"policy '{self.name}' does not implement the scalar fast path"
-        )
 
 
 class MinCompletionPolicy(PlacementPolicy):
     """Earliest predicted completion (= min calibrated T̂_exec now)."""
 
     name = "min-completion"
-    scalar_choice = True
-
-    def choose(self, job, options, now):
-        return min(options, key=lambda o: (o.predicted_total, o.sort_label))
 
     def choose_index(self, job, candidates, totals, now):
         return min(
@@ -223,18 +211,11 @@ class MinCostPolicy(PlacementPolicy):
     """Fewest predicted node-hours; completion time breaks ties."""
 
     name = "min-cost"
-    scalar_choice = True
-
-    def choose(self, job, options, now):
-        return min(
-            options,
-            key=lambda o: (o.node_hours, o.predicted_total, o.sort_label),
-        )
 
     def choose_index(self, job, candidates, totals, now):
         def key(i: int) -> tuple:
             cand = candidates[i]
-            # Same arithmetic as PlacementOption.node_hours.
+            # Predicted node-hours: machines reserved x predicted time.
             return (
                 (cand.data_nodes + cand.compute_nodes) * totals[i],
                 totals[i],
@@ -251,7 +232,6 @@ class DeadlineAwarePolicy(PlacementPolicy):
     """
 
     name = "deadline-aware"
-    scalar_choice = True
 
     def wants_admission_options(self, job):
         return job.deadline is not None
@@ -269,29 +249,6 @@ class DeadlineAwarePolicy(PlacementPolicy):
                 ),
             )
         return None
-
-    def choose(self, job, options, now):
-        if job.deadline is None:
-            return min(
-                options, key=lambda o: (o.predicted_total, o.sort_label)
-            )
-        meeting = [
-            o for o in options if now + o.predicted_total <= job.deadline
-        ]
-        if not meeting:
-            best = min(now + o.predicted_total for o in options)
-            return Rejection(
-                code="deadline-miss-predicted",
-                reason=(
-                    f"after waiting until t={now:.4f}s the best predicted "
-                    f"completion {best:.4f}s exceeds deadline "
-                    f"{job.deadline:.4f}s"
-                ),
-            )
-        return min(
-            meeting,
-            key=lambda o: (o.node_hours, o.predicted_total, o.sort_label),
-        )
 
     def choose_index(self, job, candidates, totals, now):
         def cost_key(i: int) -> tuple:
@@ -336,7 +293,6 @@ class RoundRobinPolicy(PlacementPolicy):
     """
 
     name = "round-robin"
-    scalar_choice = True
     needs_totals = False
 
     def __init__(self, compute_sites: Sequence[str]) -> None:
@@ -344,27 +300,6 @@ class RoundRobinPolicy(PlacementPolicy):
             raise ConfigurationError("round-robin needs compute sites")
         self._sites = list(compute_sites)
         self._next = 0
-
-    def choose(self, job, options, now):
-        for offset in range(len(self._sites)):
-            site = self._sites[(self._next + offset) % len(self._sites)]
-            here: List[PlacementOption] = [
-                o for o in options if o.compute_site == site
-            ]
-            if here:
-                self._next = (self._next + offset + 1) % len(self._sites)
-                return min(
-                    here,
-                    key=lambda o: (
-                        o.data_nodes + o.compute_nodes,
-                        o.sort_label,
-                    ),
-                )
-        # Options always name known compute sites, so this is unreachable
-        # unless the policy was built for a different topology.
-        raise ConfigurationError(
-            "round-robin saw options for sites outside its rotation"
-        )
 
     def choose_index(self, job, candidates, totals, now):
         for offset in range(len(self._sites)):
@@ -384,6 +319,8 @@ class RoundRobinPolicy(PlacementPolicy):
                         candidates[i].sort_key,
                     ),
                 )
+        # Candidates always name known compute sites, so this is
+        # unreachable unless the policy was built for a different topology.
         raise ConfigurationError(
             "round-robin saw options for sites outside its rotation"
         )

@@ -11,13 +11,16 @@ stopped:
   manifest-fingerprint binding.
 - :mod:`repro.campaign.watchdog` — per-entry wall-clock deadlines and
   graceful-interrupt supervision.
-- :mod:`repro.campaign.runner`   — :class:`CampaignRunner`: resume,
-  retry-after-timeout (:class:`~repro.faults.retry.RetryPolicy`
-  semantics), SIGINT/SIGTERM checkpointing.
+- :mod:`repro.campaign.runner`   — the pipeline: ``execute_entry``
+  runs one entry to a journal record (callable resolution, deadline,
+  retry-after-timeout with :class:`~repro.faults.retry.RetryPolicy`
+  semantics, claim check; no I/O) and :class:`CampaignRunner` settles
+  records in manifest order (journal open/resume, commit, result
+  artifact, outcome, SIGINT/SIGTERM checkpointing).
 - :mod:`repro.campaign.parallel` — :class:`ParallelCampaignRunner`:
-  the certificate-gated process-pool executor behind
-  ``repro campaign --workers N`` (byte-identical journals and
-  artifacts, deterministic manifest-order settlement).
+  the same runner fed by a certificate-gated process pool, behind
+  ``repro campaign --workers N`` (submission window, cancel-on-stop,
+  broken-pool handling; journals and artifacts stay byte-identical).
 - :mod:`repro.campaign.report`   — :class:`CampaignReport`:
   completed/resumed/retried/timed-out/skipped classification and the
   process exit codes.

@@ -1,11 +1,17 @@
-"""Certificate-gated process-pool campaign executor.
+"""Certificate-gated process-pool record source for campaigns.
 
-``repro campaign --workers N`` runs campaign entries in a
-:class:`concurrent.futures.ProcessPoolExecutor` instead of the serial
-loop — with the *same* durability, deadline, and interruption contract
-as :class:`~repro.campaign.runner.CampaignRunner`, and one additional
-precondition: **no entry point may run in a worker process unless the
-effect analysis proves it process-pool-safe.**
+``repro campaign --workers N`` computes campaign entries in a
+:class:`concurrent.futures.ProcessPoolExecutor`.  Everything else —
+the journal prologue, manifest-order settlement, durability, deadlines,
+statuses — is :class:`~repro.campaign.runner.CampaignRunner`'s: workers
+call the same :func:`~repro.campaign.runner.execute_entry` and hand
+back its :class:`~repro.campaign.journal.JournalRecord`; all journal
+and artifact I/O happens in the parent's settle loop, so two processes
+never race on a file and the bytes match a serial run (only the
+wall-clock ``elapsed_s`` fields differ, as they do between any two
+serial runs).  This module holds what is specific to the pool, plus
+one additional precondition: **no entry point may run in a worker
+process unless the effect analysis proves it process-pool-safe.**
 
 Why a proof, not a convention
 -----------------------------
@@ -21,17 +27,8 @@ submitted entry point fails to certify ``process-pool-safe`` or better
 — the campaign falls back to an error, never to silently-wrong
 parallel output.
 
-Determinism contract
---------------------
-The parent submits every live entry up front, then *settles them in
-manifest order*: journal commits, result-artifact writes, outcome
-ordering, and progress lines are all byte-for-byte in the order the
-serial runner would produce (only the wall-clock ``elapsed_s`` fields
-differ, as they do between any two serial runs).  Workers return plain
-:class:`~repro.campaign.journal.JournalRecord` values; all journal and
-artifact I/O happens in the parent, so two processes never race on a
-file.
-
+Submission window
+-----------------
 Entries are submitted through a sliding window of ``2 * workers`` (the
 pool pre-queues up to ``workers + 1`` items into its uncancellable IPC
 call queue, so unbounded submission would make interruption drain the
@@ -48,28 +45,19 @@ is never thrown away.  The CLI then exits with
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import pathlib
-import threading
-import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, Generator, List, Mapping, Optional, Sequence
 
-from repro.analysis.expectations import EXPECTATIONS, check_expectation
-from repro.analysis.results_io import result_from_dict, result_to_dict
 from repro.errors import CampaignError
-from repro.faults.retry import RetryPolicy
-from repro.workloads.experiments import (
-    ExperimentResult,
-    run_experiment,
-    run_fault_scenario,
-)
+from repro.workloads.experiments import ExperimentResult
 
-from repro.campaign.journal import CampaignJournal, JournalRecord
+from repro.campaign.journal import JournalRecord
 from repro.campaign.manifest import CampaignEntry, CampaignManifest
-from repro.campaign.report import CampaignOutcome, CampaignReport
-from repro.campaign.runner import CampaignRunner
-from repro.campaign.watchdog import DeadlineExceededError, run_with_deadline
+from repro.campaign.report import CampaignReport
+from repro.campaign.runner import CampaignRunner, execute_entry
 
 __all__ = [
     "ParallelCampaignRunner",
@@ -159,91 +147,6 @@ def verify_pool_safety(
     return proven
 
 
-def _entry_callable(
-    entry: CampaignEntry,
-    override: Optional[Callable[[], ExperimentResult]],
-) -> Callable[[], ExperimentResult]:
-    """The worker-side twin of :meth:`CampaignRunner._callable`."""
-    if override is not None:
-        return override
-    if entry.kind == "experiment":
-        experiment_id = entry.resolved_experiment_id
-        fast = entry.fast
-        return lambda: run_experiment(experiment_id, fast=fast)
-    return lambda: run_fault_scenario(
-        workload=entry.workload,
-        experiment_id=entry.entry_id,
-        title=f"Fault scenario '{entry.entry_id}' on {entry.workload}",
-        scenario=entry.scenario,
-        size_label=entry.size_label,
-        fast=entry.fast,
-    )
-
-
-def _execute_entry(
-    entry: CampaignEntry,
-    default_deadline_s: Optional[float],
-    retry_policy: RetryPolicy,
-    check_claims: bool,
-    override: Optional[Callable[[], ExperimentResult]],
-) -> JournalRecord:
-    """Run one campaign entry to a settled record, inside a worker.
-
-    Module-level (picklable) on purpose.  Mirrors
-    :meth:`CampaignRunner._run_entry` exactly — same watchdog deadline,
-    same retry/backoff semantics, same statuses — but returns the
-    :class:`JournalRecord` instead of committing it: all journal and
-    artifact writes happen in the parent, in manifest order, so worker
-    completion order can never reorder durable state.
-    """
-    fn = _entry_callable(entry, override)
-    deadline_s = entry.effective_deadline_s(default_deadline_s)
-    last_timeout: Optional[DeadlineExceededError] = None
-    for attempt in range(1, retry_policy.max_attempts + 1):
-        start = time.perf_counter()
-        try:
-            result = run_with_deadline(
-                fn,
-                deadline_s,
-                stop=threading.Event(),  # workers are never interrupted
-                label=entry.entry_id,
-            )
-        except DeadlineExceededError as exc:
-            last_timeout = exc
-            if attempt < retry_policy.max_attempts:
-                delay = retry_policy.backoff_s(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            return JournalRecord(
-                entry_id=entry.entry_id,
-                status="timed-out",
-                attempts=attempt,
-                elapsed_s=time.perf_counter() - start,
-                payload=None,
-                violations=[str(last_timeout)],
-            )
-        elapsed = time.perf_counter() - start
-        violations: List[str] = []
-        if (
-            check_claims
-            and entry.kind == "experiment"
-            and entry.resolved_experiment_id in EXPECTATIONS
-        ):
-            violations = check_expectation(result)
-        return JournalRecord(
-            entry_id=entry.entry_id,
-            status="completed" if attempt == 1 else "retried",
-            attempts=attempt,
-            elapsed_s=elapsed,
-            payload=result_to_dict(result),
-            violations=violations,
-        )
-    raise CampaignError(
-        f"entry '{entry.entry_id}': retry loop must settle or return"
-    )
-
-
 class ParallelCampaignRunner(CampaignRunner):
     """Process-pool campaign runner; see the module docstring.
 
@@ -277,63 +180,32 @@ class ParallelCampaignRunner(CampaignRunner):
         self.workers = workers
         self.certify = certify
 
-    def _skipped(self, entry: CampaignEntry) -> CampaignOutcome:
-        return CampaignOutcome(
-            entry=entry,
-            status="skipped",
-            attempts=0,
-            elapsed_s=0.0,
-            result=None,
-            violations=[],
-        )
-
     def run(self, resume: bool = False) -> CampaignReport:
-        """Execute the campaign on a certified process pool."""
+        """Prove the pool safe, then run the campaign as usual.
+
+        The gate fires before any durable state is touched.
+        """
         if self.certify:
             verify_pool_safety(self.registry)
+        return super().run(resume)
 
-        journal = CampaignJournal(self.journal_path)
-        fingerprint = self.manifest.fingerprint()
-        if journal.exists:
-            if not resume:
-                raise CampaignError(
-                    f"campaign journal '{self.journal_path}' already "
-                    "exists; pass resume=True (--resume) to continue it, "
-                    "or delete the journal to start fresh"
-                )
-            records = journal.load(expected_fingerprint=fingerprint)
-        else:
-            journal.initialize(self.manifest.name, fingerprint)
-            records = {}
+    def _records(
+        self, live: Sequence[CampaignEntry]
+    ) -> Generator[Optional[JournalRecord], None, None]:
+        """Records computed on the pool, yielded in manifest order.
 
-        self._stop.clear()
-        self._signal_name = None
-        report = CampaignReport(
-            campaign=self.manifest.name,
-            journal_path=self.journal_path,
-        )
+        ``None`` for an entry that was cancelled before it started or
+        never submitted at all: it re-runs on ``--resume``.
+        """
         window = 2 * self.workers
-        pending = [
-            entry
-            for entry in self.manifest.entries
-            if entry.entry_id not in records
-        ]
+        pending = collections.deque(live)
         futures: Dict[str, "concurrent.futures.Future[JournalRecord]"] = {}
-        cancelled: set = set()
-        stop_handled = False
 
-        def handle_stop() -> None:
-            """First stop observation: cancel what never started."""
-            nonlocal stop_handled
-            if stop_handled:
-                return
-            stop_handled = True
+        def cancel_unstarted() -> None:
             pending.clear()  # never-submitted entries become skips
-            for entry_id, future in futures.items():
-                if future.cancel():
-                    cancelled.add(entry_id)
+            for future in futures.values():
+                future.cancel()  # no-op once running or done
 
-        previous_handlers = self._install_signal_handlers()
         try:
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers
@@ -341,42 +213,25 @@ class ParallelCampaignRunner(CampaignRunner):
 
                 def top_up() -> None:
                     # A stop observed here (e.g. set while the last
-                    # future was settling) must win before any new
+                    # record was settling) must win before any new
                     # submission widens the drain set.
                     if self._stop.is_set():
-                        handle_stop()
+                        cancel_unstarted()
                         return
                     while pending and len(futures) < window:
-                        entry = pending.pop(0)
+                        entry = pending.popleft()
                         futures[entry.entry_id] = pool.submit(
-                            _execute_entry,
-                            entry,
-                            self.manifest.default_deadline_s,
-                            self.retry_policy,
-                            self.check_claims,
-                            self.registry.get(entry.entry_id),
+                            execute_entry, *self._entry_args(entry)
                         )
 
                 top_up()
-                # Settle strictly in manifest order: commits, artifact
-                # writes, and outcome/progress ordering all match the
-                # serial runner byte for byte.
-                for entry in self.manifest.entries:
-                    if entry.entry_id in records:
-                        outcome = self._resumed_outcome(
-                            entry, records[entry.entry_id]
-                        )
-                        report.outcomes.append(outcome)
-                        self._report_progress(outcome)
-                        continue
-                    if self._stop.is_set():
-                        handle_stop()
+                for entry in live:
                     future = futures.get(entry.entry_id)
                     record: Optional[JournalRecord] = None
                     while future is not None and record is None:
                         if self._stop.is_set():
-                            handle_stop()
-                        if entry.entry_id in cancelled:
+                            cancel_unstarted()
+                        if future.cancelled():
                             break
                         try:
                             record = future.result(
@@ -385,30 +240,7 @@ class ParallelCampaignRunner(CampaignRunner):
                         except concurrent.futures.TimeoutError:
                             continue
                     futures.pop(entry.entry_id, None)
-                    if record is None:
-                        # Cancelled before it started, or never
-                        # submitted at all: re-runs on --resume.
-                        report.interrupted = True
-                        report.outcomes.append(self._skipped(entry))
-                        continue
-                    journal.commit(record)
-                    result = (
-                        result_from_dict(record.payload)
-                        if record.payload is not None
-                        else None
-                    )
-                    if result is not None:
-                        self._save_result(entry.entry_id, result)
-                    outcome = CampaignOutcome(
-                        entry=entry,
-                        status=record.status,
-                        attempts=record.attempts,
-                        elapsed_s=record.elapsed_s,
-                        result=result,
-                        violations=list(record.violations),
-                    )
-                    report.outcomes.append(outcome)
-                    self._report_progress(outcome)
+                    yield record
                     top_up()
         except BrokenProcessPool as exc:
             raise CampaignError(
@@ -417,7 +249,3 @@ class ParallelCampaignRunner(CampaignRunner):
                 "far — re-run with --resume, or serially without "
                 "--workers"
             ) from exc
-        finally:
-            self._restore_signal_handlers(previous_handlers)
-        report.signal_name = self._signal_name
-        return report

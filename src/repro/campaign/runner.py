@@ -1,26 +1,33 @@
 """The crash-safe campaign runner.
 
-Executes a :class:`~repro.campaign.manifest.CampaignManifest` entry by
-entry with three operational guards the plain suite loop lacks:
+Executes a :class:`~repro.campaign.manifest.CampaignManifest` as an
+executor → settle pipeline with three operational guards the plain
+suite loop lacks:
 
-1. **Durability.**  Every settled entry is committed to the
+1. **Deadlines.**  :func:`execute_entry` runs one entry under the
+   watchdog; an entry that exceeds its wall-clock deadline is
+   abandoned, retried per the :class:`~repro.faults.retry.RetryPolicy`
+   (real sleeps, same backoff semantics the simulated chunk retries
+   use), and finally classified ``timed-out`` — without aborting the
+   rest of the campaign.  It returns a
+   :class:`~repro.campaign.journal.JournalRecord` and touches no file,
+   so *where* it runs (inline here, in a worker process under
+   :class:`~repro.campaign.parallel.ParallelCampaignRunner`) is a
+   dispatch detail.
+2. **Durability.**  :meth:`CampaignRunner.run` settles records strictly
+   in manifest order: each is committed to the
    :class:`~repro.campaign.journal.CampaignJournal` via atomic
-   write-then-rename with fsync *before* the next entry starts.  A
-   killed process loses at most the entry that was in flight; a
-   ``resume=True`` run restores journaled entries without re-running
-   them and produces results byte-identical to an uninterrupted run
-   (experiment drivers are deterministic and the serialization is
-   canonical).
-2. **Deadlines.**  Each entry runs under the watchdog; an entry that
-   exceeds its wall-clock deadline is abandoned, retried per the
-   :class:`~repro.faults.retry.RetryPolicy` (real sleeps, same backoff
-   semantics the simulated chunk retries use), and finally classified
-   ``timed-out`` — without aborting the rest of the campaign.
+   write-then-rename with fsync, then its result artifact is written,
+   *before* the next record is asked for.  A killed process loses at
+   most the entries that were in flight; a ``resume=True`` run restores
+   journaled entries without re-running them and produces results
+   byte-identical to an uninterrupted run (experiment drivers are
+   deterministic and the serialization is canonical).
 3. **Graceful interruption.**  SIGINT/SIGTERM set a stop flag; the
-   runner finishes the in-progress journal commit, marks unreached
-   entries ``skipped``, restores the previous signal handlers, and
-   reports ``interrupted`` so the CLI can exit with the distinct
-   resumable status code
+   runner finishes the in-progress journal commit, marks entries that
+   produced no record ``skipped``, restores the previous signal
+   handlers, and reports ``interrupted`` so the CLI can exit with the
+   distinct resumable status code
    (:data:`~repro.campaign.report.EXIT_INTERRUPTED`).
 """
 
@@ -30,7 +37,7 @@ import pathlib
 import signal
 import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Generator, List, Mapping, Optional, Sequence
 
 from repro.analysis.expectations import EXPECTATIONS, check_expectation
 from repro.analysis.results_io import (
@@ -55,9 +62,93 @@ from repro.campaign.watchdog import (
     run_with_deadline,
 )
 
-__all__ = ["CampaignRunner"]
+__all__ = ["CampaignRunner", "execute_entry"]
 
 _HANDLED_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+def execute_entry(
+    entry: CampaignEntry,
+    default_deadline_s: Optional[float],
+    retry_policy: RetryPolicy,
+    check_claims: bool,
+    override: Optional[Callable[[], ExperimentResult]] = None,
+    *,
+    stop: Optional[threading.Event] = None,
+    sleep: Callable[[float], None] = time.sleep,
+    poll_interval_s: float = 0.02,
+) -> Optional[JournalRecord]:
+    """Run one campaign entry to a settled record.
+
+    Module-level and picklable on purpose: the positional arguments
+    cross a process boundary unchanged, and nothing is written here —
+    journal and artifact I/O belong to the settle loop, so completion
+    order can never reorder durable state.  ``override`` replaces the
+    default experiment driver (the runner's ``registry`` seam).
+
+    Returns ``None`` when ``stop`` was set mid-attempt: the attempt is
+    abandoned, nothing is journaled and the entry re-runs on resume.
+    """
+    fn: Callable[[], ExperimentResult]
+    if override is not None:
+        fn = override
+    elif entry.kind == "experiment":
+        fn = lambda: run_experiment(
+            entry.resolved_experiment_id, fast=entry.fast
+        )
+    else:
+        fn = lambda: run_fault_scenario(
+            workload=entry.workload,
+            experiment_id=entry.entry_id,
+            title=f"Fault scenario '{entry.entry_id}' on {entry.workload}",
+            scenario=entry.scenario,
+            size_label=entry.size_label,
+            fast=entry.fast,
+        )
+    deadline_s = entry.effective_deadline_s(default_deadline_s)
+    for attempt in range(1, retry_policy.max_attempts + 1):
+        start = time.perf_counter()
+        try:
+            result = run_with_deadline(
+                fn,
+                deadline_s,
+                stop=stop,
+                label=entry.entry_id,
+                poll_interval_s=poll_interval_s,
+            )
+        except CampaignInterruptedError:
+            return None
+        except DeadlineExceededError as exc:
+            if attempt < retry_policy.max_attempts:
+                delay = retry_policy.backoff_s(attempt)
+                if delay > 0:
+                    sleep(delay)
+                continue
+            return JournalRecord(
+                entry_id=entry.entry_id,
+                status="timed-out",
+                attempts=attempt,
+                elapsed_s=time.perf_counter() - start,
+                payload=None,
+                violations=[str(exc)],
+            )
+        elapsed = time.perf_counter() - start
+        violations: List[str] = []
+        if (
+            check_claims
+            and entry.kind == "experiment"
+            and entry.resolved_experiment_id in EXPECTATIONS
+        ):
+            violations = check_expectation(result)
+        return JournalRecord(
+            entry_id=entry.entry_id,
+            status="completed" if attempt == 1 else "retried",
+            attempts=attempt,
+            elapsed_s=elapsed,
+            payload=result_to_dict(result),
+            violations=violations,
+        )
+    raise InternalError("retry loop must settle or return")
 
 
 class CampaignRunner:
@@ -123,137 +214,38 @@ class CampaignRunner:
         self._signal_name: Optional[str] = None
 
     # ------------------------------------------------------------------
-    # Entry execution
+    # Record sources
     # ------------------------------------------------------------------
 
-    def _callable(self, entry: CampaignEntry) -> Callable[[], ExperimentResult]:
-        if entry.entry_id in self.registry:
-            return self.registry[entry.entry_id]
-        if entry.kind == "experiment":
-            experiment_id = entry.resolved_experiment_id
-            fast = entry.fast
-            return lambda: run_experiment(experiment_id, fast=fast)
-        return lambda: run_fault_scenario(
-            workload=entry.workload,
-            experiment_id=entry.entry_id,
-            title=f"Fault scenario '{entry.entry_id}' on {entry.workload}",
-            scenario=entry.scenario,
-            size_label=entry.size_label,
-            fast=entry.fast,
+    def _entry_args(self, entry: CampaignEntry) -> tuple:
+        """Positional arguments of :func:`execute_entry` (all picklable)."""
+        return (
+            entry,
+            self.manifest.default_deadline_s,
+            self.retry_policy,
+            self.check_claims,
+            self.registry.get(entry.entry_id),
         )
 
-    def _violations(
-        self, entry: CampaignEntry, result: ExperimentResult
-    ) -> List[str]:
-        if not self.check_claims or entry.kind != "experiment":
-            return []
-        if entry.resolved_experiment_id not in EXPECTATIONS:
-            return []
-        return check_expectation(result)
+    def _records(
+        self, live: Sequence[CampaignEntry]
+    ) -> Generator[Optional[JournalRecord], None, None]:
+        """One record per live entry, in manifest order.
 
-    def _save_result(self, entry_id: str, result: ExperimentResult) -> None:
-        if self.results_dir is not None:
-            save_result(result, self.results_dir / f"{entry_id}.json")
-
-    def _report_progress(self, outcome: CampaignOutcome) -> None:
-        if self.progress is not None:
-            self.progress(
-                f"{outcome.entry_id} {outcome.status} "
-                f"({outcome.elapsed_s:.1f}s)"
-            )
-
-    def _run_entry(
-        self, entry: CampaignEntry, journal: CampaignJournal
-    ) -> Optional[CampaignOutcome]:
-        """Run one live entry to a settled, journaled outcome.
-
-        Returns ``None`` when the operator interrupted the attempt —
-        nothing is journaled and the entry re-runs on resume.
+        ``None`` means the entry did not run to a settled record (the
+        operator interrupted) and re-runs on resume.  This runner
+        executes each entry inline, when the settle loop asks for it.
         """
-        fn = self._callable(entry)
-        deadline_s = entry.effective_deadline_s(
-            self.manifest.default_deadline_s
-        )
-        last_timeout: Optional[DeadlineExceededError] = None
-        for attempt in range(1, self.retry_policy.max_attempts + 1):
-            start = time.perf_counter()
-            try:
-                result = run_with_deadline(
-                    fn,
-                    deadline_s,
-                    stop=self._stop,
-                    label=entry.entry_id,
-                    poll_interval_s=self._poll_interval_s,
-                )
-            except CampaignInterruptedError:
-                return None
-            except DeadlineExceededError as exc:
-                last_timeout = exc
-                if attempt < self.retry_policy.max_attempts:
-                    delay = self.retry_policy.backoff_s(attempt)
-                    if delay > 0:
-                        self._sleep(delay)
-                    continue
-                elapsed = time.perf_counter() - start
-                record = JournalRecord(
-                    entry_id=entry.entry_id,
-                    status="timed-out",
-                    attempts=attempt,
-                    elapsed_s=elapsed,
-                    payload=None,
-                    violations=[str(last_timeout)],
-                )
-                journal.commit(record)
-                return CampaignOutcome(
-                    entry=entry,
-                    status="timed-out",
-                    attempts=attempt,
-                    elapsed_s=elapsed,
-                    result=None,
-                    violations=[str(last_timeout)],
-                )
-            elapsed = time.perf_counter() - start
-            violations = self._violations(entry, result)
-            status = "completed" if attempt == 1 else "retried"
-            record = JournalRecord(
-                entry_id=entry.entry_id,
-                status=status,
-                attempts=attempt,
-                elapsed_s=elapsed,
-                payload=result_to_dict(result),
-                violations=violations,
+        for entry in live:
+            if self._stop.is_set():
+                yield None
+                continue
+            yield execute_entry(
+                *self._entry_args(entry),
+                stop=self._stop,
+                sleep=self._sleep,
+                poll_interval_s=self._poll_interval_s,
             )
-            journal.commit(record)
-            self._save_result(entry.entry_id, result)
-            return CampaignOutcome(
-                entry=entry,
-                status=status,
-                attempts=attempt,
-                elapsed_s=elapsed,
-                result=result,
-                violations=violations,
-            )
-        raise InternalError("retry loop must settle or return")
-
-    def _resumed_outcome(
-        self, entry: CampaignEntry, record: JournalRecord
-    ) -> CampaignOutcome:
-        result = (
-            result_from_dict(record.payload)
-            if record.payload is not None
-            else None
-        )
-        if result is not None:
-            self._save_result(entry.entry_id, result)
-        status = "resumed" if record.status != "timed-out" else "timed-out"
-        return CampaignOutcome(
-            entry=entry,
-            status=status,
-            attempts=record.attempts,
-            elapsed_s=record.elapsed_s,
-            result=result,
-            violations=list(record.violations),
-        )
 
     # ------------------------------------------------------------------
     # Signal handling
@@ -302,10 +294,10 @@ class CampaignRunner:
                     "exists; pass resume=True (--resume) to continue it, "
                     "or delete the journal to start fresh"
                 )
-            records = journal.load(expected_fingerprint=fingerprint)
+            journaled = journal.load(expected_fingerprint=fingerprint)
         else:
             journal.initialize(self.manifest.name, fingerprint)
-            records = {}
+            journaled = {}
 
         self._stop.clear()
         self._signal_name = None
@@ -313,12 +305,24 @@ class CampaignRunner:
             campaign=self.manifest.name,
             journal_path=self.journal_path,
         )
+        records = self._records(
+            [e for e in self.manifest.entries if e.entry_id not in journaled]
+        )
         previous_handlers = self._install_signal_handlers()
         try:
+            # Settle strictly in manifest order, whatever order the
+            # records were computed in: commits, artifact writes, and
+            # outcome/progress ordering are the same bytes for every
+            # record source.
             for entry in self.manifest.entries:
-                if self._stop.is_set():
+                record = journaled.get(entry.entry_id)
+                resumed = record is not None
+                if not resumed:
+                    record = next(records)
+                    if record is not None:
+                        journal.commit(record)
+                if record is None:
                     report.interrupted = True
-                if report.interrupted:
                     report.outcomes.append(
                         CampaignOutcome(
                             entry=entry,
@@ -330,29 +334,34 @@ class CampaignRunner:
                         )
                     )
                     continue
-                if entry.entry_id in records:
-                    outcome = self._resumed_outcome(
-                        entry, records[entry.entry_id]
-                    )
-                else:
-                    maybe = self._run_entry(entry, journal)
-                    if maybe is None:
-                        report.interrupted = True
-                        report.outcomes.append(
-                            CampaignOutcome(
-                                entry=entry,
-                                status="skipped",
-                                attempts=0,
-                                elapsed_s=0.0,
-                                result=None,
-                                violations=[],
-                            )
+                result = None
+                if record.payload is not None:
+                    # Resumed entries are re-saved too, so a resumed
+                    # campaign leaves byte-identical artifacts.
+                    result = result_from_dict(record.payload)
+                    if self.results_dir is not None:
+                        save_result(
+                            result, self.results_dir / f"{entry.entry_id}.json"
                         )
-                        continue
-                    outcome = maybe
+                status = record.status
+                if resumed and status != "timed-out":
+                    status = "resumed"
+                outcome = CampaignOutcome(
+                    entry=entry,
+                    status=status,
+                    attempts=record.attempts,
+                    elapsed_s=record.elapsed_s,
+                    result=result,
+                    violations=list(record.violations),
+                )
                 report.outcomes.append(outcome)
-                self._report_progress(outcome)
+                if self.progress is not None:
+                    self.progress(
+                        f"{outcome.entry_id} {outcome.status} "
+                        f"({outcome.elapsed_s:.1f}s)"
+                    )
         finally:
+            records.close()
             self._restore_signal_handlers(previous_handlers)
         report.signal_name = self._signal_name
         return report

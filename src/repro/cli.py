@@ -293,24 +293,17 @@ def _cmd_campaign(args) -> int:
             backoff_factor=1.0,
             max_backoff_s=0.0,
         )
-    if args.workers is not None and args.workers > 1:
+    kwargs = dict(
+        retry_policy=policy, results_dir=args.results_dir, progress=print
+    )
+    if args.workers is None or args.workers == 1:
+        runner = CampaignRunner(manifest, journal, **kwargs)
+    else:
         from repro.campaign import ParallelCampaignRunner
 
+        # Validates the count (a non-positive one is a CampaignError).
         runner = ParallelCampaignRunner(
-            manifest,
-            journal,
-            workers=args.workers,
-            retry_policy=policy,
-            results_dir=args.results_dir,
-            progress=print,
-        )
-    else:
-        runner = CampaignRunner(
-            manifest,
-            journal,
-            retry_policy=policy,
-            results_dir=args.results_dir,
-            progress=print,
+            manifest, journal, workers=args.workers, **kwargs
         )
     report = runner.run(resume=args.resume)
     print()
@@ -346,7 +339,6 @@ def _cmd_broker(args) -> int:
         faults=faults,
         recovery=recovery,
         retry=retry,
-        engine=args.engine,
     )
     print(format_broker(report, schedule=args.schedule))
     if args.report:
@@ -479,7 +471,6 @@ def _cmd_trace(args) -> int:
         list(trace.jobs),
         policies,
         include_uncalibrated=args.calibration_baseline,
-        engine=args.engine,
     )
     print(format_trace(trace))
     print()
@@ -889,12 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the broker retry budget (attempts per job before "
         "a terminal failure)",
     )
-    broker_p.add_argument(
-        "--engine", choices=["indexed", "linear"], default="indexed",
-        help="event-loop engine: 'indexed' (heap queue + incremental "
-        "ledger, the default) or 'linear' (the pre-scale-up reference "
-        "path; byte-identical reports, slower)",
-    )
     broker_p.set_defaults(func=_cmd_broker)
 
     trace_p = sub.add_parser(
@@ -943,10 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
     trun_p.add_argument(
         "--policy", action="append", default=None, metavar="NAME",
         help="placement policy (repeatable; default: min-completion)",
-    )
-    trun_p.add_argument(
-        "--engine", choices=["indexed", "linear"], default="indexed",
-        help="event-loop engine (default: indexed)",
     )
     trun_p.add_argument("--alpha", type=float, default=0.3)
     trun_p.add_argument(

@@ -209,12 +209,10 @@ UNSEEDED_RNG_CONSTRUCTORS = RNG_SEEDED_CONSTRUCTORS
 
 #: Module-path suffixes whose *direct* ambient reads are sanctioned
 #: (reviewed operator-facing wall durations; never result-bearing).
-#: Mirrors the flow layer's SOURCE_ALLOWLIST plus the parallel campaign
-#: executor itself, whose elapsed telemetry is wall-clock by design.
+#: Mirrors the flow layer's SOURCE_ALLOWLIST.
 AMBIENT_ALLOWLIST: Tuple[str, ...] = (
     "campaign/watchdog.py",
     "campaign/runner.py",
-    "campaign/parallel.py",
     "workloads/suite.py",
     "service/clock.py",
 )

@@ -195,7 +195,6 @@ SINK_MODULE_FRAGMENTS: Tuple[str, ...] = (
 SOURCE_ALLOWLIST: Tuple[str, ...] = (
     "campaign/watchdog.py",
     "campaign/runner.py",
-    "campaign/parallel.py",
     "workloads/suite.py",
     "service/clock.py",
 )

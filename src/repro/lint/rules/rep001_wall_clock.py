@@ -64,7 +64,6 @@ class WallClockRule(Rule):
     allowlist = (
         "campaign/watchdog.py",
         "campaign/runner.py",
-        "campaign/parallel.py",
         "workloads/suite.py",
         "service/clock.py",
     )

@@ -5,19 +5,18 @@ plus the extension experiments), checks each against its recorded
 :class:`~repro.analysis.expectations.FigureExpectation`, and returns a
 :class:`SuiteReport`.  The CLI exposes it as ``repro suite``.
 
-With a ``journal`` path the suite runs on the crash-safe campaign
-engine (:mod:`repro.campaign`): every finished experiment is durably
-committed, a killed run resumes with ``resume=True`` re-running only the
-incomplete experiments, and per-experiment deadlines are enforced by
-the watchdog.
+This is the plain in-memory loop.  The crash-safe variant — durable
+journal, ``--resume``, per-experiment deadlines — is ``repro suite
+--journal``, which runs
+:func:`~repro.campaign.manifest.paper_suite_manifest` on the campaign
+engine (:mod:`repro.campaign`).
 """
 
 from __future__ import annotations
 
-import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.expectations import EXPECTATIONS, check_expectation
 from repro.simgrid.errors import ConfigurationError
@@ -31,24 +30,17 @@ __all__ = [
     "SuiteEntry",
     "SuiteReport",
     "run_paper_suite",
-    "suite_report_from_campaign",
 ]
 
 
 @dataclass(frozen=True)
 class SuiteEntry:
-    """Outcome of one experiment within a suite run.
-
-    ``status`` is ``"completed"`` for a plain run; journaled runs also
-    produce ``"resumed"`` (restored from a previous run's journal) and
-    ``"retried"`` (completed after a watchdog timeout).
-    """
+    """Outcome of one experiment within a suite run."""
 
     experiment_id: str
     result: ExperimentResult
     violations: List[str]
     elapsed_s: float
-    status: str = "completed"
 
     @property
     def ok(self) -> bool:
@@ -58,20 +50,14 @@ class SuiteEntry:
 
 @dataclass
 class SuiteReport:
-    """All experiments of one suite run.
-
-    ``interrupted`` is set by journaled runs the operator stopped
-    mid-campaign (SIGINT/SIGTERM); the journal holds the completed
-    entries and a ``resume`` run finishes the rest.
-    """
+    """All experiments of one suite run."""
 
     entries: List[SuiteEntry] = field(default_factory=list)
-    interrupted: bool = False
 
     @property
     def ok(self) -> bool:
         """True when the whole reproduction matches the paper."""
-        return not self.interrupted and all(entry.ok for entry in self.entries)
+        return all(entry.ok for entry in self.entries)
 
     @property
     def failures(self) -> List[SuiteEntry]:
@@ -89,81 +75,26 @@ class SuiteReport:
         lines = []
         for entry in self.entries:
             status = "ok" if entry.ok else "MISMATCH"
-            origin = "" if entry.status == "completed" else f" [{entry.status}]"
             lines.append(
                 f"{entry.experiment_id:14s} {status:8s} "
-                f"({entry.elapsed_s:5.1f}s)  {entry.result.title}{origin}"
+                f"({entry.elapsed_s:5.1f}s)  {entry.result.title}"
             )
             for violation in entry.violations:
                 lines.append(f"{'':14s} !! {violation}")
-        if self.interrupted:
-            lines.append(
-                "suite interrupted — journal checkpoint written; re-run "
-                "with resume to finish"
-            )
         return lines
-
-
-def suite_report_from_campaign(campaign_report) -> SuiteReport:
-    """Project a :class:`~repro.campaign.report.CampaignReport` onto the
-    suite's report type.
-
-    Only productive entries (completed / resumed / retried) become
-    :class:`SuiteEntry` rows — timed-out and skipped entries carry no
-    result; they stay visible in the campaign report itself.
-    """
-    report = SuiteReport(interrupted=campaign_report.interrupted)
-    for outcome in campaign_report.outcomes:
-        if outcome.result is None:
-            continue
-        report.entries.append(
-            SuiteEntry(
-                experiment_id=outcome.entry_id,
-                result=outcome.result,
-                violations=list(outcome.violations),
-                elapsed_s=outcome.elapsed_s,
-                status=outcome.status,
-            )
-        )
-    return report
 
 
 def run_paper_suite(
     fast: bool = False,
     experiment_ids: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    journal: Optional[str | pathlib.Path] = None,
-    resume: bool = False,
-    results_dir: Optional[str | pathlib.Path] = None,
-    deadline_s: Optional[float] = None,
 ) -> SuiteReport:
     """Run experiments (all by default) and check the paper's claims.
 
     ``fast=True`` uses the reduced configuration grid — quick smoke
     coverage; the claims that need the full grid are skipped
     automatically by the checker.
-
-    With ``journal`` set, the suite runs on the crash-safe campaign
-    engine: finished experiments are durably committed and
-    ``resume=True`` continues a killed run, re-running only the
-    experiments the journal does not hold.  ``deadline_s`` bounds each
-    experiment's wall-clock time (watchdog-enforced).
     """
-    if journal is not None:
-        from repro.campaign.manifest import paper_suite_manifest
-        from repro.campaign.runner import CampaignRunner
-
-        manifest = paper_suite_manifest(
-            fast=fast, experiment_ids=experiment_ids, deadline_s=deadline_s
-        )
-        runner = CampaignRunner(
-            manifest,
-            journal,
-            results_dir=results_dir,
-            progress=progress,
-        )
-        return suite_report_from_campaign(runner.run(resume=resume))
-
     ids = list(experiment_ids) if experiment_ids else sorted(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:

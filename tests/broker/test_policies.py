@@ -9,7 +9,6 @@ from repro.broker.policies import (
     MinCompletionPolicy,
     MinCostPolicy,
     PlacementOption,
-    PlacementPolicy,
     Rejection,
     RoundRobinPolicy,
     make_policy,
@@ -129,13 +128,14 @@ class TestRoundRobin:
 
 
 class TestScalarFastPath:
-    """choose_index must mirror choose exactly — same winner, same refusal.
+    """``choose`` is the option-level adapter over ``choose_index``.
 
-    The indexed engine's fault-free dispatch scores candidates with bare
-    calibrated totals and only materializes the winning option, so any
-    drift between the two code paths would break the engines'
-    byte-identity (also guarded end-to-end by the equivalence property
-    suite).
+    ``choose_index`` is each policy's one decision: the indexed engine's
+    fault-free dispatch calls it with bare calibrated totals and only
+    materializes the winning option.  Wherever full options exist the
+    base class's ``choose`` must hand back exactly the option at the
+    chosen index, or the same refusal (also guarded end-to-end by the
+    engine equivalence property suite).
     """
 
     def _split(self, options):
@@ -154,7 +154,6 @@ class TestScalarFastPath:
             option("a", 1.2, data_nodes=2, compute_nodes=4),
         ]
         policy = make_policy(policy_name, ["a", "b", "c"])
-        assert policy.scalar_choice
         chosen = policy.choose(JOB, options, 0.5)
         candidates, totals = self._split(options)
         index = policy.choose_index(JOB, candidates, totals, 0.5)
@@ -202,18 +201,6 @@ class TestScalarFastPath:
             index = fast.choose_index(JOB, candidates, [], 0.0)
             assert options[index] is chosen
             assert fast._next == slow._next
-
-    def test_base_policy_has_no_fast_path(self):
-        class Custom(PlacementPolicy):
-            name = "custom"
-
-            def choose(self, job, options, now):
-                return options[0]
-
-        policy = Custom()
-        assert not policy.scalar_choice
-        with pytest.raises(ConfigurationError):
-            policy.choose_index(JOB, [], [], 0.0)
 
 
 class TestFactory:

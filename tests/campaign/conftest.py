@@ -6,8 +6,17 @@ runner's ``registry`` seam: deterministic, instant, and instrumented
 precisely without waiting on real figure reproductions.  Entry ids must
 still be registered experiment ids (the manifest validates them), so
 the fakes borrow real figure ids.
+
+Two kinds of fake: ``fake_registry`` builds closures (serial-only, they
+can log into a list), ``picklable_registry`` wraps module-level drivers
+in ``functools.partial`` — registry callables cross the process
+boundary by pickle reference, so those work under both runners.
 """
 
+import functools
+import json
+import pathlib
+import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.campaign import CampaignEntry, CampaignManifest
@@ -78,3 +87,45 @@ def make_manifest(
         entries=tuple(CampaignEntry(entry_id=i) for i in ids),
         default_deadline_s=deadline_s,
     )
+
+
+# ----------------------------------------------------------------------
+# Module-level (picklable) fake drivers
+# ----------------------------------------------------------------------
+
+
+def fake_driver(entry_id: str):
+    return fake_result(entry_id)
+
+
+def slow_driver(entry_id: str, duration_s: float):
+    time.sleep(duration_s)
+    return fake_result(entry_id)
+
+
+def boom_driver(entry_id: str):
+    raise RuntimeError(f"driver for '{entry_id}' must not run")
+
+
+def hang_once_driver(entry_id: str, marker: str):
+    """First call (no marker file yet) hangs; later calls are instant."""
+    path = pathlib.Path(marker)
+    if not path.exists():
+        path.write_text(entry_id)
+        time.sleep(10.0)
+    return fake_result(entry_id)
+
+
+def picklable_registry(ids, driver=fake_driver, *extra):
+    return {
+        entry_id: functools.partial(driver, entry_id, *extra)
+        for entry_id in ids
+    }
+
+
+def journal_projection(path: pathlib.Path):
+    """The journal minus its wall-clock fields (the determinism view)."""
+    document = json.loads(path.read_text())
+    for entry in document["entries"]:
+        del entry["elapsed_s"]
+    return document

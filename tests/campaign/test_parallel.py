@@ -1,22 +1,15 @@
-"""The certificate-gated process-pool campaign executor.
+"""What is specific to the process-pool record source.
 
-The contract under test: ``ParallelCampaignRunner`` produces journals,
-result artifacts, and reports *byte-identical* to the serial
-``CampaignRunner`` (modulo the wall-clock ``elapsed_s`` fields, which
-differ between any two runs), refuses to start without a
-process-pool-safety proof, and keeps the serial runner's durability and
-interruption semantics.
-
-Registry callables cross the process boundary by pickle reference, so
-every fake driver here is a module-level function wrapped in
-``functools.partial`` — closures (like ``conftest.fake_registry``'s)
-are serial-only.
+``ParallelCampaignRunner`` produces journals, result artifacts, and
+reports *byte-identical* to the serial ``CampaignRunner`` (modulo the
+wall-clock ``elapsed_s`` fields, which differ between any two runs),
+refuses to start without a process-pool-safety proof, and on interrupt
+drains running entries while skipping pending ones.  The behaviour both
+runners share is in ``test_executor_contract.py``.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import pathlib
 import threading
 import time
@@ -32,31 +25,14 @@ from repro.campaign import (
     verify_pool_safety,
 )
 from repro.errors import CampaignError
-from repro.faults import RetryPolicy
 
-from .conftest import FAKE_IDS, fake_result, make_manifest
-
-NO_RETRY = RetryPolicy(
-    max_attempts=1, base_backoff_s=0.0, backoff_factor=1.0, max_backoff_s=0.0
+from .conftest import (
+    FAKE_IDS,
+    fake_result,
+    journal_projection,
+    make_manifest,
+    picklable_registry,
 )
-
-
-# ----------------------------------------------------------------------
-# Module-level (picklable) fake drivers
-# ----------------------------------------------------------------------
-
-
-def _fake_driver(entry_id: str):
-    return fake_result(entry_id)
-
-
-def _slow_driver(entry_id: str, duration_s: float):
-    time.sleep(duration_s)
-    return fake_result(entry_id)
-
-
-def _boom_driver(entry_id: str):
-    raise RuntimeError(f"driver for '{entry_id}' must not run")
 
 
 def _rendezvous_driver(entry_id: str, dirpath: str):
@@ -66,21 +42,6 @@ def _rendezvous_driver(entry_id: str, dirpath: str):
     while not (directory / "go").exists():
         time.sleep(0.01)
     return fake_result(entry_id)
-
-
-def picklable_registry(ids, driver=_fake_driver, *extra):
-    return {
-        entry_id: functools.partial(driver, entry_id, *extra)
-        for entry_id in ids
-    }
-
-
-def journal_projection(path: pathlib.Path):
-    """The journal minus its wall-clock fields (the determinism view)."""
-    document = json.loads(path.read_text())
-    for entry in document["entries"]:
-        del entry["elapsed_s"]
-    return document
 
 
 # ----------------------------------------------------------------------
@@ -156,94 +117,6 @@ def test_parallel_is_byte_identical_for_any_manifest(
         tmp_path, ids, workers=workers
     )
     assert_identical(tmp_path, serial, parallel, serial_dir, parallel_dir)
-
-
-# ----------------------------------------------------------------------
-# Deadlines, failures, resume
-# ----------------------------------------------------------------------
-
-
-def test_timed_out_entry_is_classified_not_fatal(tmp_path):
-    ids = FAKE_IDS[:3]
-    manifest = make_manifest(ids, deadline_s=0.15)
-    registry = picklable_registry(ids)
-    registry[ids[1]] = functools.partial(_slow_driver, ids[1], 10.0)
-    report = ParallelCampaignRunner(
-        manifest,
-        tmp_path / "journal.json",
-        workers=2,
-        certify=False,
-        registry=registry,
-        retry_policy=NO_RETRY,
-        check_claims=False,
-    ).run()
-    statuses = {o.entry_id: o.status for o in report.outcomes}
-    assert statuses == {
-        ids[0]: "completed",
-        ids[1]: "timed-out",
-        ids[2]: "completed",
-    }
-    assert report.exit_code == 1
-    journaled = journal_projection(tmp_path / "journal.json")["entries"]
-    timed_out = [e for e in journaled if e["entry_id"] == ids[1]]
-    assert timed_out[0]["payload"] is None
-
-
-def test_worker_exception_propagates(tmp_path):
-    ids = FAKE_IDS[:2]
-    registry = picklable_registry(ids)
-    registry[ids[0]] = functools.partial(_boom_driver, ids[0])
-    runner = ParallelCampaignRunner(
-        make_manifest(ids),
-        tmp_path / "journal.json",
-        workers=2,
-        certify=False,
-        registry=registry,
-        check_claims=False,
-    )
-    with pytest.raises(RuntimeError, match="must not run"):
-        runner.run()
-
-
-def test_resume_restores_settled_entries_without_rerunning(tmp_path):
-    ids = FAKE_IDS[:4]
-    manifest = make_manifest(ids)
-    journal = tmp_path / "journal.json"
-    CampaignRunner(
-        manifest,
-        journal,
-        registry=picklable_registry(ids),
-        check_claims=False,
-    ).run()
-    # Every entry is settled; a resumed parallel run must invoke nothing
-    # (the registry would raise if any worker actually ran).
-    report = ParallelCampaignRunner(
-        manifest,
-        journal,
-        workers=2,
-        certify=False,
-        registry=picklable_registry(ids, _boom_driver),
-        check_claims=False,
-    ).run(resume=True)
-    assert [o.status for o in report.outcomes] == ["resumed"] * len(ids)
-    assert report.exit_code == 0
-
-
-def test_fresh_run_refuses_existing_journal(tmp_path):
-    ids = FAKE_IDS[:2]
-    manifest = make_manifest(ids)
-    journal = tmp_path / "journal.json"
-    runner = ParallelCampaignRunner(
-        manifest,
-        journal,
-        workers=2,
-        certify=False,
-        registry=picklable_registry(ids),
-        check_claims=False,
-    )
-    runner.run()
-    with pytest.raises(CampaignError, match="already exists"):
-        runner.run()
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Property: resume after an interrupt at *any* journal position
-converges to the same SuiteReport as an uninterrupted run.
+converges to the same report as an uninterrupted run.
 
 Hypothesis drives the crash position (and a double-crash variant); the
 reports are compared on everything observable — entry ids, results
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.results_io import result_to_dict
 from repro.campaign import CampaignRunner
-from repro.workloads.suite import suite_report_from_campaign
 
 from tests.campaign.conftest import FAKE_IDS, fake_registry, make_manifest
 
@@ -36,17 +35,17 @@ def run_to_report(root, crash_at=None):
         return None  # injected crash — journal checkpoint stands
 
 
-def comparable(suite_report):
-    """The timing-independent content of a SuiteReport."""
+def comparable(report):
+    """The timing-independent content of a campaign report."""
     return {
-        "interrupted": suite_report.interrupted,
+        "interrupted": report.interrupted,
         "entries": [
             (
-                e.experiment_id,
-                result_to_dict(e.result),
-                tuple(e.violations),
+                o.entry_id,
+                result_to_dict(o.result),
+                tuple(o.violations),
             )
-            for e in suite_report.entries
+            for o in report.outcomes
         ],
     }
 
@@ -54,7 +53,7 @@ def comparable(suite_report):
 def reference():
     root = pathlib.Path(tempfile.mkdtemp(prefix="campaign-ref-"))
     try:
-        return comparable(suite_report_from_campaign(run_to_report(root)))
+        return comparable(run_to_report(root))
     finally:
         shutil.rmtree(root)
 
@@ -72,11 +71,10 @@ def test_resume_after_crash_at_any_position_converges(crash_at):
         assert run_to_report(root, crash_at=crash_at) is None
         report = run_to_report(root)
         assert report is not None
-        suite = suite_report_from_campaign(report)
-        assert comparable(suite) == REFERENCE
+        assert comparable(report) == REFERENCE
         # Entry provenance: everything before the crash was restored
         # from the journal, the rest ran live.
-        statuses = [suite.entry(i).status for i in FAKE_IDS]
+        statuses = [report.outcome(i).status for i in FAKE_IDS]
         assert statuses == ["resumed"] * crash_at + ["completed"] * (
             len(FAKE_IDS) - crash_at
         )
@@ -100,6 +98,6 @@ def test_repeated_crashes_still_converge(first, second):
         if maybe is None:
             maybe = run_to_report(root)
         assert maybe is not None
-        assert comparable(suite_report_from_campaign(maybe)) == REFERENCE
+        assert comparable(maybe) == REFERENCE
     finally:
         shutil.rmtree(root)

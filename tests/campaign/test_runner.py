@@ -1,9 +1,10 @@
-"""Tests for the crash-safe campaign runner.
+"""Tests for the crash-safe campaign runner, executing inline.
 
 The fakes are instant and instrumented (see conftest), so crash/resume
 behavior is asserted precisely: which entries re-ran, what the journal
 holds, and that a resumed campaign's result artifacts are byte-identical
-to an uninterrupted run's.
+to an uninterrupted run's.  The behaviour this runner shares with the
+process-pool one is in ``test_executor_contract.py``.
 """
 
 import hashlib
@@ -18,7 +19,6 @@ from repro.campaign import (
     CampaignRunner,
 )
 from repro.errors import CampaignError
-from repro.faults.retry import RetryPolicy
 
 from tests.campaign.conftest import (
     FAKE_IDS,
@@ -64,11 +64,6 @@ class TestCleanRun:
         assert sorted(report.results()) == sorted(FAKE_IDS)
         names = sorted(p.name for p in (tmp_path / "clean/results").iterdir())
         assert names == sorted(f"{i}.json" for i in FAKE_IDS)
-
-    def test_rerun_without_resume_refused(self, tmp_path):
-        run_campaign(tmp_path, "c").run()
-        with pytest.raises(CampaignError, match="already exists"):
-            run_campaign(tmp_path, "c").run()
 
     def test_resume_of_missing_journal_starts_fresh(self, tmp_path):
         report = run_campaign(tmp_path, "c").run(resume=True)
@@ -118,89 +113,6 @@ class TestCrashAndResume:
         )
         with pytest.raises(CampaignError, match="different manifest"):
             runner.run(resume=True)
-
-    def test_resume_of_complete_journal_reruns_nothing(self, tmp_path):
-        run_campaign(tmp_path, "c").run()
-        log = []
-        report = run_campaign(tmp_path, "c", log=log).run(resume=True)
-        assert log == []
-        assert [o.status for o in report.outcomes] == ["resumed"] * 6
-
-
-class TestWatchdog:
-    def _hang(self):
-        time.sleep(10.0)
-
-    def test_timeout_classified_and_campaign_continues(self, tmp_path):
-        manifest = make_manifest(ids=["fig02", "fig03"], deadline_s=0.05)
-        registry = fake_registry(["fig02", "fig03"])
-        registry["fig02"] = self._hang
-        slept = []
-        runner = CampaignRunner(
-            manifest,
-            tmp_path / "journal.json",
-            registry=registry,
-            check_claims=False,
-            handle_signals=False,
-            sleep=slept.append,
-            poll_interval_s=0.01,
-        )
-        report = runner.run()
-        timed_out = report.outcome("fig02")
-        assert timed_out.status == "timed-out"
-        assert timed_out.attempts == 2  # WATCHDOG_RETRY_POLICY default
-        assert timed_out.result is None
-        assert any("deadline" in v for v in timed_out.violations)
-        # The rest of the campaign still ran.
-        assert report.outcome("fig03").status == "completed"
-        assert not report.ok
-        assert report.exit_code == EXIT_PROBLEMS
-        # The timed-out classification is durable: a resume restores it
-        # without re-running the hung entry.
-        resumed = CampaignRunner(
-            manifest,
-            tmp_path / "journal.json",
-            registry=registry,
-            check_claims=False,
-            handle_signals=False,
-        ).run(resume=True)
-        assert resumed.outcome("fig02").status == "timed-out"
-        assert resumed.outcome("fig03").status == "resumed"
-
-    def test_retry_after_timeout_succeeds(self, tmp_path):
-        manifest = make_manifest(ids=["fig02"], deadline_s=0.05)
-        calls = []
-
-        def flaky():
-            calls.append("x")
-            if len(calls) == 1:
-                time.sleep(10.0)  # first attempt hangs past the deadline
-            return fake_result("fig02")
-
-        slept = []
-        runner = CampaignRunner(
-            manifest,
-            tmp_path / "journal.json",
-            registry={"fig02": flaky},
-            retry_policy=RetryPolicy(
-                max_attempts=3,
-                base_backoff_s=0.25,
-                backoff_factor=2.0,
-                max_backoff_s=10.0,
-            ),
-            check_claims=False,
-            handle_signals=False,
-            sleep=slept.append,
-            poll_interval_s=0.01,
-        )
-        report = runner.run()
-        outcome = report.outcome("fig02")
-        assert outcome.status == "retried"
-        assert outcome.attempts == 2
-        assert outcome.result is not None
-        assert report.ok
-        # Real backoff with RetryPolicy semantics: one sleep, base delay.
-        assert slept == [0.25]
 
 
 class TestInterruption:

@@ -247,6 +247,26 @@ class TestCampaign:
         assert code == 1
         assert "no campaign manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_rejected(self, tmp_path, capsys, workers):
+        manifest = self._write_manifest(tmp_path)
+        code = main(["campaign", str(manifest), "--workers", workers])
+        assert code == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        # Refused before any durable state is touched.
+        assert not (tmp_path / "campaign.json.journal.json").exists()
+
+    def test_one_worker_is_the_serial_path(self, tmp_path, capsys, monkeypatch):
+        import repro.campaign.parallel as parallel
+
+        def gate_must_not_run(*args, **kwargs):
+            raise AssertionError("--workers 1 must not start the pool")
+
+        monkeypatch.setattr(parallel, "verify_pool_safety", gate_must_not_run)
+        manifest = self._write_manifest(tmp_path)
+        assert main(["campaign", str(manifest), "--workers", "1"]) == 0
+        assert "1 completed" in capsys.readouterr().out
+
 
 class TestBroker:
     def _write_workload(self, tmp_path, body=None):
