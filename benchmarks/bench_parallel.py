@@ -38,6 +38,7 @@ from repro.campaign import (
     verify_pool_safety,
 )
 from repro.core.durable import atomic_write_json, atomic_write_text
+from repro.lint.effects import CERTIFIED_ROOTS
 from repro.workloads.experiments import EXPERIMENTS
 
 from benchmarks.conftest import RESULTS_DIR, run_once
@@ -144,6 +145,6 @@ def test_parallel_campaign_speedup_and_identity(benchmark, tmp_path):
         "parallel campaign produced different bytes than the serial run"
     )
     # Every submitted entry point carried a proof.
-    assert doc["certified_entry_points"] >= 6
+    assert doc["certified_entry_points"] >= len(CERTIFIED_ROOTS)
     # The gate is a bounded startup cost, not a per-entry tax.
     assert doc["certify_s"] < doc["serial_s"] + doc["parallel_s"]

@@ -39,8 +39,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.durable import content_digest, read_json_document
-from repro.errors import CampaignError
-from repro.workloads.experiments import EXPERIMENTS
+from repro.errors import CampaignError, FaultError
+from repro.simgrid.errors import ConfigurationError
+from repro.workloads.experiments import EXPERIMENTS, ExperimentSpec
 
 __all__ = [
     "CampaignEntry",
@@ -115,6 +116,19 @@ class CampaignEntry:
                     f"entry '{self.entry_id}': fault-scenario entries "
                     "require an inline 'scenario' mapping"
                 )
+            # Build the record run_fault_scenario will run, so an unknown
+            # workload, size label or fault type fails the manifest load
+            # rather than surfacing hours into the campaign.
+            try:
+                ExperimentSpec(
+                    self.entry_id,
+                    self.entry_id,
+                    self.workload,
+                    target_size=self.size_label,
+                    scenario=self.scenario,
+                )
+            except (ConfigurationError, FaultError) as exc:
+                raise CampaignError(f"entry '{self.entry_id}': {exc}") from exc
 
     @property
     def resolved_experiment_id(self) -> str:

@@ -273,18 +273,15 @@ SET_RETURNING_ATTRS: FrozenSet[str] = frozenset(
 )
 
 # ---------------------------------------------------------------------------
-# Certified roots: the campaign entry points the process-pool executor
-# submits (directly or through the figure registry's lambdas, which
-# static resolution cannot see through — hence the explicit list).
-# REP201 anchors shared-state findings on reachability from these, and
-# the certificate-coverage test walks the call graph from them.
+# Certified roots: the two callables ``campaign.runner.execute_entry``
+# submits to the process-pool executor.  Everything they reach — the one
+# grid driver, the workloads, the runtime, the models — is a statically
+# resolved call edge from here.  REP201 anchors shared-state findings on
+# reachability from these, and the certificate-coverage test walks the
+# call graph from them.
 # ---------------------------------------------------------------------------
 
 CERTIFIED_ROOTS: Tuple[str, ...] = (
     "repro.workloads.experiments.run_experiment",
-    "repro.workloads.experiments.run_model_comparison",
-    "repro.workloads.experiments.run_dataset_scaling",
-    "repro.workloads.experiments.run_bandwidth_scaling",
-    "repro.workloads.experiments.run_cross_cluster",
     "repro.workloads.experiments.run_fault_scenario",
 )

@@ -6,8 +6,8 @@
   configuration grid of Section 5 (1-1 through 8-16).
 - :mod:`repro.workloads.registry`    — application + dataset builders for
   the paper's five workloads at the paper's dataset sizes.
-- :mod:`repro.workloads.experiments` — per-figure experiment drivers
-  (Figures 2-13).
+- :mod:`repro.workloads.experiments` — Figures 2-13 as a table of
+  ``ExperimentSpec`` records and the one grid driver that runs them.
 - :mod:`repro.workloads.streams`     — seeded synthetic job streams for
   broker experiments.
 """

@@ -1,4 +1,4 @@
-"""Per-figure experiment drivers for the paper's evaluation (Figures 2-13).
+"""The paper's evaluation (Figures 2-13) as data plus one driver.
 
 Every experiment follows the paper's protocol exactly:
 
@@ -9,16 +9,21 @@ Every experiment follows the paper's protocol exactly:
    alone.
 3. Report ``E = |T_exact - T_predicted| / T_exact`` per configuration.
 
-The drivers return structured :class:`ExperimentResult` objects consumed by
-the benchmark harness, the report formatter and EXPERIMENTS.md.
+The protocol is written once, in :func:`run_grid_experiment`.  A figure is
+an :class:`ExperimentSpec` record — what differs between the profile side
+and the target side, which models predict, optionally a fault scenario —
+and :data:`EXPERIMENTS` is the table of those records.  The driver returns
+:class:`ExperimentResult` objects consumed by the benchmark harness, the
+report formatter and EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import (
+    ComponentScalingFactors,
     CrossClusterPredictor,
     DegradedModePredictor,
     GlobalReductionModel,
@@ -33,7 +38,6 @@ from repro.core import (
 )
 from repro.faults import injector_from_dict, schedule_from_dict
 from repro.middleware import FreerideGRuntime
-from repro.middleware.scheduler import RunConfig
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import ClusterSpec
 from repro.workloads.clusters import (
@@ -49,18 +53,19 @@ from repro.workloads.registry import WORKLOADS, WorkloadSpec
 __all__ = [
     "ExperimentRow",
     "ExperimentResult",
+    "ExperimentSpec",
     "EXPERIMENTS",
     "FAST_CONFIG_GRID",
     "run_experiment",
-    "run_model_comparison",
-    "run_dataset_scaling",
-    "run_bandwidth_scaling",
-    "run_cross_cluster",
+    "run_grid_experiment",
     "run_fault_scenario",
 ]
 
 #: Reduced grid used by tests (`fast=True`) to keep runtimes low.
 FAST_CONFIG_GRID: List[Tuple[int, int]] = [(1, 1), (1, 4), (2, 4), (4, 8)]
+
+#: Configuration the representatives run on to measure cross-cluster factors.
+FACTOR_NODES: Tuple[int, int] = (2, 4)
 
 
 @dataclass(frozen=True)
@@ -132,271 +137,162 @@ def _workload(name: str) -> WorkloadSpec:
     return spec
 
 
-def _execute(
-    spec: WorkloadSpec,
-    config: RunConfig,
-    size_label: Optional[str],
-):
-    dataset = spec.make_dataset(size_label)
-    result = FreerideGRuntime(config).execute(spec.make_app(), dataset)
-    return dataset, result
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One figure as a record: what differs between profile and target.
 
+    The ``profile_*`` fields describe the single base-profile run, the
+    ``target_*`` fields every run over the configuration grid.
+    ``target_size=None`` is the workload's default dataset and
+    ``profile_size=None`` the same dataset as the target.
+    ``nested_models`` predicts with the three model levels of Figures
+    2-6 instead of the global-reduction model alone.  ``representatives``
+    makes the experiment cross-cluster (Section 3.4): profile on the
+    Pentium/Myrinet cluster, grid on the Opteron/InfiniBand one, scaling
+    factors averaged over the named applications.  ``scenario`` (the
+    :mod:`repro.faults.scenario` JSON mapping) runs the grid under that
+    fault schedule and predicts it with the degraded-mode model.
 
-def _natural_classes(spec: WorkloadSpec) -> ModelClasses:
-    return ModelClasses.parse(
-        spec.natural_object_class, spec.natural_global_class
-    )
-
-
-def _grid(fast: bool) -> List[Tuple[int, int]]:
-    return FAST_CONFIG_GRID if fast else list(PAPER_CONFIG_GRID)
-
-
-# ---------------------------------------------------------------------------
-# Figures 2-6: the three model levels across the configuration grid.
-# ---------------------------------------------------------------------------
-
-
-def run_model_comparison(
-    workload: str,
-    experiment_id: str,
-    title: str,
-    size_label: Optional[str] = None,
-    fast: bool = False,
-) -> ExperimentResult:
-    """Compare the no-communication / reduction-communication / global-
-    reduction models, base profile 1-1 (Figures 2-6)."""
-    spec = _workload(workload)
-    classes = _natural_classes(spec)
-    models: List[PredictionModel] = [
-        NoCommunicationModel(),
-        ReductionCommunicationModel(classes),
-        GlobalReductionModel(classes),
-    ]
-
-    profile_config = make_run_config(1, 1)
-    dataset, profile_run = _execute(spec, profile_config, size_label)
-    profile = Profile.from_run(profile_config, profile_run.breakdown)
-
-    result = ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        workload=workload,
-        metadata={
-            "base_profile": "1-1",
-            "dataset": size_label or spec.default_size,
-            "dataset_bytes": dataset.nbytes,
-        },
-    )
-    for n, c in _grid(fast):
-        config = make_run_config(n, c)
-        _, run = _execute(spec, config, size_label)
-        target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
-        for model in models:
-            predicted = model.predict(profile, target)
-            result.rows.append(
-                ExperimentRow(
-                    data_nodes=n,
-                    compute_nodes=c,
-                    model=model.label,
-                    actual=run.breakdown.total,
-                    predicted=predicted.total,
-                )
-            )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figures 7-8: dataset-size scaling, global-reduction model only.
-# ---------------------------------------------------------------------------
-
-
-def run_dataset_scaling(
-    workload: str,
-    experiment_id: str,
-    title: str,
-    profile_size: str,
-    target_size: str,
-    fast: bool = False,
-) -> ExperimentResult:
-    """Profile on a small dataset, predict a large one (Figures 7-8)."""
-    spec = _workload(workload)
-    model = GlobalReductionModel(_natural_classes(spec))
-
-    profile_config = make_run_config(1, 1)
-    _, profile_run = _execute(spec, profile_config, profile_size)
-    profile = Profile.from_run(profile_config, profile_run.breakdown)
-
-    result = ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        workload=workload,
-        metadata={
-            "base_profile": "1-1",
-            "profile_dataset": profile_size,
-            "target_dataset": target_size,
-        },
-    )
-    for n, c in _grid(fast):
-        config = make_run_config(n, c)
-        dataset, run = _execute(spec, config, target_size)
-        target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
-        predicted = model.predict(profile, target)
-        result.rows.append(
-            ExperimentRow(
-                data_nodes=n,
-                compute_nodes=c,
-                model=model.label,
-                actual=run.breakdown.total,
-                predicted=predicted.total,
-            )
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figures 9-10: network-bandwidth change, global-reduction model only.
-# ---------------------------------------------------------------------------
-
-
-def run_bandwidth_scaling(
-    workload: str,
-    experiment_id: str,
-    title: str,
-    profile_bandwidth: float = LOW_BANDWIDTH,
-    target_bandwidth: float = HALF_LOW_BANDWIDTH,
-    fast: bool = False,
-) -> ExperimentResult:
-    """Profile at one synthetic bandwidth, predict another (Figures 9-10)."""
-    spec = _workload(workload)
-    model = GlobalReductionModel(_natural_classes(spec))
-
-    profile_config = make_run_config(1, 1, bandwidth=profile_bandwidth)
-    dataset, profile_run = _execute(spec, profile_config, None)
-    profile = Profile.from_run(profile_config, profile_run.breakdown)
-
-    result = ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        workload=workload,
-        metadata={
-            "base_profile": "1-1",
-            "profile_bandwidth": profile_bandwidth,
-            "target_bandwidth": target_bandwidth,
-        },
-    )
-    for n, c in _grid(fast):
-        config = make_run_config(n, c, bandwidth=target_bandwidth)
-        _, run = _execute(spec, config, None)
-        target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
-        predicted = model.predict(profile, target)
-        result.rows.append(
-            ExperimentRow(
-                data_nodes=n,
-                compute_nodes=c,
-                model=model.label,
-                actual=run.breakdown.total,
-                predicted=predicted.total,
-            )
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figures 11-13: predictions for a different type of cluster.
-# ---------------------------------------------------------------------------
-
-
-def run_cross_cluster(
-    workload: str,
-    experiment_id: str,
-    title: str,
-    profile_size: str,
-    target_size: str,
-    profile_nodes: Tuple[int, int],
-    representatives: Sequence[str],
-    fast: bool = False,
-    factor_nodes: Tuple[int, int] = (2, 4),
-) -> ExperimentResult:
-    """Predict Opteron-cluster execution from a Pentium-cluster profile.
-
-    Component scaling factors are measured with the representative
-    applications executed on identical configurations on both clusters
-    (Section 3.4); the application under test is excluded from that set,
-    matching the paper's protocol.
+    Everything that does not depend on a grid configuration is checked
+    here, so a bad record fails where it is written, not when it runs.
     """
-    spec = _workload(workload)
-    if workload in representatives:
-        raise ConfigurationError(
-            "the predicted application must not be a representative"
-        )
-    pentium = pentium_myrinet_cluster()
-    opteron = opteron_infiniband_cluster()
 
+    experiment_id: str
+    title: str
+    workload: str
+    profile_nodes: Tuple[int, int] = (1, 1)
+    profile_size: Optional[str] = None
+    target_size: Optional[str] = None
+    profile_bandwidth: float = DEFAULT_BANDWIDTH
+    target_bandwidth: float = DEFAULT_BANDWIDTH
+    nested_models: bool = False
+    representatives: Tuple[str, ...] = ()
+    scenario: Optional[Mapping[str, object]] = None
+
+    def __post_init__(self) -> None:
+        workload = _workload(self.workload)
+        workload.model_bytes(self.profile_size)
+        workload.model_bytes(self.target_size)
+        if self.workload in self.representatives:
+            raise ConfigurationError(
+                "the predicted application must not be a representative"
+            )
+        for name in self.representatives:
+            _workload(name)
+        if self.scenario is not None:
+            schedule_from_dict(self.scenario)
+
+
+def _measure_cluster_factors(
+    representatives: Sequence[str], cluster_a: ClusterSpec, cluster_b: ClusterSpec
+) -> ComponentScalingFactors:
+    """Section 3.4: run each representative application on the same
+    configuration on both clusters and average the component ratios."""
+    rep_n, rep_c = FACTOR_NODES
     pairs = []
-    rep_n, rep_c = factor_nodes
     for rep_name in representatives:
         rep = _workload(rep_name)
-        config_a = make_run_config(rep_n, rep_c, storage_cluster=pentium)
-        dataset_a = rep.make_dataset(None)
-        run_a = FreerideGRuntime(config_a).execute(rep.make_app(), dataset_a)
-        config_b = make_run_config(rep_n, rep_c, storage_cluster=opteron)
-        run_b = FreerideGRuntime(config_b).execute(rep.make_app(), dataset_a)
-        pairs.append(
-            (
-                Profile.from_run(config_a, run_a.breakdown),
-                Profile.from_run(config_b, run_b.breakdown),
-            )
-        )
-    factors = measure_scaling_factors(pairs)
+        dataset = rep.make_dataset(None)
+        profiles = []
+        for cluster in (cluster_a, cluster_b):
+            config = make_run_config(rep_n, rep_c, storage_cluster=cluster)
+            run = FreerideGRuntime(config).execute(rep.make_app(), dataset)
+            profiles.append(Profile.from_run(config, run.breakdown))
+        pairs.append((profiles[0], profiles[1]))
+    return measure_scaling_factors(pairs)
 
-    model = CrossClusterPredictor(
-        GlobalReductionModel(_natural_classes(spec)), factors
+
+def run_grid_experiment(spec: ExperimentSpec, fast: bool = False) -> ExperimentResult:
+    """Run one :class:`ExperimentSpec` through the paper's protocol.
+
+    Owns the only base-profile run, the only grid loop and the only
+    metadata assembly: every figure and every fault-scenario sweep is
+    this function applied to a different record.  The workload is looked
+    up when the experiment runs, and each distinct dataset is built once
+    (datasets are read-only) and shared by all of the experiment's runs.
+    """
+    workload = _workload(spec.workload)
+    target_label = spec.target_size or workload.default_size
+    profile_label = spec.profile_size or target_label
+    profile_dataset = dataset = workload.make_dataset(target_label)
+    if profile_label != target_label:
+        profile_dataset = workload.make_dataset(profile_label)
+
+    pn, pc = spec.profile_nodes
+    metadata: Dict[str, object] = {"base_profile": f"{pn}-{pc}"}
+    if spec.profile_bandwidth != spec.target_bandwidth:
+        metadata["profile_bandwidth"] = spec.profile_bandwidth
+        metadata["target_bandwidth"] = spec.target_bandwidth
+    elif profile_label != target_label:
+        metadata["profile_dataset"] = profile_label
+        metadata["target_dataset"] = target_label
+    else:
+        metadata["dataset"] = target_label
+
+    classes = ModelClasses.parse(
+        workload.natural_object_class, workload.natural_global_class
     )
+    full_model = GlobalReductionModel(classes)
+    models: List[PredictionModel] = [full_model]
+    if spec.nested_models:
+        models = [
+            NoCommunicationModel(),
+            ReductionCommunicationModel(classes),
+            full_model,
+        ]
+        metadata["dataset_bytes"] = dataset.nbytes
+    profile_cluster = target_cluster = None
+    if spec.representatives:
+        profile_cluster = pentium_myrinet_cluster()
+        target_cluster = opteron_infiniband_cluster()
+        factors = _measure_cluster_factors(
+            spec.representatives, profile_cluster, target_cluster
+        )
+        models = [CrossClusterPredictor(full_model, factors)]
+        per_app = (factors.per_app or {}).items()
+        metadata.update(
+            representatives=list(spec.representatives),
+            sd=factors.sd,
+            sn=factors.sn,
+            sc=factors.sc,
+            per_app_sc={app: ratios[2] for app, ratios in per_app},
+        )
+    scenario = spec.scenario
+    schedule = None
+    if scenario is not None:
+        schedule = schedule_from_dict(scenario)
+        degraded = DegradedModePredictor(full_model)
+        metadata["scenario"] = dict(scenario)
 
-    pn, pc = profile_nodes
-    profile_config = make_run_config(pn, pc, storage_cluster=pentium)
-    _, profile_run = _execute(spec, profile_config, profile_size)
+    profile_config = make_run_config(
+        pn, pc, storage_cluster=profile_cluster, bandwidth=spec.profile_bandwidth
+    )
+    profile_run = FreerideGRuntime(profile_config).execute(
+        workload.make_app(), profile_dataset
+    )
     profile = Profile.from_run(profile_config, profile_run.breakdown)
 
     result = ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        workload=workload,
-        metadata={
-            "base_profile": f"{pn}-{pc}",
-            "profile_dataset": profile_size,
-            "target_dataset": target_size,
-            "representatives": list(representatives),
-            "sd": factors.sd,
-            "sn": factors.sn,
-            "sc": factors.sc,
-            "per_app_sc": {
-                app: ratios[2]
-                for app, ratios in (factors.per_app or {}).items()
-            },
-        },
+        spec.experiment_id, spec.title, spec.workload, metadata=metadata
     )
-    for n, c in _grid(fast):
-        config = make_run_config(n, c, storage_cluster=opteron)
-        dataset, run = _execute(spec, config, target_size)
-        target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
-        predicted = model.predict(profile, target)
-        result.rows.append(
-            ExperimentRow(
-                data_nodes=n,
-                compute_nodes=c,
-                model=model.label,
-                actual=run.breakdown.total,
-                predicted=predicted.total,
-            )
+    grid = FAST_CONFIG_GRID if fast else PAPER_CONFIG_GRID
+    for n, c in grid:
+        config = make_run_config(
+            n, c, storage_cluster=target_cluster, bandwidth=spec.target_bandwidth
         )
+        faults = None if scenario is None else injector_from_dict(scenario)
+        run = FreerideGRuntime(config, faults).execute(workload.make_app(), dataset)
+        target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
+        if schedule is None:
+            totals = [(m.label, m.predict(profile, target).total) for m in models]
+        else:
+            prediction = degraded.predict(profile, target, schedule)
+            totals = [("degraded mode", prediction.total)]
+        for label, predicted in totals:
+            result.rows.append(
+                ExperimentRow(n, c, label, run.breakdown.total, predicted)
+            )
     return result
-
-
-# ---------------------------------------------------------------------------
-# Fault-scenario sweeps: campaign entries for unreliable-grid coverage.
-# ---------------------------------------------------------------------------
 
 
 def run_fault_scenario(
@@ -410,178 +306,143 @@ def run_fault_scenario(
     """Sweep a fault scenario across the configuration grid.
 
     The Figure 2-6 protocol extended to unreliable grids: profile once on
-    a clean 1-1 run, then execute every grid configuration under the
-    fault schedule of ``scenario`` (the :mod:`repro.faults.scenario` JSON
-    mapping) and predict it with the degraded-mode model, which adds the
-    expected recovery term for the schedule.  The scenario must be valid
+    a clean 1-1 run, run every grid configuration under ``scenario`` and
+    predict it with the degraded-mode model.  The scenario must be valid
     for every configuration in the grid (node indices in range).
     """
-    spec = _workload(workload)
-    schedule = schedule_from_dict(scenario)
-    predictor = DegradedModePredictor(
-        GlobalReductionModel(_natural_classes(spec))
+    spec = ExperimentSpec(
+        experiment_id, title, workload, target_size=size_label, scenario=scenario
     )
-
-    profile_config = make_run_config(1, 1)
-    _, profile_run = _execute(spec, profile_config, size_label)
-    profile = Profile.from_run(profile_config, profile_run.breakdown)
-
-    result = ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        workload=workload,
-        metadata={
-            "base_profile": "1-1",
-            "dataset": size_label or spec.default_size,
-            "scenario": dict(scenario),
-        },
-    )
-    for n, c in _grid(fast):
-        config = make_run_config(n, c)
-        dataset = spec.make_dataset(size_label)
-        run = FreerideGRuntime(
-            config, faults=injector_from_dict(scenario)
-        ).execute(spec.make_app(), dataset)
-        target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
-        predicted = predictor.predict(profile, target, schedule)
-        result.rows.append(
-            ExperimentRow(
-                data_nodes=n,
-                compute_nodes=c,
-                model="degraded mode",
-                actual=run.breakdown.total,
-                predicted=predicted.total,
-            )
-        )
-    return result
+    return run_grid_experiment(spec, fast)
 
 
 # ---------------------------------------------------------------------------
-# The figure registry.
+# The figure registry: one record per reproduced figure.
 # ---------------------------------------------------------------------------
 
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "fig02": lambda fast=False: run_model_comparison(
-        "kmeans",
+_SPECS = (
+    # Figures 2-6: the three model levels, base profile 1-1.
+    ExperimentSpec(
         "fig02",
         "Prediction Errors for k-means Clustering, base profile 1-1, 1.4 GB",
-        fast=fast,
+        "kmeans",
+        nested_models=True,
     ),
-    "fig03": lambda fast=False: run_model_comparison(
-        "vortex",
+    ExperimentSpec(
         "fig03",
         "Prediction Errors for Vortex Detection, base profile 1-1, 710 MB",
-        fast=fast,
+        "vortex",
+        nested_models=True,
     ),
-    "fig04": lambda fast=False: run_model_comparison(
-        "defect",
+    ExperimentSpec(
         "fig04",
         "Prediction Errors for Molecular Defect Detection, base profile 1-1, 130 MB",
-        fast=fast,
+        "defect",
+        nested_models=True,
     ),
-    "fig05": lambda fast=False: run_model_comparison(
-        "em",
+    ExperimentSpec(
         "fig05",
         "Prediction Errors for EM Clustering, base profile 1-1, 1.4 GB",
-        fast=fast,
+        "em",
+        nested_models=True,
     ),
-    "fig06": lambda fast=False: run_model_comparison(
-        "knn",
+    ExperimentSpec(
         "fig06",
         "Prediction Errors for KNN Search, base profile 1-1, 1.4 GB",
-        fast=fast,
+        "knn",
+        nested_models=True,
     ),
-    "fig07": lambda fast=False: run_dataset_scaling(
-        "em",
+    # Figures 7-8: profile on a small dataset, predict a large one.
+    ExperimentSpec(
         "fig07",
         "Prediction Errors for EM Clustering, 1.4 GB dataset, "
         "base profile 1-1 with 350 MB",
+        "em",
         profile_size="350 MB",
         target_size="1.4 GB",
-        fast=fast,
     ),
-    "fig08": lambda fast=False: run_dataset_scaling(
-        "defect",
+    ExperimentSpec(
         "fig08",
         "Prediction Errors for Molecular Defect Detection with 1.8 GB "
         "dataset, base profile 1-1 with 130 MB",
+        "defect",
         profile_size="130 MB",
         target_size="1.8 GB",
-        fast=fast,
     ),
-    "fig09": lambda fast=False: run_bandwidth_scaling(
-        "defect",
+    # Figures 9-10: profile at one synthetic bandwidth, predict another.
+    ExperimentSpec(
         "fig09",
         "Prediction Errors for Molecular Defect Detection with 250 Kbps, "
         "base profile 1-1 with 500 Kbps",
-        fast=fast,
+        "defect",
+        profile_bandwidth=LOW_BANDWIDTH,
+        target_bandwidth=HALF_LOW_BANDWIDTH,
     ),
-    "fig10": lambda fast=False: run_bandwidth_scaling(
-        "em",
+    ExperimentSpec(
         "fig10",
         "Prediction Errors for EM Clustering with 250 Kbps, "
         "base profile 1-1 with 500 Kbps",
-        fast=fast,
-    ),
-    "fig11": lambda fast=False: run_cross_cluster(
         "em",
+        profile_bandwidth=LOW_BANDWIDTH,
+        target_bandwidth=HALF_LOW_BANDWIDTH,
+    ),
+    # Figures 11-13: Pentium-cluster profile, Opteron-cluster target; the
+    # application under test is never one of its own representatives.
+    ExperimentSpec(
         "fig11",
         "Prediction Errors for EM Clustering on a Different Cluster, "
         "700 MB dataset, base profile 8-8 with 350 MB",
+        "em",
+        profile_nodes=(8, 8),
         profile_size="350 MB",
         target_size="700 MB",
-        profile_nodes=(8, 8),
         representatives=("kmeans", "knn", "vortex"),
-        fast=fast,
     ),
-    "fig12": lambda fast=False: run_cross_cluster(
-        "defect",
+    ExperimentSpec(
         "fig12",
         "Prediction Errors for Molecular Defect Detection on a Different "
         "Cluster, 1.8 GB dataset, base profile 4-4 with 130 MB",
+        "defect",
+        profile_nodes=(4, 4),
         profile_size="130 MB",
         target_size="1.8 GB",
-        profile_nodes=(4, 4),
         representatives=("kmeans", "knn", "em"),
-        fast=fast,
     ),
-    "fig13": lambda fast=False: run_cross_cluster(
-        "vortex",
+    ExperimentSpec(
         "fig13",
         "Prediction Errors for Vortex Detection on a Different Cluster, "
         "1.85 GB dataset, base profile 1-1 with 710 MB",
+        "vortex",
         profile_size="710 MB",
         target_size="1.85 GB",
-        profile_nodes=(1, 1),
         representatives=("kmeans", "knn", "em"),
-        fast=fast,
     ),
-    # ------------------------------------------------------------------
     # Extension experiments: the Section 2.2 applications the paper names
     # but does not evaluate, run under the Figure 2-6 protocol.
-    # ------------------------------------------------------------------
-    "ext-apriori": lambda fast=False: run_model_comparison(
-        "apriori",
+    ExperimentSpec(
         "ext-apriori",
         "Prediction Errors for Apriori Association Mining (extension), "
         "base profile 1-1, 1 GB",
-        fast=fast,
+        "apriori",
+        nested_models=True,
     ),
-    "ext-neuralnet": lambda fast=False: run_model_comparison(
-        "neuralnet",
+    ExperimentSpec(
         "ext-neuralnet",
         "Prediction Errors for Neural Network Training (extension), "
         "base profile 1-1, 1 GB",
-        fast=fast,
+        "neuralnet",
+        nested_models=True,
     ),
-}
+)
+
+EXPERIMENTS: Dict[str, ExperimentSpec] = {s.experiment_id: s for s in _SPECS}
 
 
 def run_experiment(experiment_id: str, fast: bool = False) -> ExperimentResult:
     """Run one figure reproduction by id (``"fig02"`` ... ``"fig13"``)."""
-    runner = EXPERIMENTS.get(experiment_id)
-    if runner is None:
+    spec = EXPERIMENTS.get(experiment_id)
+    if spec is None:
         raise ConfigurationError(
             f"unknown experiment '{experiment_id}'; known: {sorted(EXPERIMENTS)}"
         )
-    return runner(fast=fast)
+    return run_grid_experiment(spec, fast)

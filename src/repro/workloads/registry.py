@@ -194,14 +194,10 @@ class WorkloadSpec:
     def make_dataset(self, size_label: str | None = None) -> Dataset:
         """Build the dataset for one of the paper's named sizes."""
         label = size_label or self.default_size
-        if label not in self.dataset_sizes_gb:
-            raise ConfigurationError(
-                f"workload '{self.name}' has no dataset size '{label}'; "
-                f"known sizes: {sorted(self.dataset_sizes_gb)}"
-            )
-        model_bytes = nominal_to_model_bytes(self.dataset_sizes_gb[label])
         return self.dataset_builder(
-            f"{self.name}-{label.replace(' ', '')}", model_bytes, self.seed
+            f"{self.name}-{label.replace(' ', '')}",
+            self.model_bytes(label),
+            self.seed,
         )
 
     def make_app(self) -> GeneralizedReduction:
@@ -211,6 +207,11 @@ class WorkloadSpec:
     def model_bytes(self, size_label: str | None = None) -> float:
         """Model bytes of one of the named sizes."""
         label = size_label or self.default_size
+        if label not in self.dataset_sizes_gb:
+            raise ConfigurationError(
+                f"workload '{self.name}' has no dataset size '{label}'; "
+                f"known sizes: {sorted(self.dataset_sizes_gb)}"
+            )
         return nominal_to_model_bytes(self.dataset_sizes_gb[label])
 
 

@@ -247,6 +247,46 @@ class TestCampaign:
         assert code == 1
         assert "no campaign manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            ({"workload": "nosuch"}, "unknown workload 'nosuch'"),
+            ({"size_label": "9 GB"}, "no dataset size '9 GB'"),
+            ({"scenario": {"faults": [{"type": "nonsense"}]}}, "nonsense"),
+        ],
+        ids=["workload", "size-label", "fault-type"],
+    )
+    def test_broken_fault_scenario_entry_rejected_at_load(
+        self, tmp_path, capsys, broken, message
+    ):
+        import json
+
+        entry = {
+            "id": "defect-under-faults",
+            "kind": "fault-scenario",
+            "workload": "defect",
+            "fast": True,
+            "scenario": {"faults": [{"type": "chunk-read-error", "rate": 0.05}]},
+        }
+        entry.update(broken)
+        path = tmp_path / "campaign.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "typo",
+                    "entries": [{"id": "fig09", "fast": True}, entry],
+                }
+            )
+        )
+        code = main(["campaign", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "entry 'defect-under-faults'" in captured.err
+        assert message in captured.err
+        # Refused at manifest load: nothing ran, no journal exists.
+        assert "fig09" not in captured.out
+        assert not (tmp_path / "campaign.json.journal.json").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_non_positive_workers_rejected(self, tmp_path, capsys, workers):
         manifest = self._write_manifest(tmp_path)

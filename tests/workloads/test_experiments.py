@@ -1,16 +1,23 @@
-"""Tests for the per-figure experiment drivers (fast grid)."""
+"""Tests for the experiment table and the one grid driver."""
+
+import pathlib
 
 import pytest
 
+from repro.analysis import compare_results, load_result, result_to_dict
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.experiments import (
     EXPERIMENTS,
     FAST_CONFIG_GRID,
     ExperimentResult,
     ExperimentRow,
-    run_cross_cluster,
+    ExperimentSpec,
     run_experiment,
+    run_fault_scenario,
 )
+
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
+BASELINES = pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
 
 
 class TestExperimentRow:
@@ -96,13 +103,75 @@ class TestFigureShapes:
 
     def test_representative_exclusion_enforced(self):
         with pytest.raises(ConfigurationError):
-            run_cross_cluster(
-                "em",
+            ExperimentSpec(
                 "figX",
                 "bad",
+                "em",
                 profile_size="350 MB",
                 target_size="700 MB",
-                profile_nodes=(1, 1),
                 representatives=("em", "knn"),
-                fast=True,
             )
+
+
+def assert_same_result(baseline: ExperimentResult, fresh: ExperimentResult):
+    assert compare_results(baseline, fresh, threshold=1e-9) == []
+    fresh_doc, baseline_doc = result_to_dict(fresh), result_to_dict(baseline)
+    for key in ("title", "workload", "metadata"):
+        assert fresh_doc[key] == baseline_doc[key]
+    cells = [(r.label, r.model) for r in fresh.rows]
+    assert cells == [(r.label, r.model) for r in baseline.rows]
+
+
+@pytest.mark.slow
+class TestProtocolPinned:
+    """The driver reproduces the committed results cell for cell."""
+
+    @pytest.mark.parametrize("experiment_id", ["fig04", "fig08", "fig09", "fig12"])
+    def test_full_grid_matches_committed_baseline(self, experiment_id):
+        """The cheapest full-grid figure of each family, against the
+        fidelity baselines ``benchmarks/bench_figures.py`` maintains."""
+        workload = EXPERIMENTS[experiment_id].workload
+        baseline = load_result(BASELINES / f"{experiment_id}_{workload}.json")
+        assert_same_result(baseline, run_experiment(experiment_id))
+
+    def test_fault_scenario_matches_golden(self):
+        baseline = load_result(GOLDENS / "fault_scenario_defect.json")
+        fresh = run_fault_scenario(
+            "defect",
+            baseline.experiment_id,
+            baseline.title,
+            baseline.metadata["scenario"],
+            fast=True,
+        )
+        assert_same_result(baseline, fresh)
+
+
+class TestExperimentSpec:
+    def test_unknown_workload(self):
+        with pytest.raises(ConfigurationError, match="unknown workload 'nosuch'"):
+            ExperimentSpec("x", "t", "nosuch")
+
+    def test_unknown_size_label(self):
+        with pytest.raises(ConfigurationError, match="no dataset size '9 GB'"):
+            ExperimentSpec("x", "t", "defect", target_size="9 GB")
+        with pytest.raises(ConfigurationError, match="no dataset size '9 GB'"):
+            ExperimentSpec("x", "t", "defect", profile_size="9 GB")
+
+    def test_unknown_representative(self):
+        with pytest.raises(ConfigurationError, match="unknown workload"):
+            ExperimentSpec("x", "t", "em", representatives=("nosuch",))
+
+    def test_workload_resolved_when_the_experiment_runs(self, monkeypatch):
+        """The table holds workload names; re-registering a workload
+        (as the benchmark's dataset reseeding does) takes effect."""
+        import dataclasses
+
+        from repro.workloads.registry import WORKLOADS
+
+        before = run_experiment("fig04", fast=True)
+        reseeded = dataclasses.replace(
+            WORKLOADS["defect"], seed=WORKLOADS["defect"].seed + 1
+        )
+        monkeypatch.setitem(WORKLOADS, "defect", reseeded)
+        after = run_experiment("fig04", fast=True)
+        assert [r.actual for r in after.rows] != [r.actual for r in before.rows]
