@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.middleware import FreerideGRuntime
+from repro.middleware import FreerideGRuntime, KernelTrace
 from repro.middleware.dataset import Dataset
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.scheduler import RunConfig
@@ -70,9 +70,10 @@ def sweep_shares(
     if not configs:
         raise ConfigurationError("need at least one configuration")
     out: List[ComponentShares] = []
+    kernels = KernelTrace()
     for config in configs:
         app: GeneralizedReduction = app_factory()
-        run = FreerideGRuntime(config).execute(app, dataset)
+        run = FreerideGRuntime(config, kernels=kernels).execute(app, dataset)
         out.append(shares_of(run.breakdown, label=config.label))
     return out
 

@@ -85,6 +85,7 @@ class KMeansClustering(GeneralizedReduction):
         self._pass = 0
         self._shift_history = []
 
+    @hot
     def make_local_object(self) -> ArrayReductionObject:
         # Row i holds [sum of assigned points (d), assigned count (1)].
         return ArrayReductionObject.zeros((self.k, self._num_dims + 1))

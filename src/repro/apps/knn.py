@@ -55,6 +55,10 @@ class KNNCandidates:
         self.dists = dists[rows, order]
         self.labels = labels[rows, order]
 
+    def merge(self, other: "KNNCandidates") -> None:
+        """Fold another candidate set into this one."""
+        self.absorb(other.dists, other.labels)
+
 
 class KNNSearch(GeneralizedReduction):
     """Batch kNN classification of a fixed query set.
@@ -133,7 +137,7 @@ class KNNSearch(GeneralizedReduction):
         )
         per_merge = float(self.num_queries) * self.k
         for other in objs[1:]:
-            merged.absorb(other.dists, other.labels)
+            merged.merge(other)
             ops.charge(branch=4.0 * per_merge, mem=2.0 * per_merge)
         return merged
 

@@ -46,6 +46,7 @@ from repro.core.durable import (
     read_json_document,
 )
 from repro.core.models import PredictedBreakdown
+from repro.hotpath import hot
 from repro.simgrid.errors import ConfigurationError
 
 __all__ = ["CorrectionFactor", "OnlineCalibrator"]
@@ -131,6 +132,7 @@ class OnlineCalibrator:
         state = self._factors.get((component, app, resource))
         return state.value if state is not None else 1.0
 
+    @hot
     def _fast_factor(self, component: str, app: str, resource: str) -> float:
         """Cached current factor; bit-identical to :meth:`factor`."""
         cache = self._fast[component]

@@ -116,12 +116,14 @@ from repro.faults.grid import (
 )
 from repro.faults.retry import BrokerRetryPolicy
 from repro.middleware.dataset import Dataset
+from repro.middleware.kernels import KernelTrace
 from repro.middleware.replica import ReplicaCatalog
 from repro.middleware.runtime import FreerideGRuntime
 from repro.middleware.scheduler import RunConfig
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import ClusterSpec
 from repro.simgrid.topology import GridTopology, SiteKind
+from repro.simgrid.trace import TimeBreakdown
 from repro.workloads.registry import WORKLOADS, WorkloadSpec
 
 __all__ = ["GridBroker", "ActualRun"]
@@ -288,6 +290,10 @@ class GridBroker:
 
         self.catalog = ReplicaCatalog(topology)
         self._datasets: Dict[str, Dataset] = {}
+        #: One kernel trace per dataset key: the reference profile and
+        #: every candidate configuration are priced from one execution of
+        #: the chunk kernels.
+        self._kernels: Dict[str, KernelTrace] = {}
         self._profiles: Dict[str, Profile] = {}
         self._models: Dict[str, PredictionModel] = {}
         self._selections: Dict[str, SelectionOutcome] = {}
@@ -362,13 +368,21 @@ class GridBroker:
             self._datasets[key] = dataset
         return dataset
 
+    def _run_middleware(
+        self, job: BrokerJob, config: RunConfig
+    ) -> TimeBreakdown:
+        """Execute ``job``'s workload under ``config`` (kernels shared)."""
+        kernels = self._kernels.setdefault(job.dataset_key, KernelTrace())
+        run = FreerideGRuntime(config, kernels=kernels).execute(
+            self._spec(job.workload).make_app(), self._dataset(job)
+        )
+        return run.breakdown
+
     def _profile(self, job: BrokerJob) -> Profile:
         """The one-off 1-1 reference profile for (workload, size)."""
         key = job.dataset_key
         profile = self._profiles.get(key)
         if profile is None:
-            spec = self._spec(job.workload)
-            dataset = self._dataset(job)
             from repro.workloads.clusters import DEFAULT_BANDWIDTH
 
             config = RunConfig(
@@ -378,8 +392,7 @@ class GridBroker:
                 compute_nodes=1,
                 bandwidth=DEFAULT_BANDWIDTH,
             )
-            run = FreerideGRuntime(config).execute(spec.make_app(), dataset)
-            profile = Profile.from_run(config, run.breakdown)
+            profile = Profile.from_run(config, self._run_middleware(job, config))
             self._profiles[key] = profile
         return profile
 
@@ -450,10 +463,7 @@ class GridBroker:
                 compute_nodes=cand.compute_nodes,
                 bandwidth=cand.bandwidth,
             )
-            result = FreerideGRuntime(config).execute(
-                self._spec(job.workload).make_app(), self._dataset(job)
-            )
-            breakdown = result.breakdown
+            breakdown = self._run_middleware(job, config)
             actual = ActualRun(
                 t_disk=breakdown.t_disk,
                 t_network=breakdown.t_network,

@@ -28,6 +28,7 @@ from repro.core.models import PredictionModel
 from repro.core.profile import Profile
 from repro.core.target import PredictionTarget
 from repro.middleware.dataset import Dataset
+from repro.middleware.kernels import KernelTrace
 from repro.middleware.replica import ReplicaCatalog
 from repro.middleware.runtime import FreerideGRuntime
 from repro.middleware.scheduler import RunConfig
@@ -181,6 +182,11 @@ class GridScheduler:
         self.catalog = catalog
         self.model = model
         self.allocations = list(allocations)
+        #: Same factory over the same dataset means the same chunk
+        #: kernels, whichever placement a policy picks.
+        self._kernels: Dict[
+            Tuple[Callable[[], object], Dataset], KernelTrace
+        ] = {}
 
     # ------------------------------------------------------------------
 
@@ -290,7 +296,10 @@ class GridScheduler:
             compute_nodes=choice.compute_nodes,
             bandwidth=choice.bandwidth,
         )
-        result = FreerideGRuntime(config).execute(
+        kernels = self._kernels.setdefault(
+            (job.app_factory, job.dataset), KernelTrace()
+        )
+        result = FreerideGRuntime(config, kernels=kernels).execute(
             job.app_factory(), job.dataset
         )
         return result.breakdown.total

@@ -27,6 +27,8 @@ This package reimplements that middleware on top of the
   applications.
 - :mod:`repro.middleware.scheduler`      — run configurations (the paper's
   N data nodes, M compute nodes, M >= N).
+- :mod:`repro.middleware.kernels`        — per-chunk kernel traces: the
+  NumPy kernels run once and are priced on any configuration.
 - :mod:`repro.middleware.runtime`        — the execution engine producing a
   result plus a :class:`repro.simgrid.TimeBreakdown`.
 - :mod:`repro.middleware.replica`        — the replica catalog used by
@@ -40,6 +42,7 @@ from repro.middleware.compute_server import ComputeServer
 from repro.middleware.data_server import DataServer
 from repro.middleware.dataset import ArrayDataset, Dataset
 from repro.middleware.instrument import OpCounter
+from repro.middleware.kernels import KernelTrace
 from repro.middleware.replica import Replica, ReplicaCatalog
 from repro.middleware.runtime import FreerideGRuntime, RunResult
 from repro.middleware.scheduler import GatherTopology, RunConfig
@@ -54,6 +57,7 @@ __all__ = [
     "ArrayDataset",
     "Dataset",
     "OpCounter",
+    "KernelTrace",
     "Replica",
     "ReplicaCatalog",
     "FreerideGRuntime",

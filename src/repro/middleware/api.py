@@ -6,9 +6,10 @@ An application implements :class:`GeneralizedReduction`; the runtime then
 drives the canonical processing structure:
 
 1. ``begin(meta)`` — once, with the dataset metadata.
-2. Per pass: every compute node holds a replicated reduction object
-   (``make_local_object``) and folds its chunks into it with
-   ``process_chunk`` using associative and commutative updates.
+2. Per pass: ``process_chunk`` folds every chunk into a fresh
+   ``make_local_object()`` using associative and commutative updates;
+   every compute node holds a replicated reduction object that is the
+   merge of its chunks' pieces.
 3. Reduction objects are gathered at the master and ``combine`` performs
    the serialized global reduction.
 4. ``update(combined)`` lets iterative applications (k-means, EM) absorb the
@@ -67,6 +68,15 @@ class GeneralizedReduction(abc.ABC):
 
         Updates must be associative and commutative so chunk order and
         chunk-to-node placement cannot change the combined result.
+
+        Both what the call charges to ``ops`` and what it contributes to
+        ``obj`` may depend on ``payload`` and on state set in
+        :meth:`begin` / :meth:`update` — never on what ``obj`` already
+        holds, and the call must leave the application's own state
+        alone.  The runtime relies on this: it runs each chunk's kernel
+        once into a fresh object and builds every node's object, on
+        every configuration, by merging those pieces
+        (:mod:`repro.middleware.kernels`).
         """
 
     @abc.abstractmethod
@@ -100,14 +110,16 @@ class GeneralizedReduction(abc.ABC):
     def merge_local(self, objs: Sequence[Any], ops: OpCounter) -> Any:
         """Merge same-pass reduction objects *without* global finalization.
 
-        Used for the shared-memory combine on SMP nodes: the threads of
+        Used for the shared-memory combine on SMP nodes (the threads of
         one node fold their replicated objects into a single per-node
-        object before the inter-node gather.  Unlike :meth:`combine`, this
+        object before the inter-node gather), along a tree gather, and
+        to fold per-chunk pieces into a node's object when the object
+        has no in-place ``merge(other)``.  Unlike :meth:`combine`, this
         must NOT perform application-level post-processing (joining,
         de-noising, catalog matching) — it is a pure associative merge.
 
         The default handles the two standard reduction-object shapes;
-        applications with custom objects override it to run under SMP.
+        applications with custom objects override it.
         """
         from repro.middleware.reduction import (
             ArrayReductionObject,
@@ -136,8 +148,8 @@ class GeneralizedReduction(abc.ABC):
                 ops.charge(mem=2.0 * len(other), branch=float(len(other)))
             return merged
         raise NotImplementedError(
-            f"{type(self).__name__} must override merge_local() to run "
-            "with multiple processes per node"
+            f"{type(self).__name__} must override merge_local(): its "
+            "reduction object is not one of the standard shapes"
         )
 
     def run_serial(self, payloads: List[Any]) -> Any:

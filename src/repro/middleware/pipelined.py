@@ -12,28 +12,29 @@ This is an *ablation* runtime: it quantifies how much the additive
 assumption would overestimate a pipelining middleware (the bench
 ``bench_ablation_pipelining.py``), and how much headroom chunk streaming
 leaves on the table.  The computation itself is identical to
-:class:`~repro.middleware.runtime.FreerideGRuntime` — results match
-bit for bit, which the tests assert.
+:class:`~repro.middleware.runtime.FreerideGRuntime` — both fold the same
+:class:`~repro.middleware.kernels.KernelTrace` pieces in the same order,
+so results match bit for bit, which the tests assert.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, Optional
 
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.caching import CacheModel
 from repro.middleware.chunks import ChunkAssignment, assign_chunks
 from repro.middleware.dataset import Dataset
 from repro.middleware.instrument import OpCounter
+from repro.middleware.kernels import KernelTrace, fold_pieces
 from repro.middleware.scheduler import RunConfig
 from repro.simgrid.engine import FIFOServer
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.network import LinkModel
 
 __all__ = ["PipelinedRunResult", "PipelinedRuntime"]
-
-MAX_PASSES = 1000
 
 
 @dataclass
@@ -57,7 +58,9 @@ class PipelinedRunResult:
 class PipelinedRuntime:
     """Chunk-streaming execution of generalized reductions."""
 
-    def __init__(self, config: RunConfig) -> None:
+    def __init__(
+        self, config: RunConfig, kernels: Optional[KernelTrace] = None
+    ) -> None:
         if config.processes_per_node != 1:
             raise ConfigurationError(
                 "the pipelined runtime models one process per node"
@@ -67,12 +70,15 @@ class PipelinedRuntime:
                 "the pipelined runtime models local-disk caching only"
             )
         self.config = config
+        self.kernels = kernels
 
     def execute(
         self, app: GeneralizedReduction, dataset: Dataset
     ) -> PipelinedRunResult:
         """Run ``app`` with per-chunk pipelining; returns the makespan."""
         config = self.config
+        kernels = self.kernels if self.kernels is not None else KernelTrace()
+        kernels.bind(app, dataset)
         assignment = assign_chunks(
             dataset.num_chunks, config.data_nodes, config.compute_nodes
         )
@@ -99,7 +105,7 @@ class PipelinedRuntime:
         busy: Dict[str, float] = {"disk": 0.0, "network": 0.0, "cpu": 0.0}
         passes = 0
 
-        for pass_index in range(MAX_PASSES):
+        for pass_index in itertools.count():
             passes += 1
             fed_from_network = not cached
 
@@ -116,10 +122,11 @@ class PipelinedRuntime:
             for cpu in cpus:
                 cpu.serve(0.0, compute.compute_pass_startup_s)
 
-            local_objects: List[Any] = []
-            counters = [OpCounter() for _ in range(config.compute_nodes)]
-            for j in range(config.compute_nodes):
-                local_objects.append(app.make_local_object())
+            pieces = kernels.pieces(app, dataset, pass_index)
+            local_objects = [
+                fold_pieces(app, pieces, chunks)
+                for chunks in assignment.compute_node_chunks
+            ]
 
             # Walk chunks in global order so per-data-node FIFO order
             # matches the phased runtime's round-robin hand-out.
@@ -129,10 +136,7 @@ class PipelinedRuntime:
                 j = destination[chunk]
                 nbytes = dataset.chunk_nbytes(chunk)
 
-                app.process_chunk(
-                    local_objects[j], dataset.chunk_payload(chunk), counters[j]
-                )
-                kernel = compute.node.cpu.compute_time(counters[j].take())
+                kernel = compute.node.cpu.compute_time(pieces[chunk][1])
                 service = kernel + compute.chunk_dispatch_overhead_s
 
                 if fed_from_network:
@@ -182,11 +186,6 @@ class PipelinedRuntime:
                 cached = True
             if not another_pass:
                 break
-        else:
-            raise ConfigurationError(
-                f"application '{app.name}' did not terminate within "
-                f"{MAX_PASSES} passes"
-            )
 
         return PipelinedRunResult(
             result=app.result(),

@@ -32,6 +32,7 @@ class ArrayReductionObject:
     count: float = 0.0
 
     @classmethod
+    @hot
     def zeros(cls, shape: Sequence[int] | int) -> "ArrayReductionObject":
         """A zero-initialized accumulator of the given shape."""
         return cls(values=np.zeros(shape, dtype=np.float64), count=0.0)
@@ -53,6 +54,7 @@ class ArrayReductionObject:
         self.values += contribution
         self.count += count
 
+    @hot
     def merge(self, other: "ArrayReductionObject") -> None:
         """Fold another accumulator into this one."""
         self.accumulate(other.values, other.count)

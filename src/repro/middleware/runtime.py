@@ -19,9 +19,12 @@ matching the paper's additive model):
    applications — the combined object is broadcast back.
 
 The application's computation is performed **for real**: the reduction
-objects contain genuine centroids / sufficient statistics / feature lists,
-and results are invariant to the node configuration (associativity of the
-updates), which the integration tests assert.
+objects contain genuine centroids / sufficient statistics / feature lists.
+The NumPy kernels run once per (pass, chunk) into a
+:class:`~repro.middleware.kernels.KernelTrace`; each node's object is the
+fold of its chunks' pieces, and everything after the local fold runs on
+those objects as written above.  Executions that share a trace share the
+kernels; :mod:`repro.middleware.kernels` states what that keeps exact.
 
 Fault tolerance
 ---------------
@@ -45,6 +48,7 @@ fault-free code path is byte-for-byte the pre-fault-tolerance engine.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -63,15 +67,12 @@ from repro.middleware.compute_server import ComputeServer
 from repro.middleware.data_server import DataServer
 from repro.middleware.dataset import Dataset
 from repro.middleware.instrument import OpCounter
+from repro.middleware.kernels import KernelTrace, fold_pieces
 from repro.middleware.scheduler import GatherTopology, RunConfig
-from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import ClusterSpec
 from repro.simgrid.trace import PassRecord, TimeBreakdown
 
 __all__ = ["RunResult", "FreerideGRuntime"]
-
-#: Safety valve for iterative applications that never converge.
-MAX_PASSES = 1000
 
 
 @dataclass
@@ -139,11 +140,22 @@ class FreerideGRuntime:
         (the default) runs the original healthy-grid engine with zero
         added overhead; an injector arms retries, replica failover,
         role migration and reduction-object checkpointing.
+    kernels:
+        Optional :class:`~repro.middleware.kernels.KernelTrace` shared
+        with other executions of the same application over the same
+        dataset: passes it already holds are not re-executed.  ``None``
+        records into a private trace per :meth:`execute` call.
     """
 
-    def __init__(self, config: RunConfig, faults: Optional[Any] = None) -> None:
+    def __init__(
+        self,
+        config: RunConfig,
+        faults: Optional[Any] = None,
+        kernels: Optional[KernelTrace] = None,
+    ) -> None:
         self.config = config
         self.faults = faults
+        self.kernels = kernels
 
     # ------------------------------------------------------------------
     # Faulted-phase helpers
@@ -278,6 +290,8 @@ class FreerideGRuntime:
         """Run ``app`` over ``dataset``; returns result + time breakdown."""
         config = self.config
         faults = self.faults
+        kernels = self.kernels if self.kernels is not None else KernelTrace()
+        kernels.bind(app, dataset)
         assignment = assign_chunks(
             dataset.num_chunks, config.data_nodes, config.compute_nodes
         )
@@ -316,7 +330,7 @@ class FreerideGRuntime:
         max_object_bytes = 0.0
         network_fed_passes = 0
 
-        for pass_index in range(MAX_PASSES):
+        for pass_index in itertools.count():
             events: List[Dict[str, Any]] = []
             fed_from_network = not cached
             if fed_from_network:
@@ -351,24 +365,18 @@ class FreerideGRuntime:
             # a surviving node; computing per-role keeps the reduction
             # structure (and therefore the result) fault-invariant.
             ppn = config.processes_per_node
+            pieces = kernels.pieces(app, dataset, pass_index)
             role_totals: List[float] = []
             role_caches: List[float] = []
             local_objects: List[Any] = []
             for j, server in enumerate(compute_servers):
                 node_chunks = assignment.compute_node_chunks[j]
-                counter = OpCounter()
                 thread_objects: List[Any] = []
                 thread_chunk_ops: List[List] = []
                 for t in range(ppn):
-                    obj = app.make_local_object()
-                    chunk_ops = []
-                    for chunk in node_chunks[t::ppn]:
-                        app.process_chunk(
-                            obj, dataset.chunk_payload(chunk), counter
-                        )
-                        chunk_ops.append(counter.take())
-                    thread_objects.append(obj)
-                    thread_chunk_ops.append(chunk_ops)
+                    chunks = node_chunks[t::ppn]
+                    thread_objects.append(fold_pieces(app, pieces, chunks))
+                    thread_chunk_ops.append([pieces[c][1] for c in chunks])
 
                 if ppn == 1:
                     node_object = thread_objects[0]
@@ -561,11 +569,6 @@ class FreerideGRuntime:
                 cached = True
             if not another_pass:
                 break
-        else:
-            raise ConfigurationError(
-                f"application '{app.name}' did not terminate within "
-                f"{MAX_PASSES} passes"
-            )
 
         breakdown.max_reduction_object_bytes = max_object_bytes
         breakdown.metadata["gather_rounds"] = breakdown.num_passes

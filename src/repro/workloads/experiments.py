@@ -37,7 +37,7 @@ from repro.core import (
     relative_error,
 )
 from repro.faults import injector_from_dict, schedule_from_dict
-from repro.middleware import FreerideGRuntime
+from repro.middleware import FreerideGRuntime, KernelTrace
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import ClusterSpec
 from repro.workloads.clusters import (
@@ -193,10 +193,13 @@ def _measure_cluster_factors(
     for rep_name in representatives:
         rep = _workload(rep_name)
         dataset = rep.make_dataset(None)
+        kernels = KernelTrace()
         profiles = []
         for cluster in (cluster_a, cluster_b):
             config = make_run_config(rep_n, rep_c, storage_cluster=cluster)
-            run = FreerideGRuntime(config).execute(rep.make_app(), dataset)
+            run = FreerideGRuntime(config, kernels=kernels).execute(
+                rep.make_app(), dataset
+            )
             profiles.append(Profile.from_run(config, run.breakdown))
         pairs.append((profiles[0], profiles[1]))
     return measure_scaling_factors(pairs)
@@ -209,14 +212,19 @@ def run_grid_experiment(spec: ExperimentSpec, fast: bool = False) -> ExperimentR
     metadata assembly: every figure and every fault-scenario sweep is
     this function applied to a different record.  The workload is looked
     up when the experiment runs, and each distinct dataset is built once
-    (datasets are read-only) and shared by all of the experiment's runs.
+    (datasets are read-only) and shared by all of the experiment's runs,
+    as is the :class:`KernelTrace` of its chunk kernels — the base
+    profile and every grid cell are priced from one execution of the
+    kernels, which this call owns and drops when it returns.
     """
     workload = _workload(spec.workload)
     target_label = spec.target_size or workload.default_size
     profile_label = spec.profile_size or target_label
     profile_dataset = dataset = workload.make_dataset(target_label)
+    profile_kernels = kernels = KernelTrace()
     if profile_label != target_label:
         profile_dataset = workload.make_dataset(profile_label)
+        profile_kernels = KernelTrace()
 
     pn, pc = spec.profile_nodes
     metadata: Dict[str, object] = {"base_profile": f"{pn}-{pc}"}
@@ -267,9 +275,9 @@ def run_grid_experiment(spec: ExperimentSpec, fast: bool = False) -> ExperimentR
     profile_config = make_run_config(
         pn, pc, storage_cluster=profile_cluster, bandwidth=spec.profile_bandwidth
     )
-    profile_run = FreerideGRuntime(profile_config).execute(
-        workload.make_app(), profile_dataset
-    )
+    profile_run = FreerideGRuntime(
+        profile_config, kernels=profile_kernels
+    ).execute(workload.make_app(), profile_dataset)
     profile = Profile.from_run(profile_config, profile_run.breakdown)
 
     result = ExperimentResult(
@@ -281,7 +289,9 @@ def run_grid_experiment(spec: ExperimentSpec, fast: bool = False) -> ExperimentR
             n, c, storage_cluster=target_cluster, bandwidth=spec.target_bandwidth
         )
         faults = None if scenario is None else injector_from_dict(scenario)
-        run = FreerideGRuntime(config, faults).execute(workload.make_app(), dataset)
+        run = FreerideGRuntime(config, faults, kernels).execute(
+            workload.make_app(), dataset
+        )
         target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
         if schedule is None:
             totals = [(m.label, m.predict(profile, target).total) for m in models]

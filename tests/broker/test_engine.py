@@ -32,6 +32,26 @@ class TestConstruction:
             broker.run([])
 
 
+class TestColdCacheFill:
+    def test_kernels_run_once_per_dataset_key(self, kernel_calls):
+        """However many candidate configurations the cold cache fill
+        prices, each (dataset key, pass, chunk) kernel runs once."""
+        broker = GridBroker(small_grid(), [(1, 2), (2, 4), (4, 8)])
+        jobs = [
+            BrokerJob(
+                job_id=f"j{i}", workload=name, size="350 MB", arrival=0.01 * i
+            )
+            for i, name in enumerate(["knn", "kmeans", "knn", "kmeans"])
+        ]
+        run = broker.run(jobs, "min-completion")
+        assert len(run.placements) == len(jobs)
+        assert len(broker._exec_cache) > len(broker._kernels) == 2
+        # 96 chunks each: kNN is one pass, k-means ten.
+        assert dict(kernel_calls) == {"knn": 96, "kmeans": 960}
+        broker.run(jobs, "min-completion")
+        assert dict(kernel_calls) == {"knn": 96, "kmeans": 960}
+
+
 class TestEventLoop:
     def test_every_job_placed_exactly_once(self, broker):
         jobs = [

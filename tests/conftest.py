@@ -144,3 +144,23 @@ class SumApp(GeneralizedReduction):
 
     def result(self):
         return self.total
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``process_chunk`` invocations per registered application name."""
+    from collections import Counter
+
+    from repro.workloads.registry import WORKLOADS
+
+    calls: Counter = Counter()
+    for spec in WORKLOADS.values():
+        cls = type(spec.make_app())
+        original = cls.process_chunk
+
+        def counted(self, obj, payload, ops, _original=original):
+            calls[self.name] += 1
+            _original(self, obj, payload, ops)
+
+        monkeypatch.setattr(cls, "process_chunk", counted)
+    return calls

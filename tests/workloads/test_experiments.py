@@ -113,6 +113,34 @@ class TestFigureShapes:
             )
 
 
+@pytest.mark.slow
+class TestKernelsRunOncePerExperiment:
+    """A count, not a stopwatch: the base profile and every grid cell of
+    an experiment are priced from one execution of its chunk kernels."""
+
+    @pytest.mark.parametrize(
+        "experiment_id, chunk_passes",
+        [
+            ("fig02", 352 * 10),  # k-means, 10 iterations
+            ("fig05", 352 * 10),  # EM, 5 iterations of an E and an M pass
+            ("fig08", 448 + 32),  # defect: the target and the profile dataset
+        ],
+    )
+    def test_process_chunk_called_once_per_dataset_pass_chunk(
+        self, kernel_calls, experiment_id, chunk_passes
+    ):
+        run_experiment(experiment_id, fast=True)
+        assert sum(kernel_calls.values()) == chunk_passes
+
+    def test_two_experiments_never_share_a_trace(self, kernel_calls):
+        """No process-wide memo: the second call pays its own kernels."""
+        first = run_experiment("fig05", fast=True)
+        after_first = kernel_calls["em"]
+        second = run_experiment("fig05", fast=True)
+        assert kernel_calls["em"] == 2 * after_first > 0
+        assert second.rows == first.rows
+
+
 def assert_same_result(baseline: ExperimentResult, fresh: ExperimentResult):
     assert compare_results(baseline, fresh, threshold=1e-9) == []
     fresh_doc, baseline_doc = result_to_dict(fresh), result_to_dict(baseline)
