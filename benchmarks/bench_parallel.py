@@ -26,7 +26,6 @@ the full fast figure suite is the default.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
@@ -42,6 +41,7 @@ from repro.lint.effects import CERTIFIED_ROOTS
 from repro.workloads.experiments import EXPERIMENTS
 
 from benchmarks.conftest import RESULTS_DIR, run_once
+from tests.campaign.conftest import journal_projection
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -49,14 +49,6 @@ COUNT = int(
     os.environ.get("REPRO_PARALLEL_BENCH_COUNT", str(len(EXPERIMENTS)))
 )
 WORKERS = int(os.environ.get("REPRO_PARALLEL_BENCH_WORKERS", "4"))
-
-
-def journal_projection(path: pathlib.Path) -> dict:
-    """The journal minus its wall-clock fields (the determinism view)."""
-    document = json.loads(path.read_text())
-    for entry in document["entries"]:
-        del entry["elapsed_s"]
-    return document
 
 
 def run_campaigns(scratch: pathlib.Path) -> dict:

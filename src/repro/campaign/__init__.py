@@ -6,9 +6,9 @@ stopped:
 
 - :mod:`repro.campaign.manifest` — what to run
   (:class:`CampaignManifest`, JSON manifests, the paper-suite builder).
-- :mod:`repro.campaign.journal`  — the durable journal: atomic
-  write-then-rename commits with fsync, checksum corruption detection,
-  manifest-fingerprint binding.
+- :mod:`repro.campaign.journal`  — the durable journal: one appended,
+  fsynced line per commit, checksum corruption detection, torn-tail
+  repair, manifest-fingerprint binding.
 - :mod:`repro.campaign.watchdog` — per-entry wall-clock deadlines and
   graceful-interrupt supervision.
 - :mod:`repro.campaign.runner`   — the pipeline: ``execute_entry``

@@ -1,39 +1,52 @@
 """The durable campaign journal: what a killed run resumes from.
 
-One JSON document per campaign, rewritten **atomically** (temp file +
-fsync + rename, via :mod:`repro.core.durable`) after every settled
-entry.  A process killed at any instruction therefore leaves either the
-journal as of entry ``k`` or entry ``k+1`` — never a torn state — and a
-``--resume`` re-runs exactly the entries that were never committed.
+Format 2 is a write-ahead log of JSON lines.  The first line is the
+header (``format_version``, ``campaign``, ``manifest_sha256``), written
+atomically (temp file + fsync + rename, :mod:`repro.core.durable`);
+every settled entry is then **one appended line**, encoded once and
+fsynced before ``commit`` returns, so a commit costs what it adds and no
+earlier record is ever re-encoded or rewritten.  A process killed at any
+byte leaves every complete line plus at most a fragment of the one
+commit that was never acknowledged.  The reader drops that fragment —
+``--resume`` re-runs its entry, deterministically, so the drop cannot
+change a result — and the first commit after such a load rewrites the
+file atomically without it, then appends.  A format-1 journal (one JSON
+document) is read too and upgraded by that same rewrite.
 
-Integrity is checked on load, not trusted:
+:meth:`CampaignJournal.load` never writes (``campaign-status`` calls it
+while a campaign may be appending) and trusts nothing:
 
-- the document must parse and carry a supported ``format_version``;
+- the header must parse and carry a supported ``format_version``;
 - the journal must have been written for the *same manifest* (fingerprint
   match), so a resume cannot run against a stale journal;
-- every record carries a SHA-256 over its payload, so a tampered or
-  bit-rotted record raises
+- every record carries a SHA-256 over its payload; a failed checksum, a
+  duplicate id, or anything unreadable *before* the final line raises
   :class:`~repro.core.durable.CorruptStoreError` instead of silently
   resuming from bad data.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.durable import (
     CorruptStoreError,
-    atomic_write_json,
+    append_text,
+    atomic_write_text,
+    check_format_version,
     content_digest,
-    read_json_document,
+    read_text_document,
 )
 from repro.errors import CampaignError
 
 __all__ = ["JournalRecord", "CampaignJournal", "JOURNAL_FORMAT_VERSION"]
 
-JOURNAL_FORMAT_VERSION = 1
+JOURNAL_FORMAT_VERSION = 2
+_KIND = "campaign journal"
+_REMEDY = "delete it and re-run the campaign from scratch"
 
 #: Entry statuses a journal may record (settled outcomes only — entries
 #: that never settled are simply absent and will be re-run on resume).
@@ -69,17 +82,36 @@ class JournalRecord:
             )
 
 
-def _record_to_dict(record: JournalRecord) -> Dict[str, Any]:
-    body = {
-        "entry_id": record.entry_id,
-        "status": record.status,
-        "attempts": record.attempts,
-        "elapsed_s": record.elapsed_s,
-        "violations": list(record.violations),
-        "payload": record.payload,
-    }
-    body["sha256"] = content_digest(body["payload"])
-    return body
+def _corrupt(path: pathlib.Path, what: str) -> CorruptStoreError:
+    return CorruptStoreError(f"{_KIND} '{path}' is corrupt ({what}); {_REMEDY}")
+
+
+def _line(data: Dict[str, Any]) -> str:
+    """One journal line: compact, so only its last byte is a newline."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _parse_line(line: str) -> Optional[Dict[str, Any]]:
+    """The JSON object ``line`` holds, ``None`` when it holds none."""
+    try:
+        data = json.loads(line)
+    except ValueError:  # JSONDecodeError, or an integer too long to parse
+        return None
+    return data if isinstance(data, dict) else None
+
+
+def _record_line(record: JournalRecord) -> str:
+    return _line(
+        {
+            "entry_id": record.entry_id,
+            "status": record.status,
+            "attempts": record.attempts,
+            "elapsed_s": record.elapsed_s,
+            "violations": list(record.violations),
+            "payload": record.payload,
+            "sha256": content_digest(record.payload),
+        }
+    )
 
 
 def _record_from_dict(data: Dict[str, Any], path: pathlib.Path) -> JournalRecord:
@@ -96,27 +128,22 @@ def _record_from_dict(data: Dict[str, Any], path: pathlib.Path) -> JournalRecord
             violations=[str(v) for v in data["violations"]],
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptStoreError(
-            f"campaign journal '{path}' is corrupt (malformed record: "
-            f"{exc}); delete it and re-run the campaign from scratch"
-        ) from exc
+        raise _corrupt(path, f"malformed record: {exc}") from exc
     if content_digest(payload) != stored_digest:
-        raise CorruptStoreError(
-            f"campaign journal '{path}' is corrupt (checksum mismatch on "
-            f"entry '{entry_id}'); delete it and re-run the campaign "
-            "from scratch"
-        )
+        raise _corrupt(path, f"checksum mismatch on entry '{entry_id}'")
     return record
 
 
 class CampaignJournal:
-    """Durable, atomically-committed record of settled campaign entries."""
+    """Durable, append-only record of settled campaign entries."""
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
-        self._campaign: Optional[str] = None
-        self._fingerprint: Optional[str] = None
+        self.campaign: Optional[str] = None
+        self.fingerprint: Optional[str] = None
         self._records: Dict[str, JournalRecord] = {}
+        #: ``load`` saw a torn tail or format 1: rewrite before the next append.
+        self._stale = False
 
     @property
     def exists(self) -> bool:
@@ -126,6 +153,15 @@ class CampaignJournal:
     def records(self) -> Dict[str, JournalRecord]:
         """The in-memory view of settled entries (id -> record)."""
         return dict(self._records)
+
+    def _header_line(self) -> str:
+        return _line(
+            {
+                "format_version": JOURNAL_FORMAT_VERSION,
+                "campaign": self.campaign,
+                "manifest_sha256": self.fingerprint,
+            }
+        )
 
     def initialize(self, campaign: str, fingerprint: str) -> None:
         """Start a fresh journal bound to one manifest fingerprint.
@@ -139,35 +175,46 @@ class CampaignJournal:
                 "the campaign (--resume) or delete the journal to start "
                 "fresh"
             )
-        self._campaign = campaign
-        self._fingerprint = fingerprint
+        self.campaign = campaign
+        self.fingerprint = fingerprint
         self._records = {}
-        self._flush()
+        atomic_write_text(self.path, self._header_line())
 
     def load(self, expected_fingerprint: Optional[str] = None) -> Dict[str, JournalRecord]:
-        """Read and verify the journal; returns settled records by id."""
-        data = read_json_document(
-            self.path,
-            "campaign journal",
-            expected_version=JOURNAL_FORMAT_VERSION,
-            remedy="delete the journal and re-run the campaign from "
-            "scratch",
-        )
-        try:
-            campaign = str(data["campaign"])
-            fingerprint = str(data["manifest_sha256"])
-            entries = data["entries"]
-        except KeyError as exc:
-            raise CorruptStoreError(
-                f"campaign journal '{self.path}' is corrupt (missing key "
-                f"{exc}); delete it and re-run the campaign from scratch"
-            ) from exc
-        if not isinstance(entries, list):
-            raise CorruptStoreError(
-                f"campaign journal '{self.path}' is corrupt ('entries' is "
-                "not a list); delete it and re-run the campaign from "
-                "scratch"
+        """Read and verify the journal; returns settled records by id.
+
+        Read-only: an unterminated or unparsable *final* line (a commit
+        never acknowledged) is ignored here, removed by the next commit.
+        """
+        text = read_text_document(self.path, _KIND, _REMEDY)
+        first, newline, body = text.partition("\n")
+        # A format-1 journal is one indented document, not a header line.
+        header = _parse_line(first) or _parse_line(text)
+        if header is None:
+            raise _corrupt(self.path, "no readable header line")
+        if header.get("format_version") == 1:
+            stale, raws = True, header.get("entries")
+            if not isinstance(raws, list):
+                raise _corrupt(self.path, "'entries' is not a list")
+        else:
+            check_format_version(
+                header, _KIND, JOURNAL_FORMAT_VERSION, source=str(self.path)
             )
+            if not newline:
+                raise _corrupt(self.path, "truncated header line")
+            lines = body.split("\n")
+            stale = lines.pop() != ""  # an unterminated final line
+            raws = [_parse_line(line) for line in lines]
+            if raws and raws[-1] is None and not stale:
+                raws.pop()  # a terminated final line that does not parse
+                stale = True
+            if None in raws:
+                raise _corrupt(self.path, f"unreadable line {raws.index(None) + 2}")
+        try:
+            campaign = str(header["campaign"])
+            fingerprint = str(header["manifest_sha256"])
+        except KeyError as exc:
+            raise _corrupt(self.path, f"missing key {exc}") from exc
         if (
             expected_fingerprint is not None
             and fingerprint != expected_fingerprint
@@ -178,23 +225,20 @@ class CampaignJournal:
                 "would run the wrong experiments — use a new journal "
                 "path, or delete the stale journal"
             )
-        self._campaign = campaign
-        self._fingerprint = fingerprint
-        self._records = {}
-        for raw in entries:
+        records: Dict[str, JournalRecord] = {}
+        for raw in raws:
             record = _record_from_dict(raw, self.path)
-            if record.entry_id in self._records:
-                raise CorruptStoreError(
-                    f"campaign journal '{self.path}' is corrupt "
-                    f"(duplicate entry '{record.entry_id}'); delete it "
-                    "and re-run the campaign from scratch"
-                )
-            self._records[record.entry_id] = record
+            if records.setdefault(record.entry_id, record) is not record:
+                raise _corrupt(self.path, f"duplicate entry '{record.entry_id}'")
+        self.campaign = campaign
+        self.fingerprint = fingerprint
+        self._records = records
+        self._stale = stale
         return self.records
 
     def commit(self, record: JournalRecord) -> None:
-        """Durably append one settled entry (atomic whole-file rewrite)."""
-        if self._fingerprint is None:
+        """Durably append one settled entry: one line, one ``fsync``."""
+        if self.fingerprint is None:
             raise CampaignError(
                 "journal must be initialized or loaded before committing"
             )
@@ -202,18 +246,13 @@ class CampaignJournal:
             raise CampaignError(
                 f"entry '{record.entry_id}' is already journaled"
             )
+        line = _record_line(record)
+        if self._stale:
+            atomic_write_text(
+                self.path,
+                self._header_line()
+                + "".join(_record_line(r) for r in self._records.values()),
+            )
+            self._stale = False
+        append_text(self.path, line)
         self._records[record.entry_id] = record
-        self._flush()
-
-    def _flush(self) -> None:
-        atomic_write_json(
-            self.path,
-            {
-                "format_version": JOURNAL_FORMAT_VERSION,
-                "campaign": self._campaign,
-                "manifest_sha256": self._fingerprint,
-                "entries": [
-                    _record_to_dict(r) for r in self._records.values()
-                ],
-            },
-        )

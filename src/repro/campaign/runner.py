@@ -16,10 +16,11 @@ suite loop lacks:
    dispatch detail.
 2. **Durability.**  :meth:`CampaignRunner.run` settles records strictly
    in manifest order: each is committed to the
-   :class:`~repro.campaign.journal.CampaignJournal` via atomic
-   write-then-rename with fsync, then its result artifact is written,
-   *before* the next record is asked for.  A killed process loses at
-   most the entries that were in flight; a ``resume=True`` run restores
+   :class:`~repro.campaign.journal.CampaignJournal` (one line, append +
+   fsync), then its result artifact is written (atomic
+   write-then-rename), *before* the next record is asked for.  A killed
+   process loses at most the entries that were in flight — a commit cut
+   short mid-line counts as never made; a ``resume=True`` run restores
    journaled entries without re-running them and produces results
    byte-identical to an uninterrupted run (experiment drivers are
    deterministic and the serialization is canonical).

@@ -1,4 +1,4 @@
-"""Durable atomic persistence shared by every JSON store in the repo.
+"""Durable persistence shared by every on-disk store in the repo.
 
 Profiles are scheduling inputs, experiment results are regression
 baselines, and campaign journals are what a killed run resumes from —
@@ -11,11 +11,15 @@ single place that guarantees it:
   A reader therefore sees either the complete old document or the
   complete new one, never a truncated hybrid — even if the process dies
   at any instruction in between.
-- :func:`read_json_document` turns a truncated / tampered / non-object
-  file into a :class:`CorruptStoreError` that names the path and tells
-  the operator how to regenerate it, and an unrecognized
+- :func:`append_text` appends, flushes, ``fsync``: nothing already in
+  the file is rewritten, so a commit costs what it adds.  A crash can
+  leave a *prefix* of the text as the file's tail; the one format that
+  appends (the campaign journal) frames lines so its reader drops it.
+- :func:`read_json_document` turns an undecodable / truncated / tampered
+  / non-object file into a :class:`CorruptStoreError` that names the
+  path and tells the operator how to regenerate it, and an unrecognized
   ``format_version`` into a :class:`FormatVersionError`, instead of a
-  raw ``json.JSONDecodeError`` or a silently partial object.
+  raw decode error or a silently partial object.
 
 ``core/store`` (profiles), ``analysis/results_io`` (experiment
 results) and ``campaign/journal`` (suite journals) all route their I/O
@@ -39,8 +43,10 @@ __all__ = [
     "FormatVersionError",
     "atomic_write_text",
     "atomic_write_json",
+    "append_text",
     "canonical_json",
     "content_digest",
+    "read_text_document",
     "read_json_document",
     "quarantine_corrupt",
 ]
@@ -100,6 +106,15 @@ def atomic_write_json(path: str | pathlib.Path, data: Any) -> pathlib.Path:
     return atomic_write_text(path, canonical_json(data))
 
 
+def append_text(path: str | pathlib.Path, text: str) -> None:
+    """Durably append ``text``: returns after ``fsync``.  A crash mid-call
+    leaves the old bytes untouched, followed by some prefix of ``text``."""
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 def canonical_json(data: Any) -> str:
     """The one serialization every durable document uses.
 
@@ -118,6 +133,20 @@ def content_digest(data: Any) -> str:
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
+def read_text_document(path: str | pathlib.Path, kind: str, remedy: str) -> str:
+    """The text of one durable file (every writer here is UTF-8)."""
+    path = pathlib.Path(path)
+    if not path.exists():
+        raise ConfigurationError(f"no {kind} at '{path}'")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptStoreError(
+            f"{kind} file '{path}' is corrupt (not UTF-8 text: byte "
+            f"{exc.start}); {remedy}"
+        ) from exc
+
+
 def read_json_document(
     path: str | pathlib.Path,
     kind: str,
@@ -130,8 +159,7 @@ def read_json_document(
     Parameters
     ----------
     kind:
-        Human label for error messages ("profile", "experiment result",
-        "campaign journal").
+        Human label for error messages ("profile", "experiment result").
     expected_version:
         When given, the document's top-level ``format_version`` must
         equal it; anything else raises :class:`FormatVersionError`.
@@ -139,11 +167,8 @@ def read_json_document(
         What the operator should do about a corrupt file, appended to
         the :class:`CorruptStoreError` message.
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"no {kind} at '{path}'")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(read_text_document(path, kind, remedy))
     except json.JSONDecodeError as exc:
         raise CorruptStoreError(
             f"{kind} file '{path}' is corrupt (invalid or truncated JSON "
@@ -170,12 +195,25 @@ def check_format_version(
     version = data.get("format_version")
     if version == expected_version:
         return
+    if not isinstance(version, int):
+        advice = (
+            "format_version is missing or not an integer — regenerate "
+            "the file with this version"
+        )
+    elif version < expected_version:
+        advice = (
+            "it was written by an older build of the framework — "
+            "regenerate it with this one"
+        )
+    else:
+        advice = (
+            "it was likely written by a newer version of the framework "
+            "— upgrade, or regenerate the file with this version"
+        )
     where = f" in '{source}'" if source else ""
     raise FormatVersionError(
         f"cannot read {kind}{where}: format_version {version!r} is not "
-        f"supported by this build (expected {expected_version}); it was "
-        "likely written by a newer version of the framework — upgrade, "
-        "or regenerate the file with this version"
+        f"supported by this build (expected {expected_version}); {advice}"
     )
 
 

@@ -58,7 +58,7 @@ class DurableWritesRule(Rule):
                     ctx,
                     node,
                     f"raw open(..., {mode!r}) is not crash-safe; use "
-                    "repro.core.durable.atomic_write_text/_json",
+                    "repro.core.durable.atomic_write_text/_json or append_text",
                 )
             return
         if isinstance(node.func, ast.Attribute):
@@ -67,7 +67,7 @@ class DurableWritesRule(Rule):
                     ctx,
                     node,
                     f".{node.func.attr}() is not crash-safe; use "
-                    "repro.core.durable.atomic_write_text/_json",
+                    "repro.core.durable.atomic_write_text/_json or append_text",
                 )
 
 

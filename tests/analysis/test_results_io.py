@@ -101,6 +101,32 @@ class TestDurableResults:
         assert str(path) in message
         assert "re-run the experiment" in message
 
+    def test_undecodable_file_names_path_and_remedy(self, tmp_path):
+        from repro.core.durable import CorruptStoreError
+
+        path = tmp_path / "r.json"
+        path.write_bytes(b"\xff\xfe\x00not text")
+        with pytest.raises(CorruptStoreError, match="not UTF-8") as excinfo:
+            load_result(path)
+        assert str(path) in str(excinfo.value)
+        assert "re-run the experiment" in str(excinfo.value)
+
+    def test_older_format_version_says_regenerate(self, tmp_path):
+        import json
+
+        from repro.core.durable import FormatVersionError
+
+        path = save_result(make_result(), tmp_path / "r.json")
+        data = json.loads(path.read_text())
+        data["format_version"] = 0
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatVersionError, match="older build"):
+            load_result(path)
+        del data["format_version"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatVersionError, match="missing or not an"):
+            load_result(path)
+
     def test_future_format_version_rejected(self, tmp_path):
         import json
 

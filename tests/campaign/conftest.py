@@ -13,13 +13,13 @@ in ``functools.partial`` — registry callables cross the process
 boundary by pickle reference, so those work under both runners.
 """
 
+import dataclasses
 import functools
-import json
 import pathlib
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.campaign import CampaignEntry, CampaignManifest
+from repro.campaign import CampaignEntry, CampaignJournal, CampaignManifest
 from repro.workloads.experiments import ExperimentResult, ExperimentRow
 
 #: Real experiment ids the fake campaigns borrow (manifest-valid).
@@ -124,8 +124,17 @@ def picklable_registry(ids, driver=fake_driver, *extra):
 
 
 def journal_projection(path: pathlib.Path):
-    """The journal minus its wall-clock fields (the determinism view)."""
-    document = json.loads(path.read_text())
-    for entry in document["entries"]:
+    """The journal minus its wall-clock fields (the determinism view).
+
+    Read through ``CampaignJournal.load`` — every checksum verified —
+    so it means the same for any on-disk framing.
+    """
+    journal = CampaignJournal(path)
+    entries = [dataclasses.asdict(r) for r in journal.load().values()]
+    for entry in entries:
         del entry["elapsed_s"]
-    return document
+    return {
+        "campaign": journal.campaign,
+        "manifest_sha256": journal.fingerprint,
+        "entries": entries,
+    }

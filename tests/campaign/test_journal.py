@@ -1,20 +1,25 @@
-"""Tests for the durable campaign journal."""
+"""Tests for the durable campaign journal (format 2: a log of JSON lines)."""
 
 import json
+import pathlib
 
 import pytest
 
+import repro.core.durable as durable
 from repro.campaign import CampaignJournal, JournalRecord
 from repro.core.durable import CorruptStoreError, FormatVersionError
 from repro.errors import CampaignError
 
-from tests.campaign.conftest import fake_result
+from tests.campaign.conftest import FAKE_IDS, fake_result, make_manifest
+from tests.campaign.test_runner import results_digest, run_campaign
 from repro.analysis.results_io import result_to_dict
 
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
-def record(entry_id, status="completed", attempts=1):
+
+def record(entry_id, status="completed", attempts=1, rows=3):
     payload = None if status == "timed-out" else result_to_dict(
-        fake_result(entry_id)
+        fake_result(entry_id, rows=rows)
     )
     return JournalRecord(
         entry_id=entry_id,
@@ -24,6 +29,23 @@ def record(entry_id, status="completed", attempts=1):
         payload=payload,
         violations=[] if status != "timed-out" else ["deadline"],
     )
+
+
+def journal_with(path, ids, rows=3):
+    journal = CampaignJournal(path)
+    journal.initialize("camp", "fp-1")
+    for entry_id in ids:
+        journal.commit(record(entry_id, rows=rows))
+    return journal
+
+
+def edit_line(path, number, edit):
+    """Re-encode line ``number`` (0 = header) after ``edit(document)``."""
+    lines = path.read_text().splitlines()
+    document = json.loads(lines[number])
+    edit(document)
+    lines[number] = json.dumps(document, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestRoundTrip:
@@ -41,12 +63,25 @@ class TestRoundTrip:
         assert records["fig03"].status == "timed-out"
         assert records["fig03"].payload is None
         assert records["fig03"].attempts == 2
+        assert (fresh.campaign, fresh.fingerprint) == ("camp", "fp-1")
 
     def test_no_temp_files_left_behind(self, tmp_path):
         journal = CampaignJournal(tmp_path / "j.json")
         journal.initialize("camp", "fp-1")
         journal.commit(record("fig02"))
         assert [p.name for p in tmp_path.iterdir()] == ["j.json"]
+
+    def test_one_line_per_record_after_a_header_line(self, tmp_path):
+        path = tmp_path / "j.json"
+        journal_with(path, FAKE_IDS[:3])
+        header, *lines = path.read_text().splitlines()
+        assert json.loads(header) == {
+            "campaign": "camp",
+            "format_version": 2,
+            "manifest_sha256": "fp-1",
+        }
+        assert [json.loads(line)["entry_id"] for line in lines] == FAKE_IDS[:3]
+        assert path.read_bytes().endswith(b"}\n")
 
 
 class TestMisuse:
@@ -74,9 +109,7 @@ class TestMisuse:
 
 class TestCorruptionDetection:
     def _journal_with_one_entry(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.json")
-        journal.initialize("camp", "fp-1")
-        journal.commit(record("fig02"))
+        journal_with(tmp_path / "j.json", ["fig02"])
         return tmp_path / "j.json"
 
     def test_truncated_file(self, tmp_path):
@@ -87,18 +120,40 @@ class TestCorruptionDetection:
 
     def test_tampered_payload_fails_checksum(self, tmp_path):
         path = self._journal_with_one_entry(tmp_path)
-        data = json.loads(path.read_text())
-        data["entries"][0]["payload"]["rows"][0]["actual"] = 99.0
-        path.write_text(json.dumps(data))
+
+        def tamper(line):
+            line["payload"]["rows"][0]["actual"] = 99.0
+
+        # The record parses, so it is judged even as the final line.
+        edit_line(path, 1, tamper)
         with pytest.raises(CorruptStoreError, match="checksum"):
             CampaignJournal(path).load()
 
     def test_unknown_format_version(self, tmp_path):
         path = self._journal_with_one_entry(tmp_path)
-        data = json.loads(path.read_text())
-        data["format_version"] = 999
-        path.write_text(json.dumps(data))
+        edit_line(path, 0, lambda h: h.update(format_version=999))
         with pytest.raises(FormatVersionError, match="newer version"):
+            CampaignJournal(path).load()
+
+    def test_older_format_version(self, tmp_path):
+        # Format 1 is upgraded, never refused; 0 never existed.
+        path = self._journal_with_one_entry(tmp_path)
+        edit_line(path, 0, lambda h: h.update(format_version=0))
+        with pytest.raises(FormatVersionError, match="older build"):
+            CampaignJournal(path).load()
+
+    @pytest.mark.parametrize("version", [None, "2", 2.5])
+    def test_missing_or_non_integer_format_version(self, tmp_path, version):
+        path = self._journal_with_one_entry(tmp_path)
+
+        def edit(header):
+            if version is None:
+                del header["format_version"]
+            else:
+                header["format_version"] = version
+
+        edit_line(path, 0, edit)
+        with pytest.raises(FormatVersionError, match="missing or not an"):
             CampaignJournal(path).load()
 
     def test_fingerprint_mismatch(self, tmp_path):
@@ -108,21 +163,174 @@ class TestCorruptionDetection:
 
     def test_missing_key(self, tmp_path):
         path = self._journal_with_one_entry(tmp_path)
-        data = json.loads(path.read_text())
-        del data["manifest_sha256"]
-        path.write_text(json.dumps(data))
-        with pytest.raises(CorruptStoreError):
+        edit_line(path, 0, lambda h: h.pop("manifest_sha256"))
+        with pytest.raises(CorruptStoreError, match="manifest_sha256"):
+            CampaignJournal(path).load()
+
+    def test_record_missing_a_field(self, tmp_path):
+        path = self._journal_with_one_entry(tmp_path)
+        edit_line(path, 1, lambda line: line.pop("status"))
+        with pytest.raises(CorruptStoreError, match="malformed record"):
+            CampaignJournal(path).load()
+
+    def test_duplicate_entry_on_disk(self, tmp_path):
+        path = self._journal_with_one_entry(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[1:]))
+        with pytest.raises(CorruptStoreError, match="duplicate entry"):
+            CampaignJournal(path).load()
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "j.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(CorruptStoreError, match="not UTF-8") as err:
+            CampaignJournal(path).load()
+        assert str(path) in str(err.value)
+        assert "delete it" in str(err.value)
+
+    @pytest.mark.parametrize("where", ["payload", "structure"])
+    def test_flipped_byte_before_the_final_line(self, tmp_path, where):
+        path = tmp_path / "j.json"
+        journal_with(path, FAKE_IDS[:3])
+        raw = bytearray(path.read_bytes())
+        fig03 = raw.index(b'{"attempts"', raw.index(b"fig02"))
+        if where == "payload":
+            at = raw.index(b'"predicted":', fig03) + len(b'"predicted":')
+            raw[at] ^= 0x01  # another digit: still JSON, another value
+        else:
+            raw[fig03] ^= 0x01  # the opening brace: no longer JSON
+        path.write_bytes(bytes(raw))
+        assert b"fig03" in path.read_bytes().splitlines()[2]
+        with pytest.raises(CorruptStoreError, match=str(path)):
             CampaignJournal(path).load()
 
 
-class TestCommitAtomicity:
-    def test_failed_replace_preserves_old_journal(self, tmp_path, monkeypatch):
-        journal = CampaignJournal(tmp_path / "j.json")
-        journal.initialize("camp", "fp-1")
-        journal.commit(record("fig02"))
-        before = (tmp_path / "j.json").read_bytes()
+class TestCrashAtAnyByte:
+    """A kill can land between any two bytes of an append."""
 
-        import repro.core.durable as durable
+    def test_every_prefix_loads_or_fails_cleanly(self, tmp_path, monkeypatch):
+        # Thousands of commits: what is checked here is bytes, not
+        # durability, so the fsyncs are skipped.
+        monkeypatch.setattr(durable.os, "fsync", lambda _fd: None)
+        whole_path = tmp_path / "whole.json"
+        journal_with(whole_path, FAKE_IDS[:3], rows=1)
+        whole = whole_path.read_bytes()
+        ends = [i + 1 for i, b in enumerate(whole) if b == ord("\n")]
+        assert len(ends) == 4  # header + three records
+        path = tmp_path / "cut.json"
+        for cut in range(len(whole) + 1):
+            path.write_bytes(whole[:cut])
+            journal = CampaignJournal(path)
+            if cut < ends[0]:
+                with pytest.raises(CorruptStoreError):
+                    journal.load()
+                assert path.read_bytes() == whole[:cut]
+                continue
+            complete = sum(1 for end in ends[1:] if end <= cut)
+            assert list(journal.load()) == FAKE_IDS[:complete], cut
+            assert path.read_bytes() == whole[:cut], "load() wrote"
+
+            # The next commit leaves header + complete lines + its own
+            # line: no fragment of the unacknowledged record survives.
+            journal.commit(record("fig07", rows=1))
+            assert path.read_bytes().startswith(whole[: ends[complete]])
+            assert len(path.read_bytes().splitlines()) == complete + 2
+            reloaded = CampaignJournal(path).load()
+            assert list(reloaded) == FAKE_IDS[:complete] + ["fig07"], cut
+            assert reloaded["fig07"] == record("fig07", rows=1)
+        assert [p.name for p in tmp_path.iterdir() if ".tmp." in p.name] == []
+
+    def test_unparsable_terminated_final_line_is_ignored(self, tmp_path):
+        path = tmp_path / "j.json"
+        journal_with(path, FAKE_IDS[:2])
+        intact = path.read_bytes()
+        path.write_bytes(intact + b'{"entry_id":"fig04","pay\x00\n')
+        journal = CampaignJournal(path)
+        assert list(journal.load()) == FAKE_IDS[:2]
+        journal.commit(record("fig04"))
+        assert path.read_bytes().startswith(intact)
+        assert list(CampaignJournal(path).load()) == FAKE_IDS[:3]
+
+
+class TestCommitCost:
+    def test_fiftieth_commit_costs_what_the_first_did(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.campaign.journal as journal_module
+
+        calls = {"digest": 0, "dumps": 0}
+        real_digest, real_dumps = durable.content_digest, json.dumps
+
+        def counted_digest(data):
+            calls["digest"] += 1
+            return real_digest(data)
+
+        def counted_dumps(*args, **kwargs):
+            calls["dumps"] += 1
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(journal_module, "content_digest", counted_digest)
+        monkeypatch.setattr(json, "dumps", counted_dumps)
+
+        path = tmp_path / "j.json"
+        journal = CampaignJournal(path)
+        journal.initialize("camp", "fp-1")
+        costs = []
+        for i in range(50):
+            calls.update(digest=0, dumps=0)
+            size = path.stat().st_size
+            journal.commit(
+                JournalRecord(
+                    entry_id=f"e{i:02d}",
+                    status="completed",
+                    attempts=1,
+                    elapsed_s=0.5,
+                    payload=result_to_dict(fake_result("fig02")),
+                )
+            )
+            grown = path.stat().st_size - size
+            last_line = path.read_bytes().splitlines(keepends=True)[-1]
+            assert grown == len(last_line)
+            costs.append((calls["digest"], calls["dumps"], grown))
+        # One digest; two encodes: the digest's and the line's.
+        assert costs[0] == costs[49]
+        assert costs[0][:2] == (1, 2)
+        assert len(set(costs)) == 1
+
+
+class TestCommitAtomicity:
+    def test_failed_append_never_corrupts_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "j.json"
+        journal = journal_with(path, ["fig02"])
+        before = path.read_bytes()
+
+        def explode(_fd):
+            raise OSError("disk pulled mid-fsync")
+
+        monkeypatch.setattr(durable.os, "fsync", explode)
+        with pytest.raises(OSError, match="mid-fsync"):
+            journal.commit(record("fig03"))
+        monkeypatch.undo()
+
+        # Unacknowledged: the line may or may not have reached the file,
+        # but what was there is untouched and the journal still loads.
+        assert path.read_bytes().startswith(before)
+        assert list(CampaignJournal(path).load()) in (
+            ["fig02"], ["fig02", "fig03"],
+        )
+        assert "fig03" not in journal.records
+
+    def test_failed_replace_preserves_old_journal(self, tmp_path, monkeypatch):
+        # The one whole-file rewrite left: the repair before the first
+        # append after a load that saw a torn tail.
+        path = tmp_path / "j.json"
+        journal_with(path, ["fig02"])
+        path.write_bytes(path.read_bytes() + b'{"entry_id":"fig0')
+        before = path.read_bytes()
+        journal = CampaignJournal(path)
+        journal.load()
 
         def explode(*_args, **_kwargs):
             raise OSError("disk pulled mid-rename")
@@ -132,9 +340,47 @@ class TestCommitAtomicity:
             journal.commit(record("fig03"))
         monkeypatch.undo()
 
-        # The on-disk journal is the complete previous document and no
-        # temp file survived the failed commit.
-        assert (tmp_path / "j.json").read_bytes() == before
+        # The on-disk journal is the complete previous file and no temp
+        # file survived the failed commit.
+        assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["j.json"]
-        records = CampaignJournal(tmp_path / "j.json").load()
-        assert list(records) == ["fig02"]
+        assert list(CampaignJournal(path).load()) == ["fig02"]
+        # The same journal object can still repair and commit.
+        journal.commit(record("fig03"))
+        assert list(CampaignJournal(path).load()) == ["fig02", "fig03"]
+
+
+class TestFormat1Upgrade:
+    """``goldens/journal_v1.json`` was written by the last format-1 build
+    (commit 98e430b) for the first two ``FAKE_IDS`` of ``make_manifest()``.
+    """
+
+    def test_load_is_read_only(self, tmp_path):
+        path = tmp_path / "journal.json"
+        path.write_bytes((GOLDENS / "journal_v1.json").read_bytes())
+        records = CampaignJournal(path).load(
+            expected_fingerprint=make_manifest().fingerprint()
+        )
+        assert list(records) == FAKE_IDS[:2]
+        assert path.read_bytes() == (GOLDENS / "journal_v1.json").read_bytes()
+
+    def test_resume_upgrades_and_matches_uninterrupted_run(self, tmp_path):
+        assert run_campaign(tmp_path, "ref").run().ok
+        journal_path = tmp_path / "v1" / "journal.json"
+        journal_path.parent.mkdir()
+        journal_path.write_bytes((GOLDENS / "journal_v1.json").read_bytes())
+        log = []
+        report = run_campaign(tmp_path, "v1", log=log).run(resume=True)
+        assert report.ok
+        assert [o.status for o in report.outcomes] == (
+            ["resumed"] * 2 + ["completed"] * 4
+        )
+        assert log == FAKE_IDS[2:]
+
+        header = json.loads(journal_path.read_text().splitlines()[0])
+        assert header["format_version"] == 2
+        assert list(CampaignJournal(journal_path).load()) == FAKE_IDS
+        assert results_digest(tmp_path / "v1/results") == results_digest(
+            tmp_path / "ref/results"
+        )
+        assert len(results_digest(tmp_path / "v1/results")) == len(FAKE_IDS)

@@ -140,6 +140,29 @@ def test_sigint_also_exits_resumable(tmp_path):
     assert (tmp_path / "v" / "journal.json").exists()
 
 
+@pytest.mark.slow
+def test_sigkill_then_resume_is_byte_identical(tmp_path):
+    ref = run_driver(tmp_path / "ref", 0.0)
+    assert ref.wait(timeout=60) == 0, ref.stderr.read()
+
+    # No handler runs and nothing is flushed on the way out: whatever
+    # the journal holds is what ``commit`` fsynced before returning.
+    victim = run_driver(tmp_path / "victim", 0.4)
+    assert "fig02 completed" in victim.stdout.readline()
+    victim.kill()
+    assert victim.wait(timeout=60) == -signal.SIGKILL
+
+    resumed = run_driver(tmp_path / "victim", 0.0, "--resume")
+    out, err = resumed.communicate(timeout=60)
+    assert resumed.returncode == 0, err
+    assert "fig02 resumed" in out
+    assert "fig05 completed" in out
+
+    assert results_digest(tmp_path / "victim" / "results") == results_digest(
+        tmp_path / "ref" / "results"
+    )
+
+
 def test_interrupt_between_commits_loses_at_most_one_entry(tmp_path):
     # SIGKILL — no handler, no cleanup: the hardest crash.  The journal
     # must still be a valid checkpoint of every settled entry.

@@ -96,6 +96,13 @@ class TestPredictionCache:
         with pytest.raises(CorruptStoreError, match="rebuilds"):
             PredictionCache.load(path)
 
+    def test_undecodable_cache_file_names_remedy(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_bytes(b"\xff\xfe\x00not text")
+        with pytest.raises(CorruptStoreError, match="rebuilds") as excinfo:
+            PredictionCache.load(path)
+        assert str(path) in str(excinfo.value)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PredictionCache(max_entries=0)

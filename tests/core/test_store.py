@@ -188,6 +188,14 @@ class TestScanQuarantine:
         assert len(quarantined) == 1
         assert not victim.exists()
 
+    def test_undecodable_profile_is_quarantined_too(self, tmp_path):
+        store = self.seed_store(tmp_path)
+        (tmp_path / "kmeans.json").write_bytes(b"\xff\xfe\x00not text")
+        with pytest.warns(UserWarning, match="not UTF-8"):
+            profiles = store.scan()
+        assert sorted(profiles) == ["apriori"]
+        assert len(list(tmp_path.glob("kmeans.json.corrupt-*"))) == 1
+
     def test_quarantined_files_leave_later_scans_clean(self, tmp_path):
         store = self.seed_store(tmp_path)
         (tmp_path / "kmeans.json").write_text("{ not json")

@@ -77,6 +77,34 @@ class TestHappyPath:
         assert response.status == 200
         assert response.body["exists"] is False
 
+    def test_campaign_status_reads_a_journal_being_appended(
+        self, profiles, tmp_path
+    ):
+        from repro.campaign import CampaignJournal, JournalRecord
+
+        path = tmp_path / "live.journal"
+        journal = CampaignJournal(path)
+        journal.initialize("demo", "fp")
+        for entry_id, status in (("a", "completed"), ("b", "timed-out")):
+            journal.commit(JournalRecord(entry_id, status, 1, 0.1, None))
+        # A third commit caught halfway through its append.
+        path.write_bytes(path.read_bytes() + b'{"attempts":1,"elapsed_s":0.')
+        before = path.read_bytes()
+        service = PredictionService(
+            profiles, campaign_journals={"demo": str(path)}
+        )
+        response = service.handle(
+            ServiceRequest(
+                "r1", "campaign-status", {"campaign": "demo"}, arrival_s=0.0
+            )
+        )
+        assert response.status == 200
+        assert response.body["exists"] is True
+        assert response.body["settled"] == 2
+        assert response.body["by_status"] == {"completed": 1, "timed-out": 1}
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["live.journal"]
+
     def test_unknown_endpoint_and_profile_reject(self, service):
         nope = service.handle(
             ServiceRequest("r1", "nope", {}, arrival_s=0.0)
