@@ -10,6 +10,11 @@ kernels), :mod:`repro.core` (the prediction framework),
 The root exception hierarchy is exported here for uniform catching.
 """
 
-from repro.errors import FaultError, RecoveryExhaustedError, ReproError
+from repro._lazy import lazy_exports
 
-__all__ = ["ReproError", "FaultError", "RecoveryExhaustedError"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.errors": ("FaultError", "RecoveryExhaustedError", "ReproError"),
+    },
+)

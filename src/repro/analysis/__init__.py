@@ -12,80 +12,53 @@
   the throughput benchmark rendering.
 """
 
-from repro.analysis.ascii import error_bar_chart, horizontal_bar
-from repro.analysis.broker import (
-    format_broker,
-    format_error_trend,
-    format_policy_run,
-    format_resilience,
-)
-from repro.analysis.breakdown import (
-    ComponentShares,
-    format_shares,
-    shares_of,
-    sweep_shares,
-)
-from repro.analysis.expectations import (
-    EXPECTATIONS,
-    FigureExpectation,
-    check_expectation,
-)
-from repro.analysis.report import (
-    format_campaign,
-    format_experiment,
-    format_fault_events,
-    format_summary,
-)
-from repro.analysis.results_io import (
-    RowDelta,
-    compare_results,
-    load_result,
-    result_from_dict,
-    result_to_dict,
-    save_result,
-)
-from repro.analysis.service import (
-    format_service_chaos,
-    format_service_metrics,
-)
-from repro.analysis.stats import (
-    error_summary,
-    mean,
-    model_ordering_holds,
-    worst_configuration,
-)
-from repro.analysis.trace import format_throughput, format_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "error_bar_chart",
-    "horizontal_bar",
-    "ComponentShares",
-    "format_shares",
-    "shares_of",
-    "sweep_shares",
-    "EXPECTATIONS",
-    "FigureExpectation",
-    "check_expectation",
-    "RowDelta",
-    "compare_results",
-    "load_result",
-    "result_from_dict",
-    "result_to_dict",
-    "save_result",
-    "format_broker",
-    "format_campaign",
-    "format_error_trend",
-    "format_experiment",
-    "format_fault_events",
-    "format_policy_run",
-    "format_resilience",
-    "format_service_chaos",
-    "format_service_metrics",
-    "format_summary",
-    "format_throughput",
-    "format_trace",
-    "error_summary",
-    "mean",
-    "model_ordering_holds",
-    "worst_configuration",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.analysis.ascii": ("error_bar_chart", "horizontal_bar"),
+        "repro.analysis.broker": (
+            "format_broker",
+            "format_error_trend",
+            "format_policy_run",
+            "format_resilience",
+        ),
+        "repro.analysis.breakdown": (
+            "ComponentShares",
+            "format_shares",
+            "shares_of",
+            "sweep_shares",
+        ),
+        "repro.analysis.expectations": (
+            "EXPECTATIONS",
+            "FigureExpectation",
+            "check_expectation",
+        ),
+        "repro.analysis.report": (
+            "format_campaign",
+            "format_experiment",
+            "format_fault_events",
+            "format_summary",
+        ),
+        "repro.analysis.results_io": (
+            "RowDelta",
+            "compare_results",
+            "load_result",
+            "result_from_dict",
+            "result_to_dict",
+            "save_result",
+        ),
+        "repro.analysis.service": (
+            "format_service_chaos",
+            "format_service_metrics",
+        ),
+        "repro.analysis.stats": (
+            "error_summary",
+            "mean",
+            "model_ordering_holds",
+            "worst_configuration",
+        ),
+        "repro.analysis.trace": ("format_throughput", "format_trace"),
+    },
+)

@@ -7,96 +7,59 @@ online from observed runs.  See :mod:`repro.broker.engine` for the
 event-loop semantics and DESIGN.md section 12 for the design rationale.
 """
 
-from repro.broker.calibration import CorrectionFactor, OnlineCalibrator
-from repro.broker.engine import ActualRun, GridBroker
-from repro.broker.events import (
-    Event,
-    EventKind,
-    EventQueue,
-    GridLedger,
-    NodeWindow,
-    OutageRecord,
-    SitePool,
-)
-from repro.broker.jobs import (
-    BrokerJob,
-    BrokerWorkloadDoc,
-    load_workload_document,
-    parse_workload_document,
-    sorted_jobs,
-)
-from repro.broker.policies import (
-    POLICY_NAMES,
-    DeadlineAwarePolicy,
-    MinCompletionPolicy,
-    MinCostPolicy,
-    PlacementOption,
-    PlacementPolicy,
-    Rejection,
-    RoundRobinPolicy,
-    make_policy,
-)
-from repro.broker.recovery import (
-    RECOVERY_NAMES,
-    GiveUp,
-    Incident,
-    MigratePolicy,
-    RecoveryPolicy,
-    Requeue,
-    ResubmitPolicy,
-    make_recovery,
-)
-from repro.broker.report import (
-    BrokerPlacement,
-    BrokerPreemption,
-    BrokerRejection,
-    BrokerReport,
-    GridFaultEvent,
-    PolicyRun,
-    TerminalFailure,
-    load_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ActualRun",
-    "BrokerJob",
-    "BrokerPlacement",
-    "BrokerPreemption",
-    "BrokerRejection",
-    "BrokerReport",
-    "BrokerWorkloadDoc",
-    "CorrectionFactor",
-    "DeadlineAwarePolicy",
-    "Event",
-    "EventKind",
-    "EventQueue",
-    "GiveUp",
-    "GridBroker",
-    "GridFaultEvent",
-    "GridLedger",
-    "Incident",
-    "MigratePolicy",
-    "MinCompletionPolicy",
-    "MinCostPolicy",
-    "NodeWindow",
-    "OnlineCalibrator",
-    "OutageRecord",
-    "POLICY_NAMES",
-    "PlacementOption",
-    "PlacementPolicy",
-    "PolicyRun",
-    "RECOVERY_NAMES",
-    "RecoveryPolicy",
-    "Rejection",
-    "Requeue",
-    "ResubmitPolicy",
-    "RoundRobinPolicy",
-    "SitePool",
-    "TerminalFailure",
-    "load_report",
-    "load_workload_document",
-    "make_policy",
-    "make_recovery",
-    "parse_workload_document",
-    "sorted_jobs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.broker.calibration": ("CorrectionFactor", "OnlineCalibrator"),
+        "repro.broker.engine": ("ActualRun", "GridBroker"),
+        "repro.broker.events": (
+            "Event",
+            "EventKind",
+            "EventQueue",
+            "GridLedger",
+            "NodeWindow",
+            "OutageRecord",
+            "SitePool",
+        ),
+        "repro.broker.jobs": (
+            "BrokerJob",
+            "BrokerWorkloadDoc",
+            "load_workload_document",
+            "parse_workload_document",
+            "sorted_jobs",
+        ),
+        "repro.broker.policies": (
+            "POLICY_NAMES",
+            "DeadlineAwarePolicy",
+            "MinCompletionPolicy",
+            "MinCostPolicy",
+            "PlacementOption",
+            "PlacementPolicy",
+            "Rejection",
+            "RoundRobinPolicy",
+            "make_policy",
+        ),
+        "repro.broker.recovery": (
+            "RECOVERY_NAMES",
+            "GiveUp",
+            "Incident",
+            "MigratePolicy",
+            "RecoveryPolicy",
+            "Requeue",
+            "ResubmitPolicy",
+            "make_recovery",
+        ),
+        "repro.broker.report": (
+            "BrokerPlacement",
+            "BrokerPreemption",
+            "BrokerRejection",
+            "BrokerReport",
+            "GridFaultEvent",
+            "PolicyRun",
+            "TerminalFailure",
+            "load_report",
+        ),
+    },
+)

@@ -29,60 +29,42 @@ The CLI exposes it as ``repro campaign`` and ``repro suite
 --journal/--resume``.
 """
 
-from repro.campaign.journal import (
-    JOURNAL_FORMAT_VERSION,
-    CampaignJournal,
-    JournalRecord,
-)
-from repro.campaign.manifest import (
-    CampaignEntry,
-    CampaignManifest,
-    load_manifest,
-    manifest_from_dict,
-    manifest_to_dict,
-    paper_suite_manifest,
-)
-from repro.campaign.report import (
-    ENTRY_STATUSES,
-    EXIT_INTERRUPTED,
-    EXIT_OK,
-    EXIT_PROBLEMS,
-    CampaignOutcome,
-    CampaignReport,
-)
-from repro.campaign.parallel import (
-    ParallelCampaignRunner,
-    PoolSafetyError,
-    verify_pool_safety,
-)
-from repro.campaign.runner import CampaignRunner
-from repro.campaign.watchdog import (
-    CampaignInterruptedError,
-    DeadlineExceededError,
-    run_with_deadline,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JOURNAL_FORMAT_VERSION",
-    "CampaignJournal",
-    "JournalRecord",
-    "CampaignEntry",
-    "CampaignManifest",
-    "load_manifest",
-    "manifest_from_dict",
-    "manifest_to_dict",
-    "paper_suite_manifest",
-    "ENTRY_STATUSES",
-    "EXIT_INTERRUPTED",
-    "EXIT_OK",
-    "EXIT_PROBLEMS",
-    "CampaignOutcome",
-    "CampaignReport",
-    "CampaignRunner",
-    "ParallelCampaignRunner",
-    "PoolSafetyError",
-    "verify_pool_safety",
-    "CampaignInterruptedError",
-    "DeadlineExceededError",
-    "run_with_deadline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.campaign.journal": (
+            "JOURNAL_FORMAT_VERSION",
+            "CampaignJournal",
+            "JournalRecord",
+        ),
+        "repro.campaign.manifest": (
+            "CampaignEntry",
+            "CampaignManifest",
+            "load_manifest",
+            "manifest_from_dict",
+            "manifest_to_dict",
+            "paper_suite_manifest",
+        ),
+        "repro.campaign.report": (
+            "ENTRY_STATUSES",
+            "EXIT_INTERRUPTED",
+            "EXIT_OK",
+            "EXIT_PROBLEMS",
+            "CampaignOutcome",
+            "CampaignReport",
+        ),
+        "repro.campaign.parallel": (
+            "ParallelCampaignRunner",
+            "PoolSafetyError",
+            "verify_pool_safety",
+        ),
+        "repro.campaign.runner": ("CampaignRunner",),
+        "repro.campaign.watchdog": (
+            "CampaignInterruptedError",
+            "DeadlineExceededError",
+            "run_with_deadline",
+        ),
+    },
+)

@@ -27,50 +27,53 @@ Subcommands
   reference grid (see DESIGN.md §16).
 
 All times are in the simulator's model units (see DESIGN.md).
+
+A command imports only what it runs.  This module's top imports
+``argparse``, ``sys`` and :mod:`repro.errors`; :data:`COMMANDS` is the
+one table of ``(name, help, register)``, where ``register(subparser)``
+adds that command's arguments and imports what their choices and
+defaults need; :func:`main` fills in the arguments of the command named
+by ``argv[0]`` alone (``repro --help`` and :func:`build_parser` with no
+argument fill in all of them); and each ``_cmd_*`` imports its
+subsystem when called.  So ``repro lint`` starts without numpy, scipy or
+networkx, and ``repro predict`` without the broker or the service.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.analysis import format_experiment, format_fault_events
-from repro.core import (
-    GlobalReductionModel,
-    ModelClasses,
-    NoCommunicationModel,
-    PredictionTarget,
-    Profile,
-    ReductionCommunicationModel,
-    classify_global_reduction,
-    classify_object_size,
-)
-from repro.core.store import load_profile, save_profile
 from repro.errors import ReproError
-from repro.faults import load_scenario
-from repro.middleware import FreerideGRuntime
-from repro.workloads.clusters import (
-    DEFAULT_BANDWIDTH,
-    opteron_infiniband_cluster,
-    pentium_myrinet_cluster,
-)
-from repro.workloads.configs import make_run_config
-from repro.workloads.experiments import EXPERIMENTS, run_experiment
-from repro.workloads.registry import WORKLOADS
 
-__all__ = ["main"]
+__all__ = ["COMMANDS", "build_parser", "main"]
 
-_CLUSTERS = {
-    "pentium-myrinet": pentium_myrinet_cluster,
-    "opteron-infiniband": opteron_infiniband_cluster,
-}
 
-_MODELS = {
-    "no-communication": lambda classes: NoCommunicationModel(),
-    "reduction-communication": ReductionCommunicationModel,
-    "global-reduction": GlobalReductionModel,
-}
+def _clusters():
+    from repro.workloads.clusters import (
+        opteron_infiniband_cluster,
+        pentium_myrinet_cluster,
+    )
+
+    return {
+        "pentium-myrinet": pentium_myrinet_cluster,
+        "opteron-infiniband": opteron_infiniband_cluster,
+    }
+
+
+def _models():
+    from repro.core import (
+        GlobalReductionModel,
+        NoCommunicationModel,
+        ReductionCommunicationModel,
+    )
+
+    return {
+        "no-communication": lambda classes: NoCommunicationModel(),
+        "reduction-communication": ReductionCommunicationModel,
+        "global-reduction": GlobalReductionModel,
+    }
 
 
 def _print_breakdown(breakdown) -> None:
@@ -87,6 +90,8 @@ def _print_breakdown(breakdown) -> None:
 
 
 def _cmd_list_workloads(_args) -> int:
+    from repro.workloads.registry import WORKLOADS
+
     for name, spec in sorted(WORKLOADS.items()):
         sizes = ", ".join(sorted(spec.dataset_sizes_gb))
         origin = "paper eval" if spec.in_paper_evaluation else "extension"
@@ -95,12 +100,20 @@ def _cmd_list_workloads(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.analysis import format_fault_events
+    from repro.core import Profile
+    from repro.core.store import save_profile
+    from repro.faults import load_scenario
+    from repro.middleware import FreerideGRuntime
+    from repro.workloads.configs import make_run_config
+    from repro.workloads.registry import WORKLOADS
+
     spec = WORKLOADS.get(args.workload)
     if spec is None:
         print(f"unknown workload '{args.workload}'", file=sys.stderr)
         return 2
     dataset = spec.make_dataset(args.size)
-    cluster = _CLUSTERS[args.cluster]()
+    cluster = _clusters()[args.cluster]()
     config = make_run_config(
         args.data_nodes,
         args.compute_nodes,
@@ -127,6 +140,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from repro.core import ModelClasses, NoCommunicationModel, PredictionTarget
+    from repro.core.store import load_profile
+    from repro.workloads.configs import make_run_config
+    from repro.workloads.registry import WORKLOADS
+
     profile = load_profile(args.profile)
     spec = WORKLOADS.get(profile.app)
     if args.model == "no-communication":
@@ -140,9 +158,9 @@ def _cmd_predict(args) -> int:
             classes = ModelClasses.parse(
                 args.object_class, args.global_class
             )
-        model = _MODELS[args.model](classes)
+        model = _models()[args.model](classes)
 
-    cluster = _CLUSTERS[args.cluster]()
+    cluster = _clusters()[args.cluster]()
     config = make_run_config(
         args.data_nodes,
         args.compute_nodes,
@@ -163,6 +181,15 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from repro.core import (
+        Profile,
+        classify_global_reduction,
+        classify_object_size,
+    )
+    from repro.middleware import FreerideGRuntime
+    from repro.workloads.configs import make_run_config
+    from repro.workloads.registry import WORKLOADS
+
     spec = WORKLOADS.get(args.workload)
     if spec is None:
         print(f"unknown workload '{args.workload}'", file=sys.stderr)
@@ -184,6 +211,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    from repro.analysis import format_experiment
+    from repro.workloads.experiments import run_experiment
+
     result = run_experiment(args.figure, fast=args.fast)
     print(format_experiment(result))
     if args.chart:
@@ -197,12 +227,15 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_whatif(args) -> int:
+    from repro.core import GlobalReductionModel, ModelClasses
+    from repro.core.store import load_profile
     from repro.core.whatif import (
         marginal_speedups,
         recommend_nodes,
         sweep_configurations,
     )
-    from repro.workloads.configs import PAPER_CONFIG_GRID
+    from repro.workloads.configs import PAPER_CONFIG_GRID, make_run_config
+    from repro.workloads.registry import WORKLOADS
 
     profile = load_profile(args.profile)
     spec = WORKLOADS.get(profile.app)
@@ -213,7 +246,7 @@ def _cmd_whatif(args) -> int:
     else:
         classes = ModelClasses.parse("constant", "linear-constant")
     model = GlobalReductionModel(classes)
-    cluster = _CLUSTERS[args.cluster]()
+    cluster = _clusters()[args.cluster]()
     template = make_run_config(1, 1, storage_cluster=cluster,
                                bandwidth=args.bandwidth)
 
@@ -499,11 +532,29 @@ def _profile_workload(count: int):
     job so the rejection path runs.  ``count`` scales the simulator
     event count and the broker stream so CI can cap the work.
     """
+    # Imported here, not in ``run``: module loading must not be profiled.
     import random
 
-    def run() -> None:
-        from repro.simgrid.engine import Simulator
+    from repro.broker import GridBroker
+    from repro.broker.jobs import BrokerJob
+    from repro.faults import (
+        ComputeNodeCrash,
+        FaultInjector,
+        FaultSchedule,
+        GridFaultSchedule,
+        SiteOutage,
+        TransientJobFailure,
+        WanDegradation,
+    )
+    from repro.middleware import FreerideGRuntime
+    from repro.middleware.pipelined import PipelinedRuntime
+    from repro.simgrid.engine import Simulator
+    from repro.workloads import make_app, make_dataset
+    from repro.workloads.configs import make_run_config
+    from repro.workloads.streams import StreamSpec, generate_stream
+    from repro.workloads.traces import REFERENCE_ALLOCATIONS, reference_grid
 
+    def run() -> None:
         sim = Simulator()
         sink: list = []
         rng = random.Random(7)
@@ -516,14 +567,6 @@ def _profile_workload(count: int):
                 event.cancel()
         sim.run()
 
-        from repro.faults import (
-            ComputeNodeCrash,
-            FaultInjector,
-            FaultSchedule,
-        )
-        from repro.middleware.pipelined import PipelinedRuntime
-        from repro.workloads import make_app, make_dataset
-
         config = make_run_config(2, 4)
         dataset = make_dataset("kmeans")
         FreerideGRuntime(config).execute(make_app("kmeans"), dataset)
@@ -531,20 +574,6 @@ def _profile_workload(count: int):
         injector = FaultInjector(FaultSchedule([ComputeNodeCrash(0, 1)]))
         FreerideGRuntime(config, faults=injector).execute(
             make_app("kmeans"), dataset
-        )
-
-        from repro.broker import GridBroker
-        from repro.broker.jobs import BrokerJob
-        from repro.faults import (
-            GridFaultSchedule,
-            SiteOutage,
-            TransientJobFailure,
-            WanDegradation,
-        )
-        from repro.workloads.streams import StreamSpec, generate_stream
-        from repro.workloads.traces import (
-            REFERENCE_ALLOCATIONS,
-            reference_grid,
         )
 
         grid = reference_grid()
@@ -692,6 +721,8 @@ def _cmd_lint(args) -> int:
 
 def _cmd_shares(args) -> int:
     from repro.analysis import format_shares, sweep_shares
+    from repro.workloads.configs import make_run_config
+    from repro.workloads.registry import WORKLOADS
 
     spec = WORKLOADS.get(args.workload)
     if spec is None:
@@ -709,187 +740,174 @@ def _cmd_shares(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests and docs)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Reproduction of 'A Performance Prediction Framework for "
-            "Grid-Based Data Mining Applications'"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _register_list_workloads(p: argparse.ArgumentParser) -> None:
+    p.set_defaults(func=_cmd_list_workloads)
 
-    sub.add_parser(
-        "list-workloads", help="list available workloads"
-    ).set_defaults(func=_cmd_list_workloads)
 
-    run_p = sub.add_parser("run", help="execute a workload on the simulator")
-    run_p.add_argument("workload")
-    run_p.add_argument("-n", "--data-nodes", type=int, default=1)
-    run_p.add_argument("-c", "--compute-nodes", type=int, default=1)
-    run_p.add_argument("--size", default=None, help="dataset size label")
-    run_p.add_argument("--bandwidth", type=float, default=DEFAULT_BANDWIDTH)
-    run_p.add_argument("--processes-per-node", type=int, default=1)
-    run_p.add_argument(
-        "--cluster", choices=sorted(_CLUSTERS), default="pentium-myrinet"
+def _register_run(p: argparse.ArgumentParser) -> None:
+    from repro.workloads.clusters import DEFAULT_BANDWIDTH
+
+    p.add_argument("workload")
+    p.add_argument("-n", "--data-nodes", type=int, default=1)
+    p.add_argument("-c", "--compute-nodes", type=int, default=1)
+    p.add_argument("--size", default=None, help="dataset size label")
+    p.add_argument("--bandwidth", type=float, default=DEFAULT_BANDWIDTH)
+    p.add_argument("--processes-per-node", type=int, default=1)
+    p.add_argument(
+        "--cluster", choices=sorted(_clusters()), default="pentium-myrinet"
     )
-    run_p.add_argument("--save-profile", default=None, metavar="PATH")
-    run_p.add_argument(
+    p.add_argument("--save-profile", default=None, metavar="PATH")
+    p.add_argument(
         "--faults", default=None, metavar="SCENARIO.json",
         help="inject faults from a JSON scenario file (see README)",
     )
-    run_p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=_cmd_run)
 
-    pred_p = sub.add_parser("predict", help="predict from a saved profile")
-    pred_p.add_argument("profile", help="path to a saved profile JSON")
-    pred_p.add_argument("-n", "--data-nodes", type=int, required=True)
-    pred_p.add_argument("-c", "--compute-nodes", type=int, required=True)
-    pred_p.add_argument("--bandwidth", type=float, default=DEFAULT_BANDWIDTH)
-    pred_p.add_argument(
+
+def _register_predict(p: argparse.ArgumentParser) -> None:
+    from repro.workloads.clusters import DEFAULT_BANDWIDTH
+
+    p.add_argument("profile", help="path to a saved profile JSON")
+    p.add_argument("-n", "--data-nodes", type=int, required=True)
+    p.add_argument("-c", "--compute-nodes", type=int, required=True)
+    p.add_argument("--bandwidth", type=float, default=DEFAULT_BANDWIDTH)
+    p.add_argument(
         "--dataset-bytes", type=float, default=None,
         help="target dataset size in model bytes (defaults to the profile's)",
     )
-    pred_p.add_argument(
-        "--cluster", choices=sorted(_CLUSTERS), default="pentium-myrinet"
+    p.add_argument(
+        "--cluster", choices=sorted(_clusters()), default="pentium-myrinet"
     )
-    pred_p.add_argument(
-        "--model", choices=sorted(_MODELS), default="global-reduction"
+    p.add_argument(
+        "--model", choices=sorted(_models()), default="global-reduction"
     )
-    pred_p.add_argument("--object-class", default="constant")
-    pred_p.add_argument("--global-class", default="linear-constant")
-    pred_p.set_defaults(func=_cmd_predict)
+    p.add_argument("--object-class", default="constant")
+    p.add_argument("--global-class", default="linear-constant")
+    p.set_defaults(func=_cmd_predict)
 
-    cls_p = sub.add_parser(
-        "classify", help="auto-detect a workload's model classes"
-    )
-    cls_p.add_argument("workload")
-    cls_p.set_defaults(func=_cmd_classify)
 
-    fig_p = sub.add_parser("figure", help="reproduce one paper figure")
-    fig_p.add_argument("figure", choices=sorted(EXPERIMENTS))
-    fig_p.add_argument("--fast", action="store_true")
-    fig_p.add_argument(
+def _register_classify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("workload")
+    p.set_defaults(func=_cmd_classify)
+
+
+def _register_figure(p: argparse.ArgumentParser) -> None:
+    from repro.workloads.experiments import EXPERIMENTS
+
+    p.add_argument("figure", choices=sorted(EXPERIMENTS))
+    p.add_argument("--fast", action="store_true")
+    p.add_argument(
         "--chart", action="store_true", help="also render ASCII bar charts"
     )
-    fig_p.set_defaults(func=_cmd_figure)
+    p.set_defaults(func=_cmd_figure)
 
-    suite_p = sub.add_parser(
-        "suite", help="run every experiment and check the paper's claims"
-    )
-    suite_p.add_argument("--fast", action="store_true")
-    suite_p.add_argument(
+
+def _register_suite(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fast", action="store_true")
+    p.add_argument(
         "--only", nargs="*", metavar="FIGID",
         help="restrict to specific experiments",
     )
-    suite_p.add_argument(
+    p.add_argument(
         "--journal", default=None, metavar="PATH",
         help="run crash-safely on the campaign engine, journaling every "
         "finished experiment to PATH",
     )
-    suite_p.add_argument(
+    p.add_argument(
         "--resume", action="store_true",
         help="continue an interrupted journaled run, re-running only "
         "incomplete experiments (requires --journal)",
     )
-    suite_p.add_argument(
+    p.add_argument(
         "--results-dir", default=None, metavar="DIR",
         help="also save each experiment result JSON under DIR",
     )
-    suite_p.add_argument(
+    p.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="watchdog wall-clock deadline per experiment "
         "(journaled runs only)",
     )
-    suite_p.set_defaults(func=_cmd_suite)
+    p.set_defaults(func=_cmd_suite)
 
-    camp_p = sub.add_parser(
-        "campaign",
-        help="run a campaign manifest with a durable, resumable journal",
-    )
-    camp_p.add_argument("manifest", help="path to a campaign manifest JSON")
-    camp_p.add_argument(
+
+def _register_campaign(p: argparse.ArgumentParser) -> None:
+    p.add_argument("manifest", help="path to a campaign manifest JSON")
+    p.add_argument(
         "--journal", default=None, metavar="PATH",
         help="journal path (default: MANIFEST.journal.json)",
     )
-    camp_p.add_argument(
+    p.add_argument(
         "--resume", action="store_true",
         help="continue an interrupted run from its journal",
     )
-    camp_p.add_argument(
+    p.add_argument(
         "--results-dir", default=None, metavar="DIR",
         help="also save each entry's result JSON under DIR",
     )
-    camp_p.add_argument(
+    p.add_argument(
         "--max-attempts", type=int, default=None,
         help="watchdog attempts per entry before classifying it "
         "timed-out (default: 2, immediate retry)",
     )
-    camp_p.add_argument(
+    p.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="run entries on N worker processes; refuses to start "
         "unless every entry point is certified process-pool-safe by "
         "the effect analysis (journals and artifacts stay "
         "byte-identical to a serial run)",
     )
-    camp_p.set_defaults(func=_cmd_campaign)
+    p.set_defaults(func=_cmd_campaign)
 
-    broker_p = sub.add_parser(
-        "broker",
-        help="broker a job stream over a grid with prediction-guided "
-        "placement and online calibration",
-    )
-    broker_p.add_argument(
+
+def _register_broker(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "workload", help="path to a broker workload JSON (see README)"
     )
-    broker_p.add_argument(
+    p.add_argument(
         "--policy", action="append", default=None, metavar="NAME",
         help="policy to run (repeatable; default: all of "
         "min-completion, min-cost, deadline-aware, round-robin)",
     )
-    broker_p.add_argument(
+    p.add_argument(
         "--no-calibration-baseline", action="store_true",
         help="skip the calibration-off control run",
     )
-    broker_p.add_argument(
+    p.add_argument(
         "--schedule", action="store_true",
         help="also print the full per-job placement schedule",
     )
-    broker_p.add_argument(
+    p.add_argument(
         "--report", default=None, metavar="PATH",
         help="save the full report as canonical JSON",
     )
-    broker_p.add_argument(
+    p.add_argument(
         "--alpha", type=float, default=0.3,
         help="calibration learning rate in (0, 1] (default 0.3)",
     )
-    broker_p.add_argument(
+    p.add_argument(
         "--faults", default=None, metavar="SCENARIO",
         help="grid fault scenario JSON (site outages, pool shrinks, WAN "
         "degradations, transient job failures) applied to every run",
     )
-    broker_p.add_argument(
+    p.add_argument(
         "--recovery", default=None, metavar="NAME",
         choices=["resubmit", "migrate"],
         help="recovery policy for preempted jobs: resubmit (fresh "
         "attempt elsewhere) or migrate (checkpoint-aware, charges "
         "T_recover); default: the scenario's, else resubmit",
     )
-    broker_p.add_argument(
+    p.add_argument(
         "--retry-attempts", type=int, default=None, metavar="N",
         help="override the broker retry budget (attempts per job before "
         "a terminal failure)",
     )
-    broker_p.set_defaults(func=_cmd_broker)
+    p.set_defaults(func=_cmd_broker)
 
-    trace_p = sub.add_parser(
-        "trace",
-        help="trace-realistic workloads: generate presets, import GWF "
-        "files, broker saved traces (see DESIGN.md §16)",
-    )
-    trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
 
+def _register_trace(p: argparse.ArgumentParser) -> None:
     from repro.workloads.traces.presets import TRACE_PRESETS
+
+    trace_sub = p.add_subparsers(dest="trace_command", required=True)
 
     gen_p = trace_sub.add_parser(
         "generate", help="expand a named preset into a trace artifact"
@@ -941,114 +959,196 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trun_p.set_defaults(func=_cmd_trace)
 
+
+def _register_profile(p: argparse.ArgumentParser) -> None:
     from repro.lint.perf.ruledefs import DEFAULT_SHARE_THRESHOLD
 
-    profile_p = sub.add_parser(
-        "profile",
-        help="run the pinned deterministic workload under the call "
-        "profiler, write the profile artifact, and cross-validate the "
-        "declared hot set against it (see DESIGN.md §18)",
-    )
-    profile_p.add_argument(
+    p.add_argument(
         "paths", nargs="*", default=["src/repro"], metavar="PATH",
         help="files or directories the static hot-set analysis covers "
         "(default: src/repro)",
     )
-    profile_p.add_argument(
+    p.add_argument(
         "-o", "--output", default=None, metavar="FILE",
         help="profile artifact path (default: ROOT/.repro-profile.json)",
     )
-    profile_p.add_argument(
+    p.add_argument(
         "--count", type=int, default=40,
         help="workload scale: broker jobs and simulator events/5 "
         "(default 40; CI smoke passes a smaller value)",
     )
-    profile_p.add_argument(
+    p.add_argument(
         "--threshold", type=float, default=DEFAULT_SHARE_THRESHOLD,
         help="call-share at or above which a function counts as "
         f"measured-hot (default {DEFAULT_SHARE_THRESHOLD})",
     )
-    profile_p.add_argument(
+    p.add_argument(
         "--root", default=None, metavar="DIR",
         help="directory artifacts live under (default: cwd)",
     )
-    profile_p.add_argument(
+    p.add_argument(
         "--check", action="store_true",
         help="cross-validate only; do not write the profile artifact",
     )
-    profile_p.set_defaults(func=_cmd_profile)
+    p.set_defaults(func=_cmd_profile)
 
+
+def _register_lint(p: argparse.ArgumentParser) -> None:
     from repro.lint.cli import add_lint_arguments
 
-    lint_p = sub.add_parser(
-        "lint",
-        help="check the determinism/durability/error-model contracts "
-        "(AST-based; see DESIGN.md §13)",
-    )
-    add_lint_arguments(lint_p)
-    lint_p.set_defaults(func=_cmd_lint)
+    add_lint_arguments(p)
+    p.set_defaults(func=_cmd_lint)
 
-    shares_p = sub.add_parser(
-        "shares", help="component shares of a workload across configurations"
-    )
-    shares_p.add_argument("workload")
-    shares_p.add_argument("--size", default=None)
-    shares_p.add_argument("--bandwidth", type=float, default=DEFAULT_BANDWIDTH)
-    shares_p.set_defaults(func=_cmd_shares)
 
-    whatif_p = sub.add_parser(
-        "whatif",
-        help="configuration sweep + node recommendation from a profile",
-    )
-    whatif_p.add_argument("profile", help="path to a saved profile JSON")
-    whatif_p.add_argument(
-        "--cluster", choices=sorted(_CLUSTERS), default="pentium-myrinet"
-    )
-    whatif_p.add_argument("--bandwidth", type=float, default=DEFAULT_BANDWIDTH)
-    whatif_p.add_argument("--tolerance", type=float, default=0.05)
-    whatif_p.set_defaults(func=_cmd_whatif)
+def _register_shares(p: argparse.ArgumentParser) -> None:
+    from repro.workloads.clusters import DEFAULT_BANDWIDTH
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="prediction-as-a-service: seeded smoke run (default), "
-        "chaos campaign (--chaos), or a real HTTP server (--port)",
+    p.add_argument("workload")
+    p.add_argument("--size", default=None)
+    p.add_argument("--bandwidth", type=float, default=DEFAULT_BANDWIDTH)
+    p.set_defaults(func=_cmd_shares)
+
+
+def _register_whatif(p: argparse.ArgumentParser) -> None:
+    from repro.workloads.clusters import DEFAULT_BANDWIDTH
+
+    p.add_argument("profile", help="path to a saved profile JSON")
+    p.add_argument(
+        "--cluster", choices=sorted(_clusters()), default="pentium-myrinet"
     )
-    serve_p.add_argument(
+    p.add_argument("--bandwidth", type=float, default=DEFAULT_BANDWIDTH)
+    p.add_argument("--tolerance", type=float, default=0.05)
+    p.set_defaults(func=_cmd_whatif)
+
+
+def _register_serve(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--requests", type=int, default=200,
         help="requests per run (smoke/chaos; default 200)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--rate", type=float, default=600.0,
         help="offered load in requests/s (default 600)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--seed", type=int, default=1,
         help="workload seed (and first chaos seed; default 1)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--chaos", action="store_true",
         help="run the seeded service chaos campaign and verify the "
         "settle-exactly-once / latency / replay invariants",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--cases", type=int, default=3,
         help="chaos seeds to run, starting at --seed (default 3)",
     )
-    serve_p.add_argument(
+    p.add_argument(
         "--port", type=int, default=None, metavar="PORT",
         help="serve real HTTP on PORT (0 = pick a free port) instead "
         "of a simulated run",
     )
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.set_defaults(func=_cmd_serve)
+    p.add_argument("--host", default="127.0.0.1")
+    p.set_defaults(func=_cmd_serve)
 
+
+#: The command table: (name, help line, register).  ``register(subparser)``
+#: adds that command's arguments and its ``func`` default, importing only
+#: what its own choices and defaults need.
+COMMANDS: Tuple[
+    Tuple[str, str, Callable[[argparse.ArgumentParser], None]], ...
+] = (
+    ("list-workloads", "list available workloads", _register_list_workloads),
+    ("run", "execute a workload on the simulator", _register_run),
+    ("predict", "predict from a saved profile", _register_predict),
+    (
+        "classify",
+        "auto-detect a workload's model classes",
+        _register_classify,
+    ),
+    ("figure", "reproduce one paper figure", _register_figure),
+    (
+        "suite",
+        "run every experiment and check the paper's claims",
+        _register_suite,
+    ),
+    (
+        "campaign",
+        "run a campaign manifest with a durable, resumable journal",
+        _register_campaign,
+    ),
+    (
+        "broker",
+        "broker a job stream over a grid with prediction-guided "
+        "placement and online calibration",
+        _register_broker,
+    ),
+    (
+        "trace",
+        "trace-realistic workloads: generate presets, import GWF "
+        "files, broker saved traces (see DESIGN.md §16)",
+        _register_trace,
+    ),
+    (
+        "profile",
+        "run the pinned deterministic workload under the call "
+        "profiler, write the profile artifact, and cross-validate the "
+        "declared hot set against it (see DESIGN.md §18)",
+        _register_profile,
+    ),
+    (
+        "lint",
+        "check the determinism/durability/error-model contracts "
+        "(AST-based; see DESIGN.md §13)",
+        _register_lint,
+    ),
+    (
+        "shares",
+        "component shares of a workload across configurations",
+        _register_shares,
+    ),
+    (
+        "whatif",
+        "configuration sweep + node recommendation from a profile",
+        _register_whatif,
+    ),
+    (
+        "serve",
+        "prediction-as-a-service: seeded smoke run (default), "
+        "chaos campaign (--chaos), or a real HTTP server (--port)",
+        _register_serve,
+    ),
+)
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI argument parser (exposed for tests and docs).
+
+    Every command's name and help line is always present; its arguments
+    are filled in for ``only`` alone, or for all commands when ``None``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Reproduction of 'A Performance Prediction Framework for "
+            "Grid-Based Data Mining Applications'"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, register in COMMANDS:
+        command = sub.add_parser(name, help=help_line)
+        if only is None or only == name:
+            register(command)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # ``repro lint ...`` builds lint's arguments only; anything else in
+    # first place (--help, a typo, nothing) gets the full parser.
+    named = bool(argv) and argv[0] in [name for name, _, _ in COMMANDS]
+    args = build_parser(only=argv[0] if named else None).parse_args(argv)
     try:
         return args.func(args)
     except ReproError as exc:

@@ -29,115 +29,76 @@ separately (Section 3 of the paper):
   shared by the profile store, result store, and campaign journal.
 """
 
-from repro.core.allocation import (
-    GridScheduler,
-    Job,
-    Placement,
-    Schedule,
-    max_parallelism_policy,
-    predicted_best_policy,
-    random_policy,
-)
-from repro.core.cache_selection import (
-    CachePlan,
-    CacheSiteOption,
-    select_cache_site,
-)
-from repro.core.classes import (
-    GlobalReductionClass,
-    ModelClasses,
-    ReductionObjectClass,
-    estimate_global_reduction_time,
-    estimate_object_size,
-)
-from repro.core.classify import classify_global_reduction, classify_object_size
-from repro.core.degraded import (
-    DegradedModePredictor,
-    DegradedPrediction,
-    RecoveryBreakdown,
-)
-from repro.core.durable import (
-    CorruptStoreError,
-    FormatVersionError,
-    StoreError,
-    atomic_write_json,
-    atomic_write_text,
-)
-from repro.core.errors import relative_error
-from repro.core.heterogeneous import (
-    ComponentScalingFactors,
-    CrossClusterPredictor,
-    measure_scaling_factors,
-)
-from repro.core.models import (
-    GlobalReductionModel,
-    NoCommunicationModel,
-    PredictedBreakdown,
-    PredictionModel,
-    ReductionCommunicationModel,
-)
-from repro.core.pipeline_model import PipelinedBottleneckModel
-from repro.core.profile import Profile
-from repro.core.selection import (
-    InfeasibleSelectionError,
-    RejectedCandidate,
-    ResourceSelector,
-    SelectionCandidate,
-    SelectionOutcome,
-)
-from repro.core.target import PredictionTarget
-from repro.core.whatif import (
-    ConfigurationForecast,
-    marginal_speedups,
-    recommend_nodes,
-    sweep_configurations,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GridScheduler",
-    "Job",
-    "Placement",
-    "Schedule",
-    "max_parallelism_policy",
-    "predicted_best_policy",
-    "random_policy",
-    "CachePlan",
-    "CacheSiteOption",
-    "select_cache_site",
-    "GlobalReductionClass",
-    "ModelClasses",
-    "ReductionObjectClass",
-    "estimate_global_reduction_time",
-    "estimate_object_size",
-    "classify_global_reduction",
-    "classify_object_size",
-    "DegradedModePredictor",
-    "DegradedPrediction",
-    "RecoveryBreakdown",
-    "CorruptStoreError",
-    "FormatVersionError",
-    "StoreError",
-    "atomic_write_json",
-    "atomic_write_text",
-    "relative_error",
-    "ComponentScalingFactors",
-    "CrossClusterPredictor",
-    "measure_scaling_factors",
-    "GlobalReductionModel",
-    "NoCommunicationModel",
-    "PredictedBreakdown",
-    "PredictionModel",
-    "ReductionCommunicationModel",
-    "PipelinedBottleneckModel",
-    "Profile",
-    "InfeasibleSelectionError",
-    "RejectedCandidate",
-    "ResourceSelector",
-    "SelectionCandidate",
-    "SelectionOutcome",
-    "PredictionTarget",
-    "ConfigurationForecast",
-    "marginal_speedups",
-    "recommend_nodes",
-    "sweep_configurations",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.allocation": (
+            "GridScheduler",
+            "Job",
+            "Placement",
+            "Schedule",
+            "max_parallelism_policy",
+            "predicted_best_policy",
+            "random_policy",
+        ),
+        "repro.core.cache_selection": (
+            "CachePlan",
+            "CacheSiteOption",
+            "select_cache_site",
+        ),
+        "repro.core.classes": (
+            "GlobalReductionClass",
+            "ModelClasses",
+            "ReductionObjectClass",
+            "estimate_global_reduction_time",
+            "estimate_object_size",
+        ),
+        "repro.core.classify": (
+            "classify_global_reduction",
+            "classify_object_size",
+        ),
+        "repro.core.degraded": (
+            "DegradedModePredictor",
+            "DegradedPrediction",
+            "RecoveryBreakdown",
+        ),
+        "repro.core.durable": (
+            "CorruptStoreError",
+            "FormatVersionError",
+            "StoreError",
+            "atomic_write_json",
+            "atomic_write_text",
+        ),
+        "repro.core.errors": ("relative_error",),
+        "repro.core.heterogeneous": (
+            "ComponentScalingFactors",
+            "CrossClusterPredictor",
+            "measure_scaling_factors",
+        ),
+        "repro.core.models": (
+            "GlobalReductionModel",
+            "NoCommunicationModel",
+            "PredictedBreakdown",
+            "PredictionModel",
+            "ReductionCommunicationModel",
+        ),
+        "repro.core.pipeline_model": ("PipelinedBottleneckModel",),
+        "repro.core.profile": ("Profile",),
+        "repro.core.selection": (
+            "InfeasibleSelectionError",
+            "RejectedCandidate",
+            "ResourceSelector",
+            "SelectionCandidate",
+            "SelectionOutcome",
+        ),
+        "repro.core.target": ("PredictionTarget",),
+        "repro.core.whatif": (
+            "ConfigurationForecast",
+            "marginal_speedups",
+            "recommend_nodes",
+            "sweep_configurations",
+        ),
+    },
+)

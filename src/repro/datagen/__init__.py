@@ -20,36 +20,31 @@ Every generator is deterministic given a seed and returns ground truth for
 correctness tests.
 """
 
-from repro.datagen.cfd import FieldDataset, generate_velocity_field, make_field_dataset
-from repro.datagen.lattice import (
-    DEFECT_TEMPLATES,
-    LatticeDataset,
-    generate_lattice,
-    make_lattice_dataset,
-)
-from repro.datagen.points import (
-    make_blobs,
-    make_labeled_points,
-    make_point_dataset,
-    make_training_dataset,
-)
-from repro.datagen.transactions import (
-    generate_transactions,
-    make_transaction_dataset,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "generate_transactions",
-    "make_transaction_dataset",
-    "FieldDataset",
-    "generate_velocity_field",
-    "make_field_dataset",
-    "DEFECT_TEMPLATES",
-    "LatticeDataset",
-    "generate_lattice",
-    "make_lattice_dataset",
-    "make_blobs",
-    "make_labeled_points",
-    "make_point_dataset",
-    "make_training_dataset",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.datagen.cfd": (
+            "FieldDataset",
+            "generate_velocity_field",
+            "make_field_dataset",
+        ),
+        "repro.datagen.lattice": (
+            "DEFECT_TEMPLATES",
+            "LatticeDataset",
+            "generate_lattice",
+            "make_lattice_dataset",
+        ),
+        "repro.datagen.points": (
+            "make_blobs",
+            "make_labeled_points",
+            "make_point_dataset",
+            "make_training_dataset",
+        ),
+        "repro.datagen.transactions": (
+            "generate_transactions",
+            "make_transaction_dataset",
+        ),
+    },
+)

@@ -31,76 +31,48 @@ lives in :mod:`repro.broker.recovery`; the expected-cost model is
 :class:`repro.core.degraded.DegradedModePredictor`.
 """
 
-from repro.errors import FaultError, RecoveryExhaustedError
-from repro.faults.grid import (
-    GridFaultSchedule,
-    GridFaultSpec,
-    NodePoolShrink,
-    SiteOutage,
-    TransientJobFailure,
-    WanDegradation,
-)
-from repro.faults.injector import FaultInjector, select_failover_replica
-from repro.faults.retry import (
-    DEFAULT_BROKER_RETRY_POLICY,
-    DEFAULT_RETRY_POLICY,
-    WATCHDOG_RETRY_POLICY,
-    BrokerRetryPolicy,
-    RetryPolicy,
-)
-from repro.faults.scenario import (
-    EXECUTION_FAULT_KINDS,
-    GRID_FAULT_KINDS,
-    GridFaultScenario,
-    grid_scenario_from_dict,
-    grid_schedule_from_dict,
-    injector_from_dict,
-    load_grid_scenario,
-    load_scenario,
-    schedule_from_dict,
-)
-from repro.faults.specs import (
-    ChunkReadError,
-    ComputeNodeCrash,
-    DataNodeCrash,
-    FaultSchedule,
-    FaultSpec,
-    LinkDegradation,
-    SlowNode,
-)
-from repro.faults.verify import results_equal
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultError",
-    "RecoveryExhaustedError",
-    "FaultInjector",
-    "select_failover_replica",
-    "DEFAULT_BROKER_RETRY_POLICY",
-    "DEFAULT_RETRY_POLICY",
-    "WATCHDOG_RETRY_POLICY",
-    "BrokerRetryPolicy",
-    "RetryPolicy",
-    "EXECUTION_FAULT_KINDS",
-    "GRID_FAULT_KINDS",
-    "GridFaultScenario",
-    "grid_scenario_from_dict",
-    "grid_schedule_from_dict",
-    "injector_from_dict",
-    "load_grid_scenario",
-    "load_scenario",
-    "schedule_from_dict",
-    "ChunkReadError",
-    "ComputeNodeCrash",
-    "DataNodeCrash",
-    "FaultSchedule",
-    "FaultSpec",
-    "GridFaultSchedule",
-    "GridFaultSpec",
-    "LinkDegradation",
-    "NodePoolShrink",
-    "SiteOutage",
-    "SlowNode",
-    "TransientJobFailure",
-    "WanDegradation",
-    "results_equal",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.errors": ("FaultError", "RecoveryExhaustedError"),
+        "repro.faults.grid": (
+            "GridFaultSchedule",
+            "GridFaultSpec",
+            "NodePoolShrink",
+            "SiteOutage",
+            "TransientJobFailure",
+            "WanDegradation",
+        ),
+        "repro.faults.injector": ("FaultInjector", "select_failover_replica"),
+        "repro.faults.retry": (
+            "DEFAULT_BROKER_RETRY_POLICY",
+            "DEFAULT_RETRY_POLICY",
+            "WATCHDOG_RETRY_POLICY",
+            "BrokerRetryPolicy",
+            "RetryPolicy",
+        ),
+        "repro.faults.scenario": (
+            "EXECUTION_FAULT_KINDS",
+            "GRID_FAULT_KINDS",
+            "GridFaultScenario",
+            "grid_scenario_from_dict",
+            "grid_schedule_from_dict",
+            "injector_from_dict",
+            "load_grid_scenario",
+            "load_scenario",
+            "schedule_from_dict",
+        ),
+        "repro.faults.specs": (
+            "ChunkReadError",
+            "ComputeNodeCrash",
+            "DataNodeCrash",
+            "FaultSchedule",
+            "FaultSpec",
+            "LinkDegradation",
+            "SlowNode",
+        ),
+        "repro.faults.verify": ("results_equal",),
+    },
+)

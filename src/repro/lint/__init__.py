@@ -48,68 +48,46 @@ DESIGN.md §13 for the full contract rationale and docs/lint-rules.md for
 the rule table.
 """
 
-from repro.lint.baseline import Baseline, BaselinePartition
-from repro.lint.context import ModuleContext
-from repro.lint.engine import (
-    PARSE_ERROR_CODE,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.lint.effects import (
-    CERTIFICATE_NAME,
-    EFFECT_CODES,
-    EFFECT_RULES,
-    analyze_effects,
-    load_certificate,
-    write_certificate,
-)
-from repro.lint.errors import LintError
-from repro.lint.findings import Finding, Fix
-from repro.lint.fixes import apply_fixes
-from repro.lint.flow import FLOW_CODES, FLOW_RULES, analyze_paths
-from repro.lint.registry import RULES, ProgramRule, Rule, all_rules, register
-from repro.lint.reporters import (
-    REPORT_FORMATS,
-    LintReport,
-    render,
-    render_github,
-    render_json,
-    render_text,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Baseline",
-    "BaselinePartition",
-    "CERTIFICATE_NAME",
-    "EFFECT_CODES",
-    "EFFECT_RULES",
-    "analyze_effects",
-    "load_certificate",
-    "write_certificate",
-    "FLOW_CODES",
-    "FLOW_RULES",
-    "Finding",
-    "Fix",
-    "analyze_paths",
-    "LintError",
-    "LintReport",
-    "ModuleContext",
-    "PARSE_ERROR_CODE",
-    "ProgramRule",
-    "REPORT_FORMATS",
-    "RULES",
-    "Rule",
-    "all_rules",
-    "apply_fixes",
-    "iter_python_files",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "register",
-    "render",
-    "render_github",
-    "render_json",
-    "render_text",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.lint.baseline": ("Baseline", "BaselinePartition"),
+        "repro.lint.context": ("ModuleContext",),
+        "repro.lint.engine": (
+            "PARSE_ERROR_CODE",
+            "iter_python_files",
+            "lint_file",
+            "lint_paths",
+            "lint_source",
+        ),
+        "repro.lint.effects": (
+            "CERTIFICATE_NAME",
+            "EFFECT_CODES",
+            "EFFECT_RULES",
+            "analyze_effects",
+            "load_certificate",
+            "write_certificate",
+        ),
+        "repro.lint.errors": ("LintError",),
+        "repro.lint.findings": ("Finding", "Fix"),
+        "repro.lint.fixes": ("apply_fixes",),
+        "repro.lint.flow": ("FLOW_CODES", "FLOW_RULES", "analyze_paths"),
+        "repro.lint.registry": (
+            "RULES",
+            "ProgramRule",
+            "Rule",
+            "all_rules",
+            "register",
+        ),
+        "repro.lint.reporters": (
+            "REPORT_FORMATS",
+            "LintReport",
+            "render",
+            "render_github",
+            "render_json",
+            "render_text",
+        ),
+    },
+)

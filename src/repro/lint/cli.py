@@ -1,8 +1,11 @@
 """The ``repro lint`` command (also runnable as ``python -m repro.lint``).
 
-Kept importable without numpy/scipy so the CI lint job stays light: this
-module and everything it pulls in (engine, rules, baseline, reporters)
-is stdlib + :mod:`repro.errors` + :mod:`repro.core.durable` only.
+Importable — and runnable, every layer included — without numpy, scipy
+or networkx, so the CI lint job stays light: this module and everything
+it pulls in (engine, rules, layers, baseline, reporters) is stdlib +
+:mod:`repro.errors` + :mod:`repro.core.durable` only, and no package
+``__init__`` on the way imports anything (``tests/lint/test_cli.py``
+runs the gate with the numeric stack blocked).
 
 Exit codes: 0 — clean modulo baseline; 1 — new findings (or a
 :class:`ReproError` surfaced by the top-level CLI); 2 — usage error from
@@ -22,17 +25,18 @@ from repro.lint.baseline import Baseline
 from repro.lint.effects import EFFECT_RULES, EffectPass, write_certificate
 from repro.lint.engine import Pass, RulesPass, relative_finding_path, scan
 from repro.lint.errors import LintError
-from repro.lint.findings import Finding
+from repro.lint.findings import CachedFindings, Finding
 from repro.lint.fixes import apply_fixes
 from repro.lint.flow import FLOW_RULES, FlowPass
 from repro.lint.perf import PERF_RULES, PerfPass
 from repro.lint.registry import RULES, ProgramRule, Rule, all_rules
 from repro.lint.reporters import REPORT_FORMATS, LintReport, render
-from repro.lint.summaries import LayerResult, SummaryPass
+from repro.lint.summaries import LayerResult, SummaryCache, SummaryPass
 
 __all__ = ["add_lint_arguments", "run_lint_command", "main"]
 
 DEFAULT_PATHS = ("src/repro",)
+DEFAULT_RULES_CACHE = ".repro-rules-cache.json"
 DEFAULT_FLOW_CACHE = ".repro-flow-cache.json"
 DEFAULT_EFFECTS_CACHE = ".repro-effects-cache.json"
 DEFAULT_CERTIFICATE = ".repro-effects.json"
@@ -182,8 +186,12 @@ class _Layer:
     #: file list would miss exactly the regressions these layers exist
     #: to catch.  The summary cache keeps the full pass cheap.
     full_scope: bool
-    #: (cache path, certificate path or None, profile path) -> the pass
-    make_pass: Callable[[str, Optional[str], str], SummaryPass]
+    #: (cache path, certificate path or None, profile path, the rules
+    #: pass's findings cache) -> the pass
+    make_pass: Callable[
+        [str, Optional[str], str, Optional[SummaryCache[CachedFindings]]],
+        SummaryPass,
+    ]
 
     @property
     def codes(self) -> FrozenSet[str]:
@@ -223,13 +231,20 @@ class _Layer:
 LAYERS: Tuple[_Layer, ...] = (
     _Layer(
         "flow", FLOW_RULES, DEFAULT_FLOW_CACHE, False,
-        lambda cache, certificate, profile: FlowPass(cache),
+        lambda cache, certificate, profile, found: FlowPass(cache, found),
     ),
     _Layer(
         "effects", EFFECT_RULES, DEFAULT_EFFECTS_CACHE, True,
-        lambda cache, certificate, profile: EffectPass(cache, certificate),
+        lambda cache, certificate, profile, found: EffectPass(
+            cache, certificate
+        ),
     ),
-    _Layer("perf", PERF_RULES, DEFAULT_PERF_CACHE, True, PerfPass),
+    _Layer(
+        "perf", PERF_RULES, DEFAULT_PERF_CACHE, True,
+        lambda cache, certificate, profile, found: PerfPass(
+            cache, certificate, profile
+        ),
+    ),
 )
 
 
@@ -239,7 +254,9 @@ def run_lint_command(args: argparse.Namespace) -> int:
         print(_rule_table())
         return 0
     root = pathlib.Path(args.root) if args.root else pathlib.Path.cwd()
+    rules_cache = root / DEFAULT_RULES_CACHE
     if args.clear_cache:
+        rules_cache.unlink(missing_ok=True)
         for layer in LAYERS:
             pathlib.Path(layer.cache_path(args, root)).unlink(missing_ok=True)
     rules, selected = _selected_rules(args.select)
@@ -262,13 +279,16 @@ def run_lint_command(args: argparse.Namespace) -> int:
     def scan_once() -> Tuple[List[Finding], int, List[SummaryPass]]:
         """Every enabled pass over its scope; one scan unless --changed
         gives the rules and the full-scope layers different file sets."""
-        rules_pass = RulesPass(rules)
+        # The rules pass caches exactly when a summary layer does: a run
+        # that wrote no cache file before this one existed writes none.
+        rules_pass = RulesPass(rules, rules_cache if layers else None)
         layer_passes = [
             layer.make_pass(
                 layer.cache_path(args, root),
                 # A certificate about to be rewritten judges nothing.
                 None if args.write_certificate else certificate,
                 profile,
+                rules_pass.cache,
             )
             for layer in layers
         ]

@@ -7,47 +7,33 @@ committed ``.repro-effects.json`` determinism certificate that gates
 ``repro campaign --workers N``.
 """
 
-from repro.lint.effects.api import EffectPass, analyze_effects
-from repro.lint.effects.certificate import (
-    CERTIFICATE_NAME,
-    build_certificate,
-    certificate_demotions,
-    load_certificate,
-    write_certificate,
-)
-from repro.lint.effects.propagate import (
-    EffectAnalysis,
-    effect_findings,
-    propagate_effects,
-)
-from repro.lint.effects.ruledefs import (
-    CERTIFIED_ROOTS,
-    EFFECT_CODES,
-    EFFECT_RULES,
-    TIER_DETERMINISTIC,
-    TIER_EFFECTFUL,
-    TIER_POOL_SAFE,
-    TIER_PURE,
-    TIER_RANK,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EffectPass",
-    "analyze_effects",
-    "CERTIFICATE_NAME",
-    "build_certificate",
-    "certificate_demotions",
-    "load_certificate",
-    "write_certificate",
-    "EffectAnalysis",
-    "effect_findings",
-    "propagate_effects",
-    "CERTIFIED_ROOTS",
-    "EFFECT_CODES",
-    "EFFECT_RULES",
-    "TIER_DETERMINISTIC",
-    "TIER_EFFECTFUL",
-    "TIER_POOL_SAFE",
-    "TIER_PURE",
-    "TIER_RANK",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.lint.effects.api": ("EffectPass", "analyze_effects"),
+        "repro.lint.effects.certificate": (
+            "CERTIFICATE_NAME",
+            "build_certificate",
+            "certificate_demotions",
+            "load_certificate",
+            "write_certificate",
+        ),
+        "repro.lint.effects.propagate": (
+            "EffectAnalysis",
+            "effect_findings",
+            "propagate_effects",
+        ),
+        "repro.lint.effects.ruledefs": (
+            "CERTIFIED_ROOTS",
+            "EFFECT_CODES",
+            "EFFECT_RULES",
+            "TIER_DETERMINISTIC",
+            "TIER_EFFECTFUL",
+            "TIER_POOL_SAFE",
+            "TIER_PURE",
+            "TIER_RANK",
+        ),
+    },
+)

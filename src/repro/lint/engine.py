@@ -14,23 +14,32 @@ traversal, and a rule never sees nodes it did not ask for.
 Files that fail to parse are reported as findings under the synthetic
 code ``REP000`` rather than aborting the run: a syntax error in one file
 must not hide contract violations in the other two hundred.
+
+Handed a cache path, the rules pass keeps each module's findings in a
+:class:`~repro.lint.summaries.SummaryCache` keyed by source digest, so a
+warm run parses nothing.  That cache's ``analysis_version`` is
+:func:`linter_digest` — derived from the linter's own source, never
+bumped by hand — so editing a rule cannot replay stale findings.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import pathlib
+import sys
 from typing import Dict, List, Optional, Sequence, Type
 
 from repro.lint.context import ModuleContext, relative_finding_path
 from repro.lint.errors import LintError
-from repro.lint.findings import Finding
+from repro.lint.findings import CachedFindings, Finding
 from repro.lint.registry import Rule, all_rules
 
 __all__ = [
     "PARSE_ERROR_CODE",
     "Pass",
     "RulesPass",
+    "linter_digest",
     "scan",
     "iter_python_files",
     "relative_finding_path",
@@ -114,17 +123,66 @@ def scan(
     return len(files)
 
 
-class RulesPass(Pass):
-    """The REP00x node-dispatch rules as a scan pass."""
+def linter_digest() -> str:
+    """SHA-256 over the interpreter's minor version and every source file
+    of this package: whatever a cached finding's presence, text, or
+    position can depend on besides the linted module itself."""
+    digest = hashlib.sha256(repr(sys.version_info[:2]).encode())
+    package = pathlib.Path(__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
-    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
+
+class RulesPass(Pass):
+    """The REP00x node-dispatch rules as a scan pass.
+
+    With a ``cache_path``, a module that is not in the cache is linted
+    with *every* registered rule and all its findings are stored; the
+    pass then reports the ones ``rules`` selects (plus ``REP000``), so
+    ``--select`` runs and full runs fill and read the same entries.
+    """
+
+    def __init__(
+        self,
+        rules: Optional[Sequence[Rule]] = None,
+        cache_path: Optional[str | pathlib.Path] = None,
+    ) -> None:
+        # summaries imports this module (Pass, scan), hence not at the top
+        from repro.lint.summaries import SummaryCache
+
         self.rules = list(rules) if rules is not None else all_rules()
+        self.reported = {rule.code for rule in self.rules} | {PARSE_ERROR_CODE}
+        self.cache: Optional[SummaryCache[CachedFindings]] = None
+        if cache_path is not None:
+            self.cache = SummaryCache(
+                pathlib.Path(cache_path),
+                "rules",
+                linter_digest(),
+                CachedFindings.from_dict,
+            )
         self.findings: List[Finding] = []
 
     def visit(self, module: ModuleContext) -> None:
-        self.findings.extend(lint_module(module, self.rules))
+        if self.cache is None:
+            self.findings.extend(lint_module(module, self.rules))
+            return
+        entry = self.cache.get(module.relpath, module.digest)
+        if entry is None:
+            entry = CachedFindings(lint_module(module))
+            self.cache.put(module.relpath, module.digest, entry)
+        for finding in entry.findings:
+            if finding.code == PARSE_ERROR_CODE:
+                # A cached verdict: the passes after this one in the
+                # scan must not pay for the failing parse again.
+                module.tree = None
+            if finding.code in self.reported:
+                self.findings.append(finding)
 
     def finish(self) -> List[Finding]:
+        if self.cache is not None:
+            self.cache.save()
         self.findings.sort(key=Finding.sort_key)
         return self.findings
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-__all__ = ["Finding", "FindingSink", "Fix"]
+__all__ = ["CachedFindings", "Finding", "FindingSink", "Fix"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,6 +82,28 @@ class Finding:
             "snippet": self.snippet,
             "fixable": self.fixable,
         }
+
+
+@dataclasses.dataclass
+class CachedFindings:
+    """Findings that are a pure function of source text, as one entry of
+    a :class:`~repro.lint.summaries.SummaryCache`.  Unlike the report
+    form (:meth:`Finding.to_dict`) fix spans round-trip, so ``--fix``
+    works through a cache hit."""
+
+    findings: List[Finding]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"findings": [dataclasses.asdict(f) for f in self.findings]}
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "CachedFindings":
+        return cls(
+            [
+                Finding(**{**item, "fix": item["fix"] and Fix(**item["fix"])})
+                for item in data["findings"]
+            ]
+        )
 
 
 class FindingSink:

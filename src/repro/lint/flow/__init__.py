@@ -15,12 +15,12 @@ project call graph — producing the REP101-REP104 rule family:
 Entry point: :func:`repro.lint.flow.analyze_paths`.
 """
 
-from repro.lint.flow.api import FlowPass, analyze_paths
-from repro.lint.flow.ruledefs import FLOW_CODES, FLOW_RULES
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlowPass",
-    "analyze_paths",
-    "FLOW_CODES",
-    "FLOW_RULES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.lint.flow.api": ("FlowPass", "analyze_paths"),
+        "repro.lint.flow.ruledefs": ("FLOW_CODES", "FLOW_RULES"),
+    },
+)

@@ -8,24 +8,19 @@ graph from the declared hot set (``repro.hotpath``), and
 cross-validated against a measured call profile (``repro profile``).
 """
 
-from repro.lint.perf.api import PerfPass, analyze_perf
-from repro.lint.perf.profile import (
-    DEFAULT_PROFILE_NAME,
-    build_profile_document,
-    cross_validate,
-    load_profile,
-    measured_hot,
-)
-from repro.lint.perf.ruledefs import PERF_CODES, PERF_RULES
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "analyze_perf",
-    "PerfPass",
-    "DEFAULT_PROFILE_NAME",
-    "PERF_RULES",
-    "PERF_CODES",
-    "build_profile_document",
-    "cross_validate",
-    "load_profile",
-    "measured_hot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.lint.perf.api": ("PerfPass", "analyze_perf"),
+        "repro.lint.perf.profile": (
+            "DEFAULT_PROFILE_NAME",
+            "build_profile_document",
+            "cross_validate",
+            "load_profile",
+            "measured_hot",
+        ),
+        "repro.lint.perf.ruledefs": ("PERF_CODES", "PERF_RULES"),
+    },
+)

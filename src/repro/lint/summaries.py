@@ -62,10 +62,12 @@ class SummaryCache(Generic[E]):
     """Per-module extract store; counts hits/misses for diagnostics.
 
     ``analysis_version`` is the semantic version of the layer's
-    *extractor*.  Entries are keyed by source digest, so a source file
-    that has not changed would happily replay a summary produced by an
-    older extractor with different rules; a cache whose recorded version
-    differs (or is absent) is discarded wholesale.
+    *extractor* (a hand-bumped integer for the three summary layers, the
+    linter's own source digest for the rules pass).  Entries are keyed
+    by source digest, so a source file that has not changed would
+    happily replay a summary produced by an older extractor with
+    different rules; a cache whose recorded version differs (or is
+    absent) is discarded wholesale.
 
     Entries are decoded into extract objects as the file is read and
     encoded again only if something changed, so neither a warm run nor
@@ -76,7 +78,7 @@ class SummaryCache(Generic[E]):
         self,
         path: Optional[pathlib.Path],
         kind: str,
-        analysis_version: int,
+        analysis_version: int | str,
         from_dict: Callable[[Dict[str, Any]], E],
     ) -> None:
         self.path = path

@@ -35,33 +35,21 @@ This package reimplements that middleware on top of the
   resource selection.
 """
 
-from repro.middleware.api import GeneralizedReduction
-from repro.middleware.caching import CacheModel
-from repro.middleware.chunks import ChunkAssignment, assign_chunks
-from repro.middleware.compute_server import ComputeServer
-from repro.middleware.data_server import DataServer
-from repro.middleware.dataset import ArrayDataset, Dataset
-from repro.middleware.instrument import OpCounter
-from repro.middleware.kernels import KernelTrace
-from repro.middleware.replica import Replica, ReplicaCatalog
-from repro.middleware.runtime import FreerideGRuntime, RunResult
-from repro.middleware.scheduler import GatherTopology, RunConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GeneralizedReduction",
-    "CacheModel",
-    "ChunkAssignment",
-    "assign_chunks",
-    "ComputeServer",
-    "DataServer",
-    "ArrayDataset",
-    "Dataset",
-    "OpCounter",
-    "KernelTrace",
-    "Replica",
-    "ReplicaCatalog",
-    "FreerideGRuntime",
-    "RunResult",
-    "GatherTopology",
-    "RunConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.middleware.api": ("GeneralizedReduction",),
+        "repro.middleware.caching": ("CacheModel",),
+        "repro.middleware.chunks": ("ChunkAssignment", "assign_chunks"),
+        "repro.middleware.compute_server": ("ComputeServer",),
+        "repro.middleware.data_server": ("DataServer",),
+        "repro.middleware.dataset": ("ArrayDataset", "Dataset"),
+        "repro.middleware.instrument": ("OpCounter",),
+        "repro.middleware.kernels": ("KernelTrace",),
+        "repro.middleware.replica": ("Replica", "ReplicaCatalog"),
+        "repro.middleware.runtime": ("FreerideGRuntime", "RunResult"),
+        "repro.middleware.scheduler": ("GatherTopology", "RunConfig"),
+    },
+)

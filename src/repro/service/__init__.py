@@ -17,80 +17,56 @@ This package is that service, resilience-first (DESIGN.md §15):
 - :mod:`repro.service.http` — ASGI / stdlib HTTP shells.
 """
 
-from repro.service.app import (
-    ENDPOINTS,
-    PredictionService,
-    RequestLog,
-    RequestRecord,
-    ServiceRequest,
-    ServiceResponse,
-    serve_sequence,
-)
-from repro.service.backends import (
-    BackendFaultSpec,
-    ServiceBackend,
-    ServiceCostModel,
-    ServiceFaultInjector,
-)
-from repro.service.clock import MonotonicClock, ServiceClock, VirtualClock
-from repro.service.http import ServiceGateway, asgi_app, make_server
-from repro.service.errors import (
-    AdmissionError,
-    BackendCrashError,
-    BackendError,
-    BulkheadFullError,
-    CircuitOpenError,
-    CorruptResponseError,
-    DeadlineExceededError,
-    ServiceError,
-)
-from repro.service.resilience import (
-    Bulkhead,
-    BulkheadConfig,
-    BreakerBank,
-    BreakerState,
-    CircuitBreaker,
-    DeadlineBudget,
-    ResilienceConfig,
-    TokenBucket,
-)
-from repro.service.workload import RequestMix, demo_profiles, generate_requests
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ENDPOINTS",
-    "PredictionService",
-    "RequestLog",
-    "RequestRecord",
-    "ServiceRequest",
-    "ServiceResponse",
-    "serve_sequence",
-    "BackendFaultSpec",
-    "ServiceBackend",
-    "ServiceCostModel",
-    "ServiceFaultInjector",
-    "MonotonicClock",
-    "ServiceClock",
-    "VirtualClock",
-    "ServiceGateway",
-    "asgi_app",
-    "make_server",
-    "AdmissionError",
-    "BackendCrashError",
-    "BackendError",
-    "BulkheadFullError",
-    "CircuitOpenError",
-    "CorruptResponseError",
-    "DeadlineExceededError",
-    "ServiceError",
-    "Bulkhead",
-    "BulkheadConfig",
-    "BreakerBank",
-    "BreakerState",
-    "CircuitBreaker",
-    "DeadlineBudget",
-    "ResilienceConfig",
-    "TokenBucket",
-    "RequestMix",
-    "demo_profiles",
-    "generate_requests",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.service.app": (
+            "ENDPOINTS",
+            "PredictionService",
+            "RequestLog",
+            "RequestRecord",
+            "ServiceRequest",
+            "ServiceResponse",
+            "serve_sequence",
+        ),
+        "repro.service.backends": (
+            "BackendFaultSpec",
+            "ServiceBackend",
+            "ServiceCostModel",
+            "ServiceFaultInjector",
+        ),
+        "repro.service.clock": (
+            "MonotonicClock",
+            "ServiceClock",
+            "VirtualClock",
+        ),
+        "repro.service.http": ("ServiceGateway", "asgi_app", "make_server"),
+        "repro.service.errors": (
+            "AdmissionError",
+            "BackendCrashError",
+            "BackendError",
+            "BulkheadFullError",
+            "CircuitOpenError",
+            "CorruptResponseError",
+            "DeadlineExceededError",
+            "ServiceError",
+        ),
+        "repro.service.resilience": (
+            "Bulkhead",
+            "BulkheadConfig",
+            "BreakerBank",
+            "BreakerState",
+            "CircuitBreaker",
+            "DeadlineBudget",
+            "ResilienceConfig",
+            "TokenBucket",
+        ),
+        "repro.service.workload": (
+            "RequestMix",
+            "demo_profiles",
+            "generate_requests",
+        ),
+    },
+)

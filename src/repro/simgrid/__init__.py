@@ -25,53 +25,34 @@ times all divided by the same constant), which leaves every ratio — and hence
 every prediction error — unchanged.
 """
 
-from repro.simgrid.engine import Event, FIFOServer, Simulator
-from repro.simgrid.errors import (
-    ConfigurationError,
-    SimulationError,
-    TopologyError,
-)
-from repro.simgrid.hardware import (
-    ClusterSpec,
-    CPUSpec,
-    DiskSpec,
-    NICSpec,
-    NodeSpec,
-    OpCategory,
-    OpVector,
-)
-from repro.simgrid.disk import DiskModel, RepositoryDiskSystem
-from repro.simgrid.network import (
-    CommCostModel,
-    LinkModel,
-    fit_linear_cost,
-    maxmin_fair_share,
-)
-from repro.simgrid.topology import GridTopology, SiteKind
-from repro.simgrid.trace import PassRecord, TimeBreakdown
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "FIFOServer",
-    "Simulator",
-    "ConfigurationError",
-    "SimulationError",
-    "TopologyError",
-    "ClusterSpec",
-    "CPUSpec",
-    "DiskSpec",
-    "NICSpec",
-    "NodeSpec",
-    "OpCategory",
-    "OpVector",
-    "DiskModel",
-    "RepositoryDiskSystem",
-    "CommCostModel",
-    "LinkModel",
-    "fit_linear_cost",
-    "maxmin_fair_share",
-    "GridTopology",
-    "SiteKind",
-    "PassRecord",
-    "TimeBreakdown",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.simgrid.engine": ("Event", "FIFOServer", "Simulator"),
+        "repro.simgrid.errors": (
+            "ConfigurationError",
+            "SimulationError",
+            "TopologyError",
+        ),
+        "repro.simgrid.hardware": (
+            "ClusterSpec",
+            "CPUSpec",
+            "DiskSpec",
+            "NICSpec",
+            "NodeSpec",
+            "OpCategory",
+            "OpVector",
+        ),
+        "repro.simgrid.disk": ("DiskModel", "RepositoryDiskSystem"),
+        "repro.simgrid.network": (
+            "CommCostModel",
+            "LinkModel",
+            "fit_linear_cost",
+            "maxmin_fair_share",
+        ),
+        "repro.simgrid.topology": ("GridTopology", "SiteKind"),
+        "repro.simgrid.trace": ("PassRecord", "TimeBreakdown"),
+    },
+)

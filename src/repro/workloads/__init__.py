@@ -12,35 +12,27 @@
   broker experiments.
 """
 
-from repro.workloads.clusters import (
-    DEFAULT_BANDWIDTH,
-    opteron_infiniband_cluster,
-    pentium_myrinet_cluster,
-)
-from repro.workloads.configs import (
-    PAPER_CONFIG_GRID,
-    config_grid,
-    make_run_config,
-)
-from repro.workloads.registry import (
-    WORKLOADS,
-    WorkloadSpec,
-    make_app,
-    make_dataset,
-)
-from repro.workloads.streams import StreamSpec, generate_stream
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BANDWIDTH",
-    "opteron_infiniband_cluster",
-    "pentium_myrinet_cluster",
-    "PAPER_CONFIG_GRID",
-    "config_grid",
-    "make_run_config",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "make_app",
-    "make_dataset",
-    "StreamSpec",
-    "generate_stream",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.workloads.clusters": (
+            "DEFAULT_BANDWIDTH",
+            "opteron_infiniband_cluster",
+            "pentium_myrinet_cluster",
+        ),
+        "repro.workloads.configs": (
+            "PAPER_CONFIG_GRID",
+            "config_grid",
+            "make_run_config",
+        ),
+        "repro.workloads.registry": (
+            "WORKLOADS",
+            "WorkloadSpec",
+            "make_app",
+            "make_dataset",
+        ),
+        "repro.workloads.streams": ("StreamSpec", "generate_stream"),
+    },
+)

@@ -23,50 +23,37 @@ The trace layer generalizes the Poisson job streams of
   shared by ``repro trace run`` and the throughput benchmark.
 """
 
-from repro.workloads.traces.artifact import TRACE_FORMAT_VERSION, TraceWorkload
-from repro.workloads.traces.distributions import (
-    DISTRIBUTION_KINDS,
-    DistributionSpec,
-)
-from repro.workloads.traces.generate import (
-    generate_trace,
-    modulated_arrivals,
-    realize_jobs,
-    split_counts,
-)
-from repro.workloads.traces.grids import (
-    REFERENCE_ALLOCATIONS,
-    reference_grid,
-)
-from repro.workloads.traces.gwf import (
-    DEFAULT_GWF_MAPPING,
-    GWF_COLUMNS,
-    GwfMapping,
-    parse_gwf,
-    trace_to_gwf,
-)
-from repro.workloads.traces.presets import TRACE_PRESETS, make_preset
-from repro.workloads.traces.spec import DiurnalSpec, TraceSpec, VoSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DISTRIBUTION_KINDS",
-    "DistributionSpec",
-    "DiurnalSpec",
-    "VoSpec",
-    "TraceSpec",
-    "split_counts",
-    "modulated_arrivals",
-    "realize_jobs",
-    "generate_trace",
-    "TraceWorkload",
-    "TRACE_FORMAT_VERSION",
-    "GWF_COLUMNS",
-    "GwfMapping",
-    "DEFAULT_GWF_MAPPING",
-    "parse_gwf",
-    "trace_to_gwf",
-    "TRACE_PRESETS",
-    "make_preset",
-    "REFERENCE_ALLOCATIONS",
-    "reference_grid",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "repro.workloads.traces.artifact": (
+            "TRACE_FORMAT_VERSION",
+            "TraceWorkload",
+        ),
+        "repro.workloads.traces.distributions": (
+            "DISTRIBUTION_KINDS",
+            "DistributionSpec",
+        ),
+        "repro.workloads.traces.generate": (
+            "generate_trace",
+            "modulated_arrivals",
+            "realize_jobs",
+            "split_counts",
+        ),
+        "repro.workloads.traces.grids": (
+            "REFERENCE_ALLOCATIONS",
+            "reference_grid",
+        ),
+        "repro.workloads.traces.gwf": (
+            "DEFAULT_GWF_MAPPING",
+            "GWF_COLUMNS",
+            "GwfMapping",
+            "parse_gwf",
+            "trace_to_gwf",
+        ),
+        "repro.workloads.traces.presets": ("TRACE_PRESETS", "make_preset"),
+        "repro.workloads.traces.spec": ("DiurnalSpec", "TraceSpec", "VoSpec"),
+    },
+)

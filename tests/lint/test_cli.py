@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,61 @@ def test_repro_lint_gate_passes_on_the_shipped_tree(repo_root):
         ]
     )
     assert code == 0
+
+
+#: Runs in a child: first checks what the entry points import on their
+#: own, then makes the numeric stack unimportable and runs the whole gate
+#: through both entry points.  Prints one JSON object.
+_NO_NUMERIC_STACK = """
+import contextlib, io, json, runpy, sys
+
+NUMERIC = ("numpy", "scipy", "networkx")
+import repro.cli
+import repro.core.durable
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in NUMERIC)
+sys.modules.update(dict.fromkeys(NUMERIC))  # import numpy -> ImportError
+
+argv = [sys.argv[1], "--root", sys.argv[1], "--flow", "--effects",
+        "--perf", "--format", "json"]
+runs = {}
+for entry in ("repro lint", "python -m repro.lint"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if entry == "repro lint":
+            code = repro.cli.main(["lint"] + argv)
+        else:
+            sys.argv = ["repro-lint"] + argv
+            try:
+                runpy.run_module("repro.lint", run_name="__main__")
+            except SystemExit as exc:
+                code = exc.code
+    runs[entry] = {"exit": code, "report": json.loads(out.getvalue())}
+print(json.dumps({"loaded": loaded, "runs": runs}, sort_keys=True))
+"""
+
+
+def test_the_gate_runs_without_the_numeric_stack(tmp_path, fixtures_dir):
+    """``lint/cli.py``'s docstring promise, checked on ``sys.modules``:
+    importing the CLI or the durable layer loads none of numpy, scipy,
+    networkx, and a full four-family run works with all three blocked."""
+    tree = tmp_path / "tree"
+    shutil.copytree(fixtures_dir / "flow" / "rep101_bad", tree)
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMERIC_STACK, str(tree)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["loaded"] == []
+    full, standalone = (
+        result["runs"][entry] for entry in ("repro lint", "python -m repro.lint")
+    )
+    assert full["exit"] == standalone["exit"] == 1
+    assert full["report"] == standalone["report"]
+    assert {f["code"] for f in full["report"]["findings"]} == {"REP101"}
 
 
 def test_bad_file_fails_with_text_findings(tmp_path, fixtures_dir, capsys):

@@ -1,10 +1,13 @@
-"""The summary cache and the single scan, once for all three layers.
+"""The summary cache and the single scan, once for all four passes.
 
-Flow, effects, and perf share one :class:`repro.lint.summaries.SummaryCache`
-and one scan loop, so their cache contract — hit, invalidated by edit,
-corrupt file, version skew, malformed entry — is one suite parametrised
-over the layers, and the single-parse guarantee is checked on the
-command that runs all of them together.
+The REP00x rules pass and the flow, effects, and perf layers share one
+:class:`repro.lint.summaries.SummaryCache` and one scan loop, so their
+cache contract — hit, invalidated by edit, corrupt file, version skew,
+malformed entry — is one suite parametrised over the passes, and the
+parse-once-cold, parse-nothing-warm guarantee is checked on the command
+that runs all of them together.  What only the rules cache does — a
+derived ``analysis_version``, entries shared between ``--select`` and
+full runs, fix spans that survive a hit — follows.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ import gc
 import json
 import pathlib
 import shutil
+import types
 import weakref
 
 import pytest
 
-from repro.lint import analyze_effects, analyze_paths
+from repro.lint import all_rules, analyze_effects, analyze_paths
+from repro.lint import engine as lint_engine
 from repro.lint.cli import main as lint_main
 from repro.lint.effects import EffectPass
 from repro.lint.engine import Pass, RulesPass, scan
@@ -27,19 +32,41 @@ from repro.lint.perf import PerfPass, analyze_perf
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-#: layer -> (entry point, fixture files making a multi-module tree,
-#: the codes that tree must produce)
+
+
+def analyze_rules(paths, *, root, cache_path, rules=None):
+    """The rules pass through its cache, shaped like a ``LayerResult``."""
+    rules_pass = RulesPass(rules, cache_path)
+    files = scan(paths, root, [rules_pass])
+    return types.SimpleNamespace(
+        findings=list(rules_pass.finish()),
+        files_analyzed=files,
+        cache_hits=rules_pass.cache.hits,
+        cache_misses=rules_pass.cache.misses,
+    )
+
+
+#: pass -> (entry point, fixture files making a multi-module tree, the
+#: codes that tree must produce, a key every cached extract must have)
 LAYERS = {
-    "flow": (analyze_paths, "flow/rep101_bad", ["REP101"]),
+    "rules": (
+        analyze_rules,
+        ["rep003_bad.py", "rep003_good.py"],
+        ["REP003"],
+        "findings",
+    ),
+    "flow": (analyze_paths, "flow/rep101_bad", ["REP101"], "functions"),
     "effects": (
         analyze_effects,
         ["effects/rep204_bad.py", "effects/rep204_good.py"],
         ["REP204"],
+        "functions",
     ),
     "perf": (
         analyze_perf,
         ["perf/rep301_bad.py", "perf/rep301_good.py"],
         ["REP301"],
+        "functions",
     ),
 }
 
@@ -48,7 +75,7 @@ class Layer:
     """One layer's analysis over a scratch copy of its fixture tree."""
 
     def __init__(self, name: str, tmp_path: pathlib.Path) -> None:
-        self.analyze, fixture, self.codes = LAYERS[name]
+        self.analyze, fixture, self.codes, self.required_key = LAYERS[name]
         self.root = tmp_path / "tree"
         if isinstance(fixture, str):
             shutil.copytree(FIXTURES / fixture, self.root)
@@ -137,7 +164,7 @@ def test_analysis_version_skew_discards_cache(layer, stale):
     layer.run()
 
     def edit(data):
-        assert data["analysis_version"] >= 1
+        assert data["analysis_version"] not in (stale, None)
         if stale is None:
             del data["analysis_version"]
         else:
@@ -158,7 +185,7 @@ def test_malformed_entry_is_a_miss_for_that_module_only(layer):
 
     def edit(data):
         first = sorted(data["modules"])[0]
-        del data["modules"][first]["extract"]["functions"]
+        del data["modules"][first]["extract"][layer.required_key]
 
     layer.rewrite_cache(edit)
     result = layer.run()
@@ -203,6 +230,7 @@ def counted_tree(tmp_path, monkeypatch):
 
 
 def test_each_file_is_read_and_parsed_at_most_once(counted_tree, capsys):
+    """... and on a warm run, read once and parsed not at all."""
     tree, files, counts = counted_tree
     argv = [
         str(tree / "src"), "--root", str(tree), "--format", "json",
@@ -214,7 +242,11 @@ def test_each_file_is_read_and_parsed_at_most_once(counted_tree, capsys):
         assert lint_main(argv) == 1
         reports.append(json.loads(capsys.readouterr().out))
         assert counts["read"] == len(files), temperature
-        assert 0 < counts["parse"] <= len(files), temperature
+        if temperature == "cold":
+            assert 0 < counts["parse"] <= len(files)
+        else:
+            # Not the rules, not REP104's unit check, not broken.py.
+            assert counts["parse"] == 0
     cold, warm = reports
     assert cold == warm
     assert cold["summary"]["files_scanned"] == len(files)
@@ -242,3 +274,134 @@ def test_trees_are_not_retained_across_files(tmp_path):
     passes = [spy, RulesPass(), FlowPass(None), EffectPass(None), PerfPass(None)]
     assert scan([tree], tree, passes) == len(spy.trees) > 1
     assert spy.alive_at_visit == [0] * len(spy.trees)
+
+
+# ---------------------------------------------------------------------------
+# What only the rules cache does
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def rules_layer(tmp_path) -> Layer:
+    return Layer("rules", tmp_path)
+
+
+def test_a_changed_linter_source_digest_forces_a_full_relint(
+    rules_layer, monkeypatch
+):
+    """The rules cache's analysis_version is derived from the linter's
+    own source, so an edited rule can never replay stale findings."""
+    rules_layer.run()
+    assert rules_layer.run().cache_hits == len(rules_layer.files)
+    version = json.loads(rules_layer.cache.read_text())["analysis_version"]
+    assert version == lint_engine.linter_digest()
+    monkeypatch.setattr(lint_engine, "linter_digest", lambda: "edited-rule")
+    assert_full_reextract(rules_layer, rules_layer.run())
+    assert rules_layer.run().cache_hits == len(rules_layer.files)
+
+
+def test_linter_digest_covers_every_linter_source_file(tmp_path, monkeypatch):
+    package = tmp_path / "lint"
+    shutil.copytree(pathlib.Path(lint_engine.__file__).parent, package)
+    monkeypatch.setattr(lint_engine, "__file__", str(package / "engine.py"))
+    before = lint_engine.linter_digest()
+    for relpath in ("rules/rep003_canonical_json.py", "flow/units.py"):
+        with (package / relpath).open("a") as handle:
+            handle.write("# edited\n")
+        after = lint_engine.linter_digest()
+        assert after != before, relpath
+        before = after
+    monkeypatch.setattr(lint_engine.sys, "version_info", (3, 99, 0))
+    assert lint_engine.linter_digest() != before
+
+
+@pytest.mark.parametrize("first", ["full", "select"])
+def test_select_and_full_runs_share_one_cache(rules_layer, first):
+    """A miss runs every registered rule, a hit filters by code: either
+    kind of run may fill the cache the other one reads."""
+    root, cache = rules_layer.root, rules_layer.cache
+    for target in (root / "rep005_bad.py", root / "broken.py"):
+        source = FIXTURES / target.name
+        target.write_text(source.read_text() if source.exists() else "def (:\n")
+    files = len(list(root.rglob("*.py")))
+    selected = [rule for rule in all_rules() if rule.code == "REP003"]
+
+    def run(rules, cache_path):
+        return analyze_rules(
+            [root], root=root, cache_path=cache_path, rules=rules
+        )
+
+    uncached = {
+        "full": lint_engine.lint_paths([root], root=root),
+        "select": lint_engine.lint_paths([root], root=root, rules=selected),
+    }
+    assert {f.code for f in uncached["full"]} == {"REP000", "REP003", "REP005"}
+    assert {f.code for f in uncached["select"]} == {"REP000", "REP003"}
+    second = "select" if first == "full" else "full"
+    rules_of = {"full": None, "select": selected}
+
+    filled = run(rules_of[first], cache)
+    assert (filled.cache_hits, filled.cache_misses) == (0, files)
+    assert filled.findings == uncached[first]
+    read = run(rules_of[second], cache)
+    assert (read.cache_hits, read.cache_misses) == (files, 0)
+    assert read.findings == uncached[second]
+
+
+def test_fix_through_a_warm_cache_rewrites_the_same_bytes(
+    tmp_path, fixtures_dir, capsys
+):
+    rewritten = {}
+    for temperature in ("cold", "warm"):
+        root = tmp_path / temperature
+        root.mkdir()
+        target = root / "bad.py"
+        shutil.copy(fixtures_dir / "rep003_bad.py", target)
+        argv = [str(root), "--root", str(root)]
+        if temperature == "warm":
+            assert lint_main(argv) == 1
+            assert (root / ".repro-rules-cache.json").exists()
+            assert "sort_keys=True" not in target.read_text()
+        assert lint_main(argv + ["--fix"]) == 1
+        assert "1 fixed" in capsys.readouterr().out
+        rewritten[temperature] = target.read_bytes()
+    assert rewritten["cold"] == rewritten["warm"]
+    assert rewritten["cold"] != (fixtures_dir / "rep003_bad.py").read_bytes()
+
+
+def test_unparsable_file_is_rep000_cold_and_warm(tmp_path):
+    root = tmp_path / "tree"
+    root.mkdir()
+    (root / "broken.py").write_text("def broken(:\n")
+    cache = tmp_path / "cache.json"
+    cold = analyze_rules([root], root=root, cache_path=cache)
+    warm = analyze_rules([root], root=root, cache_path=cache)
+    assert (warm.cache_hits, warm.cache_misses) == (1, 0)
+    assert [f.code for f in cold.findings] == ["REP000"]
+    assert warm.findings == cold.findings
+    assert warm.findings == lint_engine.lint_paths([root], root=root)
+
+
+def test_a_run_with_no_layer_enabled_writes_no_rules_cache(
+    tmp_path, fixtures_dir, capsys
+):
+    target = tmp_path / "bad.py"
+    shutil.copy(fixtures_dir / "rep003_bad.py", target)
+    assert lint_main([str(target), "--root", str(tmp_path)]) == 1
+    assert lint_main([str(tmp_path), "--root", str(tmp_path), "--no-flow"]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.py"]
+
+
+def test_clear_cache_removes_all_four_files(tmp_path, fixtures_dir, capsys):
+    shutil.copy(fixtures_dir / "rep003_good.py", tmp_path / "ok.py")
+    argv = [str(tmp_path), "--root", str(tmp_path)]
+    assert lint_main(argv + ["--flow", "--effects", "--perf"]) == 0
+    caches = sorted(p.name for p in tmp_path.glob(".repro-*-cache.json"))
+    assert caches == [
+        ".repro-effects-cache.json",
+        ".repro-flow-cache.json",
+        ".repro-perf-cache.json",
+        ".repro-rules-cache.json",
+    ]
+    assert lint_main(argv + ["--no-flow", "--clear-cache"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["ok.py"]

@@ -1,8 +1,83 @@
 """Tests for the command-line interface."""
 
+import pathlib
+import re
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+#: stdout + stderr of the CLI at a99611a (COLUMNS=80), before the
+#: per-command table: what a user sees must not have moved.
+GOLDENS = pathlib.Path(__file__).parent / "goldens" / "cli"
+
+#: One representative argv per command (every sub-subcommand of trace).
+REPRESENTATIVE_ARGV = {
+    "list-workloads": [["list-workloads"]],
+    "run": [["run", "knn", "-n", "2", "-c", "4", "--cluster",
+             "opteron-infiniband", "--faults", "s.json"]],
+    "predict": [["predict", "p.json", "-n", "2", "-c", "4", "--model",
+                 "no-communication"]],
+    "classify": [["classify", "knn"]],
+    "figure": [["figure", "fig09", "--fast", "--chart"]],
+    "suite": [["suite", "--fast", "--only", "fig09", "--journal", "j"]],
+    "campaign": [["campaign", "m.json", "--workers", "2", "--resume"]],
+    "broker": [["broker", "w.json", "--policy", "min-cost", "--recovery",
+                "migrate"]],
+    "trace": [
+        ["trace", "generate", "gwa-mixed", "--count", "50"],
+        ["trace", "load", "t.gwf", "-o", "t.json"],
+        ["trace", "run", "t.json", "--policy", "min-cost", "--schedule"],
+    ],
+    "profile": [["profile", "src/repro", "--check", "--count", "8"]],
+    "lint": [["lint", "src/repro", "--flow", "--select", "REP003",
+              "--format", "json"]],
+    "shares": [["shares", "defect", "--size", "350 MB"]],
+    "whatif": [["whatif", "p.json", "--tolerance", "0.1"]],
+    "serve": [["serve", "--port", "0", "--rate", "1000"]],
+}
+
+
+class TestCommandTable:
+    """The table and ``build_parser(only=...)`` are invisible from outside."""
+
+    def test_every_command_has_a_representative_argv(self):
+        assert [name for name, _, _ in COMMANDS] == list(REPRESENTATIVE_ARGV)
+
+    @pytest.mark.parametrize("name", sorted(REPRESENTATIVE_ARGV))
+    def test_only_parser_parses_like_the_full_parser(self, name):
+        for argv in REPRESENTATIVE_ARGV[name]:
+            narrow = build_parser(only=name).parse_args(argv)
+            assert vars(narrow) == vars(build_parser().parse_args(argv))
+            assert narrow.func.__module__ == "repro.cli"
+
+    @pytest.mark.parametrize(
+        "argv, golden, code",
+        [
+            (["--help"], "help.txt", 0),
+            ([], "noargs.txt", 2),
+            (["nosuch"], "nosuch.txt", 2),
+            (["figure", "fig99"], "figure_fig99.txt", 2),
+            (["lint", "--help"], "lint_help.txt", 0),
+        ],
+    )
+    def test_usage_text_is_the_parent_commits(
+        self, argv, golden, code, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code
+        captured = capsys.readouterr()
+        assert captured.out + captured.err == (GOLDENS / golden).read_text()
+
+    def test_no_flag_was_added(self):
+        sources = [REPO / "src/repro/cli.py", REPO / "src/repro/lint/cli.py"]
+        assert sum(
+            len(re.findall(r"\.add_argument\(", path.read_text()))
+            for path in sources
+        ) == 99
 
 
 class TestParser:
