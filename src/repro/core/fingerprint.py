@@ -5,10 +5,14 @@ last-known-good entry as a degraded response when the predictor is
 unavailable (circuit open) or too slow (deadline).  A cache is only as
 trustworthy as its key: two requests may share a cached prediction
 *only* when every input that could change the prediction is identical.
-This module defines that key — a SHA-256 over the canonical JSON of the
-profile, the target configuration, and the model identity — so cache
-hits are content-addressed, not name-addressed, and a profile update
-invalidates every dependent entry automatically.
+This module defines that key in two layers.  :func:`profile_fingerprint`
+and :func:`cluster_fingerprint` are SHA-256 digests over the full
+canonical JSON of a profile or a cluster — content-addressed, not
+name-addressed, so a profile update invalidates every dependent entry —
+and a holder of long-lived profiles and clusters computes them once.
+:func:`prediction_fingerprint` is one more digest over those strings and
+the request's own scalars, so a key costs the same dozen-item document
+whatever the traffic.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from typing import Any, Dict, Sequence, Tuple
 from repro.core.durable import content_digest
 from repro.core.profile import Profile
 from repro.core.target import PredictionTarget
+from repro.simgrid.hardware import ClusterSpec
 from repro.simgrid.serialize import cluster_to_dict
 
 __all__ = [
     "profile_fingerprint",
-    "target_fingerprint",
+    "cluster_fingerprint",
     "prediction_fingerprint",
 ]
 
@@ -56,39 +61,40 @@ def profile_fingerprint(profile: Profile) -> str:
     return content_digest(_profile_dict(profile))
 
 
-def target_fingerprint(target: PredictionTarget) -> str:
-    """SHA-256 over the model-relevant content of a prediction target."""
-    config = target.config
-    return content_digest(
-        {
-            "storage_cluster": cluster_to_dict(config.storage_cluster),
-            "compute_cluster": cluster_to_dict(config.compute_cluster),
-            "data_nodes": config.data_nodes,
-            "compute_nodes": config.compute_nodes,
-            "bandwidth": config.bandwidth,
-            "processes_per_node": config.processes_per_node,
-            "dataset_bytes": target.dataset_bytes,
-        }
-    )
+def cluster_fingerprint(cluster: ClusterSpec) -> str:
+    """SHA-256 over every parameter of a cluster."""
+    return content_digest(cluster_to_dict(cluster))
 
 
 def prediction_fingerprint(
-    profile: Profile,
+    profile_digest: str,
+    storage_digest: str,
+    compute_digest: str,
     target: PredictionTarget,
     model_label: str,
     extra: Sequence[Tuple[str, Any]] = (),
 ) -> str:
     """Cache key for one (profile, target, model) prediction.
 
-    ``extra`` admits endpoint-specific inputs (e.g. the what-if sweep's
-    configuration pairs) into the key; pairs are canonicalized with the
-    rest, so ordering of the *mapping* never matters while ordering of a
-    list value does (a sweep over reordered pairs is a different sweep).
+    The three digests are :func:`profile_fingerprint` of the profile and
+    :func:`cluster_fingerprint` of the target's storage and compute
+    clusters.  ``extra`` admits endpoint-specific inputs (e.g. the
+    what-if sweep's configuration pairs) into the key; pairs are
+    canonicalized with the rest, so ordering of the *mapping* never
+    matters while ordering of a list value does (a sweep over reordered
+    pairs is a different sweep).
     """
+    config = target.config
     return content_digest(
         {
-            "profile": _profile_dict(profile),
-            "target": target_fingerprint(target),
+            "profile": profile_digest,
+            "storage_cluster": storage_digest,
+            "compute_cluster": compute_digest,
+            "data_nodes": config.data_nodes,
+            "compute_nodes": config.compute_nodes,
+            "bandwidth": config.bandwidth,
+            "processes_per_node": config.processes_per_node,
+            "dataset_bytes": target.dataset_bytes,
             "model": model_label,
             "extra": {key: value for key, value in extra},
         }

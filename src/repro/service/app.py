@@ -30,17 +30,23 @@ connections in front of it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.broker.calibration import OnlineCalibrator
 from repro.core import GlobalReductionModel, ModelClasses
-from repro.core.fingerprint import prediction_fingerprint
+from repro.core.fingerprint import (
+    cluster_fingerprint,
+    prediction_fingerprint,
+    profile_fingerprint,
+)
 from repro.core.models import PredictedBreakdown, PredictionModel
 from repro.core.predcache import PredictionCache
 from repro.core.profile import Profile
 from repro.core.target import PredictionTarget
 from repro.errors import InternalError
+from repro.middleware.scheduler import RunConfig
 from repro.service.backends import ServiceBackend, breakdown_to_dict
 from repro.service.clock import ServiceClock, VirtualClock
 from repro.service.errors import (
@@ -62,7 +68,6 @@ from repro.workloads.clusters import (
     opteron_infiniband_cluster,
     pentium_myrinet_cluster,
 )
-from repro.workloads.configs import make_run_config
 from repro.workloads.registry import WORKLOADS
 
 __all__ = [
@@ -84,6 +89,27 @@ _SERVICE_CLUSTERS = {
     "pentium-myrinet": pentium_myrinet_cluster,
     "opteron-infiniband": opteron_infiniband_cluster,
 }
+
+
+def _number(name: str, value: Any, integer: bool = False) -> Any:
+    """One numeric request parameter, or a 400 naming the field.
+
+    ``json.loads`` hands over ``Infinity``, ``NaN`` and integers of any
+    size; none of them may reach the model, whose non-finite answers
+    would be booked against the backend's circuit breaker.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+        or (integer and not float(value).is_integer())
+    ):
+        kind = "an integer" if integer else "a finite number"
+        # Truncated: the value is the client's, up to a megabyte of it.
+        raise ConfigurationError(
+            f"'{name}' must be {kind}, got {value!r:.40}"
+        )
+    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -139,9 +165,13 @@ class ServiceResponse:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
-    """The log's view of one settled request."""
+    """The log's view of one settled request.
+
+    Slotted: the log keeps one per settled request for the life of the
+    process, so a record's footprint is the log's growth rate.
+    """
 
     request_id: str
     endpoint: str
@@ -307,6 +337,20 @@ class PredictionService:
             self.config.breaker_cooldown,
         )
         self._models: Dict[str, PredictionModel] = {}
+        # Request-invariant, so computed here and never per request: the
+        # named clusters and the content digests the cache key is built
+        # from (``profiles`` is therefore fixed at construction).
+        self._clusters = {
+            name: make() for name, make in _SERVICE_CLUSTERS.items()
+        }
+        self._cluster_digests = {
+            name: cluster_fingerprint(cluster)
+            for name, cluster in self._clusters.items()
+        }
+        self._profile_digests = {
+            name: profile_fingerprint(profile)
+            for name, profile in self.profiles.items()
+        }
 
     # ------------------------------------------------------------------
     # Shared machinery
@@ -438,7 +482,11 @@ class PredictionService:
         ``call`` performs one backend attempt and returns
         ``(payload, cost_s)``; failures raise
         :class:`~repro.service.errors.BackendError` with the attempt's
-        cost attached.
+        cost attached.  Costs are prices in simulated time; what an
+        attempt is *charged* is the clock's call (the price on a
+        :class:`VirtualClock`, the time it took on a real one), while
+        ``estimated_cost_s`` stays a price on both — a conservative
+        upper bound for the pre-admission check.
         """
         bulkhead = self.bulkheads[request.endpoint]
         try:
@@ -471,10 +519,11 @@ class PredictionService:
         spent = 0.0
         retries = 0
         for attempt in range(1, retry.max_attempts + 1):
+            began = self.clock.now()
             try:
                 payload, cost = call()
             except BackendError as exc:
-                spent += exc.cost_s
+                spent += self.clock.charge(exc.cost_s, began)
                 failed_at = min(start + spent, budget.deadline_s)
                 if breaker is not None:
                     breaker.record_failure(failed_at)
@@ -497,7 +546,7 @@ class PredictionService:
                     at_s=min(start + spent, budget.deadline_s),
                     retries=retries,
                 )
-            spent += cost
+            spent += self.clock.charge(cost, began)
             end = start + spent
             if end > budget.deadline_s:
                 # The work finished, but past the deadline: the call is
@@ -531,43 +580,43 @@ class PredictionService:
     # Endpoint handlers
     # ------------------------------------------------------------------
 
-    def _resolve_profile(self, params: Mapping[str, Any]) -> Profile:
+    def _resolve_profile(
+        self, params: Mapping[str, Any]
+    ) -> Tuple[Profile, str]:
+        """The named profile and its content digest."""
         name = params.get("profile")
         if not isinstance(name, str) or name not in self.profiles:
             known = ", ".join(sorted(self.profiles)) or "(none)"
             raise ConfigurationError(
                 f"unknown profile {name!r}; known profiles: {known}"
             )
-        return self.profiles[name]
+        return self.profiles[name], self._profile_digests[name]
 
-    def _resolve_target(
-        self, profile: Profile, params: Mapping[str, Any]
-    ) -> PredictionTarget:
-        try:
-            data_nodes = int(params["data_nodes"])
-            compute_nodes = int(params["compute_nodes"])
-        except (KeyError, TypeError, ValueError) as exc:
+    def _resolve_config(
+        self,
+        params: Mapping[str, Any],
+        data_nodes: int = 1,
+        compute_nodes: int = 1,
+        processes_per_node: int = 1,
+    ) -> Tuple[RunConfig, str]:
+        """The named cluster at the requested bandwidth, and its digest."""
+        name = str(params.get("cluster", "pentium-myrinet"))
+        cluster = self._clusters.get(name)
+        if cluster is None:
             raise ConfigurationError(
-                f"predict needs integer data_nodes and compute_nodes: {exc}"
-            ) from exc
-        cluster_name = str(params.get("cluster", "pentium-myrinet"))
-        make_cluster = _SERVICE_CLUSTERS.get(cluster_name)
-        if make_cluster is None:
-            raise ConfigurationError(
-                f"unknown cluster '{cluster_name}'; known: "
-                f"{sorted(_SERVICE_CLUSTERS)}"
+                f"unknown cluster '{name}'; known: {sorted(self._clusters)}"
             )
-        bandwidth = float(params.get("bandwidth", DEFAULT_BANDWIDTH))
-        dataset_bytes = float(
-            params.get("dataset_bytes", profile.dataset_bytes)
+        config = RunConfig(
+            storage_cluster=cluster,
+            compute_cluster=cluster,
+            data_nodes=data_nodes,
+            compute_nodes=compute_nodes,
+            bandwidth=_number(
+                "bandwidth", params.get("bandwidth", DEFAULT_BANDWIDTH)
+            ),
+            processes_per_node=processes_per_node,
         )
-        config = make_run_config(
-            data_nodes,
-            compute_nodes,
-            storage_cluster=make_cluster(),
-            bandwidth=bandwidth,
-        ).with_processes_per_node(int(params.get("processes_per_node", 1)))
-        return PredictionTarget(config=config, dataset_bytes=dataset_bytes)
+        return config, self._cluster_digests[name]
 
     def _apply_calibration(
         self, app: str, cluster: str, payload: Dict[str, float]
@@ -587,13 +636,33 @@ class PredictionService:
     def _handle_predict(
         self, request: ServiceRequest, arrival: float, budget: DeadlineBudget
     ) -> ServiceResponse:
+        params = request.params
         try:
-            profile = self._resolve_profile(request.params)
-            target = self._resolve_target(profile, request.params)
+            profile, profile_digest = self._resolve_profile(params)
+            config, cluster_digest = self._resolve_config(
+                params,
+                _number("data_nodes", params.get("data_nodes"), True),
+                _number("compute_nodes", params.get("compute_nodes"), True),
+                _number(
+                    "processes_per_node",
+                    params.get("processes_per_node", 1),
+                    True,
+                ),
+            )
+            target = PredictionTarget(
+                config,
+                _number(
+                    "dataset_bytes",
+                    params.get("dataset_bytes", profile.dataset_bytes),
+                ),
+            )
         except ConfigurationError as exc:
             return self._reject(request, arrival, str(exc))
         model = self._model_for(profile.app)
-        fingerprint = prediction_fingerprint(profile, target, model.label)
+        fingerprint = prediction_fingerprint(
+            profile_digest, cluster_digest, cluster_digest, target,
+            model.label,
+        )
         cluster = target.config.compute_cluster.name
 
         def call() -> Tuple[Dict[str, Any], float]:
@@ -617,33 +686,32 @@ class PredictionService:
     def _handle_whatif(
         self, request: ServiceRequest, arrival: float, budget: DeadlineBudget
     ) -> ServiceResponse:
+        params = request.params
         try:
-            profile = self._resolve_profile(request.params)
-            pairs_raw = request.params.get("pairs")
+            profile, profile_digest = self._resolve_profile(params)
+            pairs_raw = params.get("pairs")
             if not isinstance(pairs_raw, (list, tuple)) or not pairs_raw:
                 raise ConfigurationError(
                     "what-if needs a non-empty 'pairs' list of "
                     "[data_nodes, compute_nodes]"
                 )
-            pairs = [(int(n), int(c)) for n, c in pairs_raw]
+            pairs = [
+                (_number("pairs", n, True), _number("pairs", c, True))
+                for n, c in pairs_raw
+            ]
+            template, cluster_digest = self._resolve_config(params)
+            for n, c in pairs:  # refuse here what the sweep would raise on
+                template.with_nodes(n, c)
         except (ConfigurationError, TypeError, ValueError) as exc:
             return self._reject(request, arrival, str(exc))
         model = self._model_for(profile.app)
-        cluster_name = str(request.params.get("cluster", "pentium-myrinet"))
-        make_cluster = _SERVICE_CLUSTERS.get(cluster_name)
-        if make_cluster is None:
-            return self._reject(
-                request, arrival, f"unknown cluster '{cluster_name}'"
-            )
-        bandwidth = float(request.params.get("bandwidth", DEFAULT_BANDWIDTH))
-        template = make_run_config(
-            1, 1, storage_cluster=make_cluster(), bandwidth=bandwidth
-        )
         target = PredictionTarget(
             config=template, dataset_bytes=profile.dataset_bytes
         )
         fingerprint = prediction_fingerprint(
-            profile,
+            profile_digest,
+            cluster_digest,
+            cluster_digest,
             target,
             model.label,
             extra=(("endpoint", "what-if"), ("pairs", [list(p) for p in pairs])),

@@ -1,13 +1,13 @@
 """Backend evaluation with modeled cost and deterministic fault injection.
 
 The service never calls the prediction core directly: every evaluation
-goes through a :class:`ServiceBackend`, which (a) charges the request a
-deterministic *modeled cost* — the latency accounting the resilience
-pipeline budgets against — and (b) optionally consults a seeded
-:class:`ServiceFaultInjector` that makes the backend slow, crashing, or
-corrupt for chaos campaigns.  The same seed always produces the same
-fault sequence, which is what makes a (seed, scenario) replay of the
-recorded request log byte-identical.
+goes through a :class:`ServiceBackend`, which (a) prices the request a
+deterministic *modeled cost* — what the resilience pipeline budgets
+against and a virtual clock charges — and (b) optionally consults a
+seeded :class:`ServiceFaultInjector` that makes the backend slow,
+crashing, or corrupt for chaos campaigns.  The same seed always
+produces the same fault sequence, which is what makes a (seed,
+scenario) replay of the recorded request log byte-identical.
 
 Corrupt responses deserve emphasis: a backend that *returns garbage* is
 more dangerous than one that crashes, because garbage can be cached and
@@ -47,9 +47,12 @@ __all__ = [
 class ServiceCostModel:
     """Modeled seconds of backend work per endpoint unit.
 
-    These are the simulated service times the bulkhead queues and the
-    deadline budgets are evaluated against — the service analogue of
-    the simulator's per-chunk costs.
+    The price list of simulated time — the service analogue of the
+    simulator's per-chunk costs.  Under a ``VirtualClock`` an attempt is
+    charged its price, so bulkhead queues and deadline budgets are
+    evaluated against these; under a ``MonotonicClock`` an attempt is
+    charged the time it took and a price is only the pre-admission
+    estimate, a conservative upper bound (DESIGN.md §15).
     """
 
     predict_s: float = 0.004

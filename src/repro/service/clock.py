@@ -12,12 +12,15 @@ owned by the service, never from the host directly:
   layer (this module is on the REP001 allowlist); simulated results
   never depend on it.
 
-Execution latency is *modeled* in both modes: the service charges each
-request the deterministic cost of its backend work (plus queueing, retry
-backoff, and injected fault delays), which is what the latency invariant
-("settled latency stays under the declared deadline + ε") is checked
-against.  Nothing in the service ever sleeps — waiting is accounted, not
-performed.
+What an attempt at backend work *cost* is the clock's to say as well
+(:meth:`ServiceClock.charge`).  Under :class:`VirtualClock` execution
+latency is *modeled*: the service charges each attempt the deterministic
+price of its backend work (stretched by injected fault delays), which is
+what the latency invariant ("settled latency stays under the declared
+deadline + ε") is checked against in every seeded scenario.  Under
+:class:`MonotonicClock` the charge is *measured*: the time the attempt
+really took.  Nothing in the service ever sleeps — queueing and retry
+backoff are accounted, not performed, on either clock.
 """
 
 from __future__ import annotations
@@ -37,6 +40,14 @@ class ServiceClock(abc.ABC):
     def now(self) -> float:
         """Current time in seconds."""
 
+    @abc.abstractmethod
+    def charge(self, priced_s: float, began_s: float) -> float:
+        """Seconds to book for one backend attempt begun at ``began_s``.
+
+        ``priced_s`` is the attempt's price in simulated time
+        (:class:`~repro.service.backends.ServiceCostModel`).
+        """
+
 
 class VirtualClock(ServiceClock):
     """Deterministic clock advanced explicitly by the driver."""
@@ -46,6 +57,9 @@ class VirtualClock(ServiceClock):
 
     def now(self) -> float:
         return self._now
+
+    def charge(self, priced_s: float, began_s: float) -> float:
+        return priced_s
 
     def advance(self, seconds: float) -> float:
         """Move time forward; rejects negative steps."""
@@ -72,3 +86,6 @@ class MonotonicClock(ServiceClock):
 
     def now(self) -> float:
         return time.monotonic() - self._epoch
+
+    def charge(self, priced_s: float, began_s: float) -> float:
+        return self.now() - began_s

@@ -74,16 +74,21 @@ class ServiceGateway:
             return 400, {
                 "error": f"deadline_s must be a number, got {deadline!r}"
             }, None
+        params = payload.get("params", {})
+        if not isinstance(params, Mapping):
+            return 400, {
+                "error": "params must be a JSON object, got "
+                f"{type(params).__name__}"
+            }, None
         with self._lock:
             self._counter += 1
             request_id = str(
                 payload.get("request_id") or f"http-{self._counter}"
             )
-            params = payload.get("params")
             request = ServiceRequest(
                 request_id=request_id,
                 endpoint=endpoint,
-                params=params if isinstance(params, Mapping) else {},
+                params=params,
                 deadline_s=deadline_s,
             )
             response = self.service.handle(request)
@@ -117,7 +122,7 @@ def _route(
             return 413, {"error": "request body too large"}, None
         try:
             payload = json.loads(raw_body.decode("utf-8")) if raw_body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8, bad JSON, a 5000-digit int
             return 400, {"error": f"request body is not JSON: {exc}"}, None
         if not isinstance(payload, dict):
             return 400, {"error": "request body must be a JSON object"}, None

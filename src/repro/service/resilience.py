@@ -12,7 +12,7 @@ The service wraps every request in this pipeline (DESIGN.md §15):
    :meth:`DeadlineBudget.child`, which can only shrink the remaining
    time — a lower layer can never out-wait its caller.
 3. :class:`Bulkhead` — a bounded worker pool per endpoint class with a
-   bounded FIFO wait queue, modeled in simulated time.  One slow
+   bounded FIFO wait queue, modeled in the service clock's time.  One slow
    endpoint (broker submissions) can exhaust only its own pool; predict
    traffic keeps flowing.  A full pool+queue refuses (HTTP 503) instead
    of queueing unboundedly — the REP009 contract at the architecture
@@ -33,6 +33,7 @@ demand a byte-identical request log.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -84,8 +85,10 @@ class DeadlineBudget:
     @classmethod
     def begin(cls, now: float, budget_s: float) -> "DeadlineBudget":
         """A fresh budget of ``budget_s`` seconds starting at ``now``."""
-        if budget_s <= 0:
-            raise ConfigurationError("deadline budget must be positive")
+        if not 0 < budget_s < math.inf:  # NaN fails both comparisons
+            raise ConfigurationError(
+                f"deadline budget must be positive and finite, got {budget_s}"
+            )
         return cls(start_s=now, deadline_s=now + budget_s)
 
     def remaining_s(self, now: float) -> float:
@@ -190,9 +193,12 @@ class BulkheadConfig:
 
 
 class Bulkhead:
-    """A bounded worker pool in simulated time.
+    """A bounded worker pool in the service clock's time.
 
-    The pool tracks the *end times* of all admitted work.  A new request
+    No thread waits here: the pool is bookkeeping over the *end times*
+    of all admitted work, which are priced under a virtual clock and
+    measured under a real one (where work serialized by the HTTP
+    gateway's mutex never overlaps, so the pool is idle).  A new request
     at ``now`` starts immediately if a worker is free, otherwise queues
     FIFO behind the in-flight work; when pool + queue are full it is
     refused outright.  :meth:`reserve` answers "when would this start?"

@@ -18,6 +18,7 @@ Three pieces live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -114,8 +115,18 @@ def fit_linear_cost(
     """Least-squares fit ``time = w * size + l``; returns ``(w, l)``.
 
     Used to turn microbenchmark (size, time) samples into the paper's
-    per-byte cost ``w`` and latency ``l``.
+    per-byte cost ``w`` and latency ``l``.  The solve is remembered by
+    the *values* of the samples, so equal clusters share one fit and
+    every prediction after a cluster's first reuses it — Section 3.3.1
+    determines ``w`` and ``l`` once per target configuration.
     """
+    return _fit_samples(tuple(sizes), tuple(times))
+
+
+@functools.lru_cache(maxsize=64)
+def _fit_samples(
+    sizes: tuple[float, ...], times: tuple[float, ...]
+) -> tuple[float, float]:
     if len(sizes) != len(times):
         raise ConfigurationError("sizes and times must have equal length")
     if len(sizes) < 2:

@@ -160,8 +160,13 @@ class TestAsgi:
 
 
 @pytest.fixture()
-def live_service():
-    return PredictionService(demo_profiles(), clock=MonotonicClock())
+def live_service(request):
+    """On the real clock; an indirect parameter is its ResilienceConfig."""
+    return PredictionService(
+        demo_profiles(),
+        clock=MonotonicClock(),
+        config=getattr(request, "param", None),
+    )
 
 
 @pytest.fixture()
@@ -409,6 +414,78 @@ class TestThreadedServer:
         finally:
             conn.close()
         assert statistics.median(latencies) < 0.020
+
+    @pytest.mark.parametrize(
+        "live_service",
+        [
+            # No 429s, and no 504 from a scheduler stall on a shared box:
+            # the subject is the default bulkheads.
+            ResilienceConfig(
+                admission_rate=1.0e6, admission_burst=64.0, default_deadline_s=10.0
+            )
+        ],
+        indirect=True,
+        ids=["admission-raised"],
+    )
+    def test_four_connections_at_saturation_are_all_answered_fresh(
+        self, live_server, live_service
+    ):
+        """ROADMAP 5(a): more than two connections, admission out of the
+        way, default bulkheads.  Behind the gateway's one mutex real work
+        never overlaps, so nothing is stale and nothing is refused."""
+        service = live_service
+        host, port = live_server.server_address[:2]
+        pairs = [(d, c) for d in (1, 2, 4) for c in (d, 2 * d, 4 * d)]
+        replies = [[] for _ in range(4)]
+        errors = []
+
+        def client(k):
+            conn = http.client.HTTPConnection(host, port, timeout=10.0)
+            try:
+                for i in range(200):
+                    if i % 5 == 4:
+                        path, params = "/v1/what-if", {
+                            "profile": "vortex", "pairs": pairs[k : k + 4]
+                        }
+                    else:
+                        data_nodes, compute_nodes = pairs[(i + k) % len(pairs)]
+                        path, params = "/v1/predict", dict(
+                            PREDICT_PARAMS,
+                            data_nodes=data_nodes,
+                            compute_nodes=compute_nodes,
+                        )
+                    conn.request("POST", path, body=json.dumps({"params": params}))
+                    response = conn.getresponse()
+                    replies[k].append(
+                        (path, params, response.status, json.loads(response.read()))
+                    )
+            except BaseException as exc:  # re-raised on the main thread
+                errors.append(exc)
+            finally:
+                conn.close()
+
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        if errors:
+            raise errors[0]
+
+        answered = [reply for per_client in replies for reply in per_client]
+        assert len(answered) == 800 == len(service.log)
+        assert {(status, body["stale"]) for _, _, status, body in answered} == {
+            (200, False)
+        }
+        submitted = [
+            ServiceRequest(body["request_id"], path[len("/v1/"):], params)
+            for path, params, _, body in answered
+        ]
+        assert verify_service_log(service, submitted) == []
+        bound = service.config.default_deadline_s + service.config.deadline_epsilon_s
+        assert all(body["latency_s"] <= bound for _, _, _, body in answered)
+        assert [b.refused for b in service.bulkheads.values()] == [0, 0, 0, 0]
 
     def test_concurrent_keep_alive_load_settles_exactly_once(
         self, live_server, live_service

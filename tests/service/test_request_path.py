@@ -1,0 +1,368 @@
+"""The request path: what a request costs, what hostile parameters get,
+and what time means on each clock.
+
+Per-request work is pinned by *count* (solves, cluster builds, digests),
+never by a wall-clock threshold; the real-clock tests assert outcomes.
+"""
+
+from __future__ import annotations
+
+import collections
+import dataclasses
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core import durable, fingerprint
+from repro.core.durable import content_digest
+from repro.faults.chaos import ServiceChaosSpec, _serve_case, verify_service_log
+from repro.service import (
+    BackendFaultSpec,
+    MonotonicClock,
+    PredictionService,
+    RequestLog,
+    RequestMix,
+    RequestRecord,
+    ResilienceConfig,
+    ServiceBackend,
+    ServiceFaultInjector,
+    ServiceRequest,
+    VirtualClock,
+    demo_profiles,
+    generate_requests,
+)
+from repro.service import app as service_app
+from repro.service.http import ServiceGateway, _route
+from repro.service.resilience import BreakerState
+
+PREDICT = {"profile": "kmeans", "data_nodes": 2, "compute_nodes": 4}
+WHATIF = {"profile": "kmeans", "pairs": [[1, 2], [2, 4]]}
+INF, NAN = float("inf"), float("nan")
+
+#: id -> (endpoint, parameters json.loads accepts, what the 400 names).
+HOSTILE = {
+    "data_nodes-inf": ("predict", dict(PREDICT, data_nodes=INF), "data_nodes"),
+    "compute_nodes-2.5": ("predict", dict(PREDICT, compute_nodes=2.5), "compute_nodes"),
+    "compute_nodes-true": ("predict", dict(PREDICT, compute_nodes=True), "compute_nodes"),
+    "data_nodes-str": ("predict", dict(PREDICT, data_nodes="2"), "data_nodes"),
+    "data_nodes-absent": ("predict", {"profile": "kmeans", "compute_nodes": 4}, "data_nodes"),
+    "bandwidth-str": ("predict", dict(PREDICT, bandwidth="fast"), "bandwidth"),
+    "bandwidth-nan": ("predict", dict(PREDICT, bandwidth=NAN), "bandwidth"),
+    "bandwidth-1e400": ("predict", dict(PREDICT, bandwidth=10**400), "bandwidth"),
+    "ppn-list": ("predict", dict(PREDICT, processes_per_node=[1]), "processes_per_node"),
+    "dataset_bytes-nan": ("predict", dict(PREDICT, dataset_bytes=NAN), "dataset_bytes"),
+    "dataset_bytes-neg-inf": ("predict", dict(PREDICT, dataset_bytes=-INF), "dataset_bytes"),
+    "whatif-bandwidth-str": ("what-if", dict(WHATIF, bandwidth="x"), "bandwidth"),
+    "whatif-bandwidth-inf": ("what-if", dict(WHATIF, bandwidth=INF), "bandwidth"),
+    "whatif-pair-inf": ("what-if", dict(WHATIF, pairs=[[1, INF]]), "pairs"),
+    "whatif-pair-2.5": ("what-if", dict(WHATIF, pairs=[[1, 2.5]]), "pairs"),
+    # Numbers, but not a configuration the cluster can host.
+    "whatif-pair-c-below-n": ("what-if", dict(WHATIF, pairs=[[1, 2], [4, 2]]), "compute nodes"),
+    "whatif-pair-too-large": ("what-if", dict(WHATIF, pairs=[[1, 64]]), "64 requested"),
+}
+
+
+@pytest.fixture()
+def route(service):
+    """POST a JSON document to the ``service`` fixture's gateway."""
+    gateway = ServiceGateway(service)
+
+    def post(endpoint, payload):
+        body = json.dumps(payload).encode()  # Infinity / NaN go out as tokens
+        return _route(gateway, "POST", f"/v1/{endpoint}", body)
+
+    return post
+
+
+class TestHostileParameters:
+    """Client garbage is a settled 400, never an exception out of handle()."""
+
+    @pytest.mark.parametrize(
+        "endpoint, params, names", HOSTILE.values(), ids=list(HOSTILE)
+    )
+    def test_bad_number_is_a_400_settled_exactly_once(
+        self, service, route, endpoint, params, names
+    ):
+        status, body, _ = route(endpoint, {"params": params})
+        assert (status, body["outcome"]) == (400, "rejected")
+        assert names in body["error"]
+        submitted = [ServiceRequest(body["request_id"], endpoint, params)]
+        assert len(service.log) == 1
+        assert verify_service_log(service, submitted) == []
+        assert service.backend.calls == 0
+
+    @pytest.mark.parametrize("params", [[1, 2], "kmeans", 7, None])
+    def test_params_that_is_not_an_object_says_so(self, service, route, params):
+        status, body, _ = route("predict", {"params": params})
+        assert status == 400
+        assert "params must be a JSON object" in body["error"]
+        assert len(service.log) == 0 and service.bucket.admitted == 0
+
+    def test_integer_past_the_interpreters_digit_limit_is_a_400(self, service):
+        body = b'{"params": {"data_nodes": 1' + b"0" * 5000 + b"}}"
+        status, reply, _ = _route(
+            ServiceGateway(service), "POST", "/v1/predict", body
+        )
+        assert status == 400 and "not JSON" in reply["error"]
+        assert len(service.log) == 0
+
+    def test_integral_floats_and_absent_optionals_are_still_served(self, route):
+        params = dict(PREDICT, data_nodes=2.0, bandwidth=1_000_000)
+        status, body, _ = route("predict", {"params": params})
+        assert (status, body["outcome"], body["target"]) == (200, "ok", "2-4")
+
+
+class TestTheBreakerIsNotTheClients:
+    """A non-finite input is the client's 400, not the backend's failure."""
+
+    @pytest.mark.parametrize("field", ["bandwidth", "dataset_bytes"])
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_non_finite_input_never_reaches_the_breaker(
+        self, service, route, field, value
+    ):
+        for _ in range(service.config.breaker_failure_threshold + 1):
+            status, body, _ = route(
+                "predict", {"params": dict(PREDICT, **{field: value})}
+            )
+            assert status == 400 and field in body["error"]
+        assert service.backend.calls == 0
+        assert service.breakers.total_opens() == 0
+        breaker = service.breakers.breaker("kmeans", "pentium-myrinet")
+        assert breaker.state is BreakerState.CLOSED
+        assert breaker.consecutive_failures == 0
+        for endpoint, params in (("predict", PREDICT), ("what-if", WHATIF)):
+            status, body, _ = route(endpoint, {"params": params})
+            assert (status, body["outcome"]) == (200, "ok")
+
+    @pytest.mark.parametrize("deadline", [NAN, INF, -INF, 0.0])
+    def test_non_finite_deadline_is_a_400(self, service, route, deadline):
+        status, body, _ = route(
+            "predict", {"params": PREDICT, "deadline_s": deadline}
+        )
+        assert (status, body["outcome"]) == (400, "rejected")
+        assert "deadline budget must be positive and finite" in body["error"]
+        assert len(service.log) == 1 and service.backend.calls == 0
+
+
+#: Admission out of the way, default bulkheads, and a deadline no
+#: scheduler stall on a shared box reaches: the subject is the bulkhead.
+SATURATION_CONFIG = ResilienceConfig(
+    admission_rate=1.0e6, admission_burst=64.0, default_deadline_s=10.0
+)
+
+
+def saturation_requests():
+    """The benchmark's seeded 200-request 80/20 list, three times round."""
+    cycle = generate_requests(
+        5, 200, 1000.0, list(demo_profiles()),
+        mix=RequestMix(predict=0.8, whatif=0.2, status=0.0, broker=0.0),
+    )
+    return [
+        ServiceRequest(f"cycle{k}-{r.request_id}", r.endpoint, r.params)
+        for k in range(3)
+        for r in cycle
+    ]
+
+
+class ScriptedClock(VirtualClock):
+    """Virtual time whose attempts cost what the script says they took."""
+
+    def __init__(self, charges):
+        super().__init__()
+        self.charges = list(charges)
+
+    def charge(self, priced_s, began_s):
+        return self.charges.pop(0)
+
+
+def timed(request_id, arrival_s):
+    return ServiceRequest(request_id, "predict", PREDICT, arrival_s=arrival_s)
+
+
+class TestWhatAnAttemptCost:
+    def test_real_clock_at_saturation_answers_everything_fresh(self):
+        """ROADMAP 5(a): as fast as the loop goes, default bulkheads.  At
+        571355b the first cycle settled 86 ok, 99 stale and 15 x 503."""
+        service = PredictionService(
+            demo_profiles(), clock=MonotonicClock(), config=SATURATION_CONFIG
+        )
+        submitted = saturation_requests()
+        outcomes = collections.Counter(
+            service.handle(request).outcome for request in submitted
+        )
+        assert outcomes == {"ok": 600}
+        assert verify_service_log(service, submitted) == []
+        assert [b.refused for b in service.bulkheads.values()] == [0, 0, 0, 0]
+        assert service.bucket.shed == 0
+
+    def test_virtual_clock_charges_the_price_and_real_clock_the_time(self):
+        assert VirtualClock(5.0).charge(0.004, 1.0) == 0.004
+        clock = MonotonicClock()
+        began = clock.now()
+        assert 0.0 <= clock.charge(0.004, began) <= clock.now() - began
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold-504", "warm-stale"])
+    def test_measured_overrun_takes_the_priced_overruns_branches(self, warm):
+        """0.3 s measured on a 0.25 s deadline == 0.3 s priced on it."""
+        measured = PredictionService(
+            demo_profiles(), clock=ScriptedClock([0.004, 0.3] if warm else [0.3])
+        )
+        priced = PredictionService(demo_profiles())
+        slow = ServiceBackend(
+            injector=ServiceFaultInjector(
+                0, BackendFaultSpec(slow_probability=1.0, slow_factor=(75.0, 75.0))
+            )
+        )
+        submitted = [timed("warm", 0.0)] * warm + [timed("late", 1.0)]
+        replies = []
+        for service in (measured, priced):
+            if warm:
+                assert service.handle(submitted[0]).outcome == "ok"
+            if service is priced:
+                service.backend = slow  # 75 x 4 ms = 0.3 s per attempt
+            replies.append(service.handle(submitted[-1]).to_dict())
+            assert verify_service_log(service, submitted) == []
+            breaker = service.breakers.breaker("kmeans", "pentium-myrinet")
+            assert breaker.consecutive_failures == 1
+        assert replies[0] == replies[1]
+        expected = (200, "stale") if warm else (504, "deadline")
+        assert (replies[0]["status"], replies[0]["outcome"]) == expected
+        assert replies[0]["settled_s"] == pytest.approx(1.25 + 2.0e-4)
+
+
+@pytest.fixture()
+def counts(monkeypatch):
+    """Calls of everything that must not be per-request work."""
+    seen = collections.Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(
+        fingerprint, "cluster_to_dict",
+        counting("cluster_to_dict", fingerprint.cluster_to_dict),
+    )
+    for module in (durable, fingerprint):
+        monkeypatch.setattr(
+            module, "content_digest", counting("content_digest", content_digest)
+        )
+    monkeypatch.setattr(
+        service_app, "_SERVICE_CLUSTERS",
+        {
+            name: counting("cluster_factory", make)
+            for name, make in service_app._SERVICE_CLUSTERS.items()
+        },
+    )
+    return seen
+
+
+class TestPerRequestWorkIsCounted:
+    """A warm request is one key digest and the model: the 50th predict
+    costs what the 2nd did."""
+
+    @pytest.mark.parametrize(
+        "endpoint, params",
+        [
+            ("predict", {"data_nodes": 2, "compute_nodes": 4}),
+            ("what-if", {"pairs": [[1, 2], [2, 4], [4, 8], [8, 16]]}),
+        ],
+    )
+    def test_warm_request_digests_its_key_and_nothing_else(
+        self, counts, endpoint, params
+    ):
+        profiles = demo_profiles()
+        service = PredictionService(profiles)
+        clusters = sorted(service_app._SERVICE_CLUSTERS)
+        # Construction: each named cluster built once; every profile and
+        # cluster digested once (a profile document holds two clusters).
+        assert counts["cluster_factory"] == len(clusters)
+        assert counts["content_digest"] == len(profiles) + len(clusters)
+        assert counts["cluster_to_dict"] == 2 * len(profiles) + len(clusters)
+
+        def serve(index, profile, cluster):
+            service.clock.advance(0.05)
+            request = ServiceRequest(
+                f"r{index}", endpoint,
+                dict(params, profile=profile, cluster=cluster),
+            )
+            assert service.handle(request).outcome == "ok"
+
+        targets = [(p, c) for p in sorted(profiles) for c in clusters]
+        for index, (profile, cluster) in enumerate(targets):
+            serve(f"warm{index}", profile, cluster)
+        for index in range(2, 51):
+            counts.clear()
+            serve(index, *targets[index % len(targets)])
+            assert counts == {"content_digest": 1}, f"request {index}"
+
+
+#: ``content_digest(RequestLog.to_dict())`` at 571355b for the seeds and
+#: specs ``BENCH_service.json`` records (benchmarks/bench_service.py).
+PARENT_LOG_DIGESTS = {
+    ("baseline", 11): "1c1ae242b8d87851d80a206b78bc5083d114c032da8ee6f38757938f66b32e80",
+    ("baseline", 23): "30bdce48954925df80d0f01d85bb20ea8f27601259f912065a56d58e703d228e",
+    ("baseline", 47): "0ebc6769c59ab46c6b5433f7b919d052376264fd93523e4fa97669a182a24652",
+    ("faulted", 11): "668b84d7cf36a87429f0e9a028e6f24951fcbac0e9a7597760d5765f5affe4cf",
+    ("faulted", 23): "fab1fce4d8c002da7b233644063a5d3385fa70e5cb7462f56d5320d3ad7d97fa",
+    ("faulted", 47): "4c75aef1833b2680b5e8cb903a798f6eb3b5da0d156cf11af74ee8c0bfe3fa64",
+    ("overload", 11): "19409a1a7f0bb93ed0edb9b9bef71ddc2d668b657d77c646a4f1066c20a80b17",
+    ("overload", 23): "fd0e8163eb314429e08bffcb8994a2b64fcfd25136a450b2962b627e4c882571",
+    ("overload", 47): "ae7c143e2885a9f698f562567affe466836bace70ca71d2cb875b09f6a5b4cdf",
+}
+CLEAN = dict(
+    slow_probability=0.0, crash_probability=0.0, corrupt_probability=0.0,
+    tight_deadline_fraction=0.0,
+)
+SPECS = {
+    "baseline": ServiceChaosSpec(requests=400, rate_hz=300.0, **CLEAN),
+    "faulted": ServiceChaosSpec(requests=400, rate_hz=300.0),
+    "overload": ServiceChaosSpec(requests=400, rate_hz=4000.0),
+}
+
+
+class TestVirtualTimeDidNotMove:
+    @pytest.mark.parametrize("scenario, seed", sorted(PARENT_LOG_DIGESTS))
+    def test_request_log_is_the_parent_commits(self, scenario, seed):
+        service, _ = _serve_case(seed, SPECS[scenario])
+        assert (
+            content_digest(service.log.to_dict())
+            == PARENT_LOG_DIGESTS[scenario, seed]
+        )
+
+
+class TestRecordFootprint:
+    def test_a_settled_record_costs_less_than_a_dict_backed_one(self):
+        """Twice the throughput is twice the records: ratio, not bytes."""
+        dict_backed = dataclasses.make_dataclass(
+            "DictBackedRecord",
+            [(f.name, f.type) for f in dataclasses.fields(RequestRecord)],
+            frozen=True,
+        )
+
+        def bytes_per_record(record_type, settled=10_000):
+            log = RequestLog()
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                for i in range(settled):
+                    log.settle(
+                        record_type(
+                            f"http-{i}", "predict", i * 1e-3, i * 1e-3 + 4e-3,
+                            200, "ok", False, 0,
+                        )
+                    )
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(log) == settled
+            return (after - before) / settled
+
+        assert "__dict__" not in dir(RequestRecord) and "__dict__" in dir(dict_backed)
+        assert bytes_per_record(RequestRecord) < 0.9 * bytes_per_record(dict_backed)

@@ -1,5 +1,8 @@
 """Tests for links, fair sharing and the fitted communication cost model."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,6 +102,46 @@ class TestCommCostModel:
         model = CommCostModel.fit_for_cluster(cluster)
         assert model.w == pytest.approx(1.0 / cluster.intra_bw, rel=1e-6)
         assert model.l == pytest.approx(cluster.intra_latency_s, rel=1e-6)
+
+    def test_fit_is_solved_once_per_distinct_cluster(self, monkeypatch):
+        """Section 3.3.1's "calibrate once": equal clusters share a solve."""
+        solves = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k)
+        )
+        # A cluster no other test fits, so the first call here is cold.
+        odd = dataclasses.replace(small_cluster_spec(), intra_bw=2.0e7 + 1.0)
+        twin = dataclasses.replace(small_cluster_spec(), intra_bw=2.0e7 + 1.0)
+        first = CommCostModel.fit_for_cluster(odd)
+        assert len(solves) == 1
+        for cluster in (odd, twin, odd):
+            again = CommCostModel.fit_for_cluster(cluster)
+            assert (again.w.hex(), again.l.hex()) == (first.w.hex(), first.l.hex())
+        assert len(solves) == 1
+        other = dataclasses.replace(odd, intra_bw=2.0e7 + 2.0)
+        assert CommCostModel.fit_for_cluster(other).w != first.w
+        assert len(solves) == 2
+
+    def test_shipped_clusters_keep_their_fitted_bits(self):
+        """Every figure baseline downstream depends on these bits: the
+        remembered fit is the unremembered solve, first call and tenth."""
+        from repro.workloads.clusters import (
+            opteron_infiniband_cluster,
+            pentium_myrinet_cluster,
+        )
+
+        sizes = (1024.0, 8192.0, 65536.0, 524288.0)
+        for make in (pentium_myrinet_cluster, opteron_infiniband_cluster):
+            x = np.asarray(sizes)
+            y = np.asarray([make().gather_message_time(size) for size in sizes])
+            design = np.stack([x, np.ones_like(x)], axis=1)
+            (w, l), *_ = np.linalg.lstsq(design, y, rcond=None)
+            for _ in range(10):
+                model = CommCostModel.fit_for_cluster(make())
+                assert (model.w.hex(), model.l.hex()) == (
+                    float(w).hex(), float(l).hex()
+                )
 
     def test_message_time(self):
         model = CommCostModel(w=1e-7, l=1e-4)

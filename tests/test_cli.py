@@ -481,6 +481,12 @@ class TestServe:
         assert main(["serve", "--requests", "40", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_smoke_output_is_the_parent_commits(self, capsys):
+        """Virtual time did not move: stdout at 571355b, byte for byte."""
+        assert main(["serve", "--requests", "200", "--seed", "1"]) == 0
+        golden = GOLDENS / "serve_smoke_seed1.txt"
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_chaos_campaign_passes(self, capsys):
         code = main(
             ["serve", "--chaos", "--requests", "50", "--cases", "2"]
