@@ -24,10 +24,11 @@ the tests assert.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.apps.base import _combine_arrays
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.instrument import OpCounter
 from repro.middleware.reduction import ArrayReductionObject
@@ -62,7 +63,7 @@ class AprioriMining(GeneralizedReduction):
         self.max_k = max_k
         self._num_items = 0
         self._level = 1
-        self._candidates: List[Itemset] = []
+        self._set_candidates([])
         self._frequent: Dict[Itemset, float] = {}
         self._total_transactions = 0.0
 
@@ -73,7 +74,7 @@ class AprioriMining(GeneralizedReduction):
     def begin(self, meta: Dict[str, Any]) -> None:
         self._num_items = int(meta["num_items"])
         self._level = 1
-        self._candidates = [(i,) for i in range(self._num_items)]
+        self._set_candidates([(i,) for i in range(self._num_items)])
         self._frequent = {}
         self._total_transactions = 0.0
 
@@ -85,9 +86,8 @@ class AprioriMining(GeneralizedReduction):
     ) -> None:
         transactions = np.asarray(payload) > 0.5
         n = transactions.shape[0]
-        counts = np.empty(len(self._candidates))
-        for idx, itemset in enumerate(self._candidates):
-            counts[idx] = transactions[:, itemset].all(axis=1).sum()
+        # One gather tests every candidate: (n, m, level) -> (n, m) -> (m,).
+        counts = transactions[:, self._index].all(axis=2).sum(axis=0)
         obj.accumulate(counts, count=float(n))
 
         level = self._level
@@ -98,15 +98,7 @@ class AprioriMining(GeneralizedReduction):
     def object_nbytes(self, obj: ArrayReductionObject) -> float:
         return obj.nbytes
 
-    def combine(
-        self, objs: Sequence[ArrayReductionObject], ops: OpCounter
-    ) -> ArrayReductionObject:
-        merged = objs[0].copy()
-        per_obj = float(merged.values.size)
-        for other in objs[1:]:
-            merged.merge(other)
-            ops.charge(flop=per_obj, mem=2.0 * per_obj)
-        return merged
+    combine = _combine_arrays
 
     def update(self, combined: ArrayReductionObject, ops: OpCounter) -> bool:
         self._total_transactions = combined.count
@@ -127,7 +119,7 @@ class AprioriMining(GeneralizedReduction):
         )
 
         self._level += 1
-        self._candidates = next_candidates
+        self._set_candidates(next_candidates)
         return bool(next_candidates) and self._level <= self.max_k
 
     def result(self) -> Dict[str, Any]:
@@ -148,6 +140,11 @@ class AprioriMining(GeneralizedReduction):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _set_candidates(self, candidates: List[Itemset]) -> None:
+        """Keep the level's candidates as tuples and as ``(m, level)`` index rows."""
+        self._candidates = candidates
+        self._index = np.array(candidates, dtype=np.intp).reshape(-1, self._level)
 
     def _generate_candidates(self, survivors: List[Itemset]) -> List[Itemset]:
         """Classic apriori-gen: join same-prefix survivors, prune subsets."""

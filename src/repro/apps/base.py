@@ -16,11 +16,14 @@ cross-cluster compute scaling factors (Section 5.4).
 
 from __future__ import annotations
 
+from typing import Any, Sequence
+
 import numpy as np
 
 from repro.errors import UsageError
 from repro.hotpath import hot
 from repro.middleware.instrument import OpCounter
+from repro.middleware.reduction import ArrayReductionObject
 
 __all__ = ["pairwise_sq_dists", "charge_distance_ops", "farthest_point_init"]
 
@@ -59,10 +62,10 @@ def pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    p2 = np.einsum("ij,ij->i", points, points)[:, None]
-    c2 = np.einsum("ij,ij->i", centers, centers)[None, :]
-    cross = points @ centers.T
-    d2 = p2 - 2.0 * cross + c2
+    d2 = points @ centers.T
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", points, points)[:, None]
+    d2 += np.einsum("ij,ij->i", centers, centers)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -78,3 +81,16 @@ def charge_distance_ops(
         mem=float(num_points) * num_dims + float(num_centers) * num_dims,
         branch=float(num_points) * num_centers,
     )
+
+
+def _combine_arrays(
+    app: Any, objs: Sequence[ArrayReductionObject], ops: OpCounter
+) -> ArrayReductionObject:
+    """``combine`` of every array-accumulator application: the serialized
+    global reduction adds each further object in, one flop per element."""
+    merged = objs[0].copy()
+    per_obj = float(merged.values.size)
+    for other in objs[1:]:
+        merged.merge(other)
+        ops.charge(flop=per_obj, mem=2.0 * per_obj)
+    return merged

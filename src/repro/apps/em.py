@@ -21,10 +21,11 @@ configuration performs identical work.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Any, Dict
 
 import numpy as np
 
+from repro.apps.base import _combine_arrays, farthest_point_init
 from repro.hotpath import hot
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.instrument import OpCounter
@@ -77,7 +78,7 @@ class EMClustering(GeneralizedReduction):
         self._nk: np.ndarray | None = None
         self._loglik_history: list[float] = []
         self._precisions: np.ndarray | None = None
-        self._log_norms: np.ndarray | None = None
+        self._log_prior: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # GeneralizedReduction interface
@@ -88,8 +89,6 @@ class EMClustering(GeneralizedReduction):
         self._num_dims = d
         sample = meta.get("init_sample")
         if sample is not None and len(sample) >= self.k:
-            from repro.apps.base import farthest_point_init
-
             self.means = farthest_point_init(sample, self.k, seed=self.seed)
         else:
             rng = np.random.default_rng(self.seed)
@@ -118,18 +117,19 @@ class EMClustering(GeneralizedReduction):
     ) -> None:
         points = np.asarray(payload, dtype=np.float64)
         n, d = points.shape
-        resp, log_evidence = self._responsibilities(points)
+        resp, log_evidence = self._responsibilities(points)  # resp is (k, n)
 
         if self._phase == "E":
-            contribution = np.zeros(self.k * (d + 1) + 1)
-            contribution[: self.k] = resp.sum(axis=0)
-            contribution[self.k : self.k + self.k * d] = (resp.T @ points).ravel()
-            contribution[-1] = float(log_evidence.sum())
+            contribution = np.empty(self.k * (d + 1) + 1)
+            contribution[: self.k] = resp.sum(axis=1)
+            contribution[self.k : -1] = (resp @ points).ravel()
+            contribution[-1] = log_evidence.sum()
         else:
             assert self.means is not None
-            diff = points[:, None, :] - self.means[None, :, :]  # (n, k, d)
-            scatter = np.einsum("nk,nki,nkj->kij", resp, diff, diff)
-            contribution = scatter.ravel()
+            diff = np.ascontiguousarray(points.T) - self.means[:, :, None]
+            # One (d, n) @ (n, d) GEMM per component.
+            weighted = resp[:, None, :] * diff
+            contribution = np.matmul(weighted, diff.transpose(0, 2, 1)).ravel()
         obj.accumulate(contribution, count=float(n))
 
         # The density evaluation (Mahalanobis forms) dominates: n*k*d^2
@@ -147,15 +147,7 @@ class EMClustering(GeneralizedReduction):
     def object_nbytes(self, obj: ArrayReductionObject) -> float:
         return obj.nbytes
 
-    def combine(
-        self, objs: Sequence[ArrayReductionObject], ops: OpCounter
-    ) -> ArrayReductionObject:
-        merged = objs[0].copy()
-        per_obj = float(merged.values.size)
-        for other in objs[1:]:
-            merged.merge(other)
-            ops.charge(flop=per_obj, mem=2.0 * per_obj)
-        return merged
+    combine = _combine_arrays
 
     def update(self, combined: ArrayReductionObject, ops: OpCounter) -> bool:
         assert self.means is not None and self.covs is not None
@@ -166,6 +158,7 @@ class EMClustering(GeneralizedReduction):
             self._nk = nk
             self.means = fk / nk[:, None]
             self.weights = nk / max(combined.count, 1.0)
+            self._refresh_precisions()  # new weights: the log-prior column follows
             self._loglik_history.append(float(combined.values[-1]))
             ops.charge(flop=2.0 * self.k * d, mem=2.0 * self.k * d)
             self._phase = "M"
@@ -199,28 +192,32 @@ class EMClustering(GeneralizedReduction):
     # ------------------------------------------------------------------
 
     def _refresh_precisions(self) -> None:
-        assert self.covs is not None
+        """Refresh what a pass holds fixed: precisions and log(weight x normaliser)."""
+        assert self.covs is not None and self.weights is not None
         d = self._num_dims if self._num_dims else self.covs.shape[-1]
         self._precisions = np.linalg.inv(self.covs)
         sign, logdet = np.linalg.slogdet(self.covs)
         if np.any(sign <= 0):
             raise ConfigurationError("covariance matrix lost positive definiteness")
-        self._log_norms = -0.5 * (d * np.log(2.0 * np.pi) + logdet)
+        log_norms = -0.5 * (d * np.log(2.0 * np.pi) + logdet)
+        log_weights = np.log(np.maximum(self.weights, 1.0e-300))
+        self._log_prior = (log_norms + log_weights)[:, None]
 
     @hot
     def _responsibilities(
         self, points: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior component probabilities and per-point log evidence."""
-        assert self.means is not None and self.weights is not None
-        assert self._precisions is not None and self._log_norms is not None
-        diff = points[:, None, :] - self.means[None, :, :]  # (n, k, d)
-        maha = np.einsum("nki,kij,nkj->nk", diff, self._precisions, diff)
-        log_prob = self._log_norms[None, :] - 0.5 * maha
-        log_weighted = log_prob + np.log(np.maximum(self.weights, 1.0e-300))
-        top = log_weighted.max(axis=1, keepdims=True)
-        shifted = np.exp(log_weighted - top)
-        norm = shifted.sum(axis=1, keepdims=True)
-        resp = shifted / norm
-        log_evidence = (top + np.log(norm)).ravel()
-        return resp, log_evidence
+        """Posterior component probabilities ``(k, n)`` and per-point log
+        evidence; points run along the last, contiguous axis throughout, so
+        reductions over components are element-wise on length-``n`` rows."""
+        assert self.means is not None and self._precisions is not None
+        assert self._log_prior is not None
+        diff = np.ascontiguousarray(points.T) - self.means[:, :, None]  # (k, d, n)
+        projected = np.matmul(self._precisions, diff)
+        maha = np.einsum("kdn,kdn->kn", projected, diff)
+        log_weighted = self._log_prior - 0.5 * maha
+        top = log_weighted.max(axis=0)
+        resp = np.exp(log_weighted - top)
+        norm = resp.sum(axis=0)
+        resp /= norm
+        return resp, top + np.log(norm)

@@ -13,11 +13,16 @@ in the node count, independent of dataset size).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.apps.base import charge_distance_ops, pairwise_sq_dists
+from repro.apps.base import (
+    _combine_arrays,
+    charge_distance_ops,
+    farthest_point_init,
+    pairwise_sq_dists,
+)
 from repro.hotpath import hot
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.instrument import OpCounter
@@ -74,8 +79,6 @@ class KMeansClustering(GeneralizedReduction):
         self._num_dims = int(meta["num_dims"])
         sample = meta.get("init_sample")
         if sample is not None and len(sample) >= self.k:
-            from repro.apps.base import farthest_point_init
-
             self.centers = farthest_point_init(sample, self.k, seed=self.seed)
         else:
             rng = np.random.default_rng(self.seed)
@@ -100,10 +103,11 @@ class KMeansClustering(GeneralizedReduction):
         d2 = pairwise_sq_dists(points, self.centers)
         assign = np.argmin(d2, axis=1)
 
-        contribution = np.zeros((self.k, d + 1))
-        np.add.at(contribution[:, :d], assign, points)
-        counts = np.bincount(assign, minlength=self.k).astype(np.float64)
-        contribution[:, d] = counts
+        # bincount adds in row order, as np.add.at does: identical sums.
+        contribution = np.empty((self.k, d + 1))
+        for j in range(d):
+            contribution[:, j] = np.bincount(assign, points[:, j], self.k)
+        contribution[:, d] = np.bincount(assign, minlength=self.k)
         obj.accumulate(contribution, count=float(n))
 
         charge_distance_ops(ops, n, self.k, d)
@@ -113,15 +117,7 @@ class KMeansClustering(GeneralizedReduction):
     def object_nbytes(self, obj: ArrayReductionObject) -> float:
         return obj.nbytes
 
-    def combine(
-        self, objs: Sequence[ArrayReductionObject], ops: OpCounter
-    ) -> ArrayReductionObject:
-        merged = objs[0].copy()
-        per_obj = float(merged.values.size)
-        for other in objs[1:]:
-            merged.merge(other)
-            ops.charge(flop=per_obj, mem=2.0 * per_obj)
-        return merged
+    combine = _combine_arrays
 
     def update(self, combined: ArrayReductionObject, ops: OpCounter) -> bool:
         assert self.centers is not None

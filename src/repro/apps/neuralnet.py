@@ -18,10 +18,11 @@ bit-for-bit invariant to the data partitioning, which the tests assert.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Any, Dict
 
 import numpy as np
 
+from repro.apps.base import _combine_arrays
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.instrument import OpCounter
 from repro.middleware.reduction import ArrayReductionObject
@@ -155,15 +156,7 @@ class NeuralNetTraining(GeneralizedReduction):
     def object_nbytes(self, obj: ArrayReductionObject) -> float:
         return obj.nbytes
 
-    def combine(
-        self, objs: Sequence[ArrayReductionObject], ops: OpCounter
-    ) -> ArrayReductionObject:
-        merged = objs[0].copy()
-        per_obj = float(merged.values.size)
-        for other in objs[1:]:
-            merged.merge(other)
-            ops.charge(flop=per_obj, mem=2.0 * per_obj)
-        return merged
+    combine = _combine_arrays
 
     def update(self, combined: ArrayReductionObject, ops: OpCounter) -> bool:
         assert self.w1 is not None and self.w2 is not None

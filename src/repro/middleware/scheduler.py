@@ -9,6 +9,7 @@ bandwidth available between them.  The paper's constraint ``M >= N``
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 from repro.simgrid.errors import ConfigurationError
@@ -81,17 +82,17 @@ class RunConfig:
                 f"FREERIDE-G requires compute nodes >= data nodes "
                 f"(got {self.compute_nodes} < {self.data_nodes})"
             )
-        if self.bandwidth <= 0:
-            raise ConfigurationError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:  # also false for NaN
+            raise ConfigurationError("bandwidth must be positive and finite")
         self.storage_cluster.require_nodes(self.data_nodes)
         self.compute_cluster.require_nodes(self.compute_nodes)
         # Validates 1 <= processes_per_node <= smp_width.
         self.compute_cluster.smp_slowdown(self.processes_per_node)
-        if (
-            self.remote_cache_bandwidth is not None
-            and self.remote_cache_bandwidth <= 0
-        ):
-            raise ConfigurationError("remote cache bandwidth must be positive")
+        remote = self.remote_cache_bandwidth
+        if remote is not None and not 0 < remote < math.inf:
+            raise ConfigurationError(
+                "remote cache bandwidth must be positive and finite"
+            )
 
     @property
     def compute_slots(self) -> int:

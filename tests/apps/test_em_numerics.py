@@ -35,7 +35,7 @@ class TestEMNumerics:
         resp, log_evidence = app._responsibilities(
             dataset.records[:100].astype(np.float64)
         )
-        np.testing.assert_allclose(resp.sum(axis=1), np.ones(100), atol=1e-12)
+        np.testing.assert_allclose(resp.sum(axis=0), np.ones(100), atol=1e-12)
         assert np.all(np.isfinite(log_evidence))
 
     def test_extreme_points_do_not_overflow(self):

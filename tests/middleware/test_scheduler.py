@@ -49,6 +49,24 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             self.make(bw=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_bandwidth_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            self.make(bw=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_remote_cache_bandwidth_rejected(self, bad):
+        cluster = small_cluster_spec()
+        with pytest.raises(ConfigurationError, match="remote cache bandwidth"):
+            RunConfig(
+                storage_cluster=cluster,
+                compute_cluster=cluster,
+                data_nodes=1,
+                compute_nodes=1,
+                bandwidth=1e6,
+                remote_cache_bandwidth=bad,
+            )
+
     def test_positive_node_counts_required(self):
         with pytest.raises(ConfigurationError):
             self.make(n=0, c=0)
