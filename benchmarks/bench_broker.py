@@ -37,7 +37,7 @@ from repro.workloads.clusters import (
     opteron_infiniband_cluster,
     pentium_myrinet_cluster,
 )
-from repro.workloads.streams import StreamSpec, generate_stream
+from repro.workloads.traces.generate import StreamSpec, generate_stream
 
 from benchmarks.conftest import RESULTS_DIR, run_once
 

@@ -28,7 +28,11 @@ import os
 from repro.broker import GridBroker
 from repro.core.durable import atomic_write_json, atomic_write_text
 from repro.faults.chaos import ChaosSpec, run_campaign
-from repro.workloads.streams import StreamSpec, generate_stream, stream_horizon
+from repro.workloads.traces.generate import (
+    StreamSpec,
+    generate_stream,
+    stream_horizon,
+)
 
 from benchmarks.bench_broker import REPO_ROOT, hetero_grid
 from benchmarks.conftest import RESULTS_DIR, run_once

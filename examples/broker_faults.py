@@ -26,7 +26,7 @@ from repro.analysis import format_broker
 from repro.broker import GridBroker, parse_workload_document
 from repro.faults import grid_scenario_from_dict
 from repro.faults.chaos import ChaosSpec, run_campaign
-from repro.workloads.streams import stream_horizon
+from repro.workloads.traces.generate import stream_horizon
 
 WORKLOAD = {
     "name": "example-faulted-stream",

@@ -125,6 +125,7 @@ from repro.simgrid.hardware import ClusterSpec
 from repro.simgrid.topology import GridTopology, SiteKind
 from repro.simgrid.trace import TimeBreakdown
 from repro.workloads.registry import WORKLOADS, WorkloadSpec
+from repro.workloads.traces.generate import StreamSpec, generate_stream
 
 __all__ = ["GridBroker", "ActualRun"]
 
@@ -1384,7 +1385,5 @@ class GridBroker:
         """The document's job stream (expanding a seeded stream spec)."""
         if doc.jobs:
             return list(doc.jobs)
-        from repro.workloads.streams import StreamSpec, generate_stream
-
         spec = StreamSpec.from_dict(doc.stream or {})
         return generate_stream(spec, baselines=self.baseline_estimate)

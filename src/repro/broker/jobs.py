@@ -3,7 +3,7 @@
 A *broker workload* describes one experiment: the grid (sites, links),
 the candidate node allocations, where each dataset is replicated, and
 the job stream — either an explicit list of jobs or a seeded
-:class:`~repro.workloads.streams.StreamSpec` the broker expands
+:class:`~repro.workloads.traces.generate.StreamSpec` the broker expands
 deterministically.  Example document::
 
     {
@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.topology import GridTopology, SiteKind
+from repro.workloads.clusters import CLUSTERS
 
 __all__ = [
     "BrokerJob",
@@ -90,20 +91,6 @@ class BrokerJob:
         return f"{self.workload}@{self.size}" if self.size else self.workload
 
 
-def _cluster_factories():
-    # Imported lazily: workloads.streams imports this module, so a
-    # module-level import would create a package cycle.
-    from repro.workloads.clusters import (
-        opteron_infiniband_cluster,
-        pentium_myrinet_cluster,
-    )
-
-    return {
-        "pentium-myrinet": pentium_myrinet_cluster,
-        "opteron-infiniband": opteron_infiniband_cluster,
-    }
-
-
 @dataclass
 class BrokerWorkloadDoc:
     """A parsed broker workload document."""
@@ -118,14 +105,13 @@ class BrokerWorkloadDoc:
 
     def build_topology(self) -> GridTopology:
         """Materialize the document's grid as a :class:`GridTopology`."""
-        factories = _cluster_factories()
         topology = GridTopology()
         for site in self.sites:
-            factory = factories.get(site["cluster"])
+            factory = CLUSTERS.get(site["cluster"])
             if factory is None:
                 raise ConfigurationError(
                     f"unknown cluster '{site['cluster']}' for site "
-                    f"'{site['name']}'; known: {sorted(factories)}"
+                    f"'{site['name']}'; known: {sorted(CLUSTERS)}"
                 )
             kind = SiteKind(site["kind"])
             topology.add_site(

@@ -33,7 +33,7 @@ from repro.lint.registry import RULES, ProgramRule, Rule, all_rules
 from repro.lint.reporters import REPORT_FORMATS, LintReport, render
 from repro.lint.summaries import LayerResult, SummaryCache, SummaryPass
 
-__all__ = ["add_lint_arguments", "run_lint_command", "main"]
+__all__ = ["register_lint", "run_lint_command", "main"]
 
 DEFAULT_PATHS = ("src/repro",)
 DEFAULT_RULES_CACHE = ".repro-rules-cache.json"
@@ -44,8 +44,9 @@ DEFAULT_PERF_CACHE = ".repro-perf-cache.json"
 DEFAULT_PROFILE = ".repro-profile.json"
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint flags to a parser (shared with the repro CLI)."""
+def register_lint(parser: argparse.ArgumentParser) -> None:
+    """Attach the lint flags and handler to a parser (``repro lint``'s
+    subparser, filled from :data:`repro.cli.COMMANDS`, or :func:`main`'s)."""
     parser.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS), metavar="PATH",
         help="files or directories to lint (default: src/repro)",
@@ -166,6 +167,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--base", default="HEAD", metavar="REF",
         help="git ref --changed diffs against (default: HEAD)",
     )
+    parser.set_defaults(func=_cmd_lint)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -426,6 +428,18 @@ def _rule_table() -> str:
     return "\n".join(lines)
 
 
+def _cmd_lint(args: argparse.Namespace) -> int:
+    # The lint exit-code contract is 0 clean / 1 findings / 2 usage or
+    # internal error; letting a LintError bubble to ``repro``'s
+    # top-level handler would fold "the tool could not run" into "the
+    # tool found problems" (1).
+    try:
+        return run_lint_command(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Standalone entry point (``python -m repro.lint``)."""
     parser = argparse.ArgumentParser(
@@ -435,10 +449,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "determinism, durability, and error-model invariants"
         ),
     )
-    add_lint_arguments(parser)
+    register_lint(parser)
     args = parser.parse_args(argv)
-    try:
-        return run_lint_command(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return args.func(args)

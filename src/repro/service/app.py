@@ -63,11 +63,7 @@ from repro.service.resilience import (
     TokenBucket,
 )
 from repro.simgrid.errors import ConfigurationError
-from repro.workloads.clusters import (
-    DEFAULT_BANDWIDTH,
-    opteron_infiniband_cluster,
-    pentium_myrinet_cluster,
-)
+from repro.workloads.clusters import CLUSTERS, DEFAULT_BANDWIDTH
 from repro.workloads.registry import WORKLOADS
 
 __all__ = [
@@ -84,11 +80,6 @@ __all__ = [
 ENDPOINTS = ("predict", "what-if", "broker-submit", "campaign-status")
 
 _LOG_FORMAT_VERSION = 1
-
-_SERVICE_CLUSTERS = {
-    "pentium-myrinet": pentium_myrinet_cluster,
-    "opteron-infiniband": opteron_infiniband_cluster,
-}
 
 
 def _number(name: str, value: Any, integer: bool = False) -> Any:
@@ -340,9 +331,7 @@ class PredictionService:
         # Request-invariant, so computed here and never per request: the
         # named clusters and the content digests the cache key is built
         # from (``profiles`` is therefore fixed at construction).
-        self._clusters = {
-            name: make() for name, make in _SERVICE_CLUSTERS.items()
-        }
+        self._clusters = {name: make() for name, make in CLUSTERS.items()}
         self._cluster_digests = {
             name: cluster_fingerprint(cluster)
             for name, cluster in self._clusters.items()

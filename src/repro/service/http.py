@@ -46,6 +46,7 @@ from typing import Any, Awaitable, Callable, Dict, Mapping, Optional, Tuple
 from repro.core.durable import canonical_json
 from repro.service.app import ENDPOINTS, PredictionService, ServiceRequest
 from repro.service.errors import ServiceError
+from repro.simgrid.errors import ConfigurationError
 
 __all__ = ["ServiceGateway", "asgi_app", "make_server"]
 
@@ -203,7 +204,8 @@ def make_server(
 
     The caller owns the lifecycle: ``serve_forever(poll_interval=...)``
     on a thread, ``shutdown()`` + ``server_close()`` to stop.  Port 0
-    picks a free port (``server.server_address`` has the real one).
+    picks a free port (``server.server_address`` has the real one); an
+    address that cannot be bound is a :class:`ConfigurationError`.
     """
     gateway = ServiceGateway(service)
 
@@ -281,7 +283,14 @@ def make_server(
         def log_message(self, format: str, *args: Any) -> None:
             pass  # the request log is the service's, not stderr's
 
-    server = ThreadingHTTPServer((host, port), Handler)
+    try:
+        server = ThreadingHTTPServer((host, port), Handler)
+    except (OSError, OverflowError) as exc:
+        # Port in use or out of range, unresolvable host: the operator's
+        # input, so a ReproError and not a traceback.
+        raise ConfigurationError(
+            f"cannot serve on {host}:{port}: {exc}"
+        ) from exc
     server.timeout = _SOCKET_TIMEOUT_S
     server.daemon_threads = True
     return server

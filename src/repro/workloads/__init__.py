@@ -8,8 +8,8 @@
   the paper's five workloads at the paper's dataset sizes.
 - :mod:`repro.workloads.experiments` — Figures 2-13 as a table of
   ``ExperimentSpec`` records and the one grid driver that runs them.
-- :mod:`repro.workloads.streams`     — seeded synthetic job streams for
-  broker experiments.
+- :mod:`repro.workloads.traces`      — seeded job streams and
+  trace-realistic workloads for broker experiments.
 """
 
 from repro._lazy import lazy_exports
@@ -33,6 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "make_app",
             "make_dataset",
         ),
-        "repro.workloads.streams": ("StreamSpec", "generate_stream"),
+        "repro.workloads.traces.generate": ("StreamSpec", "generate_stream"),
     },
 )

@@ -29,6 +29,7 @@ from repro.simgrid.hardware import (
 __all__ = [
     "pentium_myrinet_cluster",
     "opteron_infiniband_cluster",
+    "CLUSTERS",
     "DEFAULT_BANDWIDTH",
     "LOW_BANDWIDTH",
     "HALF_LOW_BANDWIDTH",
@@ -116,3 +117,11 @@ def opteron_infiniband_cluster(num_nodes: int = 32) -> ClusterSpec:
         smp_width=2,
         smp_memory_contention=0.08,
     )
+
+
+#: The one name -> factory table behind ``--cluster``, a broker workload
+#: document's ``"cluster"`` and a service request's ``"cluster"``.
+CLUSTERS = {
+    "pentium-myrinet": pentium_myrinet_cluster,
+    "opteron-infiniband": opteron_infiniband_cluster,
+}

@@ -1,8 +1,8 @@
 """Trace-realistic workloads: seeded generators, GWF traces, artifacts.
 
-The trace layer generalizes the Poisson job streams of
-:mod:`repro.workloads.streams` to the shapes real grid traces exhibit
-(see DESIGN.md §16):
+The trace layer generalizes Poisson job streams (``StreamSpec``, now
+one case of :mod:`~repro.workloads.traces.generate`) to the shapes real
+grid traces exhibit (see DESIGN.md §16):
 
 - :mod:`~repro.workloads.traces.distributions` — the parametric family
   (exponential, Weibull, lognormal, gamma, Pareto, uniform, constant)
@@ -12,7 +12,7 @@ The trace layer generalizes the Poisson job streams of
   composed into a seeded :class:`TraceSpec`;
 - :mod:`~repro.workloads.traces.generate` — deterministic expansion
   into broker jobs (child seeds per VO, largest-remainder counts,
-  merged arrival order);
+  merged arrival order), and the seeded ``StreamSpec`` streams;
 - :mod:`~repro.workloads.traces.artifact` — the durable, fingerprinted
   :class:`TraceWorkload` JSON artifact;
 - :mod:`~repro.workloads.traces.gwf` — the Grid Workload Archive

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.broker.jobs import BrokerJob
 from repro.core.durable import (
     CorruptStoreError,
     atomic_write_json,
@@ -31,15 +32,12 @@ from repro.simgrid.errors import ConfigurationError
 from repro.workloads.traces.generate import generate_trace
 from repro.workloads.traces.spec import TraceSpec
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.broker.jobs import BrokerJob
-
 __all__ = ["TraceWorkload", "TRACE_FORMAT_VERSION"]
 
 TRACE_FORMAT_VERSION = 1
 
 
-def _job_to_dict(job: "BrokerJob") -> Dict[str, Any]:
+def _job_to_dict(job: BrokerJob) -> Dict[str, Any]:
     return {
         "id": job.job_id,
         "workload": job.workload,
@@ -51,11 +49,7 @@ def _job_to_dict(job: "BrokerJob") -> Dict[str, Any]:
     }
 
 
-def _job_from_dict(doc: Mapping[str, Any], index: int) -> "BrokerJob":
-    # Imported here: repro.broker <- repro.workloads would cycle at
-    # module scope (broker jobs build topologies from workload clusters).
-    from repro.broker.jobs import BrokerJob
-
+def _job_from_dict(doc: Mapping[str, Any], index: int) -> BrokerJob:
     try:
         return BrokerJob(
             job_id=str(doc["id"]),

@@ -13,7 +13,7 @@ byte-identically.
 The classic ``StreamSpec`` Poisson stream is *one point in this space*:
 ``DistributionSpec.exponential(mean)`` issues the exact
 ``rng.exponential(mean, count)`` call the pre-trace generator made, so
-the back-compat shim in :mod:`repro.workloads.streams` reproduces every
+:func:`repro.workloads.traces.generate.generate_stream` reproduces every
 historical stream bit-for-bit.
 
 Draw discipline: :meth:`DistributionSpec.sample` makes exactly one NumPy

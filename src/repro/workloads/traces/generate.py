@@ -1,6 +1,6 @@
-"""Deterministic expansion of a :class:`TraceSpec` into broker jobs.
+"""Deterministic expansion of trace and stream specs into broker jobs.
 
-The per-VO draw discipline is the stream generator's, generalized:
+The per-VO draw discipline of :func:`generate_trace`:
 
 1. all interarrival gaps in one vectorized call
    (``vo.interarrival.sample(rng, n)``);
@@ -10,10 +10,19 @@ The per-VO draw discipline is the stream generator's, generalized:
 3. then per job, in order: mix index, priority index, deadline coin,
    slack uniform.
 
-Step 3 is :func:`realize_jobs`, shared verbatim with
-:func:`repro.workloads.streams.generate_stream` — the Poisson stream is
-the single-VO exponential special case of this module, and the shared
-helper is what keeps historical seeded streams byte-identical.
+Step 3 is :func:`realize_jobs`.  A :class:`StreamSpec` — Poisson
+arrivals, one workload mix, optional deadlines drawn as a slack multiple
+of each workload's best predicted execution time, a priority
+distribution — is the single-VO exponential special case:
+:func:`generate_stream` draws its gaps from
+``DistributionSpec.exponential(mean)`` and runs the same loop, issuing
+exactly the NumPy calls the pre-trace stream generator made, so every
+historical seeded stream replays byte-identically (the golden under
+``tests/workloads/goldens/stream_golden.json`` pins this).
+
+Draw order is fixed (all inter-arrival gaps first, then step 3 per
+job): changing it would silently change every seeded experiment, so
+treat it as part of the format.
 
 VO streams are merged by ``(arrival, job_id)`` and each job is stamped
 with its zero-based ``arrival_index`` in the merged order, so reports
@@ -22,27 +31,115 @@ can aggregate per VO and per arrival window without a join back here.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.broker.jobs import BrokerJob
 from repro.simgrid.errors import ConfigurationError
-from repro.workloads.traces.spec import DiurnalSpec, Mix, TraceSpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
-    from repro.broker.jobs import BrokerJob
+from repro.workloads.traces.distributions import DistributionSpec
+from repro.workloads.traces.spec import (
+    _DEFAULT_MIX,
+    DiurnalSpec,
+    Mix,
+    TraceSpec,
+    _parse_mix,
+)
 
 __all__ = [
+    "StreamSpec",
     "split_counts",
     "modulated_arrivals",
     "realize_jobs",
+    "generate_stream",
     "generate_trace",
+    "stream_horizon",
 ]
 
 #: ``baselines`` may be a callable ``(workload, size) -> seconds`` or a
-#: mapping keyed like :attr:`BrokerJob.dataset_key` (see streams).
-Baselines = object
+#: mapping keyed like :attr:`BrokerJob.dataset_key`.
+Baselines = Union[
+    Callable[[str, Optional[str]], float], Mapping[str, float], None
+]
+
+
+@dataclass(frozen=True)
+class StreamSpec:
+    """A deterministic recipe for a synthetic job stream.
+
+    ``mix`` entries are ``(workload, size, weight)``; ``size`` may be
+    ``None`` for the workload's default dataset.  ``deadline_fraction``
+    of jobs get a deadline ``arrival + slack * baseline`` where slack is
+    uniform over ``deadline_slack`` and baseline is the workload's best
+    predicted execution time on the target grid.
+    """
+
+    count: int
+    seed: int = 0
+    mean_interarrival: float = 0.1
+    mix: Mix = _DEFAULT_MIX
+    deadline_fraction: float = 0.0
+    deadline_slack: Tuple[float, float] = (1.5, 3.0)
+    priorities: Tuple[int, ...] = (0,)
+    priority_weights: Tuple[float, ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        if self.count <= 0:
+            raise ConfigurationError("stream count must be positive")
+        if self.mean_interarrival <= 0:
+            raise ConfigurationError("mean inter-arrival must be positive")
+        if not self.mix:
+            raise ConfigurationError("stream needs a non-empty workload mix")
+        if any(weight <= 0 for _, _, weight in self.mix):
+            raise ConfigurationError("mix weights must be positive")
+        if not 0.0 <= self.deadline_fraction <= 1.0:
+            raise ConfigurationError("deadline fraction must be in [0, 1]")
+        lo, hi = self.deadline_slack
+        if not 0.0 < lo <= hi:
+            raise ConfigurationError(
+                "deadline slack must satisfy 0 < lo <= hi"
+            )
+        if not self.priorities:
+            raise ConfigurationError("priorities must be non-empty")
+        if self.priority_weights and len(self.priority_weights) != len(
+            self.priorities
+        ):
+            raise ConfigurationError(
+                "priority_weights must match priorities in length"
+            )
+
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, Any]) -> "StreamSpec":
+        """Parse the ``stream`` section of a broker workload document.
+
+        Example::
+
+            {"count": 200, "seed": 7, "mean_interarrival": 0.05,
+             "mix": [["kmeans", null, 2.0], ["em", null, 1.0]],
+             "deadline_fraction": 0.4, "deadline_slack": [1.5, 3.0],
+             "priorities": [0, 1]}
+        """
+        if "count" not in doc:
+            raise ConfigurationError("stream spec needs a 'count'")
+        kwargs: dict = {
+            "count": int(doc["count"]),
+            "seed": int(doc.get("seed", 0)),
+            "mean_interarrival": float(doc.get("mean_interarrival", 0.1)),
+            "deadline_fraction": float(doc.get("deadline_fraction", 0.0)),
+        }
+        if "mix" in doc:
+            kwargs["mix"] = _parse_mix(doc["mix"])
+        if "deadline_slack" in doc:
+            lo, hi = doc["deadline_slack"]
+            kwargs["deadline_slack"] = (float(lo), float(hi))
+        if "priorities" in doc:
+            kwargs["priorities"] = tuple(int(p) for p in doc["priorities"])
+        if "priority_weights" in doc:
+            kwargs["priority_weights"] = tuple(
+                float(w) for w in doc["priority_weights"]
+            )
+        return cls(**kwargs)
 
 
 def split_counts(total: int, weights: Sequence[float]) -> List[int]:
@@ -89,6 +186,27 @@ def modulated_arrivals(
     return arrivals
 
 
+def _baseline_for(
+    baselines: Baselines, workload: str, size: Optional[str]
+) -> float:
+    key = f"{workload}@{size}" if size else workload
+    if baselines is None:
+        raise ConfigurationError(
+            "stream draws deadlines but no baselines were provided; "
+            "pass a mapping or GridBroker.baseline_estimate"
+        )
+    if callable(baselines):
+        value = baselines(workload, size)
+    else:
+        if key not in baselines:
+            raise ConfigurationError(f"no baseline for dataset '{key}'")
+        value = baselines[key]
+    value = float(value)
+    if value <= 0:
+        raise ConfigurationError(f"baseline for '{key}' must be positive")
+    return value
+
+
 def realize_jobs(
     rng: np.random.Generator,
     arrivals: np.ndarray,
@@ -101,19 +219,14 @@ def realize_jobs(
     baselines: Baselines,
     job_id_for: Callable[[int, str], str],
     vo: Optional[str] = None,
-) -> List["BrokerJob"]:
+) -> List[BrokerJob]:
     """Draw the per-job fields over fixed arrivals (the step-3 loop).
 
     The draw order per job — mix index, priority index, deadline coin,
     slack uniform — is part of the seeded-workload format; both the
-    trace generator and the legacy Poisson stream shim call this one
+    trace generator and the Poisson stream generator call this one
     loop so the order can never fork.
     """
-    # Imported here: repro.broker.jobs <- repro.workloads would cycle at
-    # module scope (broker jobs build topologies from workload clusters).
-    from repro.broker.jobs import BrokerJob
-    from repro.workloads.streams import _baseline_for
-
     mix_weights = np.array([w for _, _, w in mix], dtype=float)
     mix_weights /= mix_weights.sum()
     if priority_weights:
@@ -149,9 +262,33 @@ def realize_jobs(
     return jobs
 
 
+def generate_stream(
+    spec: StreamSpec, baselines: Baselines = None
+) -> List[BrokerJob]:
+    """Expand a :class:`StreamSpec` into a deterministic job list.
+
+    Returns jobs sorted by arrival.  ``baselines`` is only consulted
+    when the spec draws deadlines.
+    """
+    rng = np.random.default_rng(spec.seed)
+    interarrival = DistributionSpec.exponential(spec.mean_interarrival)
+    arrivals = np.cumsum(interarrival.sample(rng, spec.count))
+    return realize_jobs(
+        rng,
+        arrivals,
+        mix=spec.mix,
+        priorities=spec.priorities,
+        priority_weights=spec.priority_weights,
+        deadline_fraction=spec.deadline_fraction,
+        deadline_slack=spec.deadline_slack,
+        baselines=baselines,
+        job_id_for=lambda i, workload: f"job{i:04d}-{workload}",
+    )
+
+
 def generate_trace(
     spec: TraceSpec, baselines: Baselines = None
-) -> List["BrokerJob"]:
+) -> List[BrokerJob]:
     """Expand a :class:`TraceSpec` into a deterministic merged job list.
 
     Each VO draws from ``default_rng([spec.seed, vo_index])`` — a child
@@ -161,7 +298,7 @@ def generate_trace(
     ``baselines`` is only consulted by VOs that draw deadlines.
     """
     counts = split_counts(spec.count, [vo.weight for vo in spec.vos])
-    merged: List["BrokerJob"] = []
+    merged: List[BrokerJob] = []
     for vo_index, (vo, n) in enumerate(zip(spec.vos, counts)):
         if n == 0:
             continue
@@ -191,3 +328,16 @@ def generate_trace(
     return [
         replace(job, arrival_index=index) for index, job in enumerate(merged)
     ]
+
+
+def stream_horizon(jobs) -> float:
+    """A fault-injection horizon covering a job stream's arrival span.
+
+    The chaos timeline generator draws fault times over ``[0, horizon)``;
+    one-and-a-half times the last arrival (with a 1-second floor for
+    bursty short streams) keeps grid weather landing where jobs are
+    actually contending rather than long after the stream drains.
+    """
+    if not jobs:
+        raise ConfigurationError("cannot size a horizon for an empty stream")
+    return max(1.0, 1.5 * max(job.arrival for job in jobs))

@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
+from repro.broker.jobs import BrokerJob
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.traces.artifact import TraceWorkload
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.broker.jobs import BrokerJob
 
 __all__ = [
     "GWF_COLUMNS",
@@ -139,8 +137,6 @@ def parse_gwf(
     origin — the smallest SubmitTime, or the ``# repro-origin:`` header
     when present (files we wrote pin it to keep round-trips exact).
     """
-    from repro.broker.jobs import BrokerJob
-
     if isinstance(source, pathlib.Path) or "\n" not in str(source):
         path = pathlib.Path(source)
         try:

@@ -27,7 +27,7 @@ from repro.workloads.traces.distributions import DistributionSpec
 
 __all__ = ["DiurnalSpec", "VoSpec", "TraceSpec", "Mix"]
 
-#: ``(workload, size-or-None, weight)`` triples, as in ``StreamSpec``.
+#: ``(workload, size-or-None, weight)`` triples (``VoSpec`` and ``StreamSpec``).
 Mix = Tuple[Tuple[str, Optional[str], float], ...]
 
 _DEFAULT_MIX: Mix = (

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.broker import GridBroker
 from repro.broker.report import BrokerReport
 from repro.faults.chaos import ChaosSpec, chaos_timeline
-from repro.workloads.streams import stream_horizon
+from repro.workloads.traces.generate import stream_horizon
 from repro.workloads.traces import (
     DistributionSpec,
     TraceSpec,

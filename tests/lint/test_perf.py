@@ -556,6 +556,28 @@ class TestProfileCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("threshold", ["-1", "0", "1.5", "nan"])
+    def test_exit_two_on_threshold_outside_unit_interval(
+        self, repo_root, capsys, threshold
+    ):
+        code = repro_main(
+            [
+                "profile",
+                str(repo_root / "src" / "repro"),
+                "--root",
+                str(repo_root),
+                "--check",
+                "--count",
+                "1",
+                "--threshold",
+                threshold,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --threshold must be in (0, 1]\n"
+        assert captured.out == ""
+
     def test_exit_two_on_missing_path(self, tmp_path, capsys):
         code = repro_main(
             [

@@ -254,10 +254,10 @@ def counts(monkeypatch):
             module, "content_digest", counting("content_digest", content_digest)
         )
     monkeypatch.setattr(
-        service_app, "_SERVICE_CLUSTERS",
+        service_app, "CLUSTERS",
         {
             name: counting("cluster_factory", make)
-            for name, make in service_app._SERVICE_CLUSTERS.items()
+            for name, make in service_app.CLUSTERS.items()
         },
     )
     return seen
@@ -279,7 +279,7 @@ class TestPerRequestWorkIsCounted:
     ):
         profiles = demo_profiles()
         service = PredictionService(profiles)
-        clusters = sorted(service_app._SERVICE_CLUSTERS)
+        clusters = sorted(service_app.CLUSTERS)
         # Construction: each named cluster built once; every profile and
         # cluster digested once (a profile document holds two clusters).
         assert counts["cluster_factory"] == len(clusters)

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import ast
+import json
+import os
 import pathlib
 import re
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -47,10 +53,12 @@ class TestCommandTable:
 
     @pytest.mark.parametrize("name", sorted(REPRESENTATIVE_ARGV))
     def test_only_parser_parses_like_the_full_parser(self, name):
+        (owner,) = [owner for command, _, owner in COMMANDS if command == name]
         for argv in REPRESENTATIVE_ARGV[name]:
             narrow = build_parser(only=name).parse_args(argv)
             assert vars(narrow) == vars(build_parser().parse_args(argv))
-            assert narrow.func.__module__ == "repro.cli"
+            # The handler lives in the module the table names.
+            assert narrow.func.__module__ == owner
 
     @pytest.mark.parametrize(
         "argv, golden, code",
@@ -73,11 +81,60 @@ class TestCommandTable:
         assert captured.out + captured.err == (GOLDENS / golden).read_text()
 
     def test_no_flag_was_added(self):
-        sources = [REPO / "src/repro/cli.py", REPO / "src/repro/lint/cli.py"]
+        owners = {owner for _, _, owner in COMMANDS} | {"repro.cli"}
+        sources = [
+            REPO / "src" / (owner.replace(".", "/") + ".py")
+            for owner in sorted(owners)
+        ]
         assert sum(
             len(re.findall(r"\.add_argument\(", path.read_text()))
             for path in sources
         ) == 99
+
+    def test_cli_module_is_the_table_plus_main(self):
+        """No command lives in ``repro/cli.py``, and importing it imports
+        nothing but the stdlib's parser plumbing and the error base."""
+        tree = ast.parse((REPO / "src/repro/cli.py").read_text())
+        defined = [
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        assert sorted(defined) == ["build_parser", "main"]
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert imported <= {
+            "__future__", "argparse", "sys", "importlib", "typing",
+            "repro.errors",
+        }
+
+    def test_predict_loads_no_other_subsystem(self, tmp_path):
+        """The docstring's promise: ``repro predict`` runs without the
+        broker, the service, the linter or the campaign engine."""
+        profile = tmp_path / "knn.json"
+        assert main(["run", "knn", "--size", "350 MB",
+                     "--save-profile", str(profile)]) == 0
+        script = (
+            "import json, sys\n"
+            "from repro.cli import build_parser, main\n"
+            "build_parser(only='predict')\n"
+            "code = main(['predict', sys.argv[1], '-n', '2', '-c', '4'])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(profile)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        foreign = ("repro.broker", "repro.service", "repro.lint",
+                   "repro.campaign")
+        assert [m for m in loaded if m.startswith(foreign)] == []
 
 
 class TestParser:
@@ -495,6 +552,38 @@ class TestServe:
         out = capsys.readouterr().out
         assert "verdict: PASS" in out
         assert "replay" in out
+
+    def _refused(self, argv, capsys):
+        """``serve`` with an address that cannot be bound: exit 1 and
+        exactly one ``error:`` line naming it, never a traceback."""
+        assert main(["serve"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: cannot serve on ")
+        return line
+
+    def test_port_in_use_is_a_repro_error(self, capsys):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen(1)
+            port = held.getsockname()[1]
+            line = self._refused(["--port", str(port)], capsys)
+        assert f"127.0.0.1:{port}" in line
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--port", "99999"], "127.0.0.1:99999"),
+            (["--port", "-1"], "127.0.0.1:-1"),
+            # A numeric IPv6 literal on the IPv4 listener: a real
+            # socket.gaierror, raised without a DNS query.
+            (["--port", "0", "--host", "::1"], "::1:0"),
+        ],
+        ids=["port-too-large", "port-negative", "host-unresolvable"],
+    )
+    def test_unbindable_address_is_a_repro_error(self, argv, named, capsys):
+        assert named in self._refused(argv, capsys)
 
     def test_http_round_trip(self):
         import json
