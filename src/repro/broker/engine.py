@@ -46,12 +46,12 @@ byte-identical :class:`BrokerReport`; a fault-free run serializes
 byte-identically to a broker without the fault model.
 
 The event loop runs in one of two engines.  ``engine="indexed"`` (the
-default) is sized for six-figure trace streams: a binary-heap wait
-queue, the incremental free-index ledger, read-cached calibration, a
-per-application placement-option cache invalidated on every calibration
-update, an admission fast path that only builds idle-grid options for
-policies that read them, and an O(1)-amortized blocked-head check — a
-queue head that found no feasible candidate is not re-evaluated until
+default) is sized for six-figure trace streams: binary-heap event and
+wait queues, read-cached calibration, a per-application
+placement-option cache invalidated on every calibration update, an
+admission fast path that only builds idle-grid options for policies
+that read them, and an O(1)-amortized blocked-head check — a queue head
+that found no feasible candidate is not re-evaluated until
 :attr:`~repro.broker.events.GridLedger.version` moves (feasibility
 depends only on free node counts, which every capacity change
 version-bumps).  ``engine="linear"`` is the retained pre-scale-up
@@ -60,6 +60,14 @@ rebuilt on every decision) — the baseline ``bench_throughput.py``
 measures against.  Both engines produce byte-identical reports on the
 same stream, with and without faults; the equivalence property suite
 holds them to it.
+
+What does *not* differ between the engines is the node ledger.  The
+queues grow with the stream; a site's pool is tens of nodes whatever the
+stream's length, so one :class:`~repro.broker.events.SitePool` — a
+sorted free list, and one history record per grant rather than per
+node — serves both, and the per-node reservation windows are derived
+from :attr:`GridBroker.last_ledger` only when a test or the chaos
+invariant suite asks for them.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.broker.calibration import OnlineCalibrator
 from repro.broker.events import Event, EventKind, EventQueue, GridLedger
-from repro.broker.linear import LinearEventQueue, LinearSitePool
+from repro.broker.linear import LinearEventQueue
 from repro.broker.jobs import BrokerJob, BrokerWorkloadDoc, sorted_jobs
 from repro.broker.policies import (
     POLICY_NAMES,
@@ -558,10 +566,11 @@ class GridBroker:
         """Broker one job stream under one policy.
 
         Returns the :class:`PolicyRun` with placements, rejections and
-        the completion-ordered prediction-error series.  The per-node
-        reservation windows of the run are kept on :attr:`last_ledger`
-        for inspection (the property tests check them for overlap), and
-        queue-pressure stats on :attr:`last_queue_stats`.
+        the completion-ordered prediction-error series.  The run's node
+        grants are kept on :attr:`last_ledger` for inspection (the
+        property tests derive the per-node reservation windows from it
+        and check them for overlap), and queue-pressure stats on
+        :attr:`last_queue_stats`.
 
         ``faults`` installs a grid fault schedule: the report then also
         carries the fault timeline, preemptions, terminal failures and
@@ -570,7 +579,7 @@ class GridBroker:
         faults the report is byte-identical to a fault-free broker's.
 
         ``engine`` selects the event-loop implementation: ``"indexed"``
-        (default; heap queues, incremental ledger, cached calibration)
+        (default; heap queues, cached calibration, option cache)
         or ``"linear"`` (the retained pre-scale-up reference path).
         Both produce byte-identical reports (see the module docstring).
         """
@@ -586,15 +595,10 @@ class GridBroker:
             policy, [s.name for s in self.topology.sites(SiteKind.COMPUTE)]
         )
         calibrator = OnlineCalibrator(alpha=self.alpha)
-        queue: EventQueue | LinearEventQueue
-        if indexed:
-            ledger = GridLedger.from_topology(self.topology)
-            queue = EventQueue()
-        else:
-            ledger = GridLedger.from_topology(
-                self.topology, pool_cls=LinearSitePool
-            )
-            queue = LinearEventQueue()
+        ledger = GridLedger.from_topology(self.topology)
+        queue: EventQueue | LinearEventQueue = (
+            EventQueue() if indexed else LinearEventQueue()
+        )
         for job in stream:
             queue.push(Event(time=job.arrival, kind=EventKind.ARRIVAL,
                              payload=job))
@@ -773,7 +777,7 @@ class GridBroker:
             )
 
         # Six-figure streams allocate millions of short-lived objects
-        # that all survive (report rows, reservation windows); CPython's
+        # that all survive (report rows, ledger grants); CPython's
         # generational collector re-scans that growing live set on every
         # gen-2 pass, which turns the loop superlinear.  The indexed
         # engine pauses automatic collection for the loop's duration

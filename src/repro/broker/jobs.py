@@ -30,10 +30,12 @@ dataset), as is ``priority`` (default 0; higher runs first) and
 
 from __future__ import annotations
 
+import math
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.durable import json_number, read_json_document
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.topology import GridTopology, SiteKind
 from repro.workloads.clusters import CLUSTERS
@@ -76,13 +78,17 @@ class BrokerJob:
     def __post_init__(self) -> None:
         if not self.job_id:
             raise ConfigurationError("jobs need a non-empty id")
-        if self.arrival < 0:
+        # Written so that NaN, which passes every ``<`` guard, fails.
+        if not 0 <= self.arrival < math.inf:
             raise ConfigurationError(
-                f"job '{self.job_id}': arrival time must be >= 0"
+                f"job '{self.job_id}': arrival time must be >= 0 and finite"
             )
-        if self.deadline is not None and self.deadline <= self.arrival:
+        if self.deadline is not None and not (
+            self.arrival < self.deadline < math.inf
+        ):
             raise ConfigurationError(
-                f"job '{self.job_id}': deadline must be after arrival"
+                f"job '{self.job_id}': deadline must be after arrival "
+                "and finite"
             )
 
     @property
@@ -113,18 +119,61 @@ class BrokerWorkloadDoc:
                     f"unknown cluster '{site['cluster']}' for site "
                     f"'{site['name']}'; known: {sorted(CLUSTERS)}"
                 )
-            kind = SiteKind(site["kind"])
             topology.add_site(
-                site["name"], kind, factory(num_nodes=int(site["nodes"]))
+                site["name"],
+                SiteKind(site["kind"]),
+                factory(num_nodes=site["nodes"]),
             )
         for link in self.links:
             topology.connect(
-                link["a"],
-                link["b"],
-                bw=float(link["bw"]),
-                latency_s=float(link.get("latency_s", 0.0)),
+                link["a"], link["b"], bw=link["bw"], latency_s=link["latency_s"]
             )
         return topology
+
+
+def _objects(doc: Mapping[str, Any], key: str) -> List[Mapping[str, Any]]:
+    """The list of JSON objects under ``key`` (absent = empty)."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ConfigurationError(f"'{key}' must be a list of JSON objects")
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, Mapping):
+            raise ConfigurationError(
+                f"{key}[{index}] must be a JSON object, got {entry!r:.40}"
+            )
+    return entries
+
+
+def _require(entry: Mapping[str, Any], keys: Sequence[str], what: str) -> None:
+    for key in keys:
+        if key not in entry:
+            raise ConfigurationError(f"every {what} needs a '{key}'")
+
+
+def _parse_job(entry: Mapping[str, Any]) -> BrokerJob:
+    _require(entry, ("id", "workload"), "job")
+    job_id = str(entry["id"])
+
+    def number(key: str, default: Any = None, integer: bool = False) -> Any:
+        value = entry.get(key)
+        if value is None:
+            return default
+        return json_number(key, value, integer, where=f"job '{job_id}': ")
+
+    def text(key: str) -> Optional[str]:
+        value = entry.get(key)
+        return None if value is None else str(value)
+
+    return BrokerJob(
+        job_id=job_id,
+        workload=str(entry["workload"]),
+        size=text("size"),
+        arrival=number("arrival", 0.0),
+        deadline=number("deadline"),
+        priority=number("priority", 0, integer=True),
+        vo=text("vo"),
+        arrival_index=number("arrival_index", integer=True),
+    )
 
 
 def parse_workload_document(doc: Mapping[str, Any]) -> BrokerWorkloadDoc:
@@ -133,14 +182,12 @@ def parse_workload_document(doc: Mapping[str, Any]) -> BrokerWorkloadDoc:
         raise ConfigurationError("broker workload must be a JSON object")
     name = str(doc.get("name", "broker-workload"))
 
-    raw_sites = doc.get("sites")
+    raw_sites = _objects(doc, "sites")
     if not raw_sites:
         raise ConfigurationError("broker workload needs a 'sites' list")
     sites: List[Dict[str, Any]] = []
     for entry in raw_sites:
-        for key in ("name", "kind", "cluster"):
-            if key not in entry:
-                raise ConfigurationError(f"every site needs a '{key}'")
+        _require(entry, ("name", "kind", "cluster"), "site")
         try:
             SiteKind(entry["kind"])
         except ValueError as exc:
@@ -152,42 +199,57 @@ def parse_workload_document(doc: Mapping[str, Any]) -> BrokerWorkloadDoc:
                 "name": str(entry["name"]),
                 "kind": str(entry["kind"]),
                 "cluster": str(entry["cluster"]),
-                "nodes": int(entry.get("nodes", 8)),
+                "nodes": json_number(
+                    "nodes", entry.get("nodes", 8), True,
+                    where=f"site '{entry['name']}': ",
+                ),
             }
         )
 
-    allocations = [
-        (int(n), int(c)) for n, c in doc.get("allocations", [[1, 2], [2, 4]])
-    ]
-    links = [dict(link) for link in doc.get("links", [])]
-    replicas = {
-        str(key): [str(s) for s in sites_list]
-        for key, sites_list in dict(doc.get("replicas", {})).items()
-    }
-
-    jobs = tuple(
-        BrokerJob(
-            job_id=str(entry["id"]),
-            workload=str(entry["workload"]),
-            size=entry.get("size"),
-            arrival=float(entry.get("arrival", 0.0)),
-            deadline=(
-                float(entry["deadline"])
-                if entry.get("deadline") is not None
-                else None
-            ),
-            priority=int(entry.get("priority", 0)),
-            vo=(
-                str(entry["vo"]) if entry.get("vo") is not None else None
-            ),
-            arrival_index=(
-                int(entry["arrival_index"])
-                if entry.get("arrival_index") is not None
-                else None
-            ),
+    raw_allocations = doc.get("allocations", [[1, 2], [2, 4]])
+    if not isinstance(raw_allocations, list):
+        raise ConfigurationError("'allocations' must be a list of pairs")
+    allocations: List[Tuple[int, int]] = []
+    for index, pair in enumerate(raw_allocations):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigurationError(
+                f"allocations[{index}] must be a [data_nodes, compute_nodes] "
+                f"pair, got {pair!r:.40}"
+            )
+        data_nodes, compute_nodes = (
+            json_number(f"allocations[{index}]", count, True) for count in pair
         )
-        for entry in doc.get("jobs", [])
-    )
+        allocations.append((data_nodes, compute_nodes))
+
+    links: List[Dict[str, Any]] = []
+    for link in _objects(doc, "links"):
+        _require(link, ("a", "b", "bw"), "link")
+        where = f"link {link['a']}~{link['b']}: "
+        links.append(
+            {
+                "a": str(link["a"]),
+                "b": str(link["b"]),
+                "bw": json_number("bw", link["bw"], where=where),
+                "latency_s": json_number(
+                    "latency_s", link.get("latency_s", 0.0), where=where
+                ),
+            }
+        )
+
+    raw_replicas = doc.get("replicas", {})
+    if not isinstance(raw_replicas, Mapping):
+        raise ConfigurationError(
+            "'replicas' must be an object of dataset key -> site list"
+        )
+    replicas: Dict[str, List[str]] = {}
+    for key, holders in raw_replicas.items():
+        if not isinstance(holders, list):
+            raise ConfigurationError(
+                f"replicas['{key}'] must be a list of site names"
+            )
+        replicas[str(key)] = [str(site) for site in holders]
+
+    jobs = tuple(_parse_job(entry) for entry in _objects(doc, "jobs"))
     seen: set[str] = set()
     for job in jobs:
         if job.job_id in seen:
@@ -196,6 +258,8 @@ def parse_workload_document(doc: Mapping[str, Any]) -> BrokerWorkloadDoc:
 
     stream = doc.get("stream")
     if stream is not None:
+        if not isinstance(stream, Mapping):
+            raise ConfigurationError("'stream' must be a JSON object")
         stream = dict(stream)
     if not jobs and stream is None:
         raise ConfigurationError(
@@ -219,8 +283,6 @@ def parse_workload_document(doc: Mapping[str, Any]) -> BrokerWorkloadDoc:
 
 def load_workload_document(path: str | pathlib.Path) -> BrokerWorkloadDoc:
     """Load and parse a broker workload JSON file."""
-    from repro.core.durable import read_json_document
-
     path = pathlib.Path(path)
     if not path.exists():
         raise ConfigurationError(f"no broker workload file at '{path}'")

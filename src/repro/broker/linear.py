@@ -1,39 +1,42 @@
-"""Retained linear-path reference implementations of the broker core.
+"""Retained linear-path reference event queue of the broker core.
 
-The scale-up PR replaced the broker's hot data structures with
-incremental ones (see :mod:`repro.broker.events`).  This module keeps
-the pre-scale-up behavior alive in two classes:
+The scale-up PR replaced the broker's event queue with an indexed heap
+(see :mod:`repro.broker.events`).  This module keeps the pre-scale-up
+queue alive:
 
 - :class:`LinearEventQueue` — a sorted-list event queue: every push is a
   ``bisect.insort`` on the composite index ``(time, kind, insertion
   seq)`` and every pop is a ``pop(0)``.  Its drain order is *by
   construction* the total order the indexed heap must reproduce, which
   is what the equivalence property suite asserts.
-- :class:`LinearSitePool` — the pre-scale-up free-node bookkeeping: a
-  sorted list of free indices, rebuilt on every release/restore and
-  filtered on every shrink.
 
-Both are wired up by ``engine="linear"`` on
-:meth:`~repro.broker.engine.GridBroker.run`, which also routes
-calibration through the uncached
+It is wired up by ``engine="linear"`` on
+:meth:`~repro.broker.engine.GridBroker.run`, which also keeps the wait
+queue a sorted list, routes calibration through the uncached
 :meth:`~repro.broker.calibration.OnlineCalibrator.reference_correct`
 and rebuilds placement options from scratch on every decision.  That
 configuration is the baseline ``benchmarks/bench_throughput.py``
 measures the indexed engine against, and the oracle the equivalence
 suite replays — same seeded workload, identical ``BrokerReport``
 bytes, with and without grid faults.
+
+Both engines share the one :class:`~repro.broker.events.SitePool`: a
+site's free nodes are tens of indices however long the stream is, so
+the sorted free list the pre-scale-up pool used is also what the
+indexed engine runs on (its model oracle lives with the stateful pool
+test, ``tests/broker/pool_model.py``).
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.broker.events import Event, NodeWindow, OutageRecord, SitePool
+from repro.broker.events import Event
 from repro.simgrid.errors import ConfigurationError
 
-__all__ = ["LinearEventQueue", "LinearSitePool"]
+__all__ = ["LinearEventQueue"]
 
 
 class LinearEventQueue:
@@ -79,121 +82,3 @@ class LinearEventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._entries)
-
-
-class LinearSitePool(SitePool):
-    """Pre-scale-up free-node bookkeeping: one sorted list per site.
-
-    Overrides only the free-structure management of
-    :class:`~repro.broker.events.SitePool`; the reservation history,
-    outage records, and fault quiescing are shared.  Acquisition slices
-    the ``count`` lowest entries off the sorted list; release and
-    restore rebuild it with ``sorted()``; shrink filters it — exactly
-    the pre-scale-up code, with the ledger version tick added so both
-    pool flavors honor the same change-clock contract.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        num_nodes: int,
-        on_change: Optional[Callable[[], None]] = None,
-    ) -> None:
-        super().__init__(name, num_nodes, on_change=on_change)
-        self._free = list(range(num_nodes))  # kept sorted
-        # Neutralize the inherited heap bookkeeping: the linear pool's
-        # source of truth is the sorted list alone.
-        self._free_heap = []
-        self._free_set = set()
-
-    @property
-    def free_count(self) -> int:
-        return 0 if self.down else len(self._free)
-
-    def acquire(
-        self, count: int, job_id: str, start: float, end: float
-    ) -> Tuple[int, ...]:
-        """Reserve ``count`` nodes over ``[start, end)``; returns their ids."""
-        if count <= 0:
-            raise ConfigurationError("must acquire at least one node")
-        if end <= start:
-            raise ConfigurationError("reservation must have positive length")
-        if self.down:
-            raise ConfigurationError(
-                f"site '{self.name}' is down; cannot acquire nodes"
-            )
-        if count > len(self._free):
-            raise ConfigurationError(
-                f"site '{self.name}' has {len(self._free)} free node(s); "
-                f"cannot acquire {count}"
-            )
-        taken = tuple(self._free[:count])
-        del self._free[:count]
-        for node in taken:
-            self.windows.append(
-                NodeWindow(
-                    site=self.name,
-                    node=node,
-                    start=start,
-                    end=end,
-                    job_id=job_id,
-                )
-            )
-        self._changed()
-        return taken
-
-    def release(self, nodes: Tuple[int, ...]) -> None:
-        """Return previously acquired nodes to the free pool."""
-        for node in nodes:
-            if node in self._free or not 0 <= node < self.num_nodes:
-                raise ConfigurationError(
-                    f"site '{self.name}': node {node} is not reserved"
-                )
-        returned = [n for n in nodes if n not in self._removed]
-        self._free = sorted(self._free + returned)
-        self._changed()
-
-    def shrink(self, count: int, at: float) -> Tuple[int, ...]:
-        """Remove the ``count`` highest not-yet-removed nodes at ``at``."""
-        if count <= 0:
-            raise ConfigurationError("must shrink by at least one node")
-        victims = tuple(
-            node
-            for node in range(self.num_nodes - 1, -1, -1)
-            if node not in self._removed
-        )[:count]
-        if not victims:
-            return ()
-        self._removed.update(victims)
-        self._free = [n for n in self._free if n not in self._removed]
-        self.outages.append(
-            OutageRecord(
-                site=self.name, start=at, nodes=tuple(sorted(victims))
-            )
-        )
-        self._changed()
-        return victims
-
-    def restore(self, nodes: Tuple[int, ...], at: float) -> None:
-        """Return previously shrunk nodes to service at ``at``."""
-        restored = set(nodes)
-        missing = restored - self._removed
-        if missing:
-            raise ConfigurationError(
-                f"site '{self.name}': nodes {sorted(missing)} were not "
-                "shrunk; cannot restore them"
-            )
-        self._removed -= restored
-        self._free = sorted(self._free + list(restored))
-        for index, record in enumerate(self.outages):
-            if record.end is None and record.nodes is not None and set(
-                record.nodes
-            ) == restored:
-                self.outages[index] = OutageRecord(
-                    site=record.site,
-                    start=record.start,
-                    end=at,
-                    nodes=record.nodes,
-                )
-                break
-        self._changed()

@@ -20,6 +20,10 @@ single place that guarantees it:
   path and tells the operator how to regenerate it, and an unrecognized
   ``format_version`` into a :class:`FormatVersionError`, instead of a
   raw decode error or a silently partial object.
+- A destination the operating system refuses (a directory, a read-only
+  location, a full disk) is a :class:`StoreWriteError` naming the path,
+  and :func:`json_number` is the one strict reading of a numeric field
+  (finite, optionally integral) every document parser shares.
 
 ``core/store`` (profiles), ``analysis/results_io`` (experiment
 results) and ``campaign/journal`` (suite journals) all route their I/O
@@ -32,6 +36,7 @@ import hashlib
 import json
 import os
 import pathlib
+import sys
 from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
@@ -41,6 +46,7 @@ __all__ = [
     "StoreError",
     "CorruptStoreError",
     "FormatVersionError",
+    "StoreWriteError",
     "atomic_write_text",
     "atomic_write_json",
     "append_text",
@@ -48,6 +54,7 @@ __all__ = [
     "content_digest",
     "read_text_document",
     "read_json_document",
+    "json_number",
     "quarantine_corrupt",
 ]
 
@@ -61,6 +68,17 @@ class CorruptStoreError(StoreError, ConfigurationError):
 
     Also derives from :class:`~repro.simgrid.errors.ConfigurationError`
     so callers that predate the durable layer keep catching it.
+    """
+
+
+class StoreWriteError(StoreError, OSError):
+    """The operating system refused a durable write (a directory or a
+    read-only location as the destination, a full disk).
+
+    Names the path and carries the OS reason, so a ``--report`` /
+    ``-o`` option pointed at the wrong place is one ``error:`` line.
+    Still an :class:`OSError` for callers that handle I/O failures as
+    such; nothing is half-written when it is raised.
     """
 
 
@@ -83,20 +101,25 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
     crash during it cannot corrupt an existing file.
     """
     path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise StoreWriteError(
+            f"cannot write '{path}': {exc.strerror or exc}"
+        ) from exc
+    finally:
+        # Renamed away on success; on any failure (or interrupt) the
+        # temporary file must not outlive the call.
         try:
-            tmp.unlink()
+            tmp.unlink(missing_ok=True)
         except OSError:
             pass
-        raise
     _fsync_directory(path.parent)
     return path
 
@@ -109,10 +132,15 @@ def atomic_write_json(path: str | pathlib.Path, data: Any) -> pathlib.Path:
 def append_text(path: str | pathlib.Path, text: str) -> None:
     """Durably append ``text``: returns after ``fsync``.  A crash mid-call
     leaves the old bytes untouched, followed by some prefix of ``text``."""
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
+    try:
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+    except OSError as exc:
+        raise StoreWriteError(
+            f"cannot append to '{path}': {exc.strerror or exc}"
+        ) from exc
 
 
 def canonical_json(data: Any) -> str:
@@ -182,6 +210,31 @@ def read_json_document(
     if expected_version is not None:
         check_format_version(data, kind, expected_version, source=str(path))
     return data
+
+
+def json_number(
+    name: str, value: Any, integer: bool = False, *, where: str = ""
+) -> Any:
+    """One numeric field of a parsed JSON document, or an error naming it.
+
+    ``json.loads`` hands over ``Infinity``, ``NaN`` and integers of any
+    size, and a hand-written document a string or a list where a number
+    belongs; none of them may reach a model or a simulated clock, where
+    ``NaN`` passes every ``<`` guard.  ``where`` prefixes the message
+    with the entry the field belongs to (``"job 'j0': "``).
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+        or (integer and not float(value).is_integer())
+    ):
+        kind = "an integer" if integer else "a finite number"
+        # Truncated: the value is the sender's, up to a megabyte of it.
+        raise ConfigurationError(
+            f"{where}'{name}' must be {kind}, got {value!r:.40}"
+        )
+    return int(value) if integer else float(value)
 
 
 def check_format_version(

@@ -30,12 +30,12 @@ connections in front of it.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.broker.calibration import OnlineCalibrator
 from repro.core import GlobalReductionModel, ModelClasses
+from repro.core.durable import json_number
 from repro.core.fingerprint import (
     cluster_fingerprint,
     prediction_fingerprint,
@@ -80,27 +80,6 @@ __all__ = [
 ENDPOINTS = ("predict", "what-if", "broker-submit", "campaign-status")
 
 _LOG_FORMAT_VERSION = 1
-
-
-def _number(name: str, value: Any, integer: bool = False) -> Any:
-    """One numeric request parameter, or a 400 naming the field.
-
-    ``json.loads`` hands over ``Infinity``, ``NaN`` and integers of any
-    size; none of them may reach the model, whose non-finite answers
-    would be booked against the backend's circuit breaker.
-    """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not abs(value) <= sys.float_info.max
-        or (integer and not float(value).is_integer())
-    ):
-        kind = "an integer" if integer else "a finite number"
-        # Truncated: the value is the client's, up to a megabyte of it.
-        raise ConfigurationError(
-            f"'{name}' must be {kind}, got {value!r:.40}"
-        )
-    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -600,7 +579,7 @@ class PredictionService:
             compute_cluster=cluster,
             data_nodes=data_nodes,
             compute_nodes=compute_nodes,
-            bandwidth=_number(
+            bandwidth=json_number(
                 "bandwidth", params.get("bandwidth", DEFAULT_BANDWIDTH)
             ),
             processes_per_node=processes_per_node,
@@ -630,9 +609,9 @@ class PredictionService:
             profile, profile_digest = self._resolve_profile(params)
             config, cluster_digest = self._resolve_config(
                 params,
-                _number("data_nodes", params.get("data_nodes"), True),
-                _number("compute_nodes", params.get("compute_nodes"), True),
-                _number(
+                json_number("data_nodes", params.get("data_nodes"), True),
+                json_number("compute_nodes", params.get("compute_nodes"), True),
+                json_number(
                     "processes_per_node",
                     params.get("processes_per_node", 1),
                     True,
@@ -640,7 +619,7 @@ class PredictionService:
             )
             target = PredictionTarget(
                 config,
-                _number(
+                json_number(
                     "dataset_bytes",
                     params.get("dataset_bytes", profile.dataset_bytes),
                 ),
@@ -685,7 +664,7 @@ class PredictionService:
                     "[data_nodes, compute_nodes]"
                 )
             pairs = [
-                (_number("pairs", n, True), _number("pairs", c, True))
+                (json_number("pairs", n, True), json_number("pairs", c, True))
                 for n, c in pairs_raw
             ]
             template, cluster_digest = self._resolve_config(params)

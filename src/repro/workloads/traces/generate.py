@@ -44,6 +44,7 @@ from repro.workloads.traces.spec import (
     DiurnalSpec,
     Mix,
     TraceSpec,
+    _check_count_and_seed,
     _parse_mix,
 )
 
@@ -85,8 +86,7 @@ class StreamSpec:
     priority_weights: Tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ConfigurationError("stream count must be positive")
+        _check_count_and_seed("stream", self.count, self.seed)
         if self.mean_interarrival <= 0:
             raise ConfigurationError("mean inter-arrival must be positive")
         if not self.mix:

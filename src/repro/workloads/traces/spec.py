@@ -206,6 +206,24 @@ class VoSpec:
         return cls(**kwargs)
 
 
+#: Largest job count a spec may ask for — a hundred times the biggest
+#: trace the benchmarks broker, and refused before any array is sized
+#: from it.
+MAX_TRACE_JOBS = 10_000_000
+
+
+def _check_count_and_seed(what: str, count: int, seed: int) -> None:
+    """Refuse a job count or seed NumPy would reject with a traceback."""
+    if count <= 0:
+        raise ConfigurationError(f"{what} count must be positive")
+    if count > MAX_TRACE_JOBS:
+        raise ConfigurationError(
+            f"{what} count must be at most {MAX_TRACE_JOBS}, got {count}"
+        )
+    if seed < 0:
+        raise ConfigurationError(f"{what} seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class TraceSpec:
     """The full seeded recipe for one trace workload.
@@ -225,8 +243,7 @@ class TraceSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("trace specs need a non-empty name")
-        if self.count <= 0:
-            raise ConfigurationError("trace count must be positive")
+        _check_count_and_seed("trace", self.count, self.seed)
         if not self.vos:
             raise ConfigurationError("trace needs at least one VO")
         names = [vo.name for vo in self.vos]

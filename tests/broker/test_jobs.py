@@ -1,5 +1,8 @@
 """Broker jobs and workload-document parsing."""
 
+import copy
+import math
+
 import pytest
 
 from repro.broker.jobs import (
@@ -51,6 +54,20 @@ class TestBrokerJob:
             BrokerJob(job_id="j0", workload="knn", arrival=-1.0)
         with pytest.raises(ConfigurationError):
             BrokerJob(job_id="j0", workload="knn", arrival=1.0, deadline=0.5)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"arrival": math.nan},
+            {"arrival": math.inf},
+            {"deadline": math.nan},
+            {"deadline": math.inf},
+        ],
+    )
+    def test_non_finite_times_are_rejected(self, fields):
+        # NaN passes ``arrival < 0`` and ``deadline <= arrival`` alike.
+        with pytest.raises(ConfigurationError, match="finite"):
+            BrokerJob(job_id="j0", workload="knn", **fields)
 
     def test_sorted_jobs_orders_by_arrival_then_id(self):
         jobs = [
@@ -122,6 +139,59 @@ class TestParseDocument:
     def test_missing_sites(self):
         with pytest.raises(ConfigurationError, match="'sites'"):
             parse_workload_document({"jobs": []})
+
+    @pytest.mark.parametrize(
+        "mutate,names",
+        [
+            (lambda d: d["jobs"][0].pop("id"), "job needs a 'id'"),
+            (lambda d: d["jobs"][0].update(arrival="soon"),
+             "job 'j0': 'arrival'"),
+            (lambda d: d["jobs"][0].update(priority="high"),
+             "job 'j0': 'priority'"),
+            (lambda d: d["jobs"][0].update(priority=1.5),
+             "job 'j0': 'priority'"),
+            (lambda d: d["jobs"][0].update(arrival=math.nan),
+             "job 'j0': 'arrival'"),
+            (lambda d: d["jobs"][0].update(deadline=math.nan),
+             "job 'j0': 'deadline'"),
+            (lambda d: d["jobs"][0].update(deadline=math.inf),
+             "job 'j0': 'deadline'"),
+            (lambda d: d.update(jobs=[[1, 2]]), r"jobs\[0\]"),
+            (lambda d: d.update(jobs="j0"), "'jobs' must be a list"),
+            (lambda d: d["sites"][0].update(nodes="many"),
+             "site 'repo': 'nodes'"),
+            (lambda d: d.update(sites=["repo"]), r"sites\[0\]"),
+            (lambda d: d.update(allocations=[[1, 2, 3]]),
+             r"allocations\[0\]"),
+            (lambda d: d.update(allocations=[[1, "2"]]),
+             r"allocations\[0\]"),
+            (lambda d: d.update(allocations=7), "'allocations'"),
+            (lambda d: d["links"][0].pop("bw"), "link needs a 'bw'"),
+            (lambda d: d["links"][0].update(bw=math.nan),
+             "link repo~hpc: 'bw'"),
+            (lambda d: d["links"][0].update(latency_s="slow"),
+             "link repo~hpc: 'latency_s'"),
+            (lambda d: d.update(replicas=["x"]), "'replicas'"),
+            (lambda d: d.update(replicas={"knn": "repo"}),
+             r"replicas\['knn'\]"),
+            (lambda d: (d.pop("jobs"), d.update(stream=[1])), "'stream'"),
+        ],
+    )
+    def test_malformed_entries_name_the_entry_and_field(self, mutate, names):
+        doc = copy.deepcopy(VALID_DOC)
+        mutate(doc)
+        with pytest.raises(ConfigurationError, match=names):
+            parse_workload_document(doc)
+
+    def test_null_optional_job_fields_take_their_defaults(self):
+        doc = copy.deepcopy(VALID_DOC)
+        doc["jobs"][0].update(
+            arrival=None, deadline=None, priority=None, size=None
+        )
+        (job,) = parse_workload_document(doc).jobs
+        assert (job.arrival, job.deadline, job.priority, job.size) == (
+            0.0, None, 0, None
+        )
 
 
 class TestLoadDocument:

@@ -522,6 +522,58 @@ class TestBroker:
         assert code == 1
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"sites": [{"name": "r", "kind": "repository", "cluster": "x"}],'
+            ' "jobs": [{"workload": "knn"}]}',
+            '{"sites": [{"name": "r", "kind": "repository", "cluster": "x"}],'
+            ' "jobs": [{"id": "j0", "workload": "knn", "arrival": NaN}]}',
+            '{"sites": [{"name": "r", "kind": "repository", "cluster": "x",'
+            ' "nodes": "many"}], "jobs": [{"id": "j0", "workload": "knn"}]}',
+            '{"sites": [{"name": "r", "kind": "repository", "cluster": "x"}],'
+            ' "allocations": [[1, 2, 3]], "jobs": [["j0"]]}',
+        ],
+    )
+    def test_malformed_workload_is_one_error_line(self, tmp_path, capsys, body):
+        path = tmp_path / "workload.json"
+        path.write_text(body)
+        assert main(["broker", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_report_path_that_is_a_directory(self, tmp_path, capsys):
+        code = main(
+            ["broker", str(self._write_workload(tmp_path)),
+             "--policy", "round-robin", "--no-calibration-baseline",
+             "--report", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
+
+class TestTraceGenerate:
+    @pytest.mark.parametrize(
+        "flags,says",
+        [
+            (["--seed", "-1"], "seed must be >= 0"),
+            (["--count", "99999999999999999999"], "count must be at most"),
+            (["--count", "0"], "count must be positive"),
+        ],
+    )
+    def test_numeric_arguments_are_one_error_line(
+        self, tmp_path, capsys, flags, says
+    ):
+        out = tmp_path / "t.trace.json"
+        code = main(["trace", "generate", "poisson", *flags, "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestServe:
     def test_smoke_run_prints_metrics(self, capsys):

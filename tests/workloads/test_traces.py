@@ -132,6 +132,16 @@ class TestSpecs:
                 vos=(VoSpec("a"), VoSpec("a")),
             )
 
+    def test_count_and_seed_are_bounded_before_any_array_is_sized(self):
+        # NumPy would answer these with "expected non-negative integer"
+        # and "Maximum allowed dimension exceeded" tracebacks.
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            make_preset("poisson", 10, seed=-1)
+        with pytest.raises(ConfigurationError, match="at most 10000000"):
+            make_preset("poisson", 10**20, seed=1)
+        with pytest.raises(ConfigurationError, match="count must be positive"):
+            make_preset("poisson", 0, seed=1)
+
     def test_vo_validation(self):
         with pytest.raises(ConfigurationError):
             VoSpec("a", weight=0.0)
