@@ -14,7 +14,7 @@ This package is that service, resilience-first (DESIGN.md §15):
   injection (the chaos door).
 - :mod:`repro.service.clock` — virtual vs. monotonic time.
 - :mod:`repro.service.workload` — seeded request scenarios.
-- :mod:`repro.service.http` — ASGI / stdlib HTTP shells.
+- :mod:`repro.service.http` — ASGI / threaded HTTP shells.
 """
 
 from repro._lazy import lazy_exports

@@ -3,7 +3,7 @@
 :data:`repro.cli.COMMANDS` names this module as the command's owner and
 calls :func:`register_serve` to fill in its arguments and handler.  A
 seeded simulated smoke run by default, the service chaos campaign with
-``--chaos``, or a real stdlib HTTP server with ``--port`` (DESIGN.md
+``--chaos``, or a real HTTP server with ``--port`` (DESIGN.md
 §15); the chaos harness and the HTTP shell are imported by the mode
 that runs them.
 """

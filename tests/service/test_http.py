@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import asyncio
 import http.client
-import io
 import json
 import socket
 import statistics
@@ -23,7 +22,12 @@ from repro.service import (
     ServiceRequest,
     demo_profiles,
 )
-from repro.service.http import _MAX_BODY_BYTES, asgi_app, make_server
+from repro.service.http import (
+    _MAX_BODY_BYTES,
+    _SOCKET_TIMEOUT_S,
+    asgi_app,
+    make_server,
+)
 
 PREDICT_PARAMS = {"profile": "kmeans", "data_nodes": 2, "compute_nodes": 4}
 
@@ -150,7 +154,7 @@ class TestAsgi:
         ]
 
     def test_non_numeric_deadline_is_400(self, app):
-        for deadline in ("abc", [1], {"s": 1}):
+        for deadline in ("abc", [1], {"s": 1}, True, "0.5", " 5 ", "1_0", 10**400):
             payload = json.dumps(
                 {"params": PREDICT_PARAMS, "deadline_s": deadline}
             ).encode()
@@ -211,25 +215,27 @@ class RecordingSocket:
     """A connected-socket double: canned request bytes in, sends counted."""
 
     def __init__(self, request_bytes):
-        self.rfile = io.BytesIO(request_bytes)
+        self.pending = request_bytes
         self.sends = []
         self.options = []
+        self.timeouts = []
 
-    def makefile(self, mode, bufsize=None):
-        return self.rfile
+    def recv(self, size):
+        chunk, self.pending = self.pending[:size], self.pending[size:]
+        return chunk
 
     def sendall(self, data):
         self.sends.append(bytes(data))
 
     def settimeout(self, timeout):
-        pass
+        self.timeouts.append(timeout)
 
     def setsockopt(self, *args):
         self.options.append(args)
 
 
 def handle_bytes(service, request_bytes):
-    """Run the stdlib handler over canned bytes, without a network."""
+    """Run the connection handler over canned bytes, without a network."""
     server = make_server(service, "127.0.0.1", 0)
     try:
         sock = RecordingSocket(request_bytes)
@@ -237,6 +243,9 @@ def handle_bytes(service, request_bytes):
     finally:
         server.server_close()
     return sock
+
+
+GET_HEALTHZ = b"GET /v1/healthz HTTP/1.1\r\n\r\n"
 
 
 class TestOneSendPerResponse:
@@ -254,11 +263,12 @@ class TestOneSendPerResponse:
             + predict                                 # 429: bucket is empty
             + post("/v1/predict", b"{ torn")          # 400
             + post("/v1/forecast", {})                # 404
-            + b"GET /v1/healthz HTTP/1.1\r\n\r\n"     # 200, no body read
+            + GET_HEALTHZ                             # 200, no body read
             + b"POST /v1/predict HTTP/1.1\r\nContent-Length: "
             + str(_MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n",  # 413
         )
-        assert (socket.IPPROTO_TCP, socket.TCP_NODELAY, True) in sock.options
+        assert sock.options == [(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)]
+        assert sock.timeouts == [_SOCKET_TIMEOUT_S] == [10.0]
         statuses = []
         for sent in sock.sends:
             # One send is one complete response: parsing it leaves nothing.
@@ -266,7 +276,8 @@ class TestOneSendPerResponse:
             assert sent.startswith(b"HTTP/1.1 %d " % status)
             assert sent.endswith(canonical_json(body).encode("utf-8"))
             assert headers["Content-Type"] == "application/json"
-            assert "Server" in headers and "Date" in headers
+            assert headers["Server"] == "repro-serve"
+            assert headers["Date"].endswith(" GMT")
             # Keep-alive unless the request stream can no longer be trusted.
             assert headers.get("Connection") == ("close" if status == 413 else None)
             statuses.append(status)
@@ -275,17 +286,58 @@ class TestOneSendPerResponse:
                 assert headers["Retry-After"] == f"{body['retry_after_s']:.6f}"
         assert statuses == [200, 429, 400, 404, 200, 413]
 
-    def test_stdlib_errors_are_json_single_send_and_close(self, service):
+    @pytest.mark.parametrize(
+        "request_bytes, status, error",
+        [
+            (b"BREW /v1/predict HTTP/1.1\r\n\r\n", 501, "Unsupported method ('BREW')"),
+            (b"PATCH /v1/predict HTTP/1.1\r\n\r\n", 501, "Unsupported method ('PATCH')"),
+            (b"GET /v1/healthz HTTP/2.0\r\n\r\n", 505, "Invalid HTTP version (2.0)"),
+            (b"GET /v1/healthz HTTP/1.1 extra\r\n\r\n", 400, "Bad request syntax"),
+            (b"GET /v1/healthz\r\n\r\n", 400, "Bad request syntax"),
+            (b"GET /v1/healthz HTTP/1.1\r\nno colon\r\n\r\n", 400, "Bad header line"),
+            (b"GET /v1/healthz HTTP/1.1\r\n folded: x\r\n\r\n", 400, "Bad header line"),
+            (b"GET /v1/healthz HTTP/1.1\r\nA: b\rc\r\n\r\n", 400, "Bad header line"),
+            (b"GET /v1/healthz HTTP/1.1\r\nA: b\0c\r\n\r\n", 400, "Bad header line"),
+            (b"GET /v1/healthz HTTP/1.1\nHost: t\n\n", 400, "bare LF"),
+            (b"GET /v1/healthz HTTP/1.1\r\nHost: t\n\r\n", 400, "bare LF"),
+            (b"GET /" + b"a" * 65532 + b" HTTP/1.1\r\n\r\n", 414, "Request-URI Too Long"),
+            (b"GET /" + b"a" * 70000, 414, "Request-URI Too Long"),  # no CRLF yet
+            (b"GET / HTTP/1.1\r\nA: " + b"b" * 65534 + b"\r\n\r\n", 431, "Line too long"),
+            (b"GET / HTTP/1.1\r\n" + b"A: b\r\n" * 101 + b"\r\n", 431, "Too many headers"),
+            (b"GET / HTTP/1.1\r\n" + b"A: b\r\n" * 50000, 431, "Request head too large"),
+        ],
+        ids=[
+            "501-BREW", "501-PATCH", "505", "400-words", "400-0.9", "400-colon",
+            "400-fold", "400-CR", "400-NUL", "400-LF", "400-LF2", "414",
+            "414-open", "431-line", "431-count", "431-head",
+        ],
+    )
+    def test_framing_error_is_one_send_and_close(
+        self, service, request_bytes, status, error
+    ):
+        sock = handle_bytes(service, request_bytes + GET_HEALTHZ)
+        (sent,) = sock.sends  # the follow-up request is never answered
+        (got, headers, body), = read_responses(sent)
+        assert got == status
+        assert headers["Connection"] == "close"
+        assert set(body) == {"error"} and error in body["error"]
+        assert len(service.log) == 0  # refused before routing
+
+    def test_limits_admit_what_is_exactly_at_them(self, service):
+        line = b"GET /" + b"a" * 65522 + b" HTTP/1.1"
+        assert len(line) == 65536
         sock = handle_bytes(
             service,
-            b"BREW /v1/predict HTTP/1.1\r\n\r\n"          # 501
-            + b"GET /v1/healthz HTTP/1.1\r\n\r\n",        # never answered
+            line + b"\r\n" + b"A: b\r\n" * 99 + b"B: " + b"c" * 65533 + b"\r\n\r\n",
         )
         (sent,) = sock.sends
-        (status, headers, body), = read_responses(sent)
-        assert status == 501
-        assert headers["Connection"] == "close"
-        assert "BREW" in body["error"]
+        (status, headers, _), = read_responses(sent)
+        assert status == 404 and "Connection" not in headers
+
+    def test_head_reply_has_no_content(self, service):
+        (sent,) = handle_bytes(service, b"HEAD /v1/healthz HTTP/1.1\r\n\r\n").sends
+        head, _, content = sent.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ") and content == b""
 
     def test_handler_bug_is_a_500_not_an_eof(self, service, monkeypatch, capsys):
         def boom(request):
@@ -316,33 +368,109 @@ def raw_exchange(server, request_bytes):
     return read_responses(b"".join(chunks))
 
 
+CLOSING_PREDICT = post(
+    "/v1/predict", {"params": PREDICT_PARAMS}, "Connection: close\r\n"
+)
+
+
 class TestMalformedFraming:
     """Bad framing is answered with JSON, then the connection closes."""
 
     @pytest.mark.parametrize(
         "declared",
-        ["abc", "-5", "1e3", pytest.param("9" * 5000, id="5000-digits")],
+        # Byte b2 is SUPERSCRIPT TWO in Latin-1: str.isdigit() accepts it, int()
+        # does not.
+        [b"abc", b"-5", b"1e3", b"+83", b"1_0", b"8 3", b"", b"\xb2", "٨٣".encode()],
+        ids=["abc", "-5", "1e3", "plus", "underscore", "inner-space", "empty",
+             "superscript", "arabic-indic"],
     )
     def test_bad_content_length_is_400(self, live_server, declared, capfd):
         (status, headers, body), = raw_exchange(
             live_server,
-            f"POST /v1/predict HTTP/1.1\r\nContent-Length: {declared}"
-            "\r\n\r\n{}".encode(),
+            b"POST /v1/predict HTTP/1.1\r\nContent-Length: " + declared
+            + b"\r\n\r\n{}" + GET_HEALTHZ,
         )
         assert status == 400
         assert headers["Connection"] == "close"
         assert "Content-Length must be an integer >= 0" in body["error"]
         assert "Traceback" not in capfd.readouterr().err
 
-    def test_non_numeric_deadline_is_400_and_keeps_alive(self, live_server):
-        bad = post("/v1/predict", {"params": PREDICT_PARAMS, "deadline_s": "abc"})
-        good = post(
-            "/v1/predict", {"params": PREDICT_PARAMS}, "Connection: close\r\n"
+    def test_content_length_headers_must_agree(self, live_server, capfd):
+        body = json.dumps({"params": PREDICT_PARAMS}).encode()
+        head = b"POST /v1/predict HTTP/1.1\r\nContent-Length: %d\r\n"
+        (status, headers, reply), = raw_exchange(
+            live_server, head % 10 + b"Content-Length: %d\r\n\r\n" % len(body) + body
         )
-        first, second = raw_exchange(live_server, bad + good)
-        assert first[0] == 400
-        assert "deadline_s must be a number" in first[2]["error"]
-        assert second[0] == 200
+        assert (status, headers["Connection"]) == (400, "close")
+        assert reply == {"error": "Content-Length headers disagree"}
+        agreeing, = raw_exchange(
+            live_server,
+            head % len(body) + b"Content-Length: %d\r\nConnection: close\r\n\r\n"
+            % len(body) + body,
+        )
+        assert agreeing[0] == 200
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("digits", ["1048577", "9" * 5000], ids=["limit+1", "5000-digits"])
+    def test_oversized_content_length_is_413(self, live_server, digits, capfd):
+        (status, headers, body), = raw_exchange(
+            live_server,
+            f"POST /v1/predict HTTP/1.1\r\nContent-Length: {digits}\r\n\r\n".encode()
+            + GET_HEALTHZ,
+        )
+        assert (status, headers["Connection"]) == (413, "close")
+        assert body == {"error": "request body too large"}
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_transfer_encoding_is_501_and_the_chunks_are_never_parsed(
+        self, live_server, live_service, capfd
+    ):
+        chunk = json.dumps({"params": PREDICT_PARAMS}).encode()
+        (status, headers, body), = raw_exchange(
+            live_server,
+            b"POST /v1/predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n%s\r\n0\r\n\r\n" % (len(chunk), chunk),
+        )
+        assert (status, headers["Connection"]) == (501, "close")
+        assert body == {"error": "Transfer-Encoding is not supported"}
+        assert len(live_service.log) == 0  # not answered as an empty-body predict
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_a_declared_body_is_consumed_on_get(self, live_server):
+        first, second = raw_exchange(
+            live_server,
+            b"GET /v1/healthz HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+            + b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        assert first[0] == second[0] == 200
+        assert first[2] == second[2] == {"status": "ok"}
+
+    def test_non_numeric_deadline_is_400_and_keeps_alive(self, live_server, capfd):
+        # float() would take the second to fifth; the last overflows it.
+        for deadline in ["abc", True, "0.5", " 5 ", "1_0", [1], {"s": 1}, 10**400]:
+            bad = post(
+                "/v1/predict", {"params": PREDICT_PARAMS, "deadline_s": deadline}
+            )
+            first, second = raw_exchange(live_server, bad + CLOSING_PREDICT)
+            assert first[0] == 400
+            assert "Connection" not in first[1]
+            assert "deadline_s must be a number" in first[2]["error"]
+            assert second[0] == 200
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("deadline", ["NaN", "Infinity", "-1", "0"])
+    def test_unusable_numeric_deadline_is_still_a_settled_400(
+        self, live_server, live_service, deadline
+    ):
+        body = b'{"params": %s, "deadline_s": %s}' % (
+            json.dumps(PREDICT_PARAMS).encode(), deadline.encode()
+        )
+        first, second = raw_exchange(
+            live_server, post("/v1/predict", body) + CLOSING_PREDICT
+        )
+        assert (first[0], first[2]["outcome"]) == (400, "rejected")
+        assert "deadline budget must be positive and finite" in first[2]["error"]
+        assert second[0] == 200 and len(live_service.log) == 2
 
     def test_413_closes_instead_of_parsing_the_body_as_a_request(
         self, live_server
@@ -356,6 +484,68 @@ class TestMalformedFraming:
         assert status == 413
         assert headers["Connection"] == "close"
         assert body == {"error": "request body too large"}
+
+
+class TestRetainedBehaviour:
+    """What the stdlib shell did for a client, the service's own still does."""
+
+    def test_limits_over_a_live_socket(self, live_server):
+        for request_bytes, status in [
+            (b"GET /" + b"a" * 65523 + b" HTTP/1.1\r\n\r\n", 414),  # 65,537 bytes
+            (b"GET / HTTP/1.1\r\n" + b"A: b\r\n" * 101 + b"\r\n", 431),
+            (b"GET /v1/healthz HTTP/2.0\r\n\r\n", 505),
+            (b"PATCH /v1/predict HTTP/1.1\r\n\r\n", 501),
+        ]:
+            (got, headers, body), = raw_exchange(live_server, request_bytes)
+            assert (got, headers["Connection"]) == (status, "close")
+            assert set(body) == {"error"}
+
+    def test_expect_100_continue_gets_the_interim_response_first(self, live_server):
+        body = json.dumps({"params": PREDICT_PARAMS}).encode()
+        host, port = live_server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /v1/predict HTTP/1.1\r\nExpect: 100-continue\r\n"
+                b"Connection: close\r\nContent-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        (status, _, reply), = read_responses(raw)
+        assert (status, reply["outcome"]) == (200, "ok")
+
+    def test_http_1_0_closes_unless_keep_alive(self, live_server):
+        get = b"GET /v1/healthz HTTP/1.0\r\n%s\r\n"
+        (only,) = raw_exchange(live_server, get % b"" + get % b"")
+        assert only[0] == 200 and "Connection" not in only[1]
+        responses = raw_exchange(
+            live_server, get % b"Connection: Keep-Alive\r\n" + get % b""
+        )
+        assert [r[0] for r in responses] == [200, 200]
+
+    def test_pipelined_requests_are_answered_in_order(self, live_server):
+        responses = raw_exchange(
+            live_server,
+            GET_HEALTHZ
+            + b"GET /v1/nope HTTP/1.1\r\n\r\n"
+            + b"GET /v1/metrics HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        assert [r[0] for r in responses] == [200, 404, 200]
+        assert responses[0][2] == {"status": "ok"} and "admission" in responses[2][2]
+
+    def test_idle_connection_is_dropped_after_the_socket_timeout(
+        self, live_server, monkeypatch, capfd
+    ):
+        monkeypatch.setattr("repro.service.http._SOCKET_TIMEOUT_S", 0.2)
+        host, port = live_server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost:")  # and then nothing
+            start = time.perf_counter()
+            assert sock.recv(65536) == b""  # closed on us, nothing sent
+            assert 0.1 < time.perf_counter() - start < 4.0
+        assert capfd.readouterr().err == ""
 
 
 class TestThreadedServer:
