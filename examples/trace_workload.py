@@ -7,8 +7,8 @@ interarrivals, an analysis VO on lognormal gaps, and a bursty
 biomedical VO on Pareto gaps with deadlines — all under day/week
 modulation.  The seeded spec expands deterministically into a
 fingerprinted :class:`TraceWorkload` artifact, round-trips through the
-Grid Workload Archive ``.gwf`` text format, and feeds the broker's
-indexed engine at trace scale.
+Grid Workload Archive ``.gwf`` text format, and feeds the broker at
+trace scale.
 
 The same flow is available from the command line::
 
@@ -51,8 +51,7 @@ def main() -> None:
           f"{'exactly' if exact else 'WITH DRIFT'} "
           f"(fingerprint {back.fingerprint[:16]})")
 
-    print("\nscheduling the trace on the reference grid "
-          "(indexed engine)...\n")
+    print("\nscheduling the trace on the reference grid...\n")
     report = broker.compare(
         trace.name,
         list(trace.jobs),

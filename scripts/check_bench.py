@@ -62,13 +62,6 @@ SCHEMAS: Dict[str, Dict[str, Any]] = {
         "speedup": (int, float),
         "byte_identical_order": bool,
     },
-    "bench-throughput": {
-        "jobs": int,
-        "seed": int,
-        "trace": str,
-        "trace_fingerprint": str,
-        "policies": dict,
-    },
 }
 
 #: Keys that, wherever they appear at top level, must satisfy a bound.

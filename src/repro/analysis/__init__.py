@@ -8,8 +8,7 @@
   calibration error trend for broker reports.
 - :mod:`repro.analysis.service` — prediction-service metrics rollups
   and service chaos campaign tables.
-- :mod:`repro.analysis.trace` — trace-workload composition tables and
-  the throughput benchmark rendering.
+- :mod:`repro.analysis.trace` — trace-workload composition tables.
 """
 
 from repro._lazy import lazy_exports
@@ -59,6 +58,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "model_ordering_holds",
             "worst_configuration",
         ),
-        "repro.analysis.trace": ("format_throughput", "format_trace"),
+        "repro.analysis.trace": ("format_trace",),
     },
 )

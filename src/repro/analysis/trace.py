@@ -1,21 +1,18 @@
-"""ASCII rendering of trace workloads and throughput benchmarks.
+"""ASCII rendering of trace workloads.
 
-- :func:`format_trace` — one table per trace: identity (name, source,
-  fingerprint), arrival span, and the per-VO composition (job counts,
-  deadline share, priority spread, dominant datasets).
-- :func:`format_throughput` — the ``BENCH_throughput.json`` document as
-  a per-policy table with the indexed-vs-linear speedup column the
-  ROADMAP tracks.
+:func:`format_trace` prints one table per trace: identity (name, source,
+fingerprint), arrival span, and the per-VO composition (job counts,
+deadline share, priority spread, dominant datasets).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping
+from typing import TYPE_CHECKING, Any, Dict, List
 
 if TYPE_CHECKING:  # avoid a runtime analysis -> workloads import cycle
     from repro.workloads.traces import TraceWorkload
 
-__all__ = ["format_trace", "format_throughput"]
+__all__ = ["format_trace"]
 
 
 def format_trace(trace: "TraceWorkload") -> str:
@@ -55,61 +52,5 @@ def format_trace(trace: "TraceWorkload") -> str:
             f"{100 * len(members) / len(jobs):>6.1f}% "
             f"{100 * with_deadline / len(members):>9.1f}% "
             f"{prio_label:>11}  {datasets}"
-        )
-    return "\n".join(lines)
-
-
-def format_throughput(doc: Mapping[str, Any]) -> str:
-    """Render a throughput benchmark document (``BENCH_throughput.json``).
-
-    Expects the structure ``bench_throughput.py`` writes: one
-    ``policies`` entry per placement policy, each holding a ``linear``
-    row (the retained pre-scale-up engine), an ``indexed`` row, the
-    same-policy ``speedup``, and whether the two engines' reports were
-    ``identical``.
-    """
-    lines: List[str] = [
-        (
-            f"throughput: {doc.get('jobs', '?')} jobs on "
-            f"'{doc.get('trace', '?')}' "
-            f"({doc.get('topology', '?')})"
-        ),
-    ]
-    header = (
-        f"  {'policy':<16} {'engine':<8} {'wall':>9} {'jobs/s':>10} "
-        f"{'speedup':>8} {'peak evq':>9} {'peak wait':>10} {'lost':>5}"
-    )
-    lines.append(header)
-    lines.append("  " + "-" * (len(header) - 2))
-
-    def row(policy: str, engine: str, entry: Mapping[str, Any],
-            speedup: str) -> str:
-        rate = float(entry.get("jobs_per_sec", 0.0) or 0.0)
-        return (
-            f"  {policy:<16} {engine:<8} "
-            f"{float(entry.get('wall_seconds', 0.0)):>8.2f}s "
-            f"{rate:>10.1f} {speedup:>8} "
-            f"{int(entry.get('peak_event_queue_depth', 0)):>9} "
-            f"{int(entry.get('peak_pending_depth', 0)):>10} "
-            f"{int(entry.get('lost_jobs', -1)):>5}"
-        )
-
-    for policy, entry in sorted((doc.get("policies") or {}).items()):
-        linear = entry.get("linear") or {}
-        indexed = entry.get("indexed") or {}
-        speedup = float(entry.get("speedup", 0.0) or 0.0)
-        if linear:
-            lines.append(row(policy, "linear", linear, "1.0x"))
-        if indexed:
-            marker = f"{speedup:.1f}x" if speedup else "--"
-            lines.append(row("" if linear else policy, "indexed",
-                             indexed, marker))
-        if entry.get("identical") is False:
-            lines.append(f"  {'':<16} ^ ENGINES DIVERGED on {policy}")
-    ratio = doc.get("speedup_min")
-    if ratio is not None:
-        lines.append(
-            "  slowest same-policy speedup, indexed vs linear: "
-            f"{ratio:.1f}x"
         )
     return "\n".join(lines)

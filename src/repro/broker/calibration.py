@@ -28,10 +28,9 @@ broker's hottest call (four factor lookups per candidate per decision),
 so the current factor of every (component, app, resource) key is kept in
 per-component read caches that :meth:`OnlineCalibrator.observe`
 invalidates for exactly the three keys it touches.  The cached path is
-bit-identical to the uncached arithmetic — the factors only change on
-``observe`` — and :meth:`reference_correct` retains the original
-uncached computation as the equivalence oracle (and as the instruction
-path of the broker's ``linear`` baseline engine).
+bit-identical to scaling by :meth:`OnlineCalibrator.factor` — the
+factors only change on ``observe`` — which the calibration property
+suite asserts after arbitrary observation sequences.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from typing import Any, Dict, Tuple
 from repro.core.durable import (
     atomic_write_json,
     check_format_version,
+    json_number,
     read_json_document,
 )
 from repro.core.models import PredictedBreakdown
@@ -156,8 +156,8 @@ class OnlineCalibrator:
         ``T_ro``/``T_g`` ride the compute factor (they are sub-terms of
         the processing component), which is what
         :meth:`PredictedBreakdown.scaled` implements.  Served from the
-        per-component read caches; bit-identical to
-        :meth:`reference_correct`.
+        per-component read caches; bit-identical to scaling ``raw`` by
+        the three :meth:`factor` values.
         """
         return raw.scaled(
             self._fast_factor("disk", app, replica_site),
@@ -180,8 +180,8 @@ class OnlineCalibrator:
         the left-to-right sum are the exact IEEE operations
         :meth:`PredictedBreakdown.scaled` followed by
         :attr:`PredictedBreakdown.total` performs, without materializing
-        the intermediate breakdown.  The indexed engine's placement loop
-        scores every feasible candidate with this before building a
+        the intermediate breakdown.  The broker's placement loop scores
+        every feasible candidate with this before building a
         :class:`~repro.broker.policies.PlacementOption` for the winner
         alone.
         """
@@ -192,26 +192,6 @@ class OnlineCalibrator:
                 "network", app, f"{replica_site}->{compute_site}"
             )
             + raw.t_compute * self._fast_factor("compute", app, compute_site)
-        )
-
-    def reference_correct(
-        self,
-        app: str,
-        replica_site: str,
-        compute_site: str,
-        raw: PredictedBreakdown,
-    ) -> PredictedBreakdown:
-        """The original uncached correction path.
-
-        Retained as the equivalence oracle for :meth:`correct` (asserted
-        bit-identical by the broker equivalence suite) and as the
-        instruction path of the ``linear`` baseline engine the
-        throughput benchmark measures against.
-        """
-        return raw.scaled(
-            self.factor("disk", app, replica_site, compute_site),
-            self.factor("network", app, replica_site, compute_site),
-            self.factor("compute", app, replica_site, compute_site),
         )
 
     def observe(
@@ -292,7 +272,14 @@ class OnlineCalibrator:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "OnlineCalibrator":
-        """Rebuild a calibrator from :meth:`to_dict` output."""
+        """Rebuild a calibrator from :meth:`to_dict` output.
+
+        Only state :meth:`observe` can produce loads: every factor a
+        finite number > 0, every observation count a non-negative
+        integer.  Anything else is a :class:`ConfigurationError` naming
+        the key — a ``NaN`` factor would otherwise turn every calibrated
+        prediction for that key into ``NaN``.
+        """
         check_format_version(data, "calibration state", _FORMAT_VERSION)
         try:
             clamp = data["clamp"]
@@ -307,9 +294,22 @@ class OnlineCalibrator:
                         f"unknown calibration component '{component}'"
                     )
                 key = (component, str(entry["app"]), str(entry["resource"]))
+                where = f"calibration factor {'/'.join(key)}: "
+                value = json_number("value", entry["value"], where=where)
+                count = json_number(
+                    "observations", entry["observations"], integer=True,
+                    where=where,
+                )
+                if value <= 0.0:
+                    raise ConfigurationError(
+                        f"{where}'value' must be > 0, got {value!r}"
+                    )
+                if count < 0:
+                    raise ConfigurationError(
+                        f"{where}'observations' must be >= 0, got {count!r}"
+                    )
                 calibrator._factors[key] = CorrectionFactor(
-                    value=float(entry["value"]),
-                    observations=int(entry["observations"]),
+                    value=value, observations=count
                 )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigurationError(

@@ -109,8 +109,7 @@ def _cmd_trace(args) -> int:
     stats = broker.last_queue_stats
     if stats:
         print(
-            f"\nqueue pressure ({stats.get('engine', '?')} engine): "
-            f"{stats.get('events', 0)} events, peak event queue "
+            f"\nqueue pressure: {stats.get('events', 0)} events, peak event queue "
             f"{stats.get('peak_event_queue_depth', 0)}, peak wait queue "
             f"{stats.get('peak_pending_depth', 0)}"
         )

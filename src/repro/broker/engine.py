@@ -45,42 +45,33 @@ the same job stream (and the same fault schedule) yields a
 byte-identical :class:`BrokerReport`; a fault-free run serializes
 byte-identically to a broker without the fault model.
 
-The event loop runs in one of two engines.  ``engine="indexed"`` (the
-default) is sized for six-figure trace streams: binary-heap event and
-wait queues, read-cached calibration, a per-application
+The event loop is sized for six-figure trace streams: binary-heap event
+and wait queues, read-cached calibration, a per-application
 placement-option cache invalidated on every calibration update, an
 admission fast path that only builds idle-grid options for policies
 that read them, and an O(1)-amortized blocked-head check — a queue head
 that found no feasible candidate is not re-evaluated until
 :attr:`~repro.broker.events.GridLedger.version` moves (feasibility
 depends only on free node counts, which every capacity change
-version-bumps).  ``engine="linear"`` is the retained pre-scale-up
-instruction path (sorted-list queues, uncached calibration, options
-rebuilt on every decision) — the baseline ``bench_throughput.py``
-measures against.  Both engines produce byte-identical reports on the
-same stream, with and without faults; the equivalence property suite
-holds them to it.
+version-bumps).
 
-What does *not* differ between the engines is the node ledger.  The
-queues grow with the stream; a site's pool is tens of nodes whatever the
-stream's length, so one :class:`~repro.broker.events.SitePool` — a
-sorted free list, and one history record per grant rather than per
-node — serves both, and the per-node reservation windows are derived
-from :attr:`GridBroker.last_ledger` only when a test or the chaos
-invariant suite asks for them.
+The queues grow with the stream; a site's pool is tens of nodes
+whatever the stream's length, so a :class:`~repro.broker.events.SitePool`
+is a sorted free list with one history record per grant rather than per
+node, and the per-node reservation windows are derived from
+:attr:`GridBroker.last_ledger` only when a test or the chaos invariant
+suite asks for them.
 """
 
 from __future__ import annotations
 
-import bisect
 import gc
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.broker.calibration import OnlineCalibrator
 from repro.broker.events import Event, EventKind, EventQueue, GridLedger
-from repro.broker.linear import LinearEventQueue
 from repro.broker.jobs import BrokerJob, BrokerWorkloadDoc, sorted_jobs
 from repro.broker.policies import (
     POLICY_NAMES,
@@ -317,10 +308,9 @@ class GridBroker:
         self._path_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         #: Node ledger of the most recent :meth:`run`, for inspection.
         self.last_ledger: Optional[GridLedger] = None
-        #: Queue-pressure stats of the most recent :meth:`run` (engine,
-        #: total events, peak event-queue and wait-queue depths) — the
-        #: columns ``bench_throughput.py`` records.
-        self.last_queue_stats: Dict[str, Any] = {}
+        #: Queue-pressure stats of the most recent :meth:`run` (total
+        #: events, peak event-queue and wait-queue depths).
+        self.last_queue_stats: Dict[str, int] = {}
 
     @classmethod
     def from_document(cls, doc: BrokerWorkloadDoc, **kwargs) -> "GridBroker":
@@ -561,7 +551,6 @@ class GridBroker:
         faults: Optional[GridFaultSchedule] = None,
         recovery: str = "resubmit",
         retry: Optional[BrokerRetryPolicy] = None,
-        engine: str = "indexed",
     ) -> PolicyRun:
         """Broker one job stream under one policy.
 
@@ -577,28 +566,16 @@ class GridBroker:
         resilience metrics, with preempted jobs routed through the named
         ``recovery`` policy under the bounded ``retry`` budget.  Without
         faults the report is byte-identical to a fault-free broker's.
-
-        ``engine`` selects the event-loop implementation: ``"indexed"``
-        (default; heap queues, cached calibration, option cache)
-        or ``"linear"`` (the retained pre-scale-up reference path).
-        Both produce byte-identical reports (see the module docstring).
         """
         if not jobs:
             raise ConfigurationError("no jobs to broker")
-        if engine not in ("indexed", "linear"):
-            raise ConfigurationError(
-                f"unknown broker engine '{engine}'; known: indexed, linear"
-            )
-        indexed = engine == "indexed"
         stream = sorted_jobs(jobs)
         policy_impl = make_policy(
             policy, [s.name for s in self.topology.sites(SiteKind.COMPUTE)]
         )
         calibrator = OnlineCalibrator(alpha=self.alpha)
         ledger = GridLedger.from_topology(self.topology)
-        queue: EventQueue | LinearEventQueue = (
-            EventQueue() if indexed else LinearEventQueue()
-        )
+        queue = EventQueue()
         for job in stream:
             queue.push(Event(time=job.arrival, kind=EventKind.ARRIVAL,
                              payload=job))
@@ -678,10 +655,7 @@ class GridBroker:
         def enqueue(job: BrokerJob) -> None:
             nonlocal peak_pending
             entry = ((-job.priority, job.arrival, job.job_id), job)
-            if indexed:
-                heapq.heappush(pending, entry)
-            else:
-                bisect.insort(pending, entry)
+            heapq.heappush(pending, entry)
             if len(pending) > peak_pending:
                 peak_pending = len(pending)
 
@@ -690,17 +664,13 @@ class GridBroker:
             job: BrokerJob, outcome: SelectionOutcome
         ) -> List[PlacementOption]:
             if state is None:
-                if indexed:
-                    epoch = app_epoch.get(job.workload, 0)
-                    cached = options_cache.get(job.dataset_key)
-                    if cached is not None and cached[0] == epoch:
-                        return cached[1]
-                    opts = self._options(job, outcome, calibrator)
-                    options_cache[job.dataset_key] = (epoch, opts)
-                    return opts
-                return self._options(
-                    job, outcome, calibrator, use_reference=True
-                )
+                epoch = app_epoch.get(job.workload, 0)
+                cached = options_cache.get(job.dataset_key)
+                if cached is not None and cached[0] == epoch:
+                    return cached[1]
+                opts = self._options(job, outcome, calibrator)
+                options_cache[job.dataset_key] = (epoch, opts)
+                return opts
             done = state.progress.get(job.job_id, 0.0)
             return self._options(
                 job,
@@ -709,7 +679,6 @@ class GridBroker:
                 remaining=1.0 - done,
                 charge=state.charge_next.get(job.job_id, False) and done > 0,
                 wan=state.wan_active,
-                use_reference=not indexed,
             )
 
         @hot
@@ -779,12 +748,10 @@ class GridBroker:
         # Six-figure streams allocate millions of short-lived objects
         # that all survive (report rows, ledger grants); CPython's
         # generational collector re-scans that growing live set on every
-        # gen-2 pass, which turns the loop superlinear.  The indexed
-        # engine pauses automatic collection for the loop's duration
-        # (nothing here creates reference cycles; collection resumes in
-        # the ``finally``).  The linear engine keeps the pre-scale-up
-        # behaviour — it is the measured baseline.
-        gc_was_enabled = indexed and gc.isenabled()
+        # gen-2 pass, which turns the loop superlinear.  The loop pauses
+        # automatic collection for its duration (nothing here creates
+        # reference cycles; collection resumes in the ``finally``).
+        gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
@@ -861,9 +828,9 @@ class GridBroker:
                             detail or str(tagged),
                         )
                         continue
-                    # The indexed engine only pays for idle-grid options
-                    # when the policy's admission check will read them.
-                    if not indexed or policy_impl.wants_admission_options(job):
+                    # Idle-grid options are only built when the policy's
+                    # admission check will read them.
+                    if policy_impl.wants_admission_options(job):
                         options = job_options(job, outcome)
                     else:
                         options = []
@@ -876,116 +843,87 @@ class GridBroker:
                 # Placement: serve the queue head while it fits; no backfill.
                 while pending:
                     head = pending[0][1]
-                    if indexed and last_block == (head.job_id, ledger.version):
+                    if last_block == (head.job_id, ledger.version):
                         break
                     outcome = self._selection(head)
-                    if indexed:
-                        # Feasibility first: one free-count read per
-                        # decision, then plain integer compares against
-                        # the precomputed per-candidate requirements
-                        # (the predicate fits_now evaluates, without
-                        # per-candidate method hops).  A blocked head is
-                        # detected before any option is priced.
-                        reqs = feas_reqs.get(head.dataset_key)
-                        if reqs is None:
-                            reqs = []
-                            for cand in outcome.candidates:
-                                if cand.replica_site == cand.compute_site:
-                                    reqs.append((
-                                        cand.replica_site,
-                                        None,
-                                        cand.data_nodes + cand.compute_nodes,
-                                        0,
-                                    ))
-                                else:
-                                    reqs.append((
-                                        cand.replica_site,
-                                        cand.compute_site,
-                                        cand.data_nodes,
-                                        cand.compute_nodes,
-                                    ))
-                            feas_reqs[head.dataset_key] = reqs
-                        free = ledger.free_counts()
-                        feasible_idx = [
-                            i
-                            for i, (s1, s2, n1, n2) in enumerate(reqs)
-                            if free[s1] >= n1
-                            and (s2 is None or free[s2] >= n2)
-                        ]
-                        if not feasible_idx:
-                            last_block = (head.job_id, ledger.version)
-                            break
-                        if state is None:
-                            # Scalar fast path: score each feasible
-                            # candidate with one calibrated float
-                            # (bit-identical to the option's
-                            # predicted_total), let the policy pick the
-                            # winning index, and materialize a full
-                            # PlacementOption for the winner alone.
-                            # Round-robin never reads predictions, so
-                            # its decisions skip the correction calls
-                            # entirely.  Deliberately not cached: the
-                            # feasible subset is free-count-shaped, not
-                            # reusable, and at steady state a
-                            # same-workload completion lands between
-                            # almost every pair of same-workload
-                            # placements.
-                            cands = outcome.candidates
-                            feas_cands = [
-                                cands[i] for i in feasible_idx
-                            ]
-                            if policy_impl.needs_totals:
-                                app = head.workload
-                                totals = [
-                                    calibrator.correct_total(
-                                        app,
-                                        cand.replica_site,
-                                        cand.compute_site,
-                                        cand.prediction,
-                                    )
-                                    for cand in feas_cands
-                                ]
+                    # Feasibility first: one free-count read per
+                    # decision, then plain integer compares against the
+                    # precomputed per-candidate requirements (a same-site
+                    # candidate needs the sum of both node sets from the
+                    # one pool).  A blocked head is detected before any
+                    # option is priced.
+                    reqs = feas_reqs.get(head.dataset_key)
+                    if reqs is None:
+                        reqs = []
+                        for cand in outcome.candidates:
+                            if cand.replica_site == cand.compute_site:
+                                reqs.append((
+                                    cand.replica_site,
+                                    None,
+                                    cand.data_nodes + cand.compute_nodes,
+                                    0,
+                                ))
                             else:
-                                totals = []
-                            choice = policy_impl.choose_index(
-                                head, feas_cands, totals, now
-                            )
-                            if isinstance(choice, Rejection):
-                                decision: PlacementOption | Rejection = (
-                                    choice
+                                reqs.append((
+                                    cand.replica_site,
+                                    cand.compute_site,
+                                    cand.data_nodes,
+                                    cand.compute_nodes,
+                                ))
+                        feas_reqs[head.dataset_key] = reqs
+                    free = ledger.free_counts()
+                    feasible_idx = [
+                        i
+                        for i, (s1, s2, n1, n2) in enumerate(reqs)
+                        if free[s1] >= n1 and (s2 is None or free[s2] >= n2)
+                    ]
+                    if not feasible_idx:
+                        last_block = (head.job_id, ledger.version)
+                        break
+                    if state is None:
+                        # Scalar fast path: score each feasible candidate
+                        # with one calibrated float (bit-identical to the
+                        # option's predicted_total), let the policy pick
+                        # the winning index, and materialize a full
+                        # PlacementOption for the winner alone.
+                        # Round-robin never reads predictions, so its
+                        # decisions skip the correction calls entirely.
+                        # Deliberately not cached: the feasible subset is
+                        # free-count-shaped, not reusable, and at steady
+                        # state a same-workload completion lands between
+                        # almost every pair of same-workload placements.
+                        cands = outcome.candidates
+                        feas_cands = [cands[i] for i in feasible_idx]
+                        if policy_impl.needs_totals:
+                            app = head.workload
+                            totals = [
+                                calibrator.correct_total(
+                                    app,
+                                    cand.replica_site,
+                                    cand.compute_site,
+                                    cand.prediction,
                                 )
-                            else:
-                                decision = self._options(
-                                    head,
-                                    outcome,
-                                    calibrator,
-                                    candidates=[feas_cands[choice]],
-                                )[0]
+                                for cand in feas_cands
+                            ]
                         else:
-                            opts = job_options(head, outcome)
-                            feasible = [opts[i] for i in feasible_idx]
-                            decision = policy_impl.choose(
-                                head, feasible, now
-                            )
+                            totals = []
+                        choice = policy_impl.choose_index(
+                            head, feas_cands, totals, now
+                        )
+                        if isinstance(choice, Rejection):
+                            decision: PlacementOption | Rejection = choice
+                        else:
+                            decision = self._options(
+                                head,
+                                outcome,
+                                calibrator,
+                                candidates=[feas_cands[choice]],
+                            )[0]
                     else:
-                        feasible = [
-                            option
-                            for option in job_options(head, outcome)
-                            if ledger.fits_now(
-                                option.replica_site,
-                                option.compute_site,
-                                option.data_nodes,
-                                option.compute_nodes,
-                            )
-                        ]
-                        if not feasible:
-                            last_block = (head.job_id, ledger.version)
-                            break
+                        opts = job_options(head, outcome)
+                        feasible = [opts[i] for i in feasible_idx]
                         decision = policy_impl.choose(head, feasible, now)
-                    if indexed:
-                        heapq.heappop(pending)
-                    else:
-                        pending.pop(0)
+                    heapq.heappop(pending)
                     if isinstance(decision, Rejection):
                         reject(head, now, decision.code, decision.reason)
                         continue
@@ -1023,7 +961,6 @@ class GridBroker:
 
         self.last_ledger = ledger
         self.last_queue_stats = {
-            "engine": engine,
             "events": queue.total_pushed,
             "peak_event_queue_depth": queue.peak_depth,
             "peak_pending_depth": peak_pending,
@@ -1212,13 +1149,9 @@ class GridBroker:
         remaining: float = 1.0,
         charge: bool = False,
         wan: Optional[Sequence[WanDegradation]] = None,
-        use_reference: bool = False,
         candidates: Optional[Sequence[SelectionCandidate]] = None,
     ) -> List[PlacementOption]:
-        correct = (
-            calibrator.reference_correct if use_reference
-            else calibrator.correct
-        )
+        correct = calibrator.correct
         if candidates is None:
             candidates = outcome.candidates
         return [
@@ -1365,7 +1298,6 @@ class GridBroker:
         faults: Optional[GridFaultSchedule] = None,
         recovery: str = "resubmit",
         retry: Optional[BrokerRetryPolicy] = None,
-        engine: str = "indexed",
     ) -> BrokerReport:
         """Run every policy over the same stream; one report.
 
@@ -1375,13 +1307,13 @@ class GridBroker:
         """
         runs = [
             self.run(jobs, policy, faults=faults, recovery=recovery,
-                     retry=retry, engine=engine)
+                     retry=retry)
             for policy in policies
         ]
         if include_uncalibrated and policies:
             runs.append(
                 self.run(jobs, policies[0], calibrate=False, faults=faults,
-                         recovery=recovery, retry=retry, engine=engine)
+                         recovery=recovery, retry=retry)
             )
         return BrokerReport(name=name, runs=tuple(runs))
 

@@ -32,11 +32,10 @@ Each structure is sized for what it holds:
 - The event queue holds six-figure job streams, so it is an *indexed
   heap*: entries are keyed by the composite index ``(time, kind,
   insertion seq)``, so push and pop are ``O(log n)`` while reproducing
-  exactly the total order a linear insertion sort would produce (the
-  retained :class:`~repro.broker.linear.LinearEventQueue` is that
-  reference implementation, and the equivalence suite holds them to the
-  same drain order).  The queue also tracks its peak depth — the
-  ``peak_event_queue_depth`` column of ``BENCH_throughput.json``.
+  exactly the total order a sorted list of those keys would drain in
+  (the event tests hold the heap to such a model).  The queue also
+  tracks its peak depth, which the broker reports as
+  ``peak_event_queue_depth``.
 - A pool holds the free nodes of *one site* — tens of indices, whatever
   the length of the stream — so it is one ascending list: acquiring the
   ``k`` lowest free indices is a slice off the front, releasing extends
@@ -106,7 +105,7 @@ class EventQueue:
     ``(time, kind, insertion seq)``, so the drain order is total and
     identical to sorted insertion while push/pop stay ``O(log n)``.
     ``peak_depth``/``total_pushed`` expose the queue-pressure stats the
-    throughput benchmark records.
+    broker reports after every run.
     """
 
     def __init__(self) -> None:
@@ -442,33 +441,13 @@ class GridLedger:
             raise ConfigurationError(f"no node pool for site '{site}'")
         return pool
 
-    def free(self, site: str) -> int:
-        return self.pool(site).free_count
-
-    def fits_now(
-        self, replica_site: str, compute_site: str, data_nodes: int,
-        compute_nodes: int,
-    ) -> bool:
-        """Can this placement start immediately?
-
-        When replica and compute site coincide, the job needs the *sum*
-        of both node sets from the one pool.
-        """
-        if replica_site == compute_site:
-            return self.free(replica_site) >= data_nodes + compute_nodes
-        return (
-            self.free(replica_site) >= data_nodes
-            and self.free(compute_site) >= compute_nodes
-        )
-
     def free_counts(self) -> Dict[str, int]:
         """Every pool's current free count, keyed by site name.
 
         A *live view* maintained incrementally by the pools' change
         hooks — callers must treat it as read-only.  The broker's
-        placement fast path reads it once per decision and compares
-        plain integers, instead of paying two method hops per candidate
-        through :meth:`fits_now`.
+        feasibility scan reads it once per decision and compares plain
+        integers against each candidate's node requirements.
         """
         return self._free_map
 

@@ -124,7 +124,7 @@ class PlacementPolicy(abc.ABC):
 
     #: Whether :meth:`choose_index` reads ``totals``.  A policy that
     #: never reads predictions (round-robin) sets this to ``False`` and
-    #: the indexed engine skips the correction calls entirely.
+    #: the broker skips the correction calls entirely.
     needs_totals: bool = True
 
     def wants_admission_options(self, job: BrokerJob) -> bool:
@@ -161,10 +161,9 @@ class PlacementPolicy(abc.ABC):
     ) -> PlacementOption | Rejection:
         """Pick among currently feasible options (never empty).
 
-        The option-level view of :meth:`choose_index`, used wherever
-        full options already exist (the linear engine, and dispatch
-        under a fault schedule, where ``predicted_total`` carries the
-        resume state).
+        The option-level view of :meth:`choose_index`, used where full
+        options already exist: dispatch under a fault schedule, where
+        ``predicted_total`` carries the resume state.
         """
         choice = self.choose_index(
             job,
@@ -187,8 +186,8 @@ class PlacementPolicy(abc.ABC):
         ``candidates`` are the currently feasible selection candidates
         (never empty, in enumeration order) and ``totals[i]`` is the
         calibrated predicted total of ``candidates[i]`` (may be empty
-        when :attr:`needs_totals` is false).  The indexed engine's
-        fault-free dispatch calls this directly with one calibrated
+        when :attr:`needs_totals` is false).  The broker's fault-free
+        dispatch calls this directly with one calibrated
         scalar per candidate — bit-identical to the corresponding
         option's ``predicted_total`` — and materializes a
         :class:`PlacementOption` for the winner alone.

@@ -20,7 +20,7 @@ grid traces exhibit (see DESIGN.md §16):
 - :mod:`~repro.workloads.traces.presets` — named GWA-shaped recipes
   (``poisson``, ``gwa-mixed``, ``heavy-tail``);
 - :mod:`~repro.workloads.traces.grids` — the reference multi-site grid
-  shared by ``repro trace run`` and the throughput benchmark.
+  shared by ``repro trace run`` and the ``broker_trace`` benchmark.
 """
 
 from repro._lazy import lazy_exports

@@ -138,8 +138,7 @@ def _heavy_tail(count: int, seed: int) -> TraceSpec:
     """A single-VO stress preset: Pareto gaps, large-volume mixes.
 
     The burst/lull structure drives the broker's wait queue to its peak
-    depths — the configuration the throughput benchmark leans on to
-    exercise the indexed event queue honestly.
+    depths, which exercises the heap event and wait queues honestly.
     """
     return TraceSpec(
         name="heavy-tail",

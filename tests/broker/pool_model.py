@@ -1,14 +1,13 @@
 """Model oracle for :class:`repro.broker.events.SitePool`.
 
-This is the pre-scale-up ``LinearSitePool`` that used to live in
-``src/repro/broker/linear.py``, made self-contained: a sorted free list
-rebuilt with ``sorted()`` on every release/restore, and an *eager*
-history — one :class:`NodeWindow` appended per node at acquisition,
-rewritten node by node on truncation.  The production pool keeps one
-record per grant and derives the windows on demand; the stateful test
-in ``test_pool_stateful.py`` drives both with the same calls and
-requires the same answers, so the two history representations check
-each other.  Deliberately shares no code with ``SitePool``.
+The simplest pool that could work: a sorted free list rebuilt with
+``sorted()`` on every release/restore, and an *eager* history — one
+:class:`NodeWindow` appended per node at acquisition, rewritten node by
+node on truncation.  The production pool keeps one record per grant and
+derives the windows on demand; the stateful test in
+``test_pool_stateful.py`` drives both with the same calls and requires
+the same answers, so the two history representations check each other.
+Deliberately shares no code with ``SitePool``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from repro.broker.events import NodeWindow, OutageRecord
 from repro.simgrid.errors import ConfigurationError
 
 
-class LinearSitePool:
+class SitePoolModel:
     def __init__(self, name: str, num_nodes: int) -> None:
         if num_nodes <= 0:
             raise ConfigurationError(f"site '{name}' needs at least one node")

@@ -1,6 +1,7 @@
 """Online calibration: EW updates, keying, clamping, convergence."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.broker.calibration import OnlineCalibrator
 from repro.core.models import PredictedBreakdown
@@ -162,3 +163,107 @@ class TestPersistence:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigurationError):
             OnlineCalibrator.load(path)
+
+    @pytest.mark.parametrize(
+        "field,text",
+        [
+            ("value", "NaN"),
+            ("value", "Infinity"),
+            ("value", "-3.0"),
+            ("observations", "-5"),
+            ("observations", "true"),
+        ],
+    )
+    def test_impossible_factor_state_rejected_on_load(
+        self, tmp_path, field, text
+    ):
+        # observe() only ever produces finite factors > 0 and
+        # non-negative integer counts; a saved file claiming otherwise
+        # is refused, naming the key, rather than poisoning predictions.
+        import json
+
+        path = tmp_path / "calibration.json"
+        self.seeded().save(path)
+        data = json.loads(path.read_text())
+        data["factors"][0][field] = "@"
+        path.write_text(json.dumps(data).replace('"@"', text))
+        with pytest.raises(
+            ConfigurationError, match=f"compute/em/hpc-2: '{field}' "
+        ):
+            OnlineCalibrator.load(path)
+
+
+# ----------------------------------------------------------------------
+# Property: the read-cached correction is the factor arithmetic, exactly.
+# ----------------------------------------------------------------------
+
+_APPS = st.sampled_from(["kmeans", "knn"])
+_REPLICAS = st.sampled_from(["repo-a", "repo-b"])
+_COMPUTES = st.sampled_from(["hpc-1", "hpc-2"])
+_TIMES = st.one_of(
+    st.just(0.0), st.floats(1e-6, 1e3, allow_nan=False, allow_infinity=False)
+)
+_RAWS = st.builds(
+    PredictedBreakdown,
+    t_disk=_TIMES,
+    t_network=_TIMES,
+    t_compute=_TIMES,
+    t_ro=_TIMES,
+    t_g=_TIMES,
+)
+#: ``("observe", ...)`` folds a run in; ``("check", ...)`` reads the
+#: caches (so later observations must invalidate what it filled).
+_CALIBRATION_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("observe"), _APPS, _REPLICAS, _COMPUTES, _RAWS,
+            st.tuples(
+                _TIMES, _TIMES, st.one_of(_TIMES, st.just(-1.0))
+            ),
+        ),
+        st.tuples(st.just("check"), _APPS, _REPLICAS, _COMPUTES, _RAWS),
+    ),
+    max_size=40,
+)
+
+
+def _bits(breakdown):
+    return tuple(
+        value.hex()
+        for value in (
+            breakdown.t_disk,
+            breakdown.t_network,
+            breakdown.t_compute,
+            breakdown.t_ro,
+            breakdown.t_g,
+        )
+    )
+
+
+def _assert_cached_matches_factors(cal, app, replica, compute, raw):
+    expected = raw.scaled(
+        cal.factor("disk", app, replica, compute),
+        cal.factor("network", app, replica, compute),
+        cal.factor("compute", app, replica, compute),
+    )
+    corrected = cal.correct(app, replica, compute, raw)
+    assert _bits(corrected) == _bits(expected)
+    total = cal.correct_total(app, replica, compute, raw)
+    assert total.hex() == corrected.total.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_CALIBRATION_OPS, probe=_RAWS)
+def test_cached_correction_is_the_factor_arithmetic(ops, probe):
+    cal = OnlineCalibrator(alpha=0.3)
+    for op in ops:
+        if op[0] == "observe":
+            cal.observe(*op[1:])
+        else:
+            _assert_cached_matches_factors(cal, *op[1:])
+    for app in ("kmeans", "knn"):
+        for replica in ("repo-a", "repo-b"):
+            for compute in ("hpc-1", "hpc-2"):
+                _assert_cached_matches_factors(
+                    cal, app, replica, compute, probe
+                )

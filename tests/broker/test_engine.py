@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.broker import BrokerJob, GridBroker, parse_workload_document
 from repro.broker.engine import ActualRun
 from repro.broker.report import _run_to_dict
+from repro.core.selection import SelectionCandidate, SelectionOutcome
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.topology import GridTopology, SiteKind
 from repro.workloads.clusters import pentium_myrinet_cluster
@@ -168,6 +169,46 @@ class TestEventLoop:
         cached = dict(broker._exec_cache)
         broker.run([job], "min-completion")
         assert broker._exec_cache == cached
+
+
+class TestFeasibilityScan:
+    @pytest.mark.parametrize(
+        "compute_nodes,expected_site",
+        [(2, "repo"), (3, "hpc")],
+        ids=["sum-fits", "sum-exceeds-free"],
+    )
+    def test_same_site_candidate_needs_both_node_sets(
+        self, compute_nodes, expected_site
+    ):
+        """A candidate whose replica and compute site coincide draws both
+        node sets from the one pool: 2 + 2 nodes fit a 4-node site, 2 + 3
+        do not, though either set alone would."""
+        t = GridTopology()
+        t.add_site(
+            "repo", SiteKind.REPOSITORY, pentium_myrinet_cluster(num_nodes=4)
+        )
+        t.add_site(
+            "hpc", SiteKind.COMPUTE, pentium_myrinet_cluster(num_nodes=1)
+        )
+        t.connect("repo", "hpc", bw=2.0e6)
+        broker = GridBroker(t, [(1, 1)])
+        job = BrokerJob(job_id="j0", workload="kmeans", size="350 MB")
+        (remote,) = broker._selection(job).candidates
+        # Predicted twice as fast, so min-completion takes the co-located
+        # candidate whenever the feasibility scan lets it through.
+        local = SelectionCandidate(
+            replica_site="repo",
+            compute_site="repo",
+            data_nodes=2,
+            compute_nodes=compute_nodes,
+            bandwidth=remote.bandwidth,
+            prediction=remote.prediction.scaled(0.5, 0.5, 0.5),
+        )
+        broker._selections[job.dataset_key] = SelectionOutcome(
+            candidates=(local, remote)
+        )
+        (placement,) = broker.run([job], "min-completion").placements
+        assert placement.compute_site == expected_site
 
 
 class TestFromDocument:

@@ -130,12 +130,12 @@ class TestRoundRobin:
 class TestScalarFastPath:
     """``choose`` is the option-level adapter over ``choose_index``.
 
-    ``choose_index`` is each policy's one decision: the indexed engine's
+    ``choose_index`` is each policy's one decision: the broker's
     fault-free dispatch calls it with bare calibrated totals and only
     materializes the winning option.  Wherever full options exist the
     base class's ``choose`` must hand back exactly the option at the
     chosen index, or the same refusal (also guarded end-to-end by the
-    engine equivalence property suite).
+    pinned report digests in ``test_report_digests.py``).
     """
 
     def _split(self, options):

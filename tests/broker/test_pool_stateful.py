@@ -2,8 +2,8 @@
 
 Random sequences of every pool operation — legal and illegal — are
 applied to the production :class:`~repro.broker.events.SitePool`
-(grant history, one sorted free list) and to the relocated sorted-list
-model with its eager per-node history (``pool_model.py``).  After every
+(grant history, one sorted free list) and to the sorted-list model with
+its eager per-node history (``pool_model.py``).  After every
 step both must have given the same answer (returned ids, or the same
 exception type and message) and show the same ``free_count``,
 ``windows``, ``outages``, ``down`` flag and number of version ticks.
@@ -20,7 +20,7 @@ from hypothesis.stateful import (
 from repro.broker.events import SitePool
 from repro.errors import ReproError
 
-from tests.broker.pool_model import LinearSitePool
+from tests.broker.pool_model import SitePoolModel
 
 JOBS = st.sampled_from(["j1", "j2", "j3"])
 #: A coarse grid, so truncation instants land before, inside, on the
@@ -41,7 +41,7 @@ class PoolMachine(RuleBasedStateMachine):
         self.nodes = nodes
         self.ticks = 0
         self.pool = SitePool("site", nodes, on_change=self._tick)
-        self.model = LinearSitePool("site", nodes)
+        self.model = SitePoolModel("site", nodes)
         self.held = []  # node tuples handed out and not yet released
         self.shrunk = []  # victim tuples not yet restored
 

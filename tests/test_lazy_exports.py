@@ -22,6 +22,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 #: ``__all__`` of every converted package as it was at a99611a, the last
 #: commit with eager ``__init__`` files: an export cannot vanish silently.
+#: Deliberate removals since: ``repro.analysis``'s renderer of the
+#: two-engine broker throughput benchmark, deleted with that benchmark.
 PARENT_ALL = {
     "repro": """
         FaultError RecoveryExhaustedError ReproError
@@ -32,7 +34,7 @@ PARENT_ALL = {
         error_summary format_broker format_campaign format_error_trend
         format_experiment format_fault_events format_policy_run
         format_resilience format_service_chaos format_service_metrics
-        format_shares format_summary format_throughput format_trace
+        format_shares format_summary format_trace
         horizontal_bar load_result mean model_ordering_holds
         result_from_dict result_to_dict save_result shares_of
         sweep_shares worst_configuration
