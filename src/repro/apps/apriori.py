@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.apps.base import _combine_arrays
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.instrument import OpCounter
 from repro.middleware.reduction import ArrayReductionObject
@@ -98,7 +97,7 @@ class AprioriMining(GeneralizedReduction):
     def object_nbytes(self, obj: ArrayReductionObject) -> float:
         return obj.nbytes
 
-    combine = _combine_arrays
+    combine = GeneralizedReduction.merge_local
 
     def update(self, combined: ArrayReductionObject, ops: OpCounter) -> bool:
         self._total_transactions = combined.count

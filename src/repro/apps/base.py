@@ -16,14 +16,11 @@ cross-cluster compute scaling factors (Section 5.4).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
 import numpy as np
 
 from repro.errors import UsageError
 from repro.hotpath import hot
 from repro.middleware.instrument import OpCounter
-from repro.middleware.reduction import ArrayReductionObject
 
 __all__ = ["pairwise_sq_dists", "charge_distance_ops", "farthest_point_init"]
 
@@ -81,16 +78,3 @@ def charge_distance_ops(
         mem=float(num_points) * num_dims + float(num_centers) * num_dims,
         branch=float(num_points) * num_centers,
     )
-
-
-def _combine_arrays(
-    app: Any, objs: Sequence[ArrayReductionObject], ops: OpCounter
-) -> ArrayReductionObject:
-    """``combine`` of every array-accumulator application: the serialized
-    global reduction adds each further object in, one flop per element."""
-    merged = objs[0].copy()
-    per_obj = float(merged.values.size)
-    for other in objs[1:]:
-        merged.merge(other)
-        ops.charge(flop=per_obj, mem=2.0 * per_obj)
-    return merged

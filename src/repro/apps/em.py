@@ -25,7 +25,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from repro.apps.base import _combine_arrays, farthest_point_init
+from repro.apps.base import farthest_point_init
 from repro.hotpath import hot
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.instrument import OpCounter
@@ -103,6 +103,7 @@ class EMClustering(GeneralizedReduction):
         self._loglik_history = []
         self._refresh_precisions()
 
+    @hot
     def make_local_object(self) -> ArrayReductionObject:
         d = self._num_dims
         if self._phase == "E":
@@ -147,7 +148,7 @@ class EMClustering(GeneralizedReduction):
     def object_nbytes(self, obj: ArrayReductionObject) -> float:
         return obj.nbytes
 
-    combine = _combine_arrays
+    combine = GeneralizedReduction.merge_local
 
     def update(self, combined: ArrayReductionObject, ops: OpCounter) -> bool:
         assert self.means is not None and self.covs is not None

@@ -18,7 +18,6 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.apps.base import (
-    _combine_arrays,
     charge_distance_ops,
     farthest_point_init,
     pairwise_sq_dists,
@@ -117,7 +116,7 @@ class KMeansClustering(GeneralizedReduction):
     def object_nbytes(self, obj: ArrayReductionObject) -> float:
         return obj.nbytes
 
-    combine = _combine_arrays
+    combine = GeneralizedReduction.merge_local
 
     def update(self, combined: ArrayReductionObject, ops: OpCounter) -> bool:
         assert self.centers is not None

@@ -22,7 +22,6 @@ from typing import Any, Dict
 
 import numpy as np
 
-from repro.apps.base import _combine_arrays
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.instrument import OpCounter
 from repro.middleware.reduction import ArrayReductionObject
@@ -156,7 +155,7 @@ class NeuralNetTraining(GeneralizedReduction):
     def object_nbytes(self, obj: ArrayReductionObject) -> float:
         return obj.nbytes
 
-    combine = _combine_arrays
+    combine = GeneralizedReduction.merge_local
 
     def update(self, combined: ArrayReductionObject, ops: OpCounter) -> bool:
         assert self.w1 is not None and self.w2 is not None

@@ -144,6 +144,7 @@ class OnlineCalibrator:
             cache[cache_key] = value
         return value
 
+    @hot
     def correct(
         self,
         app: str,

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from repro.broker.jobs import BrokerJob
 from repro.core.models import PredictedBreakdown
 from repro.core.selection import SelectionCandidate
+from repro.hotpath import hot
 from repro.simgrid.errors import ConfigurationError
 
 __all__ = [
@@ -90,6 +91,7 @@ class PlacementOption:
     #: this several times per decision.
     predicted_total: float = field(init=False, repr=False, compare=False)
 
+    @hot
     def __post_init__(self) -> None:
         # remaining_fraction <= 1, resume_charge >= 0 and wan_factor >= 1
         # by construction, so these inequalities test for the exact

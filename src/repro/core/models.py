@@ -31,6 +31,7 @@ from repro.core.predictors import (
 from repro.core.profile import Profile
 from repro.core.target import PredictionTarget
 from repro.core.units import Ratio, Seconds
+from repro.hotpath import hot
 from repro.simgrid.network import CommCostModel
 
 __all__ = [
@@ -53,10 +54,12 @@ class PredictedBreakdown:
     t_g: Seconds = 0.0
 
     @property
+    @hot
     def total(self) -> Seconds:
         """T̂_exec = T̂_disk + T̂_network + T̂_compute."""
         return self.t_disk + self.t_network + self.t_compute
 
+    @hot
     def scaled(self, sd: Ratio, sn: Ratio, sc: Ratio) -> "PredictedBreakdown":
         """Componentwise rescaling (used by cross-cluster prediction)."""
         ratio = sc

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import FaultError
+from repro.hotpath import hot
 
 __all__ = [
     "SiteOutage",
@@ -143,6 +144,7 @@ class WanDegradation:
                 f"duration must be positive, got {self.duration}"
             )
 
+    @hot
     def crosses(self, path: Sequence[str]) -> bool:
         """Whether a site path uses this (undirected) edge."""
         edge = frozenset((self.site_a, self.site_b))

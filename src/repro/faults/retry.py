@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import FaultError
+from repro.simgrid.trace import left_sum
 
 __all__ = [
     "RetryPolicy",
@@ -77,7 +78,7 @@ class RetryPolicy:
         """Summed backoff delay across ``failures`` consecutive failures."""
         if failures < 0:
             raise FaultError("failure count must be >= 0")
-        return sum(self.backoff_s(i) for i in range(1, failures + 1))
+        return left_sum(self.backoff_s(i) for i in range(1, failures + 1))
 
     def attempt_cost_s(self, read_time_s: float) -> float:
         """Time lost to one failed read attempt (timeout-capped)."""

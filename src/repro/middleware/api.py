@@ -118,7 +118,8 @@ class GeneralizedReduction(abc.ABC):
         must NOT perform application-level post-processing (joining,
         de-noising, catalog matching) — it is a pure associative merge.
 
-        The default handles the two standard reduction-object shapes;
+        The default handles the two standard reduction-object shapes (and
+        is the whole ``combine`` of the array-accumulator applications);
         applications with custom objects override it.
         """
         from repro.middleware.reduction import (

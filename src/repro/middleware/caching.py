@@ -13,9 +13,11 @@ in the paper's model (see :class:`repro.simgrid.trace.PassRecord`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.hotpath import hot
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import DiskSpec
 
@@ -32,16 +34,17 @@ class CacheModel:
         """Seconds to append the received chunks to the cache file."""
         total = 0.0
         for size in chunk_sizes:
-            if size < 0:
-                raise ConfigurationError("chunk sizes must be >= 0")
+            if not 0 <= size < math.inf:
+                raise ConfigurationError("chunk sizes must be finite and >= 0")
             total += size / self.disk.stream_bw
         return total
 
+    @hot
     def read_time(self, chunk_sizes: Sequence[float]) -> float:
         """Seconds to re-read the cached chunks (seek per chunk)."""
         total = 0.0
         for size in chunk_sizes:
-            if size < 0:
-                raise ConfigurationError("chunk sizes must be >= 0")
+            if not 0 <= size < math.inf:
+                raise ConfigurationError("chunk sizes must be finite and >= 0")
             total += self.disk.seek_s + size / self.disk.stream_bw
         return total

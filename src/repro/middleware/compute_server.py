@@ -12,7 +12,7 @@ The runtime asks this class to price each node's share of a pass:
   configurations with equal data and compute node counts are the hardest
   to predict (Figures 7-10 of the paper).
 - **Computation** — the per-chunk kernel time from charged operation
-  vectors, plus a fixed per-chunk dispatch overhead (API upcall, buffer
+  counts, plus a fixed per-chunk dispatch overhead (API upcall, buffer
   management).
 - **Caching** — writes on the first pass and reads on later passes, priced
   by :class:`repro.middleware.caching.CacheModel`.
@@ -24,8 +24,8 @@ from typing import Sequence
 
 from repro.middleware.caching import CacheModel
 from repro.middleware.scheduler import RunConfig
-from repro.simgrid.hardware import OpVector
 from repro.simgrid.network import LinkModel
+from repro.simgrid.trace import left_sum
 
 __all__ = ["ComputeServer"]
 
@@ -61,35 +61,25 @@ class ComputeServer:
             num_chunks * self.cluster.chunk_receive_overhead_s * saturation
         )
 
-    def compute_time(self, chunk_ops: Sequence[OpVector]) -> float:
-        """Kernel time for this node's chunks, plus fixed overheads.
-
-        The per-pass startup term does not scale with data volume, which
-        makes node compute time affine (not proportional) in chunk count —
-        one of the non-idealities the linear prediction model does not see.
-        """
-        cpu = self.cluster.node.cpu
-        kernel = sum(cpu.compute_time(ops) for ops in chunk_ops)
-        dispatch = len(chunk_ops) * self.cluster.chunk_dispatch_overhead_s
-        return self.cluster.compute_pass_startup_s + kernel + dispatch
-
-    def smp_compute_time(
-        self, thread_chunk_ops: Sequence[Sequence[OpVector]]
+    def compute_time(
+        self, chunk_times: Sequence[float], thread_chunks: Sequence[Sequence[int]]
     ) -> float:
-        """Kernel time with one op-list per process on this node.
+        """Kernel time with one chunk list per process on this node.
 
-        Threads run concurrently, slowed by memory-bus contention; the
-        node's local stage ends with its slowest thread.  Pass startup is
-        paid once per node.
+        A thread costs the left fold of its ``chunk_times`` (one-core
+        seconds per chunk) in hand-out order, slowed by memory-bus
+        contention, plus a dispatch overhead per chunk; the node ends with
+        its slowest thread.  Pass startup, paid once per node, makes node
+        compute time affine (not proportional) in chunk count — a
+        non-ideality the linear prediction model does not see.
         """
-        processes = len(thread_chunk_ops)
-        slowdown = self.cluster.smp_slowdown(processes)
-        cpu = self.cluster.node.cpu
-        per_thread = []
-        for chunk_ops in thread_chunk_ops:
-            kernel = sum(cpu.compute_time(ops) for ops in chunk_ops)
-            dispatch = len(chunk_ops) * self.cluster.chunk_dispatch_overhead_s
-            per_thread.append(kernel * slowdown + dispatch)
+        slowdown = self.cluster.smp_slowdown(len(thread_chunks))
+        dispatch_s = self.cluster.chunk_dispatch_overhead_s
+        time_of = chunk_times.__getitem__
+        per_thread = [
+            left_sum(map(time_of, chunks)) * slowdown + len(chunks) * dispatch_s
+            for chunks in thread_chunks
+        ]
         return self.cluster.compute_pass_startup_s + max(per_thread)
 
     def cache_write_time(self, chunk_sizes: Sequence[float]) -> float:

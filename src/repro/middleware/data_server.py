@@ -31,6 +31,7 @@ from repro.middleware.scheduler import RunConfig
 from repro.simgrid.disk import RepositoryDiskSystem
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.network import LinkModel
+from repro.simgrid.trace import left_sum
 
 __all__ = ["DataServer"]
 
@@ -57,19 +58,11 @@ class DataServer:
             latency_s=nic.latency_s,
             bw=min(nic.bw, config.bandwidth),
         )
-        # Dataset and assignment are immutable for the server's lifetime,
-        # so the per-node size lists are computed once (REP303 burn-down:
-        # every phase method used to rebuild them per call).
-        chunk_nbytes = dataset.chunk_nbytes
-        self._per_node_chunk_sizes = [
-            [chunk_nbytes(c) for c in chunks]
+        #: Chunk byte sizes grouped by owning data node.
+        self.per_node_chunk_sizes: List[List[float]] = [
+            [dataset.chunk_sizes[c] for c in chunks]
             for chunks in assignment.data_node_chunks
         ]
-
-    @property
-    def per_node_chunk_sizes(self) -> List[List[float]]:
-        """Chunk byte sizes grouped by owning data node."""
-        return self._per_node_chunk_sizes
 
     def retrieval_time(self) -> float:
         """Phase time to read every chunk from the repository disks."""
@@ -99,11 +92,7 @@ class DataServer:
                 "cannot compute communication time: the chunk assignment "
                 "contains no data-node chunk lists"
             )
-        per_node_chunk_sizes = self.per_node_chunk_sizes
-        per_node = (
-            self._link.stream_time(sizes) for sizes in per_node_chunk_sizes
-        )
-        return max(per_node)
+        return max(map(self._link.stream_time, self.per_node_chunk_sizes))
 
     def node_stream_times(
         self, link_factors: Optional[Sequence[float]] = None
@@ -131,7 +120,7 @@ class DataServer:
         """Seconds one repository disk takes to read chunk ``chunk``."""
         bw = self._disks.per_node_effective_bw
         spec = self.config.storage_cluster.node.disk
-        return spec.read_time(self.dataset.chunk_nbytes(chunk), effective_bw=bw)
+        return spec.read_time(self.dataset.chunk_sizes[chunk], effective_bw=bw)
 
     def refetch_cost(
         self, chunks: Sequence[int], link_factor: float = 1.0
@@ -148,10 +137,10 @@ class DataServer:
             return 0.0, 0.0
         if link_factor < 1.0:
             raise ConfigurationError("link degradation factor must be >= 1")
-        sizes = [self.dataset.chunk_nbytes(c) for c in chunks]
+        sizes = [self.dataset.chunk_sizes[c] for c in chunks]
         cluster = self.config.storage_cluster
         spec = cluster.node.disk
-        disk = cluster.node_startup_s + sum(
+        disk = cluster.node_startup_s + left_sum(
             spec.read_time(size, effective_bw=spec.stream_bw) for size in sizes
         )
         network = self._link.stream_time(sizes) * link_factor

@@ -12,7 +12,8 @@ chunks with halo overlap.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict
+import functools
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -62,6 +63,11 @@ class Dataset(abc.ABC):
         """Size of chunk ``index`` in model bytes (uniform by default)."""
         self._check_index(index)
         return self.nbytes / self.num_chunks
+
+    @functools.cached_property
+    def chunk_sizes(self) -> Tuple[float, ...]:
+        """:meth:`chunk_nbytes` of every chunk, once: datasets never change."""
+        return tuple(self.chunk_nbytes(c) for c in range(self.num_chunks))
 
     @hot
     def _check_index(self, index: int) -> None:

@@ -1,54 +1,93 @@
 """Kernel traces: run every chunk kernel once, price it on any configuration.
 
-What the cost model reads from the real NumPy kernels — the
-:class:`~repro.simgrid.hardware.OpVector` each ``process_chunk`` call
-charged and the reduction object it produced — does not depend on
-*which node* processed the chunk (the contract on
-:meth:`~repro.middleware.api.GeneralizedReduction.process_chunk`).  A
-:class:`KernelTrace` therefore keeps, per pass, one **piece** per chunk:
-a fresh ``app.make_local_object()`` that has folded exactly that chunk,
-plus the op vector the kernel charged.  A runtime builds each node's (or
-thread's) object by folding the pieces of *its* chunks in hand-out order
-and reads the per-chunk op vectors from the trace; merges, gathers,
-``combine``, ``update``, broadcasts, checkpoints and fault recovery then
-run for real on those objects.  This is the only way kernels execute: a
-runtime that is not handed a trace records into a private one.  A shared
-trace belongs to whoever wants several executions of one application
-over one dataset to share kernels (one ``run_grid_experiment`` call, one
-``GridBroker``) and lives exactly as long as that owner.
+What the cost model reads from a chunk's kernel does not depend on *which
+node* ran it (the contract on
+:meth:`~repro.middleware.api.GeneralizedReduction.process_chunk`), so a
+:class:`KernelTrace` keeps one :class:`PassPieces` per pass: each chunk's
+**piece** (a fresh ``make_local_object()`` that folded only that chunk)
+and a ``(chunks, 3)`` array of the (flop, mem, branch) its kernel charged.
+Runtimes fold each node's pieces in hand-out order, price chunks from the
+array, and run merges, gathers, ``combine``, ``update`` and fault
+recovery for real.  A runtime not handed a trace records a private one; a
+shared trace lives as long as its owner (a ``run_grid_experiment`` call,
+a ``GridBroker``).
 
 What is exact
 -------------
 ``TimeBreakdown``s (events included) are bit-identical to a from-scratch
-execution on every configuration: every charge, object size and
-``another_pass`` decision is a function of per-chunk op vectors, shapes
-and integer-valued state.  So is ``RunResult.result`` of the run that
-recorded the trace (folding a piece into a zero object reproduces the
-kernel's own accumulation bit for bit).  The ``result`` of a run priced
-from *another* run's pieces is the reduction of the recording run's
-per-pass contributions under the new partition: equal to a fresh run up
-to floating-point association in passes >= 2, where the recording run's
-broadcast state (centres, weights) differs in the last bits.
+execution on every configuration (every charge, object size and
+``another_pass`` decision is a function of per-chunk counts, shapes and
+integer-valued state), and to pricing one op vector per chunk and adding
+in hand-out order, by three rules:
+
+1. divide columns (``ops[:, 0] / r_flop + ...``), never multiply by
+   reciprocals: ``x * (1 / r)`` is not ``x / r``;
+2. sum in order — :func:`~repro.simgrid.trace.left_sum` or ``np.cumsum``,
+   never ``np.sum`` (pairwise on 1-D) nor ``sum()`` (compensated from 3.12);
+3. fold stacked pieces from zero: the zero object plus
+   ``np.cumsum(stack[chunks], axis=0)[-1]`` is the one-by-one ``+=``,
+   signed zeros included, so only passes with an all-zero fresh object stack.
+
+So is the recording run's ``result``; a run priced from *another* run's
+pieces matches a fresh run's up to float association in passes >= 2.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.hotpath import hot
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.dataset import Dataset
 from repro.middleware.instrument import OpCounter
+from repro.middleware.reduction import ArrayReductionObject
 from repro.simgrid.errors import ConfigurationError
-from repro.simgrid.hardware import OpVector
+from repro.simgrid.hardware import CPUSpec
+from repro.simgrid.trace import left_sum
 
-__all__ = ["KernelTrace", "Piece", "fold_pieces", "MAX_PASSES"]
+__all__ = ["KernelTrace", "PassPieces", "fold_pieces", "MAX_PASSES"]
 
 #: Safety valve for iterative applications that never converge.
 MAX_PASSES = 1000
 
-#: One chunk's contribution to one pass: (reduction object, charged ops).
-Piece = Tuple[Any, OpVector]
+
+class PassPieces:
+    """One pass: ``objects[c]`` is chunk ``c``'s piece, ``ops[c]`` its
+    (flop, mem, branch).  When ``zero`` (a fresh object) is an all-zero
+    :class:`ArrayReductionObject` of every piece's shape, ``stack[c]`` and
+    ``counts[c]`` hold piece ``c``'s values (its ``values`` becomes a view
+    of that row: stored once) and count; otherwise ``stack`` is ``None``."""
+
+    __slots__ = ("objects", "ops", "stack", "counts")
+
+    def __init__(self, objects: List[Any], ops: np.ndarray, zero: Any) -> None:
+        if not ((ops >= 0) & (ops < np.inf)).all():
+            raise ConfigurationError("op counts must be finite and >= 0")
+        self.objects, self.ops = objects, ops
+        self.stack: Optional[np.ndarray] = None
+        self.counts: List[float] = []
+        if _stackable(objects, zero):
+            self.stack = np.stack([piece.values for piece in objects])
+            for piece, row in zip(objects, self.stack):
+                piece.values = row
+            self.counts = [piece.count for piece in objects]
+
+    def chunk_times(self, cpu: CPUSpec) -> List[float]:
+        """Seconds each chunk's kernel takes on one core of ``cpu``."""
+        return cpu.seconds(*self.ops.T).tolist()
+
+
+def _stackable(objects: Sequence[Any], zero: Any) -> bool:
+    if type(zero) is not ArrayReductionObject or zero.count or zero.values.any():
+        return False
+    like = (zero.values.shape, zero.values.dtype)
+    return all(
+        type(piece) is ArrayReductionObject
+        and (piece.values.shape, piece.values.dtype) == like
+        for piece in objects
+    )
 
 
 class KernelTrace:
@@ -57,8 +96,8 @@ class KernelTrace:
     def __init__(self) -> None:
         #: ``(app.name, dataset.name, num_chunks)`` of the first execution.
         self.recorded_for: Optional[Tuple[str, str, int]] = None
-        #: ``passes[p][chunk]`` — the piece of ``chunk`` in pass ``p``.
-        self.passes: List[List[Piece]] = []
+        #: ``passes[p]`` — the pieces of pass ``p``.
+        self.passes: List[PassPieces] = []
 
     def bind(self, app: GeneralizedReduction, dataset: Dataset) -> None:
         """Claim an empty trace, or check an execution against its record."""
@@ -75,7 +114,7 @@ class KernelTrace:
     @hot
     def pieces(
         self, app: GeneralizedReduction, dataset: Dataset, pass_index: int
-    ) -> List[Piece]:
+    ) -> PassPieces:
         """The pieces of pass ``pass_index``, running its kernels if new.
 
         Passes are asked for in order; ``app`` must be in the state its
@@ -89,33 +128,43 @@ class KernelTrace:
                 f"{MAX_PASSES} passes"
             )
         counter = OpCounter()
-        recorded: List[Piece] = []
+        objects: List[Any] = []
+        ops = np.empty((dataset.num_chunks, 3))
         for chunk in range(dataset.num_chunks):
             piece = app.make_local_object()
             app.process_chunk(piece, dataset.chunk_payload(chunk), counter)
-            recorded.append((piece, counter.take()))
+            objects.append(piece)
+            ops[chunk] = counter.drain()
+        recorded = PassPieces(objects, ops, app.make_local_object())
         self.passes.append(recorded)
         return recorded
 
 
 @hot
 def fold_pieces(
-    app: GeneralizedReduction, pieces: Sequence[Piece], chunks: Sequence[int]
+    app: GeneralizedReduction, pieces: PassPieces, chunks: Sequence[int]
 ) -> Any:
     """A fresh reduction object holding the pieces of ``chunks``, in order.
 
-    Uncharged: the kernels already charged their accumulation.  Objects
-    with an in-place ``merge(other)`` (both standard shapes, kNN
-    candidate sets) fold through it; any other object goes through
+    Uncharged: the kernels already charged their accumulation.  A stacked
+    pass adds its rows' running sum (rule 3); otherwise pieces fold through
+    an in-place ``merge`` (feature lists, kNN candidates) or, lacking one,
     ``app.merge_local`` with a discarded counter.
     """
     obj = app.make_local_object()
+    if pieces.stack is not None:
+        if chunks:
+            obj.accumulate(
+                np.cumsum(pieces.stack[chunks], axis=0)[-1],
+                left_sum(map(pieces.counts.__getitem__, chunks)),
+            )
+        return obj
     merge = getattr(obj, "merge", None)
     if merge is not None:
         for chunk in chunks:
-            merge(pieces[chunk][0])
+            merge(pieces.objects[chunk])
         return obj
     scratch = OpCounter()
     for chunk in chunks:
-        obj = app.merge_local([obj, pieces[chunk][0]], scratch)
+        obj = app.merge_local([obj, pieces.objects[chunk]], scratch)
     return obj

@@ -33,6 +33,7 @@ from repro.middleware.scheduler import RunConfig
 from repro.simgrid.engine import FIFOServer
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.network import LinkModel
+from repro.simgrid.trace import left_sum
 
 __all__ = ["PipelinedRunResult", "PipelinedRuntime"]
 
@@ -123,6 +124,7 @@ class PipelinedRuntime:
                 cpu.serve(0.0, compute.compute_pass_startup_s)
 
             pieces = kernels.pieces(app, dataset, pass_index)
+            chunk_times = pieces.chunk_times(compute.node.cpu)
             local_objects = [
                 fold_pieces(app, pieces, chunks)
                 for chunks in assignment.compute_node_chunks
@@ -134,10 +136,8 @@ class PipelinedRuntime:
             for chunk in range(dataset.num_chunks):
                 d = chunk % config.data_nodes
                 j = destination[chunk]
-                nbytes = dataset.chunk_nbytes(chunk)
-
-                kernel = compute.node.cpu.compute_time(pieces[chunk][1])
-                service = kernel + compute.chunk_dispatch_overhead_s
+                nbytes = dataset.chunk_sizes[chunk]
+                service = chunk_times[chunk] + compute.chunk_dispatch_overhead_s
 
                 if fed_from_network:
                     seek = storage.node.disk.seek_s
@@ -163,7 +163,7 @@ class PipelinedRuntime:
 
             # Gather + global reduction + broadcast are serialized after
             # the pipeline drains, as in FREERIDE-G.
-            tail = sum(
+            tail = left_sum(
                 compute.gather_message_time(app.object_nbytes(obj))
                 for obj in local_objects[1:]
             )
@@ -171,7 +171,7 @@ class PipelinedRuntime:
             combined = app.combine(local_objects, master)
             another_pass = app.update(combined, master)
             tail += (
-                compute.node.cpu.compute_time(master.take())
+                compute.node.cpu.compute_time(master.ops)
                 + len(local_objects) * compute.gather_deserialize_s
             )
             if app.broadcasts_result:

@@ -13,7 +13,7 @@ matching the paper's additive model):
 2. **Communication** (same passes): data-node NICs stream chunks to their
    destination compute nodes — ``t_network``.
 3. **Compute**: every node folds its chunks into its replicated reduction
-   object (kernel time from charged op vectors), pays receive handling and
+   object (kernel time from charged op counts), pays receive handling and
    cache traffic; then reduction objects are gathered serially at the
    master (``T_ro``), globally reduced (``T_g``) and — for iterative
    applications — the combined object is broadcast back.
@@ -70,7 +70,7 @@ from repro.middleware.instrument import OpCounter
 from repro.middleware.kernels import KernelTrace, fold_pieces
 from repro.middleware.scheduler import GatherTopology, RunConfig
 from repro.simgrid.hardware import ClusterSpec
-from repro.simgrid.trace import PassRecord, TimeBreakdown
+from repro.simgrid.trace import PassRecord, TimeBreakdown, left_sum
 
 __all__ = ["RunResult", "FreerideGRuntime"]
 
@@ -116,7 +116,7 @@ def _tree_gather(
             holders[receiver] = app.merge_local(
                 [holders[receiver], holders[sender]], merge_counter
             )
-            merge_time = cluster.node.cpu.compute_time(merge_counter.take())
+            merge_time = cluster.node.cpu.compute_time(merge_counter.ops)
             round_times.append(
                 cluster.gather_message_time(size)
                 + cluster.gather_deserialize_s
@@ -271,8 +271,8 @@ class FreerideGRuntime:
                 total = role_totals[roles[0]]
                 cache = role_caches[roles[0]]
             else:
-                total = sum(role_totals[r] for r in roles)
-                cache = sum(role_caches[r] for r in roles)
+                total = left_sum(role_totals[r] for r in roles)
+                cache = left_sum(role_caches[r] for r in roles)
             factor = slow_factors.get(executor, 1.0)
             if factor > 1.0:
                 total *= factor
@@ -300,7 +300,7 @@ class FreerideGRuntime:
             ComputeServer(config, j) for j in range(config.compute_nodes)
         ]
         per_node_chunk_sizes = [
-            [dataset.chunk_nbytes(c) for c in chunks]
+            [dataset.chunk_sizes[c] for c in chunks]
             for chunks in assignment.compute_node_chunks
         ]
 
@@ -366,17 +366,16 @@ class FreerideGRuntime:
             # structure (and therefore the result) fault-invariant.
             ppn = config.processes_per_node
             pieces = kernels.pieces(app, dataset, pass_index)
+            chunk_times = pieces.chunk_times(config.compute_cluster.node.cpu)
             role_totals: List[float] = []
             role_caches: List[float] = []
             local_objects: List[Any] = []
             for j, server in enumerate(compute_servers):
                 node_chunks = assignment.compute_node_chunks[j]
-                thread_objects: List[Any] = []
-                thread_chunk_ops: List[List] = []
-                for t in range(ppn):
-                    chunks = node_chunks[t::ppn]
-                    thread_objects.append(fold_pieces(app, pieces, chunks))
-                    thread_chunk_ops.append([pieces[c][1] for c in chunks])
+                thread_chunks = [node_chunks[t::ppn] for t in range(ppn)]
+                thread_objects = [
+                    fold_pieces(app, pieces, chunks) for chunks in thread_chunks
+                ]
 
                 if ppn == 1:
                     node_object = thread_objects[0]
@@ -385,7 +384,7 @@ class FreerideGRuntime:
                     merge_counter = OpCounter()
                     node_object = app.merge_local(thread_objects, merge_counter)
                     merge_time = config.compute_cluster.node.cpu.compute_time(
-                        merge_counter.take()
+                        merge_counter.ops
                     )
                 local_objects.append(node_object)
 
@@ -400,7 +399,7 @@ class FreerideGRuntime:
                 else:
                     cache_time = server.cache_read_time(per_node_chunk_sizes[j])
 
-                kernel_time = server.smp_compute_time(thread_chunk_ops)
+                kernel_time = server.compute_time(chunk_times, thread_chunks)
                 role_caches.append(cache_time)
                 role_totals.append(
                     kernel_time + merge_time + recv_time + cache_time
@@ -500,7 +499,7 @@ class FreerideGRuntime:
                 root_object, t_ro = _tree_gather(app, local_objects, cluster)
                 combine_inputs: List[Any] = [root_object]
             else:
-                t_ro = sum(
+                t_ro = left_sum(
                     cluster.gather_message_time(size)
                     for size in object_sizes[1:]
                 )
@@ -516,7 +515,7 @@ class FreerideGRuntime:
             combined = app.combine(combine_inputs, master)
             another_pass = app.update(combined, master)
             t_g = (
-                cluster.node.cpu.compute_time(master.take())
+                cluster.node.cpu.compute_time(master.ops)
                 + len(combine_inputs) * cluster.gather_deserialize_s
             )
 

@@ -23,8 +23,9 @@ paper's 2007-era testbed (see the package docstring).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Mapping
+from typing import Any, Dict, Iterable, Mapping
 
 from repro.hotpath import hot
 from repro.simgrid.errors import ConfigurationError
@@ -67,13 +68,11 @@ class OpVector:
     mem: float = 0.0
     branch: float = 0.0
 
-    @hot
     def __post_init__(self) -> None:
         for name in ("flop", "mem", "branch"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"negative op count for {name}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} count must be finite and >= 0")
 
-    @hot
     def __add__(self, other: "OpVector") -> "OpVector":
         return OpVector(
             self.flop + other.flop,
@@ -96,7 +95,6 @@ class OpVector:
         return {"flop": self.flop, "mem": self.mem, "branch": self.branch}
 
     @staticmethod
-    @hot
     def zero() -> "OpVector":
         """The additive identity."""
         return OpVector()
@@ -120,18 +118,22 @@ class CPUSpec:
     def __post_init__(self) -> None:
         for cat in OpCategory:
             rate = self.rates.get(cat)
-            if rate is None or rate <= 0:
+            if rate is None or not 0 < rate < math.inf:
                 raise ConfigurationError(
-                    f"CPU '{self.name}' needs a positive rate for {cat.value}"
+                    f"CPU '{self.name}' needs a positive, finite rate for "
+                    f"{cat.value}"
                 )
 
     @hot
     def compute_time(self, ops: OpVector) -> float:
         """Seconds to execute an operation vector on one core."""
-        return (
-            ops.flop / self.rates[OpCategory.FLOP]
-            + ops.mem / self.rates[OpCategory.MEM]
-            + ops.branch / self.rates[OpCategory.BRANCH]
+        return self.seconds(ops.flop, ops.mem, ops.branch)
+
+    def seconds(self, flop: Any, mem: Any, branch: Any) -> Any:
+        """Seconds for three op counts, or element-wise for three columns."""
+        rates = self.rates
+        return flop / rates[OpCategory.FLOP] + mem / rates[OpCategory.MEM] + (
+            branch / rates[OpCategory.BRANCH]
         )
 
     def speedup_over(self, other: "CPUSpec", ops: OpVector) -> float:
@@ -154,10 +156,10 @@ class DiskSpec:
     stream_bw: float  # bytes per second
 
     def __post_init__(self) -> None:
-        if self.seek_s < 0:
-            raise ConfigurationError("disk seek latency must be >= 0")
-        if self.stream_bw <= 0:
-            raise ConfigurationError("disk streaming bandwidth must be > 0")
+        if not 0 <= self.seek_s < math.inf:
+            raise ConfigurationError("disk seek latency must be finite and >= 0")
+        if not 0 < self.stream_bw < math.inf:
+            raise ConfigurationError("disk streaming bandwidth must be finite and > 0")
 
     def read_time(self, nbytes: float, effective_bw: float | None = None) -> float:
         """Seconds to read one chunk of ``nbytes`` (optionally contended)."""
@@ -177,10 +179,10 @@ class NICSpec:
     bw: float  # bytes per second
 
     def __post_init__(self) -> None:
-        if self.latency_s < 0:
-            raise ConfigurationError("NIC latency must be >= 0")
-        if self.bw <= 0:
-            raise ConfigurationError("NIC bandwidth must be > 0")
+        if not 0 <= self.latency_s < math.inf:
+            raise ConfigurationError("NIC latency must be finite and >= 0")
+        if not 0 < self.bw < math.inf:
+            raise ConfigurationError("NIC bandwidth must be finite and > 0")
 
     def send_time(self, nbytes: float, effective_bw: float | None = None) -> float:
         """Seconds to push one message of ``nbytes`` through this NIC."""

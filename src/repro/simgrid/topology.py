@@ -19,6 +19,7 @@ import networkx as nx
 
 from repro.simgrid.errors import TopologyError
 from repro.simgrid.hardware import ClusterSpec
+from repro.simgrid.trace import left_sum
 
 __all__ = ["SiteKind", "Site", "GridTopology"]
 
@@ -121,7 +122,7 @@ class GridTopology:
         if a == b:
             return 0.0
         hops = self.path(a, b)
-        return sum(
+        return left_sum(
             self._graph.edges[u, v]["latency_s"] for u, v in zip(hops, hops[1:])
         )
 

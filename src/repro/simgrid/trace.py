@@ -13,11 +13,21 @@ compute-node cache instead of the repository.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.simgrid.errors import ConfigurationError
 
-__all__ = ["PassRecord", "TimeBreakdown"]
+__all__ = ["PassRecord", "TimeBreakdown", "left_sum"]
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from the int ``0``, as ``sum()`` does
+    up to Python 3.11; from 3.12 ``sum()`` of floats is compensated, so
+    simulated times add up here to replay bit for bit on any interpreter."""
+    total: float = 0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,37 +107,37 @@ class TimeBreakdown:
     @property
     def t_disk(self) -> float:
         """Repository data-retrieval component (``t_d``)."""
-        return sum(p.t_disk for p in self.passes)
+        return left_sum(p.t_disk for p in self.passes)
 
     @property
     def t_network(self) -> float:
         """Repository-to-compute communication component (``t_n``)."""
-        return sum(p.t_network for p in self.passes)
+        return left_sum(p.t_network for p in self.passes)
 
     @property
     def t_compute(self) -> float:
         """Processing component (``t_c``), including ``T_ro`` and ``T_g``."""
-        return sum(p.t_compute for p in self.passes)
+        return left_sum(p.t_compute for p in self.passes)
 
     @property
     def t_ro(self) -> float:
         """Total reduction-object communication time (``T_ro``)."""
-        return sum(p.t_ro for p in self.passes)
+        return left_sum(p.t_ro for p in self.passes)
 
     @property
     def t_g(self) -> float:
         """Total global-reduction time (``T_g``)."""
-        return sum(p.t_g for p in self.passes)
+        return left_sum(p.t_g for p in self.passes)
 
     @property
     def t_cache(self) -> float:
         """Total compute-node cache read/write time (inside ``t_c``)."""
-        return sum(p.t_cache for p in self.passes)
+        return left_sum(p.t_cache for p in self.passes)
 
     @property
     def t_ckpt(self) -> float:
         """Total reduction-object checkpoint time (fault tolerance)."""
-        return sum(p.t_ckpt for p in self.passes)
+        return left_sum(p.t_ckpt for p in self.passes)
 
     @property
     def fault_events(self) -> List[Dict[str, Any]]:

@@ -124,21 +124,23 @@ class TestComputeServer:
     def test_compute_time_includes_pass_startup(self):
         config = make_config()
         server = ComputeServer(config, 0)
-        empty = server.compute_time([])
+        empty = server.compute_time([], [[]])
         assert empty == pytest.approx(config.compute_cluster.compute_pass_startup_s)
 
     def test_compute_time_scales_with_ops(self):
         config = make_config()
         server = ComputeServer(config, 0)
-        small = server.compute_time([OpVector(flop=1e6)])
-        large = server.compute_time([OpVector(flop=2e6)])
+        cpu = config.compute_cluster.node.cpu
+        times = [cpu.compute_time(OpVector(flop=f)) for f in (1e6, 2e6)]
+        small = server.compute_time(times, [[0]])
+        large = server.compute_time(times, [[1]])
         assert large > small
 
     def test_dispatch_overhead_per_chunk(self):
         config = make_config()
         server = ComputeServer(config, 0)
-        one = server.compute_time([OpVector.zero()])
-        two = server.compute_time([OpVector.zero(), OpVector.zero()])
+        one = server.compute_time([0.0, 0.0], [[0]])
+        two = server.compute_time([0.0, 0.0], [[0, 1]])
         assert two - one == pytest.approx(
             config.compute_cluster.chunk_dispatch_overhead_s
         )

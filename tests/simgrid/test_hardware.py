@@ -183,3 +183,61 @@ class TestClusterSpec:
 
         with pytest.raises(ConfigurationError):
             dataclasses.replace(small_cluster_spec(), node_startup_s=-1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteRejected:
+    """NaN or infinite hardware numbers and op counts are configuration
+    errors, never silently propagated into priced times."""
+
+    @pytest.mark.parametrize("category", list(OpCategory))
+    @pytest.mark.parametrize("rate", [NAN, INF])
+    def test_cpu_rate(self, category, rate):
+        rates = {cat: 1e8 for cat in OpCategory}
+        rates[category] = rate
+        with pytest.raises(ConfigurationError, match=category.value):
+            CPUSpec(name="cpu", rates=rates)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(seek_s=NAN, stream_bw=1e6),
+            dict(seek_s=INF, stream_bw=1e6),
+            dict(seek_s=0.0, stream_bw=NAN),
+            dict(seek_s=0.0, stream_bw=INF),
+        ],
+    )
+    def test_disk(self, kwargs):
+        with pytest.raises(ConfigurationError, match="finite"):
+            DiskSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(latency_s=NAN, bw=1e6),
+            dict(latency_s=INF, bw=1e6),
+            dict(latency_s=0.0, bw=NAN),
+            dict(latency_s=0.0, bw=INF),
+        ],
+    )
+    def test_nic(self, kwargs):
+        with pytest.raises(ConfigurationError, match="finite"):
+            NICSpec(**kwargs)
+
+    @pytest.mark.parametrize("name", ["flop", "mem", "branch"])
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_op_vector(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            OpVector(**{name: value})
+
+    @pytest.mark.parametrize("size", [NAN, INF])
+    def test_cache_model_chunk_sizes(self, size):
+        from repro.middleware.caching import CacheModel
+
+        cache = CacheModel(DiskSpec(seek_s=0.01, stream_bw=1e6))
+        with pytest.raises(ConfigurationError, match="finite"):
+            cache.read_time([size])
+        with pytest.raises(ConfigurationError, match="finite"):
+            cache.write_time([1e6, size])

@@ -1,10 +1,13 @@
 """Tests for execution-time breakdowns."""
 
+import functools
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.simgrid.errors import ConfigurationError
-from repro.simgrid.trace import PassRecord, TimeBreakdown
+from repro.simgrid.trace import PassRecord, TimeBreakdown, left_sum
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -76,3 +79,34 @@ class TestTimeBreakdown:
     def test_scaled_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             TimeBreakdown().scaled(-1.0)
+
+
+class TestLeftSum:
+    """``left_sum`` is ``sum()`` as Python 3.11 evaluates it, everywhere."""
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            # From Python 3.12 ``sum()`` is compensated and returns 1.0 and
+            # 1.0 here: the left fold keeps the 3.11 bits.
+            ([0.1] * 10, 0.9999999999999999),
+            ([1e16, 1.0, -1e16], 0.0),
+        ],
+    )
+    def test_inputs_where_compensated_sum_differs(self, values, expected):
+        assert left_sum(values).hex() == expected.hex()
+        assert left_sum(iter(values)).hex() == expected.hex()
+
+    def test_empty_is_the_int_zero_like_sum(self):
+        assert repr(left_sum([])) == "0"
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_is_the_left_fold(self, values):
+        expected = functools.reduce(operator.add, values, 0)
+        assert repr(left_sum(values)) == repr(expected)
+
+    def test_breakdown_totals_fold_passes_in_order(self):
+        bd = TimeBreakdown()
+        for index in range(10):
+            bd.add_pass(make_pass(index, t_disk=0.1))
+        assert bd.t_disk == 0.9999999999999999
