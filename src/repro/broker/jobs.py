@@ -43,6 +43,7 @@ from repro.workloads.clusters import CLUSTERS
 __all__ = [
     "BrokerJob",
     "BrokerWorkloadDoc",
+    "parse_jobs",
     "parse_workload_document",
     "load_workload_document",
     "sorted_jobs",
@@ -150,7 +151,7 @@ def _require(entry: Mapping[str, Any], keys: Sequence[str], what: str) -> None:
             raise ConfigurationError(f"every {what} needs a '{key}'")
 
 
-def _parse_job(entry: Mapping[str, Any]) -> BrokerJob:
+def _parse_job(entry: Mapping[str, Any], index: Optional[int]) -> BrokerJob:
     _require(entry, ("id", "workload"), "job")
     job_id = str(entry["id"])
 
@@ -172,8 +173,15 @@ def _parse_job(entry: Mapping[str, Any]) -> BrokerJob:
         deadline=number("deadline"),
         priority=number("priority", 0, integer=True),
         vo=text("vo"),
-        arrival_index=number("arrival_index", integer=True),
+        arrival_index=number("arrival_index", integer=True) if index is None else index,
     )
+
+
+def parse_jobs(doc: Mapping[str, Any], stamp: bool = False) -> Tuple[BrokerJob, ...]:
+    """The document's ``jobs`` list, strictly; ``stamp`` sets each job's
+    ``arrival_index`` to its position (a list already in arrival order)."""
+    entries = enumerate(_objects(doc, "jobs"))
+    return tuple(_parse_job(entry, i if stamp else None) for i, entry in entries)
 
 
 def parse_workload_document(doc: Mapping[str, Any]) -> BrokerWorkloadDoc:
@@ -249,7 +257,7 @@ def parse_workload_document(doc: Mapping[str, Any]) -> BrokerWorkloadDoc:
             )
         replicas[str(key)] = [str(site) for site in holders]
 
-    jobs = tuple(_parse_job(entry) for entry in _objects(doc, "jobs"))
+    jobs = parse_jobs(doc)
     seen: set[str] = set()
     for job in jobs:
         if job.job_id in seen:

@@ -1,8 +1,8 @@
 """The durable campaign journal: what a killed run resumes from.
 
-Format 2 is a write-ahead log of JSON lines.  The first line is the
-header (``format_version``, ``campaign``, ``manifest_sha256``), written
-atomically (temp file + fsync + rename, :mod:`repro.core.durable`);
+Format 3 is a write-ahead log of compact JSON lines.  The first line is
+the header (``format_version``, ``campaign``, ``manifest_sha256``),
+written atomically (temp file + fsync + rename, :mod:`repro.core.durable`);
 every settled entry is then **one appended line**, encoded once and
 fsynced before ``commit`` returns, so a commit costs what it adds and no
 earlier record is ever re-encoded or rewritten.  A process killed at any
@@ -10,8 +10,9 @@ byte leaves every complete line plus at most a fragment of the one
 commit that was never acknowledged.  The reader drops that fragment —
 ``--resume`` re-runs its entry, deterministically, so the drop cannot
 change a result — and the first commit after such a load rewrites the
-file atomically without it, then appends.  A format-1 journal (one JSON
-document) is read too and upgraded by that same rewrite.
+file atomically without it, then appends.  Formats 1 (one document)
+and 2 (lines, indented-JSON digests) are read, their digests checked
+their way, and upgraded to format 3 by that same rewrite.
 
 :meth:`CampaignJournal.load` never writes (``campaign-status`` calls it
 while a campaign may be appending) and trusts nothing:
@@ -37,14 +38,17 @@ from repro.core.durable import (
     append_text,
     atomic_write_text,
     check_format_version,
+    compact_json,
     content_digest,
+    json_number,
+    legacy_digest,
     read_text_document,
 )
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ReproError
 
 __all__ = ["JournalRecord", "CampaignJournal", "JOURNAL_FORMAT_VERSION"]
 
-JOURNAL_FORMAT_VERSION = 2
+JOURNAL_FORMAT_VERSION = 3
 _KIND = "campaign journal"
 _REMEDY = "delete it and re-run the campaign from scratch"
 
@@ -86,11 +90,6 @@ def _corrupt(path: pathlib.Path, what: str) -> CorruptStoreError:
     return CorruptStoreError(f"{_KIND} '{path}' is corrupt ({what}); {_REMEDY}")
 
 
-def _line(data: Dict[str, Any]) -> str:
-    """One journal line: compact, so only its last byte is a newline."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _parse_line(line: str) -> Optional[Dict[str, Any]]:
     """The JSON object ``line`` holds, ``None`` when it holds none."""
     try:
@@ -101,7 +100,7 @@ def _parse_line(line: str) -> Optional[Dict[str, Any]]:
 
 
 def _record_line(record: JournalRecord) -> str:
-    return _line(
+    return compact_json(
         {
             "entry_id": record.entry_id,
             "status": record.status,
@@ -114,22 +113,27 @@ def _record_line(record: JournalRecord) -> str:
     )
 
 
-def _record_from_dict(data: Dict[str, Any], path: pathlib.Path) -> JournalRecord:
+def _record_from_dict(data: Any, path: pathlib.Path, legacy: bool) -> JournalRecord:
+    # Outside the payload's checksum: nothing but this parse checks these.
     try:
         entry_id = str(data["entry_id"])
+        where = f"entry '{entry_id}': "
         stored_digest = data["sha256"]
         payload = data["payload"]
+        violations = data["violations"]
         record = JournalRecord(
             entry_id=entry_id,
             status=str(data["status"]),
-            attempts=int(data["attempts"]),
-            elapsed_s=float(data["elapsed_s"]),
+            attempts=json_number("attempts", data["attempts"], True, where=where),
+            elapsed_s=json_number("elapsed_s", data["elapsed_s"], where=where),
             payload=payload,
-            violations=[str(v) for v in data["violations"]],
+            violations=violations,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise _corrupt(path, f"malformed record: {exc}") from exc
-    if content_digest(payload) != stored_digest:
+    if not (isinstance(violations, list) and all(type(v) is str for v in violations)):
+        raise _corrupt(path, f"{where}'violations' is not a list of strings")
+    if stored_digest != (legacy_digest(payload) if legacy else content_digest(payload)):
         raise _corrupt(path, f"checksum mismatch on entry '{entry_id}'")
     return record
 
@@ -142,7 +146,7 @@ class CampaignJournal:
         self.campaign: Optional[str] = None
         self.fingerprint: Optional[str] = None
         self._records: Dict[str, JournalRecord] = {}
-        #: ``load`` saw a torn tail or format 1: rewrite before the next append.
+        #: ``load`` saw a torn tail or an older format: rewrite, then append.
         self._stale = False
 
     @property
@@ -155,7 +159,7 @@ class CampaignJournal:
         return dict(self._records)
 
     def _header_line(self) -> str:
-        return _line(
+        return compact_json(
             {
                 "format_version": JOURNAL_FORMAT_VERSION,
                 "campaign": self.campaign,
@@ -180,11 +184,16 @@ class CampaignJournal:
         self._records = {}
         atomic_write_text(self.path, self._header_line())
 
-    def load(self, expected_fingerprint: Optional[str] = None) -> Dict[str, JournalRecord]:
+    def load(
+        self, expected_fingerprint: Optional[str] = None, *,
+        legacy_fingerprint: Optional[str] = None,
+    ) -> Dict[str, JournalRecord]:
         """Read and verify the journal; returns settled records by id.
 
         Read-only: an unterminated or unparsable *final* line (a commit
         never acknowledged) is ignored here, removed by the next commit.
+        A format-1 or -2 header is checked against ``legacy_fingerprint``
+        (the manifest digested the old way) and rebound to the expected one.
         """
         text = read_text_document(self.path, _KIND, _REMEDY)
         first, newline, body = text.partition("\n")
@@ -192,14 +201,16 @@ class CampaignJournal:
         header = _parse_line(first) or _parse_line(text)
         if header is None:
             raise _corrupt(self.path, "no readable header line")
-        if header.get("format_version") == 1:
+        version = header.get("format_version")
+        if version == 1:
             stale, raws = True, header.get("entries")
             if not isinstance(raws, list):
                 raise _corrupt(self.path, "'entries' is not a list")
         else:
-            check_format_version(
-                header, _KIND, JOURNAL_FORMAT_VERSION, source=str(self.path)
-            )
+            if version != 2:
+                check_format_version(
+                    header, _KIND, JOURNAL_FORMAT_VERSION, source=str(self.path)
+                )
             if not newline:
                 raise _corrupt(self.path, "truncated header line")
             lines = body.split("\n")
@@ -215,9 +226,9 @@ class CampaignJournal:
             fingerprint = str(header["manifest_sha256"])
         except KeyError as exc:
             raise _corrupt(self.path, f"missing key {exc}") from exc
-        if (
-            expected_fingerprint is not None
-            and fingerprint != expected_fingerprint
+        legacy = version != JOURNAL_FORMAT_VERSION
+        if expected_fingerprint is not None and fingerprint != (
+            legacy_fingerprint if legacy else expected_fingerprint
         ):
             raise CampaignError(
                 f"campaign journal '{self.path}' was written for a "
@@ -227,20 +238,21 @@ class CampaignJournal:
             )
         records: Dict[str, JournalRecord] = {}
         for raw in raws:
-            record = _record_from_dict(raw, self.path)
+            record = _record_from_dict(raw, self.path, legacy)
             if records.setdefault(record.entry_id, record) is not record:
                 raise _corrupt(self.path, f"duplicate entry '{record.entry_id}'")
         self.campaign = campaign
-        self.fingerprint = fingerprint
+        # A legacy digest is never written back: rebound, or no commits.
+        self.fingerprint = expected_fingerprint if legacy else fingerprint
         self._records = records
-        self._stale = stale
+        self._stale = stale or legacy
         return self.records
 
     def commit(self, record: JournalRecord) -> None:
         """Durably append one settled entry: one line, one ``fsync``."""
         if self.fingerprint is None:
             raise CampaignError(
-                "journal must be initialized or loaded before committing"
+                "journal must be initialized or loaded with its fingerprint first"
             )
         if record.entry_id in self._records:
             raise CampaignError(

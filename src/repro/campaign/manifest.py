@@ -38,7 +38,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.durable import content_digest, read_json_document
+from repro.core.durable import content_digest, legacy_digest, read_json_document
 from repro.errors import CampaignError, FaultError
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.experiments import EXPERIMENTS, ExperimentSpec
@@ -168,9 +168,11 @@ class CampaignManifest:
                 )
             seen.add(entry.entry_id)
 
-    def fingerprint(self) -> str:
-        """Stable digest binding a journal to this exact manifest."""
-        return content_digest(manifest_to_dict(self))
+    def fingerprint(self, legacy: bool = False) -> str:
+        """Stable digest binding a journal to this exact manifest
+        (``legacy``: as journal formats 1 and 2 recorded it)."""
+        document = manifest_to_dict(self)
+        return legacy_digest(document) if legacy else content_digest(document)
 
     def entry(self, entry_id: str) -> CampaignEntry:
         for candidate in self.entries:

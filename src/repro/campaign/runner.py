@@ -295,7 +295,10 @@ class CampaignRunner:
                     "exists; pass resume=True (--resume) to continue it, "
                     "or delete the journal to start fresh"
                 )
-            journaled = journal.load(expected_fingerprint=fingerprint)
+            journaled = journal.load(
+                expected_fingerprint=fingerprint,
+                legacy_fingerprint=self.manifest.fingerprint(legacy=True),
+            )
         else:
             journal.initialize(self.manifest.name, fingerprint)
             journaled = {}

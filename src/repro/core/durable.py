@@ -23,7 +23,12 @@ single place that guarantees it:
 - A destination the operating system refuses (a directory, a read-only
   location, a full disk) is a :class:`StoreWriteError` naming the path,
   and :func:`json_number` is the one strict reading of a numeric field
-  (finite, optionally integral) every document parser shares.
+  (finite, optionally integral, optionally bounded) every document
+  parser shares.
+- JSON has two sorted-key encodings: :func:`canonical_json` (indented)
+  for *documents* a person reads or a golden pins, :func:`compact_json`
+  (C encoder) for bytes *hashed or sent* — digests, journal lines, HTTP
+  bodies; :func:`legacy_digest` checks digests of formats before it.
 
 ``core/store`` (profiles), ``analysis/results_io`` (experiment
 results) and ``campaign/journal`` (suite journals) all route their I/O
@@ -51,6 +56,7 @@ __all__ = [
     "atomic_write_json",
     "append_text",
     "canonical_json",
+    "compact_json",
     "content_digest",
     "read_text_document",
     "read_json_document",
@@ -144,20 +150,30 @@ def append_text(path: str | pathlib.Path, text: str) -> None:
 
 
 def canonical_json(data: Any) -> str:
-    """The one serialization every durable document uses.
+    """The serialization of every document a person reads or a golden pins.
 
     Deterministic (sorted keys, fixed indentation, trailing newline), so
-    that a value committed to a journal, reloaded, and re-saved is
-    byte-identical to one written directly — regardless of the dict
-    construction order of either side.  The REP003 lint contract holds
-    every other ``json.dump(s)`` call in the repo to the same sorted-key
-    form.
+    that a value reloaded and re-saved is byte-identical to one written
+    directly — regardless of the dict construction order of either side.
+    The REP003 lint contract holds every other ``json.dump(s)`` call in
+    the repo to the same sorted-key form.
     """
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def compact_json(data: Any) -> str:
+    """The serialization of every byte hashed or sent, as one line: no
+    ``indent``, which would force CPython's pure-Python encoder."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def content_digest(data: Any) -> str:
-    """SHA-256 over the canonical JSON of ``data`` (for tamper checks)."""
+    """SHA-256 over the compact JSON of ``data`` (keys, tamper checks)."""
+    return hashlib.sha256(compact_json(data).encode("utf-8")).hexdigest()
+
+
+def legacy_digest(data: Any) -> str:
+    """SHA-256 over :func:`canonical_json`: the digest of older formats."""
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
@@ -213,7 +229,8 @@ def read_json_document(
 
 
 def json_number(
-    name: str, value: Any, integer: bool = False, *, where: str = ""
+    name: str, value: Any, integer: bool = False, *, where: str = "",
+    minimum: Optional[int] = None,
 ) -> Any:
     """One numeric field of a parsed JSON document, or an error naming it.
 
@@ -221,18 +238,21 @@ def json_number(
     size, and a hand-written document a string or a list where a number
     belongs; none of them may reach a model or a simulated clock, where
     ``NaN`` passes every ``<`` guard.  ``where`` prefixes the message
-    with the entry the field belongs to (``"job 'j0': "``).
+    with the entry the field belongs to (``"job 'j0': "``); ``minimum``
+    is an inclusive lower bound (a count is ``minimum=0``).
     """
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         or not abs(value) <= sys.float_info.max
         or (integer and not float(value).is_integer())
+        or (minimum is not None and value < minimum)
     ):
         kind = "an integer" if integer else "a finite number"
+        bound = "" if minimum is None else f" >= {minimum}"
         # Truncated: the value is the sender's, up to a megabyte of it.
         raise ConfigurationError(
-            f"{where}'{name}' must be {kind}, got {value!r:.40}"
+            f"{where}'{name}' must be {kind}{bound}, got {value!r:.40}"
         )
     return int(value) if integer else float(value)
 
@@ -243,8 +263,10 @@ def check_format_version(
     expected_version: int,
     *,
     source: Optional[str] = None,
+    remedy: Optional[str] = None,
 ) -> None:
-    """Raise :class:`FormatVersionError` unless the version matches."""
+    """Raise :class:`FormatVersionError` unless the version matches;
+    ``remedy``, when given, replaces the advice to regenerate or upgrade."""
     version = data.get("format_version")
     if version == expected_version:
         return
@@ -266,7 +288,8 @@ def check_format_version(
     where = f" in '{source}'" if source else ""
     raise FormatVersionError(
         f"cannot read {kind}{where}: format_version {version!r} is not "
-        f"supported by this build (expected {expected_version}); {advice}"
+        f"supported by this build (expected {expected_version}); "
+        f"{remedy or advice}"
     )
 
 

@@ -7,7 +7,7 @@ trustworthy as its key: two requests may share a cached prediction
 *only* when every input that could change the prediction is identical.
 This module defines that key in two layers.  :func:`profile_fingerprint`
 and :func:`cluster_fingerprint` are SHA-256 digests over the full
-canonical JSON of a profile or a cluster — content-addressed, not
+compact JSON of a profile or a cluster — content-addressed, not
 name-addressed, so a profile update invalidates every dependent entry —
 and a holder of long-lived profiles and clusters computes them once.
 :func:`prediction_fingerprint` is one more digest over those strings and

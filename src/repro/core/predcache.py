@@ -10,7 +10,8 @@ degradation serves from when the circuit breaker is open or a deadline
 cannot be met.
 
 Keys are content fingerprints (:mod:`repro.core.fingerprint`), so an
-entry can never be served for different model inputs.  Eviction is
+entry can never be served for different model inputs, and a file of
+another key encoding is refused by its ``format_version``.  Eviction is
 deterministic (least-recently *stored*, via insertion order), and the
 cache round-trips through canonical JSON so a service can persist its
 warm state across restarts.
@@ -24,13 +25,17 @@ from typing import Any, Dict, Optional
 from repro.core.durable import (
     atomic_write_json,
     check_format_version,
+    json_number,
     read_json_document,
 )
 from repro.simgrid.errors import ConfigurationError
 
 __all__ = ["CachedPrediction", "PredictionCache"]
 
-_FORMAT_VERSION = 1
+#: 2 since keys became compact-JSON digests: no format-1 key can match.
+_FORMAT_VERSION = 2
+_KIND = "prediction cache"
+_REMEDY = "delete the file; the cache rebuilds from live traffic"
 
 
 @dataclass(frozen=True)
@@ -121,21 +126,28 @@ class PredictionCache:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PredictionCache":
-        check_format_version(data, "prediction cache", _FORMAT_VERSION)
-        try:
-            cache = cls(max_entries=int(data["max_entries"]))
-            entries = data["entries"]
-            for key in data["order"]:
-                raw = entries[key]
-                cache._entries[key] = CachedPrediction(
-                    payload=dict(raw["payload"]),
-                    stored_at_s=float(raw["stored_at_s"]),
-                    hits=int(raw.get("hits", 0)),
-                )
-        except (KeyError, TypeError, ValueError) as exc:
+        check_format_version(data, _KIND, _FORMAT_VERSION, remedy=_REMEDY)
+        entries, order = data.get("entries"), data.get("order")
+        if not (
+            isinstance(entries, dict) and isinstance(order, list)
+            and all(isinstance(key, str) for key in order)
+            and len(order) == len(entries) == len(set(order) & entries.keys())
+        ):
             raise ConfigurationError(
-                f"malformed prediction cache: {exc}"
-            ) from exc
+                f"{_KIND}: 'order' must list every key of 'entries' once"
+            )
+        cache = cls(json_number(  # never fewer slots than entries
+            "max_entries", data.get("max_entries"), True, minimum=max(1, len(order))
+        ))
+        for key in order:
+            raw, at = entries[key], f"{_KIND} entry {key!r}: "
+            if not isinstance(raw, dict) or not isinstance(raw.get("payload"), dict):
+                raise ConfigurationError(f"{at}'payload' must be an object")
+            cache._entries[key] = CachedPrediction(
+                raw["payload"],
+                json_number("stored_at_s", raw.get("stored_at_s"), where=at),
+                json_number("hits", raw.get("hits", 0), True, where=at, minimum=0),
+            )
         return cache
 
     def save(self, path: Any) -> Any:
@@ -146,9 +158,4 @@ class PredictionCache:
     def load(cls, path: Any) -> "PredictionCache":
         """Load a previously saved cache (corrupt files raise
         :class:`~repro.core.durable.CorruptStoreError`)."""
-        data = read_json_document(
-            path,
-            "prediction cache",
-            remedy="delete the file; the cache rebuilds from live traffic",
-        )
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_document(path, _KIND, remedy=_REMEDY))

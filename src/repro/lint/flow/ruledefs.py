@@ -174,6 +174,7 @@ DURABLE_SINKS: FrozenSet[str] = frozenset(
         "repro.core.durable.atomic_write_json",
         "repro.core.durable.atomic_write_text",
         "repro.core.durable.canonical_json",
+        "repro.core.durable.compact_json",
         "repro.core.durable.content_digest",
     }
 )

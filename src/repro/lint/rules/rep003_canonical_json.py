@@ -2,9 +2,12 @@
 
 Journal records are checksummed, reports are compared byte-for-byte
 across replays, and profiles round-trip through disk.  The durable layer
-(:mod:`repro.core.durable`) owns the one canonical serialization; any
-*other* ``json.dump(s)`` call must at minimum pass ``sort_keys=True`` so
-its output does not depend on dict construction order.
+(:mod:`repro.core.durable`) owns the two encodings, both with sorted
+keys: ``canonical_json`` (indented) for documents a person reads or a
+golden pins, ``compact_json`` (one line) for bytes that are hashed or
+sent.  Any *other* ``json.dump(s)`` call must at minimum pass
+``sort_keys=True`` so its output does not depend on dict construction
+order.
 
 The rule is autofixable when ``sort_keys`` is simply absent: ``--fix``
 appends ``sort_keys=True`` to the call.  An explicit ``sort_keys=False``

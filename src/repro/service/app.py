@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.broker.calibration import OnlineCalibrator
 from repro.core import GlobalReductionModel, ModelClasses
-from repro.core.durable import json_number
+from repro.core.durable import content_digest, json_number
 from repro.core.fingerprint import (
     cluster_fingerprint,
     prediction_fingerprint,
@@ -766,8 +766,6 @@ class PredictionService:
                 f"unknown campaign {name!r}; known campaigns: {known}",
             )
         journal_path = self.campaign_journals[name]
-        from repro.core.durable import content_digest
-
         fingerprint = content_digest(
             {"endpoint": "campaign-status", "campaign": name}
         )

@@ -28,7 +28,8 @@ Routes (both adapters)::
 Responses carry the pipeline's verdict: 200 (fresh or ``stale: true``),
 429 with ``Retry-After`` (shed), 503 (bulkhead full / breaker open),
 504 (deadline unmeetable), 400/404 (client errors), 500 (a handler bug:
-answered, never a silent EOF).  Every body is canonical JSON, framing
+answered, never a silent EOF).  Every body is one line of compact
+sorted-key JSON (:func:`~repro.core.durable.compact_json`), framing
 errors included.  The threaded server keeps the connection alive
 (pipelined requests are answered in order) except after a 500 or a
 :class:`FramingError` — 400, 413, 414, 431, 501, 505; DESIGN.md §15 has
@@ -48,7 +49,7 @@ from email.utils import formatdate
 from http import HTTPStatus
 from typing import Any, Awaitable, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
-from repro.core.durable import canonical_json
+from repro.core.durable import compact_json
 from repro.service.app import ENDPOINTS, PredictionService, ServiceRequest
 from repro.service.errors import ServiceError
 from repro.simgrid.errors import ConfigurationError
@@ -189,7 +190,7 @@ def asgi_app(
         status, payload, retry_after = _route(
             gateway, scope["method"].upper(), scope["path"], body
         )
-        encoded = canonical_json(payload).encode("utf-8")
+        encoded = compact_json(payload).encode("utf-8")
         headers = [
             (b"content-type", b"application/json"),
             (b"content-length", str(len(encoded)).encode("ascii")),
@@ -301,8 +302,8 @@ def _response(
     retry_after: Optional[float] = None,
     close: bool = False,
 ) -> bytes:
-    """Status line + headers + canonical-JSON body: the one buffer sent."""
-    body = canonical_json(payload).encode("utf-8")
+    """Status line + headers + compact-JSON body: the one buffer sent."""
+    body = compact_json(payload).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
         f"Server: repro-serve\r\nDate: {formatdate(usegmt=True)}\r\n"

@@ -8,7 +8,8 @@ so
 - two generators agree on a trace iff the fingerprints match (the
   replay identity the property tests assert), and
 - a trace file edited by hand or truncated on disk is rejected at load
-  time as corrupt rather than silently driving a different experiment.
+  time as corrupt rather than silently driving a different experiment
+  (a format-1 file by the indented-JSON digest it was written with).
 
 Artifacts are written with the repo's durable store (atomic replace,
 canonical JSON) and versioned with the usual ``format_version`` gate.
@@ -18,14 +19,16 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.broker.jobs import BrokerJob
+from repro.broker.jobs import BrokerJob, parse_jobs
 from repro.core.durable import (
     CorruptStoreError,
     atomic_write_json,
     check_format_version,
     content_digest,
+    json_number,
+    legacy_digest,
     read_json_document,
 )
 from repro.simgrid.errors import ConfigurationError
@@ -34,7 +37,8 @@ from repro.workloads.traces.spec import TraceSpec
 
 __all__ = ["TraceWorkload", "TRACE_FORMAT_VERSION"]
 
-TRACE_FORMAT_VERSION = 1
+#: Format 1's ``fingerprint`` hashed indented JSON; it still loads.
+TRACE_FORMAT_VERSION = 2
 
 
 def _job_to_dict(job: BrokerJob) -> Dict[str, Any]:
@@ -47,28 +51,6 @@ def _job_to_dict(job: BrokerJob) -> Dict[str, Any]:
         "priority": job.priority,
         "vo": job.vo,
     }
-
-
-def _job_from_dict(doc: Mapping[str, Any], index: int) -> BrokerJob:
-    try:
-        return BrokerJob(
-            job_id=str(doc["id"]),
-            workload=str(doc["workload"]),
-            size=None if doc.get("size") is None else str(doc["size"]),
-            arrival=float(doc.get("arrival", 0.0)),
-            deadline=(
-                None
-                if doc.get("deadline") is None
-                else float(doc["deadline"])
-            ),
-            priority=int(doc.get("priority", 0)),
-            vo=None if doc.get("vo") is None else str(doc["vo"]),
-            arrival_index=index,
-        )
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"trace job #{index} is missing field {exc}"
-        ) from exc
 
 
 @dataclass(frozen=True)
@@ -133,9 +115,9 @@ class TraceWorkload:
 
     # -- identity ------------------------------------------------------
 
-    def _payload(self) -> Dict[str, Any]:
+    def _payload(self, version: int = TRACE_FORMAT_VERSION) -> Dict[str, Any]:
         return {
-            "format_version": TRACE_FORMAT_VERSION,
+            "format_version": version,
             "kind": "trace-workload",
             "name": self.name,
             "source": self.source,
@@ -146,7 +128,7 @@ class TraceWorkload:
 
     @property
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical document (sans the digest itself).
+        """:func:`content_digest` of the document (sans the digest itself).
 
         Two traces are the same experiment input iff this matches —
         the identity that makes "(seed, spec) replays byte-identically"
@@ -173,9 +155,10 @@ class TraceWorkload:
             "trace workload",
             remedy="regenerate it with 'repro trace generate'",
         )
-        check_format_version(
-            doc, "trace workload", TRACE_FORMAT_VERSION, source=str(path)
-        )
+        if doc.get("format_version") != 1:
+            check_format_version(
+                doc, "trace workload", TRACE_FORMAT_VERSION, source=str(path)
+            )
         return cls.from_dict(doc, source_path=str(path))
 
     @classmethod
@@ -186,32 +169,30 @@ class TraceWorkload:
         source_path: Optional[str] = None,
     ) -> "TraceWorkload":
         """Parse an artifact document, verifying its fingerprint."""
-        jobs_doc = doc.get("jobs")
-        if not isinstance(jobs_doc, list) or not jobs_doc:
+        jobs = parse_jobs(doc, stamp=True)
+        if not jobs:
             raise ConfigurationError(
                 "trace workload document needs a non-empty 'jobs' list"
             )
-        jobs: List[BrokerJob] = [
-            _job_from_dict(j, i) for i, j in enumerate(jobs_doc)
-        ]
         spec = doc.get("spec")
         trace = cls(
             name=str(doc.get("name", "")),
-            jobs=tuple(jobs),
+            jobs=jobs,
             spec=dict(spec) if isinstance(spec, Mapping) else None,
             source=str(doc.get("source", "generated")),
         )
+        where = source_path or "trace workload document"
         recorded = doc.get("fingerprint")
-        if recorded is not None and recorded != trace.fingerprint:
-            where = source_path or "trace workload document"
+        legacy = doc.get("format_version") == 1
+        actual = legacy_digest(trace._payload(1)) if legacy else trace.fingerprint
+        if recorded is not None and recorded != actual:
             raise CorruptStoreError(
                 f"{where}: fingerprint mismatch — the file does not match "
                 "the jobs it claims to carry; regenerate it with "
                 "'repro trace generate'"
             )
         count = doc.get("job_count")
-        if count is not None and int(count) != len(jobs):
-            where = source_path or "trace workload document"
+        if count is not None and json_number("job_count", count, True) != len(jobs):
             raise CorruptStoreError(
                 f"{where}: job_count {count} does not match the "
                 f"{len(jobs)} jobs present"

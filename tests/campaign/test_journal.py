@@ -1,4 +1,4 @@
-"""Tests for the durable campaign journal (format 2: a log of JSON lines)."""
+"""Tests for the durable campaign journal (format 3: a log of JSON lines)."""
 
 import json
 import pathlib
@@ -77,7 +77,7 @@ class TestRoundTrip:
         header, *lines = path.read_text().splitlines()
         assert json.loads(header) == {
             "campaign": "camp",
-            "format_version": 2,
+            "format_version": 3,
             "manifest_sha256": "fp-1",
         }
         assert [json.loads(line)["entry_id"] for line in lines] == FAKE_IDS[:3]
@@ -172,6 +172,29 @@ class TestCorruptionDetection:
         edit_line(path, 1, lambda line: line.pop("status"))
         with pytest.raises(CorruptStoreError, match="malformed record"):
             CampaignJournal(path).load()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("attempts", "2"),
+            ("attempts", 2.7),
+            ("attempts", 0),
+            ("attempts", float("inf")),
+            ("elapsed_s", "nan"),
+            ("elapsed_s", float("nan")),
+            ("violations", "ab"),
+            ("violations", [1]),
+            ("violations", {"deadline": 1}),
+        ],
+    )
+    def test_record_field_outside_the_checksum(self, tmp_path, field, value):
+        # These fields are not covered by the payload's sha256: the
+        # record parse is the only check they get.
+        path = self._journal_with_one_entry(tmp_path)
+        edit_line(path, 1, lambda line: line.update({field: value}))
+        with pytest.raises(CorruptStoreError, match="'fig02'") as err:
+            CampaignJournal(path).load()
+        assert field in str(err.value)
 
     def test_duplicate_entry_on_disk(self, tmp_path):
         path = self._journal_with_one_entry(tmp_path)
@@ -359,7 +382,8 @@ class TestFormat1Upgrade:
         path = tmp_path / "journal.json"
         path.write_bytes((GOLDENS / "journal_v1.json").read_bytes())
         records = CampaignJournal(path).load(
-            expected_fingerprint=make_manifest().fingerprint()
+            expected_fingerprint=make_manifest().fingerprint(),
+            legacy_fingerprint=make_manifest().fingerprint(legacy=True),
         )
         assert list(records) == FAKE_IDS[:2]
         assert path.read_bytes() == (GOLDENS / "journal_v1.json").read_bytes()
@@ -378,9 +402,106 @@ class TestFormat1Upgrade:
         assert log == FAKE_IDS[2:]
 
         header = json.loads(journal_path.read_text().splitlines()[0])
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
+        assert header["manifest_sha256"] == make_manifest().fingerprint()
         assert list(CampaignJournal(journal_path).load()) == FAKE_IDS
         assert results_digest(tmp_path / "v1/results") == results_digest(
             tmp_path / "ref/results"
         )
         assert len(results_digest(tmp_path / "v1/results")) == len(FAKE_IDS)
+
+
+class TestLegacyFormats:
+    """Formats 1 and 2 digest the indented encoding; format 3 the compact.
+
+    ``goldens/journal_v2.jsonl`` is the header and first two records of a
+    format-2 journal written by the last format-2 build for
+    ``make_manifest()`` (the same entries as ``journal_v1.json``).
+    """
+
+    GOLDENS = {1: "journal_v1.json", 2: "journal_v2.jsonl"}
+
+    def copy(self, tmp_path, version):
+        path = tmp_path / "journal.json"
+        path.write_bytes((GOLDENS / self.GOLDENS[version]).read_bytes())
+        return path
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_load_checks_the_legacy_fingerprint(self, tmp_path, version):
+        manifest = make_manifest()
+        path = self.copy(tmp_path, version)
+        journal = CampaignJournal(path)
+        with pytest.raises(CampaignError, match="different manifest"):
+            journal.load(expected_fingerprint=manifest.fingerprint())
+        records = journal.load(
+            expected_fingerprint=manifest.fingerprint(),
+            legacy_fingerprint=manifest.fingerprint(legacy=True),
+        )
+        assert list(records) == FAKE_IDS[:2]
+        assert journal.fingerprint == manifest.fingerprint()
+        assert path.read_bytes() == (GOLDENS / self.GOLDENS[version]).read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_first_commit_upgrades_to_format_3(self, tmp_path, version):
+        manifest = make_manifest()
+        path = self.copy(tmp_path, version)
+        journal = CampaignJournal(path)
+        old = journal.load(
+            expected_fingerprint=manifest.fingerprint(),
+            legacy_fingerprint=manifest.fingerprint(legacy=True),
+        )
+        journal.commit(record("fig04"))
+        header, *lines = path.read_text().splitlines()
+        assert json.loads(header) == {
+            "campaign": "fake-campaign",
+            "format_version": 3,
+            "manifest_sha256": manifest.fingerprint(),
+        }
+        assert [
+            json.loads(line)["sha256"] for line in lines
+        ] == [
+            durable.content_digest(r.payload)
+            for r in [*old.values(), record("fig04")]
+        ]
+        reloaded = CampaignJournal(path).load(
+            expected_fingerprint=manifest.fingerprint()
+        )
+        assert list(reloaded) == FAKE_IDS[:2] + ["fig04"]
+        assert reloaded["fig03"] == old["fig03"]
+
+    def test_resume_from_format_2_matches_uninterrupted_run(self, tmp_path):
+        assert run_campaign(tmp_path, "ref").run().ok
+        journal_path = tmp_path / "v2" / "journal.json"
+        journal_path.parent.mkdir()
+        journal_path.write_bytes((GOLDENS / "journal_v2.jsonl").read_bytes())
+        log = []
+        report = run_campaign(tmp_path, "v2", log=log).run(resume=True)
+        assert [o.status for o in report.outcomes] == (
+            ["resumed"] * 2 + ["completed"] * 4
+        )
+        assert log == FAKE_IDS[2:]
+        assert results_digest(tmp_path / "v2/results") == results_digest(
+            tmp_path / "ref/results"
+        )
+
+    def test_status_read_of_a_legacy_journal_never_commits(self, tmp_path):
+        journal = CampaignJournal(self.copy(tmp_path, 2))
+        assert list(journal.load()) == FAKE_IDS[:2]
+        with pytest.raises(CampaignError, match="with its fingerprint"):
+            journal.commit(record("fig04"))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_tampered_legacy_record_still_fails(self, tmp_path, version):
+        path = self.copy(tmp_path, version)
+        text = path.read_text()  # fig02's first row comes first
+        path.write_text(text.replace("1.05", "1.06", 1))
+        with pytest.raises(CorruptStoreError, match="checksum mismatch on entry 'fig02'"):
+            CampaignJournal(path).load()
+
+    def test_a_legacy_digest_is_not_accepted_as_format_3(self, tmp_path):
+        # Relabelled format 3, the same records fail: the digest encoding
+        # is part of what format_version means.
+        path = self.copy(tmp_path, 2)
+        edit_line(path, 0, lambda h: h.update(format_version=3))
+        with pytest.raises(CorruptStoreError, match="checksum mismatch"):
+            CampaignJournal(path).load()

@@ -13,7 +13,7 @@ import urllib.request
 
 import pytest
 
-from repro.core.durable import canonical_json
+from repro.core.durable import compact_json
 from repro.faults.chaos import verify_service_log
 from repro.service import (
     MonotonicClock,
@@ -274,7 +274,8 @@ class TestOneSendPerResponse:
             # One send is one complete response: parsing it leaves nothing.
             (status, headers, body), = read_responses(sent)
             assert sent.startswith(b"HTTP/1.1 %d " % status)
-            assert sent.endswith(canonical_json(body).encode("utf-8"))
+            # The whole body is the compact encoding: one line of JSON.
+            assert sent.endswith(b"\r\n\r\n" + compact_json(body).encode("utf-8"))
             assert headers["Content-Type"] == "application/json"
             assert headers["Server"] == "repro-serve"
             assert headers["Date"].endswith(" GMT")

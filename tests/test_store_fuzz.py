@@ -1,0 +1,135 @@
+"""Structure-aware fuzz of the durable stores' loaders (ROADMAP 4(a)).
+
+Each store's committed or freshly written file is damaged by the shared
+``tests.fuzzing`` mutator, in every format a reader still accepts:
+campaign journals 1 (one document), 2 and 3 (JSON lines), trace
+artifacts 1 and 2, and prediction caches.  Loading may only raise a
+``ReproError``, and never touches the file: the bytes after a load,
+failed or not, are the bytes before it.
+"""
+
+import json
+import math
+import pathlib
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.campaign import CampaignJournal
+from repro.core.durable import canonical_json
+from repro.core.predcache import PredictionCache
+from repro.errors import ReproError
+from repro.workloads.traces import TraceWorkload, make_preset
+
+from tests.campaign.conftest import make_manifest
+from tests.campaign.test_journal import GOLDENS as JOURNAL_GOLDENS, record
+from tests.fuzzing import mutated
+
+TRACE_GOLDENS = pathlib.Path(__file__).parent / "workloads" / "goldens"
+MANIFEST = make_manifest()
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def lines_of(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def journal_v3(directory):
+    path = directory / "journal_v3.jsonl"
+    journal = CampaignJournal(path)
+    journal.initialize(MANIFEST.name, MANIFEST.fingerprint())
+    for entry_id in ("fig02", "fig03"):
+        journal.commit(record(entry_id, rows=1))
+    journal.commit(record("fig04", status="timed-out", attempts=2))
+    return lines_of(path)
+
+
+@pytest.fixture(scope="module")
+def journals(tmp_path_factory):
+    return {
+        1: json.loads((JOURNAL_GOLDENS / "journal_v1.json").read_text()),
+        2: lines_of(JOURNAL_GOLDENS / "journal_v2.jsonl"),
+        3: journal_v3(tmp_path_factory.mktemp("journal")),
+    }
+
+
+def loads_or_refuses(path, load):
+    """``load(path)``; True if it loaded.  Only a ReproError may escape,
+    and the file is untouched either way."""
+    before = path.read_bytes()
+    try:
+        load(path)
+        loaded = True
+    except ReproError:
+        loaded = False
+    assert path.read_bytes() == before
+    return loaded
+
+
+@FUZZ
+@given(data=st.data())
+def test_only_repro_errors_escape_a_journal_load(tmp_path, journals, data):
+    version = data.draw(st.sampled_from(sorted(journals)))
+    document = data.draw(mutated(journals[version]))
+    if version == 1:
+        text = canonical_json(document)
+    else:
+        text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in document)
+    path = tmp_path / "journal.jsonl"
+    path.write_text(text)
+
+    def load(path):
+        records = CampaignJournal(path).load(
+            expected_fingerprint=MANIFEST.fingerprint(),
+            legacy_fingerprint=MANIFEST.fingerprint(legacy=True),
+        )
+        for entry in records.values():
+            assert entry.attempts >= 1 and math.isfinite(entry.elapsed_s)
+            assert all(isinstance(v, str) for v in entry.violations)
+
+    loads_or_refuses(path, load)
+
+
+def trace_documents():
+    v2 = TraceWorkload.from_spec(
+        make_preset("gwa-mixed", 6, seed=3), baselines=lambda w, s: 2.0
+    ).to_dict()
+    v1 = json.loads((TRACE_GOLDENS / "trace_v1.json").read_text())
+    return v1, v2
+
+
+@FUZZ
+@given(document=mutated(*trace_documents()))
+def test_only_repro_errors_escape_a_trace_artifact_load(tmp_path, document):
+    path = tmp_path / "trace.json"
+    path.write_text(canonical_json(document))
+    loads_or_refuses(path, TraceWorkload.load)
+
+
+def cache_document():
+    cache = PredictionCache(max_entries=3)
+    cache.put("a" * 64, {"total": 1.5, "app": "kmeans"}, 1.0)
+    cache.put("b" * 64, {"total": 2.5, "app": "em"}, 2.0)
+    cache.get("b" * 64)
+    return cache.to_dict()
+
+
+@FUZZ
+@given(document=mutated(cache_document()))
+def test_only_repro_errors_escape_a_prediction_cache_load(tmp_path, document):
+    path = tmp_path / "cache.json"
+    path.write_text(canonical_json(document))
+
+    def load(path):
+        cache = PredictionCache.load(path)
+        assert len(cache) <= cache.max_entries
+        for key in list(cache._entries):
+            entry = cache._entries[key]
+            assert math.isfinite(entry.stored_at_s) and entry.hits >= 0
+            assert isinstance(entry.payload, dict)
+
+    loads_or_refuses(path, load)

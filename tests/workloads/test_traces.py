@@ -25,6 +25,7 @@ from repro.workloads.traces import (
 )
 
 BASELINES = {"": 2.0}
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 
 def flat_baseline(workload, size):
@@ -265,6 +266,45 @@ class TestArtifact:
         del doc["fingerprint"]
         with pytest.raises(CorruptStoreError):
             TraceWorkload.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("priority", 1.5), ("arrival", "0.1"), ("arrival", float("nan")),
+         ("deadline", [3.0])],
+    )
+    def test_malformed_job_is_a_configuration_error(self, field, value):
+        doc = self.make(count=10).to_dict()
+        doc["jobs"][2][field] = value
+        del doc["fingerprint"]
+        with pytest.raises(ConfigurationError, match=field):
+            TraceWorkload.from_dict(doc)
+
+    def test_format_1_golden_loads_with_its_own_digest(self, tmp_path):
+        # Written by the last format-1 build: make_preset("gwa-mixed", 8,
+        # seed=6) under the flat baseline, fingerprinted over indented JSON.
+        path = tmp_path / "t.trace.json"
+        path.write_bytes((GOLDENS / "trace_v1.json").read_bytes())
+        loaded = TraceWorkload.load(path)
+        fresh = TraceWorkload.from_spec(
+            make_preset("gwa-mixed", 8, seed=6), baselines=flat_baseline
+        )
+        assert loaded.jobs == fresh.jobs
+        assert loaded.fingerprint == fresh.fingerprint
+        assert loaded.fingerprint != json.loads(path.read_text())["fingerprint"]
+        assert fresh.to_dict()["format_version"] == 2
+        assert path.read_bytes() == (GOLDENS / "trace_v1.json").read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_tampered_artifact_fails_in_either_format(self, tmp_path, version):
+        path = tmp_path / "t.trace.json"
+        if version == 1:
+            doc = json.loads((GOLDENS / "trace_v1.json").read_text())
+        else:
+            doc = self.make(count=8).to_dict()
+        doc["jobs"][0]["priority"] += 1
+        path.write_text(json.dumps(doc, sort_keys=True))
+        with pytest.raises(CorruptStoreError, match="fingerprint mismatch"):
+            TraceWorkload.load(path)
 
     def test_out_of_order_stamping_rejected(self):
         trace = self.make(count=10)
