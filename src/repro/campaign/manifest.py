@@ -38,7 +38,12 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.durable import content_digest, legacy_digest, read_json_document
+from repro.core.durable import (
+    content_digest,
+    json_number,
+    legacy_digest,
+    read_json_document,
+)
 from repro.errors import CampaignError, FaultError
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.experiments import EXPERIMENTS, ExperimentSpec
@@ -199,9 +204,24 @@ def _take(data: Mapping[str, Any], known: Dict[str, Any], what: str) -> Dict[str
     return out
 
 
+def _optional(args: Dict[str, Any], key: str, of_type: type, what: str) -> Any:
+    """``args[key]`` if it is ``None`` or an ``of_type``, else an error
+    naming the field; a number goes through :func:`json_number`."""
+    value = args[key]
+    if value is None:
+        return None
+    if of_type is float:
+        return json_number(key, value, where=f"{what}: ")
+    if isinstance(value, of_type):
+        return value
+    expected = "a string" if of_type is str else "an object"
+    raise CampaignError(f"{what}: '{key}' must be {expected}, got {value!r:.40}")
+
+
 def _entry_from_dict(data: Mapping[str, Any]) -> CampaignEntry:
     if not isinstance(data, Mapping):
         raise CampaignError("each manifest entry must be a JSON object")
+    what = f"manifest entry {data.get('id', '?')!r:.40}"
     args = _take(
         data,
         {
@@ -214,17 +234,17 @@ def _entry_from_dict(data: Mapping[str, Any]) -> CampaignEntry:
             "fast": False,
             "deadline_s": None,
         },
-        f"manifest entry {data.get('id', '?')!r}",
+        what,
     )
     return CampaignEntry(
         entry_id=str(args["id"]),
         kind=str(args["kind"]),
-        experiment_id=args["experiment_id"],
-        workload=args["workload"],
-        scenario=args["scenario"],
-        size_label=args["size_label"],
+        experiment_id=_optional(args, "experiment_id", str, what),
+        workload=_optional(args, "workload", str, what),
+        scenario=_optional(args, "scenario", dict, what),
+        size_label=_optional(args, "size_label", str, what),
         fast=bool(args["fast"]),
-        deadline_s=None if args["deadline_s"] is None else float(args["deadline_s"]),
+        deadline_s=_optional(args, "deadline_s", float, what),
     )
 
 
@@ -243,15 +263,12 @@ def manifest_from_dict(data: Mapping[str, Any]) -> CampaignManifest:
     entries_raw = args["entries"]
     if not isinstance(entries_raw, list):
         raise CampaignError("'entries' must be a list of entry objects")
+    what = "campaign manifest"
     return CampaignManifest(
         name=str(args["name"]),
         entries=tuple(_entry_from_dict(e) for e in entries_raw),
-        default_deadline_s=(
-            None
-            if args["default_deadline_s"] is None
-            else float(args["default_deadline_s"])
-        ),
-        metadata=dict(args["metadata"] or {}),
+        default_deadline_s=_optional(args, "default_deadline_s", float, what),
+        metadata=dict(_optional(args, "metadata", dict, what) or {}),
     )
 
 

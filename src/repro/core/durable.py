@@ -38,11 +38,12 @@ through here, so every persistence path inherits the same guarantees.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pathlib
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from repro.errors import ReproError
 from repro.simgrid.errors import ConfigurationError
@@ -63,6 +64,12 @@ __all__ = [
     "json_number",
     "quarantine_corrupt",
 ]
+
+
+#: The document encoding, shared by :func:`canonical_json` and the
+#: streaming :func:`atomic_write_json` so a file and a string cannot
+#: drift.  Holds no per-call state.
+_DOCUMENT = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 class StoreError(ReproError):
@@ -97,8 +104,11 @@ class FormatVersionError(StoreError, ConfigurationError):
     """
 
 
-def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
-    """Durably replace ``path`` with ``text``; returns the path.
+def atomic_write_text(
+    path: str | pathlib.Path, text: str | Iterable[str]
+) -> pathlib.Path:
+    """Durably replace ``path`` with ``text`` — a string, or chunks
+    written in order; returns the path.
 
     The temporary file lives in the destination directory so that
     ``os.replace`` is a same-filesystem rename (atomic on POSIX).  Both
@@ -111,7 +121,10 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                handle.writelines(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -131,8 +144,12 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
 
 
 def atomic_write_json(path: str | pathlib.Path, data: Any) -> pathlib.Path:
-    """Durably replace ``path`` with ``data`` rendered as JSON."""
-    return atomic_write_text(path, canonical_json(data))
+    """Durably replace ``path`` with :func:`canonical_json` of ``data``,
+    streamed: the encoder's chunks go to the file as they are made, so
+    the document is never one string in memory."""
+    return atomic_write_text(
+        path, itertools.chain(_DOCUMENT.iterencode(data), ("\n",))
+    )
 
 
 def append_text(path: str | pathlib.Path, text: str) -> None:
@@ -158,7 +175,7 @@ def canonical_json(data: Any) -> str:
     The REP003 lint contract holds every other ``json.dump(s)`` call in
     the repo to the same sorted-key form.
     """
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return _DOCUMENT.encode(data) + "\n"
 
 
 def compact_json(data: Any) -> str:

@@ -372,7 +372,10 @@ class ServiceChaosSpec:
 
     The workload seed and the fault seed are both derived from the
     case seed (``seed`` and ``seed + 1``), so a case is fully described
-    by ``(seed, spec)`` — the replay key.
+    by ``(seed, spec)`` — the replay key.  ``requests`` is at most
+    :attr:`RequestLog.WINDOW <repro.service.app.RequestLog.WINDOW>`: the
+    invariants are proven from the log's records, which past the window
+    no longer hold the whole run.
     """
 
     requests: int = 300
@@ -383,8 +386,15 @@ class ServiceChaosSpec:
     tight_deadline_fraction: float = 0.05
 
     def __post_init__(self) -> None:
+        from repro.service.app import RequestLog
+
         if self.requests < 1:
             raise ConfigurationError("service chaos needs >= 1 request")
+        if self.requests > RequestLog.WINDOW:
+            raise ConfigurationError(
+                f"service chaos runs at most {RequestLog.WINDOW} requests "
+                f"(the request log's window), got {self.requests}"
+            )
         if self.rate_hz <= 0:
             raise ConfigurationError("arrival rate must be positive")
 
@@ -446,6 +456,8 @@ def verify_service_log(service: Any, requests: Sequence[Any]) -> List[str]:
 
     1. **Settled exactly once** — every submitted request id appears
        exactly once in the request log; nothing extra, nothing missing.
+       A log that settled more than its window holds cannot show this,
+       and is a violation itself.
     2. **Shedding is loud** — every shed request carries HTTP 429 (the
        adapter adds the ``Retry-After``); admission books balance
        (admitted + shed = submitted).
@@ -457,10 +469,17 @@ def verify_service_log(service: Any, requests: Sequence[Any]) -> List[str]:
        replays to the live state using only legal edges.
     """
     violations: List[str] = []
+    log = service.log
+    if len(log) != len(log.records):
+        violations.append(
+            f"request log overflowed its window: {len(log)} settled, "
+            f"{len(log.records)} kept; exactly-once cannot be proven "
+            "past the window"
+        )
     config = service.config
     by_id = {request.request_id: request for request in requests}
     seen: Dict[str, int] = {}
-    for record in service.log.records:
+    for record in log.records:
         seen[record.request_id] = seen.get(record.request_id, 0) + 1
     for request_id in sorted(by_id):
         count = seen.pop(request_id, 0)
@@ -475,7 +494,7 @@ def verify_service_log(service: Any, requests: Sequence[Any]) -> List[str]:
         )
 
     epsilon = config.deadline_epsilon_s
-    for record in service.log.records:
+    for record in log.records:
         request = by_id.get(record.request_id)
         if request is None:
             continue

@@ -44,7 +44,9 @@ Every key except the fault list is optional.  An unknown fault kind — or
 a kind used in the wrong scope — raises
 :class:`~repro.simgrid.errors.ConfigurationError` naming the valid kinds
 of both scopes; malformed fields of a *known* kind raise
-:class:`~repro.errors.FaultError`.  A typo in a scenario must not
+:class:`~repro.errors.FaultError`, and a number field that is not a
+finite JSON number (a string, a list, ``NaN``, 2.5 nodes) a
+``ConfigurationError`` naming it.  A typo in a scenario must not
 silently produce a fault-free run.
 """
 
@@ -53,8 +55,9 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.core.durable import json_number
 from repro.errors import FaultError
 from repro.faults.grid import (
     GridFaultSchedule,
@@ -138,140 +141,145 @@ def _scope_mismatch(kind: str, found_in: str) -> ConfigurationError:
     )
 
 
-def _take(data: Mapping[str, Any], kind: str, keys: Dict[str, Any]) -> Dict[str, Any]:
-    """Extract ``keys`` (name -> default, ``...`` = required) from a spec."""
-    known = set(keys) | {"type"}
-    unknown = set(data) - known
+#: fault kind -> (spec class, JSON key -> (spec field, default, type)).
+#: A ``...`` default marks a required key; only a ``None`` default lets
+#: the key be ``null``.  Numbers are read by :func:`json_number`.
+_FieldTable = Dict[str, Tuple[type, Dict[str, Tuple[str, Any, type]]]]
+_EXECUTION_SPECS: _FieldTable = {
+    "data-node-crash": (DataNodeCrash, {
+        "pass": ("pass_index", ..., int),
+        "data_node": ("data_node", ..., int),
+        "at_fraction": ("at_fraction", 0.5, float),
+    }),
+    "compute-node-crash": (ComputeNodeCrash, {
+        "pass": ("pass_index", ..., int),
+        "compute_node": ("compute_node", ..., int),
+        "at_fraction": ("at_fraction", 0.5, float),
+    }),
+    "link-degradation": (LinkDegradation, {
+        "data_node": ("data_node", ..., int),
+        "factor": ("factor", ..., float),
+        "from_pass": ("from_pass", 0, int),
+        "until_pass": ("until_pass", None, int),
+    }),
+    "slow-node": (SlowNode, {
+        "compute_node": ("compute_node", ..., int),
+        "factor": ("factor", ..., float),
+        "from_pass": ("from_pass", 0, int),
+        "until_pass": ("until_pass", None, int),
+    }),
+    "chunk-read-error": (ChunkReadError, {
+        "rate": ("rate", 0.0, float),
+        "pass": ("pass_index", None, int),
+        "data_node": ("data_node", None, int),
+        "failures": ("failures", None, dict),
+    }),
+}
+_GRID_SPECS: _FieldTable = {
+    "site-outage": (SiteOutage, {
+        "site": ("site", ..., str),
+        "at": ("at", ..., float),
+        "repair_after": ("repair_after", None, float),
+    }),
+    "node-pool-shrink": (NodePoolShrink, {
+        "site": ("site", ..., str),
+        "at": ("at", ..., float),
+        "nodes": ("nodes", ..., int),
+        "restore_after": ("restore_after", None, float),
+    }),
+    "wan-degradation": (WanDegradation, {
+        "a": ("site_a", ..., str),
+        "b": ("site_b", ..., str),
+        "factor": ("factor", ..., float),
+        "at": ("at", 0.0, float),
+        "duration": ("duration", None, float),
+    }),
+    "transient-job-failure": (TransientJobFailure, {
+        "job": ("job_id", ..., str),
+        "failures": ("failures", 1, int),
+        "at_fraction": ("at_fraction", 0.5, float),
+    }),
+}
+
+
+def _typed(value: Any, key: str, of_type: type, kind: str) -> Any:
+    """One field of a ``kind`` fault spec, or an error naming it."""
+    where = f"'{kind}' fault spec: "
+    if of_type is int or of_type is float:
+        return json_number(key, value, of_type is int, where=where)
+    if not isinstance(value, of_type):
+        expected = "a string" if of_type is str else "an object"
+        raise FaultError(f"{where}'{key}' must be {expected}, got {value!r:.40}")
+    return value
+
+
+def _chunk_failures(failures: Mapping[str, Any]) -> Dict[int, int]:
+    """A chunk-read-error's ``{"<chunk index>": <failures>}`` object."""
+    out: Dict[int, int] = {}
+    for chunk, count in failures.items():
+        if not (chunk.isascii() and chunk.isdigit()):
+            raise FaultError(
+                "'chunk-read-error' fault spec: 'failures' keys must be chunk "
+                f"indices, got {chunk!r:.40}"
+            )
+        out[int(chunk)] = json_number(
+            "failures", count, True, where="'chunk-read-error' fault spec: "
+        )
+    return out
+
+
+def _parse_fault(data: Any, scope: str) -> Any:
+    """One fault spec of ``scope`` (``"execution"`` or ``"grid"``)."""
+    if not isinstance(data, Mapping):
+        raise FaultError(
+            f"each fault spec must be a JSON object, got {type(data).__name__}"
+        )
+    kind = data.get("type")
+    specs, others = (
+        (_EXECUTION_SPECS, _GRID_SPECS) if scope == "execution"
+        else (_GRID_SPECS, _EXECUTION_SPECS)
+    )
+    if isinstance(kind, str) and kind in others:
+        raise _scope_mismatch(kind, scope)
+    if not isinstance(kind, str) or kind not in specs:
+        raise _unknown_kind(kind, scope)
+    spec_class, fields = specs[kind]
+    unknown = set(data) - set(fields) - {"type"}
     if unknown:
         raise FaultError(
             f"unknown key(s) {sorted(unknown)} in '{kind}' fault spec"
         )
-    out: Dict[str, Any] = {}
-    for key, default in keys.items():
-        if key in data:
-            out[key] = data[key]
-        elif default is ...:
+    args: Dict[str, Any] = {}
+    for key, (name, default, of_type) in fields.items():
+        value = data.get(key, default)
+        if value is ...:
             raise FaultError(f"'{kind}' fault spec requires key '{key}'")
-        else:
-            out[key] = default
-    return out
-
-
-def _fault_from_dict(data: Mapping[str, Any]) -> FaultSpec:
-    kind = data.get("type")
-    if kind == "data-node-crash":
-        args = _take(data, kind, {"pass": ..., "data_node": ..., "at_fraction": 0.5})
-        return DataNodeCrash(
-            pass_index=int(args["pass"]),
-            data_node=int(args["data_node"]),
-            at_fraction=float(args["at_fraction"]),
-        )
-    if kind == "compute-node-crash":
-        args = _take(
-            data, kind, {"pass": ..., "compute_node": ..., "at_fraction": 0.5}
-        )
-        return ComputeNodeCrash(
-            pass_index=int(args["pass"]),
-            compute_node=int(args["compute_node"]),
-            at_fraction=float(args["at_fraction"]),
-        )
-    if kind == "link-degradation":
-        args = _take(
-            data,
-            kind,
-            {"data_node": ..., "factor": ..., "from_pass": 0, "until_pass": None},
-        )
-        return LinkDegradation(
-            data_node=int(args["data_node"]),
-            factor=float(args["factor"]),
-            from_pass=int(args["from_pass"]),
-            until_pass=None if args["until_pass"] is None else int(args["until_pass"]),
-        )
-    if kind == "slow-node":
-        args = _take(
-            data,
-            kind,
-            {"compute_node": ..., "factor": ..., "from_pass": 0, "until_pass": None},
-        )
-        return SlowNode(
-            compute_node=int(args["compute_node"]),
-            factor=float(args["factor"]),
-            from_pass=int(args["from_pass"]),
-            until_pass=None if args["until_pass"] is None else int(args["until_pass"]),
-        )
-    if kind == "chunk-read-error":
-        args = _take(
-            data,
-            kind,
-            {"rate": 0.0, "pass": None, "data_node": None, "failures": None},
-        )
-        failures = args["failures"]
-        if failures is not None:
-            failures = {int(k): int(v) for k, v in failures.items()}
-        return ChunkReadError(
-            rate=float(args["rate"]),
-            pass_index=None if args["pass"] is None else int(args["pass"]),
-            data_node=None if args["data_node"] is None else int(args["data_node"]),
-            failures=failures,
-        )
-    if kind in GRID_FAULT_KINDS:
-        raise _scope_mismatch(str(kind), "execution")
-    raise _unknown_kind(kind, "execution")
+        if value is not None or default is not None:
+            value = _typed(value, key, of_type, kind)
+        args[name] = value
+    if kind == "chunk-read-error" and args["failures"] is not None:
+        args["failures"] = _chunk_failures(args["failures"])
+    return spec_class(**args)
 
 
 def grid_fault_from_dict(data: Mapping[str, Any]) -> GridFaultSpec:
     """Parse one grid-scoped fault spec mapping."""
-    kind = data.get("type")
-    if kind == "site-outage":
-        args = _take(data, kind, {"site": ..., "at": ..., "repair_after": None})
-        return SiteOutage(
-            site=str(args["site"]),
-            at=float(args["at"]),
-            repair_after=(
-                None if args["repair_after"] is None
-                else float(args["repair_after"])
-            ),
-        )
-    if kind == "node-pool-shrink":
-        args = _take(
-            data, kind,
-            {"site": ..., "at": ..., "nodes": ..., "restore_after": None},
-        )
-        return NodePoolShrink(
-            site=str(args["site"]),
-            at=float(args["at"]),
-            nodes=int(args["nodes"]),
-            restore_after=(
-                None if args["restore_after"] is None
-                else float(args["restore_after"])
-            ),
-        )
-    if kind == "wan-degradation":
-        args = _take(
-            data, kind,
-            {"a": ..., "b": ..., "factor": ..., "at": 0.0, "duration": None},
-        )
-        return WanDegradation(
-            site_a=str(args["a"]),
-            site_b=str(args["b"]),
-            factor=float(args["factor"]),
-            at=float(args["at"]),
-            duration=(
-                None if args["duration"] is None else float(args["duration"])
-            ),
-        )
-    if kind == "transient-job-failure":
-        args = _take(
-            data, kind, {"job": ..., "failures": 1, "at_fraction": 0.5}
-        )
-        return TransientJobFailure(
-            job_id=str(args["job"]),
-            failures=int(args["failures"]),
-            at_fraction=float(args["at_fraction"]),
-        )
-    if kind in EXECUTION_FAULT_KINDS:
-        raise _scope_mismatch(str(kind), "grid")
-    raise _unknown_kind(kind, "grid")
+    fault: GridFaultSpec = _parse_fault(data, "grid")
+    return fault
+
+
+def _retry_policy(raw: Any, what: str) -> RetryPolicy:
+    """A :class:`RetryPolicy` from the scenario's ``what`` object."""
+    if not isinstance(raw, Mapping):
+        raise FaultError(f"bad {what}: expected an object, got {raw!r:.40}")
+    try:
+        return RetryPolicy(**{
+            key: None if value is None and key == "per_chunk_timeout_s"
+            else json_number(key, value, key == "max_attempts", where=f"{what}: ")
+            for key, value in raw.items()
+        })
+    except TypeError as exc:  # a key RetryPolicy does not have
+        raise FaultError(f"bad {what}: {exc}") from exc
 
 
 def schedule_from_dict(data: Mapping[str, Any]) -> FaultSchedule:
@@ -279,7 +287,7 @@ def schedule_from_dict(data: Mapping[str, Any]) -> FaultSchedule:
     faults_raw = data.get("faults", [])
     if not isinstance(faults_raw, list):
         raise FaultError("'faults' must be a list of fault specs")
-    faults: List[FaultSpec] = [_fault_from_dict(f) for f in faults_raw]
+    faults: List[FaultSpec] = [_parse_fault(f, "execution") for f in faults_raw]
     checkpoints = data.get("checkpoints")
     if checkpoints is not None and not isinstance(checkpoints, bool):
         raise FaultError("'checkpoints' must be a boolean when present")
@@ -298,20 +306,17 @@ def injector_from_dict(data: Mapping[str, Any]) -> FaultInjector:
     """Build a fully configured :class:`FaultInjector` from a mapping."""
     schedule = schedule_from_dict(data)
     policy_raw = data.get("retry_policy")
-    if policy_raw is None:
-        policy = DEFAULT_RETRY_POLICY
-    else:
-        try:
-            policy = RetryPolicy(**policy_raw)
-        except TypeError as exc:
-            raise FaultError(f"bad retry_policy: {exc}") from exc
+    policy = (
+        DEFAULT_RETRY_POLICY if policy_raw is None
+        else _retry_policy(policy_raw, "retry_policy")
+    )
     replicas = data.get("replicas", ["standby-replica"])
     if not isinstance(replicas, list):
         raise FaultError("'replicas' must be a list of site names")
     return FaultInjector(
         schedule,
         policy=policy,
-        seed=int(data.get("seed", 0)),
+        seed=json_number("seed", data.get("seed", 0), True),
         replica_sites=[str(site) for site in replicas],
     )
 
@@ -334,13 +339,10 @@ def grid_scenario_from_dict(data: Mapping[str, Any]) -> GridFaultScenario:
     """Build a :class:`GridFaultScenario` from a decoded mapping."""
     schedule = grid_schedule_from_dict(data)
     retry_raw = data.get("retry")
-    if retry_raw is None:
-        retry = DEFAULT_BROKER_RETRY_POLICY
-    else:
-        try:
-            retry = BrokerRetryPolicy(backoff=RetryPolicy(**retry_raw))
-        except TypeError as exc:
-            raise FaultError(f"bad retry: {exc}") from exc
+    retry = (
+        DEFAULT_BROKER_RETRY_POLICY if retry_raw is None
+        else BrokerRetryPolicy(backoff=_retry_policy(retry_raw, "retry"))
+    )
     recovery = data.get("recovery")
     if recovery is not None:
         recovery = str(recovery)

@@ -30,8 +30,9 @@ connections in front of it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.broker.calibration import OnlineCalibrator
 from repro.core import GlobalReductionModel, ModelClasses
@@ -137,11 +138,8 @@ class ServiceResponse:
 
 @dataclass(frozen=True, slots=True)
 class RequestRecord:
-    """The log's view of one settled request.
-
-    Slotted: the log keeps one per settled request for the life of the
-    process, so a record's footprint is the log's growth rate.
-    """
+    """The log's view of one settled request (slotted: the log's window
+    holds thousands)."""
 
     request_id: str
     endpoint: str
@@ -171,19 +169,32 @@ class RequestRecord:
 
 
 class RequestLog:
-    """Append-only settlement ledger; the replay-compared artifact.
+    """Settlement ledger in constant memory; the replay-compared artifact.
 
-    Exactly-once is enforced structurally: settling the same request id
-    twice raises :class:`~repro.errors.InternalError` — a service bug,
-    not a client error.
+    The log keeps the last :attr:`WINDOW` records in a ring, and exact
+    running counters over every request it has settled: the count, per
+    outcome, per status, and the largest latency.  Exactly-once is
+    enforced structurally inside the window: settling a request id the
+    ring still holds raises :class:`~repro.errors.InternalError` — a
+    service bug, not a client error.  Every seeded or virtual-clock
+    artefact settles fewer requests than the window, so there
+    :attr:`records` is the whole log.
     """
 
+    #: Records kept, and the span over which a settled id is remembered.
+    WINDOW = 4096
+
     def __init__(self) -> None:
-        self.records: List[RequestRecord] = []
+        self.records: Deque[RequestRecord] = deque(maxlen=self.WINDOW)
         self._settled_ids: set[str] = set()
+        self._settled = 0
+        self._by_outcome: Dict[str, int] = {}
+        self._by_status: Dict[str, int] = {}
+        self._max_latency_s = 0.0
 
     def __len__(self) -> int:
-        return len(self.records)
+        """Requests settled so far, including those the window dropped."""
+        return self._settled
 
     def __contains__(self, request_id: object) -> bool:
         return request_id in self._settled_ids
@@ -194,8 +205,15 @@ class RequestLog:
                 f"request '{record.request_id}' settled twice — the "
                 "exactly-once invariant is broken"
             )
-        self._settled_ids.add(record.request_id)
+        if len(self.records) == self.WINDOW:
+            self._settled_ids.discard(self.records[0].request_id)
         self.records.append(record)
+        self._settled_ids.add(record.request_id)
+        self._settled += 1
+        outcome, status = record.outcome, str(record.status)
+        self._by_outcome[outcome] = self._by_outcome.get(outcome, 0) + 1
+        self._by_status[status] = self._by_status.get(status, 0) + 1
+        self._max_latency_s = max(self._max_latency_s, record.latency_s)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -204,15 +222,11 @@ class RequestLog:
         }
 
     def summary(self) -> Dict[str, Any]:
-        """Deterministic numeric rollup (the benchmark's raw material)."""
-        by_outcome: Dict[str, int] = {}
-        by_status: Dict[str, int] = {}
-        for record in self.records:
-            by_outcome[record.outcome] = by_outcome.get(record.outcome, 0) + 1
-            key = str(record.status)
-            by_status[key] = by_status.get(key, 0) + 1
+        """Deterministic numeric rollup (the benchmark's raw material):
+        exact counts, p50/p99 over the window."""
+        by_outcome, by_status = self._by_outcome, self._by_status
         latencies = sorted(record.latency_s for record in self.records)
-        total = len(self.records)
+        total = self._settled
         served = by_outcome.get("ok", 0) + by_outcome.get("stale", 0)
         return {
             "requests": total,
@@ -227,7 +241,7 @@ class RequestLog:
             ) if total else 0.0,
             "p50_latency_s": _percentile(latencies, 0.50),
             "p99_latency_s": _percentile(latencies, 0.99),
-            "max_latency_s": latencies[-1] if latencies else 0.0,
+            "max_latency_s": self._max_latency_s,
         }
 
 

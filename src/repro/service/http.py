@@ -35,7 +35,9 @@ errors included.  The threaded server keeps the connection alive
 :class:`FramingError` — 400, 413, 414, 431, 501, 505; DESIGN.md §15 has
 the rules — where the request stream can no longer be trusted: those
 carry ``Connection: close``.  Request ids are counter-based
-(``http-1``, ``http-2``, …) — deterministic, no UUIDs (REP102).
+(``http-1``, ``http-2``, …) — deterministic, no UUIDs (REP102) — unless
+the body carries its own ``request_id``: 1–128 visible ASCII characters
+outside the ``http-`` prefix, anything else a 400.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ _REQUEST_LINE = re.compile(
     r"([!-~]+) ([!-~]+) HTTP/([0-9]{1,10})\.([0-9]{1,10})"
 ).fullmatch
 _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+").fullmatch  # a field name
+#: A client's own request id: the ``http-`` ids are the gateway's.
+_CLIENT_ID = re.compile(r"(?!http-)[!-~]{1,128}").fullmatch
 
 
 class ServiceGateway:
@@ -99,11 +103,17 @@ class ServiceGateway:
                 "error": "params must be a JSON object, got "
                 f"{type(params).__name__}"
             }, None
+        client_id = payload.get("request_id")
+        if client_id is not None and not (
+            isinstance(client_id, str) and _CLIENT_ID(client_id)
+        ):
+            return 400, {
+                "error": "request_id must be 1-128 visible ASCII characters, "
+                f"not starting with 'http-', got {client_id!r:.40}"
+            }, None
         with self._lock:
             self._counter += 1
-            request_id = str(
-                payload.get("request_id") or f"http-{self._counter}"
-            )
+            request_id = client_id or f"http-{self._counter}"
             request = ServiceRequest(
                 request_id=request_id,
                 endpoint=endpoint,

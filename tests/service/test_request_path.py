@@ -8,7 +8,6 @@ never by a wall-clock threshold; the real-clock tests assert outcomes.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -18,6 +17,7 @@ import pytest
 
 from repro.core import durable, fingerprint
 from repro.core.durable import canonical_json, content_digest
+from repro.errors import InternalError
 from repro.faults.chaos import ServiceChaosSpec, _serve_case, verify_service_log
 from repro.service import (
     BackendFaultSpec,
@@ -33,10 +33,12 @@ from repro.service import (
     VirtualClock,
     demo_profiles,
     generate_requests,
+    serve_sequence,
 )
 from repro.service import app as service_app
 from repro.service.http import ServiceGateway, _route
 from repro.service.resilience import BreakerState
+from repro.simgrid.errors import ConfigurationError
 
 PREDICT = {"profile": "kmeans", "data_nodes": 2, "compute_nodes": 4}
 WHATIF = {"profile": "kmeans", "pairs": [[1, 2], [2, 4]]}
@@ -342,32 +344,150 @@ class TestVirtualTimeDidNotMove:
         )
 
 
-class TestRecordFootprint:
-    def test_a_settled_record_costs_less_than_a_dict_backed_one(self):
-        """Twice the throughput is twice the records: ratio, not bytes."""
-        dict_backed = dataclasses.make_dataclass(
-            "DictBackedRecord",
-            [(f.name, f.type) for f in dataclasses.fields(RequestRecord)],
-            frozen=True,
-        )
+def record(index, outcome="ok", latency_s=4e-3, request_id=None):
+    arrival = index * 1e-3
+    return RequestRecord(
+        request_id or f"http-{index}", "predict", arrival, arrival + latency_s,
+        {"ok": 200, "stale": 200, "shed": 429, "rejected": 400}[outcome],
+        outcome, outcome == "stale", 0,
+    )
 
-        def bytes_per_record(record_type, settled=10_000):
+
+def rollup(records):
+    """What ``summary()`` computed from a full record list before the
+    log kept counters: every record counted, sorted latencies."""
+    records = list(records)
+    outcomes = collections.Counter(r.outcome for r in records)
+    statuses = collections.Counter(str(r.status) for r in records)
+    latencies = sorted(r.latency_s for r in records)
+    total = len(records)
+    return {
+        "requests": total,
+        "by_outcome": dict(sorted(outcomes.items())),
+        "by_status": dict(sorted(statuses.items())),
+        "served": outcomes["ok"] + outcomes["stale"],
+        "shed": outcomes["shed"],
+        "stale_served": outcomes["stale"],
+        "shed_rate": outcomes["shed"] / total if total else 0.0,
+        "stale_rate": outcomes["stale"] / total if total else 0.0,
+        "p50_latency_s": service_app._percentile(latencies, 0.50),
+        "p99_latency_s": service_app._percentile(latencies, 0.99),
+        "max_latency_s": latencies[-1] if latencies else 0.0,
+    }
+
+
+WINDOW = RequestLog.WINDOW
+
+
+class TestTheLogRunsInConstantMemory:
+    def test_ten_windows_allocate_what_one_does(self):
+        def held_after(settled):
             log = RequestLog()
             tracemalloc.start()
             try:
-                before, _ = tracemalloc.get_traced_memory()
                 for i in range(settled):
-                    log.settle(
-                        record_type(
-                            f"http-{i}", "predict", i * 1e-3, i * 1e-3 + 4e-3,
-                            200, "ok", False, 0,
-                        )
-                    )
-                after, _ = tracemalloc.get_traced_memory()
+                    log.settle(record(i))
+                held, _ = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert len(log) == settled
-            return (after - before) / settled
+            assert len(log) == settled and len(log.records) == WINDOW
+            return held
 
-        assert "__dict__" not in dir(RequestRecord) and "__dict__" in dir(dict_backed)
-        assert bytes_per_record(RequestRecord) < 0.9 * bytes_per_record(dict_backed)
+        one, two, ten = (held_after(k * WINDOW) for k in (1, 2, 10))
+        assert ten <= two + 16 * 1024  # nothing grows after the first wrap
+        # The slack: once ids are evicted, the id set's hash table doubles
+        # (CPython resizes to 4x the live entries), then holds.
+        assert ten <= 1.5 * one
+
+    def test_counters_stay_exact_across_a_wrap(self):
+        log = RequestLog()
+        outcomes = ["ok", "stale", "shed", "rejected"]
+        settled = WINDOW + 1000
+        for i in range(settled):
+            latency = 5.0 if i == 3 else 4e-3  # the slowest leaves the window
+            log.settle(record(i, outcomes[i % 4], latency))
+        summary = log.summary()
+        assert len(log) == summary["requests"] == settled
+        assert sum(summary["by_outcome"].values()) == settled
+        assert sum(summary["by_status"].values()) == settled
+        assert summary["by_outcome"] == {o: settled // 4 for o in sorted(outcomes)}
+        assert summary["by_status"] == {
+            "200": settled // 2, "400": settled // 4, "429": settled // 4
+        }
+        assert summary["shed_rate"] == 0.25 and summary["served"] == settled // 2
+        assert summary["max_latency_s"] == 5.0
+        window = rollup(log.records)  # percentiles are over the window
+        assert window["requests"] == WINDOW and summary["p99_latency_s"] < 5.0
+        for key in ("p50_latency_s", "p99_latency_s"):
+            assert summary[key] == window[key]
+
+    def test_duplicates_are_detected_within_the_window(self):
+        log = RequestLog()
+        for i in range(WINDOW + 1):
+            log.settle(record(i))
+        assert "http-0" not in log and "http-1" in log
+        with pytest.raises(InternalError):
+            log.settle(record(WINDOW, request_id="http-1"))
+        log.settle(record(WINDOW + 1, request_id="http-0"))  # left the window
+        assert len(log) == WINDOW + 2 and len(log.records) == WINDOW
+
+    @pytest.mark.parametrize("scenario, seed", [("faulted", 11), ("overload", 23)])
+    def test_under_the_window_summary_is_the_full_rollup(self, scenario, seed):
+        service, _ = _serve_case(seed, SPECS[scenario])
+        assert len(service.log) == len(service.log.records) == 400
+        assert service.log.summary() == rollup(service.log.records)
+
+
+class TestChaosStaysInsideTheWindow:
+    def test_a_chaos_spec_past_the_window_is_refused(self):
+        assert ServiceChaosSpec(requests=WINDOW).requests == WINDOW
+        with pytest.raises(ConfigurationError, match="window"):
+            ServiceChaosSpec(requests=WINDOW + 1)
+
+    def test_an_overflowed_log_fails_verification(self):
+        service = PredictionService(demo_profiles())
+        submitted = [timed(f"r{i}", i * 0.01) for i in range(WINDOW + 1)]
+        serve_sequence(service, submitted)
+        violations = verify_service_log(service, submitted)
+        assert violations[0] == (
+            f"request log overflowed its window: {WINDOW + 1} settled, "
+            f"{WINDOW} kept; exactly-once cannot be proven past the window"
+        )
+        assert "request 'r0' settled 0 time(s); expected exactly 1" in violations
+        # One short of the window, the same run verifies clean.
+        service = PredictionService(demo_profiles())
+        serve_sequence(service, submitted[:WINDOW])
+        assert verify_service_log(service, submitted[:WINDOW]) == []
+
+
+class TestClientRequestIds:
+    @pytest.mark.parametrize(
+        "client_id",
+        ["http-2", {"a": [1, 2]}, 0, "", "x" * 129, "has space", "caf\u00e9",
+         "tab\there", ["r1"], True, "x" * 100_000],
+        ids=["gateway-prefix", "object", "zero", "empty", "129-chars", "space",
+             "non-ascii", "control", "list", "true", "100kb"],
+    )
+    def test_a_bad_client_id_is_a_400_naming_request_id(self, service, route, client_id):
+        status, body, _ = route("predict", {"params": PREDICT, "request_id": client_id})
+        assert status == 400 and "request_id" in body["error"]
+        assert len(body["error"]) < 200  # the id is not echoed whole
+        assert len(service.log) == 0 and service.bucket.admitted == 0
+
+    def test_a_client_cannot_take_the_gateways_next_id(self, service, route):
+        assert route("predict", {"params": PREDICT})[1]["request_id"] == "http-1"
+        assert route("predict", {"params": PREDICT, "request_id": "http-2"})[0] == 400
+        status, body, _ = route("predict", {"params": PREDICT})
+        assert (status, body["request_id"], body["outcome"]) == (200, "http-2", "ok")
+
+    def test_a_good_client_id_is_used_and_deduplicated(self, service, route):
+        client_id = "broker-7/job:42" + "x" * 113  # 128 visible characters
+        status, body, _ = route("predict", {"params": PREDICT, "request_id": client_id})
+        assert (status, body["request_id"], body["outcome"]) == (200, client_id, "ok")
+        status, body, _ = route("predict", {"params": PREDICT, "request_id": client_id})
+        assert (status, body["outcome"]) == (409, "duplicate")
+        assert len(service.log) == 1
+
+    def test_a_null_id_is_an_absent_one(self, route):
+        status, body, _ = route("predict", {"params": PREDICT, "request_id": None})
+        assert (status, body["request_id"]) == (200, "http-1")

@@ -1,11 +1,12 @@
-"""Structure-aware fuzz of the durable stores' loaders (ROADMAP 4(a)).
+"""Structure-aware fuzz of the loaders of files people write or the
+framework stores (ROADMAP 4(a)).
 
-Each store's committed or freshly written file is damaged by the shared
-``tests.fuzzing`` mutator, in every format a reader still accepts:
-campaign journals 1 (one document), 2 and 3 (JSON lines), trace
-artifacts 1 and 2, and prediction caches.  Loading may only raise a
-``ReproError``, and never touches the file: the bytes after a load,
-failed or not, are the bytes before it.
+Each document is damaged by the shared ``tests.fuzzing`` mutator, in
+every format a reader still accepts: campaign journals 1 (one
+document), 2 and 3 (JSON lines), trace artifacts 1 and 2, prediction
+caches, campaign manifests, and fault scenarios of both scopes.
+Loading may only raise a ``ReproError``, and never touches the file:
+the bytes after a load, failed or not, are the bytes before it.
 """
 
 import json
@@ -16,9 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.campaign import CampaignJournal
+from repro.campaign.manifest import load_manifest
 from repro.core.durable import canonical_json
 from repro.core.predcache import PredictionCache
 from repro.errors import ReproError
+from repro.faults.scenario import load_grid_scenario, load_scenario
 from repro.workloads.traces import TraceWorkload, make_preset
 
 from tests.campaign.conftest import make_manifest
@@ -133,3 +136,101 @@ def test_only_repro_errors_escape_a_prediction_cache_load(tmp_path, document):
             assert isinstance(entry.payload, dict)
 
     loads_or_refuses(path, load)
+
+
+MANIFEST_DOCUMENT = {
+    "name": "nightly",
+    "default_deadline_s": 120.0,
+    "metadata": {"owner": "ci", "tags": ["fast"]},
+    "entries": [
+        {"id": "fig02", "fast": True},
+        {"id": "nine", "experiment_id": "fig09", "deadline_s": 60.0},
+        {
+            "id": "em-under-faults", "kind": "fault-scenario",
+            "workload": "em", "size_label": "350 MB", "fast": True,
+            "deadline_s": 60.0,
+            "scenario": {
+                "seed": 7,
+                "faults": [
+                    {"type": "chunk-read-error", "rate": 0.05},
+                    {"type": "data-node-crash", "pass": 0, "data_node": 1},
+                ],
+            },
+        },
+    ],
+}
+
+
+@FUZZ
+@given(document=mutated(MANIFEST_DOCUMENT))
+def test_only_repro_errors_escape_a_manifest_load(tmp_path, document):
+    path = tmp_path / "manifest.json"
+    path.write_text(canonical_json(document))
+
+    def load(path):
+        manifest = load_manifest(path)
+        manifest.fingerprint()  # what a journal binds to must serialize
+        for entry in manifest.entries:
+            deadline = entry.effective_deadline_s(manifest.default_deadline_s)
+            assert deadline is None or (math.isfinite(deadline) and deadline > 0)
+
+    loads_or_refuses(path, load)
+
+
+EXECUTION_SCENARIO = {
+    "seed": 42,
+    "replicas": ["repo-b"],
+    "retry_policy": {"max_attempts": 5, "base_backoff_s": 0.01},
+    "checkpoints": True,
+    "faults": [
+        {"type": "data-node-crash", "pass": 0, "data_node": 1, "at_fraction": 0.5},
+        {"type": "compute-node-crash", "pass": 1, "compute_node": 3,
+         "at_fraction": 0.25},
+        {"type": "link-degradation", "data_node": 0, "factor": 2.0,
+         "until_pass": 2},
+        {"type": "slow-node", "compute_node": 2, "factor": 1.5, "from_pass": 1},
+        {"type": "chunk-read-error", "rate": 0.05, "pass": 0, "data_node": 0,
+         "failures": {"3": 2}},
+    ],
+}
+GRID_SCENARIO = {
+    "recovery": "migrate",
+    "retry": {"max_attempts": 3, "base_backoff_s": 0.02},
+    "grid_faults": [
+        {"type": "site-outage", "site": "hpc-1", "at": 2.0, "repair_after": 4.0},
+        {"type": "node-pool-shrink", "site": "hpc-2", "at": 1.0, "nodes": 8,
+         "restore_after": 6.0},
+        {"type": "wan-degradation", "a": "repo-a", "b": "hpc-1", "factor": 2.0,
+         "at": 0.0, "duration": 5.0},
+        {"type": "transient-job-failure", "job": "job0007-kmeans",
+         "failures": 1, "at_fraction": 0.5},
+    ],
+}
+
+
+@FUZZ
+@given(document=mutated(EXECUTION_SCENARIO))
+def test_only_repro_errors_escape_a_scenario_load(tmp_path, document):
+    path = tmp_path / "scenario.json"
+    path.write_text(canonical_json(document))
+    loads_or_refuses(path, load_scenario)
+
+
+@FUZZ
+@given(document=mutated(GRID_SCENARIO))
+def test_only_repro_errors_escape_a_grid_scenario_load(tmp_path, document):
+    path = tmp_path / "scenario.json"
+    path.write_text(canonical_json(document))
+    loads_or_refuses(path, load_grid_scenario)
+
+
+@pytest.mark.parametrize(
+    "load, document",
+    [(load_manifest, MANIFEST_DOCUMENT), (load_scenario, EXECUTION_SCENARIO),
+     (load_grid_scenario, GRID_SCENARIO)],
+    ids=["manifest", "scenario", "grid-scenario"],
+)
+def test_the_unmutated_documents_load(tmp_path, load, document):
+    path = tmp_path / "document.json"
+    path.write_text(canonical_json(document))
+    assert loads_or_refuses(path, load)
