@@ -22,9 +22,8 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
-from repro.apps.joining import join_fragments
+from repro.apps.joining import join_fragments, label_components
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.instrument import OpCounter
 from repro.middleware.reduction import FeatureListReductionObject
@@ -112,7 +111,7 @@ class DefectDetection(GeneralizedReduction):
         interior_species = species[halo_lo : halo_lo + layers]
 
         mask = interior > self.threshold
-        labels, num = ndimage.label(mask)  # 6-connectivity in 3-D
+        labels, num = label_components(mask)  # 6-connectivity in 3-D
 
         for comp in range(1, num + 1):
             zs, ys, xs = np.nonzero(labels == comp)

@@ -4,14 +4,28 @@ Both vortex detection and molecular defect detection partition their grid
 spatially, extract features locally, and then — in the serialized global
 combination — join feature *fragments* that straddle partition boundaries
 (Sections 4.4-4.5 of the paper).  The joining machinery (a union-find over
-fragments plus boundary-adjacency tests) is shared here.
+fragments plus boundary-adjacency tests) is shared here, and so is the
+local connected-component labelling that produces the fragments.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Sequence
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
-__all__ = ["UnionFind", "join_fragments"]
+__all__ = ["UnionFind", "join_fragments", "label_components"]
+
+
+def label_components(mask: Any) -> Tuple[Any, int]:
+    """``scipy.ndimage.label(mask)``: each face-connected component of a
+    boolean grid numbered ``1..count`` in scan order, and the count.
+
+    The one place the package imports SciPy, on the first call: the
+    prediction commands (``serve``, ``predict``, ``whatif``) never
+    label a chunk, so they start without it.
+    """
+    from scipy import ndimage
+
+    return ndimage.label(mask)
 
 
 class UnionFind:

@@ -19,9 +19,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 import numpy as np
-from scipy import ndimage
 
-from repro.apps.joining import join_fragments
+from repro.apps.joining import join_fragments, label_components
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.instrument import OpCounter
 from repro.middleware.reduction import FeatureListReductionObject
@@ -85,7 +84,7 @@ class VortexDetection(GeneralizedReduction):
         interior = vorticity[halo_lo : halo_lo + rows]
 
         mask = np.abs(interior) > self.vort_threshold
-        labels, num = ndimage.label(mask)
+        labels, num = label_components(mask)
 
         for comp in range(1, num + 1):
             ys, xs = np.nonzero(labels == comp)

@@ -15,6 +15,7 @@ execution configuration".  The summary information comprises:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict
 
@@ -53,13 +54,18 @@ class Profile:
     def __post_init__(self) -> None:
         if self.data_nodes <= 0 or self.compute_nodes <= 0:
             raise ConfigurationError("profile node counts must be positive")
-        if self.dataset_bytes <= 0:
-            raise ConfigurationError("profile dataset size must be positive")
-        if self.bandwidth <= 0:
-            raise ConfigurationError("profile bandwidth must be positive")
-        for name in ("t_disk", "t_network", "t_compute", "t_ro", "t_g", "t_cache"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"profile {name} must be >= 0")
+        # Written so that NaN, which passes every ``<`` guard, fails.
+        for name in ("dataset_bytes", "bandwidth"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"profile {name} must be positive and finite"
+                )
+        for name in (
+            "t_disk", "t_network", "t_compute", "t_ro", "t_g", "t_cache",
+            "max_object_bytes", "broadcast_bytes",
+        ):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"profile {name} must be finite and >= 0")
         if self.t_ro + self.t_g + self.t_cache > self.t_compute + 1e-12:
             raise ConfigurationError(
                 "T_ro + T_g + cache time cannot exceed the processing component"

@@ -16,11 +16,13 @@ from repro.core.durable import (
     CorruptStoreError,
     atomic_write_json,
     check_format_version,
+    json_number,
     quarantine_corrupt,
     read_json_document,
 )
 from repro.core.profile import Profile
 from repro.simgrid.errors import ConfigurationError
+from repro.simgrid.hardware import ClusterSpec
 from repro.simgrid.serialize import cluster_from_dict, cluster_to_dict
 
 __all__ = [
@@ -59,30 +61,48 @@ def profile_to_dict(profile: Profile) -> Dict[str, Any]:
 
 
 def profile_from_dict(data: Dict[str, Any]) -> Profile:
-    """Rebuild a profile from :func:`profile_to_dict` output."""
+    """Rebuild a profile from :func:`profile_to_dict` output.
+
+    Strict: ``app`` is a string, node counts and gather rounds are
+    integers, every other number is finite.  Anything else is a
+    :class:`ConfigurationError` naming the field — never a NaN
+    prediction further down.
+    """
     check_format_version(data, "profile", _FORMAT_VERSION)
-    try:
-        return Profile(
-            app=str(data["app"]),
-            storage_cluster=cluster_from_dict(data["storage_cluster"]),
-            compute_cluster=cluster_from_dict(data["compute_cluster"]),
-            data_nodes=int(data["data_nodes"]),
-            compute_nodes=int(data["compute_nodes"]),
-            bandwidth=float(data["bandwidth"]),
-            dataset_bytes=float(data["dataset_bytes"]),
-            t_disk=float(data["t_disk"]),
-            t_network=float(data["t_network"]),
-            t_compute=float(data["t_compute"]),
-            t_ro=float(data["t_ro"]),
-            t_g=float(data["t_g"]),
-            max_object_bytes=float(data["max_object_bytes"]),
-            broadcast_bytes=float(data.get("broadcast_bytes", 0.0)),
-            gather_rounds=int(data.get("gather_rounds", 1)),
-            processes_per_node=int(data.get("processes_per_node", 1)),
-            t_cache=float(data.get("t_cache", 0.0)),
+
+    def number(key: str, default: Any = None, integer: bool = False) -> Any:
+        return json_number(key, data.get(key, default), integer, where="profile: ")
+
+    def cluster(key: str) -> ClusterSpec:
+        try:
+            return cluster_from_dict(data.get(key))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"profile: '{key}': {exc}") from exc
+
+    app = data.get("app")
+    if not isinstance(app, str):
+        raise ConfigurationError(
+            f"profile: 'app' must be a string, got {app!r:.40}"
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed profile: {exc}") from exc
+    return Profile(
+        app=app,
+        storage_cluster=cluster("storage_cluster"),
+        compute_cluster=cluster("compute_cluster"),
+        data_nodes=number("data_nodes", integer=True),
+        compute_nodes=number("compute_nodes", integer=True),
+        bandwidth=number("bandwidth"),
+        dataset_bytes=number("dataset_bytes"),
+        t_disk=number("t_disk"),
+        t_network=number("t_network"),
+        t_compute=number("t_compute"),
+        t_ro=number("t_ro"),
+        t_g=number("t_g"),
+        max_object_bytes=number("max_object_bytes"),
+        broadcast_bytes=number("broadcast_bytes", 0.0),
+        gather_rounds=number("gather_rounds", 1, integer=True),
+        processes_per_node=number("processes_per_node", 1, integer=True),
+        t_cache=number("t_cache", 0.0),
+    )
 
 
 def save_profile(profile: Profile, path: str | pathlib.Path) -> pathlib.Path:

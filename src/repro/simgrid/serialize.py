@@ -8,8 +8,9 @@ nested specs.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Mapping
 
+from repro.core.durable import json_number
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import (
     ClusterSpec,
@@ -27,8 +28,26 @@ def _disk_to_dict(disk: DiskSpec) -> Dict[str, float]:
     return {"seek_s": disk.seek_s, "stream_bw": disk.stream_bw}
 
 
-def _disk_from_dict(data: Dict[str, Any]) -> DiskSpec:
-    return DiskSpec(seek_s=float(data["seek_s"]), stream_bw=float(data["stream_bw"]))
+def _object(value: Any, name: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(
+            f"'{name}' must be a JSON object, got {value!r:.40}"
+        )
+    return value
+
+
+def _text(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"'{name}' must be a string, got {value!r:.40}")
+    return value
+
+
+def _disk_from_dict(value: Any, name: str) -> DiskSpec:
+    data = _object(value, name)
+    return DiskSpec(
+        seek_s=json_number(f"{name}.seek_s", data.get("seek_s")),
+        stream_bw=json_number(f"{name}.stream_bw", data.get("stream_bw")),
+    )
 
 
 def cluster_to_dict(cluster: ClusterSpec) -> Dict[str, Any]:
@@ -61,44 +80,56 @@ def cluster_to_dict(cluster: ClusterSpec) -> Dict[str, Any]:
     }
 
 
-def cluster_from_dict(data: Dict[str, Any]) -> ClusterSpec:
-    """Rebuild a cluster spec from :func:`cluster_to_dict` output."""
+def cluster_from_dict(value: Any) -> ClusterSpec:
+    """Rebuild a cluster spec from :func:`cluster_to_dict` output.
+
+    Strict, like every loader of a stored file: nested specs are JSON
+    objects, names are strings, counts are integers and every other
+    number is finite; anything else is a :class:`ConfigurationError`
+    naming the field.
+    """
+    data = _object(value, "cluster")
+    cpu = _object(data.get("cpu"), "cpu")
+    rates = _object(cpu.get("rates"), "cpu.rates")
+    nic = _object(data.get("nic"), "nic")
+    cache_disk = data.get("cache_disk")
     try:
-        cpu = CPUSpec(
-            name=str(data["cpu"]["name"]),
-            rates={
-                OpCategory(cat): float(rate)
-                for cat, rate in data["cpu"]["rates"].items()
-            },
-        )
-        node = NodeSpec(
-            cpu=cpu,
-            disk=_disk_from_dict(data["disk"]),
+        categories = [OpCategory(cat) for cat in rates]
+    except ValueError as exc:
+        raise ConfigurationError(f"'cpu.rates': {exc}") from exc
+
+    def number(key: str, default: Any = None, integer: bool = False) -> Any:
+        return json_number(key, data.get(key, default), integer)
+
+    return ClusterSpec(
+        name=_text(data.get("name"), "name"),
+        node=NodeSpec(
+            cpu=CPUSpec(
+                name=_text(cpu.get("name"), "cpu.name"),
+                rates={
+                    cat: json_number(f"cpu.rates.{cat.value}", rates[cat.value])
+                    for cat in categories
+                },
+            ),
+            disk=_disk_from_dict(data.get("disk"), "disk"),
             nic=NICSpec(
-                latency_s=float(data["nic"]["latency_s"]),
-                bw=float(data["nic"]["bw"]),
+                latency_s=json_number("nic.latency_s", nic.get("latency_s")),
+                bw=json_number("nic.bw", nic.get("bw")),
             ),
-        )
-        cache_disk = data.get("cache_disk")
-        return ClusterSpec(
-            name=str(data["name"]),
-            node=node,
-            num_nodes=int(data["num_nodes"]),
-            repository_backplane_bw=float(data["repository_backplane_bw"]),
-            node_startup_s=float(data.get("node_startup_s", 0.0)),
-            compute_pass_startup_s=float(data.get("compute_pass_startup_s", 0.0)),
-            chunk_dispatch_overhead_s=float(
-                data.get("chunk_dispatch_overhead_s", 0.0)
-            ),
-            chunk_receive_overhead_s=float(
-                data.get("chunk_receive_overhead_s", 0.0)
-            ),
-            intra_latency_s=float(data.get("intra_latency_s", 0.0)),
-            intra_bw=float(data.get("intra_bw", 1.0e12)),
-            gather_deserialize_s=float(data.get("gather_deserialize_s", 0.0)),
-            cache_disk=_disk_from_dict(cache_disk) if cache_disk else None,
-            smp_width=int(data.get("smp_width", 1)),
-            smp_memory_contention=float(data.get("smp_memory_contention", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed cluster spec: {exc}") from exc
+        ),
+        num_nodes=number("num_nodes", integer=True),
+        repository_backplane_bw=number("repository_backplane_bw"),
+        node_startup_s=number("node_startup_s", 0.0),
+        compute_pass_startup_s=number("compute_pass_startup_s", 0.0),
+        chunk_dispatch_overhead_s=number("chunk_dispatch_overhead_s", 0.0),
+        chunk_receive_overhead_s=number("chunk_receive_overhead_s", 0.0),
+        intra_latency_s=number("intra_latency_s", 0.0),
+        intra_bw=number("intra_bw", 1.0e12),
+        gather_deserialize_s=number("gather_deserialize_s", 0.0),
+        cache_disk=(
+            None if cache_disk is None
+            else _disk_from_dict(cache_disk, "cache_disk")
+        ),
+        smp_width=number("smp_width", 1, integer=True),
+        smp_memory_contention=number("smp_memory_contention", 0.0),
+    )

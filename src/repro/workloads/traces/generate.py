@@ -31,12 +31,14 @@ can aggregate per VO and per arrival window without a join back here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.broker.jobs import BrokerJob
+from repro.core.durable import json_number
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.traces.distributions import DistributionSpec
 from repro.workloads.traces.spec import (
@@ -65,6 +67,12 @@ Baselines = Union[
 ]
 
 
+def _check_weights(what: str, weights: Sequence[float]) -> None:
+    """Positive with a finite total: ``realize_jobs`` divides by it."""
+    if not all(0 < weight for weight in weights) or not sum(weights) < math.inf:
+        raise ConfigurationError(f"{what} must be positive with a finite sum")
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     """A deterministic recipe for a synthetic job stream.
@@ -91,8 +99,7 @@ class StreamSpec:
             raise ConfigurationError("mean inter-arrival must be positive")
         if not self.mix:
             raise ConfigurationError("stream needs a non-empty workload mix")
-        if any(weight <= 0 for _, _, weight in self.mix):
-            raise ConfigurationError("mix weights must be positive")
+        _check_weights("mix weights", [weight for _, _, weight in self.mix])
         if not 0.0 <= self.deadline_fraction <= 1.0:
             raise ConfigurationError("deadline fraction must be in [0, 1]")
         lo, hi = self.deadline_slack
@@ -108,6 +115,7 @@ class StreamSpec:
             raise ConfigurationError(
                 "priority_weights must match priorities in length"
             )
+        _check_weights("priority_weights", self.priority_weights)
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "StreamSpec":
@@ -119,26 +127,49 @@ class StreamSpec:
              "mix": [["kmeans", null, 2.0], ["em", null, 1.0]],
              "deadline_fraction": 0.4, "deadline_slack": [1.5, 3.0],
              "priorities": [0, 1]}
+
+        Parsed as strictly as the rest of the document
+        (:func:`~repro.broker.jobs.parse_workload_document`): counts and
+        priorities are integers, every other number is finite, and a
+        violation is a :class:`ConfigurationError` naming the field.
         """
+        where = "stream: "
         if "count" not in doc:
             raise ConfigurationError("stream spec needs a 'count'")
+
+        def number(key: str, default: Any, integer: bool = False) -> Any:
+            return json_number(key, doc.get(key, default), integer, where=where)
+
+        def numbers(key: str, integer: bool = False) -> Tuple[Any, ...]:
+            values = doc[key]
+            if not isinstance(values, list):
+                raise ConfigurationError(
+                    f"{where}'{key}' must be a list, got {values!r:.40}"
+                )
+            return tuple(
+                json_number(f"{key}[{i}]", v, integer, where=where)
+                for i, v in enumerate(values)
+            )
+
         kwargs: dict = {
-            "count": int(doc["count"]),
-            "seed": int(doc.get("seed", 0)),
-            "mean_interarrival": float(doc.get("mean_interarrival", 0.1)),
-            "deadline_fraction": float(doc.get("deadline_fraction", 0.0)),
+            "count": number("count", None, integer=True),
+            "seed": number("seed", 0, integer=True),
+            "mean_interarrival": number("mean_interarrival", 0.1),
+            "deadline_fraction": number("deadline_fraction", 0.0),
         }
         if "mix" in doc:
-            kwargs["mix"] = _parse_mix(doc["mix"])
+            kwargs["mix"] = _parse_mix(doc["mix"], where)
         if "deadline_slack" in doc:
-            lo, hi = doc["deadline_slack"]
-            kwargs["deadline_slack"] = (float(lo), float(hi))
+            slack = numbers("deadline_slack")
+            if len(slack) != 2:
+                raise ConfigurationError(
+                    f"{where}'deadline_slack' must be a [lo, hi] pair"
+                )
+            kwargs["deadline_slack"] = slack
         if "priorities" in doc:
-            kwargs["priorities"] = tuple(int(p) for p in doc["priorities"])
+            kwargs["priorities"] = numbers("priorities", integer=True)
         if "priority_weights" in doc:
-            kwargs["priority_weights"] = tuple(
-                float(w) for w in doc["priority_weights"]
-            )
+            kwargs["priority_weights"] = numbers("priority_weights")
         return cls(**kwargs)
 
 

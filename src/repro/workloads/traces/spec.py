@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.durable import json_number
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.traces.distributions import DistributionSpec
 
@@ -96,17 +97,28 @@ class DiurnalSpec:
         )
 
 
-def _parse_mix(entries: Any) -> Mix:
+def _parse_mix(entries: Any, where: str = "") -> Mix:
+    """``[[workload, size-or-null, weight], ...]`` with size and weight
+    optional; anything else is an error naming the entry."""
+    if not isinstance(entries, list):
+        raise ConfigurationError(f"{where}'mix' must be a list, got {entries!r:.40}")
     mix: List[Tuple[str, Optional[str], float]] = []
-    for entry in entries:
-        entry = list(entry)
-        if not entry:
-            raise ConfigurationError("empty mix entry")
-        workload = str(entry[0])
+    for index, entry in enumerate(entries):
+        name = f"mix[{index}]"
+        if not isinstance(entry, list) or not 1 <= len(entry) <= 3:
+            raise ConfigurationError(
+                f"{where}'{name}' must be a [workload, size, weight] list, "
+                f"got {entry!r:.40}"
+            )
+        workload = entry[0]
         size = entry[1] if len(entry) > 1 else None
-        size = str(size) if size is not None else None
-        weight = float(entry[2]) if len(entry) > 2 else 1.0
-        mix.append((workload, size, weight))
+        if not isinstance(workload, str) or not isinstance(size, (str, type(None))):
+            raise ConfigurationError(
+                f"{where}'{name}' needs a workload name and a size label "
+                f"or null, got {entry!r:.40}"
+            )
+        weight = entry[2] if len(entry) > 2 else 1.0
+        mix.append((workload, size, json_number(f"{name}[2]", weight, where=where)))
     return tuple(mix)
 
 

@@ -1,6 +1,9 @@
 """Tests for profile persistence and hardware-spec serialization."""
 
+import dataclasses
 import json
+import math
+import re
 
 import pytest
 
@@ -75,6 +78,46 @@ class TestProfileSerialization:
         del data["t_disk"]
         with pytest.raises(ConfigurationError):
             profile_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("t_disk",), math.nan, "t_disk"),
+            (("bandwidth",), math.nan, "bandwidth"),
+            (("data_nodes",), 2.7, "data_nodes"),
+            (("data_nodes",), True, "data_nodes"),
+            (("data_nodes",), math.inf, "data_nodes"),
+            (("app",), [1, 2], "app"),
+            (("broadcast_bytes",), "12", "broadcast_bytes"),
+            (("storage_cluster", "cpu", "rates"), [1, 2], "cpu.rates"),
+            (("compute_cluster", "num_nodes"), 1e999, "num_nodes"),
+            (("compute_cluster", "disk", "seek_s"), None, "disk.seek_s"),
+        ],
+    )
+    def test_every_field_is_strict(self, path, value, named):
+        data = profile_to_dict(make_profile())
+        *parents, last = path
+        holder = data
+        for key in parents:
+            holder = holder[key]
+        holder[last] = value
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            profile_from_dict(data)
+
+    def test_a_literal_overflowing_count_is_an_error(self, tmp_path):
+        path = tmp_path / "p.json"
+        text = json.dumps(profile_to_dict(make_profile(n=2)))
+        path.write_text(text.replace('"data_nodes": 2', '"data_nodes": 1e999'))
+        with pytest.raises(ConfigurationError, match="data_nodes"):
+            load_profile(path)
+
+    @pytest.mark.parametrize(
+        "name", ["t_disk", "bandwidth", "dataset_bytes", "max_object_bytes"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_profile_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            dataclasses.replace(make_profile(), **{name: value})
 
 
 class TestFileRoundTrip:

@@ -113,7 +113,8 @@ class TestCommandTable:
 
     def test_predict_loads_no_other_subsystem(self, tmp_path):
         """The docstring's promise: ``repro predict`` runs without the
-        broker, the service, the linter or the campaign engine."""
+        broker, the service, the linter or the campaign engine — and,
+        running no kernel, without SciPy."""
         profile = tmp_path / "knn.json"
         assert main(["run", "knn", "--size", "350 MB",
                      "--save-profile", str(profile)]) == 0
@@ -135,6 +136,7 @@ class TestCommandTable:
         foreign = ("repro.broker", "repro.service", "repro.lint",
                    "repro.campaign")
         assert [m for m in loaded if m.startswith(foreign)] == []
+        assert [m for m in loaded if m.startswith("scipy")] == []
 
 
 class TestParser:

@@ -1,0 +1,100 @@
+"""Which processes load SciPy (docs/architecture.md, "The import rule").
+
+The prediction model is closed-form, so the service answers without
+running a kernel and never needs ``scipy.ndimage``; the two scientific
+kernels load it through ``repro.apps.joining.label_components`` when they
+label their first chunk.  Each check runs in a fresh child process, where
+``sys.modules`` shows exactly what the code under test imported.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+from repro.apps.defect import DefectDetection
+from repro.apps.vortex import VortexDetection
+from repro.datagen.cfd import make_field_dataset
+from repro.datagen.lattice import make_lattice_dataset
+
+from tests.apps.conftest import execute
+
+
+def run_child(script):
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+#: ``repro serve --port``'s construction, then one predict and one
+#: what-if through ``handle``.
+_SERVICE = """
+import json, sys
+from repro.service.app import PredictionService, ServiceRequest
+from repro.service.backends import ServiceBackend, ServiceCostModel
+from repro.service.clock import MonotonicClock
+from repro.service.http import make_server
+from repro.service.resilience import ResilienceConfig
+from repro.service.workload import demo_profiles
+
+service = PredictionService(
+    demo_profiles(),
+    clock=MonotonicClock(),
+    config=ResilienceConfig(admission_rate=600.0, admission_burst=64.0),
+    backend=ServiceBackend(ServiceCostModel()),
+)
+responses = [
+    service.handle(ServiceRequest(
+        "p", "predict", {"profile": "kmeans", "data_nodes": 2, "compute_nodes": 4})),
+    service.handle(ServiceRequest(
+        "w", "what-if", {"profile": "kmeans", "pairs": [[1, 2], [4, 8]]})),
+]
+print(json.dumps({
+    "statuses": [r.status for r in responses],
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+"""
+
+
+def test_the_service_answers_without_scipy():
+    result = run_child(_SERVICE)
+    assert result["statuses"] == [200, 200]
+    assert result["scipy"] == []
+
+
+def vortex_and_defect():
+    vortex = execute(
+        VortexDetection(),
+        make_field_dataset("vx", ny=96, nx=64, num_chunks=8, num_vortices=3, seed=21),
+        2, 4,
+    )
+    defect = execute(
+        DefectDetection(),
+        make_lattice_dataset("df", nz=32, ny=8, nx=8, num_chunks=8, num_defects=4,
+                             seed=23),
+        2, 4,
+    )
+    return repr((vortex.result, defect.result))
+
+
+#: The same two runs in a child, reporting when ``scipy`` arrived.
+_KERNELS = """
+import json, sys
+from tests.test_cold_start import vortex_and_defect
+
+imported = "scipy" in sys.modules
+results = vortex_and_defect()
+print(json.dumps({"imported": imported, "ran": "scipy.ndimage" in sys.modules,
+                  "results": results}))
+"""
+
+
+def test_vortex_and_defect_load_scipy_at_their_first_chunk():
+    result = run_child(_KERNELS)
+    assert result["imported"] is False
+    assert result["ran"] is True
+    assert result["results"] == vortex_and_defect()

@@ -4,7 +4,8 @@ framework stores (ROADMAP 4(a)).
 Each document is damaged by the shared ``tests.fuzzing`` mutator, in
 every format a reader still accepts: campaign journals 1 (one
 document), 2 and 3 (JSON lines), trace artifacts 1 and 2, prediction
-caches, campaign manifests, and fault scenarios of both scopes.
+caches, campaign manifests, fault scenarios of both scopes, profiles,
+and the ``stream`` section of broker workload documents.
 Loading may only raise a ``ReproError``, and never touches the file:
 the bytes after a load, failed or not, are the bytes before it.
 """
@@ -16,16 +17,21 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.broker.jobs import load_workload_document
 from repro.campaign import CampaignJournal
 from repro.campaign.manifest import load_manifest
 from repro.core.durable import canonical_json
 from repro.core.predcache import PredictionCache
+from repro.core.store import load_profile, profile_to_dict
 from repro.errors import ReproError
 from repro.faults.scenario import load_grid_scenario, load_scenario
 from repro.workloads.traces import TraceWorkload, make_preset
+from repro.workloads.traces.generate import StreamSpec, generate_stream
 
+from tests.broker.test_workload_fuzz import GRID
 from tests.campaign.conftest import make_manifest
 from tests.campaign.test_journal import GOLDENS as JOURNAL_GOLDENS, record
+from tests.core.conftest import make_profile
 from tests.fuzzing import mutated
 
 TRACE_GOLDENS = pathlib.Path(__file__).parent / "workloads" / "goldens"
@@ -224,11 +230,53 @@ def test_only_repro_errors_escape_a_grid_scenario_load(tmp_path, document):
     loads_or_refuses(path, load_grid_scenario)
 
 
+PROFILE_DOCUMENT = profile_to_dict(make_profile(n=2, c=4, rounds=2, broadcast=64.0))
+
+
+def load_checked_profile(path):
+    profile = load_profile(path)
+    assert math.isfinite(profile.total)
+
+
+@FUZZ
+@given(document=mutated(PROFILE_DOCUMENT))
+def test_only_repro_errors_escape_a_profile_load(tmp_path, document):
+    path = tmp_path / "profile.json"
+    path.write_text(canonical_json(document))
+    loads_or_refuses(path, load_checked_profile)
+
+
+STREAM = {
+    "count": 12, "seed": 3, "mean_interarrival": 0.05,
+    "mix": [["kmeans", None, 2.0], ["knn", "350 MB", 1.0], ["em"]],
+    "deadline_fraction": 0.5, "deadline_slack": [1.5, 3.0],
+    "priorities": [0, 1], "priority_weights": [3.0, 1.0],
+}
+
+
+def load_stream(path):
+    """What ``GridBroker.resolve_jobs`` does with a ``stream`` section,
+    with every deadline baseline 2 s."""
+    spec = StreamSpec.from_dict(load_workload_document(path).stream)
+    jobs = generate_stream(spec, baselines=lambda workload, size: 2.0)
+    assert len(jobs) == spec.count
+
+
+@FUZZ
+@given(stream=mutated(STREAM))
+def test_only_repro_errors_escape_a_stream_spec_load(tmp_path, stream):
+    path = tmp_path / "workload.json"
+    path.write_text(canonical_json(dict(GRID, stream=stream)))
+    loads_or_refuses(path, load_stream)
+
+
 @pytest.mark.parametrize(
     "load, document",
     [(load_manifest, MANIFEST_DOCUMENT), (load_scenario, EXECUTION_SCENARIO),
-     (load_grid_scenario, GRID_SCENARIO)],
-    ids=["manifest", "scenario", "grid-scenario"],
+     (load_grid_scenario, GRID_SCENARIO),
+     (load_checked_profile, PROFILE_DOCUMENT),
+     (load_stream, dict(GRID, stream=STREAM))],
+    ids=["manifest", "scenario", "grid-scenario", "profile", "stream"],
 )
 def test_the_unmutated_documents_load(tmp_path, load, document):
     path = tmp_path / "document.json"

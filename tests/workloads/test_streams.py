@@ -1,6 +1,7 @@
 """Seeded job-stream generation: determinism, mixes, deadlines."""
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -54,6 +55,30 @@ class TestStreamSpec:
     def test_from_dict_requires_count(self):
         with pytest.raises(ConfigurationError, match="count"):
             StreamSpec.from_dict({})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mean_interarrival", math.nan),
+            ("count", "10"),
+            ("count", 2.7),
+            ("seed", math.inf),
+            ("priorities", [True]),
+            ("priority_weights", [1.0, -1.0]),
+            ("priority_weights", [1e308, 1e308]),
+            ("deadline_slack", [1.5, math.inf]),
+            ("deadline_slack", "ab"),
+            ("deadline_slack", [1.5]),
+            ("mix", [["kmeans", None, math.nan]]),
+            ("mix", [["kmeans", 350, 1.0]]),
+            ("mix", [["kmeans", None, 1e308], ["em", None, 1e308]]),
+            ("mix", "kmeans"),
+        ],
+    )
+    def test_from_dict_is_strict(self, key, value):
+        doc = {"count": 10, "priorities": [0, 1], key: value}
+        with pytest.raises(ConfigurationError, match=key):
+            StreamSpec.from_dict(doc)
 
 
 class TestGenerateStream:
