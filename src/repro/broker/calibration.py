@@ -275,18 +275,23 @@ class OnlineCalibrator:
     def from_dict(cls, data: Dict[str, Any]) -> "OnlineCalibrator":
         """Rebuild a calibrator from :meth:`to_dict` output.
 
-        Only state :meth:`observe` can produce loads: every factor a
-        finite number > 0, every observation count a non-negative
-        integer.  Anything else is a :class:`ConfigurationError` naming
-        the key — a ``NaN`` factor would otherwise turn every calibrated
-        prediction for that key into ``NaN``.
+        Only state :meth:`observe` can produce loads: ``alpha`` and both
+        clamp bounds finite numbers, every factor a finite number > 0,
+        every observation count a non-negative integer.  Anything else
+        is a :class:`ConfigurationError` naming the key — a ``NaN``
+        factor would otherwise turn every calibrated prediction for that
+        key into ``NaN``.
         """
         check_format_version(data, "calibration state", _FORMAT_VERSION)
         try:
-            clamp = data["clamp"]
+            where = "calibration state: "
+            lo, hi = data["clamp"]
             calibrator = cls(
-                alpha=float(data["alpha"]),
-                clamp=(float(clamp[0]), float(clamp[1])),
+                alpha=json_number("alpha", data["alpha"], where=where),
+                clamp=(
+                    json_number("clamp", lo, where=where),
+                    json_number("clamp", hi, where=where),
+                ),
             )
             for entry in data["factors"]:
                 component = str(entry["component"])

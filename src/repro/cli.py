@@ -60,13 +60,6 @@ COMMANDS: Tuple[Tuple[str, str, str], ...] = (
         "repro.broker.cli",
     ),
     (
-        "profile",
-        "run the pinned deterministic workload under the call "
-        "profiler, write the profile artifact, and cross-validate the "
-        "declared hot set against it (see DESIGN.md §18)",
-        "repro.lint.perf.cli",
-    ),
-    (
         "lint",
         "check the determinism/durability/error-model contracts "
         "(AST-based; see DESIGN.md §13)",

@@ -1,48 +1,27 @@
 """The declared hot set: ``@hot`` marks a performance-contract entry.
 
-The performance-contract layer (``repro.lint.perf``, DESIGN.md §18)
-needs one ground truth both its halves can key on: *which functions the
-project claims are hot*.  The static analyzer reads the claim from the
-decorator syntactically (it resolves ``@hot`` through the import table,
-so aliasing does not hide a declaration) and gates REP301-REP304 on the
-call-graph closure of the declared set; the ``repro profile`` harness
-reads the same claim from this runtime registry and cross-validates it
-against a measured call profile in both directions — an undeclared
-function dominating the profile is a REP305 finding, a declared entry
-the pinned workload never reaches is an agreement failure.
+``@hot`` is a scope declaration for the performance-contract rules
+REP301-REP304 (``repro.lint.perf``, DESIGN.md §18).  The static
+analyzer reads it from the decorator syntactically (it resolves
+``@hot`` through the import table, so aliasing does not hide a
+declaration) and gates the rules on the call-graph closure of the
+declared set.  What is actually hot is measured, not declared: the
+benchmark's ``--trace 1`` run times each layer.
 
-``hot`` is an identity decorator: it records the function's qualified
-name and returns the function object unchanged, so decorated functions
-stay picklable (the process-pool campaign executor submits some of
-them) and pay zero per-call overhead — a hot-path registry that slowed
-the hot path down would be its own finding.
+``hot`` is an identity decorator: it returns the function object
+unchanged, so decorated functions stay picklable (the process-pool
+campaign executor submits some of them) and pay zero per-call overhead.
 """
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, TypeVar
+from typing import Callable, TypeVar
 
-__all__ = ["hot", "declared_hot", "is_declared_hot", "HOT_DECORATOR"]
-
-#: Canonical qualname the static analyzer matches decorators against.
-HOT_DECORATOR = "repro.hotpath.hot"
-
-_REGISTRY: set = set()
+__all__ = ["hot"]
 
 _F = TypeVar("_F", bound=Callable)
 
 
 def hot(func: _F) -> _F:
     """Declare ``func`` a hot-path entry; returns ``func`` unchanged."""
-    _REGISTRY.add(f"{func.__module__}.{func.__qualname__}")
     return func
-
-
-def declared_hot() -> FrozenSet[str]:
-    """Qualified names registered so far (import-order independent)."""
-    return frozenset(_REGISTRY)
-
-
-def is_declared_hot(qualname: str) -> bool:
-    """Whether ``qualname`` has been registered via :func:`hot`."""
-    return qualname in _REGISTRY

@@ -41,7 +41,6 @@ DEFAULT_FLOW_CACHE = ".repro-flow-cache.json"
 DEFAULT_EFFECTS_CACHE = ".repro-effects-cache.json"
 DEFAULT_CERTIFICATE = ".repro-effects.json"
 DEFAULT_PERF_CACHE = ".repro-perf-cache.json"
-DEFAULT_PROFILE = ".repro-profile.json"
 
 
 def register_lint(parser: argparse.ArgumentParser) -> None:
@@ -132,7 +131,7 @@ def register_lint(parser: argparse.ArgumentParser) -> None:
     perf_group = parser.add_mutually_exclusive_group()
     perf_group.add_argument(
         "--perf", action="store_true",
-        help="run the performance-contract pass (REP301-REP305); like "
+        help="run the performance-contract pass (REP301-REP304); like "
         "--effects it always analyzes the full PATH scope, even under "
         "--changed, because hot-region membership is a whole-program "
         "property",
@@ -146,12 +145,6 @@ def register_lint(parser: argparse.ArgumentParser) -> None:
         "--perf-cache", default=None, metavar="FILE",
         help="per-module summary cache for the perf pass "
         f"(default: ROOT/{DEFAULT_PERF_CACHE})",
-    )
-    parser.add_argument(
-        "--profile", default=None, metavar="FILE",
-        help="call profile the perf pass cross-validates the declared "
-        f"hot set against (default: ROOT/{DEFAULT_PROFILE}; REP305 "
-        "is skipped when the file is absent)",
     )
     parser.add_argument(
         "--clear-cache", action="store_true",
@@ -188,10 +181,10 @@ class _Layer:
     #: file list would miss exactly the regressions these layers exist
     #: to catch.  The summary cache keeps the full pass cheap.
     full_scope: bool
-    #: (cache path, certificate path or None, profile path, the rules
-    #: pass's findings cache) -> the pass
+    #: (cache path, certificate path or None, the rules pass's
+    #: findings cache) -> the pass
     make_pass: Callable[
-        [str, Optional[str], str, Optional[SummaryCache[CachedFindings]]],
+        [str, Optional[str], Optional[SummaryCache[CachedFindings]]],
         SummaryPass,
     ]
 
@@ -233,19 +226,15 @@ class _Layer:
 LAYERS: Tuple[_Layer, ...] = (
     _Layer(
         "flow", FLOW_RULES, DEFAULT_FLOW_CACHE, False,
-        lambda cache, certificate, profile, found: FlowPass(cache, found),
+        lambda cache, certificate, found: FlowPass(cache, found),
     ),
     _Layer(
         "effects", EFFECT_RULES, DEFAULT_EFFECTS_CACHE, True,
-        lambda cache, certificate, profile, found: EffectPass(
-            cache, certificate
-        ),
+        lambda cache, certificate, found: EffectPass(cache, certificate),
     ),
     _Layer(
         "perf", PERF_RULES, DEFAULT_PERF_CACHE, True,
-        lambda cache, certificate, profile, found: PerfPass(
-            cache, certificate, profile
-        ),
+        lambda cache, certificate, found: PerfPass(cache, certificate),
     ),
 )
 
@@ -276,7 +265,6 @@ def run_lint_command(args: argparse.Namespace) -> int:
         layer for layer in LAYERS if layer.enabled(args, paths, selected)
     ]
     certificate = args.certificate or str(root / DEFAULT_CERTIFICATE)
-    profile = args.profile or str(root / DEFAULT_PROFILE)
 
     def scan_once() -> Tuple[List[Finding], int, List[SummaryPass]]:
         """Every enabled pass over its scope; one scan unless --changed
@@ -289,7 +277,6 @@ def run_lint_command(args: argparse.Namespace) -> int:
                 layer.cache_path(args, root),
                 # A certificate about to be rewritten judges nothing.
                 None if args.write_certificate else certificate,
-                profile,
                 rules_pass.cache,
             )
             for layer in layers

@@ -39,9 +39,7 @@ class PerfAnalysis:
 
     extracts: List[PerfExtract]
     graph: CallGraph
-    #: functions carrying an ``@hot`` decorator
-    hot_entries: FrozenSet[str]
-    #: call-graph closure of the declared entries
+    #: call-graph closure of the functions carrying an ``@hot`` decorator
     hot_region: FrozenSet[str]
     #: every project class, keyed by qualname
     classes: Dict[str, ClassInfo]
@@ -50,9 +48,6 @@ class PerfAnalysis:
 
     def summary_of(self, qualname: str) -> Optional[PerfSummary]:
         return self.graph.functions.get(qualname)
-
-    def in_hot_region(self, qualname: str) -> bool:
-        return qualname in self.hot_region
 
 
 def build_analysis(
@@ -71,7 +66,6 @@ def build_analysis(
     return PerfAnalysis(
         extracts=list(extracts),
         graph=graph,
-        hot_entries=frozenset(entries),
         hot_region=frozenset(graph.reachable(entries)),
         classes=classes,
         locations=locations,

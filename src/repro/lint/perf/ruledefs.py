@@ -1,19 +1,16 @@
-"""The performance rule family REP301-REP305: hot-path cost contracts.
+"""The performance rule family REP301-REP304: hot-path cost contracts.
 
 The fourth lint layer.  REP00x checks one AST node at a time, the flow
 layer (REP10x) follows *values*, the effect layer (REP20x) follows
 *effects*; this family follows *cost*: what a function allocates,
-scans, and recomputes per iteration of its loops, and whether the
-project's claim about which code is hot agrees with a measured call
-profile.
+scans, and recomputes per iteration of its loops.
 
 The hot set is declared with :func:`repro.hotpath.hot` and closed
 over the project call graph: every function reachable from a declared
 entry is in the *hot region*, and REP301-REP304 only fire inside it —
-cold code may allocate freely.  REP305 runs the contract in the other
-direction: a function that dominates the measured profile but is not in
-the hot region is an undeclared hot path, invisible to the cost rules
-precisely where they matter most.
+cold code may allocate freely.  ``@hot`` declares where the rules
+apply; what is actually hot is measured by the benchmark's
+``--trace 1`` run.
 
 Whole-program rules (:class:`repro.lint.registry.ProgramRule`).
 """
@@ -30,7 +27,6 @@ __all__ = [
     "HOT_DECORATORS",
     "LISTY_CONSTRUCTORS",
     "LINEAR_SCAN_ATTRS",
-    "DEFAULT_SHARE_THRESHOLD",
 ]
 
 
@@ -101,22 +97,6 @@ PERF_RULES: Tuple[ProgramRule, ...] = (
             "silence is the one option the contract forbids."
         ),
     ),
-    ProgramRule(
-        code="REP305",
-        name="undeclared-hot-path",
-        summary=(
-            "no function may exceed the profile sample-share threshold "
-            "while remaining outside the declared hot region"
-        ),
-        rationale=(
-            "The static hot set is a claim; the measured profile is "
-            "reality.  A function that dominates the pinned workload's "
-            "call counts but is reachable from no declared entry is "
-            "hot code the cost rules never examined — the analyzer "
-            "keeps the profiler honest about scope, the profiler keeps "
-            "the analyzer honest about what is actually hot."
-        ),
-    ),
 )
 
 PERF_CODES: FrozenSet[str] = frozenset(rule.code for rule in PERF_RULES)
@@ -137,7 +117,3 @@ LISTY_CONSTRUCTORS: FrozenSet[str] = frozenset({"list", "sorted"})
 
 #: Method names that scan their (list) receiver linearly.
 LINEAR_SCAN_ATTRS: FrozenSet[str] = frozenset({"index", "count", "remove"})
-
-#: Fraction of total profiled calls above which a function counts as
-#: *measured hot* (REP305 and the ``repro profile`` agreement check).
-DEFAULT_SHARE_THRESHOLD = 0.01

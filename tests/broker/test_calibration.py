@@ -192,6 +192,36 @@ class TestPersistence:
         ):
             OnlineCalibrator.load(path)
 
+    @pytest.mark.parametrize(
+        "key,text",
+        [
+            ("alpha", "1" + "0" * 400),
+            ("alpha", '"0.5"'),
+            ("alpha", "true"),
+            ("alpha", "NaN"),
+            ("clamp", "[1" + "0" * 400 + ", 10.0]"),
+            ("clamp", "[0.1, 1" + "0" * 400 + "]"),
+            ("clamp", '["0.1", 10.0]'),
+        ],
+        ids=["alpha-huge", "alpha-string", "alpha-bool", "alpha-nan",
+             "clamp-lo-huge", "clamp-hi-huge", "clamp-string"],
+    )
+    def test_impossible_settings_rejected_on_load(self, tmp_path, key, text):
+        # alpha and both clamp bounds are JSON numbers like the factors:
+        # a string, a boolean or an integer past float range is refused
+        # by name instead of loading or escaping as an OverflowError.
+        import json
+
+        path = tmp_path / "calibration.json"
+        self.seeded().save(path)
+        data = json.loads(path.read_text())
+        data[key] = "@"
+        path.write_text(json.dumps(data).replace('"@"', text))
+        with pytest.raises(
+            ConfigurationError, match=f"calibration state: '{key}' "
+        ):
+            OnlineCalibrator.load(path)
+
 
 # ----------------------------------------------------------------------
 # Property: the read-cached correction is the factor arithmetic, exactly.

@@ -13,10 +13,11 @@ import math
 from hypothesis import strategies as st
 
 #: What a retyped field turns into: every JSON type, the non-finite
-#: floats ``json.loads`` accepts, and integers no array can be sized by.
+#: floats ``json.loads`` accepts, integers no array can be sized by, and
+#: one no float can hold.
 JUNK = st.sampled_from(
-    [None, True, "", "x", "12", 0, -1, 1.5, 10**20, 1e308, math.nan,
-     math.inf, -math.inf, [], {}, [1, 2, 3], {"a": 1}, [[1, 2]]]
+    [None, True, "", "x", "12", 0, -1, 1.5, 10**20, 10**400, 1e308,
+     math.nan, math.inf, -math.inf, [], {}, [1, 2, 3], {"a": 1}, [[1, 2]]]
 )
 
 

@@ -1,11 +1,9 @@
-"""The performance-contract layer (REP301-REP305) and ``repro profile``.
+"""The performance-contract layer (REP301-REP304).
 
 Covers the hot-region closure, every cost rule's positive and negative
 fixture (including the planted pool-safe quadratic scan — certified
-pure by the effect layer, caught by REP302), the deterministic call
-profiler and its artifact, cross-validation in both directions, the
-``--perf`` CLI surface, and the ``repro profile`` exit-code contract.
-The content-hash cache is covered once for all layers in
+pure by the effect layer, caught by REP302), and the ``--perf`` CLI
+surface.  The content-hash cache is covered once for all layers in
 ``test_summary_cache.py``.
 """
 
@@ -14,26 +12,10 @@ from __future__ import annotations
 import pathlib
 import shutil
 
-import pytest
-
-from repro.cli import main as repro_main
-from repro.core.durable import atomic_write_json, canonical_json
-from repro.lint import LintError
+from repro.core.durable import atomic_write_json
 from repro.lint.cli import main as lint_main
 from repro.lint.effects import TIER_POOL_SAFE, TIER_RANK, analyze_effects
-from repro.lint.perf import (
-    PERF_CODES,
-    PERF_RULES,
-    analyze_perf,
-    build_profile_document,
-    cross_validate,
-    load_profile,
-    measured_hot,
-)
-from repro.lint.perf.profile import (
-    collect_call_counts,
-    write_profile,
-)
+from repro.lint.perf import PERF_CODES, PERF_RULES, analyze_perf
 
 PERF_FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "perf"
 
@@ -73,6 +55,15 @@ def codes_of(result):
     return sorted({f.code for f in result.findings})
 
 
+def hot_entries(analysis):
+    """Functions carrying an ``@hot`` decorator."""
+    return frozenset(
+        qualname
+        for qualname, summary in analysis.graph.functions.items()
+        if summary.is_hot
+    )
+
+
 # ----------------------------------------------------------------------
 # Hot region
 # ----------------------------------------------------------------------
@@ -84,7 +75,7 @@ class TestHotRegion:
     ):
         result = analyze_fixture(tmp_path, "rep304_bad.py")
         analysis = result.analysis
-        assert analysis.hot_entries == frozenset({"rep304_bad.drive"})
+        assert hot_entries(analysis) == frozenset({"rep304_bad.drive"})
         # mystery carries no decorator but is reachable from drive
         assert "rep304_bad.mystery" in analysis.hot_region
 
@@ -112,7 +103,7 @@ class TestHotRegion:
             "def drain(pairs):\n"
             "    return list(pairs)\n",
         )
-        assert result.analysis.hot_entries == frozenset({"mod.drain"})
+        assert hot_entries(result.analysis) == frozenset({"mod.drain"})
 
 
 # ----------------------------------------------------------------------
@@ -196,220 +187,23 @@ class TestCostRules:
 
 
 # ----------------------------------------------------------------------
-# The deterministic call profiler
+# profile_path is accepted and ignored
 # ----------------------------------------------------------------------
 
 
-def _leaf(x):
-    return x + 1
-
-
-def _outer(y):
-    def inner(z):
-        return _leaf(z)
-
-    return inner(y)
-
-
-class TestCollector:
-    def test_counts_are_exact(self):
-        def workload():
-            for i in range(3):
-                _leaf(i)
-
-        counts = collect_call_counts(workload, prefix=__name__)
-        assert counts[f"{__name__}._leaf"] == 3
-
-    def test_nested_qualnames_match_static_spelling(self):
-        # co_qualname says ``_outer.<locals>.inner``; the extractor says
-        # ``_outer.inner`` — the tracer must normalize to the latter.
-        counts = collect_call_counts(lambda: _outer(1), prefix=__name__)
-        assert f"{__name__}._outer.inner" in counts
-        assert not any("<locals>" in k for k in counts)
-
-    def test_prefix_filters_foreign_modules(self):
-        def workload():
-            import json
-
-            json.dumps({"a": 1})
-            _leaf(0)
-
-        counts = collect_call_counts(workload, prefix=__name__)
-        assert all(k.startswith(__name__) for k in counts)
-
-    def test_counting_is_deterministic(self):
-        def workload():
-            for i in range(5):
-                _outer(i)
-
-        first = collect_call_counts(workload, prefix=__name__)
-        second = collect_call_counts(workload, prefix=__name__)
-        assert first == second
-
-
-# ----------------------------------------------------------------------
-# Profile artifact
-# ----------------------------------------------------------------------
-
-
-class TestProfileArtifact:
-    COUNTS = {"m.hotfn": 90, "m.coldfn": 5, "m.entry": 5}
-
-    def test_document_shares_sum_to_one(self):
-        doc = build_profile_document(self.COUNTS, workload="w")
-        assert doc["total_calls"] == 100
-        assert sum(f["share"] for f in doc["functions"].values()) == (
-            pytest.approx(1.0)
-        )
-
-    def test_document_is_byte_stable(self):
-        a = build_profile_document(dict(self.COUNTS), workload="w")
-        b = build_profile_document(
-            dict(reversed(list(self.COUNTS.items()))), workload="w"
-        )
-        assert canonical_json(a) == canonical_json(b)
-
-    def test_round_trip(self, tmp_path):
-        doc = build_profile_document(self.COUNTS, workload="w")
-        path = tmp_path / "profile.json"
-        write_profile(path, doc)
-        assert load_profile(path) == doc
-
-    def test_missing_profile_is_none(self, tmp_path):
-        assert load_profile(tmp_path / "absent.json") is None
-
-    def test_corrupt_profile_is_an_error(self, tmp_path):
-        path = tmp_path / "profile.json"
-        path.write_text("{not json")
-        with pytest.raises(LintError):
-            load_profile(path)
-
-    def test_malformed_functions_map_is_an_error(self, tmp_path):
-        path = tmp_path / "profile.json"
-        atomic_write_json(
-            path,
-            {
-                "format_version": 1,
-                "workload": "w",
-                "threshold": 0.01,
-                "total_calls": 1,
-                "functions": {"m.f": {"share": 1.0}},  # calls missing
-            },
-        )
-        with pytest.raises(LintError):
-            load_profile(path)
-
-    def test_measured_hot_respects_threshold(self):
-        doc = build_profile_document(
-            self.COUNTS, workload="w", threshold=0.5
-        )
-        assert measured_hot(doc) == {"m.hotfn": pytest.approx(0.9)}
-        assert set(measured_hot(doc, threshold=0.01)) == set(self.COUNTS)
-
-
-# ----------------------------------------------------------------------
-# Cross-validation
-# ----------------------------------------------------------------------
-
-
-class TestCrossValidate:
-    DOC = build_profile_document(
-        {"m.entry": 10, "m.popular": 90}, workload="w"
-    )
-
-    def test_undeclared_hot_direction(self):
-        agreement = cross_validate(
-            self.DOC,
-            hot_region=frozenset({"m.entry"}),
-            declared=frozenset({"m.entry"}),
-            known=frozenset({"m.entry", "m.popular"}),
-        )
-        assert agreement.undeclared_hot == [
-            ("m.popular", pytest.approx(0.9))
-        ]
-        assert not agreement.agrees
-
-    def test_known_filter_excludes_generated_identities(self):
-        # A dataclass __init__ or genexpr can never carry a decorator;
-        # outside ``known`` it must not fail the contract.
-        agreement = cross_validate(
-            self.DOC,
-            hot_region=frozenset({"m.entry"}),
-            declared=frozenset({"m.entry"}),
-            known=frozenset({"m.entry"}),
-        )
-        assert agreement.undeclared_hot == []
-        assert agreement.agrees
-
-    def test_unreached_declared_direction(self):
-        agreement = cross_validate(
-            self.DOC,
-            hot_region=frozenset({"m.entry", "m.popular", "m.stale"}),
-            declared=frozenset({"m.entry", "m.stale"}),
-            known=frozenset({"m.entry", "m.popular", "m.stale"}),
-        )
-        assert agreement.unreached_declared == ["m.stale"]
-        assert not agreement.agrees
-
-    def test_agreement(self):
-        agreement = cross_validate(
-            self.DOC,
-            hot_region=frozenset({"m.entry", "m.popular"}),
-            declared=frozenset({"m.entry"}),
-            known=frozenset({"m.entry", "m.popular"}),
-        )
-        assert agreement.agrees
-        assert agreement.total_calls == 100
-
-
-# ----------------------------------------------------------------------
-# REP305
-# ----------------------------------------------------------------------
-
-
-class TestRep305:
-    def _profile_for(self, tmp_path, counts):
-        path = tmp_path / ".repro-profile.json"
-        write_profile(
-            path, build_profile_document(counts, workload="test")
-        )
-        return path
-
-    def test_fires_on_planted_undeclared_hot_function(self, tmp_path):
-        target = copy_fixture(tmp_path, "rep305_host.py")
-        profile = self._profile_for(
-            tmp_path,
-            {
-                "rep305_host.declared_entry": 5,
-                "rep305_host.helper": 5,
-                "rep305_host.popular": 90,
-            },
-        )
-        result = analyze_perf(
-            [target], root=tmp_path, profile_path=profile
-        )
-        assert codes_of(result) == ["REP305"]
-        (finding,) = result.findings
-        assert "rep305_host.popular" in finding.message
-        assert finding.path == "rep305_host.py"
-
-    def test_silent_when_profile_agrees(self, tmp_path):
-        target = copy_fixture(tmp_path, "rep305_host.py")
-        profile = self._profile_for(
-            tmp_path,
-            {
-                "rep305_host.declared_entry": 50,
-                "rep305_host.helper": 50,
-            },
-        )
-        result = analyze_perf(
-            [target], root=tmp_path, profile_path=profile
-        )
-        assert result.findings == []
-
-    def test_silent_without_a_profile(self, tmp_path):
-        target = copy_fixture(tmp_path, "rep305_host.py")
-        assert analyze_perf([target], root=tmp_path).findings == []
+class TestProfilePathIgnored:
+    def test_corrupt_profile_path_changes_nothing(self, tmp_path):
+        """``bench/workloads/lint_gate.py``'s traced run still passes
+        ``profile_path``; the perf layer ignores it."""
+        certificate = write_certificate_stub(tmp_path, {})
+        target = copy_fixture(tmp_path, "rep304_bad.py")
+        corrupt = tmp_path / ".repro-profile.json"
+        corrupt.write_text("{not json")
+        kwargs = dict(root=tmp_path, certificate_path=certificate)
+        plain = analyze_perf([target], **kwargs)
+        given = analyze_perf([target], profile_path=corrupt, **kwargs)
+        assert codes_of(plain) == ["REP304"]
+        assert given.findings == plain.findings
 
 
 # ----------------------------------------------------------------------
@@ -473,121 +267,8 @@ class TestLintCli:
         out = capsys.readouterr().out
         for rule in PERF_RULES:
             assert rule.code in out
-        assert sorted(PERF_CODES) == [
-            "REP301",
-            "REP302",
-            "REP303",
-            "REP304",
-            "REP305",
-        ]
-
-
-# ----------------------------------------------------------------------
-# The profiler-agreement golden and the exit-code contract
-# ----------------------------------------------------------------------
-
-
-class TestProfileCommand:
-    def test_committed_profile_agrees_with_static_hot_region(
-        self, repo_root
-    ):
-        """The reviewed artifact must match the shipped source tree."""
-        profile = load_profile(repo_root / ".repro-profile.json")
-        assert profile is not None
-        result = analyze_perf(
-            [repo_root / "src" / "repro"], root=repo_root
-        )
-        agreement = cross_validate(
-            profile,
-            hot_region=result.analysis.hot_region,
-            declared=result.analysis.hot_entries,
-            known=frozenset(result.analysis.locations),
-        )
-        assert agreement.agrees, (
-            agreement.undeclared_hot,
-            agreement.unreached_declared,
+        assert "REP305" not in out
+        assert PERF_CODES == frozenset(
+            {"REP301", "REP302", "REP303", "REP304"}
         )
 
-    def test_exit_zero_on_agreement(self, repo_root, capsys):
-        code = repro_main(
-            [
-                "profile",
-                str(repo_root / "src" / "repro"),
-                "--root",
-                str(repo_root),
-                "--check",
-                "--count",
-                "8",
-            ]
-        )
-        assert code == 0
-        assert "agree in both directions" in capsys.readouterr().out
-
-    def test_exit_one_on_disagreement(self, repo_root, capsys):
-        # An absurdly low threshold turns every cold-but-called project
-        # function into a measured-hot claim the static set cannot meet.
-        code = repro_main(
-            [
-                "profile",
-                str(repo_root / "src" / "repro"),
-                "--root",
-                str(repo_root),
-                "--check",
-                "--count",
-                "2",
-                "--threshold",
-                "0.000001",
-            ]
-        )
-        assert code == 1
-        assert "MEASURED-NOT-DECLARED" in capsys.readouterr().out
-
-    def test_exit_two_on_bad_count(self, repo_root, capsys):
-        code = repro_main(
-            [
-                "profile",
-                str(repo_root / "src" / "repro"),
-                "--root",
-                str(repo_root),
-                "--check",
-                "--count",
-                "0",
-            ]
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize("threshold", ["-1", "0", "1.5", "nan"])
-    def test_exit_two_on_threshold_outside_unit_interval(
-        self, repo_root, capsys, threshold
-    ):
-        code = repro_main(
-            [
-                "profile",
-                str(repo_root / "src" / "repro"),
-                "--root",
-                str(repo_root),
-                "--check",
-                "--count",
-                "1",
-                "--threshold",
-                threshold,
-            ]
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: --threshold must be in (0, 1]\n"
-        assert captured.out == ""
-
-    def test_exit_two_on_missing_path(self, tmp_path, capsys):
-        code = repro_main(
-            [
-                "profile",
-                str(tmp_path / "no-such-dir"),
-                "--root",
-                str(tmp_path),
-                "--check",
-                "--count",
-                "1",
-            ]
-        )
-        assert code == 2

@@ -23,7 +23,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 #: ``__all__`` of every converted package as it was at a99611a, the last
 #: commit with eager ``__init__`` files: an export cannot vanish silently.
 #: Deliberate removals since: ``repro.analysis``'s renderer of the
-#: two-engine broker throughput benchmark, deleted with that benchmark.
+#: two-engine broker throughput benchmark, deleted with that benchmark;
+#: ``repro.lint.perf``'s call-profile names, deleted with the profile.
 PARENT_ALL = {
     "repro": """
         FaultError RecoveryExhaustedError ReproError
@@ -118,9 +119,7 @@ PARENT_ALL = {
         FLOW_CODES FLOW_RULES FlowPass analyze_paths
     """,
     "repro.lint.perf": """
-        DEFAULT_PROFILE_NAME PERF_CODES PERF_RULES PerfPass
-        analyze_perf build_profile_document cross_validate
-        load_profile measured_hot
+        PERF_CODES PERF_RULES PerfPass analyze_perf
     """,
     "repro.middleware": """
         ArrayDataset CacheModel ChunkAssignment ComputeServer

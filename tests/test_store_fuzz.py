@@ -5,7 +5,8 @@ Each document is damaged by the shared ``tests.fuzzing`` mutator, in
 every format a reader still accepts: campaign journals 1 (one
 document), 2 and 3 (JSON lines), trace artifacts 1 and 2, prediction
 caches, campaign manifests, fault scenarios of both scopes, profiles,
-and the ``stream`` section of broker workload documents.
+calibrator state, and the ``stream`` section of broker workload
+documents.
 Loading may only raise a ``ReproError``, and never touches the file:
 the bytes after a load, failed or not, are the bytes before it.
 """
@@ -17,10 +18,12 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.broker.calibration import OnlineCalibrator
 from repro.broker.jobs import load_workload_document
 from repro.campaign import CampaignJournal
 from repro.campaign.manifest import load_manifest
 from repro.core.durable import canonical_json
+from repro.core.models import PredictedBreakdown
 from repro.core.predcache import PredictionCache
 from repro.core.store import load_profile, profile_to_dict
 from repro.errors import ReproError
@@ -246,6 +249,35 @@ def test_only_repro_errors_escape_a_profile_load(tmp_path, document):
     loads_or_refuses(path, load_checked_profile)
 
 
+def calibration_document():
+    calibrator = OnlineCalibrator(alpha=0.5, clamp=(0.2, 5.0))
+    raw = PredictedBreakdown(t_disk=10.0, t_network=20.0, t_compute=30.0)
+    calibrator.observe("kmeans", "repo-a", "hpc-1", raw, (5.0, 20.0, 45.0))
+    calibrator.observe("em", "repo-b", "hpc-2", raw, (12.0, 22.0, 33.0))
+    return calibrator.to_dict()
+
+
+CALIBRATION_DOCUMENT = calibration_document()
+
+
+def load_checked_calibrator(path):
+    """What a warm-starting service relies on: every number it will
+    multiply a prediction by is finite and in range."""
+    calibrator = OnlineCalibrator.load(path)
+    lo, hi = calibrator.clamp
+    assert 0.0 < calibrator.alpha <= 1.0 and 0.0 < lo < hi < math.inf
+    for factor in calibrator._factors.values():
+        assert 0.0 < factor.value < math.inf and factor.observations >= 0
+
+
+@FUZZ
+@given(document=mutated(CALIBRATION_DOCUMENT))
+def test_only_repro_errors_escape_a_calibration_load(tmp_path, document):
+    path = tmp_path / "calibration.json"
+    path.write_text(canonical_json(document))
+    loads_or_refuses(path, load_checked_calibrator)
+
+
 STREAM = {
     "count": 12, "seed": 3, "mean_interarrival": 0.05,
     "mix": [["kmeans", None, 2.0], ["knn", "350 MB", 1.0], ["em"]],
@@ -275,8 +307,10 @@ def test_only_repro_errors_escape_a_stream_spec_load(tmp_path, stream):
     [(load_manifest, MANIFEST_DOCUMENT), (load_scenario, EXECUTION_SCENARIO),
      (load_grid_scenario, GRID_SCENARIO),
      (load_checked_profile, PROFILE_DOCUMENT),
+     (load_checked_calibrator, CALIBRATION_DOCUMENT),
      (load_stream, dict(GRID, stream=STREAM))],
-    ids=["manifest", "scenario", "grid-scenario", "profile", "stream"],
+    ids=["manifest", "scenario", "grid-scenario", "profile", "calibration",
+         "stream"],
 )
 def test_the_unmutated_documents_load(tmp_path, load, document):
     path = tmp_path / "document.json"
