@@ -11,7 +11,10 @@ A digest that moves means a placement moved.  Two sets of pins:
   (seed, chaos seed, policy) fault timelines.  These were computed while
   the broker still carried a second, sorted-list event loop with
   uncached calibration, and both loops produced these exact bytes; the
-  pins now hold the one engine to that verdict.
+  pins now hold the one engine to that verdict.  Three more fault
+  timelines run ``recovery="migrate"``, so resumed attempts pay a
+  recovery charge; they were pinned while fault-free and faulted
+  placements still took separate dispatch paths.
 """
 
 import hashlib
@@ -94,6 +97,18 @@ SMALL_FAULTED = {
         "46ec181027736036a47454b47d0b37f5805ce746ce1df895cebd2916c3480fa4",
     (3, 3, "round-robin"):
         "9e2d5f90fba1b0b25582da4a520db005b5201a69aaae818e652371f6b7d42213",
+}
+#: (seed, chaos seed, policy, deadline_fraction) -> digest of the one-run
+#: report under ``recovery="migrate"``: resumed attempts pay T_recover
+#: (two of them while a WAN degradation is active in the first pin), and
+#: the deadline-aware pin also rejects one job at placement.
+SMALL_MIGRATED = {
+    (0, 0, "min-completion", 0.0):
+        "a03a15923749567ec16f5761962659a7b93fd173085abb90a8114b2044308953",
+    (1, 5, "min-cost", 0.5):
+        "a622f717092505f058670ba21732269291819c2ae8fe1c6ebcf664fdf3a19b31",
+    (0, 1, "deadline-aware", 0.5):
+        "a10e8717611d32249c2e0e393daafbd09746d6a4131d8453ff93484e5ea49f2a",
 }
 
 
@@ -205,6 +220,30 @@ def test_small_grid_faulted_report_bytes_are_pinned(
     report = BrokerReport(name="prop", runs=(run,))
     assert saved_digest(report, tmp_path) == SMALL_FAULTED[
         (seed, chaos_seed, policy)
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed,chaos_seed,policy,deadline_fraction", sorted(SMALL_MIGRATED)
+)
+def test_small_grid_migrated_report_bytes_are_pinned(
+    small_broker, tmp_path, seed, chaos_seed, policy, deadline_fraction
+):
+    jobs = small_jobs(small_broker, seed, deadline_fraction)
+    job_ids = [job.job_id for job in jobs]
+    faults = chaos_timeline(
+        chaos_seed,
+        ChaosSpec(horizon=stream_horizon(jobs), max_outages=1),
+        small_broker.topology,
+        job_ids,
+    )
+    run = small_broker.run(jobs, policy, faults=faults, recovery="migrate")
+    # The pin is only worth having while some resume pays T_recover.
+    assert any(p.recovery_charge > 0 for p in run.placements)
+    assert verify_run(run, job_ids, small_broker.last_ledger) == []
+    report = BrokerReport(name="prop", runs=(run,))
+    assert saved_digest(report, tmp_path) == SMALL_MIGRATED[
+        (seed, chaos_seed, policy, deadline_fraction)
     ]
 
 
