@@ -45,15 +45,30 @@ the same job stream (and the same fault schedule) yields a
 byte-identical :class:`BrokerReport`; a fault-free run serializes
 byte-identically to a broker without the fault model.
 
+One run's mutable state is a ``_BrokerRun`` with one handler per
+:class:`~repro.broker.events.EventKind`: :meth:`GridBroker.run` pops
+each event, calls the handler its kind indexes, and then serves the
+wait-queue head.  Every :class:`BrokerPlacement`,
+:class:`BrokerRejection`, :class:`BrokerPreemption` and
+:class:`TerminalFailure` of a run is built in exactly one of its
+methods.
+
+Placement has one path, with or without faults: a decision scores the
+feasible candidates as bare floats, the policy's
+:meth:`~repro.broker.policies.PlacementPolicy.choose_index` picks one,
+and a :class:`~repro.broker.policies.PlacementOption` is built for the
+winner alone.  A job with no resume state, while no WAN degradation is
+active, is scored with
+:meth:`~repro.broker.calibration.OnlineCalibrator.correct_total`; any
+other job with :func:`~repro.broker.policies.attempt_total`, the formula
+the option itself uses.  Admission control reads the same totals.
+
 The event loop is sized for six-figure trace streams: binary-heap event
-and wait queues, read-cached calibration, a per-application
-placement-option cache invalidated on every calibration update, an
-admission fast path that only builds idle-grid options for policies
-that read them, and an O(1)-amortized blocked-head check — a queue head
-that found no feasible candidate is not re-evaluated until
-:attr:`~repro.broker.events.GridLedger.version` moves (feasibility
-depends only on free node counts, which every capacity change
-version-bumps).
+and wait queues, read-cached calibration, and an O(1)-amortized
+blocked-head check — a queue head that found no feasible candidate is
+not re-evaluated until :attr:`~repro.broker.events.GridLedger.version`
+moves (feasibility depends only on free node counts, which every
+capacity change version-bumps).
 
 The queues grow with the stream; a site's pool is tens of nodes
 whatever the stream's length, so a :class:`~repro.broker.events.SitePool`
@@ -67,25 +82,26 @@ from __future__ import annotations
 
 import gc
 import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.broker.calibration import OnlineCalibrator
 from repro.broker.events import Event, EventKind, EventQueue, GridLedger
-from repro.broker.jobs import BrokerJob, BrokerWorkloadDoc, sorted_jobs
+from repro.broker.jobs import (
+    BrokerJob,
+    BrokerWorkloadDoc,
+    require_unique_ids,
+    sorted_jobs,
+)
 from repro.broker.policies import (
     POLICY_NAMES,
     PlacementOption,
     Rejection,
+    attempt_total,
     make_policy,
 )
-from repro.broker.recovery import (
-    GiveUp,
-    Incident,
-    RecoveryPolicy,
-    Requeue,
-    make_recovery,
-)
+from repro.broker.recovery import GiveUp, Incident, Requeue, make_recovery
 from repro.hotpath import hot
 from repro.broker.report import (
     BrokerPlacement,
@@ -98,7 +114,11 @@ from repro.broker.report import (
 )
 from repro.core.classes import ModelClasses
 from repro.core.degraded import DegradedModePredictor
-from repro.core.models import GlobalReductionModel, PredictionModel
+from repro.core.models import (
+    GlobalReductionModel,
+    PredictedBreakdown,
+    PredictionModel,
+)
 from repro.core.profile import Profile
 from repro.core.selection import (
     InfeasibleSelectionError,
@@ -147,95 +167,72 @@ class ActualRun:
         return (self.t_disk, self.t_network, self.t_compute)
 
 
-@dataclass(frozen=True, slots=True)
-class _Completion:
-    """Payload of a completion event."""
+@dataclass(slots=True, eq=False)
+class _Attempt:
+    """One placed attempt: the running entry and its completion payload."""
 
     attempt_id: int
+    #: 1 for a job's first attempt, +1 per torn-down predecessor.
+    number: int
     job: BrokerJob
-    candidate: SelectionCandidate
-    data_node_ids: Tuple[int, ...]
-    compute_node_ids: Tuple[int, ...]
-    raw: object  # PredictedBreakdown
-    predicted_total: float
-    actual: ActualRun
-    full_attempt: bool = True
-
-
-@dataclass(slots=True)
-class _Running:
-    """Book-keeping of one in-flight attempt (mutable engine state)."""
-
-    attempt_id: int
-    attempt_number: int
-    job: BrokerJob
-    candidate: SelectionCandidate
+    option: PlacementOption
     data_node_ids: Tuple[int, ...]
     compute_node_ids: Tuple[int, ...]
     start: float
     end: float
-    #: Work fraction already done when the attempt started.
-    progress_before: float
-    #: T_recover seconds paid at the head of this attempt.
-    charge: float
-    #: Effective full-run duration (WAN-stretched) of this placement.
-    full_total: float
-    num_passes: int
+    #: The observed run with the WAN stretch applied; its ``total`` is
+    #: the effective full-run duration of this placement.
+    actual: ActualRun
+
+    @property
+    def progress_before(self) -> float:
+        """Work fraction already done when the attempt started."""
+        return 1.0 - self.option.remaining_fraction
 
     def uses_site(self, site: str) -> bool:
-        return site in (
-            self.candidate.replica_site, self.candidate.compute_site
-        )
+        cand = self.option.candidate
+        return site in (cand.replica_site, cand.compute_site)
 
     def uses_node(self, site: str, nodes: Sequence[int]) -> bool:
+        cand = self.option.candidate
         victims = set(nodes)
-        if self.candidate.replica_site == site and victims.intersection(
+        if cand.replica_site == site and victims.intersection(
             self.data_node_ids
         ):
             return True
-        return self.candidate.compute_site == site and bool(
+        return cand.compute_site == site and bool(
             victims.intersection(self.compute_node_ids)
         )
 
     def progress_at(self, when: float) -> float:
         """Total work fraction done by ``when`` (charge paid first)."""
-        executed = max(0.0, min(when, self.end) - self.start - self.charge)
-        if self.full_total <= 0.0:
+        charge = self.option.resume_charge
+        executed = max(0.0, min(when, self.end) - self.start - charge)
+        full_total = self.actual.total
+        if full_total <= 0.0:
             return self.progress_before
-        return min(1.0, self.progress_before + executed / self.full_total)
+        return min(1.0, self.progress_before + executed / full_total)
 
     def checkpoint_at(self, when: float) -> float:
         """Progress quantized down to a completed-pass boundary."""
-        if self.num_passes <= 0:
+        passes = self.actual.num_passes
+        if passes <= 0:
             return 0.0
-        done = self.progress_at(when)
-        return int(done * self.num_passes) / self.num_passes
+        return int(self.progress_at(when) * passes) / passes
 
 
-@dataclass(slots=True)
-class _FaultState:
-    """Mutable grid-weather state of one faulted :meth:`GridBroker.run`."""
+class _Resume(NamedTuple):
+    """What a preempted job carries into its next attempt."""
 
-    schedule: GridFaultSchedule
-    recovery: RecoveryPolicy
-    #: Remaining scripted aborts per job id.
-    transient_remaining: Dict[str, int]
-    #: Currently active WAN degradations.
-    wan_active: List[WanDegradation]
-    #: Nodes removed by each NodePoolShrink (schedule index -> victims).
-    shrink_victims: Dict[int, Tuple[int, ...]]
-    #: Failed attempts per job id (drives the retry budget).
-    failed_attempts: Dict[str, int]
-    #: Work fraction each job carries into its next attempt.
-    progress: Dict[str, float]
-    #: Whether the next attempt of the job must pay T_recover.
-    charge_next: Dict[str, bool]
-    #: Jobs already settled terminally (never requeued again).
-    terminal: Set[str]
+    #: Work fraction already done.
+    progress: float
+    #: Whether the next attempt pays T_recover.
+    charge: bool
+    #: Attempts torn down so far (drives the retry budget).
+    failed_attempts: int
 
-    fault_events: List[GridFaultEvent]
-    preemptions: List[BrokerPreemption]
-    failures: List[TerminalFailure]
+
+_FRESH = _Resume(progress=0.0, charge=False, failed_attempts=0)
 
 
 class GridBroker:
@@ -305,6 +302,9 @@ class GridBroker:
         #: build on the placement hot path.
         self._exec_by_cand: Dict[Tuple[int, str], ActualRun] = {}
         self._recover_cache: Dict[tuple, float] = {}
+        self._reqs: Dict[
+            str, List[Tuple[SelectionCandidate, str, Optional[str], int, int]]
+        ] = {}
         self._path_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         #: Node ledger of the most recent :meth:`run`, for inspection.
         self.last_ledger: Optional[GridLedger] = None
@@ -537,6 +537,41 @@ class GridBroker:
                 factor *= spec.factor
         return factor
 
+    @hot
+    def _requirements(
+        self, job: BrokerJob
+    ) -> List[Tuple[SelectionCandidate, str, Optional[str], int, int]]:
+        """``job``'s candidates with the free nodes each needs, in order.
+
+        One ``(candidate, site, other_site, need, other_need)`` tuple per
+        candidate; a same-site candidate needs the sum of both node sets
+        from its one pool and folds to ``(candidate, site, None, sum, 0)``.
+        Candidates are memoized per dataset key, so this is computed once
+        and the feasibility scan touches only plain tuples.
+        """
+        reqs = self._reqs.get(job.dataset_key)
+        if reqs is None:
+            reqs = []
+            for cand in self._selection(job).candidates:
+                if cand.replica_site == cand.compute_site:
+                    reqs.append((
+                        cand,
+                        cand.replica_site,
+                        None,
+                        cand.data_nodes + cand.compute_nodes,
+                        0,
+                    ))
+                else:
+                    reqs.append((
+                        cand,
+                        cand.replica_site,
+                        cand.compute_site,
+                        cand.data_nodes,
+                        cand.compute_nodes,
+                    ))
+            self._reqs[job.dataset_key] = reqs
+        return reqs
+
     # ------------------------------------------------------------------
     # The event loop
     # ------------------------------------------------------------------
@@ -556,10 +591,9 @@ class GridBroker:
 
         Returns the :class:`PolicyRun` with placements, rejections and
         the completion-ordered prediction-error series.  The run's node
-        grants are kept on :attr:`last_ledger` for inspection (the
-        property tests derive the per-node reservation windows from it
-        and check them for overlap), and queue-pressure stats on
-        :attr:`last_queue_stats`.
+        grants stay on :attr:`last_ledger` (the property tests derive
+        per-node reservation windows from it) and its queue-pressure
+        stats on :attr:`last_queue_stats`.
 
         ``faults`` installs a grid fault schedule: the report then also
         carries the fault timeline, preemptions, terminal failures and
@@ -569,419 +603,38 @@ class GridBroker:
         """
         if not jobs:
             raise ConfigurationError("no jobs to broker")
-        stream = sorted_jobs(jobs)
-        policy_impl = make_policy(
-            policy, [s.name for s in self.topology.sites(SiteKind.COMPUTE)]
+        require_unique_ids(jobs)
+        state = _BrokerRun(self, jobs, policy, calibrate, faults, recovery, retry)
+        queue = state.queue
+        # Indexed by EventKind: handlers[EventKind.ARRIVAL] is on_arrival.
+        handlers = tuple(
+            getattr(state, f"on_{kind.name.lower()}") for kind in EventKind
         )
-        calibrator = OnlineCalibrator(alpha=self.alpha)
-        ledger = GridLedger.from_topology(self.topology)
-        queue = EventQueue()
-        for job in stream:
-            queue.push(Event(time=job.arrival, kind=EventKind.ARRIVAL,
-                             payload=job))
-
-        faulted = faults is not None and len(faults) > 0
-        state: Optional[_FaultState] = None
-        if faulted:
-            assert faults is not None
-            state = _FaultState(
-                schedule=faults,
-                recovery=make_recovery(recovery, retry),
-                transient_remaining={
-                    job_id: spec.failures
-                    for job_id, spec in faults.transient_failures.items()
-                },
-                wan_active=[],
-                shrink_victims={},
-                failed_attempts={},
-                progress={},
-                charge_next={},
-                terminal=set(),
-                fault_events=[],
-                preemptions=[],
-                failures=[],
-            )
-            self._schedule_faults(faults, queue)
-
-        pending: List[Tuple[tuple, BrokerJob]] = []  # (sort key, job)
-        #: Placements in placement order, keyed by attempt id so that
-        #: preempted attempts can be withdrawn without reordering.
-        placed: List[Tuple[int, BrokerPlacement]] = []
-        rejections: List[BrokerRejection] = []
-        errors: List[Tuple[str, float]] = []
-        running: Dict[int, _Running] = {}
-        cancelled: Set[int] = set()
-        attempt_seq = 0
-        now = 0.0
-        peak_pending = 0
-        #: Per-workload calibration epochs: observe() only moves factors
-        #: of the completed job's application, so only that workload's
-        #: cached options go stale.
-        app_epoch: Dict[str, int] = {}
-        #: dataset_key -> (workload epoch at build, fault-free options).
-        #: Options are job-independent fault-free, so the list is shared
-        #: across jobs of the same (workload, size) until calibration
-        #: moves for that workload.
-        options_cache: Dict[str, Tuple[int, List[PlacementOption]]] = {}
-        #: (job_id, ledger version) of the last blocked queue head: the
-        #: head cannot become placeable until capacity moves, so the
-        #: placement loop skips it while the version stands still.
-        last_block: Optional[Tuple[str, int]] = None
-        #: dataset_key -> per-candidate capacity requirements, in
-        #: candidate order: ``(site, other_site, need, other_need)``
-        #: with same-site pairs folded to ``(site, None, sum, 0)``.
-        #: Candidates are memoized per dataset key, so this is computed
-        #: once and the feasibility scan touches only plain tuples.
-        feas_reqs: Dict[
-            str, List[Tuple[str, Optional[str], int, int]]
-        ] = {}
-
-        @hot
-        def reject(job: BrokerJob, now: float, code: str, reason: str) -> None:
-            rejections.append(
-                BrokerRejection(
-                    job_id=job.job_id,
-                    workload=job.workload,
-                    time=now,
-                    code=code,
-                    reason=reason,
-                    deadline=job.deadline,
-                    vo=job.vo,
-                    arrival_index=job.arrival_index,
-                )
-            )
-
-        @hot
-        def enqueue(job: BrokerJob) -> None:
-            nonlocal peak_pending
-            entry = ((-job.priority, job.arrival, job.job_id), job)
-            heapq.heappush(pending, entry)
-            if len(pending) > peak_pending:
-                peak_pending = len(pending)
-
-        @hot
-        def job_options(
-            job: BrokerJob, outcome: SelectionOutcome
-        ) -> List[PlacementOption]:
-            if state is None:
-                epoch = app_epoch.get(job.workload, 0)
-                cached = options_cache.get(job.dataset_key)
-                if cached is not None and cached[0] == epoch:
-                    return cached[1]
-                opts = self._options(job, outcome, calibrator)
-                options_cache[job.dataset_key] = (epoch, opts)
-                return opts
-            done = state.progress.get(job.job_id, 0.0)
-            return self._options(
-                job,
-                outcome,
-                calibrator,
-                remaining=1.0 - done,
-                charge=state.charge_next.get(job.job_id, False) and done > 0,
-                wan=state.wan_active,
-            )
-
-        @hot
-        def settle_preemption(run_state: _Running, cause: str, at: float) -> None:
-            """Tear one attempt down and route its job through recovery."""
-            assert state is not None
-            cancelled.add(run_state.attempt_id)
-            running.pop(run_state.attempt_id, None)
-            cand = run_state.candidate
-            ledger.pool(cand.replica_site).truncate_windows(
-                run_state.job.job_id, at
-            )
-            if cand.compute_site != cand.replica_site:
-                ledger.pool(cand.compute_site).truncate_windows(
-                    run_state.job.job_id, at
-                )
-            ledger.pool(cand.replica_site).release(run_state.data_node_ids)
-            ledger.pool(cand.compute_site).release(run_state.compute_node_ids)
-
-            job = run_state.job
-            state.failed_attempts[job.job_id] = run_state.attempt_number
-            incident = Incident(
-                job=job,
-                cause=cause,
-                time=at,
-                failed_attempts=run_state.attempt_number,
-                done_before=run_state.progress_before,
-                checkpoint_fraction=run_state.checkpoint_at(at),
-            )
-            decision = state.recovery.plan(incident)
-            kept = decision.progress if isinstance(decision, Requeue) else 0.0
-            gained = max(0.0, kept - run_state.progress_before)
-            executed = at - run_state.start
-            state.preemptions.append(
-                BrokerPreemption(
-                    job_id=job.job_id,
-                    workload=job.workload,
-                    attempt=run_state.attempt_number,
-                    time=at,
-                    start=run_state.start,
-                    cause=cause,
-                    site=cand.compute_site,
-                    wasted=executed - gained * run_state.full_total,
-                    kept_fraction=kept,
-                )
-            )
-            if isinstance(decision, GiveUp):
-                state.terminal.add(job.job_id)
-                state.failures.append(
-                    TerminalFailure(
-                        job_id=job.job_id,
-                        workload=job.workload,
-                        time=at,
-                        code=decision.code,
-                        reason=decision.reason,
-                        attempts=run_state.attempt_number,
-                        deadline=job.deadline,
-                    )
-                )
-                return
-            state.progress[job.job_id] = kept
-            state.charge_next[job.job_id] = decision.charge_recovery
-            queue.push(
-                Event(time=decision.at, kind=EventKind.REQUEUE, payload=job)
-            )
-
-        # Six-figure streams allocate millions of short-lived objects
-        # that all survive (report rows, ledger grants); CPython's
-        # generational collector re-scans that growing live set on every
-        # gen-2 pass, which turns the loop superlinear.  The loop pauses
-        # automatic collection for its duration (nothing here creates
-        # reference cycles; collection resumes in the ``finally``).
+        # Six-figure streams allocate millions of objects that all survive
+        # (report rows, ledger grants); CPython's collector re-scans that
+        # growing live set on every gen-2 pass, which turns the loop
+        # superlinear.  Nothing here creates reference cycles, so the loop
+        # pauses automatic collection until the ``finally``.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
             while queue:
                 event = queue.pop()
-                now = event.time
-                if event.kind is EventKind.COMPLETION:
-                    done: _Completion = event.payload
-                    if done.attempt_id in cancelled:
-                        continue
-                    running.pop(done.attempt_id, None)
-                    ledger.pool(done.candidate.replica_site).release(
-                        done.data_node_ids
-                    )
-                    ledger.pool(done.candidate.compute_site).release(
-                        done.compute_node_ids
-                    )
-                    errors.append(
-                        (
-                            done.job.job_id,
-                            abs(done.actual.total - done.predicted_total)
-                            / done.actual.total,
-                        )
-                    )
-                    if calibrate and done.full_attempt:
-                        calibrator.observe(
-                            done.job.workload,
-                            done.candidate.replica_site,
-                            done.candidate.compute_site,
-                            done.raw,
-                            done.actual.components,
-                        )
-                        app = done.job.workload
-                        app_epoch[app] = app_epoch.get(app, 0) + 1
-                elif event.kind is EventKind.ABORT:
-                    assert state is not None
-                    attempt_id = event.payload
-                    run_state = running.get(attempt_id)
-                    if run_state is not None and attempt_id not in cancelled:
-                        state.fault_events.append(
-                            GridFaultEvent(
-                                time=now,
-                                kind="transient-failure",
-                                target=run_state.job.job_id,
-                                detail=(
-                                    f"attempt {run_state.attempt_number} aborted"
-                                ),
-                            )
-                        )
-                        settle_preemption(run_state, "transient-failure", now)
-                elif event.kind is EventKind.FAULT:
-                    self._apply_fault(event.payload, now, ledger, state,
-                                      running, settle_preemption)
-                elif event.kind is EventKind.REPAIR:
-                    self._apply_repair(event.payload, now, ledger, state)
-                elif event.kind is EventKind.REQUEUE:
-                    assert state is not None
-                    job = event.payload
-                    if job.job_id not in state.terminal:
-                        enqueue(job)
-                else:
-                    job = event.payload
-                    try:
-                        outcome = self._selection(job)
-                    except InfeasibleSelectionError as exc:
-                        tagged = exc.tagged(job.arrival_index, job.vo)
-                        detail = "; ".join(
-                            r.label for r in tagged.rejections[:3]
-                        )
-                        reject(
-                            job,
-                            now,
-                            "no-feasible-configuration",
-                            detail or str(tagged),
-                        )
-                        continue
-                    # Idle-grid options are only built when the policy's
-                    # admission check will read them.
-                    if policy_impl.wants_admission_options(job):
-                        options = job_options(job, outcome)
-                    else:
-                        options = []
-                    refusal = policy_impl.admit(job, options, now)
-                    if refusal is not None:
-                        reject(job, now, refusal.code, refusal.reason)
-                        continue
-                    enqueue(job)
-
-                # Placement: serve the queue head while it fits; no backfill.
-                while pending:
-                    head = pending[0][1]
-                    if last_block == (head.job_id, ledger.version):
-                        break
-                    outcome = self._selection(head)
-                    # Feasibility first: one free-count read per
-                    # decision, then plain integer compares against the
-                    # precomputed per-candidate requirements (a same-site
-                    # candidate needs the sum of both node sets from the
-                    # one pool).  A blocked head is detected before any
-                    # option is priced.
-                    reqs = feas_reqs.get(head.dataset_key)
-                    if reqs is None:
-                        reqs = []
-                        for cand in outcome.candidates:
-                            if cand.replica_site == cand.compute_site:
-                                reqs.append((
-                                    cand.replica_site,
-                                    None,
-                                    cand.data_nodes + cand.compute_nodes,
-                                    0,
-                                ))
-                            else:
-                                reqs.append((
-                                    cand.replica_site,
-                                    cand.compute_site,
-                                    cand.data_nodes,
-                                    cand.compute_nodes,
-                                ))
-                        feas_reqs[head.dataset_key] = reqs
-                    free = ledger.free_counts()
-                    feasible_idx = [
-                        i
-                        for i, (s1, s2, n1, n2) in enumerate(reqs)
-                        if free[s1] >= n1 and (s2 is None or free[s2] >= n2)
-                    ]
-                    if not feasible_idx:
-                        last_block = (head.job_id, ledger.version)
-                        break
-                    if state is None:
-                        # Scalar fast path: score each feasible candidate
-                        # with one calibrated float (bit-identical to the
-                        # option's predicted_total), let the policy pick
-                        # the winning index, and materialize a full
-                        # PlacementOption for the winner alone.
-                        # Round-robin never reads predictions, so its
-                        # decisions skip the correction calls entirely.
-                        # Deliberately not cached: the feasible subset is
-                        # free-count-shaped, not reusable, and at steady
-                        # state a same-workload completion lands between
-                        # almost every pair of same-workload placements.
-                        cands = outcome.candidates
-                        feas_cands = [cands[i] for i in feasible_idx]
-                        if policy_impl.needs_totals:
-                            app = head.workload
-                            totals = [
-                                calibrator.correct_total(
-                                    app,
-                                    cand.replica_site,
-                                    cand.compute_site,
-                                    cand.prediction,
-                                )
-                                for cand in feas_cands
-                            ]
-                        else:
-                            totals = []
-                        choice = policy_impl.choose_index(
-                            head, feas_cands, totals, now
-                        )
-                        if isinstance(choice, Rejection):
-                            decision: PlacementOption | Rejection = choice
-                        else:
-                            decision = self._options(
-                                head,
-                                outcome,
-                                calibrator,
-                                candidates=[feas_cands[choice]],
-                            )[0]
-                    else:
-                        opts = job_options(head, outcome)
-                        feasible = [opts[i] for i in feasible_idx]
-                        decision = policy_impl.choose(head, feasible, now)
-                    heapq.heappop(pending)
-                    if isinstance(decision, Rejection):
-                        reject(head, now, decision.code, decision.reason)
-                        continue
-                    attempt_seq += 1
-                    self._place(
-                        head, decision, now, ledger, queue, placed,
-                        attempt_seq, running, state,
-                    )
-
+                state.now = event.time
+                handlers[event.kind](event.payload)
+                state.place_ready()
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-        # Jobs still queued when the event stream dries up can never be
-        # served (nothing is running, nothing will be repaired): settle
-        # them terminally so every admitted job is accounted for.
-        if state is not None:
-            for _, job in sorted(pending):
-                attempts = state.failed_attempts.get(job.job_id, 0)
-                state.terminal.add(job.job_id)
-                state.failures.append(
-                    TerminalFailure(
-                        job_id=job.job_id,
-                        workload=job.workload,
-                        time=now,
-                        code="stranded-no-capacity",
-                        reason=(
-                            "no feasible placement before the event stream "
-                            "ended (lost capacity was never repaired)"
-                        ),
-                        attempts=attempts,
-                        deadline=job.deadline,
-                    )
-                )
-
-        self.last_ledger = ledger
+        self.last_ledger = state.ledger
         self.last_queue_stats = {
             "events": queue.total_pushed,
             "peak_event_queue_depth": queue.peak_depth,
-            "peak_pending_depth": peak_pending,
+            "peak_pending_depth": state.peak_pending,
         }
-        placements = tuple(
-            placement
-            for attempt_id, placement in placed
-            if attempt_id not in cancelled
-        )
-        return PolicyRun(
-            policy=policy,
-            calibrated=calibrate,
-            placements=placements,
-            rejections=tuple(rejections),
-            error_series=tuple(errors),
-            calibration_factors=calibrator.snapshot() if calibrate else {},
-            recovery=state.recovery.name if state is not None else None,
-            fault_events=tuple(state.fault_events) if state is not None else (),
-            preemptions=tuple(state.preemptions) if state is not None else (),
-            failures=tuple(state.failures) if state is not None else (),
-        )
+        return state.result()
 
     # ------------------------------------------------------------------
     # Grid-weather delivery
@@ -1036,256 +689,6 @@ class GridBroker:
             return spec.at + spec.duration
         return None
 
-    @hot
-    def _apply_fault(
-        self,
-        payload: Tuple[int, object],
-        now: float,
-        ledger: GridLedger,
-        state: Optional[_FaultState],
-        running: Dict[int, _Running],
-        settle_preemption,
-    ) -> None:
-        assert state is not None
-        index, spec = payload
-        if isinstance(spec, SiteOutage):
-            state.fault_events.append(
-                GridFaultEvent(
-                    time=now,
-                    kind="site-outage",
-                    target=spec.site,
-                    detail=(
-                        "permanent"
-                        if spec.repair_after is None
-                        else f"repair after {spec.repair_after}s"
-                    ),
-                )
-            )
-            victims = [
-                running[attempt_id]
-                for attempt_id in sorted(running)
-                if running[attempt_id].uses_site(spec.site)
-            ]
-            for run_state in victims:
-                settle_preemption(run_state, "site-outage", now)
-            ledger.pool(spec.site).fail(now)
-        elif isinstance(spec, NodePoolShrink):
-            removed = ledger.pool(spec.site).shrink(spec.nodes, now)
-            state.shrink_victims[index] = removed
-            state.fault_events.append(
-                GridFaultEvent(
-                    time=now,
-                    kind="pool-shrink",
-                    target=spec.site,
-                    detail=f"nodes {sorted(removed)} removed",
-                )
-            )
-            victims = [
-                running[attempt_id]
-                for attempt_id in sorted(running)
-                if running[attempt_id].uses_node(spec.site, removed)
-            ]
-            for run_state in victims:
-                settle_preemption(run_state, "pool-shrink", now)
-        elif isinstance(spec, WanDegradation):
-            state.wan_active.append(spec)
-            state.fault_events.append(
-                GridFaultEvent(
-                    time=now,
-                    kind="wan-degradation",
-                    target=f"{spec.site_a}~{spec.site_b}",
-                    detail=f"factor {spec.factor}",
-                )
-            )
-
-    @hot
-    def _apply_repair(
-        self,
-        payload: Tuple[int, object],
-        now: float,
-        ledger: GridLedger,
-        state: Optional[_FaultState],
-    ) -> None:
-        assert state is not None
-        index, spec = payload
-        if isinstance(spec, SiteOutage):
-            ledger.pool(spec.site).repair(now)
-            state.fault_events.append(
-                GridFaultEvent(
-                    time=now, kind="site-repair", target=spec.site
-                )
-            )
-        elif isinstance(spec, NodePoolShrink):
-            victims = state.shrink_victims.get(index, ())
-            if victims:
-                ledger.pool(spec.site).restore(victims, now)
-            state.fault_events.append(
-                GridFaultEvent(
-                    time=now,
-                    kind="pool-restore",
-                    target=spec.site,
-                    detail=f"nodes {sorted(victims)} restored",
-                )
-            )
-        elif isinstance(spec, WanDegradation):
-            state.wan_active.remove(spec)
-            state.fault_events.append(
-                GridFaultEvent(
-                    time=now,
-                    kind="wan-restoration",
-                    target=f"{spec.site_a}~{spec.site_b}",
-                )
-            )
-
-    # ------------------------------------------------------------------
-
-    @hot
-    def _options(
-        self,
-        job: BrokerJob,
-        outcome: SelectionOutcome,
-        calibrator: OnlineCalibrator,
-        *,
-        remaining: float = 1.0,
-        charge: bool = False,
-        wan: Optional[Sequence[WanDegradation]] = None,
-        candidates: Optional[Sequence[SelectionCandidate]] = None,
-    ) -> List[PlacementOption]:
-        correct = calibrator.correct
-        if candidates is None:
-            candidates = outcome.candidates
-        return [
-            PlacementOption(
-                candidate=cand,
-                raw=cand.prediction,
-                calibrated=correct(
-                    job.workload,
-                    cand.replica_site,
-                    cand.compute_site,
-                    cand.prediction,
-                ),
-                remaining_fraction=remaining,
-                resume_charge=(
-                    self._recover_charge(job, cand) if charge else 0.0
-                ),
-                wan_factor=self._wan_factor(
-                    cand.replica_site, cand.compute_site, wan
-                ),
-            )
-            for cand in candidates
-        ]
-
-    @hot
-    def _place(
-        self,
-        job: BrokerJob,
-        option: PlacementOption,
-        now: float,
-        ledger: GridLedger,
-        queue: EventQueue,
-        placed: List[Tuple[int, BrokerPlacement]],
-        attempt_id: int,
-        running: Dict[int, _Running],
-        state: Optional[_FaultState],
-    ) -> None:
-        actual = self._execute(job, option.candidate)
-        full_total = (
-            actual.t_disk
-            + actual.t_network * option.wan_factor
-            + actual.t_compute
-        )
-        charge = option.resume_charge
-        duration = option.remaining_fraction * full_total + charge
-        start, end = now, now + duration
-        data_ids = ledger.pool(option.replica_site).acquire(
-            option.data_nodes, job.job_id, start, end
-        )
-        compute_ids = ledger.pool(option.compute_site).acquire(
-            option.compute_nodes, job.job_id, start, end
-        )
-        attempt_number = 1
-        if state is not None:
-            attempt_number = state.failed_attempts.get(job.job_id, 0) + 1
-        placed.append(
-            (
-                attempt_id,
-                BrokerPlacement(
-                    job_id=job.job_id,
-                    workload=job.workload,
-                    replica_site=option.replica_site,
-                    compute_site=option.compute_site,
-                    data_nodes=option.data_nodes,
-                    compute_nodes=option.compute_nodes,
-                    data_node_ids=data_ids,
-                    compute_node_ids=compute_ids,
-                    arrival=job.arrival,
-                    start=start,
-                    end=end,
-                    predicted_total=option.predicted_total,
-                    raw_predicted_total=option.raw.total,
-                    deadline=job.deadline,
-                    priority=job.priority,
-                    attempt=attempt_number,
-                    recovery_charge=charge,
-                ),
-            )
-        )
-        # remaining_fraction <= 1, charge >= 0, wan_factor >= 1 by
-        # construction: inequalities test the fault-free identity values
-        # without a float-equality compare.
-        full_attempt = option.remaining_fraction >= 1.0 and charge <= 0.0
-        effective = actual
-        if option.wan_factor > 1.0:
-            effective = ActualRun(
-                t_disk=actual.t_disk,
-                t_network=actual.t_network * option.wan_factor,
-                t_compute=actual.t_compute,
-                num_passes=actual.num_passes,
-            )
-        queue.push(
-            Event(
-                time=end,
-                kind=EventKind.COMPLETION,
-                payload=_Completion(
-                    attempt_id=attempt_id,
-                    job=job,
-                    candidate=option.candidate,
-                    data_node_ids=data_ids,
-                    compute_node_ids=compute_ids,
-                    raw=option.raw,
-                    predicted_total=option.predicted_total,
-                    actual=effective,
-                    full_attempt=full_attempt,
-                ),
-            )
-        )
-        if state is not None:
-            running[attempt_id] = _Running(
-                attempt_id=attempt_id,
-                attempt_number=attempt_number,
-                job=job,
-                candidate=option.candidate,
-                data_node_ids=data_ids,
-                compute_node_ids=compute_ids,
-                start=start,
-                end=end,
-                progress_before=1.0 - option.remaining_fraction,
-                charge=charge,
-                full_total=full_total,
-                num_passes=actual.num_passes,
-            )
-            doomed = state.transient_remaining.get(job.job_id, 0)
-            if doomed > 0:
-                state.transient_remaining[job.job_id] = doomed - 1
-                spec = state.schedule.transient_failures[job.job_id]
-                queue.push(
-                    Event(
-                        time=start + spec.at_fraction * duration,
-                        kind=EventKind.ABORT,
-                        payload=attempt_id,
-                    )
-                )
-
     # ------------------------------------------------------------------
 
     def compare(
@@ -1323,3 +726,480 @@ class GridBroker:
             return list(doc.jobs)
         spec = StreamSpec.from_dict(doc.stream or {})
         return generate_stream(spec, baselines=self.baseline_estimate)
+
+
+class _BrokerRun:
+    """The mutable state of one :meth:`GridBroker.run`.
+
+    One ``on_<kind>`` handler per :class:`EventKind`, then
+    :meth:`place_ready` after every event.  Grid weather is part of the
+    state whether or not the run has faults: without a schedule the
+    fault tables simply stay empty.
+    """
+
+    __slots__ = (
+        "broker", "policy", "calibrate", "calibrator", "recovery",
+        "faulted", "ledger", "queue", "now", "attempt_ids",
+        # (sort key, job) heap, ordered by priority then arrival.
+        "pending", "peak_pending",
+        # (job_id, ledger version) of the last blocked queue head: the
+        # head cannot become placeable until capacity moves.
+        "last_block",
+        # attempt id -> placement / in-flight attempt; a preemption
+        # deletes both entries.
+        "placed", "running",
+        "rejections", "errors",
+        # Transient-failure specs and remaining scripted aborts per job.
+        "transient", "aborts_left",
+        "wan_active",
+        # NodePoolShrink schedule index -> the nodes it removed.
+        "shrink_victims",
+        # job id -> what its next attempt resumes from.
+        "resume",
+        "fault_events", "preemptions", "failures",
+    )
+
+    def __init__(
+        self,
+        broker: GridBroker,
+        jobs: Sequence[BrokerJob],
+        policy: str,
+        calibrate: bool,
+        faults: Optional[GridFaultSchedule],
+        recovery: str,
+        retry: Optional[BrokerRetryPolicy],
+    ) -> None:
+        self.broker = broker
+        self.policy = make_policy(
+            policy, [s.name for s in broker.topology.sites(SiteKind.COMPUTE)]
+        )
+        self.calibrate = calibrate
+        self.calibrator = OnlineCalibrator(alpha=broker.alpha)
+        # Built even without faults, so a bad name is refused on every run.
+        self.recovery = make_recovery(recovery, retry)
+        self.faulted = bool(faults)
+        self.ledger = GridLedger.from_topology(broker.topology)
+        self.queue = EventQueue()
+        for job in sorted_jobs(jobs):
+            self.queue.push(
+                Event(time=job.arrival, kind=EventKind.ARRIVAL, payload=job)
+            )
+        self.now = 0.0
+        self.attempt_ids = itertools.count(1)
+        self.pending: List[Tuple[tuple, BrokerJob]] = []
+        self.peak_pending = 0
+        self.last_block: Optional[Tuple[str, int]] = None
+        self.placed: Dict[int, BrokerPlacement] = {}
+        self.running: Dict[int, _Attempt] = {}
+        self.rejections: List[BrokerRejection] = []
+        self.errors: List[Tuple[str, float]] = []
+        self.transient = faults.transient_failures if faults else {}
+        self.aborts_left = {
+            job_id: spec.failures for job_id, spec in self.transient.items()
+        }
+        self.wan_active: List[WanDegradation] = []
+        self.shrink_victims: Dict[int, Tuple[int, ...]] = {}
+        self.resume: Dict[str, _Resume] = {}
+        self.fault_events: List[GridFaultEvent] = []
+        self.preemptions: List[BrokerPreemption] = []
+        self.failures: List[TerminalFailure] = []
+        if faults:
+            broker._schedule_faults(faults, self.queue)
+
+    # ------------------------------------------------------------------
+    # One handler per EventKind
+    # ------------------------------------------------------------------
+
+    @hot
+    def on_completion(self, attempt: _Attempt) -> None:
+        if self.running.pop(attempt.attempt_id, None) is None:
+            return  # preempted before it could complete
+        self._release(attempt)
+        job, option, actual = attempt.job, attempt.option, attempt.actual
+        self.errors.append(
+            (job.job_id, abs(actual.total - option.predicted_total) / actual.total)
+        )
+        # remaining_fraction <= 1 and resume_charge >= 0 by construction:
+        # only an attempt that ran the whole job from scratch teaches the
+        # calibrator.
+        if (
+            self.calibrate
+            and option.remaining_fraction >= 1.0
+            and option.resume_charge <= 0.0
+        ):
+            cand = option.candidate
+            self.calibrator.observe(
+                job.workload,
+                cand.replica_site,
+                cand.compute_site,
+                option.raw,
+                actual.components,
+            )
+
+    def on_abort(self, attempt: _Attempt) -> None:
+        if attempt.attempt_id in self.running:
+            self._weather(
+                "transient-failure",
+                attempt.job.job_id,
+                f"attempt {attempt.number} aborted",
+            )
+            self._preempt(attempt, "transient-failure")
+
+    def on_fault(self, payload: Tuple[int, object]) -> None:
+        index, spec = payload
+        # ``running`` iterates in attempt-id order: ids grow with placement.
+        if isinstance(spec, SiteOutage):
+            self._weather(
+                "site-outage",
+                spec.site,
+                "permanent"
+                if spec.repair_after is None
+                else f"repair after {spec.repair_after}s",
+            )
+            for attempt in [
+                a for a in self.running.values() if a.uses_site(spec.site)
+            ]:
+                self._preempt(attempt, "site-outage")
+            self.ledger.pool(spec.site).fail(self.now)
+        elif isinstance(spec, NodePoolShrink):
+            removed = self.ledger.pool(spec.site).shrink(spec.nodes, self.now)
+            self.shrink_victims[index] = removed
+            self._weather(
+                "pool-shrink", spec.site, f"nodes {sorted(removed)} removed"
+            )
+            for attempt in [
+                a
+                for a in self.running.values()
+                if a.uses_node(spec.site, removed)
+            ]:
+                self._preempt(attempt, "pool-shrink")
+        elif isinstance(spec, WanDegradation):
+            self.wan_active.append(spec)
+            self._weather(
+                "wan-degradation",
+                f"{spec.site_a}~{spec.site_b}",
+                f"factor {spec.factor}",
+            )
+
+    def on_repair(self, payload: Tuple[int, object]) -> None:
+        index, spec = payload
+        if isinstance(spec, SiteOutage):
+            self.ledger.pool(spec.site).repair(self.now)
+            self._weather("site-repair", spec.site)
+        elif isinstance(spec, NodePoolShrink):
+            victims = self.shrink_victims.get(index, ())
+            if victims:
+                self.ledger.pool(spec.site).restore(victims, self.now)
+            self._weather(
+                "pool-restore", spec.site, f"nodes {sorted(victims)} restored"
+            )
+        elif isinstance(spec, WanDegradation):
+            self.wan_active.remove(spec)
+            self._weather("wan-restoration", f"{spec.site_a}~{spec.site_b}")
+
+    def on_requeue(self, job: BrokerJob) -> None:
+        self._enqueue(job)
+
+    @hot
+    def on_arrival(self, job: BrokerJob) -> None:
+        try:
+            outcome = self.broker._selection(job)
+        except InfeasibleSelectionError as exc:
+            tagged = exc.tagged(job.arrival_index, job.vo)
+            detail = "; ".join(r.label for r in tagged.rejections[:3])
+            self._reject(
+                job, "no-feasible-configuration", detail or str(tagged)
+            )
+            return
+        # Idle-grid totals are only computed when the policy's admission
+        # check will read them.
+        if self.policy.wants_admission_totals(job):
+            refusal = self.policy.admit(
+                job, self._totals(job, outcome.candidates), self.now
+            )
+            if refusal is not None:
+                self._reject(job, refusal.code, refusal.reason)
+                return
+        self._enqueue(job)
+
+    # ------------------------------------------------------------------
+    # Placement
+    # ------------------------------------------------------------------
+
+    @hot
+    def place_ready(self) -> None:
+        """Serve the queue head while it fits; no backfill."""
+        pending = self.pending
+        ledger = self.ledger
+        policy = self.policy
+        while pending:
+            head = pending[0][1]
+            if self.last_block == (head.job_id, ledger.version):
+                return
+            # Feasibility first: one free-count read per decision, then
+            # plain integer compares, so a blocked head is detected
+            # before any candidate is scored.
+            free = ledger.free_counts()
+            feasible = [
+                cand
+                for cand, s1, s2, n1, n2 in self.broker._requirements(head)
+                if free[s1] >= n1 and (s2 is None or free[s2] >= n2)
+            ]
+            if not feasible:
+                self.last_block = (head.job_id, ledger.version)
+                return
+            heapq.heappop(pending)
+            # Round-robin never reads predictions, so its decisions skip
+            # the scoring entirely.
+            totals = self._totals(head, feasible) if policy.needs_totals else []
+            choice = policy.choose_index(head, feasible, totals, self.now)
+            if isinstance(choice, Rejection):
+                self._reject(head, choice.code, choice.reason)
+            else:
+                self._place(head, feasible[choice])
+
+    @hot
+    def _totals(
+        self, job: BrokerJob, cands: Sequence[SelectionCandidate]
+    ) -> List[float]:
+        """The calibrated predicted time of an attempt on each candidate.
+
+        A job with no resume state, while no WAN degradation is active,
+        is scored with one calibrated scalar per candidate, bit-identical
+        to the ``predicted_total`` of the option :meth:`_terms` describes;
+        any other job through that option's own formula,
+        :func:`attempt_total`.  Deliberately not cached: the feasible
+        subset is free-count-shaped, and at steady state a same-workload
+        completion lands between almost every pair of same-workload
+        placements.
+        """
+        if not self.wan_active and job.job_id not in self.resume:
+            app = job.workload
+            correct_total = self.calibrator.correct_total
+            return [
+                correct_total(
+                    app, cand.replica_site, cand.compute_site, cand.prediction
+                )
+                for cand in cands
+            ]
+        return [attempt_total(*self._terms(job, cand)) for cand in cands]
+
+    @hot
+    def _terms(
+        self, job: BrokerJob, cand: SelectionCandidate
+    ) -> Tuple[PredictedBreakdown, float, float, float]:
+        """``(calibrated, remaining, charge, wan)`` of ``job`` on ``cand``."""
+        resume = self.resume.get(job.job_id, _FRESH)
+        done = resume.progress
+        broker = self.broker
+        return (
+            self.calibrator.correct(
+                job.workload, cand.replica_site, cand.compute_site,
+                cand.prediction,
+            ),
+            1.0 - done,
+            broker._recover_charge(job, cand)
+            if resume.charge and done > 0
+            else 0.0,
+            broker._wan_factor(
+                cand.replica_site, cand.compute_site, self.wan_active
+            ),
+        )
+
+    @hot
+    def _place(self, job: BrokerJob, cand: SelectionCandidate) -> None:
+        option = PlacementOption(cand, cand.prediction, *self._terms(job, cand))
+        actual = self.broker._execute(job, cand)
+        if option.wan_factor > 1.0:
+            actual = ActualRun(
+                t_disk=actual.t_disk,
+                t_network=actual.t_network * option.wan_factor,
+                t_compute=actual.t_compute,
+                num_passes=actual.num_passes,
+            )
+        duration = (
+            option.remaining_fraction * actual.total + option.resume_charge
+        )
+        start, end = self.now, self.now + duration
+        ledger = self.ledger
+        data_ids = ledger.pool(cand.replica_site).acquire(
+            cand.data_nodes, job.job_id, start, end
+        )
+        compute_ids = ledger.pool(cand.compute_site).acquire(
+            cand.compute_nodes, job.job_id, start, end
+        )
+        attempt = _Attempt(
+            attempt_id=next(self.attempt_ids),
+            number=self.resume.get(job.job_id, _FRESH).failed_attempts + 1,
+            job=job,
+            option=option,
+            data_node_ids=data_ids,
+            compute_node_ids=compute_ids,
+            start=start,
+            end=end,
+            actual=actual,
+        )
+        self.placed[attempt.attempt_id] = BrokerPlacement(
+            job_id=job.job_id,
+            workload=job.workload,
+            replica_site=cand.replica_site,
+            compute_site=cand.compute_site,
+            data_nodes=cand.data_nodes,
+            compute_nodes=cand.compute_nodes,
+            data_node_ids=data_ids,
+            compute_node_ids=compute_ids,
+            arrival=job.arrival,
+            start=start,
+            end=end,
+            predicted_total=option.predicted_total,
+            raw_predicted_total=option.raw.total,
+            deadline=job.deadline,
+            priority=job.priority,
+            attempt=attempt.number,
+            recovery_charge=option.resume_charge,
+        )
+        self.running[attempt.attempt_id] = attempt
+        queue = self.queue
+        queue.push(Event(time=end, kind=EventKind.COMPLETION, payload=attempt))
+        doomed = self.aborts_left.get(job.job_id, 0)
+        if doomed > 0:
+            self.aborts_left[job.job_id] = doomed - 1
+            at_fraction = self.transient[job.job_id].at_fraction
+            queue.push(
+                Event(
+                    time=start + at_fraction * duration,
+                    kind=EventKind.ABORT,
+                    payload=attempt,
+                )
+            )
+
+    # ------------------------------------------------------------------
+    # Job outcomes other than a placement
+    # ------------------------------------------------------------------
+
+    @hot
+    def _enqueue(self, job: BrokerJob) -> None:
+        heapq.heappush(
+            self.pending, ((-job.priority, job.arrival, job.job_id), job)
+        )
+        if len(self.pending) > self.peak_pending:
+            self.peak_pending = len(self.pending)
+
+    def _reject(self, job: BrokerJob, code: str, reason: str) -> None:
+        self.rejections.append(
+            BrokerRejection(
+                job_id=job.job_id,
+                workload=job.workload,
+                time=self.now,
+                code=code,
+                reason=reason,
+                deadline=job.deadline,
+                vo=job.vo,
+                arrival_index=job.arrival_index,
+            )
+        )
+
+    def _release(self, attempt: _Attempt) -> None:
+        cand = attempt.option.candidate
+        self.ledger.pool(cand.replica_site).release(attempt.data_node_ids)
+        self.ledger.pool(cand.compute_site).release(attempt.compute_node_ids)
+
+    def _preempt(self, attempt: _Attempt, cause: str) -> None:
+        """Tear one attempt down and route its job through recovery."""
+        at, job = self.now, attempt.job
+        del self.running[attempt.attempt_id]
+        del self.placed[attempt.attempt_id]
+        cand = attempt.option.candidate
+        self.ledger.pool(cand.replica_site).truncate_windows(job.job_id, at)
+        if cand.compute_site != cand.replica_site:
+            self.ledger.pool(cand.compute_site).truncate_windows(
+                job.job_id, at
+            )
+        self._release(attempt)
+
+        decision = self.recovery.plan(
+            Incident(
+                job=job,
+                cause=cause,
+                time=at,
+                failed_attempts=attempt.number,
+                done_before=attempt.progress_before,
+                checkpoint_fraction=attempt.checkpoint_at(at),
+            )
+        )
+        kept = decision.progress if isinstance(decision, Requeue) else 0.0
+        gained = max(0.0, kept - attempt.progress_before)
+        self.preemptions.append(
+            BrokerPreemption(
+                job_id=job.job_id,
+                workload=job.workload,
+                attempt=attempt.number,
+                time=at,
+                start=attempt.start,
+                cause=cause,
+                site=cand.compute_site,
+                wasted=(at - attempt.start) - gained * attempt.actual.total,
+                kept_fraction=kept,
+            )
+        )
+        if isinstance(decision, GiveUp):
+            self._fail(job, decision.code, decision.reason, attempt.number)
+            return
+        self.resume[job.job_id] = _Resume(
+            progress=kept,
+            charge=decision.charge_recovery,
+            failed_attempts=attempt.number,
+        )
+        self.queue.push(
+            Event(time=decision.at, kind=EventKind.REQUEUE, payload=job)
+        )
+
+    def _fail(
+        self, job: BrokerJob, code: str, reason: str, attempts: int
+    ) -> None:
+        self.failures.append(
+            TerminalFailure(
+                job_id=job.job_id,
+                workload=job.workload,
+                time=self.now,
+                code=code,
+                reason=reason,
+                attempts=attempts,
+                deadline=job.deadline,
+            )
+        )
+
+    def _weather(self, kind: str, target: str, detail: str = "") -> None:
+        self.fault_events.append(
+            GridFaultEvent(time=self.now, kind=kind, target=target, detail=detail)
+        )
+
+    # ------------------------------------------------------------------
+
+    def result(self) -> PolicyRun:
+        """Settle what is still queued and assemble the report section."""
+        # Jobs still queued when the event stream dries up can never be
+        # served (nothing is running, nothing will be repaired): settle
+        # them terminally so every admitted job is accounted for.
+        for _, job in sorted(self.pending):
+            self._fail(
+                job,
+                "stranded-no-capacity",
+                "no feasible placement before the event stream ended "
+                "(lost capacity was never repaired)",
+                self.resume.get(job.job_id, _FRESH).failed_attempts,
+            )
+        return PolicyRun(
+            policy=self.policy.name,
+            calibrated=self.calibrate,
+            placements=tuple(self.placed.values()),
+            rejections=tuple(self.rejections),
+            error_series=tuple(self.errors),
+            calibration_factors=(
+                self.calibrator.snapshot() if self.calibrate else {}
+            ),
+            recovery=self.recovery.name if self.faulted else None,
+            fault_events=tuple(self.fault_events),
+            preemptions=tuple(self.preemptions),
+            failures=tuple(self.failures),
+        )

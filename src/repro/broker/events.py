@@ -132,12 +132,6 @@ class EventQueue:
             raise ConfigurationError("event queue is empty")
         return heapq.heappop(self._heap)[3]
 
-    def peek(self) -> Event:
-        """The event :meth:`pop` would return, without removing it."""
-        if not self._heap:
-            raise ConfigurationError("event queue is empty")
-        return self._heap[0][3]
-
     def __len__(self) -> int:
         return len(self._heap)
 

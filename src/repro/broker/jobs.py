@@ -46,6 +46,7 @@ __all__ = [
     "parse_jobs",
     "parse_workload_document",
     "load_workload_document",
+    "require_unique_ids",
     "sorted_jobs",
 ]
 
@@ -258,11 +259,7 @@ def parse_workload_document(doc: Mapping[str, Any]) -> BrokerWorkloadDoc:
         replicas[str(key)] = [str(site) for site in holders]
 
     jobs = parse_jobs(doc)
-    seen: set[str] = set()
-    for job in jobs:
-        if job.job_id in seen:
-            raise ConfigurationError(f"duplicate job id '{job.job_id}'")
-        seen.add(job.job_id)
+    require_unique_ids(jobs)
 
     stream = doc.get("stream")
     if stream is not None:
@@ -301,6 +298,19 @@ def load_workload_document(path: str | pathlib.Path) -> BrokerWorkloadDoc:
         "(see README, 'Prediction-guided brokering')",
     )
     return parse_workload_document(doc)
+
+
+def require_unique_ids(jobs: Sequence[BrokerJob]) -> None:
+    """Refuse a stream in which two jobs share an id.
+
+    The broker keys a job's resume state, retry budget and reservation
+    windows by its id, so two jobs under one id would share them.
+    """
+    seen: set[str] = set()
+    for job in jobs:
+        if job.job_id in seen:
+            raise ConfigurationError(f"duplicate job id '{job.job_id}'")
+        seen.add(job.job_id)
 
 
 def sorted_jobs(jobs: Sequence[BrokerJob]) -> List[BrokerJob]:

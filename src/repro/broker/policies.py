@@ -1,13 +1,13 @@
 """Placement policies of the grid broker.
 
 Every policy sees the same information at a decision point: the job, the
-current simulated time, and the list of :class:`PlacementOption` — the
-(replica, compute site, allocation) pairs that are *feasible right now*
-given free node capacity, each carrying a calibrated predicted
-breakdown.  Since the job has already waited in the queue until ``now``,
-the predicted completion of an option is ``now + prediction.total`` —
-queue wait plus :math:`\\hat T_{exec}`, the quantity the paper's model
-makes cheap to evaluate.
+current simulated time, the selection candidates — the (replica,
+compute site, allocation) pairs that are *feasible right now* given free
+node capacity — and one calibrated predicted total per candidate.  Since
+the job has already waited in the queue until ``now``, the predicted
+completion of a candidate is ``now + total`` — queue wait plus
+:math:`\\hat T_{exec}`, the quantity the paper's model makes cheap to
+evaluate.
 
 - :class:`MinCompletionPolicy` — earliest predicted completion.
 - :class:`MinCostPolicy` — fewest predicted node-hours (machines x time).
@@ -40,13 +40,38 @@ __all__ = [
     "DeadlineAwarePolicy",
     "RoundRobinPolicy",
     "POLICY_NAMES",
+    "attempt_total",
     "make_policy",
 ]
 
 
+@hot
+def attempt_total(
+    calibrated: PredictedBreakdown,
+    remaining: float,
+    charge: float,
+    wan: float,
+) -> float:
+    """Calibrated predicted execution time of one attempt.
+
+    For a resumed job only the ``remaining`` fraction of the work is
+    predicted, plus the ``charge`` seconds of :math:`T_{recover}` paid
+    first; an active WAN degradation stretches the network component by
+    ``wan``.  At the fault-free identity ``(1, 0, 1)`` this is exactly
+    ``calibrated.total``.
+    """
+    # remaining <= 1, charge >= 0 and wan >= 1 by construction, so these
+    # inequalities test for the exact fault-free identity values without
+    # a float-equality compare.
+    if remaining >= 1.0 and charge <= 0.0 and wan <= 1.0:
+        return calibrated.total
+    stretched = calibrated.total + calibrated.t_network * (wan - 1.0)
+    return remaining * stretched + charge
+
+
 @dataclass(frozen=True, slots=True)
 class PlacementOption:
-    """One feasible placement with raw and calibrated predictions.
+    """One chosen placement with raw and calibrated predictions.
 
     Under a grid fault schedule the option additionally carries the
     resume state of the job (``remaining_fraction`` of the work left
@@ -64,50 +89,24 @@ class PlacementOption:
     resume_charge: float = 0.0
     wan_factor: float = 1.0
 
-    @property
-    def replica_site(self) -> str:
-        return self.candidate.replica_site
-
-    @property
-    def compute_site(self) -> str:
-        return self.candidate.compute_site
-
-    @property
-    def data_nodes(self) -> int:
-        return self.candidate.data_nodes
-
-    @property
-    def compute_nodes(self) -> int:
-        return self.candidate.compute_nodes
-
-    #: Calibrated predicted execution time of this attempt.
-    #:
-    #: For a resumed job only the remaining fraction of the work is
-    #: predicted, plus the recovery charge; an active WAN degradation
-    #: stretches the network component.  Fault-free this is exactly
-    #: ``calibrated.total``.  Computed once at construction (the class
-    #: is slotted, so ``functools.cached_property`` has no instance
-    #: dict to cache into): options are immutable and the policies read
-    #: this several times per decision.
+    #: Calibrated predicted execution time of this attempt
+    #: (:func:`attempt_total`).  Computed once at construction: the
+    #: class is slotted, so ``functools.cached_property`` has no
+    #: instance dict to cache into.
     predicted_total: float = field(init=False, repr=False, compare=False)
 
     @hot
     def __post_init__(self) -> None:
-        # remaining_fraction <= 1, resume_charge >= 0 and wan_factor >= 1
-        # by construction, so these inequalities test for the exact
-        # fault-free identity values without a float-equality compare.
-        if (
-            self.remaining_fraction >= 1.0
-            and self.resume_charge <= 0.0
-            and self.wan_factor <= 1.0
-        ):
-            total = self.calibrated.total
-        else:
-            stretched = self.calibrated.total + self.calibrated.t_network * (
-                self.wan_factor - 1.0
-            )
-            total = self.remaining_fraction * stretched + self.resume_charge
-        object.__setattr__(self, "predicted_total", total)
+        object.__setattr__(
+            self,
+            "predicted_total",
+            attempt_total(
+                self.calibrated,
+                self.remaining_fraction,
+                self.resume_charge,
+                self.wan_factor,
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -126,54 +125,34 @@ class PlacementPolicy(abc.ABC):
 
     #: Whether :meth:`choose_index` reads ``totals``.  A policy that
     #: never reads predictions (round-robin) sets this to ``False`` and
-    #: the broker skips the correction calls entirely.
+    #: the broker skips the scoring entirely.
     needs_totals: bool = True
 
-    def wants_admission_options(self, job: BrokerJob) -> bool:
-        """Whether :meth:`admit` will actually read ``options`` for ``job``.
+    def wants_admission_totals(self, job: BrokerJob) -> bool:
+        """Whether :meth:`admit` will actually read ``totals`` for ``job``.
 
-        Building the full-capacity option list costs one prediction per
+        Scoring every full-capacity candidate costs one prediction per
         candidate, so at six-figure job counts the broker skips it for
         policies that admit unconditionally.  The default matches the
-        default :meth:`admit` (which ignores its options); a policy that
-        overrides :meth:`admit` to inspect options must override this
-        too, or it will be handed an empty list.
+        default :meth:`admit`; a policy that overrides :meth:`admit`
+        must override this too, or its check never runs.
         """
         return False
 
     def admit(
         self,
         job: BrokerJob,
-        options: Sequence[PlacementOption],
+        totals: Sequence[float],
         now: float,
     ) -> Optional[Rejection]:
         """Arrival-time admission check against an *idle* grid.
 
-        ``options`` are the full-capacity placements (ignoring current
-        load).  Returning a :class:`Rejection` drops the job before it
-        ever queues; the default admits everything.
+        ``totals`` are the calibrated predicted totals of the job's
+        full-capacity candidates (ignoring current load).  Returning a
+        :class:`Rejection` drops the job before it ever queues; the
+        default admits everything.
         """
         return None
-
-    def choose(
-        self,
-        job: BrokerJob,
-        options: Sequence[PlacementOption],
-        now: float,
-    ) -> PlacementOption | Rejection:
-        """Pick among currently feasible options (never empty).
-
-        The option-level view of :meth:`choose_index`, used where full
-        options already exist: dispatch under a fault schedule, where
-        ``predicted_total`` carries the resume state.
-        """
-        choice = self.choose_index(
-            job,
-            [o.candidate for o in options],
-            [o.predicted_total for o in options],
-            now,
-        )
-        return choice if isinstance(choice, Rejection) else options[choice]
 
     @abc.abstractmethod
     def choose_index(
@@ -187,11 +166,8 @@ class PlacementPolicy(abc.ABC):
 
         ``candidates`` are the currently feasible selection candidates
         (never empty, in enumeration order) and ``totals[i]`` is the
-        calibrated predicted total of ``candidates[i]`` (may be empty
-        when :attr:`needs_totals` is false).  The broker's fault-free
-        dispatch calls this directly with one calibrated
-        scalar per candidate — bit-identical to the corresponding
-        option's ``predicted_total`` — and materializes a
+        calibrated predicted total of an attempt on ``candidates[i]``
+        (empty when :attr:`needs_totals` is false).  The broker builds a
         :class:`PlacementOption` for the winner alone.
         """
 
@@ -234,13 +210,13 @@ class DeadlineAwarePolicy(PlacementPolicy):
 
     name = "deadline-aware"
 
-    def wants_admission_options(self, job):
+    def wants_admission_totals(self, job):
         return job.deadline is not None
 
-    def admit(self, job, options, now):
+    def admit(self, job, totals, now):
         if job.deadline is None:
             return None
-        best = min(now + o.predicted_total for o in options)
+        best = min(now + t for t in totals)
         if best > job.deadline:
             return Rejection(
                 code="deadline-unmeetable",

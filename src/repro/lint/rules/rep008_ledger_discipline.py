@@ -20,7 +20,7 @@ Bad (in a policy or report module)::
 Good::
 
     # ask the engine to place the job; only GridBroker touches the ledger
-    decision = policy.choose(job, feasible, now)
+    choice = policy.choose_index(job, feasible, totals, now)
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from repro.core.selection import SelectionCandidate, SelectionOutcome
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.topology import GridTopology, SiteKind
 from repro.workloads.clusters import pentium_myrinet_cluster
+from repro.workloads.traces import TraceWorkload
 
 from tests.broker.conftest import small_grid
 
@@ -162,6 +163,21 @@ class TestEventLoop:
         assert broker.run(jobs, "min-completion").calibration_factors
         off = broker.run(jobs, "min-completion", calibrate=False)
         assert off.calibration_factors == {}
+
+    def test_duplicate_job_ids_are_refused(self, broker):
+        # A trace artifact without a fingerprint loads whatever jobs it
+        # lists; two jobs under one id would share one resume state.
+        trace = TraceWorkload.from_dict(
+            {
+                "name": "dup",
+                "jobs": [
+                    {"id": "a", "workload": "kmeans", "arrival": 0.0},
+                    {"id": "a", "workload": "kmeans", "arrival": 0.5},
+                ],
+            }
+        )
+        with pytest.raises(ConfigurationError, match="duplicate job id 'a'"):
+            broker.run(list(trace.jobs), "min-completion")
 
     def test_execution_cache_reused(self, broker):
         job = BrokerJob(job_id="j0", workload="kmeans")

@@ -182,6 +182,14 @@ class TestRecoveryPolicies:
                 stream(), "min-completion", faults=schedule, recovery="pray"
             )
 
+    def test_unknown_recovery_name_rejected_without_faults(self, broker):
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            broker.run(stream(), "min-completion", recovery="bogus")
+
+    def test_fault_free_run_reports_no_recovery(self, broker):
+        run = broker.run(stream(), "min-completion", recovery="migrate")
+        assert run.recovery is None
+
 
 class TestRetryBudget:
     def test_budget_exhaustion_is_terminal(self, broker):

@@ -1,6 +1,7 @@
 """Placement policies: choice behaviour, admission, round-robin rotation."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.broker.jobs import BrokerJob
 from repro.broker.policies import (
@@ -11,34 +12,30 @@ from repro.broker.policies import (
     PlacementOption,
     Rejection,
     RoundRobinPolicy,
+    attempt_total,
     make_policy,
 )
 from repro.core.models import PredictedBreakdown
 from repro.core.selection import SelectionCandidate
 from repro.simgrid.errors import ConfigurationError
 
+PREDICTION = PredictedBreakdown(t_disk=0.2, t_network=0.3, t_compute=0.5)
 
-def option(
+
+def candidate(
     compute_site: str,
-    total: float,
     *,
     replica_site: str = "repo",
     data_nodes: int = 1,
     compute_nodes: int = 2,
-) -> PlacementOption:
-    prediction = PredictedBreakdown(
-        t_disk=0.2 * total, t_network=0.3 * total, t_compute=0.5 * total
-    )
-    candidate = SelectionCandidate(
+) -> SelectionCandidate:
+    return SelectionCandidate(
         replica_site=replica_site,
         compute_site=compute_site,
         data_nodes=data_nodes,
         compute_nodes=compute_nodes,
         bandwidth=1.0e6,
-        prediction=prediction,
-    )
-    return PlacementOption(
-        candidate=candidate, raw=prediction, calibrated=prediction
+        prediction=PREDICTION,
     )
 
 
@@ -47,40 +44,45 @@ JOB = BrokerJob(job_id="j1", workload="knn")
 
 class TestMinCompletion:
     def test_picks_smallest_predicted_total(self):
-        options = [option("slow", 2.0), option("fast", 1.0)]
-        assert MinCompletionPolicy().choose(JOB, options, 0.0) is options[1]
+        cands = [candidate("slow"), candidate("fast")]
+        assert MinCompletionPolicy().choose_index(JOB, cands, [2.0, 1.0], 0.0) == 1
 
     def test_tie_breaks_deterministically(self):
-        options = [option("b", 1.0), option("a", 1.0)]
-        assert MinCompletionPolicy().choose(JOB, options, 0.0) is options[1]
+        cands = [candidate("b"), candidate("a")]
+        assert MinCompletionPolicy().choose_index(JOB, cands, [1.0, 1.0], 0.0) == 1
 
 
 class TestMinCost:
     def test_prefers_fewer_node_hours(self):
         # 3 nodes x 1.2s = 3.6 node-seconds beats 6 nodes x 1.0s = 6.0.
-        cheap = option("a", 1.2, data_nodes=1, compute_nodes=2)
-        fast = option("b", 1.0, data_nodes=2, compute_nodes=4)
-        assert MinCostPolicy().choose(JOB, [fast, cheap], 0.0) is cheap
+        fast = candidate("b", data_nodes=2, compute_nodes=4)
+        cheap = candidate("a", data_nodes=1, compute_nodes=2)
+        assert MinCostPolicy().choose_index(JOB, [fast, cheap], [1.0, 1.2], 0.0) == 1
 
 
 class TestDeadlineAware:
     def test_admits_without_deadline(self):
         policy = DeadlineAwarePolicy()
-        assert policy.admit(JOB, [option("a", 5.0)], 0.0) is None
+        assert not policy.wants_admission_totals(JOB)
+        assert policy.admit(JOB, [5.0], 0.0) is None
 
     def test_rejects_unmeetable_deadline_at_admission(self):
         job = BrokerJob(job_id="j1", workload="knn", deadline=1.0)
-        refusal = DeadlineAwarePolicy().admit(job, [option("a", 5.0)], 0.0)
+        policy = DeadlineAwarePolicy()
+        assert policy.wants_admission_totals(job)
+        refusal = policy.admit(job, [5.0], 0.0)
         assert isinstance(refusal, Rejection)
         assert refusal.code == "deadline-unmeetable"
 
     def test_admits_meetable_deadline(self):
         job = BrokerJob(job_id="j1", workload="knn", deadline=2.0)
-        assert DeadlineAwarePolicy().admit(job, [option("a", 1.5)], 0.0) is None
+        assert DeadlineAwarePolicy().admit(job, [1.5], 0.0) is None
 
     def test_rejects_when_queue_wait_ate_the_slack(self):
         job = BrokerJob(job_id="j1", workload="knn", deadline=2.0)
-        decision = DeadlineAwarePolicy().choose(job, [option("a", 1.5)], 1.0)
+        decision = DeadlineAwarePolicy().choose_index(
+            job, [candidate("a")], [1.5], 1.0
+        )
         assert isinstance(decision, Rejection)
         assert decision.code == "deadline-miss-predicted"
 
@@ -88,119 +90,87 @@ class TestDeadlineAware:
         job = BrokerJob(job_id="j1", workload="knn", deadline=3.0)
         # 6 nodes x 1.0s = 6.0 node-seconds vs 3 nodes x 1.2s = 3.6;
         # the 5.0s option misses the deadline and is filtered out.
-        fast_costly = option("a", 1.0, data_nodes=2, compute_nodes=4)
-        slow_cheap = option("b", 1.2, data_nodes=1, compute_nodes=2)
-        too_slow = option("c", 5.0, data_nodes=1, compute_nodes=2)
-        decision = DeadlineAwarePolicy().choose(
-            job, [fast_costly, slow_cheap, too_slow], 0.5
+        cands = [
+            candidate("a", data_nodes=2, compute_nodes=4),
+            candidate("b", data_nodes=1, compute_nodes=2),
+            candidate("c", data_nodes=1, compute_nodes=2),
+        ]
+        index = DeadlineAwarePolicy().choose_index(
+            job, cands, [1.0, 1.2, 5.0], 0.5
         )
-        assert decision is slow_cheap
+        assert index == 1
 
     def test_no_deadline_falls_back_to_min_completion(self):
-        options = [option("slow", 2.0), option("fast", 1.0)]
-        assert DeadlineAwarePolicy().choose(JOB, options, 0.0) is options[1]
+        cands = [candidate("slow"), candidate("fast")]
+        assert DeadlineAwarePolicy().choose_index(JOB, cands, [2.0, 1.0], 0.0) == 1
 
 
 class TestRoundRobin:
+    def test_reads_no_predictions(self):
+        assert not RoundRobinPolicy.needs_totals
+
     def test_rotates_over_compute_sites(self):
         policy = RoundRobinPolicy(["a", "b"])
-        options = [option("a", 1.0), option("b", 9.0)]
-        assert policy.choose(JOB, options, 0.0).compute_site == "a"
-        assert policy.choose(JOB, options, 0.0).compute_site == "b"
-        assert policy.choose(JOB, options, 0.0).compute_site == "a"
+        cands = [candidate("a"), candidate("b")]
+        sites = [
+            cands[policy.choose_index(JOB, cands, [], 0.0)].compute_site
+            for _ in range(3)
+        ]
+        assert sites == ["a", "b", "a"]
 
     def test_skips_sites_without_options(self):
         policy = RoundRobinPolicy(["a", "b"])
-        only_b = [option("b", 9.0)]
-        assert policy.choose(JOB, only_b, 0.0).compute_site == "b"
+        only_b = [candidate("b")]
+        assert policy.choose_index(JOB, only_b, [], 0.0) == 0
         # pointer advanced past b; a full rotation still finds b again
-        assert policy.choose(JOB, only_b, 0.0).compute_site == "b"
+        assert policy.choose_index(JOB, only_b, [], 0.0) == 0
 
     def test_picks_smallest_allocation_not_fastest(self):
         policy = RoundRobinPolicy(["a"])
-        fast_big = option("a", 0.5, data_nodes=2, compute_nodes=4)
-        slow_small = option("a", 5.0, data_nodes=1, compute_nodes=2)
-        assert policy.choose(JOB, [fast_big, slow_small], 0.0) is slow_small
+        fast_big = candidate("a", data_nodes=2, compute_nodes=4)
+        slow_small = candidate("a", data_nodes=1, compute_nodes=2)
+        assert policy.choose_index(JOB, [fast_big, slow_small], [], 0.0) == 1
 
     def test_needs_compute_sites(self):
         with pytest.raises(ConfigurationError):
             RoundRobinPolicy([])
 
 
-class TestScalarFastPath:
-    """``choose`` is the option-level adapter over ``choose_index``.
+seconds = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
-    ``choose_index`` is each policy's one decision: the broker's
-    fault-free dispatch calls it with bare calibrated totals and only
-    materializes the winning option.  Wherever full options exist the
-    base class's ``choose`` must hand back exactly the option at the
-    chosen index, or the same refusal (also guarded end-to-end by the
-    pinned report digests in ``test_report_digests.py``).
-    """
 
-    def _split(self, options):
-        candidates = [o.candidate for o in options]
-        totals = [o.predicted_total for o in options]
-        return candidates, totals
+class TestAttemptTotal:
+    """The broker scores a resumed or WAN-stretched attempt with
+    ``attempt_total`` and records the winner's option, so the two must
+    agree bit for bit."""
 
-    @pytest.mark.parametrize(
-        "policy_name", ["min-completion", "min-cost", "deadline-aware"]
+    @given(
+        disk=seconds,
+        network=seconds,
+        compute=seconds,
+        remaining=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        charge=seconds,
+        wan=st.floats(min_value=1.0, max_value=1e3),
     )
-    def test_matches_choose_on_fault_free_options(self, policy_name):
-        options = [
-            option("b", 1.0, data_nodes=2, compute_nodes=4),
-            option("a", 1.2, data_nodes=1, compute_nodes=2),
-            option("c", 5.0, data_nodes=1, compute_nodes=2),
-            option("a", 1.2, data_nodes=2, compute_nodes=4),
-        ]
-        policy = make_policy(policy_name, ["a", "b", "c"])
-        chosen = policy.choose(JOB, options, 0.5)
-        candidates, totals = self._split(options)
-        index = policy.choose_index(JOB, candidates, totals, 0.5)
-        assert options[index] is chosen
-
-    def test_deadline_rejection_is_identical(self):
-        job = BrokerJob(job_id="j1", workload="knn", deadline=2.0)
-        options = [option("a", 1.5), option("b", 1.8)]
-        policy = DeadlineAwarePolicy()
-        slow = policy.choose(job, options, 1.0)
-        candidates, totals = self._split(options)
-        fast = policy.choose_index(job, candidates, totals, 1.0)
-        assert isinstance(slow, Rejection) and isinstance(fast, Rejection)
-        assert fast == slow
-
-    def test_deadline_choose_index_filters_to_meeting(self):
-        job = BrokerJob(job_id="j1", workload="knn", deadline=3.0)
-        fast_costly = option("a", 1.0, data_nodes=2, compute_nodes=4)
-        slow_cheap = option("b", 1.2, data_nodes=1, compute_nodes=2)
-        too_slow = option("c", 5.0, data_nodes=1, compute_nodes=2)
-        options = [fast_costly, slow_cheap, too_slow]
-        candidates, totals = self._split(options)
-        index = DeadlineAwarePolicy().choose_index(
-            job, candidates, totals, 0.5
+    def test_equals_option_predicted_total(
+        self, disk, network, compute, remaining, charge, wan
+    ):
+        calibrated = PredictedBreakdown(
+            t_disk=disk, t_network=network, t_compute=compute
         )
-        assert options[index] is slow_cheap
+        option = PlacementOption(
+            candidate=candidate("a"),
+            raw=PREDICTION,
+            calibrated=calibrated,
+            remaining_fraction=remaining,
+            resume_charge=charge,
+            wan_factor=wan,
+        )
+        total = attempt_total(calibrated, remaining, charge, wan)
+        assert total.hex() == option.predicted_total.hex()
 
-    def test_round_robin_rotation_parity(self):
-        """Two instances fed the same stream stay in lockstep."""
-        slow = RoundRobinPolicy(["a", "b"])
-        fast = RoundRobinPolicy(["a", "b"])
-        assert not RoundRobinPolicy.needs_totals
-        streams = [
-            [option("a", 1.0), option("b", 9.0)],
-            [option("b", 9.0)],
-            [option("a", 1.0), option("b", 9.0)],
-            [
-                option("a", 0.5, data_nodes=2, compute_nodes=4),
-                option("a", 5.0, data_nodes=1, compute_nodes=2),
-            ],
-        ]
-        for options in streams:
-            chosen = slow.choose(JOB, options, 0.0)
-            candidates = [o.candidate for o in options]
-            index = fast.choose_index(JOB, candidates, [], 0.0)
-            assert options[index] is chosen
-            assert fast._next == slow._next
+    def test_identity_is_the_calibrated_total(self):
+        assert attempt_total(PREDICTION, 1.0, 0.0, 1.0) == PREDICTION.total
 
 
 class TestFactory:
