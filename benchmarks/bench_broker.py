@@ -13,11 +13,8 @@ headline claims:
   last 50 jobs vs the uncalibrated control run;
 - replaying the same seed yields a byte-identical report file.
 
-Besides the human-readable table under ``benchmarks/results/``, the
-bench distills the per-policy headline numbers into ``BENCH_broker.json``
-at the repository root — the committed, machine-readable perf trajectory
-the ROADMAP calls for (canonical JSON, so reruns of an unchanged broker
-diff clean).
+The policy table is printed (``-s`` shows it); nothing is written to the
+tree, so a run leaves ``git status`` clean.
 
 ``REPRO_BROKER_BENCH_COUNT`` shrinks the stream for CI smoke runs (the
 error window scales down with it); the full 200-job stream is the
@@ -27,10 +24,8 @@ default.
 from __future__ import annotations
 
 import os
-import pathlib
 
 from repro.analysis import format_broker
-from repro.core.durable import atomic_write_json, atomic_write_text
 from repro.broker import GridBroker
 from repro.simgrid.topology import GridTopology, SiteKind
 from repro.workloads.clusters import (
@@ -39,9 +34,7 @@ from repro.workloads.clusters import (
 )
 from repro.workloads.traces.generate import StreamSpec, generate_stream
 
-from benchmarks.conftest import RESULTS_DIR, run_once
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+from benchmarks.conftest import run_once
 
 COUNT = int(os.environ.get("REPRO_BROKER_BENCH_COUNT", "200"))
 #: Jobs of the calibration-accuracy window (the stream's converged tail).
@@ -96,37 +89,11 @@ def run_broker_study():
     return report, replay
 
 
-def bench_summary(report) -> dict:
-    """Distill one policy comparison into the committed perf record."""
-    return {
-        "kind": "bench-broker",
-        "jobs": COUNT,
-        "error_window": ERROR_WINDOW,
-        "policies": {
-            run.label: {
-                "completed": len(run.placements),
-                "rejected": len(run.rejections),
-                "makespan_s": run.makespan,
-                "mean_wait_s": run.mean_wait,
-                "deadline_miss_rate": run.deadline_miss_rate,
-                "mean_abs_error": run.mean_error(),
-                "tail_abs_error": run.mean_error(last=ERROR_WINDOW),
-            }
-            for run in report.runs
-        },
-    }
-
-
 def test_broker_policies_and_calibration(benchmark, tmp_path):
     report, replay = run_once(benchmark, run_broker_study)
 
-    text = format_broker(report)
     print()
-    print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    atomic_write_text(RESULTS_DIR / "broker.txt", text + "\n")
-    report.save(RESULTS_DIR / "broker.json")
-    atomic_write_json(REPO_ROOT / "BENCH_broker.json", bench_summary(report))
+    print(format_broker(report))
 
     min_completion = report.run("min-completion")
     deadline_aware = report.run("deadline-aware")

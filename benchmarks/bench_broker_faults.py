@@ -12,10 +12,8 @@ guarantees for *both* recovery policies:
 - replaying an identical (seed, scenario) pair yields a byte-identical
   report — determinism survives adversity.
 
-The per-seed outcomes and aggregate goodput land in
-``BENCH_resilience.json`` at the repository root (canonical JSON), the
-machine-readable resilience trajectory companion to
-``BENCH_broker.json``.
+The per-seed outcomes and goodput are printed (``-s`` shows them);
+nothing is written to the tree.
 
 ``REPRO_CHAOS_BENCH_COUNT`` caps the stream size for CI smoke runs;
 the full 120-job stream is the default.
@@ -23,10 +21,10 @@ the full 120-job stream is the default.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 from repro.broker import GridBroker
-from repro.core.durable import atomic_write_json, atomic_write_text
 from repro.faults.chaos import ChaosSpec, run_campaign
 from repro.workloads.traces.generate import (
     StreamSpec,
@@ -34,8 +32,8 @@ from repro.workloads.traces.generate import (
     stream_horizon,
 )
 
-from benchmarks.bench_broker import REPO_ROOT, hetero_grid
-from benchmarks.conftest import RESULTS_DIR, run_once
+from benchmarks.bench_broker import hetero_grid, stream_spec
+from benchmarks.conftest import run_once
 
 CHAOS_COUNT = int(os.environ.get("REPRO_CHAOS_BENCH_COUNT", "120"))
 
@@ -45,20 +43,7 @@ RECOVERIES = ["resubmit", "migrate"]
 
 
 def chaos_stream_spec() -> StreamSpec:
-    return StreamSpec(
-        count=CHAOS_COUNT,
-        seed=42,
-        mean_interarrival=0.08,
-        mix=(
-            ("kmeans", None, 2.0),
-            ("knn", None, 1.0),
-            ("vortex", None, 1.0),
-            ("em", None, 1.0),
-        ),
-        deadline_fraction=0.4,
-        deadline_slack=(1.2, 3.0),
-        priorities=(0, 1),
-    )
+    return dataclasses.replace(stream_spec(), count=CHAOS_COUNT)
 
 
 def run_resilience_study():
@@ -70,23 +55,6 @@ def run_resilience_study():
             broker, jobs, SEEDS, spec, recovery=recovery
         )
         for recovery in RECOVERIES
-    }
-
-
-def campaign_summary(report) -> dict:
-    cases = report.cases
-    return {
-        "recovery": report.recovery,
-        "policy": report.policy,
-        "ok": report.ok,
-        "seeds": len(cases),
-        "faults": sum(case.faults for case in cases),
-        "completed": sum(case.completed for case in cases),
-        "rejected": sum(case.rejected for case in cases),
-        "failed": sum(case.failed for case in cases),
-        "preemptions": sum(case.preemptions for case in cases),
-        "min_goodput": min(case.goodput for case in cases),
-        "cases": [case.to_dict() for case in cases],
     }
 
 
@@ -113,23 +81,8 @@ def format_campaigns(campaigns) -> str:
 def test_chaos_invariants_hold(benchmark):
     campaigns = run_once(benchmark, run_resilience_study)
 
-    text = format_campaigns(campaigns)
     print()
-    print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    atomic_write_text(RESULTS_DIR / "resilience.txt", text + "\n")
-    atomic_write_json(
-        REPO_ROOT / "BENCH_resilience.json",
-        {
-            "kind": "bench-resilience",
-            "jobs": CHAOS_COUNT,
-            "seeds": SEEDS,
-            "campaigns": {
-                recovery: campaign_summary(report)
-                for recovery, report in campaigns.items()
-            },
-        },
-    )
+    print(format_campaigns(campaigns))
 
     for recovery, report in campaigns.items():
         assert report.ok, f"{recovery}: " + "; ".join(report.violations)

@@ -22,9 +22,11 @@ from repro.campaign import (
     CampaignRunner,
     ParallelCampaignRunner,
     PoolSafetyError,
+    paper_suite_manifest,
     verify_pool_safety,
 )
 from repro.errors import CampaignError
+from repro.workloads.experiments import EXPERIMENTS
 
 from .conftest import (
     FAKE_IDS,
@@ -97,6 +99,28 @@ def test_parallel_matches_serial_byte_for_byte(tmp_path):
         tmp_path, FAKE_IDS, workers=3
     )
     assert parallel.ok
+    assert_identical(tmp_path, serial, parallel, serial_dir, parallel_dir)
+
+
+def test_certified_pool_matches_serial_on_real_figures(tmp_path):
+    """The default gate proves the real entry points, then the pool's
+    journal and figure artifacts are the serial runner's bytes."""
+    manifest = paper_suite_manifest(
+        fast=True, experiment_ids=sorted(EXPERIMENTS)[:2]
+    )
+    serial_dir = tmp_path / "serial"
+    parallel_dir = tmp_path / "parallel"
+    serial = CampaignRunner(
+        manifest, tmp_path / "serial.journal.json", results_dir=serial_dir
+    ).run()
+    parallel = ParallelCampaignRunner(
+        manifest,
+        tmp_path / "parallel.journal.json",
+        workers=2,
+        results_dir=parallel_dir,
+    ).run()
+    assert serial.exit_code == 0
+    assert len(list(serial_dir.iterdir())) == len(manifest.entries)
     assert_identical(tmp_path, serial, parallel, serial_dir, parallel_dir)
 
 

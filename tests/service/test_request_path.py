@@ -308,9 +308,10 @@ class TestPerRequestWorkIsCounted:
 
 #: sha256 of ``canonical_json(RequestLog.to_dict())`` (what
 #: ``content_digest`` hashed until it went compact) at 571355b for the
-#: seeds and specs ``BENCH_service.json`` records
-#: (benchmarks/bench_service.py).  Hashed the old way so these values
-#: never move: a changed one means the log itself moved.
+#: service chaos gate's nine cases: a clean baseline, the standard fault
+#: mix and an overload at 8x the admission rate, each at three seeds.
+#: Hashed the old way so these values never move: a changed one means
+#: the log itself moved.
 PARENT_LOG_DIGESTS = {
     ("baseline", 11): "1c1ae242b8d87851d80a206b78bc5083d114c032da8ee6f38757938f66b32e80",
     ("baseline", 23): "30bdce48954925df80d0f01d85bb20ea8f27601259f912065a56d58e703d228e",
@@ -336,12 +337,23 @@ SPECS = {
 class TestVirtualTimeDidNotMove:
     @pytest.mark.parametrize("scenario, seed", sorted(PARENT_LOG_DIGESTS))
     def test_request_log_is_the_parent_commits(self, scenario, seed):
-        service, _ = _serve_case(seed, SPECS[scenario])
+        service, requests = _serve_case(seed, SPECS[scenario])
         document = canonical_json(service.log.to_dict()).encode("utf-8")
         assert (
             hashlib.sha256(document).hexdigest()
             == PARENT_LOG_DIGESTS[scenario, seed]
         )
+        # The digest pins the log; the books and breakers beside it are
+        # held by the invariant suite, and each scenario must exercise
+        # the path it exists for.
+        assert verify_service_log(service, requests) == []
+        shed = service.log.summary()["shed"]
+        if scenario == "baseline":
+            assert shed == 0
+        elif scenario == "overload":
+            assert shed > 0
+        else:
+            assert sum(service.backend.injector.injected.values()) > 0
 
 
 def record(index, outcome="ok", latency_s=4e-3, request_id=None):

@@ -110,11 +110,17 @@ class TestSimulator:
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=40))
     def test_processed_count_matches_schedule_count(self, delays):
+        # Oracle: with every fifth event cancelled, the drain runs the
+        # rest in (time, schedule index) order, each exactly once.
         sim = Simulator()
-        for d in delays:
-            sim.schedule(d, lambda: None)
+        order = []
+        events = [sim.schedule(d, order.append, i) for i, d in enumerate(delays)]
+        for event in events[::5]:
+            event.cancel()
         sim.run()
-        assert sim.processed_events == len(delays)
+        live = [i for i in range(len(delays)) if i % 5]
+        assert order == sorted(live, key=lambda i: (delays[i], i))
+        assert sim.processed_events == len(live)
 
 
 class TestEvent:
