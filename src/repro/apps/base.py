@@ -16,13 +16,14 @@ cross-cluster compute scaling factors (Section 5.4).
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 import numpy as np
 
 from repro.errors import UsageError
 from repro.hotpath import hot
-from repro.middleware.instrument import OpCounter
 
-__all__ = ["pairwise_sq_dists", "charge_distance_ops", "farthest_point_init"]
+__all__ = ["pairwise_sq_dists", "distance_ops", "farthest_point_init"]
 
 
 def farthest_point_init(
@@ -51,15 +52,27 @@ def farthest_point_init(
 
 
 @hot
-def pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def pairwise_sq_dists(
+    points: np.ndarray,
+    centers: np.ndarray,
+    ends: Optional[Sequence[int]] = None,
+) -> np.ndarray:
     """Squared Euclidean distances, shape ``(len(points), len(centers))``.
 
     Uses the expanded form ``|x|^2 - 2 x.c + |c|^2`` so the dominant cost is
-    one GEMM — the idiomatic vectorization for this kernel.
+    one GEMM — the idiomatic vectorization for this kernel.  ``ends`` (one
+    past the last row of each block, ascending) runs one GEMM per block of
+    rows instead: BLAS picks its kernel by shape (a one-row block or a
+    single centre is a GEMV), so only a per-block product is bit-identical
+    to calling this on each block alone.  The rest is element-wise.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    d2 = points @ centers.T
+    d2 = np.empty((len(points), len(centers)))
+    start = 0
+    for end in (len(points),) if ends is None else ends:
+        np.matmul(points[start:end], centers.T, out=d2[start:end])
+        start = end
     d2 *= -2.0
     d2 += np.einsum("ij,ij->i", points, points)[:, None]
     d2 += np.einsum("ij,ij->i", centers, centers)
@@ -68,13 +81,12 @@ def pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 @hot
-def charge_distance_ops(
-    ops: OpCounter, num_points: int, num_centers: int, num_dims: int
-) -> None:
-    """Charge the cost of one points-by-centers distance evaluation."""
-    nkd = float(num_points) * num_centers * num_dims
-    ops.charge(
-        flop=3.0 * nkd,
-        mem=float(num_points) * num_dims + float(num_centers) * num_dims,
-        branch=float(num_points) * num_centers,
+def distance_ops(num_points, num_centers: int, num_dims: int) -> tuple:
+    """``(flop, mem, branch)`` of a points-by-centers distance evaluation;
+    ``num_points`` is a float, or a float array with one count per block."""
+    nkd = num_points * num_centers * num_dims
+    return (
+        3.0 * nkd,
+        num_points * num_dims + float(num_centers) * num_dims,
+        num_points * num_centers,
     )

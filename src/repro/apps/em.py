@@ -118,7 +118,8 @@ class EMClustering(GeneralizedReduction):
     ) -> None:
         points = np.asarray(payload, dtype=np.float64)
         n, d = points.shape
-        resp, log_evidence = self._responsibilities(points)  # resp is (k, n)
+        # resp is (k, n); diff is the (k, d, n) centring it was built from.
+        resp, log_evidence, diff = self._responsibilities(points)
 
         if self._phase == "E":
             contribution = np.empty(self.k * (d + 1) + 1)
@@ -126,8 +127,6 @@ class EMClustering(GeneralizedReduction):
             contribution[self.k : -1] = (resp @ points).ravel()
             contribution[-1] = log_evidence.sum()
         else:
-            assert self.means is not None
-            diff = np.ascontiguousarray(points.T) - self.means[:, :, None]
             # One (d, n) @ (n, d) GEMM per component.
             weighted = resp[:, None, :] * diff
             contribution = np.matmul(weighted, diff.transpose(0, 2, 1)).ravel()
@@ -207,10 +206,11 @@ class EMClustering(GeneralizedReduction):
     @hot
     def _responsibilities(
         self, points: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior component probabilities ``(k, n)`` and per-point log
-        evidence; points run along the last, contiguous axis throughout, so
-        reductions over components are element-wise on length-``n`` rows."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Posterior component probabilities ``(k, n)``, per-point log
+        evidence, and the centred points ``(k, d, n)`` (the M pass's scatter
+        reuses them); points run along the last, contiguous axis throughout,
+        so reductions over components are element-wise on length-``n`` rows."""
         assert self.means is not None and self._precisions is not None
         assert self._log_prior is not None
         diff = np.ascontiguousarray(points.T) - self.means[:, :, None]  # (k, d, n)
@@ -221,4 +221,4 @@ class EMClustering(GeneralizedReduction):
         resp = np.exp(log_weighted - top)
         norm = resp.sum(axis=0)
         resp /= norm
-        return resp, top + np.log(norm)
+        return resp, top + np.log(norm), diff

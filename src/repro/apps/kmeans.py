@@ -13,17 +13,14 @@ in the node count, independent of dataset size).
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps.base import (
-    charge_distance_ops,
-    farthest_point_init,
-    pairwise_sq_dists,
-)
+from repro.apps.base import distance_ops, farthest_point_init, pairwise_sq_dists
 from repro.hotpath import hot
 from repro.middleware.api import GeneralizedReduction
+from repro.middleware.dataset import ArrayDataset
 from repro.middleware.instrument import OpCounter
 from repro.middleware.reduction import ArrayReductionObject
 from repro.simgrid.errors import ConfigurationError
@@ -96,22 +93,57 @@ class KMeansClustering(GeneralizedReduction):
     def process_chunk(
         self, obj: ArrayReductionObject, payload: np.ndarray, ops: OpCounter
     ) -> None:
-        assert self.centers is not None, "begin() must run first"
         points = np.asarray(payload, dtype=np.float64)
-        n, d = points.shape
-        d2 = pairwise_sq_dists(points, self.centers)
-        assign = np.argmin(d2, axis=1)
+        values, counts, rows = self._fold(points, [len(points)])
+        obj.accumulate(values[0], count=counts[0])
+        ops.charge(*rows[0].tolist())
 
-        # bincount adds in row order, as np.add.at does: identical sums.
-        contribution = np.empty((self.k, d + 1))
+    @hot
+    def process_pass(
+        self, dataset: ArrayDataset
+    ) -> Tuple[List[ArrayReductionObject], np.ndarray]:
+        """Every chunk of ``dataset`` as :meth:`process_chunk` folds it into
+        a fresh object, in one call: the pieces and their ``(chunks, 3)``
+        (flop, mem, branch), bit for bit."""
+        values, counts, rows = self._fold(
+            np.asarray(dataset.records, dtype=np.float64), dataset.chunk_ends
+        )
+        # A bincount sum is never -0.0, so the fresh object's 0.0 + x is x.
+        pieces = [
+            ArrayReductionObject(piece, count)
+            for piece, count in zip(values, counts)
+        ]
+        return pieces, rows
+
+    @hot
+    def _fold(
+        self, points: np.ndarray, ends: Sequence[int]
+    ) -> Tuple[np.ndarray, List[float], np.ndarray]:
+        """The chunks of ``points`` ending at rows ``ends``, each folded
+        alone: per chunk, cluster sums and counts ``(chunks, k, d + 1)``,
+        row counts, and the (flop, mem, branch) it charges."""
+        assert self.centers is not None, "begin() must run first"
+        k, d = self.k, points.shape[1]
+        sizes = np.diff(ends, prepend=0)
+        bins = k * len(sizes)
+        d2 = pairwise_sq_dists(points, self.centers, ends)
+        # Bin chunk * k + cluster: bincount adds each bin's rows in row
+        # order, as one bincount per chunk (and np.add.at before it) does.
+        keys = np.repeat(np.arange(0, bins, k), sizes) + np.argmin(d2, axis=1)
+        values = np.empty((bins, d + 1))
         for j in range(d):
-            contribution[:, j] = np.bincount(assign, points[:, j], self.k)
-        contribution[:, d] = np.bincount(assign, minlength=self.k)
-        obj.accumulate(contribution, count=float(n))
+            values[:, j] = np.bincount(keys, points[:, j], bins)
+        values[:, d] = np.bincount(keys, minlength=bins)
 
-        charge_distance_ops(ops, n, self.k, d)
-        # Scatter-accumulate of the assigned points into the object.
-        ops.charge(flop=float(n) * d, mem=2.0 * n * d, branch=float(n))
+        n = sizes.astype(np.float64)
+        flop, mem, branch = distance_ops(n, k, d)
+        # OpCounter's order: the distance charge, then the scatter of the
+        # assigned points into the object.
+        rows = np.empty((len(n), 3))
+        rows[:, 0] = (0.0 + flop) + n * d
+        rows[:, 1] = (0.0 + mem) + 2.0 * n * d
+        rows[:, 2] = (0.0 + branch) + n
+        return values.reshape(len(n), k, d + 1), n.tolist(), rows
 
     def object_nbytes(self, obj: ArrayReductionObject) -> float:
         return obj.nbytes

@@ -19,7 +19,7 @@ from typing import Any, Dict, Sequence
 
 import numpy as np
 
-from repro.apps.base import charge_distance_ops, pairwise_sq_dists
+from repro.apps.base import distance_ops, pairwise_sq_dists
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.instrument import OpCounter
 from repro.simgrid.errors import ConfigurationError
@@ -116,7 +116,7 @@ class KNNSearch(GeneralizedReduction):
         rows = np.arange(self.num_queries)[:, None]
         obj.absorb(d2[rows, part], np.broadcast_to(labels, d2.shape)[rows, part])
 
-        charge_distance_ops(ops, n, self.num_queries, self._num_dims)
+        ops.charge(*distance_ops(float(n), self.num_queries, self._num_dims))
         # Selection and candidate-set maintenance are branch-heavy: kNN has
         # the branchiest op mix of the five applications, which is what
         # gives it the smallest cross-cluster compute scaling factor.

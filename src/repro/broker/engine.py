@@ -148,6 +148,11 @@ from repro.workloads.traces.generate import StreamSpec, generate_stream
 
 __all__ = ["GridBroker", "ActualRun"]
 
+#: What the broker caches a dataset's artefacts under: (workload, size
+#: label), with no size resolved to the workload's default, so ``kmeans``
+#: and ``kmeans@1.4 GB`` are one dataset with one kernel trace.
+DatasetKey = Tuple[str, str]
+
 
 @dataclass(frozen=True, slots=True)
 class ActualRun:
@@ -286,24 +291,25 @@ class GridBroker:
         self.alpha = alpha
 
         self.catalog = ReplicaCatalog(topology)
-        self._datasets: Dict[str, Dataset] = {}
+        self._datasets: Dict[DatasetKey, Dataset] = {}
         #: One kernel trace per dataset key: the reference profile and
         #: every candidate configuration are priced from one execution of
         #: the chunk kernels.
-        self._kernels: Dict[str, KernelTrace] = {}
-        self._profiles: Dict[str, Profile] = {}
+        self._kernels: Dict[DatasetKey, KernelTrace] = {}
+        self._profiles: Dict[DatasetKey, Profile] = {}
         self._models: Dict[str, PredictionModel] = {}
-        self._selections: Dict[str, SelectionOutcome] = {}
-        self._infeasible: Dict[str, InfeasibleSelectionError] = {}
+        self._selections: Dict[DatasetKey, SelectionOutcome] = {}
+        self._infeasible: Dict[DatasetKey, InfeasibleSelectionError] = {}
         self._exec_cache: Dict[tuple, ActualRun] = {}
         #: Identity-keyed view of ``_exec_cache``: selection outcomes are
         #: memoized for the broker's lifetime, so a candidate object is
         #: stable and ``id(candidate)`` short-circuits the 6-tuple key
         #: build on the placement hot path.
-        self._exec_by_cand: Dict[Tuple[int, str], ActualRun] = {}
+        self._exec_by_cand: Dict[Tuple[int, DatasetKey], ActualRun] = {}
         self._recover_cache: Dict[tuple, float] = {}
         self._reqs: Dict[
-            str, List[Tuple[SelectionCandidate, str, Optional[str], int, int]]
+            DatasetKey,
+            List[Tuple[SelectionCandidate, str, Optional[str], int, int]],
         ] = {}
         self._path_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         #: Node ledger of the most recent :meth:`run`, for inspection.
@@ -347,20 +353,25 @@ class GridBroker:
             self._models[workload] = model
         return model
 
-    def _dataset(self, job: BrokerJob) -> Dataset:
-        key = job.dataset_key
+    def _key(self, job: BrokerJob) -> DatasetKey:
+        """The dataset ``job`` reads, as the broker's caches key it."""
+        return (job.workload, job.size or self._spec(job.workload).default_size)
+
+    def _dataset(self, key: DatasetKey, job: BrokerJob) -> Dataset:
         dataset = self._datasets.get(key)
         if dataset is None:
-            dataset = self._spec(job.workload).make_dataset(job.size)
+            workload, size = key
+            dataset = self._spec(workload).make_dataset(size)
             if dataset.name not in self.catalog:
-                sites = self._replica_map.get(key)
+                # Replica maps are written in the job's own terms.
+                sites = self._replica_map.get(job.dataset_key)
                 if sites is None:
                     sites = sorted(
                         s.name for s in self.topology.repositories()
                     )
                 if not sites:
                     raise ConfigurationError(
-                        f"no replica sites for dataset '{key}'"
+                        f"no replica sites for dataset '{job.dataset_key}'"
                     )
                 for site in sites:
                     self.catalog.add(dataset.name, site)
@@ -368,18 +379,17 @@ class GridBroker:
         return dataset
 
     def _run_middleware(
-        self, job: BrokerJob, config: RunConfig
+        self, key: DatasetKey, config: RunConfig
     ) -> TimeBreakdown:
-        """Execute ``job``'s workload under ``config`` (kernels shared)."""
-        kernels = self._kernels.setdefault(job.dataset_key, KernelTrace())
+        """Execute ``key``'s workload under ``config`` (kernels shared)."""
+        kernels = self._kernels.setdefault(key, KernelTrace())
         run = FreerideGRuntime(config, kernels=kernels).execute(
-            self._spec(job.workload).make_app(), self._dataset(job)
+            self._spec(key[0]).make_app(), self._datasets[key]
         )
         return run.breakdown
 
-    def _profile(self, job: BrokerJob) -> Profile:
+    def _profile(self, key: DatasetKey) -> Profile:
         """The one-off 1-1 reference profile for (workload, size)."""
-        key = job.dataset_key
         profile = self._profiles.get(key)
         if profile is None:
             from repro.workloads.clusters import DEFAULT_BANDWIDTH
@@ -391,21 +401,20 @@ class GridBroker:
                 compute_nodes=1,
                 bandwidth=DEFAULT_BANDWIDTH,
             )
-            profile = Profile.from_run(config, self._run_middleware(job, config))
+            profile = Profile.from_run(config, self._run_middleware(key, config))
             self._profiles[key] = profile
         return profile
 
     @hot
-    def _selection(self, job: BrokerJob) -> SelectionOutcome:
+    def _selection(self, key: DatasetKey, job: BrokerJob) -> SelectionOutcome:
         """Full-capacity candidate enumeration (raises when infeasible)."""
-        key = job.dataset_key
         cached = self._selections.get(key)
         if cached is not None:
             return cached
         known_error = self._infeasible.get(key)
         if known_error is not None:
             raise known_error
-        dataset = self._dataset(job)
+        dataset = self._dataset(key, job)
         selector = ResourceSelector(
             topology=self.topology,
             catalog=self.catalog,
@@ -414,7 +423,7 @@ class GridBroker:
         )
         try:
             outcome = selector.select(
-                dataset.name, dataset.nbytes, self._profile(job)
+                dataset.name, dataset.nbytes, self._profile(key)
             )
         except InfeasibleSelectionError as exc:
             self._infeasible[key] = exc
@@ -430,7 +439,7 @@ class GridBroker:
         Job-stream generators scale deadlines off this number.
         """
         probe = BrokerJob(job_id="baseline", workload=workload, size=size)
-        outcome = self._selection(probe)
+        outcome = self._selection(self._key(probe), probe)
         return min(c.predicted_total for c in outcome.candidates)
 
     # ------------------------------------------------------------------
@@ -438,22 +447,22 @@ class GridBroker:
     # ------------------------------------------------------------------
 
     @hot
-    def _execute(self, job: BrokerJob, cand: SelectionCandidate) -> ActualRun:
-        fast_key = (id(cand), job.dataset_key)
+    def _execute(self, key: DatasetKey, cand: SelectionCandidate) -> ActualRun:
+        fast_key = (id(cand), key)
         cached = self._exec_by_cand.get(fast_key)
         if cached is not None:
             return cached
         storage = self.topology.site(cand.replica_site).cluster
         compute = self.topology.site(cand.compute_site).cluster
-        key = (
-            job.dataset_key,
+        exec_key = (
+            key,
             storage.name,
             compute.name,
             cand.data_nodes,
             cand.compute_nodes,
             cand.bandwidth,
         )
-        actual = self._exec_cache.get(key)
+        actual = self._exec_cache.get(exec_key)
         if actual is None:
             config = RunConfig(
                 storage_cluster=storage,
@@ -462,20 +471,22 @@ class GridBroker:
                 compute_nodes=cand.compute_nodes,
                 bandwidth=cand.bandwidth,
             )
-            breakdown = self._run_middleware(job, config)
+            breakdown = self._run_middleware(key, config)
             actual = ActualRun(
                 t_disk=breakdown.t_disk,
                 t_network=breakdown.t_network,
                 t_compute=breakdown.t_compute,
                 num_passes=max(1, breakdown.num_passes),
             )
-            self._exec_cache[key] = actual
+            self._exec_cache[exec_key] = actual
         self._exec_by_cand[fast_key] = actual
         return actual
 
     @hot
-    def _recover_charge(self, job: BrokerJob, cand: SelectionCandidate) -> float:
-        """T_recover for resuming ``job`` from checkpoints on ``cand``.
+    def _recover_charge(
+        self, key: DatasetKey, cand: SelectionCandidate
+    ) -> float:
+        """T_recover for resuming a job on ``key`` from checkpoints on ``cand``.
 
         Priced through the degraded-mode predictor as a compute-node
         restart at the head of the run: checkpoint restore plus replica
@@ -483,14 +494,14 @@ class GridBroker:
         at least two compute nodes (a single-node crash schedule would
         leave no survivors to price the restore against).
         """
-        key = (
-            job.dataset_key,
+        recover_key = (
+            key,
             cand.replica_site,
             cand.compute_site,
             cand.data_nodes,
             cand.compute_nodes,
         )
-        charge = self._recover_cache.get(key)
+        charge = self._recover_cache.get(recover_key)
         if charge is None:
             config = RunConfig(
                 storage_cluster=self.topology.site(cand.replica_site).cluster,
@@ -500,12 +511,12 @@ class GridBroker:
                 bandwidth=cand.bandwidth,
             )
             target = PredictionTarget(
-                config=config, dataset_bytes=self._dataset(job).nbytes
+                config=config, dataset_bytes=self._datasets[key].nbytes
             )
             what_if = DegradedModePredictor(
-                self._model(job.workload)
+                self._model(key[0])
             ).predict_compute_node_crash(
-                self._profile(job), target, at_fraction=0.0
+                self._profile(key), target, at_fraction=0.0
             )
             recovery = what_if.recovery
             charge = (
@@ -513,7 +524,7 @@ class GridBroker:
                 + recovery.t_refetch_disk
                 + recovery.t_refetch_network
             )
-            self._recover_cache[key] = charge
+            self._recover_cache[recover_key] = charge
         return charge
 
     @hot
@@ -539,7 +550,7 @@ class GridBroker:
 
     @hot
     def _requirements(
-        self, job: BrokerJob
+        self, key: DatasetKey, job: BrokerJob
     ) -> List[Tuple[SelectionCandidate, str, Optional[str], int, int]]:
         """``job``'s candidates with the free nodes each needs, in order.
 
@@ -549,10 +560,10 @@ class GridBroker:
         Candidates are memoized per dataset key, so this is computed once
         and the feasibility scan touches only plain tuples.
         """
-        reqs = self._reqs.get(job.dataset_key)
+        reqs = self._reqs.get(key)
         if reqs is None:
             reqs = []
-            for cand in self._selection(job).candidates:
+            for cand in self._selection(key, job).candidates:
                 if cand.replica_site == cand.compute_site:
                     reqs.append((
                         cand,
@@ -569,7 +580,7 @@ class GridBroker:
                         cand.data_nodes,
                         cand.compute_nodes,
                     ))
-            self._reqs[job.dataset_key] = reqs
+            self._reqs[key] = reqs
         return reqs
 
     # ------------------------------------------------------------------
@@ -756,6 +767,8 @@ class _BrokerRun:
         "shrink_victims",
         # job id -> what its next attempt resumes from.
         "resume",
+        # job id -> its dataset key, resolved once on arrival.
+        "keys",
         "fault_events", "preemptions", "failures",
     )
 
@@ -800,6 +813,7 @@ class _BrokerRun:
         self.wan_active: List[WanDegradation] = []
         self.shrink_victims: Dict[int, Tuple[int, ...]] = {}
         self.resume: Dict[str, _Resume] = {}
+        self.keys: Dict[str, DatasetKey] = {}
         self.fault_events: List[GridFaultEvent] = []
         self.preemptions: List[BrokerPreemption] = []
         self.failures: List[TerminalFailure] = []
@@ -902,8 +916,10 @@ class _BrokerRun:
 
     @hot
     def on_arrival(self, job: BrokerJob) -> None:
+        broker = self.broker
+        key = self.keys[job.job_id] = broker._key(job)
         try:
-            outcome = self.broker._selection(job)
+            outcome = broker._selection(key, job)
         except InfeasibleSelectionError as exc:
             tagged = exc.tagged(job.arrival_index, job.vo)
             detail = "; ".join(r.label for r in tagged.rejections[:3])
@@ -932,6 +948,8 @@ class _BrokerRun:
         pending = self.pending
         ledger = self.ledger
         policy = self.policy
+        requirements = self.broker._requirements
+        keys = self.keys
         while pending:
             head = pending[0][1]
             if self.last_block == (head.job_id, ledger.version):
@@ -942,7 +960,7 @@ class _BrokerRun:
             free = ledger.free_counts()
             feasible = [
                 cand
-                for cand, s1, s2, n1, n2 in self.broker._requirements(head)
+                for cand, s1, s2, n1, n2 in requirements(keys[head.job_id], head)
                 if free[s1] >= n1 and (s2 is None or free[s2] >= n2)
             ]
             if not feasible:
@@ -998,7 +1016,7 @@ class _BrokerRun:
                 cand.prediction,
             ),
             1.0 - done,
-            broker._recover_charge(job, cand)
+            broker._recover_charge(self.keys[job.job_id], cand)
             if resume.charge and done > 0
             else 0.0,
             broker._wan_factor(
@@ -1009,7 +1027,7 @@ class _BrokerRun:
     @hot
     def _place(self, job: BrokerJob, cand: SelectionCandidate) -> None:
         option = PlacementOption(cand, cand.prediction, *self._terms(job, cand))
-        actual = self.broker._execute(job, cand)
+        actual = self.broker._execute(self.keys[job.job_id], cand)
         if option.wan_factor > 1.0:
             actual = ActualRun(
                 t_disk=actual.t_disk,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 import functools
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -120,6 +120,8 @@ class ArrayDataset(Dataset):
         # Contiguous row ranges, sized as evenly as integer division allows.
         edges = np.linspace(0, records.shape[0], num_chunks + 1).astype(int)
         self._bounds = list(zip(edges[:-1], edges[1:]))
+        #: One past the last row of every chunk, in chunk order.
+        self.chunk_ends: List[int] = edges[1:].tolist()
 
     @property
     def num_records(self) -> int:

@@ -12,6 +12,12 @@ recovery for real.  A runtime not handed a trace records a private one; a
 shared trace lives as long as its owner (a ``run_grid_experiment`` call,
 a ``GridBroker``).
 
+A pass is recorded by one ``process_chunk`` call per chunk, unless the
+application defines a batched kernel, ``process_pass(dataset)``, and the
+dataset is an :class:`ArrayDataset`: then one call returns every chunk's
+piece and op row, bit for bit what the per-chunk calls would (k-means;
+EM and kNN stay per-chunk, see DESIGN.md §5).
+
 What is exact
 -------------
 ``TimeBreakdown``s (events included) are bit-identical to a from-scratch
@@ -40,7 +46,7 @@ import numpy as np
 
 from repro.hotpath import hot
 from repro.middleware.api import GeneralizedReduction
-from repro.middleware.dataset import Dataset
+from repro.middleware.dataset import ArrayDataset, Dataset
 from repro.middleware.instrument import OpCounter
 from repro.middleware.reduction import ArrayReductionObject
 from repro.simgrid.errors import ConfigurationError
@@ -127,14 +133,18 @@ class KernelTrace:
                 f"application '{app.name}' did not terminate within "
                 f"{MAX_PASSES} passes"
             )
-        counter = OpCounter()
-        objects: List[Any] = []
-        ops = np.empty((dataset.num_chunks, 3))
-        for chunk in range(dataset.num_chunks):
-            piece = app.make_local_object()
-            app.process_chunk(piece, dataset.chunk_payload(chunk), counter)
-            objects.append(piece)
-            ops[chunk] = counter.drain()
+        process_pass = getattr(app, "process_pass", None)
+        if process_pass is not None and isinstance(dataset, ArrayDataset):
+            objects, ops = process_pass(dataset)
+        else:
+            counter = OpCounter()
+            objects = []
+            ops = np.empty((dataset.num_chunks, 3))
+            for chunk in range(dataset.num_chunks):
+                piece = app.make_local_object()
+                app.process_chunk(piece, dataset.chunk_payload(chunk), counter)
+                objects.append(piece)
+                ops[chunk] = counter.drain()
         recorded = PassPieces(objects, ops, app.make_local_object())
         self.passes.append(recorded)
         return recorded

@@ -32,7 +32,7 @@ class TestEMNumerics:
         dataset = make_point_dataset("em-resp", 500, 3, 3, 16, seed=13)
         app = EMClustering(k=3, num_iterations=1, seed=7)
         app.begin(dict(dataset.meta))
-        resp, log_evidence = app._responsibilities(
+        resp, log_evidence, _ = app._responsibilities(
             dataset.records[:100].astype(np.float64)
         )
         np.testing.assert_allclose(resp.sum(axis=0), np.ones(100), atol=1e-12)
@@ -42,7 +42,7 @@ class TestEMNumerics:
         app = EMClustering(k=2, num_iterations=1, seed=7)
         app.begin({"num_dims": 2})
         far = np.full((10, 2), 1e3)
-        resp, log_evidence = app._responsibilities(far)
+        resp, log_evidence, _ = app._responsibilities(far)
         assert np.all(np.isfinite(resp))
         assert np.all(np.isfinite(log_evidence))
 

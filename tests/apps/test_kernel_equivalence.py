@@ -246,6 +246,59 @@ class TestKMeansEquivalence:
         assert np.array_equal(points, before[0]) and np.array_equal(centers, before[1])
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(**shapes, blocks=st.integers(1, 12))
+    # BLAS picks its kernel by shape: a one-row block, or a single centre,
+    # is a GEMV whose sums differ from the rows of one whole-array GEMM.
+    @example(n=9, d=4, k=6, blocks=6, seed=0)
+    @example(n=300, d=8, k=1, blocks=3, seed=0)
+    def test_blocked_distances_equal_each_block_alone(self, n, d, k, blocks, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(scale=5.0, size=(n, d))
+        centers = rng.normal(scale=5.0, size=(k, d))
+        edges = np.linspace(0, n, min(blocks, n) + 1).astype(int)
+        d2 = pairwise_sq_dists(points, centers, edges[1:].tolist())
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            alone = pairwise_sq_dists(points[lo:hi], centers)
+            assert d2[lo:hi].tobytes() == alone.tobytes()
+
+
+class TestKMeansBatchedPass:
+    """``process_pass`` folds every chunk in one call; each piece and op row
+    must be the bytes one ``process_chunk`` into a fresh object gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 8),
+        k=st.integers(1, 8),
+        chunks=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=12, d=1, k=8, chunks=4, seed=0)  # chunks shorter than k, d = 1
+    @example(n=103, d=3, k=4, chunks=8, seed=9)  # 12- and 13-row chunks
+    @example(n=9, d=4, k=6, chunks=6, seed=0)  # one-row chunks
+    def test_pass_is_bit_identical_to_chunk_by_chunk(self, n, d, k, chunks, seed):
+        points = blobs(seed, n, d)
+        dataset = ArrayDataset(
+            "batched", points, num_chunks=min(chunks, n), meta={"num_dims": d}
+        )
+        app = KMeansClustering(k=k, num_iterations=2, seed=seed)
+        app.begin(dict(dataset.meta))
+        for _ in range(2):  # box-drawn centres, then recomputed ones
+            before = snapshot(app)
+            pieces, rows = app.process_pass(dataset)
+            assert_state_untouched(app, before)
+            assert len(pieces) == rows.shape[0] == dataset.num_chunks
+            for index, (piece, row) in enumerate(zip(pieces, rows)):
+                obj, ops = run_chunk(app, dataset.chunk_payload(index))
+                assert piece.values.tobytes() == obj.values.tobytes()
+                assert repr(piece.count) == repr(obj.count)
+                charged = np.array([ops.flop, ops.mem, ops.branch])
+                assert row.tobytes() == charged.tobytes()
+            finish_pass(app, app.combine(pieces, OpCounter()))
+
+
 # ----------------------------------------------------------------------
 # apriori
 # ----------------------------------------------------------------------

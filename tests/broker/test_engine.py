@@ -1,5 +1,6 @@
 """The broker event loop: accounting, admission, and scheduling properties."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.broker import BrokerJob, GridBroker, parse_workload_document
 from repro.broker.engine import ActualRun
-from repro.broker.report import _run_to_dict
+from repro.broker.report import BrokerReport, _run_to_dict
 from repro.core.selection import SelectionCandidate, SelectionOutcome
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.topology import GridTopology, SiteKind
@@ -52,6 +53,29 @@ class TestColdCacheFill:
         assert dict(kernel_calls) == {"knn": 96, "kmeans": 960}
         broker.run(jobs, "min-completion")
         assert dict(kernel_calls) == {"knn": 96, "kmeans": 960}
+
+    def test_default_size_and_its_label_are_one_dataset(
+        self, kernel_calls, tmp_path
+    ):
+        """``kmeans`` and ``kmeans@1.4 GB`` name one dataset: one dataset,
+        one kernel trace (352 chunks, ten passes), and the report bytes a
+        broker keying the two spellings apart gave (pinned from one)."""
+        broker = GridBroker(small_grid(), [(1, 2), (2, 4)])
+        jobs = [
+            BrokerJob(job_id="bare", workload="kmeans"),
+            BrokerJob(
+                job_id="sized", workload="kmeans", size="1.4 GB", arrival=0.01
+            ),
+        ]
+        run = broker.run(jobs, "min-completion")
+        assert len(broker._datasets) == len(broker._kernels) == 1
+        assert dict(kernel_calls) == {"kmeans": 3520}
+        path = BrokerReport(name="one-dataset", runs=(run,)).save(
+            tmp_path / "report.json"
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "dab2328766f96a69f186747081c94c7c85624dc0ce9a62119380263b6eecd20f"
+        )
 
 
 class TestEventLoop:
@@ -209,7 +233,8 @@ class TestFeasibilityScan:
         t.connect("repo", "hpc", bw=2.0e6)
         broker = GridBroker(t, [(1, 1)])
         job = BrokerJob(job_id="j0", workload="kmeans", size="350 MB")
-        (remote,) = broker._selection(job).candidates
+        key = broker._key(job)
+        (remote,) = broker._selection(key, job).candidates
         # Predicted twice as fast, so min-completion takes the co-located
         # candidate whenever the feasibility scan lets it through.
         local = SelectionCandidate(
@@ -220,7 +245,7 @@ class TestFeasibilityScan:
             bandwidth=remote.bandwidth,
             prediction=remote.prediction.scaled(0.5, 0.5, 0.5),
         )
-        broker._selections[job.dataset_key] = SelectionOutcome(
+        broker._selections[key] = SelectionOutcome(
             candidates=(local, remote)
         )
         (placement,) = broker.run([job], "min-completion").placements

@@ -148,7 +148,9 @@ class SumApp(GeneralizedReduction):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """``process_chunk`` invocations per registered application name."""
+    """Chunk kernels run, per registered application name: one per
+    ``process_chunk`` call, ``dataset.num_chunks`` per batched
+    ``process_pass`` call."""
     from collections import Counter
 
     from repro.workloads.registry import WORKLOADS
@@ -163,4 +165,12 @@ def kernel_calls(monkeypatch):
             _original(self, obj, payload, ops)
 
         monkeypatch.setattr(cls, "process_chunk", counted)
+        batched = getattr(cls, "process_pass", None)
+        if batched is not None:
+
+            def counted_pass(self, dataset, _original=batched):
+                calls[self.name] += dataset.num_chunks
+                return _original(self, dataset)
+
+            monkeypatch.setattr(cls, "process_pass", counted_pass)
     return calls
