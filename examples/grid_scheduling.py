@@ -3,32 +3,22 @@
 
 The paper's opening motivation — "for a middleware to perform resource
 allocation, prediction models are needed" — made concrete: a batch of
-mixed data-mining jobs is scheduled on a capacity-limited two-site grid,
-once with the prediction framework choosing each job's (replica,
-configuration) pair, and once with prediction-free baselines.  Every
-placement is executed for real on the simulated middleware.
+mixed data-mining jobs, all submitted at time zero, is placed on a
+capacity-limited two-site grid by the broker, once with the prediction
+framework choosing each job's (replica, configuration) pair
+(``min-completion``) and once by a prediction-free rotation over sites
+and allocations (``round-robin``).  Every placement is executed for
+real on the simulated middleware.
 
 Run:  python examples/grid_scheduling.py
 """
 
-from repro.core import (
-    GlobalReductionModel,
-    GridScheduler,
-    Job,
-    ModelClasses,
-    Profile,
-    max_parallelism_policy,
-    predicted_best_policy,
-    random_policy,
-)
-from repro.middleware import FreerideGRuntime, ReplicaCatalog
+from repro.broker import BrokerJob, GridBroker
 from repro.simgrid.topology import GridTopology, SiteKind
 from repro.workloads.clusters import pentium_myrinet_cluster
-from repro.workloads.configs import make_run_config
-from repro.workloads.registry import WORKLOADS
 
 SMALL_SIZE = {"knn": "350 MB", "vortex": "710 MB", "defect": "130 MB",
-              "kmeans": "350 MB", "em": "350 MB"}
+              "kmeans": "350 MB"}
 JOB_MIX = ["knn", "vortex", "defect", "kmeans", "knn", "defect", "vortex"]
 
 
@@ -41,54 +31,29 @@ def main() -> None:
                   pentium_myrinet_cluster(num_nodes=8))
     topo.connect("repo", "hpc-a", bw=2.0e6)
     topo.connect("repo", "hpc-b", bw=5.0e5)  # thin link to the second site
-    catalog = ReplicaCatalog(topo)
 
-    print("profiling each job once on 1-1 (the framework's only input)...")
-    jobs = []
-    for i, name in enumerate(JOB_MIX):
-        spec = WORKLOADS[name]
-        dataset = spec.make_dataset(SMALL_SIZE[name])
-        dataset.name = f"{dataset.name}-job{i}"
-        catalog.add(dataset.name, "repo")
-        config = make_run_config(1, 1)
-        run = FreerideGRuntime(config).execute(spec.make_app(), dataset)
-        jobs.append(
-            Job(
-                job_id=f"job{i}-{name}",
-                workload=name,
-                dataset=dataset,
-                app_factory=spec.make_app,
-                profile=Profile.from_run(config, run.breakdown),
-            )
-        )
+    # Each (workload, size) is profiled once on 1-1, the framework's
+    # only input, the first time a job needs it.
+    broker = GridBroker(topo, [(1, 2), (2, 4), (4, 8)])
+    jobs = [
+        BrokerJob(job_id=f"job{i}-{name}", workload=name,
+                  size=SMALL_SIZE[name])
+        for i, name in enumerate(JOB_MIX)
+    ]
 
-    scheduler = GridScheduler(
-        topology=topo,
-        catalog=catalog,
-        model=GlobalReductionModel(
-            ModelClasses.parse("constant", "linear-constant")
-        ),
-        allocations=[(1, 2), (2, 4), (4, 8)],
-    )
+    runs = {policy: broker.run(jobs, policy)
+            for policy in ("min-completion", "round-robin")}
 
-    print("\nscheduling with the prediction framework:")
-    best = scheduler.schedule(jobs, predicted_best_policy)
-    for p in best.placements:
+    print("scheduling with the prediction framework (min-completion):")
+    for p in runs["min-completion"].placements:
         print(f"  {p.label:46s} [{p.start:6.3f}s .. {p.end:6.3f}s] "
-              f"predicted {p.predicted:.3f}s")
-
-    grabby = scheduler.schedule(jobs, max_parallelism_policy)
-    rand = scheduler.schedule(jobs, random_policy(seed=7))
+              f"predicted {p.predicted_total:.3f}s")
 
     print("\npolicy comparison:")
-    print(f"  {'policy':>18} {'makespan':>9} {'mean turnaround':>16}")
-    for label, schedule in [
-        ("predicted best", best),
-        ("max parallelism", grabby),
-        ("random", rand),
-    ]:
-        print(f"  {label:>18} {schedule.makespan:8.3f}s "
-              f"{schedule.mean_turnaround:15.3f}s")
+    print(f"  {'policy':>15} {'makespan':>9} {'mean turnaround':>16}")
+    for policy, run in runs.items():
+        turnaround = sum(p.end for p in run.placements) / len(run.placements)
+        print(f"  {policy:>15} {run.makespan:8.3f}s {turnaround:15.3f}s")
 
 
 if __name__ == "__main__":

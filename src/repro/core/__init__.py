@@ -34,15 +34,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     globals(),
     {
-        "repro.core.allocation": (
-            "GridScheduler",
-            "Job",
-            "Placement",
-            "Schedule",
-            "max_parallelism_policy",
-            "predicted_best_policy",
-            "random_policy",
-        ),
         "repro.core.cache_selection": (
             "CachePlan",
             "CacheSiteOption",

@@ -30,6 +30,7 @@ from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
+from repro.core.durable import json_number
 from repro.simgrid.errors import ConfigurationError
 
 __all__ = ["DistributionSpec", "DISTRIBUTION_KINDS"]
@@ -223,4 +224,7 @@ class DistributionSpec:
             raise ConfigurationError(
                 f"{kind} distribution missing params {missing}"
             )
-        return cls(kind, tuple((n, float(raw[n])) for n in names))
+        where = f"{kind} distribution: "
+        return cls(
+            kind, tuple((n, json_number(n, raw[n], where=where)) for n in names)
+        )

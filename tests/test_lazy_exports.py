@@ -24,7 +24,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 #: commit with eager ``__init__`` files: an export cannot vanish silently.
 #: Deliberate removals since: ``repro.analysis``'s renderer of the
 #: two-engine broker throughput benchmark, deleted with that benchmark;
-#: ``repro.lint.perf``'s call-profile names, deleted with the profile.
+#: ``repro.lint.perf``'s call-profile names, deleted with the profile;
+#: ``repro.core``'s batch scheduler names, deleted with
+#: ``core/allocation.py`` (``GridBroker`` places a batch).
 PARENT_ALL = {
     "repro": """
         FaultError RecoveryExhaustedError ReproError
@@ -66,19 +68,17 @@ PARENT_ALL = {
         CachePlan CacheSiteOption ComponentScalingFactors
         ConfigurationForecast CorruptStoreError CrossClusterPredictor
         DegradedModePredictor DegradedPrediction FormatVersionError
-        GlobalReductionClass GlobalReductionModel GridScheduler
-        InfeasibleSelectionError Job ModelClasses NoCommunicationModel
-        PipelinedBottleneckModel Placement PredictedBreakdown
-        PredictionModel PredictionTarget Profile RecoveryBreakdown
+        GlobalReductionClass GlobalReductionModel
+        InfeasibleSelectionError ModelClasses NoCommunicationModel
+        PipelinedBottleneckModel PredictedBreakdown PredictionModel
+        PredictionTarget Profile RecoveryBreakdown
         ReductionCommunicationModel ReductionObjectClass
-        RejectedCandidate ResourceSelector Schedule SelectionCandidate
-        SelectionOutcome StoreError atomic_write_json
-        atomic_write_text classify_global_reduction
-        classify_object_size estimate_global_reduction_time
-        estimate_object_size marginal_speedups max_parallelism_policy
-        measure_scaling_factors predicted_best_policy random_policy
-        recommend_nodes relative_error select_cache_site
-        sweep_configurations
+        RejectedCandidate ResourceSelector SelectionCandidate
+        SelectionOutcome StoreError atomic_write_json atomic_write_text
+        classify_global_reduction classify_object_size
+        estimate_global_reduction_time estimate_object_size
+        marginal_speedups measure_scaling_factors recommend_nodes
+        relative_error select_cache_site sweep_configurations
     """,
     "repro.datagen": """
         DEFECT_TEMPLATES FieldDataset LatticeDataset generate_lattice

@@ -5,8 +5,8 @@ Each document is damaged by the shared ``tests.fuzzing`` mutator, in
 every format a reader still accepts: campaign journals 1 (one
 document), 2 and 3 (JSON lines), trace artifacts 1 and 2, prediction
 caches, campaign manifests, fault scenarios of both scopes, profiles,
-calibrator state, and the ``stream`` section of broker workload
-documents.
+calibrator state, the ``stream`` section of broker workload
+documents, and trace specs.
 Loading may only raise a ``ReproError``, and never touches the file:
 the bytes after a load, failed or not, are the bytes before it.
 """
@@ -29,6 +29,7 @@ from repro.core.store import load_profile, profile_to_dict
 from repro.errors import ReproError
 from repro.faults.scenario import load_grid_scenario, load_scenario
 from repro.workloads.traces import TraceWorkload, make_preset
+from repro.workloads.traces import TRACE_PRESETS, TraceSpec
 from repro.workloads.traces.generate import StreamSpec, generate_stream
 
 from tests.broker.test_workload_fuzz import GRID
@@ -302,15 +303,34 @@ def test_only_repro_errors_escape_a_stream_spec_load(tmp_path, stream):
     loads_or_refuses(path, load_stream)
 
 
+TRACE_SPECS = [make_preset(name, 6, seed=3).to_dict() for name in TRACE_PRESETS]
+
+
+def load_trace_spec(path):
+    """A trace spec read back, then expanded into the jobs it describes."""
+    spec = TraceSpec.from_dict(json.loads(path.read_text()))
+    trace = TraceWorkload.from_spec(spec, baselines=lambda workload, size: 2.0)
+    assert len(trace.jobs) == spec.count
+
+
+@FUZZ
+@given(spec=mutated(*TRACE_SPECS))
+def test_only_repro_errors_escape_a_trace_spec_load(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(canonical_json(spec))
+    loads_or_refuses(path, load_trace_spec)
+
+
 @pytest.mark.parametrize(
     "load, document",
     [(load_manifest, MANIFEST_DOCUMENT), (load_scenario, EXECUTION_SCENARIO),
      (load_grid_scenario, GRID_SCENARIO),
      (load_checked_profile, PROFILE_DOCUMENT),
      (load_checked_calibrator, CALIBRATION_DOCUMENT),
-     (load_stream, dict(GRID, stream=STREAM))],
+     (load_stream, dict(GRID, stream=STREAM)),
+     *((load_trace_spec, spec) for spec in TRACE_SPECS)],
     ids=["manifest", "scenario", "grid-scenario", "profile", "calibration",
-         "stream"],
+         "stream", *TRACE_PRESETS],
 )
 def test_the_unmutated_documents_load(tmp_path, load, document):
     path = tmp_path / "document.json"
