@@ -14,8 +14,9 @@ modelled here:
 - :mod:`repro.simgrid.network`   — link transfer times, max-min fair
   bandwidth sharing, and the experimentally-fitted (w, l) communication cost
   model of Section 3.3.1 of the paper.
-- :mod:`repro.simgrid.topology`  — a networkx grid topology connecting data
-  repositories and compute clusters, used for replica selection.
+- :mod:`repro.simgrid.topology`  — the grid topology connecting data
+  repositories and compute clusters, with min-hop path queries used for
+  replica selection.
 - :mod:`repro.simgrid.trace`     — execution-time breakdowns
   (T_disk / T_network / T_compute / T_ro / T_g) recorded by the middleware.
 

@@ -28,6 +28,7 @@ back to the runtime-bin mapping — lossy by design, exact by fiat.
 
 from __future__ import annotations
 
+import math
 import pathlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -109,19 +110,27 @@ DEFAULT_GWF_MAPPING = GwfMapping(
 )
 
 
-def _field(parts: List[str], index: int) -> Optional[float]:
+def _field(
+    parts: List[str], index: int, where: str, integer: bool = False
+) -> Optional[float]:
     """Column value as a float, ``None`` when absent or ``-1``."""
     if index >= len(parts):
         return None
-    raw = parts[index]
+    value = _number(parts[index], f"{where} column {GWF_COLUMNS[index]}", integer)
+    return None if value < 0 else value
+
+
+def _number(raw: str, what: str, integer: bool = False) -> float:
+    """``raw`` as a finite (if ``integer``, integral) float; anything
+    else is a :class:`ConfigurationError` naming ``what``."""
     try:
         value = float(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"GWF column {GWF_COLUMNS[index]} has non-numeric value "
-            f"{raw!r}"
-        ) from exc
-    return None if value < 0 else value
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"GWF {what}: {raw!r} is not {kind}")
+    return value
 
 
 def parse_gwf(
@@ -162,7 +171,10 @@ def parse_gwf(
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("repro-origin:"):
-                origin = float(body.split(":", 1)[1].strip())
+                origin = _number(
+                    body.split(":", 1)[1].strip(),
+                    f"line {lineno} repro-origin header",
+                )
             elif body.startswith("repro-deadline:"):
                 deadline_absolute = (
                     body.split(":", 1)[1].strip() == "absolute"
@@ -177,7 +189,8 @@ def parse_gwf(
                         "header (want: ID WORKLOAD SIZE)"
                     )
                 eid, workload, size = fields
-                executables[int(eid)] = (
+                what = f"line {lineno} repro-executable ID"
+                executables[int(_number(eid, what, True))] = (
                     workload, None if size == "-" else size,
                 )
             elif body.startswith("repro-vo:"):
@@ -187,7 +200,8 @@ def parse_gwf(
                         f"GWF line {lineno}: malformed repro-vo header "
                         "(want: ID NAME)"
                     )
-                vo_names[int(fields[0])] = fields[1]
+                vid = _number(fields[0], f"line {lineno} repro-vo ID", True)
+                vo_names[int(vid)] = fields[1]
             continue
         parts = line.split()
         if len(parts) < 4:
@@ -206,25 +220,25 @@ def parse_gwf(
     if origin is None:
         origin = min(
             submit
-            for submit in (_field(parts, _SUBMIT) for _, parts in rows)
+            for submit in (_field(parts, _SUBMIT, where) for where, parts in rows)
             if submit is not None
         )
 
     jobs: List[BrokerJob] = []
     for where, parts in rows:
-        submit = _field(parts, _SUBMIT)
+        submit = _field(parts, _SUBMIT, where)
         arrival = 0.0 if submit is None else submit - origin
         if arrival < 0:
             raise ConfigurationError(
                 f"GWF {where}: SubmitTime precedes the trace origin "
                 f"({submit!r} < {origin!r})"
             )
-        exec_id = _field(parts, _EXECUTABLE)
+        exec_id = _field(parts, _EXECUTABLE, where, integer=True)
         if exec_id is not None and int(exec_id) in executables:
             workload, size = executables[int(exec_id)]
         else:
-            workload, size = mapping.classify(_field(parts, _RUNTIME))
-        req_time = _field(parts, _REQTIME)
+            workload, size = mapping.classify(_field(parts, _RUNTIME, where))
+        req_time = _field(parts, _REQTIME, where)
         if req_time is None or req_time <= 0:
             deadline = None
         elif deadline_absolute:
@@ -234,12 +248,12 @@ def parse_gwf(
             deadline = req_time
         else:
             deadline = arrival + req_time
-        queue = _field(parts, _QUEUE)
-        void = _field(parts, _VOID)
+        queue = _field(parts, _QUEUE, where, integer=True)
+        void = _field(parts, _VOID, where, integer=True)
         if void is not None:
             vo: Optional[str] = vo_names.get(int(void), f"vo{int(void)}")
         else:
-            group = _field(parts, _GROUP)
+            group = _field(parts, _GROUP, where, integer=True)
             vo = f"group{int(group)}" if group is not None else None
         jobs.append(
             BrokerJob(

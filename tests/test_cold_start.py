@@ -1,10 +1,13 @@
-"""Which processes load SciPy (docs/architecture.md, "The import rule").
+"""Which processes load SciPy and networkx (docs/architecture.md, "The
+import rule").
 
 The prediction model is closed-form, so the service answers without
 running a kernel and never needs ``scipy.ndimage``; the two scientific
 kernels load it through ``repro.apps.joining.label_components`` when they
-label their first chunk.  Each check runs in a fresh child process, where
-``sys.modules`` shows exactly what the code under test imported.
+label their first chunk.  The grid topology's path search is plain
+Python, so no command loads networkx.  Each check runs in a fresh child
+process, where ``sys.modules`` shows exactly what the code under test
+imported.
 """
 
 import json
@@ -98,3 +101,29 @@ def test_vortex_and_defect_load_scipy_at_their_first_chunk():
     assert result["imported"] is False
     assert result["ran"] is True
     assert result["results"] == vortex_and_defect()
+
+
+#: A fast figure and a broker estimate on the reference grid: the two
+#: paths that query replica-to-compute routes.
+_GRID = """
+import json, sys
+from repro.broker import GridBroker
+from repro.workloads.experiments import run_experiment
+from repro.workloads.traces.grids import REFERENCE_ALLOCATIONS, reference_grid
+
+figure = run_experiment("fig02", fast=True)
+broker = GridBroker(reference_grid(), REFERENCE_ALLOCATIONS)
+estimate = broker.baseline_estimate("kmeans")
+print(json.dumps({
+    "rows": len(figure.rows),
+    "estimate": estimate,
+    "networkx": sorted(m for m in sys.modules if m.split(".")[0] == "networkx"),
+}))
+"""
+
+
+def test_figures_and_the_broker_run_without_networkx():
+    result = run_child(_GRID)
+    assert result["rows"] > 0
+    assert result["estimate"] > 0
+    assert result["networkx"] == []

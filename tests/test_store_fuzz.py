@@ -6,7 +6,8 @@ every format a reader still accepts: campaign journals 1 (one
 document), 2 and 3 (JSON lines), trace artifacts 1 and 2, prediction
 caches, campaign manifests, fault scenarios of both scopes, profiles,
 calibrator state, the ``stream`` section of broker workload
-documents, and trace specs.
+documents, trace specs, and ``.gwf`` traces (their lines and fields as
+nested lists).
 Loading may only raise a ``ReproError``, and never touches the file:
 the bytes after a load, failed or not, are the bytes before it.
 """
@@ -31,6 +32,7 @@ from repro.faults.scenario import load_grid_scenario, load_scenario
 from repro.workloads.traces import TraceWorkload, make_preset
 from repro.workloads.traces import TRACE_PRESETS, TraceSpec
 from repro.workloads.traces.generate import StreamSpec, generate_stream
+from repro.workloads.traces.gwf import parse_gwf, trace_to_gwf
 
 from tests.broker.test_workload_fuzz import GRID
 from tests.campaign.conftest import make_manifest
@@ -319,6 +321,39 @@ def test_only_repro_errors_escape_a_trace_spec_load(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(canonical_json(spec))
     loads_or_refuses(path, load_trace_spec)
+
+
+GWF_LINES = [
+    line.split(" ")
+    for line in trace_to_gwf(
+        TraceWorkload.from_spec(
+            make_preset("gwa-mixed", 6, seed=3), baselines=lambda w, s: 2.0
+        )
+    ).splitlines()
+]
+
+
+def gwf_line(node):
+    """One mutated line back as text, nested fields flattened by spaces."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return " ".join(gwf_line(child) for child in node)
+    return str(node)
+
+
+@FUZZ
+@given(lines=mutated(GWF_LINES))
+def test_only_repro_errors_escape_a_gwf_load(tmp_path, lines):
+    path = tmp_path / "trace.gwf"
+    path.write_text("\n".join(gwf_line(line) for line in lines) + "\n")
+    loads_or_refuses(path, parse_gwf)
+
+
+def test_the_unmutated_gwf_loads(tmp_path):
+    path = tmp_path / "trace.gwf"
+    path.write_text("\n".join(gwf_line(line) for line in GWF_LINES) + "\n")
+    assert loads_or_refuses(path, parse_gwf)
 
 
 @pytest.mark.parametrize(

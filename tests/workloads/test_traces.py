@@ -412,6 +412,25 @@ class TestGwf:
         with pytest.raises(ConfigurationError):
             parse_gwf("# only comments\n", name="empty")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("# repro-origin: abc\n1 1000 3 45\n", "line 1 repro-origin"),
+            ("# repro-executable: x kmeans -\n1 1000 3 45\n",
+             "line 1 repro-executable"),
+            ("# repro-vo: x atlas\n1 1000 3 45\n", "line 1 repro-vo"),
+            ("1 1000 3 45\n2 1001 3 45 " + "-1 " * 9 + "inf\n",
+             "line 2 column ExecutableID"),
+            ("1 nan 3 45\n", "line 1 column SubmitTime"),
+            ("1 1000 3 45 " + "-1 " * 10 + "1.5\n", "line 1 column QueueID"),
+        ],
+        ids=["origin", "executable-header", "vo-header", "inf-executable",
+             "nan-submit", "fractional-queue"],
+    )
+    def test_bad_numbers_name_their_line(self, text, where):
+        with pytest.raises(ConfigurationError, match=where):
+            parse_gwf(text, name="bad")
+
     def test_mapping_validation(self):
         with pytest.raises(ConfigurationError):
             GwfMapping(bins=(), overflow=("kmeans", None))
