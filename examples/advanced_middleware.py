@@ -1,31 +1,19 @@
 #!/usr/bin/env python
-"""Advanced middleware features: SMP nodes, non-local caching, tree gather.
+"""Advanced middleware features: SMP nodes and tree gather.
 
-Demonstrates the three middleware extensions beyond the paper's evaluated
+Demonstrates two middleware extensions beyond the paper's evaluated
 configuration space:
 
 1. **Cluster-of-SMPs execution** (a stated FREERIDE-G feature) — the
    dual-processor Opteron nodes run two reduction threads each, halving
    the number of gathered reduction objects at the cost of memory-bus
    contention.
-2. **Non-local caching** (the middleware role the paper lists but leaves
-   unimplemented) — a multi-pass run whose compute nodes have no local
-   storage caches chunks at a remote site, with the cache-site selector
-   choosing the cheapest option.
-3. **Tree gather** (ablation) — replacing the serialized master gather by
+2. **Tree gather** (ablation) — replacing the serialized master gather by
    a binomial tree.
 
 Run:  python examples/advanced_middleware.py
 """
 
-from repro.core import (
-    CacheSiteOption,
-    GlobalReductionModel,
-    ModelClasses,
-    PredictionTarget,
-    Profile,
-    select_cache_site,
-)
 from repro.middleware import FreerideGRuntime, GatherTopology
 from repro.workloads import make_run_config, opteron_infiniband_cluster
 from repro.workloads.registry import WORKLOADS
@@ -54,39 +42,7 @@ def main() -> None:
     print("  (half the gather messages; kernel pays memory contention)")
 
     # ------------------------------------------------------------------
-    # 2. Non-local caching with profile-driven site selection.
-    # ------------------------------------------------------------------
-    print("\nnon-local cache-site selection (EM is multi-pass):")
-    profile_config = make_run_config(1, 1, storage_cluster=opteron)
-    profile_run = FreerideGRuntime(profile_config).execute(
-        spec.make_app(), dataset
-    )
-    profile = Profile.from_run(profile_config, profile_run.breakdown)
-    model = GlobalReductionModel(
-        ModelClasses.parse(spec.natural_object_class, spec.natural_global_class)
-    )
-    target_config = make_run_config(2, 4, storage_cluster=opteron)
-    target = PredictionTarget(config=target_config, dataset_bytes=dataset.nbytes)
-    options = [
-        CacheSiteOption("local-disk", None),
-        CacheSiteOption("rack-neighbour", 5.0e7),
-        CacheSiteOption("campus-store", 2.0e6),
-        CacheSiteOption("remote-archive", 1.0e5),
-    ]
-    plans = select_cache_site(profile, target, model, options)
-    for plan in plans:
-        print(f"  {plan.option.site:16s} estimated {plan.estimated_total:.4f}s")
-    best = plans[0].option
-    config = (
-        target_config.with_remote_cache(best.bandwidth)
-        if not best.is_local
-        else target_config
-    )
-    actual = FreerideGRuntime(config).execute(spec.make_app(), dataset)
-    print(f"  selected '{best.site}': actual {actual.breakdown.total:.4f}s")
-
-    # ------------------------------------------------------------------
-    # 3. Serial vs tree gather at 16 nodes.
+    # 2. Serial vs tree gather at 16 nodes.
     # ------------------------------------------------------------------
     print("\ngather topology at 2-16 (EM):")
     serial = make_run_config(2, 16, storage_cluster=opteron)

@@ -34,11 +34,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     globals(),
     {
-        "repro.core.cache_selection": (
-            "CachePlan",
-            "CacheSiteOption",
-            "select_cache_site",
-        ),
         "repro.core.classes": (
             "GlobalReductionClass",
             "ModelClasses",
@@ -75,7 +70,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "PredictionModel",
             "ReductionCommunicationModel",
         ),
-        "repro.core.pipeline_model": ("PipelinedBottleneckModel",),
         "repro.core.profile": ("Profile",),
         "repro.core.selection": (
             "InfeasibleSelectionError",

@@ -69,8 +69,6 @@ UNITS_SCOPE_STEMS = frozenset(
         "profile",
         "heterogeneous",
         "degraded",
-        "bandwidth",
-        "pipeline_model",
         "units",
     }
 )

@@ -115,12 +115,3 @@ class RepositoryDiskSystem:
             self.node_read_time(i, sizes)
             for i, sizes in enumerate(per_node_chunk_sizes)
         )
-
-    def node_finish_times(
-        self, per_node_chunk_sizes: Sequence[Sequence[float]]
-    ) -> list[float]:
-        """Per-data-node completion times (for pipelined hand-off analysis)."""
-        return [
-            self.node_read_time(i, sizes)
-            for i, sizes in enumerate(per_node_chunk_sizes)
-        ]

@@ -9,7 +9,14 @@ from repro.core.classes import (
     estimate_global_reduction_time,
     estimate_object_size,
 )
+from repro.core.errors import relative_error
+from repro.core.models import GlobalReductionModel
+from repro.core.profile import Profile
+from repro.core.target import PredictionTarget
+from repro.middleware.runtime import FreerideGRuntime
 from repro.simgrid.errors import ConfigurationError
+from repro.workloads.configs import PAPER_CONFIG_GRID, make_run_config
+from repro.workloads.registry import WORKLOADS
 
 from tests.core.conftest import make_profile, make_target
 
@@ -72,3 +79,54 @@ class TestGlobalReductionEstimation:
             profile, target, GlobalReductionClass.CONSTANT_LINEAR
         )
         assert t_g == pytest.approx(1.5)
+
+
+SWAPPED = {
+    "constant": "linear",
+    "linear": "constant",
+    "linear-constant": "constant-linear",
+    "constant-linear": "linear-constant",
+}
+
+
+def max_errors_correct_and_swapped(workload, size):
+    """Worst global-reduction error over the paper grid, per class choice."""
+    spec = WORKLOADS[workload]
+    dataset = spec.make_dataset(size)
+    profile_config = make_run_config(1, 1)
+    profile_run = FreerideGRuntime(profile_config).execute(
+        spec.make_app(), dataset
+    )
+    profile = Profile.from_run(profile_config, profile_run.breakdown)
+    object_class = spec.natural_object_class
+    global_class = spec.natural_global_class
+    models = [
+        GlobalReductionModel(ModelClasses.parse(object_class, global_class)),
+        GlobalReductionModel(
+            ModelClasses.parse(SWAPPED[object_class], SWAPPED[global_class])
+        ),
+    ]
+    worst = [0.0, 0.0]
+    for n, c in PAPER_CONFIG_GRID:
+        config = make_run_config(n, c)
+        actual = FreerideGRuntime(config).execute(spec.make_app(), dataset)
+        target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
+        for i, model in enumerate(models):
+            error = relative_error(
+                actual.breakdown.total, model.predict(profile, target).total
+            )
+            worst[i] = max(worst[i], error)
+    return tuple(worst)
+
+
+class TestClassMisassignment:
+    """Sections 3.3.1-3.3.2: the two classes matter where the serialized
+    terms do, so swapping them costs accuracy on the paper grid."""
+
+    def test_swapped_classes_hurt_kmeans(self):
+        correct, swapped = max_errors_correct_and_swapped("kmeans", "350 MB")
+        assert swapped > correct
+
+    def test_swapped_classes_do_not_help_vortex(self):
+        correct, swapped = max_errors_correct_and_swapped("vortex", "710 MB")
+        assert swapped >= correct

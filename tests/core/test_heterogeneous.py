@@ -9,10 +9,19 @@ from repro.core.heterogeneous import (
     measure_scaling_factors,
 )
 from repro.core.models import GlobalReductionModel, NoCommunicationModel
+from repro.core.profile import Profile
+from repro.middleware.runtime import FreerideGRuntime
 from repro.simgrid.errors import ConfigurationError
+from repro.workloads.clusters import (
+    opteron_infiniband_cluster,
+    pentium_myrinet_cluster,
+)
+from repro.workloads.configs import make_run_config
+from repro.workloads.registry import WORKLOADS
 
 from tests.conftest import small_cluster_spec
 from tests.core.conftest import make_profile, make_target
+from tests.integration.test_end_to_end import SMALL_SIZE
 
 
 class TestComponentScalingFactors:
@@ -128,3 +137,32 @@ class TestCrossClusterPredictor:
         # If the gather were fitted on the target's (absurd) interconnect,
         # T_ro would be ~3 seconds; on the profile's cluster it is tiny.
         assert pred.t_ro < 0.01
+
+
+class TestMeasuredComputeFactors:
+    """Section 5.4: compute scaling factors "did vary considerably across
+    applications, ranging from 0.233 for kNN to 0.370 for Vortex".  Every
+    application on 2-4, Pentium/Myrinet -> Opteron/InfiniBand."""
+
+    @pytest.fixture(scope="class")
+    def sc(self):
+        pairs = []
+        for name, spec in sorted(WORKLOADS.items()):
+            dataset = spec.make_dataset(SMALL_SIZE[name])
+            profiles = []
+            for cluster in (pentium_myrinet_cluster(), opteron_infiniband_cluster()):
+                config = make_run_config(2, 4, storage_cluster=cluster)
+                run = FreerideGRuntime(config).execute(spec.make_app(), dataset)
+                profiles.append(Profile.from_run(config, run.breakdown))
+            pairs.append(tuple(profiles))
+        factors = measure_scaling_factors(pairs)
+        return {app: sc for app, (_, _, sc) in factors.per_app.items()}
+
+    def test_knn_or_defect_scales_best(self, sc):
+        assert min(sc, key=sc.get) in {"knn", "defect"}
+
+    def test_factors_spread_over_0_05(self, sc):
+        assert max(sc.values()) - min(sc.values()) > 0.05
+
+    def test_every_app_speeds_up(self, sc):
+        assert all(factor < 1.0 for factor in sc.values()), sc

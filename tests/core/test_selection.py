@@ -1,12 +1,21 @@
 """Tests for resource and replica selection."""
 
+import itertools
+
 import pytest
 
-from repro.core.models import NoCommunicationModel
+from repro.core.classes import ModelClasses
+from repro.core.models import GlobalReductionModel, NoCommunicationModel
+from repro.core.profile import Profile
 from repro.core.selection import ResourceSelector
 from repro.middleware.replica import ReplicaCatalog
+from repro.middleware.runtime import FreerideGRuntime
+from repro.middleware.scheduler import RunConfig
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.topology import GridTopology, SiteKind
+from repro.workloads.clusters import pentium_myrinet_cluster
+from repro.workloads.configs import make_run_config
+from repro.workloads.registry import WORKLOADS
 
 from tests.conftest import small_cluster_spec
 from tests.core.conftest import make_profile
@@ -163,3 +172,63 @@ class TestRejectionReasons:
         selector = self.make_selector(grid, allocations=[(1, 1)])
         outcome = selector.select("points", 1e6, make_profile())
         assert outcome.rejections == ()
+
+
+class TestSelectionQuality:
+    """Sections 2.1 and 3: ranking every candidate by prediction must pick
+    what running every candidate would.  k-means at 350 MB, two replicas
+    (one behind a thin WAN link), seven allocations, all run for real."""
+
+    ALLOCATIONS = [(1, 1), (1, 4), (2, 4), (2, 8), (4, 8), (4, 16), (8, 16)]
+
+    @pytest.fixture(scope="class")
+    def ranked(self):
+        spec = WORKLOADS["kmeans"]
+        dataset = spec.make_dataset("350 MB")
+        cluster = pentium_myrinet_cluster()
+        topo = GridTopology()
+        topo.add_site("repo-near", SiteKind.REPOSITORY, cluster)
+        topo.add_site("repo-far", SiteKind.REPOSITORY, cluster)
+        topo.add_site("hpc", SiteKind.COMPUTE, cluster)
+        topo.connect("repo-near", "hpc", bw=2.0e6)
+        topo.connect("repo-far", "hpc", bw=4.0e5)
+        catalog = ReplicaCatalog(topo)
+        catalog.add(dataset.name, "repo-near")
+        catalog.add(dataset.name, "repo-far")
+
+        profile_config = make_run_config(1, 1)
+        profile_run = FreerideGRuntime(profile_config).execute(
+            spec.make_app(), dataset
+        )
+        profile = Profile.from_run(profile_config, profile_run.breakdown)
+        model = GlobalReductionModel(
+            ModelClasses.parse(
+                spec.natural_object_class, spec.natural_global_class
+            )
+        )
+        outcome = ResourceSelector(topo, catalog, model, self.ALLOCATIONS).select(
+            dataset.name, dataset.nbytes, profile
+        )
+        actual = {}
+        for cand in outcome:
+            config = RunConfig(
+                storage_cluster=cluster,
+                compute_cluster=cluster,
+                data_nodes=cand.data_nodes,
+                compute_nodes=cand.compute_nodes,
+                bandwidth=cand.bandwidth,
+            )
+            run = FreerideGRuntime(config).execute(spec.make_app(), dataset)
+            actual[cand.label] = run.breakdown.total
+        return outcome, actual
+
+    def test_predicted_best_regret_under_2_percent(self, ranked):
+        outcome, actual = ranked
+        regret = actual[outcome.best.label] / min(actual.values()) - 1.0
+        assert regret < 0.02
+
+    def test_pairwise_ranking_agreement_over_90_percent(self, ranked):
+        outcome, actual = ranked
+        pairs = list(itertools.combinations([c.label for c in outcome], 2))
+        agree = sum(actual[a] <= actual[b] for a, b in pairs)
+        assert agree / len(pairs) > 0.9

@@ -22,7 +22,6 @@ CASES = [
     ("cross_cluster_prediction.py", ["scaling factors", "EM on the Opteron"]),
     ("scientific_mining.py", ["planted vortices", "defect catalog"]),
     ("advanced_middleware.py", ["cluster-of-SMPs", "gather topology"]),
-    ("bandwidth_forecasting.py", ["forecast accuracy", "T_network"]),
     ("grid_scheduling.py", ["policy comparison", "min-completion",
                             "round-robin"]),
     ("broker_workload.py", ["broker workload", "calibration win",

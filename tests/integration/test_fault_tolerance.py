@@ -87,23 +87,24 @@ class TestRecoveryPreservesResults:
         assert results_equal(armed.result, baseline.result)
 
 
-@pytest.mark.parametrize("name", PAPER_APPS)
-class TestDegradedModePrediction:
-    def predictor_for(self, name):
-        spec = WORKLOADS[name]
-        return DegradedModePredictor(
-            GlobalReductionModel(
-                ModelClasses.parse(
-                    spec.natural_object_class, spec.natural_global_class
-                )
+def degraded_predictor(name):
+    spec = WORKLOADS[name]
+    return DegradedModePredictor(
+        GlobalReductionModel(
+            ModelClasses.parse(
+                spec.natural_object_class, spec.natural_global_class
             )
         )
+    )
 
+
+@pytest.mark.parametrize("name", PAPER_APPS)
+class TestDegradedModePrediction:
     def test_crash_scenarios_predicted_within_15_percent(self, name):
         config, dataset, baseline = execute(name)
         profile = Profile.from_run(config, baseline.breakdown)
         target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
-        predictor = self.predictor_for(name)
+        predictor = degraded_predictor(name)
 
         for schedule in (
             FaultSchedule([DataNodeCrash(0, 1, at_fraction=0.5)]),
@@ -124,7 +125,7 @@ class TestDegradedModePrediction:
         config, dataset, baseline = execute(name)
         profile = Profile.from_run(config, baseline.breakdown)
         target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
-        predictor = self.predictor_for(name)
+        predictor = degraded_predictor(name)
 
         via_query = predictor.predict_data_node_crash(
             profile, target, data_node=1, at_fraction=0.5
@@ -136,3 +137,45 @@ class TestDegradedModePrediction:
         assert via_query.total == via_schedule.total
         # The what-if total always exceeds the healthy prediction.
         assert via_query.total > via_query.base.total
+
+
+class TestChunkReadErrorRateSweep:
+    """EM at 350 MB on 2-4 (multi-pass, so recovery runs the checkpoint
+    path) under a rising transient read-error rate, seed 17."""
+
+    RATES = [0.0, 0.02, 0.05, 0.1, 0.2]
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        spec = WORKLOADS["em"]
+        config, dataset, base = execute("em")
+        profile = Profile.from_run(config, base.breakdown)
+        target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
+        predictor = degraded_predictor("em")
+        rows = []
+        for rate in self.RATES:
+            schedule = FaultSchedule(
+                [ChunkReadError(rate=rate)] if rate > 0.0 else []
+            )
+            run = FreerideGRuntime(
+                config, faults=FaultInjector(schedule, seed=17)
+            ).execute(spec.make_app(), dataset)
+            predicted = predictor.predict(profile, target, schedule)
+            rows.append((
+                run.breakdown.total - base.breakdown.total,
+                relative_error(predicted.total, run.breakdown.total),
+                results_equal(base.result, run.result),
+            ))
+        return rows
+
+    def test_results_bit_identical_at_every_rate(self, sweep):
+        assert all(identical for _, _, identical in sweep)
+
+    def test_overhead_zero_at_rate_zero_then_monotone(self, sweep):
+        overheads = [overhead for overhead, _, _ in sweep]
+        assert overheads[0] == 0.0
+        assert overheads == sorted(overheads)
+
+    def test_degraded_prediction_within_15_percent(self, sweep):
+        errors = [error for _, error, _ in sweep]
+        assert all(error < 0.15 for error in errors), errors

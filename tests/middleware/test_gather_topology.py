@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.core.errors import relative_error
+from repro.core.models import NoCommunicationModel
+from repro.core.profile import Profile
+from repro.core.target import PredictionTarget
 from repro.middleware.runtime import FreerideGRuntime
 from repro.middleware.scheduler import GatherTopology, RunConfig
+from repro.workloads.configs import make_run_config
+from repro.workloads.registry import WORKLOADS
 
 from tests.conftest import SumApp, make_tiny_points, small_cluster_spec
 
@@ -87,3 +93,43 @@ class TestTreeGatherPredictor:
         assert model.tree_gather_time(2, 1000.0) == pytest.approx(msg)
         assert model.tree_gather_time(16, 1000.0) == pytest.approx(4 * msg)
         assert model.tree_gather_time(9, 1000.0) == pytest.approx(4 * msg)
+
+
+class TestSerializedGatherDrivesTheModel:
+    """FREERIDE-G serializes the gather at the master, which is why the
+    paper's T_ro grows with c and the no-communication model degrades at
+    16 nodes: k-means at 350 MB on 2 data nodes, both topologies."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        spec = WORKLOADS["kmeans"]
+        dataset = spec.make_dataset("350 MB")
+        profile_config = make_run_config(1, 1)
+        profile_run = FreerideGRuntime(profile_config).execute(
+            spec.make_app(), dataset
+        )
+        profile = Profile.from_run(profile_config, profile_run.breakdown)
+        model = NoCommunicationModel()
+        runs = {}
+        for c in (2, 16):
+            config = make_run_config(2, c)
+            target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
+            predicted = model.predict(profile, target).total
+            for topology in GatherTopology:
+                actual = FreerideGRuntime(
+                    config.with_gather_topology(topology)
+                ).execute(spec.make_app(), dataset).breakdown
+                runs[topology, c] = (
+                    actual.t_ro, relative_error(actual.total, predicted)
+                )
+        return runs
+
+    def test_serial_t_ro_grows_over_twice_as_fast_as_the_tree(self, runs):
+        def growth(topology):
+            return runs[topology, 16][0] / runs[topology, 2][0]
+
+        assert growth(GatherTopology.SERIAL) > 2.0 * growth(GatherTopology.TREE)
+
+    def test_tree_gather_removes_no_communication_error_at_16(self, runs):
+        tree_error = runs[GatherTopology.TREE, 16][1]
+        assert tree_error < runs[GatherTopology.SERIAL, 16][1]

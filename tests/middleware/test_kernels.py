@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro.faults import injector_from_dict
 from repro.middleware import FreerideGRuntime, GatherTopology, KernelTrace
 from repro.middleware.kernels import MAX_PASSES
-from repro.middleware.pipelined import PipelinedRuntime
 from repro.middleware.scheduler import RunConfig
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.configs import make_run_config
@@ -89,7 +88,7 @@ class TestTraceBinding:
                 SumApp(), renamed
             )
         with pytest.raises(ConfigurationError, match=r"16 chunks.*32 chunks"):
-            PipelinedRuntime(small_config(1, 1), kernels=kernels).execute(
+            FreerideGRuntime(small_config(1, 1), kernels=kernels).execute(
                 SumApp(), make_tiny_points(num_chunks=32)
             )
 
@@ -222,26 +221,3 @@ def test_any_configuration_prices_from_a_1_1_recording(
     assert priced.breakdown == fresh.breakdown
     assert len(kernels.passes) == passes
 
-
-def test_pipelined_and_phased_share_one_trace_bit_for_bit():
-    import numpy as np
-
-    spec = WORKLOADS["kmeans"]
-    dataset = spec.make_dataset(SMALL_SIZE["kmeans"])
-    config = make_run_config(2, 4)
-    kernels = KernelTrace()
-    phased = FreerideGRuntime(config, kernels=kernels).execute(
-        spec.make_app(), dataset
-    )
-    calls = []
-    app = spec.make_app()
-    kernel = app.process_chunk
-    app.process_chunk = lambda *args: (calls.append(1), kernel(*args))[1]
-    piped = PipelinedRuntime(config, kernels).execute(app, dataset)
-    assert not calls
-    assert piped.num_passes == phased.breakdown.num_passes
-    assert np.array_equal(piped.result["centers"], phased.result["centers"])
-    assert piped.result["shift_history"] == phased.result["shift_history"]
-    alone = PipelinedRuntime(config).execute(spec.make_app(), dataset)
-    assert alone.makespan == piped.makespan
-    assert alone.resource_busy == piped.resource_busy

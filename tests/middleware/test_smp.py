@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core.classes import ModelClasses
+from repro.core.errors import relative_error
+from repro.core.models import GlobalReductionModel
+from repro.core.profile import Profile
+from repro.core.target import PredictionTarget
 from repro.middleware.runtime import FreerideGRuntime
 from repro.middleware.scheduler import RunConfig
 from repro.simgrid.errors import ConfigurationError
+from repro.workloads.clusters import opteron_infiniband_cluster
+from repro.workloads.configs import make_run_config
+from repro.workloads.registry import WORKLOADS
 
 from tests.conftest import SumApp, make_tiny_points, small_cluster_spec
 
@@ -171,3 +179,52 @@ class TestSMPPrediction:
         )
         predicted = NoCommunicationModel().predict(profile, target)
         assert predicted.t_compute == pytest.approx(profile.t_compute / 4.0)
+
+
+class TestOpteronSMPTradeoff:
+    """EM at 350 MB on the dual-processor Opteron cluster, 2 data nodes:
+    ``c`` nodes x 2 processes against ``2c`` nodes x 1 process."""
+
+    SHAPES = [(4, 1), (8, 1), (4, 2), (16, 1), (8, 2)]
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        spec = WORKLOADS["em"]
+        dataset = spec.make_dataset("350 MB")
+        opteron = opteron_infiniband_cluster()
+        profile_config = make_run_config(1, 1, storage_cluster=opteron)
+        profile_run = FreerideGRuntime(profile_config).execute(
+            spec.make_app(), dataset
+        )
+        profile = Profile.from_run(profile_config, profile_run.breakdown)
+        model = GlobalReductionModel(
+            ModelClasses.parse(
+                spec.natural_object_class, spec.natural_global_class
+            )
+        )
+        runs = {}
+        for nodes, ppn in self.SHAPES:
+            config = make_run_config(
+                2, nodes, storage_cluster=opteron
+            ).with_processes_per_node(ppn)
+            actual = FreerideGRuntime(config).execute(
+                spec.make_app(), dataset
+            ).breakdown
+            target = PredictionTarget(
+                config=config, dataset_bytes=dataset.nbytes
+            )
+            predicted = model.predict(profile, target).total
+            runs[nodes, ppn] = (actual, relative_error(actual.total, predicted))
+        return runs
+
+    def test_smp_gathers_fewer_objects(self, runs):
+        assert runs[4, 2][0].t_ro < runs[8, 1][0].t_ro
+        assert runs[8, 2][0].t_ro < runs[16, 1][0].t_ro
+
+    def test_smp_node_reduces_longer(self, runs):
+        # One node handles both threads' chunks on a shared memory bus.
+        assert runs[4, 2][0].t_compute > runs[8, 1][0].t_compute
+
+    def test_slot_aware_prediction_within_10_percent(self, runs):
+        errors = {shape: error for shape, (_, error) in runs.items()}
+        assert all(error < 0.10 for error in errors.values()), errors

@@ -72,10 +72,3 @@ class TestRepositoryDiskSystem:
         cluster = small_cluster_spec(num_nodes=4)
         with pytest.raises(ConfigurationError):
             RepositoryDiskSystem(cluster, num_data_nodes=5)
-
-    def test_finish_times_one_per_node(self, cluster):
-        system = RepositoryDiskSystem(cluster, num_data_nodes=3)
-        times = system.node_finish_times([[1e4], [1e4, 1e4], []])
-        assert len(times) == 3
-        assert times[2] == 0.0
-        assert times[1] > times[0] > 0.0

@@ -65,20 +65,18 @@ PARENT_ALL = {
         run_with_deadline verify_pool_safety
     """,
     "repro.core": """
-        CachePlan CacheSiteOption ComponentScalingFactors
-        ConfigurationForecast CorruptStoreError CrossClusterPredictor
-        DegradedModePredictor DegradedPrediction FormatVersionError
-        GlobalReductionClass GlobalReductionModel
+        ComponentScalingFactors ConfigurationForecast CorruptStoreError
+        CrossClusterPredictor DegradedModePredictor DegradedPrediction
+        FormatVersionError GlobalReductionClass GlobalReductionModel
         InfeasibleSelectionError ModelClasses NoCommunicationModel
-        PipelinedBottleneckModel PredictedBreakdown PredictionModel
-        PredictionTarget Profile RecoveryBreakdown
-        ReductionCommunicationModel ReductionObjectClass
-        RejectedCandidate ResourceSelector SelectionCandidate
-        SelectionOutcome StoreError atomic_write_json atomic_write_text
-        classify_global_reduction classify_object_size
-        estimate_global_reduction_time estimate_object_size
-        marginal_speedups measure_scaling_factors recommend_nodes
-        relative_error select_cache_site sweep_configurations
+        PredictedBreakdown PredictionModel PredictionTarget Profile
+        RecoveryBreakdown ReductionCommunicationModel
+        ReductionObjectClass RejectedCandidate ResourceSelector
+        SelectionCandidate SelectionOutcome StoreError
+        atomic_write_json atomic_write_text classify_global_reduction
+        classify_object_size estimate_global_reduction_time
+        estimate_object_size marginal_speedups measure_scaling_factors
+        recommend_nodes relative_error sweep_configurations
     """,
     "repro.datagen": """
         DEFECT_TEMPLATES FieldDataset LatticeDataset generate_lattice
