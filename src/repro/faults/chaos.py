@@ -462,12 +462,14 @@ def verify_service_log(service: Any, requests: Sequence[Any]) -> List[str]:
        adapter adds the ``Retry-After``); admission books balance
        (admitted + shed = submitted).
     3. **Deadlines hold** — each settled latency is at most the
-       request's declared deadline (or the config default) + ε.
+       request's declared deadline (or the service default) + ε.
     4. **Status/outcome coherence** — stale serves are 200s flagged
        ``stale``; fresh serves never are.
     5. **Breaker history is lossless** — the recorded transition log
        replays to the live state using only legal edges.
     """
+    from repro.service.resilience import DEADLINE_EPSILON_S, DEFAULT_DEADLINE_S
+
     violations: List[str] = []
     log = service.log
     if len(log) != len(log.records):
@@ -476,7 +478,6 @@ def verify_service_log(service: Any, requests: Sequence[Any]) -> List[str]:
             f"{len(log.records)} kept; exactly-once cannot be proven "
             "past the window"
         )
-    config = service.config
     by_id = {request.request_id: request for request in requests}
     seen: Dict[str, int] = {}
     for record in log.records:
@@ -493,7 +494,6 @@ def verify_service_log(service: Any, requests: Sequence[Any]) -> List[str]:
             f"request '{request_id}' settled but was never submitted"
         )
 
-    epsilon = config.deadline_epsilon_s
     for record in log.records:
         request = by_id.get(record.request_id)
         if request is None:
@@ -505,13 +505,13 @@ def verify_service_log(service: Any, requests: Sequence[Any]) -> List[str]:
         deadline = (
             request.deadline_s
             if request.deadline_s is not None
-            else config.default_deadline_s
+            else DEFAULT_DEADLINE_S
         )
-        if record.latency_s > deadline + epsilon:
+        if record.latency_s > deadline + DEADLINE_EPSILON_S:
             violations.append(
                 f"request '{record.request_id}' latency "
                 f"{record.latency_s:.6f}s exceeds deadline "
-                f"{deadline:.6f}s + eps {epsilon:.6f}s"
+                f"{deadline:.6f}s + eps {DEADLINE_EPSILON_S:.6f}s"
             )
         if record.outcome == "shed" and record.status != 429:
             violations.append(

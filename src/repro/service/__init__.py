@@ -9,12 +9,16 @@ This package is that service, resilience-first (DESIGN.md §15):
 - :mod:`repro.service.app` — the four endpoints behind one pipeline:
   admission → deadline budget → bulkhead → circuit breaker → graceful
   degradation.
-- :mod:`repro.service.resilience` — the pipeline's primitives.
+- :mod:`repro.service.resilience` — the pipeline's primitives, its
+  constants, and ``ResilienceConfig`` (admission, the one caller-set
+  knob).
 - :mod:`repro.service.backends` — modeled backend costs + seeded fault
   injection (the chaos door).
 - :mod:`repro.service.clock` — virtual vs. monotonic time.
 - :mod:`repro.service.workload` — seeded request scenarios.
-- :mod:`repro.service.http` — ASGI / threaded HTTP shells.
+- :mod:`repro.service.http` — the threaded HTTP shell behind
+  ``repro serve --port``: one mutex serializes every request into the
+  service.
 """
 
 from repro._lazy import lazy_exports
@@ -42,7 +46,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ServiceClock",
             "VirtualClock",
         ),
-        "repro.service.http": ("ServiceGateway", "asgi_app", "make_server"),
+        "repro.service.http": ("ServiceGateway", "make_server"),
         "repro.service.errors": (
             "AdmissionError",
             "BackendCrashError",
@@ -50,7 +54,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "BulkheadFullError",
             "CircuitOpenError",
             "CorruptResponseError",
-            "DeadlineExceededError",
             "ServiceError",
         ),
         "repro.service.resilience": (

@@ -6,7 +6,7 @@ long-running shared service — ``predict``, ``what-if``,
 in the same pipeline (DESIGN.md §15)::
 
     admission (token bucket, 429 + Retry-After)
-      → deadline budget (absolute, shrink-only propagation)
+      → deadline budget (absolute, checked by every later stage)
         → bulkhead (per-endpoint worker pool, 503 when full)
           → circuit breaker (per (app, cluster), around evaluation)
             → backend evaluation (bounded retries within the budget)
@@ -24,7 +24,7 @@ The service's contract, checked by the chaos harness
   ``(seed, scenario)`` pair under a :class:`VirtualClock`.
 
 The service itself is single-threaded and deterministic; the HTTP
-adapter (:mod:`repro.service.http`) serializes real concurrent
+shell (:mod:`repro.service.http`) serializes real concurrent
 connections in front of it.
 """
 
@@ -57,7 +57,14 @@ from repro.service.errors import (
     CircuitOpenError,
 )
 from repro.service.resilience import (
+    BREAKER_COOLDOWN,
+    BREAKER_FAILURE_THRESHOLD,
+    BULKHEADS,
+    DEFAULT_DEADLINE_S,
+    DEGRADED_COST_S,
+    RETRY,
     BreakerBank,
+    BreakerState,
     Bulkhead,
     DeadlineBudget,
     ResilienceConfig,
@@ -90,7 +97,7 @@ class ServiceRequest:
     ``arrival_s`` defaults to the service clock's now; the chaos
     harness sets it explicitly so a scenario is a pure data artifact.
     ``deadline_s`` is the request's *budget* (seconds from arrival);
-    ``None`` uses the config default.
+    ``None`` uses :data:`~repro.service.resilience.DEFAULT_DEADLINE_S`.
     """
 
     request_id: str
@@ -266,7 +273,7 @@ class PredictionService:
         Time source; defaults to a fresh deterministic
         :class:`~repro.service.clock.VirtualClock`.
     config:
-        Resilience pipeline knobs.
+        Admission control (the pipeline's one caller-set knob).
     backend:
         The evaluation door — pass one with a seeded fault injector to
         run a chaos scenario.
@@ -298,11 +305,6 @@ class PredictionService:
         self.profiles = dict(profiles)
         self.clock = clock if clock is not None else VirtualClock()
         self.config = config if config is not None else ResilienceConfig()
-        if self.config.degraded_cost_s > self.config.deadline_epsilon_s:
-            raise ConfigurationError(
-                "degraded_cost_s must be <= deadline_epsilon_s, or the "
-                "latency invariant cannot hold for abandoned requests"
-            )
         self.backend = backend if backend is not None else ServiceBackend()
         self.broker = broker
         self.campaign_journals = dict(campaign_journals or {})
@@ -313,13 +315,9 @@ class PredictionService:
             self.config.admission_rate, self.config.admission_burst
         )
         self.bulkheads: Dict[str, Bulkhead] = {
-            endpoint: Bulkhead(self.config.bulkhead_config(endpoint))
-            for endpoint in ENDPOINTS
+            endpoint: Bulkhead(BULKHEADS[endpoint]) for endpoint in ENDPOINTS
         }
-        self.breakers = BreakerBank(
-            self.config.breaker_failure_threshold,
-            self.config.breaker_cooldown,
-        )
+        self.breakers = BreakerBank(BREAKER_FAILURE_THRESHOLD, BREAKER_COOLDOWN)
         self._models: Dict[str, PredictionModel] = {}
         # Request-invariant, so computed here and never per request: the
         # named clusters and the content digests the cache key is built
@@ -401,7 +399,7 @@ class PredictionService:
         return self._settle(
             request,
             arrival,
-            arrival + self.config.degraded_cost_s,
+            arrival + DEGRADED_COST_S,
             status,
             outcome,
             {"error": message},
@@ -420,14 +418,8 @@ class PredictionService:
         retries: int = 0,
     ) -> ServiceResponse:
         """Serve last-known-good if we have it; otherwise refuse loudly."""
-        settled = (at_s if at_s is not None else arrival)
-        settled += self.config.degraded_cost_s
+        settled = (at_s if at_s is not None else arrival) + DEGRADED_COST_S
         entry = self.cache.get(fingerprint) if fingerprint else None
-        if entry is not None:
-            age = entry.age_s(settled)
-            max_age = self.config.max_stale_age_s
-            if max_age is not None and age > max_age:
-                entry = None
         if entry is not None:
             body = dict(entry.payload)
             body["stale"] = True
@@ -465,10 +457,11 @@ class PredictionService:
         ``(payload, cost_s)``; failures raise
         :class:`~repro.service.errors.BackendError` with the attempt's
         cost attached.  Costs are prices in simulated time; what an
-        attempt is *charged* is the clock's call (the price on a
-        :class:`VirtualClock`, the time it took on a real one), while
-        ``estimated_cost_s`` stays a price on both — a conservative
-        upper bound for the pre-admission check.
+        attempt or a retry backoff is *charged* is the clock's call (the
+        price on a :class:`VirtualClock`, the time it took on a real one,
+        where nothing sleeps), while ``estimated_cost_s`` and the backoff
+        the retry check adds stay prices on both — conservative upper
+        bounds for the admission checks.
         """
         bulkhead = self.bulkheads[request.endpoint]
         try:
@@ -497,28 +490,30 @@ class PredictionService:
                     str(exc),
                 )
 
-        retry = self.config.retry
         spent = 0.0
         retries = 0
-        for attempt in range(1, retry.max_attempts + 1):
+        for attempt in range(1, RETRY.max_attempts + 1):
             began = self.clock.now()
             try:
                 payload, cost = call()
             except BackendError as exc:
                 spent += self.clock.charge(exc.cost_s, began)
-                failed_at = min(start + spent, budget.deadline_s)
                 if breaker is not None:
-                    breaker.record_failure(failed_at)
-                backoff = retry.backoff_s(attempt)
+                    breaker.record_failure(min(start + spent, budget.deadline_s))
+                backoff = RETRY.backoff_s(attempt)
                 can_retry = (
-                    attempt < retry.max_attempts
-                    and (breaker is None or breaker_allows(breaker, failed_at))
+                    attempt < RETRY.max_attempts
+                    # Only a CLOSED breaker lets a retry through: one its
+                    # own failures just opened must stop it, and allow()
+                    # would consume the half-open probe (a phantom
+                    # transition) rather than merely ask.
+                    and (breaker is None or breaker.state is BreakerState.CLOSED)
                     and budget.allows(
                         start, spent + backoff + estimated_cost_s
                     )
                 )
                 if can_retry:
-                    spent += backoff
+                    spent += self.clock.charge(backoff, self.clock.now())
                     retries += 1
                     continue
                 bulkhead.commit(min(start + spent, budget.deadline_s))
@@ -820,7 +815,7 @@ class PredictionService:
                 body={"error": f"request id '{request.request_id}' was "
                       "already settled"},
                 arrival_s=arrival,
-                settled_s=arrival + self.config.degraded_cost_s,
+                settled_s=arrival + DEGRADED_COST_S,
             )
         if request.endpoint not in ENDPOINTS:
             return self._reject(
@@ -835,7 +830,7 @@ class PredictionService:
             return self._settle(
                 request,
                 arrival,
-                arrival + self.config.degraded_cost_s,
+                arrival + DEGRADED_COST_S,
                 429,
                 "shed",
                 {
@@ -847,7 +842,7 @@ class PredictionService:
         deadline_s = (
             request.deadline_s
             if request.deadline_s is not None
-            else self.config.default_deadline_s
+            else DEFAULT_DEADLINE_S
         )
         try:
             budget = DeadlineBudget.begin(arrival, deadline_s)
@@ -915,20 +910,6 @@ class PredictionService:
         if self.backend.injector is not None:
             out["injected_faults"] = dict(self.backend.injector.injected)
         return out
-
-
-def breaker_allows(breaker: Any, now: float) -> bool:
-    """Non-raising probe of :meth:`CircuitBreaker.allow` for retry loops.
-
-    A retry must not proceed when its own failures just opened the
-    circuit — but the *probe* admission of ``allow`` must not be
-    consumed either (the retry would steal the half-open slot and the
-    state machine would record a phantom transition).  Only a CLOSED
-    breaker lets a retry through.
-    """
-    from repro.service.resilience import BreakerState
-
-    return breaker.state is BreakerState.CLOSED
 
 
 def serve_sequence(

@@ -12,15 +12,17 @@ owned by the service, never from the host directly:
   layer (this module is on the REP001 allowlist); simulated results
   never depend on it.
 
-What an attempt at backend work *cost* is the clock's to say as well
-(:meth:`ServiceClock.charge`).  Under :class:`VirtualClock` execution
-latency is *modeled*: the service charges each attempt the deterministic
-price of its backend work (stretched by injected fault delays), which is
-what the latency invariant ("settled latency stays under the declared
+What an attempt at backend work, or a retry backoff, *cost* is the
+clock's to say as well (:meth:`ServiceClock.charge`).  Under
+:class:`VirtualClock` execution latency is *modeled*: the service charges
+each attempt the deterministic price of its backend work (stretched by
+injected fault delays) and each backoff its policy delay, which is what
+the latency invariant ("settled latency stays under the declared
 deadline + ε") is checked against in every seeded scenario.  Under
 :class:`MonotonicClock` the charge is *measured*: the time the attempt
-really took.  Nothing in the service ever sleeps — queueing and retry
-backoff are accounted, not performed, on either clock.
+really took, and ≈ 0 for a backoff, because nothing in the service ever
+sleeps.  Every booked end is then in the past, so on the real clock a
+bulkhead never queues.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ class ServiceClock(abc.ABC):
 
     @abc.abstractmethod
     def charge(self, priced_s: float, began_s: float) -> float:
-        """Seconds to book for one backend attempt begun at ``began_s``.
+        """Seconds to book for one attempt or backoff begun at ``began_s``.
 
-        ``priced_s`` is the attempt's price in simulated time
-        (:class:`~repro.service.backends.ServiceCostModel`).
+        ``priced_s`` is its price in simulated time (a
+        :class:`~repro.service.backends.ServiceCostModel` cost, or the
+        retry policy's backoff).
         """
 
 

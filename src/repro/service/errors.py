@@ -16,7 +16,6 @@ __all__ = [
     "AdmissionError",
     "BulkheadFullError",
     "CircuitOpenError",
-    "DeadlineExceededError",
     "BackendError",
     "BackendCrashError",
     "CorruptResponseError",
@@ -45,11 +44,6 @@ class BulkheadFullError(ServiceError):
 
 class CircuitOpenError(ServiceError):
     """The (app, cluster) circuit breaker is open; no probe is due yet."""
-
-
-class DeadlineExceededError(ServiceError):
-    """The request's deadline budget cannot be met (HTTP 504 when no
-    cached prediction is available to degrade to)."""
 
 
 class BackendError(ServiceError):

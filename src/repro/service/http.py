@@ -1,22 +1,17 @@
-"""HTTP and ASGI adapters over :class:`PredictionService`.
+"""The HTTP shell over :class:`PredictionService`.
 
-The service core is single-threaded and deterministic; these adapters
-are the thin shells that face real sockets:
+The service core is single-threaded and deterministic; :func:`make_server`
+builds the threaded ``socketserver`` server that faces real sockets, its
+connections serialized into the shared service under one mutex
+(:class:`ServiceGateway`).  The HTTP/1.1 framing is this module's own:
+one receive buffer per connection under an explicit socket timeout (the
+REP009 contract: no unbounded waits), :func:`parse_head` over its bytes,
+and every response as one ``status line + headers + body`` buffer in a
+single ``sendall`` on a ``TCP_NODELAY`` socket: a head and a small body
+written separately on a keep-alive connection stall ~40 ms on Nagle x
+delayed-ACK.
 
-- :func:`asgi_app` wraps a service as an ASGI 3 application, so any
-  ASGI server (or an in-process test harness speaking the protocol)
-  can drive it without this repo importing one.
-- :func:`make_server` builds a threaded ``socketserver`` server whose
-  connections serialize into the shared service under one mutex.  The
-  HTTP/1.1 framing is this module's own: one receive buffer per
-  connection under an explicit socket timeout (the REP009 contract: no
-  unbounded waits), :func:`parse_head` over its bytes, and every
-  response as one ``status line + headers + body`` buffer in a single
-  ``sendall`` on a ``TCP_NODELAY`` socket: a head and a small body
-  written separately on a keep-alive connection stall ~40 ms on
-  Nagle x delayed-ACK.
-
-Routes (both adapters)::
+Routes::
 
     POST /v1/predict            {"params": {...}, "deadline_s": 0.25}
     POST /v1/what-if            {"params": {...}}
@@ -30,7 +25,7 @@ Responses carry the pipeline's verdict: 200 (fresh or ``stale: true``),
 504 (deadline unmeetable), 400/404 (client errors), 500 (a handler bug:
 answered, never a silent EOF).  Every body is one line of compact
 sorted-key JSON (:func:`~repro.core.durable.compact_json`), framing
-errors included.  The threaded server keeps the connection alive
+errors included.  The server keeps the connection alive
 (pipelined requests are answered in order) except after a 500 or a
 :class:`FramingError` — 400, 413, 414, 431, 501, 505; DESIGN.md §15 has
 the rules — where the request stream can no longer be trusted: those
@@ -49,14 +44,14 @@ import socketserver
 import threading
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Any, Awaitable, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.durable import compact_json
 from repro.service.app import ENDPOINTS, PredictionService, ServiceRequest
 from repro.service.errors import ServiceError
 from repro.simgrid.errors import ConfigurationError
 
-__all__ = ["ServiceGateway", "asgi_app", "make_server"]
+__all__ = ["ServiceGateway", "make_server"]
 
 _MAX_BODY_BYTES = 1 << 20
 _MAX_LINE_BYTES = 65536  # the request line (414) and each header line (431)
@@ -135,7 +130,7 @@ class ServiceGateway:
 def _route(
     gateway: ServiceGateway, method: str, path: str, raw_body: bytes
 ) -> Tuple[int, Dict[str, Any], Optional[float]]:
-    """Shared routing for both adapters."""
+    """One request, already framed by :func:`parse_head`, to its answer."""
     if method == "GET" and path == "/v1/healthz":
         return 200, {"status": "ok"}, None
     if method == "GET" and path == "/v1/metrics":
@@ -147,8 +142,6 @@ def _route(
                 "error": f"unknown endpoint '{endpoint}'; known: "
                 f"{', '.join(ENDPOINTS)}"
             }, None
-        if len(raw_body) > _MAX_BODY_BYTES:
-            return 413, {"error": "request body too large"}, None
         try:
             payload = json.loads(raw_body.decode("utf-8")) if raw_body else {}
         except ValueError as exc:  # bad UTF-8, bad JSON, a 5000-digit int
@@ -157,65 +150,6 @@ def _route(
             return 400, {"error": "request body must be a JSON object"}, None
         return gateway.dispatch(endpoint, payload)
     return 404, {"error": f"no route for {method} {path}"}, None
-
-
-# ----------------------------------------------------------------------
-# ASGI
-# ----------------------------------------------------------------------
-
-
-def asgi_app(
-    service: PredictionService,
-) -> Callable[..., Awaitable[None]]:
-    """Wrap a service as an ASGI 3 application."""
-    gateway = ServiceGateway(service)
-
-    async def app(
-        scope: Mapping[str, Any],
-        receive: Callable[[], Awaitable[Mapping[str, Any]]],
-        send: Callable[[Mapping[str, Any]], Awaitable[None]],
-    ) -> None:
-        if scope["type"] == "lifespan":
-            while True:
-                message = await receive()
-                if message["type"] == "lifespan.startup":
-                    await send({"type": "lifespan.startup.complete"})
-                elif message["type"] == "lifespan.shutdown":
-                    await send({"type": "lifespan.shutdown.complete"})
-                    return
-            return
-        if scope["type"] != "http":
-            raise ServiceError(
-                f"unsupported ASGI scope '{scope['type']}'"
-            )
-        body = b""
-        while True:
-            message = await receive()
-            if message["type"] == "http.request":
-                body += message.get("body", b"")
-                if not message.get("more_body", False):
-                    break
-            elif message["type"] == "http.disconnect":
-                return
-        status, payload, retry_after = _route(
-            gateway, scope["method"].upper(), scope["path"], body
-        )
-        encoded = compact_json(payload).encode("utf-8")
-        headers = [
-            (b"content-type", b"application/json"),
-            (b"content-length", str(len(encoded)).encode("ascii")),
-        ]
-        if retry_after is not None:
-            headers.append(
-                (b"retry-after", f"{retry_after:.6f}".encode("ascii"))
-            )
-        await send(
-            {"type": "http.response.start", "status": status,
-             "headers": headers}
-        )
-        await send({"type": "http.response.body", "body": encoded})
-
-    return app
 
 
 # ----------------------------------------------------------------------

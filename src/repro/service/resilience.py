@@ -7,10 +7,8 @@ The service wraps every request in this pipeline (DESIGN.md §15):
    are *shed* with a deterministic ``Retry-After`` hint (HTTP 429).
    Shedding early is the cheapest possible failure: no worker time, no
    backend call, no queue growth.
-2. :class:`DeadlineBudget` — the request's absolute deadline.  Budgets
-   are propagated *down* the stack (handler → backend retries) via
-   :meth:`DeadlineBudget.child`, which can only shrink the remaining
-   time — a lower layer can never out-wait its caller.
+2. :class:`DeadlineBudget` — the request's absolute deadline, which
+   every later stage of the same request checks its work against.
 3. :class:`Bulkhead` — a bounded worker pool per endpoint class with a
    bounded FIFO wait queue, modeled in the service clock's time.  One slow
    endpoint (broker submissions) can exhaust only its own pool; predict
@@ -34,15 +32,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.faults.retry import RetryPolicy
 from repro.service.errors import (
     AdmissionError,
     BulkheadFullError,
     CircuitOpenError,
-    DeadlineExceededError,
 )
 from repro.simgrid.errors import ConfigurationError
 
@@ -66,12 +63,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeadlineBudget:
-    """An absolute deadline carried through the request's layers.
-
-    The budget is immutable; handing work to a lower layer derives a
-    *child* budget whose deadline is never later than the parent's —
-    the monotone-shrink property the hypothesis suite fuzzes.
-    """
+    """A request's absolute deadline: immutable, set once on arrival."""
 
     start_s: float
     deadline_s: float
@@ -91,38 +83,9 @@ class DeadlineBudget:
             )
         return cls(start_s=now, deadline_s=now + budget_s)
 
-    def remaining_s(self, now: float) -> float:
-        """Seconds left before the deadline (never negative)."""
-        return max(0.0, self.deadline_s - now)
-
-    def expired(self, now: float) -> bool:
-        return now >= self.deadline_s
-
     def allows(self, now: float, cost_s: float) -> bool:
         """Whether ``cost_s`` more seconds of work still fit."""
         return now + cost_s <= self.deadline_s
-
-    def child(
-        self, now: float, max_share_s: Optional[float] = None
-    ) -> "DeadlineBudget":
-        """A sub-budget for a lower layer, starting at ``now``.
-
-        The child's deadline is the parent's, optionally capped at
-        ``now + max_share_s`` — it can only shrink, never extend.  A
-        child requested after the parent expired is an error: the
-        caller should have degraded already.
-        """
-        if self.expired(now):
-            raise DeadlineExceededError(
-                f"cannot derive a sub-budget at t={now:.6f}: parent "
-                f"deadline {self.deadline_s:.6f} already passed"
-            )
-        deadline = self.deadline_s
-        if max_share_s is not None:
-            if max_share_s <= 0:
-                raise ConfigurationError("budget share must be positive")
-            deadline = min(deadline, now + max_share_s)
-        return DeadlineBudget(start_s=now, deadline_s=deadline)
 
 
 # ----------------------------------------------------------------------
@@ -214,11 +177,6 @@ class Bulkhead:
 
     def _prune(self, now: float) -> None:
         self._ends = [end for end in self._ends if end > now]
-
-    def queued(self, now: float) -> int:
-        """Requests admitted but not yet started at ``now``."""
-        self._prune(now)
-        return max(0, len(self._ends) - self.config.workers)
 
     def reserve(self, now: float) -> float:
         """Earliest start time for new work arriving at ``now``.
@@ -406,92 +364,50 @@ class BreakerBank:
 # ----------------------------------------------------------------------
 
 
-def _default_bulkheads() -> Dict[str, BulkheadConfig]:
-    return {
-        "predict": BulkheadConfig(workers=4, queue_depth=16),
-        "what-if": BulkheadConfig(workers=2, queue_depth=8),
-        "broker-submit": BulkheadConfig(workers=1, queue_depth=2),
-        "campaign-status": BulkheadConfig(workers=2, queue_depth=8),
-    }
+#: Worker pool and wait queue per endpoint class.
+BULKHEADS = {
+    "predict": BulkheadConfig(workers=4, queue_depth=16),
+    "what-if": BulkheadConfig(workers=2, queue_depth=8),
+    "broker-submit": BulkheadConfig(workers=1, queue_depth=2),
+    "campaign-status": BulkheadConfig(workers=2, queue_depth=8),
+}
 
+#: Budget for a request that does not declare its own ``deadline_s``.
+DEFAULT_DEADLINE_S = 0.25
 
-def _default_cooldown() -> RetryPolicy:
-    return RetryPolicy(
-        max_attempts=5,
-        base_backoff_s=0.25,
-        backoff_factor=2.0,
-        max_backoff_s=4.0,
-    )
+#: The latency invariant's slack over the declared deadline, and the
+#: price booked for a degraded (cache-served or refused) reply.  The
+#: invariant holds for an abandoned request only while
+#: ``DEGRADED_COST_S <= DEADLINE_EPSILON_S``.
+DEADLINE_EPSILON_S = 1.0e-3
+DEGRADED_COST_S = 2.0e-4
 
+#: Backend retries *within* the request's deadline; each backoff is
+#: booked through the service clock like an attempt.
+RETRY = RetryPolicy(
+    max_attempts=3, base_backoff_s=0.005, backoff_factor=2.0, max_backoff_s=0.05
+)
 
-def _default_retry() -> RetryPolicy:
-    return RetryPolicy(
-        max_attempts=3,
-        base_backoff_s=0.005,
-        backoff_factor=2.0,
-        max_backoff_s=0.05,
-    )
+#: Circuit breaker tuning (see :class:`CircuitBreaker`).
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_COOLDOWN = RetryPolicy(
+    max_attempts=5, base_backoff_s=0.25, backoff_factor=2.0, max_backoff_s=4.0
+)
 
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Every knob of the admission → deadline → bulkhead → breaker →
-    degrade pipeline, with serving-grade defaults.
+    """The pipeline's caller-set knob: token-bucket admission.
 
-    Attributes
-    ----------
-    admission_rate / admission_burst:
-        Token-bucket refill (requests/s) and capacity.
-    default_deadline_s:
-        Budget for requests that do not declare their own.
-    deadline_epsilon_s:
-        Slack the latency invariant tolerates on top of the declared
-        deadline — covers the fixed cost of producing the degraded
-        response itself.
-    degraded_cost_s:
-        Modeled cost of a cache-served / refused response (the fast
-        path never consults a backend).
-    retry:
-        Backend retry budget *within* the request's deadline; backoff
-        is charged to the request's latency.
-    breaker_failure_threshold / breaker_cooldown:
-        Circuit breaker tuning (see :class:`CircuitBreaker`).
-    bulkheads:
-        Worker pool sizes per endpoint class.
-    max_stale_age_s:
-        Oldest cached prediction degraded mode may serve; ``None``
-        serves any age (the age is always reported either way).
+    ``admission_rate`` is the refill in requests/s, ``admission_burst``
+    the bucket's capacity.  Everything else is a module constant.
     """
 
     admission_rate: float = 500.0
     admission_burst: float = 64.0
-    default_deadline_s: float = 0.25
-    deadline_epsilon_s: float = 1.0e-3
-    degraded_cost_s: float = 2.0e-4
-    retry: RetryPolicy = field(default_factory=_default_retry)
-    breaker_failure_threshold: int = 3
-    breaker_cooldown: RetryPolicy = field(default_factory=_default_cooldown)
-    bulkheads: Tuple[Tuple[str, BulkheadConfig], ...] = field(
-        default_factory=lambda: tuple(sorted(_default_bulkheads().items()))
-    )
-    max_stale_age_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.admission_rate <= 0:
             raise ConfigurationError("admission_rate must be positive")
         if self.admission_burst < 1:
             raise ConfigurationError("admission_burst must be >= 1")
-        if self.default_deadline_s <= 0:
-            raise ConfigurationError("default_deadline_s must be positive")
-        if self.deadline_epsilon_s < 0:
-            raise ConfigurationError("deadline_epsilon_s must be >= 0")
-        if self.degraded_cost_s < 0:
-            raise ConfigurationError("degraded_cost_s must be >= 0")
-        if self.max_stale_age_s is not None and self.max_stale_age_s <= 0:
-            raise ConfigurationError("max_stale_age_s must be positive")
-
-    def bulkhead_config(self, endpoint: str) -> BulkheadConfig:
-        for name, config in self.bulkheads:
-            if name == endpoint:
-                return config
-        return BulkheadConfig()

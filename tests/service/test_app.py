@@ -15,7 +15,12 @@ from repro.service import (
     ServiceRequest,
     serve_sequence,
 )
-from repro.service.resilience import BreakerState
+from repro.service.resilience import (
+    BREAKER_FAILURE_THRESHOLD,
+    BULKHEADS,
+    DEADLINE_EPSILON_S,
+    BreakerState,
+)
 from repro.simgrid.errors import ConfigurationError
 
 
@@ -166,7 +171,7 @@ class TestResiliencePaths:
             for i in range(50)
         ]
         responses = serve_sequence(service, requests)
-        bound = 0.002 + service.config.deadline_epsilon_s
+        bound = 0.002 + DEADLINE_EPSILON_S
         assert all(r.latency_s <= bound for r in responses)
 
     def test_crashing_backend_opens_breaker_then_serves_stale(
@@ -176,10 +181,9 @@ class TestResiliencePaths:
         warm = service.handle(predict_request("warm", 0.0))
         assert warm.outcome == "ok"
         service.backend = always_crash_backend()
-        threshold = service.config.breaker_failure_threshold
         responses = [
             service.handle(predict_request(f"r{i}", 1.0 + i * 0.1))
-            for i in range(threshold + 2)
+            for i in range(BREAKER_FAILURE_THRESHOLD + 2)
         ]
         breaker = service.breakers.breaker("kmeans", "pentium-myrinet")
         assert breaker.opens >= 1
@@ -205,28 +209,26 @@ class TestResiliencePaths:
         assert probe.outcome == "ok"
         assert breaker.state is BreakerState.CLOSED
 
-    def test_bulkhead_refusal_isolated_per_endpoint(self, profiles):
-        from repro.service.resilience import BulkheadConfig
-
-        config = ResilienceConfig(
-            bulkheads=(
-                ("predict", BulkheadConfig(workers=1, queue_depth=0)),
-            ),
-            default_deadline_s=10.0,
-        )
-        service = PredictionService(profiles, config=config)
-        first = service.handle(predict_request("r1", 0.0))
-        assert first.outcome == "ok"
-        # Arrives while the first is still occupying the only worker.
-        second = service.handle(predict_request("r2", 0.001))
-        assert second.outcome in {"stale", "bulkhead-full"}
+    def test_bulkhead_refusal_isolated_per_endpoint(self, service):
+        pool = BULKHEADS["predict"]
+        capacity = pool.workers + pool.queue_depth  # 4 + 16
+        burst = [
+            service.handle(predict_request(f"r{i}", 0.0, deadline_s=10.0))
+            for i in range(capacity + 1)
+        ]
+        assert {r.outcome for r in burst[:capacity]} == {"ok"}
+        # Arrives while every worker is busy and the queue is full.
+        assert burst[-1].outcome == "stale"
+        assert burst[-1].body["degraded_reason"] == "bulkhead-full"
+        assert service.bulkheads["predict"].refused == 1
         # Other endpoint classes keep their own pools.
-        status = service.handle(
+        whatif = service.handle(
             ServiceRequest(
-                "r3", "campaign-status", {"campaign": "x"}, arrival_s=0.001
+                "w1", "what-if", {"profile": "kmeans", "pairs": [[1, 2]]},
+                arrival_s=0.0,
             )
         )
-        assert status.status == 400  # rejected (unknown), not bulkhead-full
+        assert whatif.outcome == "ok"
 
     def test_corrupt_response_never_served_or_cached(self, profiles):
         service = PredictionService(
@@ -249,12 +251,10 @@ class TestResiliencePaths:
             3, BackendFaultSpec(crash_probability=0.5)
         )
         service = PredictionService(
-            profiles,
-            backend=ServiceBackend(injector=injector),
-            config=ResilienceConfig(default_deadline_s=5.0),
+            profiles, backend=ServiceBackend(injector=injector)
         )
         responses = [
-            service.handle(predict_request(f"r{i}", i * 1.0))
+            service.handle(predict_request(f"r{i}", i * 1.0, deadline_s=5.0))
             for i in range(6)
         ]
         retried_ok = [

@@ -1,8 +1,8 @@
-"""HTTP-layer tests: ASGI protocol in-process, threaded server on loopback."""
+"""HTTP-layer tests: the connection handler over canned bytes, and the
+threaded server on loopback."""
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import socket
@@ -16,160 +16,26 @@ import pytest
 from repro.core.durable import compact_json
 from repro.faults.chaos import verify_service_log
 from repro.service import (
+    BackendFaultSpec,
     MonotonicClock,
     PredictionService,
     ResilienceConfig,
+    ServiceBackend,
+    ServiceFaultInjector,
     ServiceRequest,
     demo_profiles,
 )
-from repro.service.http import (
-    _MAX_BODY_BYTES,
-    _SOCKET_TIMEOUT_S,
-    asgi_app,
-    make_server,
-)
+from repro.service.http import _MAX_BODY_BYTES, _SOCKET_TIMEOUT_S, make_server
+from repro.service.resilience import DEADLINE_EPSILON_S
 
 PREDICT_PARAMS = {"profile": "kmeans", "data_nodes": 2, "compute_nodes": 4}
 
 
-def run_asgi(app, method, path, body=b""):
-    """Drive one request through the ASGI protocol without a server."""
-    sent = []
-    received = [
-        {"type": "http.request", "body": body, "more_body": False}
-    ]
-
-    async def receive():
-        return received.pop(0)
-
-    async def send(message):
-        sent.append(message)
-
-    scope = {"type": "http", "method": method, "path": path}
-    asyncio.run(app(scope, receive, send))
-    start = next(m for m in sent if m["type"] == "http.response.start")
-    payload = b"".join(
-        m.get("body", b"") for m in sent if m["type"] == "http.response.body"
-    )
-    headers = {
-        name.decode(): value.decode() for name, value in start["headers"]
-    }
-    return start["status"], headers, json.loads(payload)
-
-
-@pytest.fixture()
-def app():
-    return asgi_app(PredictionService(demo_profiles()))
-
-
-class TestAsgi:
-    def test_healthz(self, app):
-        status, _, body = run_asgi(app, "GET", "/v1/healthz")
-        assert status == 200
-        assert body == {"status": "ok"}
-
-    def test_predict_round_trip(self, app):
-        payload = json.dumps(
-            {
-                "params": {
-                    "profile": "kmeans",
-                    "data_nodes": 2,
-                    "compute_nodes": 4,
-                }
-            }
-        ).encode()
-        status, headers, body = run_asgi(
-            app, "POST", "/v1/predict", payload
-        )
-        assert status == 200
-        assert headers["content-type"] == "application/json"
-        assert body["outcome"] == "ok"
-        assert body["total"] > 0.0
-        assert body["request_id"] == "http-1"
-
-    def test_request_ids_are_counter_based(self, app):
-        payload = json.dumps(
-            {"params": {"profile": "kmeans", "data_nodes": 1,
-                        "compute_nodes": 1}}
-        ).encode()
-        ids = [
-            run_asgi(app, "POST", "/v1/predict", payload)[2]["request_id"]
-            for _ in range(3)
-        ]
-        assert ids == ["http-1", "http-2", "http-3"]
-
-    def test_shed_request_carries_retry_after_header(self):
-        from repro.service import ResilienceConfig
-
-        service = PredictionService(
-            demo_profiles(),
-            config=ResilienceConfig(admission_rate=1.0, admission_burst=1.0),
-        )
-        app = asgi_app(service)
-        payload = json.dumps(
-            {"params": {"profile": "kmeans", "data_nodes": 1,
-                        "compute_nodes": 1}}
-        ).encode()
-        run_asgi(app, "POST", "/v1/predict", payload)
-        status, headers, body = run_asgi(
-            app, "POST", "/v1/predict", payload
-        )
-        assert status == 429
-        assert float(headers["retry-after"]) > 0.0
-        assert body["outcome"] == "shed"
-
-    def test_bad_json_is_400(self, app):
-        status, _, body = run_asgi(app, "POST", "/v1/predict", b"{ torn")
-        assert status == 400
-        assert "not JSON" in body["error"]
-
-    def test_unknown_route_is_404(self, app):
-        status, _, _ = run_asgi(app, "POST", "/v1/forecast", b"{}")
-        assert status == 404
-        status, _, _ = run_asgi(app, "GET", "/nope")
-        assert status == 404
-
-    def test_metrics_route(self, app):
-        status, _, body = run_asgi(app, "GET", "/v1/metrics")
-        assert status == 200
-        assert "admission" in body
-
-    def test_lifespan_protocol(self, app):
-        sent = []
-        received = [
-            {"type": "lifespan.startup"},
-            {"type": "lifespan.shutdown"},
-        ]
-
-        async def receive():
-            return received.pop(0)
-
-        async def send(message):
-            sent.append(message)
-
-        asyncio.run(app({"type": "lifespan"}, receive, send))
-        assert [m["type"] for m in sent] == [
-            "lifespan.startup.complete",
-            "lifespan.shutdown.complete",
-        ]
-
-    def test_non_numeric_deadline_is_400(self, app):
-        for deadline in ("abc", [1], {"s": 1}, True, "0.5", " 5 ", "1_0", 10**400):
-            payload = json.dumps(
-                {"params": PREDICT_PARAMS, "deadline_s": deadline}
-            ).encode()
-            status, _, body = run_asgi(app, "POST", "/v1/predict", payload)
-            assert status == 400
-            assert "deadline_s must be a number" in body["error"]
-
-
 @pytest.fixture()
 def live_service(request):
-    """On the real clock; an indirect parameter is its ResilienceConfig."""
+    """On the real clock; an indirect parameter is its keyword arguments."""
     return PredictionService(
-        demo_profiles(),
-        clock=MonotonicClock(),
-        config=getattr(request, "param", None),
+        demo_profiles(), clock=MonotonicClock(), **getattr(request, "param", {})
     )
 
 
@@ -246,6 +112,33 @@ def handle_bytes(service, request_bytes):
 
 
 GET_HEALTHZ = b"GET /v1/healthz HTTP/1.1\r\n\r\n"
+GET_METRICS = b"GET /v1/metrics HTTP/1.1\r\n\r\n"
+
+
+class TestRoutes:
+    """What a well-framed request is answered with."""
+
+    def test_predict_round_trip(self, service):
+        (sent,) = handle_bytes(
+            service, post("/v1/predict", {"params": PREDICT_PARAMS})
+        ).sends
+        (status, headers, body), = read_responses(sent)
+        assert (status, headers["Content-Type"]) == (200, "application/json")
+        assert (body["outcome"], body["request_id"]) == ("ok", "http-1")
+        assert body["total"] > 0.0
+
+    def test_request_ids_are_counter_based(self, service):
+        predict = post("/v1/predict", {"params": PREDICT_PARAMS})
+        sock = handle_bytes(service, predict * 3)
+        ids = [read_responses(sent)[0][2]["request_id"] for sent in sock.sends]
+        assert ids == ["http-1", "http-2", "http-3"]
+
+    def test_metrics_route(self, service):
+        predict = post("/v1/predict", {"params": PREDICT_PARAMS})
+        *_, sent = handle_bytes(service, predict + GET_METRICS).sends
+        (status, _, body), = read_responses(sent)
+        assert status == 200
+        assert body["admission"] == {"admitted": 1, "shed": 0}
 
 
 class TestOneSendPerResponse:
@@ -608,13 +501,9 @@ class TestThreadedServer:
 
     @pytest.mark.parametrize(
         "live_service",
-        [
-            # No 429s, and no 504 from a scheduler stall on a shared box:
-            # the subject is the default bulkheads.
-            ResilienceConfig(
-                admission_rate=1.0e6, admission_burst=64.0, default_deadline_s=10.0
-            )
-        ],
+        # No 429s (and the clients send a deadline no scheduler stall on
+        # a shared box reaches): the subject is the default bulkheads.
+        [{"config": ResilienceConfig(admission_rate=1.0e6, admission_burst=64.0)}],
         indirect=True,
         ids=["admission-raised"],
     )
@@ -645,7 +534,10 @@ class TestThreadedServer:
                             data_nodes=data_nodes,
                             compute_nodes=compute_nodes,
                         )
-                    conn.request("POST", path, body=json.dumps({"params": params}))
+                    conn.request(
+                        "POST", path,
+                        body=json.dumps({"params": params, "deadline_s": 10.0}),
+                    )
                     response = conn.getresponse()
                     replies[k].append(
                         (path, params, response.status, json.loads(response.read()))
@@ -670,11 +562,13 @@ class TestThreadedServer:
             (200, False)
         }
         submitted = [
-            ServiceRequest(body["request_id"], path[len("/v1/"):], params)
+            ServiceRequest(
+                body["request_id"], path[len("/v1/"):], params, deadline_s=10.0
+            )
             for path, params, _, body in answered
         ]
         assert verify_service_log(service, submitted) == []
-        bound = service.config.default_deadline_s + service.config.deadline_epsilon_s
+        bound = 10.0 + DEADLINE_EPSILON_S
         assert all(body["latency_s"] <= bound for _, _, _, body in answered)
         assert [b.refused for b in service.bulkheads.values()] == [0, 0, 0, 0]
 
@@ -742,3 +636,91 @@ class TestThreadedServer:
             # A degraded (stale) reply adds its age; the prediction is the same.
             for field in expected[key].keys() - {"stale"}:
                 assert body[field] == expected[key][field]
+
+
+class TestLiveChaos:
+    @pytest.fixture()
+    def live_service(self):
+        """Seeded slow, crashing and corrupt backends; admission low enough
+        that four closed-loop clients are shed."""
+        faults = BackendFaultSpec(
+            slow_probability=0.2, crash_probability=0.2, corrupt_probability=0.1
+        )
+        return PredictionService(
+            demo_profiles(),
+            clock=MonotonicClock(),
+            config=ResilienceConfig(admission_rate=400.0, admission_burst=16.0),
+            backend=ServiceBackend(injector=ServiceFaultInjector(7, faults)),
+        )
+
+    def test_four_clients_under_faults_keep_every_invariant(
+        self, live_server, live_service
+    ):
+        """The chaos invariants over real sockets, threads and time: the
+        log verifies, every 429 says when to retry, a breaker opens, and
+        the serialized bulkheads never queue or refuse."""
+        host, port = live_server.server_address[:2]
+        pairs = [(d, c) for d in (1, 2, 4) for c in (d, 2 * d, 4 * d)]
+        replies = [[] for _ in range(4)]
+        errors = []
+
+        def client(k):
+            conn = http.client.HTTPConnection(host, port, timeout=10.0)
+            try:
+                for i in range(200):
+                    if i % 5 == 4:
+                        endpoint, params = "what-if", {
+                            "profile": "kmeans", "pairs": pairs[k : k + 2]
+                        }
+                    else:
+                        data_nodes, compute_nodes = pairs[(i + k) % len(pairs)]
+                        endpoint, params = "predict", dict(
+                            PREDICT_PARAMS,
+                            data_nodes=data_nodes,
+                            compute_nodes=compute_nodes,
+                        )
+                    conn.request(
+                        "POST", f"/v1/{endpoint}",
+                        body=json.dumps({"params": params, "deadline_s": 10.0}),
+                    )
+                    response = conn.getresponse()
+                    replies[k].append((
+                        endpoint, params, response.status,
+                        response.getheader("Retry-After"),
+                        json.loads(response.read()),
+                    ))
+            except BaseException as exc:  # re-raised on the main thread
+                errors.append(exc)
+            finally:
+                conn.close()
+
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        if errors:
+            raise errors[0]
+
+        service = live_service
+        answered = [reply for per_client in replies for reply in per_client]
+        assert len(answered) == 800 == len(service.log)
+        submitted = [
+            ServiceRequest(body["request_id"], endpoint, params, deadline_s=10.0)
+            for endpoint, params, _, _, body in answered
+        ]
+        assert verify_service_log(service, submitted) == []
+        shed = [
+            (retry_after, body)
+            for _, _, status, retry_after, body in answered
+            if status == 429
+        ]
+        assert shed and all(
+            retry_after == f"{body['retry_after_s']:.6f}" for retry_after, body in shed
+        )
+        assert service.breakers.total_opens() >= 1
+        assert all(service.backend.injector.injected.values())  # all three kinds
+        assert [
+            (b.refused, b.peak_queue) for b in service.bulkheads.values()
+        ] == [(0, 0)] * 4

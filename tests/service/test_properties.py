@@ -1,12 +1,11 @@
 """Hypothesis property suite for the resilience primitives.
 
-Three laws the pipeline's correctness rests on, fuzzed rather than
+Two laws the pipeline's correctness rests on, fuzzed rather than
 example-tested:
 
-1. Deadline budgets only ever shrink as they propagate down the stack.
-2. A token bucket never admits more than ``burst + rate * elapsed``
+1. A token bucket never admits more than ``burst + rate * elapsed``
    requests over any observation window starting from full.
-3. The circuit breaker state machine never records an illegal or lost
+2. The circuit breaker state machine never records an illegal or lost
    transition, for any seeded interleaving of successes, failures, and
    probe attempts.
 """
@@ -23,7 +22,6 @@ from repro.service import (
     BreakerState,
     CircuitBreaker,
     CircuitOpenError,
-    DeadlineBudget,
     TokenBucket,
 )
 
@@ -33,49 +31,6 @@ _LEGAL_EDGES = {
     (BreakerState.HALF_OPEN, BreakerState.CLOSED),
     (BreakerState.HALF_OPEN, BreakerState.OPEN),
 }
-
-times = st.floats(0.0, 1.0e4, allow_nan=False, allow_infinity=False)
-budgets = st.floats(1.0e-6, 1.0e3, allow_nan=False, allow_infinity=False)
-shares = st.none() | st.floats(
-    1.0e-9, 1.0e3, allow_nan=False, allow_infinity=False
-)
-
-
-class TestBudgetsOnlyShrink:
-    @given(
-        start=times,
-        budget_s=budgets,
-        steps=st.lists(
-            st.tuples(st.floats(0.0, 10.0, allow_nan=False), shares),
-            max_size=8,
-        ),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_child_chain_never_extends_deadline(
-        self, start, budget_s, steps
-    ):
-        budget = DeadlineBudget.begin(start, budget_s)
-        now = start
-        for advance, share in steps:
-            now += advance
-            if budget.expired(now):
-                break
-            child = budget.child(now, max_share_s=share)
-            assert child.deadline_s <= budget.deadline_s
-            assert child.start_s == now
-            # Remaining time is monotone in the derivation too.
-            assert child.remaining_s(now) <= budget.remaining_s(now)
-            budget = child
-
-    @given(start=times, budget_s=budgets, probe=times)
-    @settings(max_examples=200, deadline=None)
-    def test_remaining_never_negative_never_above_budget(
-        self, start, budget_s, probe
-    ):
-        budget = DeadlineBudget.begin(start, budget_s)
-        remaining = budget.remaining_s(start + probe)
-        # (start + budget_s) - start can round a hair above budget_s.
-        assert 0.0 <= remaining <= budget_s * (1.0 + 1.0e-12) + 1.0e-9
 
 
 class TestTokenBucketRateBound:

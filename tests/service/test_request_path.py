@@ -37,7 +37,8 @@ from repro.service import (
 )
 from repro.service import app as service_app
 from repro.service.http import ServiceGateway, _route
-from repro.service.resilience import BreakerState
+from repro.service.errors import BackendCrashError
+from repro.service.resilience import BREAKER_FAILURE_THRESHOLD, BreakerState
 from repro.simgrid.errors import ConfigurationError
 
 PREDICT = {"profile": "kmeans", "data_nodes": 2, "compute_nodes": 4}
@@ -125,7 +126,7 @@ class TestTheBreakerIsNotTheClients:
     def test_non_finite_input_never_reaches_the_breaker(
         self, service, route, field, value
     ):
-        for _ in range(service.config.breaker_failure_threshold + 1):
+        for _ in range(BREAKER_FAILURE_THRESHOLD + 1):
             status, body, _ = route(
                 "predict", {"params": dict(PREDICT, **{field: value})}
             )
@@ -149,21 +150,22 @@ class TestTheBreakerIsNotTheClients:
         assert len(service.log) == 1 and service.backend.calls == 0
 
 
-#: Admission out of the way, default bulkheads, and a deadline no
-#: scheduler stall on a shared box reaches: the subject is the bulkhead.
-SATURATION_CONFIG = ResilienceConfig(
-    admission_rate=1.0e6, admission_burst=64.0, default_deadline_s=10.0
-)
+#: Admission out of the way and default bulkheads: the subject is the
+#: bulkhead.
+SATURATION_CONFIG = ResilienceConfig(admission_rate=1.0e6, admission_burst=64.0)
 
 
 def saturation_requests():
-    """The benchmark's seeded 200-request 80/20 list, three times round."""
+    """The benchmark's seeded 200-request 80/20 list, three times round,
+    with a deadline no scheduler stall on a shared box reaches."""
     cycle = generate_requests(
         5, 200, 1000.0, list(demo_profiles()),
         mix=RequestMix(predict=0.8, whatif=0.2, status=0.0, broker=0.0),
     )
     return [
-        ServiceRequest(f"cycle{k}-{r.request_id}", r.endpoint, r.params)
+        ServiceRequest(
+            f"cycle{k}-{r.request_id}", r.endpoint, r.params, deadline_s=10.0
+        )
         for k in range(3)
         for r in cycle
     ]
@@ -199,6 +201,54 @@ class TestWhatAnAttemptCost:
         assert verify_service_log(service, submitted) == []
         assert [b.refused for b in service.bulkheads.values()] == [0, 0, 0, 0]
         assert service.bucket.shed == 0
+
+    def test_real_clock_bulkheads_never_queue_under_retries(self):
+        """2,000 back-to-back predicts on a crashing backend: retry backoff
+        is booked as the time it took, so every booked end is already past
+        when the next request arrives.  With backoff booked at its price,
+        the predict bulkhead reached a queue of 10."""
+        service = PredictionService(
+            demo_profiles(),
+            clock=MonotonicClock(),
+            config=SATURATION_CONFIG,
+            backend=ServiceBackend(
+                injector=ServiceFaultInjector(
+                    7, BackendFaultSpec(crash_probability=0.3)
+                )
+            ),
+        )
+        submitted = [
+            ServiceRequest(f"r{i}", "predict", PREDICT) for i in range(2000)
+        ]
+        backed_off = sum(service.handle(request).retries > 0 for request in submitted)
+        assert backed_off  # the subject: replies that retried after a backoff
+        assert verify_service_log(service, submitted) == []
+        assert [
+            (b.refused, b.peak_queue) for b in service.bulkheads.values()
+        ] == [(0, 0)] * 4
+
+    def test_retry_backoff_is_booked_by_the_clock(self):
+        """Crash, back off, succeed: the booked time is the three charges
+        (attempt, backoff, attempt), not the policy's 5 ms backoff."""
+
+        class CrashOnce(ServiceBackend):
+            crashed = False
+
+            def predict(self, *args):
+                if not self.crashed:
+                    self.crashed = True
+                    raise BackendCrashError("scripted crash", cost_s=0.004)
+                return super().predict(*args)
+
+        service = PredictionService(
+            demo_profiles(),
+            clock=ScriptedClock([0.001, 0.002, 0.003]),
+            backend=CrashOnce(),
+        )
+        reply = service.handle(timed("r1", 1.0))
+        assert (reply.outcome, reply.retries) == ("ok", 1)
+        assert reply.settled_s == 1.0 + (0.001 + 0.002 + 0.003)
+        assert service.clock.charges == []
 
     def test_virtual_clock_charges_the_price_and_real_clock_the_time(self):
         assert VirtualClock(5.0).charge(0.004, 1.0) == 0.004

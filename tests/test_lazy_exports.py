@@ -129,13 +129,12 @@ PARENT_ALL = {
         AdmissionError BackendCrashError BackendError BackendFaultSpec
         BreakerBank BreakerState Bulkhead BulkheadConfig
         BulkheadFullError CircuitBreaker CircuitOpenError
-        CorruptResponseError DeadlineBudget DeadlineExceededError
-        ENDPOINTS MonotonicClock PredictionService RequestLog
-        RequestMix RequestRecord ResilienceConfig ServiceBackend
-        ServiceClock ServiceCostModel ServiceError
-        ServiceFaultInjector ServiceGateway ServiceRequest
-        ServiceResponse TokenBucket VirtualClock asgi_app
-        demo_profiles generate_requests make_server serve_sequence
+        CorruptResponseError DeadlineBudget ENDPOINTS MonotonicClock
+        PredictionService RequestLog RequestMix RequestRecord
+        ResilienceConfig ServiceBackend ServiceClock ServiceCostModel
+        ServiceError ServiceFaultInjector ServiceGateway ServiceRequest
+        ServiceResponse TokenBucket VirtualClock demo_profiles
+        generate_requests make_server serve_sequence
     """,
     "repro.simgrid": """
         CPUSpec ClusterSpec CommCostModel ConfigurationError DiskModel
