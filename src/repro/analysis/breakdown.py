@@ -10,7 +10,7 @@ so those discussions can be checked against the reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.middleware import FreerideGRuntime, KernelTrace
 from repro.middleware.dataset import Dataset

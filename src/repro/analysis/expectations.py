@@ -10,7 +10,7 @@ function call (used by the benchmark harness and the regression tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.stats import mean, model_ordering_holds
 from repro.simgrid.errors import ConfigurationError

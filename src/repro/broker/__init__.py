@@ -59,7 +59,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "GridFaultEvent",
             "PolicyRun",
             "TerminalFailure",
-            "load_report",
         ),
     },
 )

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.core.durable import atomic_write_json, read_json_document
+from repro.core.durable import atomic_write_json
 from repro.simgrid.errors import ConfigurationError
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "TerminalFailure",
     "PolicyRun",
     "BrokerReport",
-    "load_report",
 ]
 
 _FORMAT_VERSION = 1
@@ -320,32 +319,9 @@ class BrokerReport:
             "runs": [_run_to_dict(run) for run in self.runs],
         }
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "BrokerReport":
-        version = doc.get("format_version")
-        if version != _FORMAT_VERSION:
-            raise ConfigurationError(
-                f"unsupported broker report format_version {version!r}"
-            )
-        return cls(
-            name=str(doc["name"]),
-            runs=tuple(_run_from_dict(entry) for entry in doc["runs"]),
-        )
-
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
         """Durably write the report as canonical JSON."""
         return atomic_write_json(path, self.to_dict())
-
-
-def load_report(path: str | pathlib.Path) -> BrokerReport:
-    """Load a saved broker report."""
-    doc = read_json_document(
-        path,
-        "broker report",
-        expected_version=_FORMAT_VERSION,
-        remedy="re-run `repro broker WORKLOAD.json --report PATH`",
-    )
-    return BrokerReport.from_dict(doc)
 
 
 # ----------------------------------------------------------------------
@@ -465,104 +441,3 @@ def _run_to_dict(run: PolicyRun) -> Dict[str, Any]:
             "fault_counts": run.fault_counts,
         }
     return doc
-
-
-def _run_from_dict(doc: Dict[str, Any]) -> PolicyRun:
-    placements: List[BrokerPlacement] = [
-        BrokerPlacement(
-            job_id=str(p["job_id"]),
-            workload=str(p["workload"]),
-            replica_site=str(p["replica_site"]),
-            compute_site=str(p["compute_site"]),
-            data_nodes=int(p["data_nodes"]),
-            compute_nodes=int(p["compute_nodes"]),
-            data_node_ids=tuple(int(n) for n in p["data_node_ids"]),
-            compute_node_ids=tuple(int(n) for n in p["compute_node_ids"]),
-            arrival=float(p["arrival"]),
-            start=float(p["start"]),
-            end=float(p["end"]),
-            predicted_total=float(p["predicted_total"]),
-            raw_predicted_total=float(p["raw_predicted_total"]),
-            deadline=(
-                float(p["deadline"]) if p.get("deadline") is not None else None
-            ),
-            priority=int(p.get("priority", 0)),
-            attempt=int(p.get("attempt", 1)),
-            recovery_charge=float(p.get("recovery_charge", 0.0)),
-        )
-        for p in doc["placements"]
-    ]
-    rejections = tuple(
-        BrokerRejection(
-            job_id=str(r["job_id"]),
-            workload=str(r["workload"]),
-            time=float(r["time"]),
-            code=str(r["code"]),
-            reason=str(r["reason"]),
-            deadline=(
-                float(r["deadline"]) if r.get("deadline") is not None else None
-            ),
-            vo=(str(r["vo"]) if r.get("vo") is not None else None),
-            arrival_index=(
-                int(r["arrival_index"])
-                if r.get("arrival_index") is not None
-                else None
-            ),
-        )
-        for r in doc["rejections"]
-    )
-    fault_events = tuple(
-        GridFaultEvent(
-            time=float(e["time"]),
-            kind=str(e["kind"]),
-            target=str(e["target"]),
-            detail=str(e.get("detail", "")),
-        )
-        for e in doc.get("fault_events", [])
-    )
-    preemptions = tuple(
-        BrokerPreemption(
-            job_id=str(p["job_id"]),
-            workload=str(p["workload"]),
-            attempt=int(p["attempt"]),
-            time=float(p["time"]),
-            start=float(p["start"]),
-            cause=str(p["cause"]),
-            site=str(p["site"]),
-            wasted=float(p["wasted"]),
-            kept_fraction=float(p.get("kept_fraction", 0.0)),
-        )
-        for p in doc.get("preemptions", [])
-    )
-    failures = tuple(
-        TerminalFailure(
-            job_id=str(f["job_id"]),
-            workload=str(f["workload"]),
-            time=float(f["time"]),
-            code=str(f["code"]),
-            reason=str(f["reason"]),
-            attempts=int(f["attempts"]),
-            deadline=(
-                float(f["deadline"]) if f.get("deadline") is not None else None
-            ),
-        )
-        for f in doc.get("failures", [])
-    )
-    recovery = doc.get("recovery")
-    return PolicyRun(
-        policy=str(doc["policy"]),
-        calibrated=bool(doc["calibrated"]),
-        placements=tuple(placements),
-        rejections=rejections,
-        error_series=tuple(
-            (str(job_id), float(err)) for job_id, err in doc["error_series"]
-        ),
-        calibration_factors={
-            str(comp): {str(k): float(v) for k, v in factors.items()}
-            for comp, factors in doc.get("calibration_factors", {}).items()
-        },
-        recovery=None if recovery is None else str(recovery),
-        fault_events=fault_events,
-        preemptions=preemptions,
-        failures=failures,
-    )

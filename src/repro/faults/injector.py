@@ -241,6 +241,12 @@ class FaultInjector:
                     f"LinkDegradation names data node {f.data_node}, but the "
                     f"run has only {data_nodes}"
                 )
+        for f in self.schedule.of_type(ChunkReadError):
+            if f.data_node is not None and f.data_node >= data_nodes:
+                raise FaultError(
+                    f"ChunkReadError names data node {f.data_node}, but the "
+                    f"run has only {data_nodes}"
+                )
         for f in self.schedule.of_type(SlowNode):
             if f.compute_node >= compute_nodes:
                 raise FaultError(

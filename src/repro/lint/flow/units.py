@@ -38,7 +38,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import pathlib
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.findings import Finding
 

@@ -15,9 +15,9 @@ Retrieval and communication are distinct, non-overlapping phases, matching
 the additive ``T_disk + T_network`` structure the prediction framework
 assumes.
 
-For fault-tolerant executions the server also exposes per-node phase times
-(so retries and degraded links shift the phase-ending maximum correctly)
-and the replica re-fetch costing used when a data node crashes
+The server exposes per-node phase times; the runtime ends each phase at
+their maximum, after retries and degraded links have shifted them.  It
+also prices the replica re-fetch used when a data node crashes
 mid-communication.
 """
 
@@ -64,10 +64,6 @@ class DataServer:
             for chunks in assignment.data_node_chunks
         ]
 
-    def retrieval_time(self) -> float:
-        """Phase time to read every chunk from the repository disks."""
-        return self._disks.retrieval_time(self.per_node_chunk_sizes)
-
     def node_retrieval_times(self) -> List[float]:
         """Per-data-node batch read times (the phase ends at their max)."""
         return [
@@ -75,29 +71,15 @@ class DataServer:
             for i, sizes in enumerate(self.per_node_chunk_sizes)
         ]
 
-    def communication_time(self) -> float:
-        """Phase time to ship every chunk to its destination compute node.
+    def node_stream_times(
+        self, link_factors: Optional[Sequence[float]] = None
+    ) -> List[float]:
+        """Per-data-node communication times, optionally degraded.
 
         Each data node's NIC serializes its own chunk stream; the phase
         completes when the slowest data node finishes.  Compute nodes never
         receive from more than one data node (contiguous-block mapping), so
         there is no receive-side convergence bottleneck.
-
-        Raises :class:`~repro.simgrid.errors.ConfigurationError` with a
-        clear message when the assignment lists no data nodes, instead of
-        letting ``max()`` fail on an empty sequence.
-        """
-        if not self.assignment.data_node_chunks:
-            raise ConfigurationError(
-                "cannot compute communication time: the chunk assignment "
-                "contains no data-node chunk lists"
-            )
-        return max(map(self._link.stream_time, self.per_node_chunk_sizes))
-
-    def node_stream_times(
-        self, link_factors: Optional[Sequence[float]] = None
-    ) -> List[float]:
-        """Per-data-node communication times, optionally degraded.
 
         ``link_factors[i]`` multiplies node ``i``'s stream time (a factor
         of 2 models a link at half bandwidth); ``None`` means all links

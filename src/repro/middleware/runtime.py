@@ -42,8 +42,10 @@ recovery paths (see DESIGN.md, "Fault model and recovery semantics"):
 
 Recovery is **role-preserving**: the reduction-object merge tree of a
 faulted run is identical to the fault-free run's, so application results
-are bit-identical — only timing changes.  With no injector installed the
-fault-free code path is byte-for-byte the pre-fault-tolerance engine.
+are bit-identical — only timing changes.  There is one pass loop: with no
+injector installed it runs under a fresh injector over the empty
+:class:`~repro.faults.specs.FaultSchedule`, where no fault fires and every
+phase time is the healthy grid's.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.hotpath import hot
 from repro.errors import RecoveryExhaustedError
+from repro.faults.injector import FaultInjector
+from repro.faults.specs import FaultSchedule
 from repro.middleware.api import GeneralizedReduction
 from repro.middleware.caching import CacheModel
 from repro.middleware.chunks import (
@@ -136,10 +140,10 @@ class FreerideGRuntime:
     config:
         The resource configuration to execute under.
     faults:
-        Optional :class:`~repro.faults.injector.FaultInjector`.  ``None``
-        (the default) runs the original healthy-grid engine with zero
-        added overhead; an injector arms retries, replica failover,
-        role migration and reduction-object checkpointing.
+        Optional :class:`~repro.faults.injector.FaultInjector`, which
+        arms retries, replica failover, role migration and
+        reduction-object checkpointing.  ``None`` (the default) runs the
+        healthy grid: the empty schedule, with no fault metadata recorded.
     kernels:
         Optional :class:`~repro.middleware.kernels.KernelTrace` shared
         with other executions of the same application over the same
@@ -150,7 +154,7 @@ class FreerideGRuntime:
     def __init__(
         self,
         config: RunConfig,
-        faults: Optional[Any] = None,
+        faults: Optional[FaultInjector] = None,
         kernels: Optional[KernelTrace] = None,
     ) -> None:
         self.config = config
@@ -158,19 +162,19 @@ class FreerideGRuntime:
         self.kernels = kernels
 
     # ------------------------------------------------------------------
-    # Faulted-phase helpers
+    # Phase helpers
     # ------------------------------------------------------------------
 
+    @staticmethod
     @hot
-    def _transfer_phases_with_faults(
-        self,
+    def _transfer_phases(
+        faults: FaultInjector,
         pass_index: int,
         data_server: DataServer,
         assignment: ChunkAssignment,
         events: List[Dict[str, Any]],
     ) -> Tuple[float, float]:
-        """Retrieval + communication times under the installed injector."""
-        faults = self.faults
+        """Retrieval + communication times under ``faults``."""
         policy = faults.policy
         per_node_sizes = data_server.per_node_chunk_sizes
         node_read = data_server.node_retrieval_times()
@@ -259,8 +263,7 @@ class FreerideGRuntime:
         """(phase time, critical-path cache share) of the local stage.
 
         Each executor runs its roles back-to-back; the phase ends with the
-        slowest executor, whose cache share is attributed to the pass
-        (mirroring the fault-free critical-path attribution).
+        slowest executor, whose cache share is attributed to the pass.
         """
         executor_ids = sorted(executor_roles)
         times: List[float] = []
@@ -289,7 +292,8 @@ class FreerideGRuntime:
     def execute(self, app: GeneralizedReduction, dataset: Dataset) -> RunResult:
         """Run ``app`` over ``dataset``; returns result + time breakdown."""
         config = self.config
-        faults = self.faults
+        # A fresh injector per call: it carries replica-failover state.
+        faults = self.faults or FaultInjector(FaultSchedule())
         kernels = self.kernels if self.kernels is not None else KernelTrace()
         kernels.bind(app, dataset)
         assignment = assign_chunks(
@@ -318,10 +322,11 @@ class FreerideGRuntime:
             }
         )
 
-        if faults is not None:
-            faults.validate(config.data_nodes, config.compute_nodes)
+        faults.validate(config.data_nodes, config.compute_nodes)
         ckpt_disk = CacheModel(config.compute_cluster.effective_cache_disk)
         crashed_compute: set[int] = set()
+        # Executor -> reduction roles; it changes only when a node crashes.
+        executor_roles = map_roles_to_survivors(config.compute_nodes, ())
         last_ckpt_bytes = 0.0
 
         app.begin(dict(dataset.meta))
@@ -337,14 +342,10 @@ class FreerideGRuntime:
                 network_fed_passes += 1
             t_disk = t_network = 0.0
             if fed_from_network:
-                if faults is None:
-                    t_disk = data_server.retrieval_time()
-                    t_network = data_server.communication_time()
-                else:
-                    t_disk, t_network = self._transfer_phases_with_faults(
-                        pass_index, data_server, assignment, events
-                    )
-            elif faults is not None:
+                t_disk, t_network = self._transfer_phases(
+                    faults, pass_index, data_server, assignment, events
+                )
+            else:
                 # Repository nodes are idle in cache-fed passes: a crash
                 # there needs no recovery, but is still observable.
                 for crash in faults.data_node_crashes(pass_index):
@@ -407,85 +408,68 @@ class FreerideGRuntime:
 
             # ---- compute-node crashes: role migration + pass restart ----
             lost_work = 0.0
-            if faults is not None:
-                for crash in faults.compute_node_crashes(pass_index):
-                    if crash.compute_node in crashed_compute:
-                        continue
-                    # Work done before the crash was detected is lost; the
-                    # aborted attempt ran on the pre-crash executor map.
-                    executor_roles = map_roles_to_survivors(
-                        config.compute_nodes, sorted(crashed_compute)
-                    )
-                    slow = {
-                        e: faults.slow_factor(e, pass_index)
-                        for e in executor_roles
-                    }
-                    attempt, _ = self._local_phase(
-                        role_totals, role_caches, executor_roles, slow
-                    )
-                    lost_work += crash.at_fraction * attempt
-                    crashed_compute.add(crash.compute_node)
-                    if len(crashed_compute) >= config.compute_nodes:
-                        raise RecoveryExhaustedError(
-                            "every compute node has crashed; cannot "
-                            "redistribute the reduction roles"
-                        )
-                    # The migrated role's chunks must be re-fed from the
-                    # repository (the crashed node's cache died with it).
-                    source = assignment.compute_source[crash.compute_node]
-                    extra_disk, extra_net = data_server.refetch_cost(
-                        assignment.compute_node_chunks[crash.compute_node],
-                        link_factor=faults.link_factor(source, pass_index),
-                    )
-                    t_disk += extra_disk
-                    t_network += extra_net
-                    # Survivors restart from the last checkpoint.
-                    restore = 0.0
-                    if last_ckpt_bytes > 0.0:
-                        restore = ckpt_disk.read_time([last_ckpt_bytes])
-                    lost_work += restore
-                    events.append(
-                        {
-                            "kind": "compute-node-recovery",
-                            "pass": pass_index,
-                            "compute_node": crash.compute_node,
-                            "survivors": config.compute_nodes
-                            - len(crashed_compute),
-                            "t_lost_work": crash.at_fraction * attempt,
-                            "t_restore": restore,
-                            "t_disk_extra": extra_disk,
-                            "t_network_extra": extra_net,
-                        }
-                    )
-
-            # Phase barrier: the pass's local stage ends with the slowest
-            # node; attribute the cache share of the critical-path node.
-            if faults is None:
-                slowest = max(
-                    range(len(role_totals)), key=role_totals.__getitem__
-                )
-                t_local_total = role_totals[slowest]
-                t_cache = role_caches[slowest]
-            else:
-                executor_roles = map_roles_to_survivors(
-                    config.compute_nodes, sorted(crashed_compute)
-                )
+            for crash in faults.compute_node_crashes(pass_index):
+                if crash.compute_node in crashed_compute:
+                    continue
+                # Work done before the crash was detected is lost; the
+                # aborted attempt ran on the pre-crash executor map.
                 slow = {
                     e: faults.slow_factor(e, pass_index) for e in executor_roles
                 }
-                if any(f > 1.0 for f in slow.values()):
-                    events.append(
-                        {
-                            "kind": "slow-nodes",
-                            "pass": pass_index,
-                            "factors": {
-                                e: f for e, f in slow.items() if f > 1.0
-                            },
-                        }
-                    )
-                t_local_total, t_cache = self._local_phase(
+                attempt, _ = self._local_phase(
                     role_totals, role_caches, executor_roles, slow
                 )
+                lost_work += crash.at_fraction * attempt
+                crashed_compute.add(crash.compute_node)
+                if len(crashed_compute) >= config.compute_nodes:
+                    raise RecoveryExhaustedError(
+                        "every compute node has crashed; cannot "
+                        "redistribute the reduction roles"
+                    )
+                executor_roles = map_roles_to_survivors(
+                    config.compute_nodes, sorted(crashed_compute)
+                )
+                # The migrated role's chunks must be re-fed from the
+                # repository (the crashed node's cache died with it).
+                source = assignment.compute_source[crash.compute_node]
+                extra_disk, extra_net = data_server.refetch_cost(
+                    assignment.compute_node_chunks[crash.compute_node],
+                    link_factor=faults.link_factor(source, pass_index),
+                )
+                t_disk += extra_disk
+                t_network += extra_net
+                # Survivors restart from the last checkpoint.
+                restore = 0.0
+                if last_ckpt_bytes > 0.0:
+                    restore = ckpt_disk.read_time([last_ckpt_bytes])
+                lost_work += restore
+                events.append(
+                    {
+                        "kind": "compute-node-recovery",
+                        "pass": pass_index,
+                        "compute_node": crash.compute_node,
+                        "survivors": config.compute_nodes - len(crashed_compute),
+                        "t_lost_work": crash.at_fraction * attempt,
+                        "t_restore": restore,
+                        "t_disk_extra": extra_disk,
+                        "t_network_extra": extra_net,
+                    }
+                )
+
+            # Phase barrier: the pass's local stage ends with the slowest
+            # executor; attribute the cache share of the critical path.
+            slow = {e: faults.slow_factor(e, pass_index) for e in executor_roles}
+            if any(f > 1.0 for f in slow.values()):
+                events.append(
+                    {
+                        "kind": "slow-nodes",
+                        "pass": pass_index,
+                        "factors": {e: f for e, f in slow.items() if f > 1.0},
+                    }
+                )
+            t_local_total, t_cache = self._local_phase(
+                role_totals, role_caches, executor_roles, slow
+            )
             t_local_compute = t_local_total - t_cache + lost_work
 
             # ---- gather reduction objects at the master -----------------
@@ -524,18 +508,7 @@ class FreerideGRuntime:
                 # Only live nodes receive the re-broadcast.
                 receivers = config.compute_nodes - len(crashed_compute)
                 if config.gather_topology is GatherTopology.TREE:
-                    if faults is None:
-                        rounds = (
-                            math.ceil(math.log2(config.compute_nodes))
-                            if config.compute_nodes > 1
-                            else 0
-                        )
-                    else:
-                        rounds = (
-                            math.ceil(math.log2(receivers))
-                            if receivers > 1
-                            else 0
-                        )
+                    rounds = math.ceil(math.log2(receivers)) if receivers > 1 else 0
                     t_ro += rounds * cluster.gather_message_time(bcast)
                 else:
                     t_ro += (receivers - 1) * cluster.gather_message_time(bcast)
@@ -543,7 +516,7 @@ class FreerideGRuntime:
 
             # ---- reduction-object checkpoint ----------------------------
             t_ckpt = 0.0
-            if faults is not None and faults.checkpoints_enabled:
+            if faults.checkpoints_enabled:
                 # The checkpoint stores the merged reduction object; its
                 # size is that of the largest gathered object (`combined`
                 # itself may be an application-level result type).
@@ -573,7 +546,7 @@ class FreerideGRuntime:
         breakdown.metadata["gather_rounds"] = breakdown.num_passes
         breakdown.metadata["network_fed_passes"] = network_fed_passes
         breakdown.metadata["broadcasts_result"] = app.broadcasts_result
-        if faults is not None:
+        if self.faults is not None:
             breakdown.metadata["fault_schedule_size"] = len(faults.schedule)
             breakdown.metadata["checkpoints"] = faults.checkpoints_enabled
             breakdown.metadata["faults_fired"] = len(breakdown.fault_events)

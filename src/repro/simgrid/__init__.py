@@ -6,7 +6,7 @@ InfiniBand — plus a data repository) with a deterministic, laptop-scale
 simulator.  Everything the FREERIDE-G middleware needs from hardware is
 modelled here:
 
-- :mod:`repro.simgrid.engine`    — virtual clock, event queue, FIFO servers.
+- :mod:`repro.simgrid.engine`    — virtual clock and event queue.
 - :mod:`repro.simgrid.hardware`  — CPU / disk / NIC / node / cluster specs and
   the operation-category cost model used to charge compute time.
 - :mod:`repro.simgrid.disk`      — disk service times with repository
@@ -31,7 +31,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     globals(),
     {
-        "repro.simgrid.engine": ("Event", "FIFOServer", "Simulator"),
+        "repro.simgrid.engine": ("Event", "Simulator"),
         "repro.simgrid.errors": (
             "ConfigurationError",
             "SimulationError",

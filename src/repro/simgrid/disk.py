@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.hotpath import hot
-from repro.simgrid.engine import FIFOServer
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import ClusterSpec, DiskSpec
 
@@ -69,9 +68,9 @@ class RepositoryDiskSystem:
     """The ``n`` parallel data-node disks of one repository.
 
     Retrieval of a chunk list partitioned over data nodes proceeds in
-    parallel across nodes; each node's disk is an exclusive FIFO resource.
-    The phase completes when the slowest node finishes — returned by
-    :meth:`retrieval_time`.
+    parallel across nodes; each node's disk reads its batch back-to-back
+    (:meth:`node_read_time`).  The phase completes when the slowest node
+    finishes.
     """
 
     def __init__(self, cluster: ClusterSpec, num_data_nodes: int) -> None:
@@ -82,7 +81,6 @@ class RepositoryDiskSystem:
         self._models = [
             DiskModel(cluster.node.disk, bw) for _ in range(num_data_nodes)
         ]
-        self._servers = [FIFOServer(f"disk{i}") for i in range(num_data_nodes)]
 
     @property
     def per_node_effective_bw(self) -> float:
@@ -100,18 +98,4 @@ class RepositoryDiskSystem:
             return 0.0
         return self.cluster.node_startup_s + self._models[node].batch_read_time(
             chunk_sizes
-        )
-
-    def retrieval_time(
-        self, per_node_chunk_sizes: Sequence[Sequence[float]]
-    ) -> float:
-        """Phase time: max over data nodes of each node's batch read time."""
-        if len(per_node_chunk_sizes) != self.num_data_nodes:
-            raise ConfigurationError(
-                f"expected chunk batches for {self.num_data_nodes} data nodes, "
-                f"got {len(per_node_chunk_sizes)}"
-            )
-        return max(
-            self.node_read_time(i, sizes)
-            for i, sizes in enumerate(per_node_chunk_sizes)
         )

@@ -1,11 +1,7 @@
-"""Virtual clock, event queue and FIFO service primitives.
+"""Virtual clock and event queue.
 
-The middleware layers a *phased* execution model on top of this engine (the
-paper's ``T_exec = T_disk + T_network + T_compute`` decomposition assumes the
-three stages do not overlap), but inside a phase the engine provides genuine
-discrete-event semantics: events are ordered by (time, sequence number) so
-ties resolve deterministically, and :class:`FIFOServer` models an exclusive
-resource (a disk arm, a NIC, a CPU) that serves requests in arrival order.
+Events are ordered by (time, sequence number), so same-time events run in
+the order they were scheduled and every drain is deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from typing import Any, Callable, Optional
 from repro.hotpath import hot
 from repro.simgrid.errors import EngineError
 
-__all__ = ["Event", "Simulator", "FIFOServer"]
+__all__ = ["Event", "Simulator"]
 
 
 @dataclass(order=True, slots=True)
@@ -165,61 +161,3 @@ class Simulator:
             raise EngineError(f"cannot advance by a negative delay ({delay})")
         self._now += delay
         return self._now
-
-
-class FIFOServer:
-    """An exclusive resource serving requests in arrival order.
-
-    ``serve(arrival, duration)`` returns the (start, end) of the service
-    window: service starts at ``max(arrival, previous end)``.  This is the
-    standard single-server FIFO queue recurrence; because all the middleware
-    phases submit requests in non-decreasing arrival order, the analytic
-    recurrence is event-exact.
-
-    >>> nic = FIFOServer("nic0")
-    >>> nic.serve(0.0, 2.0)
-    (0.0, 2.0)
-    >>> nic.serve(1.0, 1.0)   # arrives while busy, waits
-    (2.0, 3.0)
-    >>> nic.serve(5.0, 1.0)   # arrives idle
-    (5.0, 6.0)
-    """
-
-    def __init__(self, name: str = "server") -> None:
-        self.name = name
-        self._free_at = 0.0
-        self._busy_time = 0.0
-        self._requests = 0
-
-    @property
-    def free_at(self) -> float:
-        """Earliest time the server can begin a new request."""
-        return self._free_at
-
-    @property
-    def busy_time(self) -> float:
-        """Total time spent serving requests."""
-        return self._busy_time
-
-    @property
-    def requests(self) -> int:
-        """Number of requests served."""
-        return self._requests
-
-    @hot
-    def serve(self, arrival: float, duration: float) -> tuple[float, float]:
-        """Enqueue a request; returns its (start, end) service window."""
-        if duration < 0:
-            raise EngineError(f"negative service duration ({duration})")
-        if arrival < 0:
-            raise EngineError(f"negative arrival time ({arrival})")
-        start = max(arrival, self._free_at)
-        end = start + duration
-        self._free_at = end
-        self._busy_time += duration
-        self._requests += 1
-        return (start, end)
-
-    def reset(self, free_at: float = 0.0) -> None:
-        """Clear the queue state (used at phase barriers)."""
-        self._free_at = float(free_at)

@@ -17,7 +17,7 @@ job — a 1M-job trace is a longer campaign, not a denser one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping
+from typing import Callable, Mapping
 
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.traces.distributions import DistributionSpec

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.middleware.runtime import FreerideGRuntime, RunResult
 from repro.middleware.scheduler import RunConfig
 

@@ -64,8 +64,6 @@ class TestAprioriCorrectness:
 
     def test_exact_supports(self, dataset):
         """Distributed counting must equal a direct global count."""
-        import numpy as np
-
         run = execute(make_app(), dataset, 4, 8)
         data = dataset.records > 0.5
         for itemset, support in run.result["frequent_itemsets"].items():

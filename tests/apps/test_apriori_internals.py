@@ -1,7 +1,5 @@
 """Unit tests for apriori's candidate generation (apriori-gen)."""
 
-import pytest
-
 from repro.apps.apriori import AprioriMining
 
 

@@ -1,6 +1,5 @@
 """Tests for union-find and fragment joining."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.apps.joining import UnionFind, join_fragments

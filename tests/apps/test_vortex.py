@@ -1,6 +1,5 @@
 """Tests for the vortex detection application."""
 
-import numpy as np
 import pytest
 
 from repro.apps.vortex import VortexDetection

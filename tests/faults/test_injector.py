@@ -18,6 +18,8 @@ from repro.faults import (
     select_failover_replica,
 )
 from repro.middleware.replica import ReplicaCatalog
+from repro.middleware.runtime import FreerideGRuntime
+from tests.conftest import SumApp, make_tiny_points
 
 
 class TestFaultSchedule:
@@ -111,6 +113,24 @@ class TestScheduledQueries:
         injector = FaultInjector(FaultSchedule([DataNodeCrash(0, 5)]))
         with pytest.raises(FaultError):
             injector.validate(data_nodes=2, compute_nodes=4)
+
+    def test_validate_rejects_chunk_read_error_on_a_missing_data_node(self):
+        schedule = FaultSchedule([ChunkReadError(data_node=5, failures={0: 2})])
+        with pytest.raises(FaultError, match="ChunkReadError names data node 5"):
+            FaultInjector(schedule).validate(data_nodes=2, compute_nodes=4)
+        # Unset (every node) and in-range nodes stay valid.
+        in_range = [ChunkReadError(rate=0.1), ChunkReadError(data_node=1, rate=0.1)]
+        FaultInjector(FaultSchedule(in_range)).validate(
+            data_nodes=2, compute_nodes=4
+        )
+
+    def test_runtime_refuses_chunk_read_error_on_a_missing_data_node(
+        self, run_config
+    ):
+        schedule = FaultSchedule([ChunkReadError(data_node=5, failures={0: 2})])
+        runtime = FreerideGRuntime(run_config, faults=FaultInjector(schedule))
+        with pytest.raises(FaultError, match="run has only 2"):
+            runtime.execute(SumApp(), make_tiny_points())
 
     def test_validate_rejects_total_compute_loss(self):
         schedule = FaultSchedule(

@@ -18,12 +18,10 @@ import pytest
 
 from repro.lint import Baseline, LintError, lint_source
 from repro.lint.effects import (
-    CERTIFIED_ROOTS,
     TIER_DETERMINISTIC,
     TIER_EFFECTFUL,
     TIER_POOL_SAFE,
     TIER_PURE,
-    TIER_RANK,
     analyze_effects,
     build_certificate,
     certificate_demotions,

@@ -10,10 +10,6 @@ fixture into the tree would fail the gate.
 
 from __future__ import annotations
 
-import pathlib
-
-import pytest
-
 from repro.lint import Baseline, lint_paths, lint_source
 
 BASELINE_NAME = "lint-baseline.json"

@@ -133,3 +133,44 @@ class TestSerializedGatherDrivesTheModel:
     def test_tree_gather_removes_no_communication_error_at_16(self, runs):
         tree_error = runs[GatherTopology.TREE, 16][1]
         assert tree_error < runs[GatherTopology.SERIAL, 16][1]
+
+
+class TestBroadcastAfterComputeNodeCrash:
+    """The re-broadcast reaches only the survivors of a compute-node crash."""
+
+    @pytest.mark.parametrize(
+        "topology, healthy_rounds, survivor_rounds",
+        [
+            # ceil(log2 5) = 3 tree rounds, ceil(log2 4) = 2 after the crash.
+            (GatherTopology.TREE, 3, 2),
+            # A serial gather sends receivers - 1 messages: 4, then 3.
+            (GatherTopology.SERIAL, 4, 3),
+        ],
+    )
+    def test_rounds_count_the_survivors(
+        self, topology, healthy_rounds, survivor_rounds
+    ):
+        from repro.apps.kmeans import KMeansClustering
+        from repro.faults import ComputeNodeCrash, FaultInjector, FaultSchedule
+
+        config = make_config(topology, n=2, c=5)
+        dataset = make_tiny_points()
+
+        def run(faults=None):
+            app = KMeansClustering(k=4, num_iterations=3, seed=5)
+            return FreerideGRuntime(config, faults=faults).execute(app, dataset)
+
+        healthy = run().breakdown
+        crashed = run(
+            FaultInjector(FaultSchedule([ComputeNodeCrash(0, 4)]))
+        ).breakdown
+        bcast = crashed.metadata["broadcast_nbytes"]
+        message = config.compute_cluster.gather_message_time(bcast)
+        assert crashed.num_passes == healthy.num_passes == 3
+        for before, after in zip(healthy.passes, crashed.passes):
+            # Role-preserving recovery gathers the same objects, so only
+            # the broadcast share of T_ro moves.
+            gather = before.t_ro - healthy_rounds * message
+            assert after.t_ro == pytest.approx(
+                gather + survivor_rounds * message, rel=1e-12
+            )

@@ -1,6 +1,5 @@
 """Tests for the FREERIDE-G execution engine."""
 
-import numpy as np
 import pytest
 
 from repro.middleware.chunks import assign_chunks

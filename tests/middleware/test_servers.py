@@ -33,17 +33,17 @@ class TestDataServer:
 
     def test_retrieval_positive(self):
         server, _, _ = self.make()
-        assert server.retrieval_time() > 0.0
+        assert max(server.node_retrieval_times()) > 0.0
 
     def test_retrieval_shrinks_with_more_data_nodes(self):
         one, _, _ = self.make(n=1)
         four, _, _ = self.make(n=4)
-        assert four.retrieval_time() < one.retrieval_time()
+        assert max(four.node_retrieval_times()) < max(one.node_retrieval_times())
 
     def test_communication_bandwidth_cap(self):
         fast, _, _ = self.make(bw=1e7)
         slow, _, _ = self.make(bw=1e5)
-        assert slow.communication_time() > fast.communication_time()
+        assert max(slow.node_stream_times()) > max(fast.node_stream_times())
 
     def test_communication_capped_by_nic(self):
         config = make_config(bw=1e12)  # absurd bandwidth; NIC is the cap
@@ -54,7 +54,7 @@ class TestDataServer:
         per_node_bytes = sum(
             dataset.chunk_nbytes(i) for i in plan.data_node_chunks[0]
         )
-        assert server.communication_time() >= per_node_bytes / nic_bw
+        assert max(server.node_stream_times()) >= per_node_bytes / nic_bw
 
     def test_per_node_chunk_sizes_align_with_plan(self):
         server, _, dataset = self.make()
@@ -75,24 +75,6 @@ class TestDataServer:
         )
         with pytest.raises(ConfigurationError, match="at least one"):
             DataServer(make_config(), make_tiny_points(), empty)
-
-    def test_communication_time_error_names_the_problem(self):
-        server, _, _ = self.make()
-        # Bypass the constructor guard to hit the method's own check.
-        object.__setattr__(
-            server.assignment, "data_node_chunks", []
-        )
-        with pytest.raises(ConfigurationError, match="no data-node chunk"):
-            server.communication_time()
-
-    def test_per_node_times_compose_the_phase_maxima(self):
-        server, _, _ = self.make()
-        assert max(server.node_retrieval_times()) == pytest.approx(
-            server.retrieval_time()
-        )
-        assert max(server.node_stream_times()) == pytest.approx(
-            server.communication_time()
-        )
 
     def test_link_factors_stretch_one_node_stream(self):
         server, _, _ = self.make()

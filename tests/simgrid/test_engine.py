@@ -1,9 +1,9 @@
-"""Tests for the discrete-event engine and FIFO server."""
+"""Tests for the discrete-event engine."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simgrid.engine import Event, FIFOServer, Simulator
+from repro.simgrid.engine import Event, Simulator
 from repro.simgrid.errors import EngineError
 
 
@@ -129,60 +129,6 @@ class TestEvent:
         b = Event(1.0, 1, lambda: None)
         c = Event(0.5, 2, lambda: None)
         assert c < a < b
-
-
-class TestFIFOServer:
-    def test_idle_server_starts_immediately(self):
-        server = FIFOServer()
-        assert server.serve(3.0, 2.0) == (3.0, 5.0)
-
-    def test_busy_server_queues(self):
-        server = FIFOServer()
-        server.serve(0.0, 2.0)
-        assert server.serve(1.0, 1.0) == (2.0, 3.0)
-
-    def test_busy_time_accumulates(self):
-        server = FIFOServer()
-        server.serve(0.0, 2.0)
-        server.serve(0.0, 3.0)
-        assert server.busy_time == 5.0
-        assert server.requests == 2
-
-    def test_negative_duration_raises(self):
-        with pytest.raises(EngineError):
-            FIFOServer().serve(0.0, -1.0)
-
-    def test_negative_arrival_raises(self):
-        with pytest.raises(EngineError):
-            FIFOServer().serve(-1.0, 1.0)
-
-    def test_reset(self):
-        server = FIFOServer()
-        server.serve(0.0, 5.0)
-        server.reset()
-        assert server.free_at == 0.0
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=100),
-                st.floats(min_value=0, max_value=10),
-            ),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    def test_fifo_invariants(self, jobs):
-        """Service windows never overlap, never start before arrival, and
-        preserve submission order when arrivals are sorted."""
-        jobs = sorted(jobs, key=lambda j: j[0])
-        server = FIFOServer()
-        windows = [server.serve(a, d) for a, d in jobs]
-        for (arrival, duration), (start, end) in zip(jobs, windows):
-            assert start >= arrival
-            assert end == pytest.approx(start + duration)
-        for (_, prev_end), (next_start, _) in zip(windows, windows[1:]):
-            assert next_start >= prev_end
 
 
 class TestSimulatorEdgeCases:

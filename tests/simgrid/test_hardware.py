@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import (
-    ClusterSpec,
     CPUSpec,
     DiskSpec,
     NICSpec,

@@ -51,7 +51,7 @@ PARENT_ALL = {
         NodeWindow OnlineCalibrator OutageRecord POLICY_NAMES
         PlacementOption PlacementPolicy PolicyRun RECOVERY_NAMES
         RecoveryPolicy Rejection Requeue ResubmitPolicy
-        RoundRobinPolicy SitePool TerminalFailure load_report
+        RoundRobinPolicy SitePool TerminalFailure
         load_workload_document make_policy make_recovery
         parse_workload_document sorted_jobs
     """,
@@ -138,7 +138,7 @@ PARENT_ALL = {
     """,
     "repro.simgrid": """
         CPUSpec ClusterSpec CommCostModel ConfigurationError DiskModel
-        DiskSpec Event FIFOServer GridTopology LinkModel NICSpec
+        DiskSpec Event GridTopology LinkModel NICSpec
         NodeSpec OpCategory OpVector PassRecord RepositoryDiskSystem
         SimulationError Simulator SiteKind TimeBreakdown TopologyError
         fit_linear_cost maxmin_fair_share
