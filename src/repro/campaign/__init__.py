@@ -25,8 +25,8 @@ stopped:
   completed/resumed/retried/timed-out/skipped classification and the
   process exit codes.
 
-The CLI exposes it as ``repro campaign`` and ``repro suite
---journal/--resume``.
+The CLI exposes it as ``repro campaign`` and ``repro suite`` (every
+run; ``--journal``/``--resume`` make the journal durable).
 """
 
 from repro._lazy import lazy_exports

@@ -314,7 +314,8 @@ def paper_suite_manifest(
     experiment_ids: Optional[Sequence[str]] = None,
     deadline_s: Optional[float] = None,
 ) -> CampaignManifest:
-    """The paper's full evaluation as a campaign (what ``repro suite`` runs)."""
+    """The paper's full evaluation as a campaign: what every ``repro
+    suite`` run executes, journaled or not."""
     ids = list(experiment_ids) if experiment_ids else sorted(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:

@@ -120,27 +120,3 @@ class CampaignReport:
             for o in self.outcomes
             if o.result is not None
         }
-
-    def summary_lines(self) -> List[str]:
-        """One status line per entry plus a totals line (for the CLI)."""
-        lines = []
-        for o in self.outcomes:
-            detail = f"({o.elapsed_s:5.1f}s"
-            if o.attempts > 1:
-                detail += f", {o.attempts} attempts"
-            detail += ")"
-            lines.append(f"{o.entry_id:16s} {o.status:10s} {detail}")
-            for violation in o.violations:
-                lines.append(f"{'':16s} !! {violation}")
-        counts = self.counts
-        totals = ", ".join(
-            f"{counts[s]} {s}" for s in ENTRY_STATUSES if counts[s]
-        )
-        lines.append(f"campaign '{self.campaign}': {totals or 'no entries'}")
-        if self.interrupted:
-            via = f" by {self.signal_name}" if self.signal_name else ""
-            lines.append(
-                f"interrupted{via} — journal checkpoint written; "
-                "re-run with --resume to finish the remaining entries"
-            )
-        return lines

@@ -1,8 +1,10 @@
 """The crash-safe campaign runner.
 
 Executes a :class:`~repro.campaign.manifest.CampaignManifest` as an
-executor → settle pipeline with three operational guards the plain
-suite loop lacks:
+executor → settle pipeline with three operational guards.  It is the
+one engine behind ``repro campaign`` and every ``repro suite`` run
+(without ``--journal`` the journal is a scratch file and no signal
+handler is installed):
 
 1. **Deadlines.**  :func:`execute_entry` runs one entry under the
    watchdog; an entry that exceeds its wall-clock deadline is

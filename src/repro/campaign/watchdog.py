@@ -79,6 +79,7 @@ def run_with_deadline(
         except BaseException as exc:  # re-raised on the campaign thread
             box["error"] = exc
         finally:
+            box["finished"] = time.monotonic()
             done.set()
 
     worker = threading.Thread(
@@ -96,6 +97,9 @@ def run_with_deadline(
                 raise DeadlineExceededError(label, deadline_s)
             wait = min(wait, remaining)
         done.wait(wait)
+    if deadline_s is not None and box["finished"] - start > deadline_s:
+        # Finished before this loop looked, but late all the same.
+        raise DeadlineExceededError(label, deadline_s)
     if "error" in box:
         raise box["error"]
     return box["value"]

@@ -195,7 +195,11 @@ def legacy_digest(data: Any) -> str:
 
 
 def read_text_document(path: str | pathlib.Path, kind: str, remedy: str) -> str:
-    """The text of one durable file (every writer here is UTF-8)."""
+    """The text of one durable file (every writer here is UTF-8).
+
+    A path the operating system refuses to read (a directory, no
+    permission) is a :class:`ConfigurationError` naming it.
+    """
     path = pathlib.Path(path)
     if not path.exists():
         raise ConfigurationError(f"no {kind} at '{path}'")
@@ -205,6 +209,10 @@ def read_text_document(path: str | pathlib.Path, kind: str, remedy: str) -> str:
         raise CorruptStoreError(
             f"{kind} file '{path}' is corrupt (not UTF-8 text: byte "
             f"{exc.start}); {remedy}"
+        ) from exc
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read {kind} '{path}': {exc.strerror or exc}"
         ) from exc
 
 

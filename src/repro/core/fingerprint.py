@@ -33,8 +33,9 @@ __all__ = [
 
 
 def _profile_dict(profile: Profile) -> Dict[str, Any]:
-    # Deliberately *not* store.profile_to_dict: the fingerprint must not
-    # depend on the storage format_version, only on model inputs.
+    # The one list of a profile's fields.  store.profile_to_dict adds
+    # the storage format_version on top; the fingerprint must not
+    # depend on it, only on model inputs.
     return {
         "app": profile.app,
         "storage_cluster": cluster_to_dict(profile.storage_cluster),

@@ -20,10 +20,11 @@ from repro.core.durable import (
     quarantine_corrupt,
     read_json_document,
 )
+from repro.core.fingerprint import _profile_dict
 from repro.core.profile import Profile
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import ClusterSpec
-from repro.simgrid.serialize import cluster_from_dict, cluster_to_dict
+from repro.simgrid.serialize import cluster_from_dict
 
 __all__ = [
     "profile_to_dict",
@@ -38,26 +39,7 @@ _FORMAT_VERSION = 1
 
 def profile_to_dict(profile: Profile) -> Dict[str, Any]:
     """A JSON-serializable snapshot of a profile."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "app": profile.app,
-        "storage_cluster": cluster_to_dict(profile.storage_cluster),
-        "compute_cluster": cluster_to_dict(profile.compute_cluster),
-        "data_nodes": profile.data_nodes,
-        "compute_nodes": profile.compute_nodes,
-        "bandwidth": profile.bandwidth,
-        "dataset_bytes": profile.dataset_bytes,
-        "t_disk": profile.t_disk,
-        "t_network": profile.t_network,
-        "t_compute": profile.t_compute,
-        "t_ro": profile.t_ro,
-        "t_g": profile.t_g,
-        "max_object_bytes": profile.max_object_bytes,
-        "broadcast_bytes": profile.broadcast_bytes,
-        "gather_rounds": profile.gather_rounds,
-        "processes_per_node": profile.processes_per_node,
-        "t_cache": profile.t_cache,
-    }
+    return {"format_version": _FORMAT_VERSION, **_profile_dict(profile)}
 
 
 def profile_from_dict(data: Dict[str, Any]) -> Profile:

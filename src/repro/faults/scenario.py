@@ -352,11 +352,19 @@ def grid_scenario_from_dict(data: Mapping[str, Any]) -> GridFaultScenario:
 def _load_json_object(path: Union[str, pathlib.Path]) -> Dict[str, Any]:
     p = pathlib.Path(path)
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise FaultError(f"fault scenario file not found: {p}") from None
     except json.JSONDecodeError as exc:
         raise FaultError(f"fault scenario {p} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FaultError(
+            f"fault scenario {p} is not UTF-8 text (byte {exc.start})"
+        ) from exc
+    except OSError as exc:
+        raise FaultError(
+            f"cannot read fault scenario {p}: {exc.strerror or exc}"
+        ) from exc
     if not isinstance(data, dict):
         raise FaultError(f"fault scenario {p} must contain a JSON object")
     return data

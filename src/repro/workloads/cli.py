@@ -8,7 +8,9 @@ the workload registry, the configuration grid, the clusters and the
 core model; a command that alone drives something heavier (the runtime
 and fault injection, the experiment grid, the campaign engine, a report
 formatter) imports it when called, so ``repro predict`` loads no
-broker, service, linter or campaign engine.
+broker, service, linter or campaign engine.  ``repro suite`` runs the
+paper suite on the campaign engine in every mode; without ``--journal``
+its journal is a scratch file deleted when the run ends.
 
 All times are in the simulator's model units (see DESIGN.md).
 """
@@ -224,46 +226,37 @@ def _cmd_whatif(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    from repro.workloads.suite import run_paper_suite
+    import pathlib
+    import tempfile
+
+    from repro.analysis import format_campaign
+    from repro.campaign import CampaignRunner, paper_suite_manifest
 
     if args.resume and not args.journal:
         print("error: --resume requires --journal", file=sys.stderr)
         return 2
-    if args.journal:
-        from repro.analysis import format_campaign
-        from repro.campaign import CampaignRunner, paper_suite_manifest
-
-        manifest = paper_suite_manifest(
-            fast=args.fast,
-            experiment_ids=args.only or None,
-            deadline_s=args.deadline,
-        )
+    manifest = paper_suite_manifest(
+        fast=args.fast,
+        experiment_ids=args.only or None,
+        deadline_s=args.deadline,
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        # Without --journal the journal is scratch, gone when the run
+        # ends, so Ctrl-C stays a plain interrupt: no handler promises
+        # a --resume it could not honour.
         runner = CampaignRunner(
             manifest,
-            args.journal,
+            args.journal or pathlib.Path(scratch, "suite.journal"),
             results_dir=args.results_dir,
+            handle_signals=args.journal is not None,
             progress=print,
         )
         report = runner.run(resume=args.resume)
-        print()
-        print(format_campaign(report))
-        if report.ok:
-            print("\nall experiments match the paper's claims")
-        return report.exit_code
-
-    report = run_paper_suite(
-        fast=args.fast,
-        experiment_ids=args.only or None,
-        progress=print,
-    )
     print()
-    for line in report.summary_lines():
-        print(line)
+    print(format_campaign(report))
     if report.ok:
         print("\nall experiments match the paper's claims")
-        return 0
-    print(f"\n{len(report.failures)} experiment(s) no longer match the paper")
-    return 1
+    return report.exit_code
 
 
 def _cmd_shares(args) -> int:
@@ -364,8 +357,7 @@ def register_suite(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="watchdog wall-clock deadline per experiment "
-        "(journaled runs only)",
+        help="watchdog wall-clock deadline per experiment",
     )
     p.set_defaults(func=_cmd_suite)
 

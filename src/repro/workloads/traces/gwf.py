@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.broker.jobs import BrokerJob
+from repro.core.durable import read_text_document
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.traces.artifact import TraceWorkload
 
@@ -148,12 +149,7 @@ def parse_gwf(
     """
     if isinstance(source, pathlib.Path) or "\n" not in str(source):
         path = pathlib.Path(source)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read GWF trace '{path}': {exc}"
-            ) from exc
+        text = read_text_document(path, "GWF trace", "convert it to UTF-8 text")
         trace_name = name or path.stem
     else:
         text = str(source)

@@ -69,6 +69,11 @@ class TestCleanRun:
         report = run_campaign(tmp_path, "c").run(resume=True)
         assert report.ok
 
+    def test_missing_outcome_lookup(self, tmp_path):
+        report = run_campaign(tmp_path, "c").run()
+        with pytest.raises(CampaignError, match="no outcome for 'fig99'"):
+            report.outcome("fig99")
+
 
 class TestCrashAndResume:
     @pytest.mark.parametrize("crash_at", [0, 2, 5])

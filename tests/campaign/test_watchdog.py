@@ -1,5 +1,6 @@
 """Tests for wall-clock deadline enforcement."""
 
+import sys
 import threading
 import time
 
@@ -47,6 +48,25 @@ class TestDeadline:
         assert excinfo.value.label == "fig99"
         assert excinfo.value.deadline_s == 0.05
         assert "wall-clock deadline" in str(excinfo.value)
+
+    def test_result_past_the_deadline_is_late_even_unobserved(self):
+        """A worker that holds the interpreter until it is done (here: a
+        busy loop under a 1 s switch interval) finishes before the
+        supervisor polls; finishing after the deadline still times out."""
+
+        def busy():
+            end = time.monotonic() + 0.05
+            while time.monotonic() < end:
+                pass
+            return "late"
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1.0)
+        try:
+            with pytest.raises(DeadlineExceededError):
+                run_with_deadline(busy, 0.001)
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_non_positive_deadline_rejected(self):
         with pytest.raises(CampaignError):

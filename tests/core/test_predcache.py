@@ -56,6 +56,13 @@ class TestFingerprint:
         assert len(digest) == 64
         int(digest, 16)
 
+    def test_profile_fingerprint_is_pinned(self):
+        """The digest covers the stored fields minus ``format_version``:
+        sharing the field list with ``profile_to_dict`` moved no byte."""
+        assert profile_fingerprint(make_profile()) == (
+            "689cd833772db3ccc3f6076ea2ea53f948e2029d60e58dce94134f292f6c99cd"
+        )
+
 
 #: Every scalar the profile digest covers (the two clusters are perturbed
 #: through ``intra_bw`` below); ``app`` is the one string among them.

@@ -338,6 +338,33 @@ class TestSuiteJournal:
         assert "resumed" in out
 
 
+class TestSuiteWithoutJournal:
+    """A run without ``--journal`` is the same campaign on a scratch
+    journal: every option of ``repro suite`` takes effect."""
+
+    def test_results_dir_matches_a_journaled_run(self, tmp_path, capsys):
+        argv = ["suite", "--fast", "--only", "fig09", "--results-dir"]
+        assert main(argv + [str(tmp_path / "plain")]) == 0
+        assert main(
+            argv + [str(tmp_path / "journaled"),
+                    "--journal", str(tmp_path / "suite.journal")]
+        ) == 0
+        plain = (tmp_path / "plain" / "fig09.json").read_bytes()
+        assert plain == (tmp_path / "journaled" / "fig09.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "journaled", "plain", "suite.journal",
+        ]
+
+    def test_deadline_times_an_experiment_out(self, capsys):
+        code = main(
+            ["suite", "--fast", "--only", "fig09", "--deadline", "0.000001"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "timed-out" in out
+        assert "match the paper" not in out
+
+
 class TestCampaign:
     def _write_manifest(self, tmp_path):
         import json

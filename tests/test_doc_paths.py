@@ -1,9 +1,11 @@
-"""Every backticked ``*.py`` path in DESIGN.md and README.md exists.
+"""Every backticked ``*.py`` path in DESIGN.md, README.md and
+``docs/*.md`` exists.
 
-A path resolves from the repository root, or from ``src/repro/`` for
-package-relative paths such as ``service/http.py``; a bare filename
-may match anywhere in the tree.  Fenced code blocks are skipped, and
-backtick spans are paired within a paragraph, as Markdown pairs them.
+A path resolves from the repository root, from ``src/`` (such as
+``repro/cli.py``), or from ``src/repro/`` for package-relative paths
+such as ``service/http.py``; a bare filename may match anywhere in the
+tree.  Fenced code blocks are skipped, and backtick spans are paired
+within a paragraph, as Markdown pairs them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import re
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "repro"
+SOURCE_ROOTS = (ROOT, ROOT / "src", ROOT / "src" / "repro")
+DOCS = ["DESIGN.md", "README.md",
+        *sorted(p.relative_to(ROOT).as_posix() for p in ROOT.glob("docs/*.md"))]
 
 FENCE = re.compile(r"^\s*```.*?^\s*```", re.MULTILINE | re.DOTALL)
 PARAGRAPH = re.compile(r"\n\s*\n")
@@ -46,14 +50,13 @@ def test_the_scanner_reads_spans_and_skips_fences():
     assert backticked_py_paths(text) == {"service/http.py", "bench/run.py"}
 
 
-@pytest.mark.parametrize("doc", ["DESIGN.md", "README.md"])
+@pytest.mark.parametrize("doc", DOCS)
 def test_every_backticked_py_path_exists(doc):
     names = tree_filenames()
     missing = sorted(
         path
         for path in backticked_py_paths((ROOT / doc).read_text(encoding="utf-8"))
-        if not (ROOT / path).is_file()
-        and not (PACKAGE / path).is_file()
+        if not any((root / path).is_file() for root in SOURCE_ROOTS)
         and not ("/" not in path and path in names)
     )
     assert missing == [], f"{doc} names files that do not exist: {missing}"

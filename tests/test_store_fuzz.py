@@ -9,7 +9,9 @@ calibrator state, the ``stream`` section of broker workload
 documents, trace specs, and ``.gwf`` traces (their lines and fields as
 nested lists).
 Loading may only raise a ``ReproError``, and never touches the file:
-the bytes after a load, failed or not, are the bytes before it.
+the bytes after a load, failed or not, are the bytes before it.  A
+path the operating system will not read as text (a directory, bytes
+that are not UTF-8) is refused by every loader the same way.
 """
 
 import json
@@ -19,6 +21,7 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.results_io import load_result
 from repro.broker.calibration import OnlineCalibrator
 from repro.broker.jobs import load_workload_document
 from repro.campaign import CampaignJournal
@@ -371,3 +374,34 @@ def test_the_unmutated_documents_load(tmp_path, load, document):
     path = tmp_path / "document.json"
     path.write_text(canonical_json(document))
     assert loads_or_refuses(path, load)
+
+
+def load_journal(path):
+    CampaignJournal(path).load(expected_fingerprint=MANIFEST.fingerprint())
+
+
+UNREADABLE_LOADERS = {
+    "manifest": load_manifest,
+    "scenario": load_scenario,
+    "grid-scenario": load_grid_scenario,
+    "profile": load_checked_profile,
+    "calibration": load_checked_calibrator,
+    "stream": load_stream,
+    "gwf": parse_gwf,
+    "trace-artifact": TraceWorkload.load,
+    "journal": load_journal,
+    "result": load_result,
+    "prediction-cache": PredictionCache.load,
+}
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+@pytest.mark.parametrize("loader", sorted(UNREADABLE_LOADERS))
+def test_an_unreadable_path_is_refused(tmp_path, loader, unreadable):
+    path = tmp_path / "document"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff{}")
+    with pytest.raises(ReproError, match="document"):
+        UNREADABLE_LOADERS[loader](path)
