@@ -13,7 +13,11 @@ trace scale.
 The same flow is available from the command line::
 
     repro trace generate gwa-mixed --count 5000 -o my.trace.json
-    repro trace run my.trace.json --policy min-cost
+    repro broker my.trace.json --policy min-cost
+
+``repro broker`` takes the artifact, or the ``.gwf`` file itself, and
+brokers it on the reference grid with the options a workload document
+gets (``--faults``, ``--recovery``, ``--retry-attempts``).
 
 Run:  python examples/trace_workload.py
 """

@@ -23,14 +23,11 @@ the cross-cluster case where a profile from one machine type predicts
 another without measured scaling factors — is learned away over the job
 stream, which is exactly what the broker benchmark asserts.
 
-At six-figure job counts :meth:`OnlineCalibrator.correct` is the
-broker's hottest call (four factor lookups per candidate per decision),
-so the current factor of every (component, app, resource) key is kept in
-per-component read caches that :meth:`OnlineCalibrator.observe`
-invalidates for exactly the three keys it touches.  The cached path is
-bit-identical to scaling by :meth:`OnlineCalibrator.factor` — the
-factors only change on ``observe`` — which the calibration property
-suite asserts after arbitrary observation sequences.
+At six-figure job counts :meth:`OnlineCalibrator.correct_total` is the
+broker's hottest call (three factor lookups per candidate per
+decision); it reads the factor table directly, one dict lookup per
+component, so there is no derived state to keep in step with
+:meth:`OnlineCalibrator.observe`.
 """
 
 from __future__ import annotations
@@ -95,11 +92,6 @@ class OnlineCalibrator:
     alpha: float = 0.3
     clamp: Tuple[float, float] = (0.1, 10.0)
     _factors: Dict[_Key, CorrectionFactor] = field(default_factory=dict)
-    #: Read caches of current factor values, one per component, keyed by
-    #: (app, resource).  Purely derived state: invalidated by observe().
-    _fast: Dict[str, Dict[Tuple[str, str], float]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -107,8 +99,6 @@ class OnlineCalibrator:
         lo, hi = self.clamp
         if not 0.0 < lo < hi:
             raise ConfigurationError("clamp bounds must satisfy 0 < lo < hi")
-        for component in COMPONENTS:
-            self._fast.setdefault(component, {})
 
     # ------------------------------------------------------------------
 
@@ -133,16 +123,22 @@ class OnlineCalibrator:
         return state.value if state is not None else 1.0
 
     @hot
-    def _fast_factor(self, component: str, app: str, resource: str) -> float:
-        """Cached current factor; bit-identical to :meth:`factor`."""
-        cache = self._fast[component]
-        cache_key = (app, resource)
-        value = cache.get(cache_key)
-        if value is None:
-            state = self._factors.get((component, app, resource))
-            value = state.value if state is not None else 1.0
-            cache[cache_key] = value
-        return value
+    def _values(
+        self, app: str, replica_site: str, compute_site: str
+    ) -> Tuple[float, float, float]:
+        """The (disk, network, compute) factors of one placement, read
+        from the factor table exactly as :meth:`factor` reads them."""
+        factors = self._factors
+        disk = factors.get(("disk", app, replica_site))
+        network = factors.get(
+            ("network", app, f"{replica_site}->{compute_site}")
+        )
+        compute = factors.get(("compute", app, compute_site))
+        return (
+            1.0 if disk is None else disk.value,
+            1.0 if network is None else network.value,
+            1.0 if compute is None else compute.value,
+        )
 
     @hot
     def correct(
@@ -156,17 +152,9 @@ class OnlineCalibrator:
 
         ``T_ro``/``T_g`` ride the compute factor (they are sub-terms of
         the processing component), which is what
-        :meth:`PredictedBreakdown.scaled` implements.  Served from the
-        per-component read caches; bit-identical to scaling ``raw`` by
-        the three :meth:`factor` values.
+        :meth:`PredictedBreakdown.scaled` implements.
         """
-        return raw.scaled(
-            self._fast_factor("disk", app, replica_site),
-            self._fast_factor(
-                "network", app, f"{replica_site}->{compute_site}"
-            ),
-            self._fast_factor("compute", app, compute_site),
-        )
+        return raw.scaled(*self._values(app, replica_site, compute_site))
 
     def correct_total(
         self,
@@ -186,13 +174,11 @@ class OnlineCalibrator:
         :class:`~repro.broker.policies.PlacementOption` for the winner
         alone.
         """
+        disk, network, compute = self._values(app, replica_site, compute_site)
         return (
-            raw.t_disk * self._fast_factor("disk", app, replica_site)
-            + raw.t_network
-            * self._fast_factor(
-                "network", app, f"{replica_site}->{compute_site}"
-            )
-            + raw.t_compute * self._fast_factor("compute", app, compute_site)
+            raw.t_disk * disk
+            + raw.t_network * network
+            + raw.t_compute * compute
         )
 
     def observe(
@@ -207,12 +193,10 @@ class OnlineCalibrator:
 
         ``actual`` is the observed ``(t_disk, t_network, t_compute)``.
         Components whose raw prediction carries no signal are skipped.
-        Invalidates the read cache of exactly the three touched keys.
         """
         lo, hi = self.clamp
         alpha = self.alpha
         factors = self._factors
-        fast = self._fast
         path = f"{replica_site}->{compute_site}"
         for component, resource, p, a in (
             ("disk", replica_site, raw.t_disk, actual[0]),
@@ -227,7 +211,6 @@ class OnlineCalibrator:
             if state is None:
                 state = factors[key] = CorrectionFactor()
             state.update(ratio, alpha)
-            fast[component].pop((app, resource), None)
 
     # ------------------------------------------------------------------
 

@@ -2,21 +2,25 @@
 
 :data:`repro.cli.COMMANDS` names this module as their owner and calls
 ``register_<command>(subparser)`` to fill in arguments and handler.
-``broker`` runs a workload document's job stream over the grid it
-describes; ``trace generate|load|run`` expands a named preset into a
-fingerprinted trace artifact, imports a Grid Workload Archive ``.gwf``
-file, or brokers a saved trace over the reference grid (DESIGN.md §16).
+``trace generate|load`` make job streams: a named preset expanded into
+a fingerprinted trace artifact, or a Grid Workload Archive ``.gwf`` file
+imported and summarized.  ``broker`` consumes one: a workload document
+runs over the grid it describes, a trace artifact or a ``.gwf`` file
+over the reference grid (DESIGN.md §16).
 """
 
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
+from typing import List, Tuple
 
 from repro.analysis import format_broker, format_trace
 from repro.broker.engine import GridBroker
-from repro.broker.jobs import load_workload_document
+from repro.broker.jobs import BrokerJob, parse_workload_document
 from repro.broker.policies import POLICY_NAMES
-from repro.faults import BrokerRetryPolicy, load_grid_scenario
+from repro.core.durable import read_json_document
+from repro.faults import DEFAULT_BROKER_RETRY_POLICY, load_grid_scenario
 from repro.workloads.traces import (
     REFERENCE_ALLOCATIONS,
     TRACE_PRESETS,
@@ -29,11 +33,35 @@ from repro.workloads.traces import (
 __all__ = ["register_broker", "register_trace"]
 
 
+def _load_stream(
+    path: str, alpha: float
+) -> Tuple[str, GridBroker, List[BrokerJob]]:
+    """The name, broker and jobs of ``repro broker``'s input.
+
+    A ``.gwf`` file and a trace artifact (a JSON document whose ``kind``
+    is ``trace-workload``) run on the reference grid; any other JSON
+    document is a workload describing its own grid.
+    """
+    if path.endswith(".gwf"):
+        trace = parse_gwf(path)
+    else:
+        doc = read_json_document(
+            path,
+            "broker workload",
+            remedy="check the path, or regenerate the workload JSON "
+            "(see README, 'Prediction-guided brokering') or the trace",
+        )
+        if doc.get("kind") != "trace-workload":
+            workload = parse_workload_document(doc)
+            broker = GridBroker.from_document(workload, alpha=alpha)
+            return workload.name, broker, broker.resolve_jobs(workload)
+        trace = TraceWorkload.from_artifact(doc, path)
+    broker = GridBroker(reference_grid(), REFERENCE_ALLOCATIONS, alpha=alpha)
+    return trace.name, broker, list(trace.jobs)
+
+
 def _cmd_broker(args) -> int:
-    doc = load_workload_document(args.workload)
-    broker = GridBroker.from_document(doc, alpha=args.alpha)
-    jobs = broker.resolve_jobs(doc)
-    policies = args.policy or list(POLICY_NAMES)
+    name, broker, jobs = _load_stream(args.workload, args.alpha)
     faults = None
     recovery = args.recovery or "resubmit"
     retry = None
@@ -44,84 +72,61 @@ def _cmd_broker(args) -> int:
         if args.recovery is None and scenario.recovery is not None:
             recovery = scenario.recovery
     if args.retry_attempts is not None:
-        retry = BrokerRetryPolicy.with_attempts(args.retry_attempts)
+        retry = replace(
+            DEFAULT_BROKER_RETRY_POLICY, max_attempts=args.retry_attempts
+        )
     report = broker.compare(
-        doc.name,
+        name,
         jobs,
-        policies,
+        args.policy or list(POLICY_NAMES),
         include_uncalibrated=not args.no_calibration_baseline,
         faults=faults,
         recovery=recovery,
         retry=retry,
     )
     print(format_broker(report, schedule=args.schedule))
+    stats = broker.last_queue_stats
+    print(
+        f"\nqueue pressure: {stats['events']} events, peak event queue "
+        f"{stats['peak_event_queue_depth']}, peak wait queue "
+        f"{stats['peak_pending_depth']}"
+    )
     if args.report:
         path = report.save(args.report)
         print(f"\nreport written to {path}")
     return 0
-
-
-def _load_trace(path: str) -> TraceWorkload:
-    """A trace from an artifact JSON or (by extension) a ``.gwf`` file."""
-    if path.endswith(".gwf"):
-        return parse_gwf(path)
-    return TraceWorkload.load(path)
 
 
 def _cmd_trace(args) -> int:
     if args.trace_command == "generate":
         spec = make_preset(args.preset, args.count, seed=args.seed)
         # Deadlines are slack multiples of the best predicted execution
-        # time on the reference grid — the grid `repro trace run` uses.
+        # time on the reference grid — the grid `repro broker` runs
+        # traces on.
         broker = GridBroker(reference_grid(), REFERENCE_ALLOCATIONS)
         trace = TraceWorkload.from_spec(
             spec, baselines=broker.baseline_estimate
         )
-        print(format_trace(trace))
         out = args.output or f"{args.preset}-{args.count}.trace.json"
+    else:
+        source = args.source
+        trace = (
+            parse_gwf(source) if source.endswith(".gwf")
+            else TraceWorkload.load(source)
+        )
+        out = args.output
+    print(format_trace(trace))
+    if out:
         path = trace.save(out)
         print(f"\ntrace artifact written to {path}")
-        return 0
-
-    if args.trace_command == "load":
-        trace = _load_trace(args.source)
-        print(format_trace(trace))
-        if args.output:
-            path = trace.save(args.output)
-            print(f"\ntrace artifact written to {path}")
-        return 0
-
-    # "run" — broker the trace over the reference grid.
-    trace = _load_trace(args.trace)
-    broker = GridBroker(
-        reference_grid(), REFERENCE_ALLOCATIONS, alpha=args.alpha
-    )
-    policies = args.policy or ["min-completion"]
-    report = broker.compare(
-        trace.name,
-        list(trace.jobs),
-        policies,
-        include_uncalibrated=args.calibration_baseline,
-    )
-    print(format_trace(trace))
-    print()
-    print(format_broker(report, schedule=args.schedule))
-    stats = broker.last_queue_stats
-    if stats:
-        print(
-            f"\nqueue pressure: {stats.get('events', 0)} events, peak event queue "
-            f"{stats.get('peak_event_queue_depth', 0)}, peak wait queue "
-            f"{stats.get('peak_pending_depth', 0)}"
-        )
-    if args.report:
-        path = report.save(args.report)
-        print(f"\nreport written to {path}")
     return 0
 
 
 def register_broker(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "workload", help="path to a broker workload JSON (see README)"
+        "workload",
+        help="a broker workload JSON (see README), a .trace.json "
+        "artifact or a .gwf trace file",
     )
     p.add_argument(
         "--policy", action="append", default=None, metavar="NAME",
@@ -194,25 +199,3 @@ def register_trace(p: argparse.ArgumentParser) -> None:
         help="also save the (re-fingerprinted) artifact JSON",
     )
     load_p.set_defaults(func=_cmd_trace)
-
-    trun_p = trace_sub.add_parser(
-        "run", help="broker a saved trace over the reference grid"
-    )
-    trun_p.add_argument(
-        "trace", help="a .trace.json artifact or a .gwf trace file"
-    )
-    trun_p.add_argument(
-        "--policy", action="append", default=None, metavar="NAME",
-        help="placement policy (repeatable; default: min-completion)",
-    )
-    trun_p.add_argument("--alpha", type=float, default=0.3)
-    trun_p.add_argument(
-        "--calibration-baseline", action="store_true",
-        help="also run the calibration-off control",
-    )
-    trun_p.add_argument("--schedule", action="store_true")
-    trun_p.add_argument(
-        "--report", default=None, metavar="PATH",
-        help="save the full report as canonical JSON",
-    )
-    trun_p.set_defaults(func=_cmd_trace)

@@ -37,7 +37,7 @@ transient job failures abort individual attempts mid-flight.  Every
 preempted job goes through the run's
 :class:`~repro.broker.recovery.RecoveryPolicy` — resubmit-elsewhere or
 checkpoint-aware migration, both under the bounded
-:class:`~repro.faults.retry.BrokerRetryPolicy` — until it either
+:class:`~repro.faults.retry.RetryPolicy` budget — until it either
 completes or is terminally failed and classified in the report.
 
 Every data structure iterates in a deterministic order, so replaying
@@ -64,7 +64,8 @@ other job with :func:`~repro.broker.policies.attempt_total`, the formula
 the option itself uses.  Admission control reads the same totals.
 
 The event loop is sized for six-figure trace streams: binary-heap event
-and wait queues, read-cached calibration, and an O(1)-amortized
+and wait queues, calibrated scoring as three factor-table lookups and
+no intermediate breakdown, and an O(1)-amortized
 blocked-head check — a queue head that found no feasible candidate is
 not re-evaluated until :attr:`~repro.broker.events.GridLedger.version`
 moves (feasibility depends only on free node counts, which every
@@ -133,7 +134,7 @@ from repro.faults.grid import (
     SiteOutage,
     WanDegradation,
 )
-from repro.faults.retry import BrokerRetryPolicy
+from repro.faults.retry import RetryPolicy
 from repro.middleware.dataset import Dataset
 from repro.middleware.kernels import KernelTrace
 from repro.middleware.replica import ReplicaCatalog
@@ -596,7 +597,7 @@ class GridBroker:
         calibrate: bool = True,
         faults: Optional[GridFaultSchedule] = None,
         recovery: str = "resubmit",
-        retry: Optional[BrokerRetryPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
     ) -> PolicyRun:
         """Broker one job stream under one policy.
 
@@ -711,7 +712,7 @@ class GridBroker:
         include_uncalibrated: bool = True,
         faults: Optional[GridFaultSchedule] = None,
         recovery: str = "resubmit",
-        retry: Optional[BrokerRetryPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
     ) -> BrokerReport:
         """Run every policy over the same stream; one report.
 
@@ -780,7 +781,7 @@ class _BrokerRun:
         calibrate: bool,
         faults: Optional[GridFaultSchedule],
         recovery: str,
-        retry: Optional[BrokerRetryPolicy],
+        retry: Optional[RetryPolicy],
     ) -> None:
         self.broker = broker
         self.policy = make_policy(

@@ -3,9 +3,12 @@
 When a grid fault (site outage, node-pool shrink, transient job
 failure) tears a running placement down, the broker asks its recovery
 policy for a :class:`RecoveryDecision`.  Both built-in policies share
-the bounded :class:`~repro.faults.retry.BrokerRetryPolicy` budget — a
-job whose attempts are exhausted is *terminally failed* and classified
-as such in the report — and differ in what survives the preemption:
+one bounded :class:`~repro.faults.retry.RetryPolicy` budget
+(:data:`~repro.faults.retry.DEFAULT_BROKER_RETRY_POLICY` unless the run
+names another) — a job whose attempts are exhausted is *terminally
+failed* and classified as such in the report, and a torn-down attempt
+re-enters the wait queue after the backoff of its failure count — and
+differ in what survives the preemption:
 
 - :class:`ResubmitPolicy` (``resubmit``) — resubmit-elsewhere: the job
   re-enters the wait queue after the backoff delay and re-runs resource
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.broker.jobs import BrokerJob
-from repro.faults.retry import DEFAULT_BROKER_RETRY_POLICY, BrokerRetryPolicy
+from repro.faults.retry import DEFAULT_BROKER_RETRY_POLICY, RetryPolicy
 from repro.simgrid.errors import ConfigurationError
 
 __all__ = [
@@ -94,13 +97,13 @@ class RecoveryPolicy(abc.ABC):
     name: str = "recovery"
 
     def __init__(
-        self, retry: BrokerRetryPolicy = DEFAULT_BROKER_RETRY_POLICY
+        self, retry: RetryPolicy = DEFAULT_BROKER_RETRY_POLICY
     ) -> None:
         self.retry = retry
 
     def plan(self, incident: Incident) -> RecoveryDecision:
         """Decide what happens to the job of one incident."""
-        if not self.retry.allows_retry(incident.failed_attempts):
+        if incident.failed_attempts >= self.retry.max_attempts:
             return GiveUp(
                 code="retry-budget-exhausted",
                 reason=(
@@ -109,7 +112,7 @@ class RecoveryPolicy(abc.ABC):
                     f"{self.retry.max_attempts}-attempt budget is spent"
                 ),
             )
-        delay = self.retry.requeue_delay_s(incident.failed_attempts)
+        delay = self.retry.backoff_s(incident.failed_attempts)
         return self._requeue(incident, incident.time + delay)
 
     @abc.abstractmethod
@@ -142,7 +145,7 @@ RECOVERY_NAMES = ("resubmit", "migrate")
 
 
 def make_recovery(
-    name: str, retry: Optional[BrokerRetryPolicy] = None
+    name: str, retry: Optional[RetryPolicy] = None
 ) -> RecoveryPolicy:
     """A fresh recovery policy instance by CLI name."""
     retry = retry if retry is not None else DEFAULT_BROKER_RETRY_POLICY

@@ -9,11 +9,12 @@ interrupted, resumable).
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 from repro.analysis import format_campaign
 from repro.campaign.manifest import load_manifest
 from repro.campaign.runner import CampaignRunner
-from repro.faults import RetryPolicy
+from repro.faults import WATCHDOG_RETRY_POLICY
 
 __all__ = ["register_campaign"]
 
@@ -23,12 +24,7 @@ def _cmd_campaign(args) -> int:
     journal = args.journal or f"{args.manifest}.journal.json"
     policy = None
     if args.max_attempts is not None:
-        policy = RetryPolicy(
-            max_attempts=args.max_attempts,
-            base_backoff_s=0.0,
-            backoff_factor=1.0,
-            max_backoff_s=0.0,
-        )
+        policy = replace(WATCHDOG_RETRY_POLICY, max_attempts=args.max_attempts)
     kwargs = dict(
         retry_policy=policy, results_dir=args.results_dir, progress=print
     )

@@ -49,14 +49,14 @@ COMMANDS: Tuple[Tuple[str, str, str], ...] = (
     ),
     (
         "broker",
-        "broker a job stream over a grid with prediction-guided "
-        "placement and online calibration",
+        "broker a job stream (workload JSON, trace artifact or .gwf "
+        "file) with prediction-guided placement and online calibration",
         "repro.broker.cli",
     ),
     (
         "trace",
         "trace-realistic workloads: generate presets, import GWF "
-        "files, broker saved traces (see DESIGN.md §16)",
+        "files (see DESIGN.md §16)",
         "repro.broker.cli",
     ),
     (

@@ -12,8 +12,9 @@ resources; this package supplies the unreliable part.  It provides:
   :class:`WanDegradation`, :class:`TransientJobFailure`) collected into
   a :class:`GridFaultSchedule`.
 - :mod:`repro.faults.retry`    — the :class:`RetryPolicy` (attempt
-  budget, capped exponential backoff, per-chunk timeout) and the
-  job-granularity :class:`BrokerRetryPolicy` built on it.
+  budget, capped exponential backoff, per-chunk timeout) and its three
+  defaults: per chunk read, per broker job
+  (:data:`DEFAULT_BROKER_RETRY_POLICY`) and per campaign entry.
 - :mod:`repro.faults.injector` — the deterministic :class:`FaultInjector`
   and replica-failover selection.
 - :mod:`repro.faults.scenario` — JSON scenario files for the
@@ -50,7 +51,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "DEFAULT_BROKER_RETRY_POLICY",
             "DEFAULT_RETRY_POLICY",
             "WATCHDOG_RETRY_POLICY",
-            "BrokerRetryPolicy",
             "RetryPolicy",
         ),
         "repro.faults.scenario": (

@@ -7,11 +7,15 @@ deployment would lose the time.  A chunk whose read keeps failing past
 ``max_attempts`` exhausts recovery
 (:class:`~repro.errors.RecoveryExhaustedError`), which the runtime treats
 as fatal for the run.
+
+The same :class:`RetryPolicy` budgets the broker's re-placement of a
+preempted job (:data:`DEFAULT_BROKER_RETRY_POLICY`) and the campaign
+watchdog's retry after a timeout (:data:`WATCHDOG_RETRY_POLICY`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import FaultError
@@ -19,7 +23,6 @@ from repro.simgrid.trace import left_sum
 
 __all__ = [
     "RetryPolicy",
-    "BrokerRetryPolicy",
     "DEFAULT_RETRY_POLICY",
     "DEFAULT_BROKER_RETRY_POLICY",
     "WATCHDOG_RETRY_POLICY",
@@ -124,61 +127,20 @@ class RetryPolicy:
         return [self.backoff_s(i) for i in range(1, self.max_attempts)]
 
 
-@dataclass(frozen=True)
-class BrokerRetryPolicy:
-    """Bounded re-placement budget for preempted or failed broker jobs.
-
-    Reuses :class:`RetryPolicy` backoff semantics at job granularity: a
-    job whose execution attempt is preempted (site outage, node-pool
-    shrink) or aborts (transient failure) re-enters the wait queue after
-    the backoff delay of its attempt number; once ``max_attempts`` total
-    placement attempts are spent, the job is *terminally failed* and
-    classified as such in the broker report.  The backoff is charged in
-    simulated time — a recovering job cannot re-place instantly, which
-    models the detection + resubmission latency of a real broker.
-    """
-
-    backoff: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=3,
-            base_backoff_s=0.02,
-            backoff_factor=2.0,
-            max_backoff_s=0.5,
-        )
-    )
-
-    @property
-    def max_attempts(self) -> int:
-        """Total placement attempts per job, first try included."""
-        return self.backoff.max_attempts
-
-    def allows_retry(self, failed_attempts: int) -> bool:
-        """Whether a job with ``failed_attempts`` may be re-placed."""
-        if failed_attempts < 1:
-            raise FaultError("a retry decision needs at least one failure")
-        return failed_attempts < self.max_attempts
-
-    def requeue_delay_s(self, failed_attempts: int) -> float:
-        """Simulated backoff before re-queueing attempt number
-        ``failed_attempts + 1`` (1-based failure count)."""
-        return self.backoff.backoff_s(failed_attempts)
-
-    @classmethod
-    def with_attempts(cls, max_attempts: int) -> "BrokerRetryPolicy":
-        """A policy with the default backoff curve and a custom budget."""
-        return cls(backoff=RetryPolicy(
-            max_attempts=max_attempts,
-            base_backoff_s=0.02,
-            backoff_factor=2.0,
-            max_backoff_s=0.5,
-        ))
-
-
 #: Policy used when a scenario does not specify one.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
-#: Broker-level default: three placement attempts per job.
-DEFAULT_BROKER_RETRY_POLICY = BrokerRetryPolicy()
+#: The broker's re-placement budget for a preempted or failed job: a
+#: torn-down attempt re-enters the wait queue after the backoff of its
+#: failure count, charged in simulated time (the detection +
+#: resubmission latency of a real broker); once ``max_attempts``
+#: placement attempts are spent the job is terminally failed.
+DEFAULT_BROKER_RETRY_POLICY = RetryPolicy(
+    max_attempts=3,
+    base_backoff_s=0.02,
+    backoff_factor=2.0,
+    max_backoff_s=0.5,
+)
 
 #: Policy the campaign watchdog uses for retry-after-timeout when none is
 #: configured: one immediate retry, then give up and classify the entry

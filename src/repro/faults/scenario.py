@@ -71,7 +71,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.retry import (
     DEFAULT_BROKER_RETRY_POLICY,
     DEFAULT_RETRY_POLICY,
-    BrokerRetryPolicy,
     RetryPolicy,
 )
 from repro.faults.specs import (
@@ -331,7 +330,7 @@ class GridFaultScenario:
     """
 
     schedule: GridFaultSchedule
-    retry: BrokerRetryPolicy = DEFAULT_BROKER_RETRY_POLICY
+    retry: RetryPolicy = DEFAULT_BROKER_RETRY_POLICY
     recovery: Optional[str] = None
 
 
@@ -341,7 +340,7 @@ def grid_scenario_from_dict(data: Mapping[str, Any]) -> GridFaultScenario:
     retry_raw = data.get("retry")
     retry = (
         DEFAULT_BROKER_RETRY_POLICY if retry_raw is None
-        else BrokerRetryPolicy(backoff=_retry_policy(retry_raw, "retry"))
+        else _retry_policy(retry_raw, "retry")
     )
     recovery = data.get("recovery")
     if recovery is not None:

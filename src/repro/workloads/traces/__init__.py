@@ -20,7 +20,11 @@ grid traces exhibit (see DESIGN.md §16):
 - :mod:`~repro.workloads.traces.presets` — named GWA-shaped recipes
   (``poisson``, ``gwa-mixed``, ``heavy-tail``);
 - :mod:`~repro.workloads.traces.grids` — the reference multi-site grid
-  shared by ``repro trace run`` and the ``broker_trace`` benchmark.
+  that ``repro broker`` runs a trace artifact or ``.gwf`` file on, shared
+  with the ``broker_trace`` benchmark.
+
+``repro trace generate|load`` make these artifacts; ``repro broker``
+consumes them.
 """
 
 from repro._lazy import lazy_exports

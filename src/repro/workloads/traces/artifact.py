@@ -155,11 +155,17 @@ class TraceWorkload:
             "trace workload",
             remedy="regenerate it with 'repro trace generate'",
         )
+        return cls.from_artifact(doc, str(path))
+
+    @classmethod
+    def from_artifact(cls, doc: Dict[str, Any], path: str) -> "TraceWorkload":
+        """The artifact document read from ``path``: version gate, then
+        :meth:`from_dict` (which verifies the fingerprint)."""
         if doc.get("format_version") != 1:
             check_format_version(
-                doc, "trace workload", TRACE_FORMAT_VERSION, source=str(path)
+                doc, "trace workload", TRACE_FORMAT_VERSION, source=path
             )
-        return cls.from_dict(doc, source_path=str(path))
+        return cls.from_dict(doc, source_path=path)
 
     @classmethod
     def from_dict(

@@ -6,8 +6,9 @@ and understate both the broker's work and its payoff.  The reference
 grid is three repository datacenters and four heterogeneous compute
 sites, fully meshed with asymmetric WAN bandwidths, giving every
 dataset 3 replicas x 4 compute sites x 3 allocations = 36 candidate
-placements.  ``repro trace run`` and the ``broker_trace`` benchmark
-workload share it so their numbers are comparable.
+placements.  ``repro broker`` runs every trace artifact and ``.gwf``
+file on it, and the ``broker_trace`` benchmark workload shares it so
+their numbers are comparable.
 """
 
 from __future__ import annotations

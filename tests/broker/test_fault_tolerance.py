@@ -1,13 +1,14 @@
 """Broker behavior under grid faults: preemption, recovery, terminal failure."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.broker import BrokerJob
 from repro.broker.report import _run_to_dict
 from repro.faults import (
-    BrokerRetryPolicy,
+    DEFAULT_BROKER_RETRY_POLICY,
     GridFaultSchedule,
     NodePoolShrink,
     SiteOutage,
@@ -202,7 +203,7 @@ class TestRetryBudget:
             stream(),
             "min-completion",
             faults=schedule,
-            retry=BrokerRetryPolicy.with_attempts(2),
+            retry=replace(DEFAULT_BROKER_RETRY_POLICY, max_attempts=2),
         )
         (failure,) = run.failures
         assert failure.job_id == "j0"

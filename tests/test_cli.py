@@ -16,7 +16,9 @@ from repro.cli import COMMANDS, build_parser, main
 REPO = pathlib.Path(__file__).resolve().parents[1]
 #: stdout + stderr of the CLI at a99611a (COLUMNS=80), before the
 #: per-command table: what a user sees must not have moved.  Deliberate
-#: removals since: ``repro profile`` and ``repro lint --profile``.
+#: removals since: ``repro profile``, ``repro lint --profile`` and
+#: ``repro trace run`` (``repro broker`` now takes traces, so the
+#: ``broker`` and ``trace`` help lines changed with it).
 GOLDENS = pathlib.Path(__file__).parent / "goldens" / "cli"
 
 #: One representative argv per command (every sub-subcommand of trace).
@@ -30,12 +32,13 @@ REPRESENTATIVE_ARGV = {
     "figure": [["figure", "fig09", "--fast", "--chart"]],
     "suite": [["suite", "--fast", "--only", "fig09", "--journal", "j"]],
     "campaign": [["campaign", "m.json", "--workers", "2", "--resume"]],
-    "broker": [["broker", "w.json", "--policy", "min-cost", "--recovery",
-                "migrate"]],
+    "broker": [
+        ["broker", "w.json", "--policy", "min-cost", "--recovery", "migrate"],
+        ["broker", "t.gwf"],
+    ],
     "trace": [
         ["trace", "generate", "gwa-mixed", "--count", "50"],
         ["trace", "load", "t.gwf", "-o", "t.json"],
-        ["trace", "run", "t.json", "--policy", "min-cost", "--schedule"],
     ],
     "lint": [["lint", "src/repro", "--flow", "--select", "REP003",
               "--format", "json"]],
@@ -89,7 +92,7 @@ class TestCommandTable:
         assert sum(
             len(re.findall(r"\.add_argument\(", path.read_text()))
             for path in sources
-        ) == 92
+        ) == 86
 
     def test_cli_module_is_the_table_plus_main(self):
         """No command lives in ``repro/cli.py``, and importing it imports
@@ -602,6 +605,126 @@ class TestTraceGenerate:
         assert err.startswith("error: ") and says in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestBrokerInputs:
+    """``repro broker`` takes a trace artifact or a ``.gwf`` file as well
+    as a workload document, and brokers a trace on the reference grid
+    with the same options and output."""
+
+    @pytest.fixture(scope="class")
+    def trace_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trace") / "t.trace.json"
+        assert main(["trace", "generate", "poisson", "--count", "300",
+                     "--seed", "1", "-o", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def _cli_report(tmp_path, argv):
+        report = tmp_path / "report.json"
+        assert main(["broker", *argv, "--report", str(report)]) == 0
+        return report.read_bytes()
+
+    @staticmethod
+    def _library_bytes(tmp_path, report):
+        return report.save(tmp_path / "library.json").read_bytes()
+
+    def test_trace_artifact_report_is_the_pinned_trace_run_report(
+        self, trace_path, tmp_path, capsys
+    ):
+        import hashlib
+
+        from repro.broker.policies import POLICY_NAMES
+        from tests.broker.test_report_digests import FAULT_FREE
+
+        policies = [flag for name in POLICY_NAMES for flag in ("--policy", name)]
+        data = self._cli_report(
+            tmp_path,
+            [str(trace_path), *policies, "--no-calibration-baseline"],
+        )
+        assert hashlib.sha256(data).hexdigest() == FAULT_FREE[("poisson", 300)]
+        assert "queue pressure: 600 events" in capsys.readouterr().out
+
+    def test_gwf_file_is_brokered_like_the_parsed_trace(
+        self, trace_path, tmp_path, capsys
+    ):
+        from repro.broker import GridBroker
+        from repro.workloads.traces import (
+            REFERENCE_ALLOCATIONS,
+            TraceWorkload,
+            parse_gwf,
+            reference_grid,
+            trace_to_gwf,
+        )
+
+        gwf = tmp_path / "t.gwf"
+        gwf.write_text(trace_to_gwf(TraceWorkload.load(trace_path)))
+        data = self._cli_report(tmp_path, [str(gwf)])
+        trace = parse_gwf(gwf)
+        broker = GridBroker(reference_grid(), REFERENCE_ALLOCATIONS)
+        expected = broker.compare(trace.name, list(trace.jobs))
+        assert data == self._library_bytes(tmp_path, expected)
+        assert len(expected.runs) == 5
+
+    def test_faults_and_migrate_recovery_apply_to_a_trace(
+        self, trace_path, tmp_path, capsys
+    ):
+        from repro.broker import GridBroker
+        from repro.broker.report import BrokerReport
+        from repro.faults import load_grid_scenario
+        from repro.workloads.traces import (
+            REFERENCE_ALLOCATIONS,
+            TraceWorkload,
+            reference_grid,
+        )
+
+        trace = TraceWorkload.load(trace_path)
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps({"grid_faults": [
+            {"type": "site-outage", "site": "hpc-1", "at": 0.5,
+             "repair_after": 1.0},
+            {"type": "transient-job-failure", "job": trace.jobs[5].job_id,
+             "failures": 1},
+        ]}))
+        data = self._cli_report(
+            tmp_path,
+            [str(trace_path), "--policy", "min-completion",
+             "--no-calibration-baseline", "--faults", str(scenario_path),
+             "--recovery", "migrate"],
+        )
+        scenario = load_grid_scenario(scenario_path)
+        broker = GridBroker(reference_grid(), REFERENCE_ALLOCATIONS)
+        run = broker.run(
+            list(trace.jobs), "min-completion", faults=scenario.schedule,
+            recovery="migrate", retry=scenario.retry,
+        )
+        # Only worth pinning while some resumed attempt pays T_recover.
+        assert any(p.recovery_charge > 0 for p in run.placements)
+        expected = BrokerReport(name=trace.name, runs=(run,))
+        assert data == self._library_bytes(tmp_path, expected)
+
+    def test_retry_attempts_apply_to_a_trace(self, trace_path, tmp_path, capsys):
+        scenario_path = tmp_path / "scenario.json"
+        job_id = json.loads(trace_path.read_text())["jobs"][5]["id"]
+        scenario_path.write_text(json.dumps({"grid_faults": [
+            {"type": "transient-job-failure", "job": job_id, "failures": 2},
+        ]}))
+        data = self._cli_report(
+            tmp_path,
+            [str(trace_path), "--policy", "min-completion",
+             "--no-calibration-baseline", "--faults", str(scenario_path),
+             "--retry-attempts", "2"],
+        )
+        (run,) = json.loads(data)["runs"]
+        (failure,) = run["failures"]
+        assert failure["job_id"] == job_id
+        assert failure["code"] == "retry-budget-exhausted"
+
+    def test_trace_run_is_gone(self, trace_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "run", str(trace_path)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'run'" in capsys.readouterr().err
 
 
 class TestServe:

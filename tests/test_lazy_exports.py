@@ -86,7 +86,7 @@ PARENT_ALL = {
         make_transaction_dataset
     """,
     "repro.faults": """
-        BrokerRetryPolicy ChunkReadError ComputeNodeCrash
+        ChunkReadError ComputeNodeCrash
         DEFAULT_BROKER_RETRY_POLICY DEFAULT_RETRY_POLICY DataNodeCrash
         EXECUTION_FAULT_KINDS FaultError FaultInjector FaultSchedule
         FaultSpec GRID_FAULT_KINDS GridFaultScenario GridFaultSchedule
