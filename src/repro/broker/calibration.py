@@ -32,23 +32,14 @@ component, so there is no derived state to keep in step with
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Dict, Tuple
 
-from repro.core.durable import (
-    atomic_write_json,
-    check_format_version,
-    json_number,
-    read_json_document,
-)
 from repro.core.models import PredictedBreakdown
 from repro.hotpath import hot
 from repro.simgrid.errors import ConfigurationError
 
 __all__ = ["CorrectionFactor", "OnlineCalibrator"]
-
-_FORMAT_VERSION = 1
 
 #: Components the calibrator corrects, in reporting order.
 COMPONENTS = ("disk", "network", "compute")
@@ -226,101 +217,3 @@ class OnlineCalibrator:
     @property
     def total_observations(self) -> int:
         return sum(f.observations for f in self._factors.values())
-
-    # ------------------------------------------------------------------
-    # Persistence (service warm restarts)
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Canonical-JSON-ready snapshot of the full calibration state.
-
-        Unlike :meth:`snapshot` (a reporting view), this preserves the
-        observation counts, so a reloaded calibrator resumes learning
-        exactly where the saved one stopped.
-        """
-        return {
-            "format_version": _FORMAT_VERSION,
-            "alpha": self.alpha,
-            "clamp": list(self.clamp),
-            "factors": [
-                {
-                    "component": key[0],
-                    "app": key[1],
-                    "resource": key[2],
-                    "value": self._factors[key].value,
-                    "observations": self._factors[key].observations,
-                }
-                for key in sorted(self._factors)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "OnlineCalibrator":
-        """Rebuild a calibrator from :meth:`to_dict` output.
-
-        Only state :meth:`observe` can produce loads: ``alpha`` and both
-        clamp bounds finite numbers, every factor a finite number > 0,
-        every observation count a non-negative integer.  Anything else
-        is a :class:`ConfigurationError` naming the key — a ``NaN``
-        factor would otherwise turn every calibrated prediction for that
-        key into ``NaN``.
-        """
-        check_format_version(data, "calibration state", _FORMAT_VERSION)
-        try:
-            where = "calibration state: "
-            lo, hi = data["clamp"]
-            calibrator = cls(
-                alpha=json_number("alpha", data["alpha"], where=where),
-                clamp=(
-                    json_number("clamp", lo, where=where),
-                    json_number("clamp", hi, where=where),
-                ),
-            )
-            for entry in data["factors"]:
-                component = str(entry["component"])
-                if component not in COMPONENTS:
-                    raise ConfigurationError(
-                        f"unknown calibration component '{component}'"
-                    )
-                key = (component, str(entry["app"]), str(entry["resource"]))
-                where = f"calibration factor {'/'.join(key)}: "
-                value = json_number("value", entry["value"], where=where)
-                count = json_number(
-                    "observations", entry["observations"], integer=True,
-                    where=where,
-                )
-                if value <= 0.0:
-                    raise ConfigurationError(
-                        f"{where}'value' must be > 0, got {value!r}"
-                    )
-                if count < 0:
-                    raise ConfigurationError(
-                        f"{where}'observations' must be >= 0, got {count!r}"
-                    )
-                calibrator._factors[key] = CorrectionFactor(
-                    value=value, observations=count
-                )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ConfigurationError(
-                f"malformed calibration state: {exc}"
-            ) from exc
-        return calibrator
-
-    def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Durably persist the calibration state as canonical JSON."""
-        return atomic_write_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path: str | pathlib.Path) -> "OnlineCalibrator":
-        """Load previously saved calibration state.
-
-        Lets a restarted prediction service warm-start with everything
-        the previous process learned instead of re-converging from 1.0
-        factors over live traffic.
-        """
-        data = read_json_document(
-            path,
-            "calibration state",
-            remedy="delete the file; calibration re-learns from traffic",
-        )
-        return cls.from_dict(data)

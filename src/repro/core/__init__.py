@@ -26,7 +26,7 @@ separately (Section 3 of the paper):
 - :mod:`repro.core.degraded`      — the degraded-mode extension: expected
   recovery term ``T̂_recover`` for runs under an installed fault schedule.
 - :mod:`repro.core.durable`       — crash-safe atomic JSON persistence
-  shared by the profile store, result store, and campaign journal.
+  shared by profile files, the result store, and the campaign journal.
 """
 
 from repro._lazy import lazy_exports

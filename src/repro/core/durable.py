@@ -23,8 +23,7 @@ single place that guarantees it:
 - A destination the operating system refuses (a directory, a read-only
   location, a full disk) is a :class:`StoreWriteError` naming the path,
   and :func:`json_number` is the one strict reading of a numeric field
-  (finite, optionally integral, optionally bounded) every document
-  parser shares.
+  (finite, optionally integral) every document parser shares.
 - JSON has two sorted-key encodings: :func:`canonical_json` (indented)
   for *documents* a person reads or a golden pins, :func:`compact_json`
   (C encoder) for bytes *hashed or sent* — digests, journal lines, HTTP
@@ -62,7 +61,6 @@ __all__ = [
     "read_text_document",
     "read_json_document",
     "json_number",
-    "quarantine_corrupt",
 ]
 
 
@@ -254,8 +252,7 @@ def read_json_document(
 
 
 def json_number(
-    name: str, value: Any, integer: bool = False, *, where: str = "",
-    minimum: Optional[int] = None,
+    name: str, value: Any, integer: bool = False, *, where: str = ""
 ) -> Any:
     """One numeric field of a parsed JSON document, or an error naming it.
 
@@ -263,21 +260,18 @@ def json_number(
     size, and a hand-written document a string or a list where a number
     belongs; none of them may reach a model or a simulated clock, where
     ``NaN`` passes every ``<`` guard.  ``where`` prefixes the message
-    with the entry the field belongs to (``"job 'j0': "``); ``minimum``
-    is an inclusive lower bound (a count is ``minimum=0``).
+    with the entry the field belongs to (``"job 'j0': "``).
     """
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         or not abs(value) <= sys.float_info.max
         or (integer and not float(value).is_integer())
-        or (minimum is not None and value < minimum)
     ):
         kind = "an integer" if integer else "a finite number"
-        bound = "" if minimum is None else f" >= {minimum}"
         # Truncated: the value is the sender's, up to a megabyte of it.
         raise ConfigurationError(
-            f"{where}'{name}' must be {kind}{bound}, got {value!r:.40}"
+            f"{where}'{name}' must be {kind}, got {value!r:.40}"
         )
     return int(value) if integer else float(value)
 
@@ -288,10 +282,8 @@ def check_format_version(
     expected_version: int,
     *,
     source: Optional[str] = None,
-    remedy: Optional[str] = None,
 ) -> None:
-    """Raise :class:`FormatVersionError` unless the version matches;
-    ``remedy``, when given, replaces the advice to regenerate or upgrade."""
+    """Raise :class:`FormatVersionError` unless the version matches."""
     version = data.get("format_version")
     if version == expected_version:
         return
@@ -314,36 +306,8 @@ def check_format_version(
     raise FormatVersionError(
         f"cannot read {kind}{where}: format_version {version!r} is not "
         f"supported by this build (expected {expected_version}); "
-        f"{remedy or advice}"
+        f"{advice}"
     )
-
-
-def quarantine_corrupt(path: str | pathlib.Path) -> pathlib.Path:
-    """Move a corrupt document aside as ``<path>.corrupt-<hash>``.
-
-    Directory-scan load paths (e.g. a profile store warming a service)
-    must not hard-fail the whole scan because one file is truncated:
-    the corrupt file is renamed — preserving the evidence for the
-    operator — and the scan continues.  The suffix is the first 8 hex
-    digits of the SHA-256 of the file's current bytes, so repeated
-    scans of the same corruption are idempotent (the rename target is
-    stable) and two different corruptions never collide.
-
-    Returns the quarantine path.  The original ``path`` no longer
-    exists afterwards.
-    """
-    path = pathlib.Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise CorruptStoreError(
-            f"cannot quarantine '{path}': {exc}"
-        ) from exc
-    digest = hashlib.sha256(raw).hexdigest()[:8]
-    target = path.with_name(f"{path.name}.corrupt-{digest}")
-    os.replace(path, target)
-    _fsync_directory(path.parent)
-    return target
 
 
 def _fsync_directory(directory: pathlib.Path) -> None:

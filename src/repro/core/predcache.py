@@ -10,11 +10,10 @@ degradation serves from when the circuit breaker is open or a deadline
 cannot be met.
 
 Keys are content fingerprints (:mod:`repro.core.fingerprint`), so an
-entry can never be served for different model inputs, and a file of
-another key encoding is refused by its ``format_version``.  Eviction is
-deterministic (least-recently *stored*, via insertion order), and the
-cache round-trips through canonical JSON so a service can persist its
-warm state across restarts.
+entry can never be served for different model inputs.  Eviction is
+deterministic (least-recently *stored*, via insertion order).  The
+cache lives in memory only: a restarted service refills it from live
+traffic.
 """
 
 from __future__ import annotations
@@ -22,20 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.core.durable import (
-    atomic_write_json,
-    check_format_version,
-    json_number,
-    read_json_document,
-)
 from repro.simgrid.errors import ConfigurationError
 
 __all__ = ["CachedPrediction", "PredictionCache"]
-
-#: 2 since keys became compact-JSON digests: no format-1 key can match.
-_FORMAT_VERSION = 2
-_KIND = "prediction cache"
-_REMEDY = "delete the file; the cache rebuilds from live traffic"
 
 
 @dataclass(frozen=True)
@@ -49,13 +37,6 @@ class CachedPrediction:
     def age_s(self, now: float) -> float:
         """Seconds since the entry was stored (clamped at zero)."""
         return max(0.0, now - self.stored_at_s)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "payload": self.payload,
-            "stored_at_s": self.stored_at_s,
-            "hits": self.hits,
-        }
 
 
 class PredictionCache:
@@ -107,55 +88,3 @@ class PredictionCache:
         )
         self._entries[fingerprint] = bumped
         return bumped
-
-    # ------------------------------------------------------------------
-    # Persistence (warm restarts)
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format_version": _FORMAT_VERSION,
-            "max_entries": self.max_entries,
-            # Insertion order is part of the eviction semantics; keep it
-            # explicitly rather than relying on JSON object order.
-            "order": list(self._entries),
-            "entries": {
-                key: entry.to_dict() for key, entry in self._entries.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PredictionCache":
-        check_format_version(data, _KIND, _FORMAT_VERSION, remedy=_REMEDY)
-        entries, order = data.get("entries"), data.get("order")
-        if not (
-            isinstance(entries, dict) and isinstance(order, list)
-            and all(isinstance(key, str) for key in order)
-            and len(order) == len(entries) == len(set(order) & entries.keys())
-        ):
-            raise ConfigurationError(
-                f"{_KIND}: 'order' must list every key of 'entries' once"
-            )
-        cache = cls(json_number(  # never fewer slots than entries
-            "max_entries", data.get("max_entries"), True, minimum=max(1, len(order))
-        ))
-        for key in order:
-            raw, at = entries[key], f"{_KIND} entry {key!r}: "
-            if not isinstance(raw, dict) or not isinstance(raw.get("payload"), dict):
-                raise ConfigurationError(f"{at}'payload' must be an object")
-            cache._entries[key] = CachedPrediction(
-                raw["payload"],
-                json_number("stored_at_s", raw.get("stored_at_s"), where=at),
-                json_number("hits", raw.get("hits", 0), True, where=at, minimum=0),
-            )
-        return cache
-
-    def save(self, path: Any) -> Any:
-        """Durably persist the cache as canonical JSON."""
-        return atomic_write_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path: Any) -> "PredictionCache":
-        """Load a previously saved cache (corrupt files raise
-        :class:`~repro.core.durable.CorruptStoreError`)."""
-        return cls.from_dict(read_json_document(path, _KIND, remedy=_REMEDY))

@@ -44,21 +44,10 @@ def predict_disk_time(profile: Profile, target: PredictionTarget) -> float:
     return size_ratio * node_ratio * profile.t_disk
 
 
-def predict_network_time(
-    profile: Profile,
-    target: PredictionTarget,
-    scale_with_data_nodes: bool = True,
-) -> float:
-    """T̂_network = (ŝ/s) · (n/n̂) · (b/b̂) · t_n  (Section 3.2).
-
-    ``scale_with_data_nodes=False`` drops the ``n/n̂`` factor, the paper's
-    fallback for deployments where aggregate throughput does not grow with
-    the number of storage nodes.
-    """
+def predict_network_time(profile: Profile, target: PredictionTarget) -> float:
+    """T̂_network = (ŝ/s) · (n/n̂) · (b/b̂) · t_n  (Section 3.2)."""
     size_ratio = target.dataset_bytes / profile.dataset_bytes
-    node_ratio = (
-        profile.data_nodes / target.data_nodes if scale_with_data_nodes else 1.0
-    )
+    node_ratio = profile.data_nodes / target.data_nodes
     bw_ratio = profile.bandwidth / target.bandwidth
     return size_ratio * node_ratio * bw_ratio * profile.t_network
 

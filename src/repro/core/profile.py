@@ -16,7 +16,7 @@ execution configuration".  The summary information comprises:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.core.units import Bytes, BytesPerSecond, Seconds
@@ -118,22 +118,4 @@ class Profile:
             processes_per_node=int(meta.get("processes_per_node", 1)),
             t_cache=breakdown.t_cache,
             metadata=dict(meta),
-        )
-
-    def with_breakdown(
-        self, t_disk: float, t_network: float, t_compute: float
-    ) -> "Profile":
-        """A copy with substituted component times (keeps ``T_ro``/``T_g``
-        proportional to the compute rescaling)."""
-        if self.t_compute > 0:
-            ratio = t_compute / self.t_compute
-        else:
-            ratio = 0.0
-        return replace(
-            self,
-            t_disk=t_disk,
-            t_network=t_network,
-            t_compute=t_compute,
-            t_ro=self.t_ro * ratio,
-            t_g=self.t_g * ratio,
         )

@@ -3,21 +3,19 @@
 Profiles are meant to be collected once and reused for many predictions —
 possibly in later sessions, by a scheduler daemon, or on another machine.
 This module provides a JSON round-trip for
-:class:`~repro.core.profile.Profile` and a small directory-backed store.
+:class:`~repro.core.profile.Profile`: ``repro run --save-profile`` writes
+the file and ``repro predict PROFILE`` reads it.
 """
 
 from __future__ import annotations
 
 import pathlib
-import warnings
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.core.durable import (
-    CorruptStoreError,
     atomic_write_json,
     check_format_version,
     json_number,
-    quarantine_corrupt,
     read_json_document,
 )
 from repro.core.fingerprint import _profile_dict
@@ -31,7 +29,6 @@ __all__ = [
     "profile_from_dict",
     "save_profile",
     "load_profile",
-    "ProfileStore",
 ]
 
 _FORMAT_VERSION = 1
@@ -111,63 +108,3 @@ def load_profile(path: str | pathlib.Path) -> Profile:
         "`repro run WORKLOAD ... --save-profile`",
     )
     return profile_from_dict(data)
-
-
-class ProfileStore:
-    """A directory of named profiles.
-
-    >>> import tempfile
-    >>> from tests.core.conftest import make_profile  # doctest: +SKIP
-    """
-
-    def __init__(self, directory: str | pathlib.Path) -> None:
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, name: str) -> pathlib.Path:
-        if not name or "/" in name or name.startswith("."):
-            raise ConfigurationError(f"invalid profile name '{name}'")
-        return self.directory / f"{name}.json"
-
-    def save(self, name: str, profile: Profile) -> pathlib.Path:
-        """Persist a profile under ``name``."""
-        return save_profile(profile, self._path(name))
-
-    def load(self, name: str) -> Profile:
-        """Load a previously saved profile."""
-        return load_profile(self._path(name))
-
-    def names(self) -> List[str]:
-        """All stored profile names, sorted."""
-        return sorted(p.stem for p in self.directory.glob("*.json"))
-
-    def scan(self) -> Dict[str, Profile]:
-        """Load every readable profile; quarantine the corrupt ones.
-
-        A directory scan (a service warm-starting its profile set) must
-        not die because one file is truncated: each corrupt profile is
-        moved aside to ``<name>.json.corrupt-<hash>`` (see
-        :func:`~repro.core.durable.quarantine_corrupt`) with a clear
-        warning, and the scan continues with the rest.  Quarantined
-        files no longer match the store's ``*.json`` glob, so later
-        scans are clean.
-        """
-        profiles: Dict[str, Profile] = {}
-        for name in self.names():
-            path = self._path(name)
-            try:
-                profiles[name] = load_profile(path)
-            except CorruptStoreError as exc:
-                quarantined = quarantine_corrupt(path)
-                warnings.warn(
-                    f"profile '{name}' is corrupt and was quarantined to "
-                    f"'{quarantined}' (scan continues): {exc}",
-                    stacklevel=2,
-                )
-        return profiles
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and self._path(name).exists()
-
-    def __len__(self) -> int:
-        return len(self.names())

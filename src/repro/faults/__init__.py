@@ -16,7 +16,7 @@ resources; this package supplies the unreliable part.  It provides:
   defaults: per chunk read, per broker job
   (:data:`DEFAULT_BROKER_RETRY_POLICY`) and per campaign entry.
 - :mod:`repro.faults.injector` — the deterministic :class:`FaultInjector`
-  and replica-failover selection.
+  and its standby-replica failover.
 - :mod:`repro.faults.scenario` — JSON scenario files for the
   ``repro run --faults`` and ``repro broker --faults`` CLI flags, with
   scope-aware kind validation.
@@ -46,7 +46,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "TransientJobFailure",
             "WanDegradation",
         ),
-        "repro.faults.injector": ("FaultInjector", "select_failover_replica"),
+        "repro.faults.injector": ("FaultInjector",),
         "repro.faults.retry": (
             "DEFAULT_BROKER_RETRY_POLICY",
             "DEFAULT_RETRY_POLICY",

@@ -8,18 +8,16 @@ transient read errors are drawn from a :class:`random.Random` seeded per
 the same faulted run (the property-based tests and the degraded-mode
 predictor both depend on this).
 
-Replica failover for crashed data nodes goes through the
-:class:`~repro.middleware.replica.ReplicaCatalog` when one is attached
-(:meth:`FaultInjector.with_catalog` / :func:`select_failover_replica`);
-otherwise through a plain list of standby replica site names.  Either
-way, a data-node crash with no replica left raises
+Replica failover for crashed data nodes consumes a list of standby
+replica site names (a scenario's ``replicas``), in order; a data-node
+crash with no replica left raises
 :class:`~repro.errors.RecoveryExhaustedError`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import FaultError, RecoveryExhaustedError
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -31,33 +29,8 @@ from repro.faults.specs import (
     LinkDegradation,
     SlowNode,
 )
-from repro.middleware.replica import ReplicaCatalog
 
-__all__ = ["FaultInjector", "select_failover_replica"]
-
-
-def select_failover_replica(
-    catalog: ReplicaCatalog,
-    dataset: str,
-    excluded_sites: Sequence[str] = (),
-) -> str:
-    """The replica site a crashed data node's retrieval fails over to.
-
-    Deterministic: the lexicographically first replica site of ``dataset``
-    not in ``excluded_sites`` (the primary and any previously failed
-    sites).  Raises :class:`RecoveryExhaustedError` when no replica
-    remains.
-    """
-    excluded = set(excluded_sites)
-    candidates = sorted(
-        r.site for r in catalog.replicas_of(dataset) if r.site not in excluded
-    )
-    if not candidates:
-        raise RecoveryExhaustedError(
-            f"no replica of dataset '{dataset}' remains after excluding "
-            f"{sorted(excluded)}"
-        )
-    return candidates[0]
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -73,8 +46,7 @@ class FaultInjector:
         Seed for the rate-driven transient-error draws.
     replica_sites:
         Standby replica sites (site names) available for data-node
-        failover, consumed in order; superseded by
-        :meth:`with_catalog` when a real replica catalog is available.
+        failover, consumed in order.
     """
 
     def __init__(
@@ -92,31 +64,10 @@ class FaultInjector:
         self.policy = policy
         self.seed = int(seed)
         self._replica_sites: List[str] = list(replica_sites)
-        self._catalog: Optional[ReplicaCatalog] = None
-        self._catalog_dataset: Optional[str] = None
-        self._primary_site: Optional[str] = None
-        self._failed_sites: List[str] = []
 
     # ------------------------------------------------------------------
     # Replica failover
     # ------------------------------------------------------------------
-
-    def with_catalog(
-        self,
-        catalog: ReplicaCatalog,
-        dataset: str,
-        primary_site: str,
-    ) -> "FaultInjector":
-        """Attach a replica catalog for data-node failover selection.
-
-        ``primary_site`` is the repository the run retrieves from; it is
-        excluded from failover candidates from the start.
-        """
-        self._catalog = catalog
-        self._catalog_dataset = dataset
-        self._primary_site = primary_site
-        self._failed_sites = [primary_site]
-        return self
 
     def failover_site(self, failed_data_node: int) -> str:
         """The replica site adopting ``failed_data_node``'s chunk batch.
@@ -125,12 +76,6 @@ class FaultInjector:
         crash is not offered again.  Raises
         :class:`RecoveryExhaustedError` when none remain.
         """
-        if self._catalog is not None:
-            site = select_failover_replica(
-                self._catalog, self._catalog_dataset or "", self._failed_sites
-            )
-            self._failed_sites.append(site)
-            return site
         if not self._replica_sites:
             raise RecoveryExhaustedError(
                 f"data node {failed_data_node} crashed and no replica "

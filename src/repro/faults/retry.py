@@ -16,7 +16,7 @@ watchdog's retry after a timeout (:data:`WATCHDOG_RETRY_POLICY`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import FaultError
 from repro.simgrid.trace import left_sum
@@ -113,18 +113,6 @@ class RetryPolicy:
     def max_failures(self) -> int:
         """Most failures a chunk can survive (one attempt must succeed)."""
         return self.max_attempts - 1
-
-    def backoff_delays(self) -> List[float]:
-        """The real sleep before each retry, in order.
-
-        ``backoff_delays()[i]`` is the delay between failed attempt
-        ``i + 1`` and retry ``i + 2`` — used by callers that actually
-        wait (the campaign watchdog) rather than charge simulated time.
-
-        >>> RetryPolicy(max_attempts=3, base_backoff_s=0.1).backoff_delays()
-        [0.1, 0.2]
-        """
-        return [self.backoff_s(i) for i in range(1, self.max_attempts)]
 
 
 #: Policy used when a scenario does not specify one.

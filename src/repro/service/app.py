@@ -1,9 +1,9 @@
 """The prediction service: four endpoints behind one resilience pipeline.
 
 :class:`PredictionService` exposes the existing prediction core as a
-long-running shared service — ``predict``, ``what-if``,
-``broker-submit``, and ``campaign-status`` — and wraps *every* request
-in the same pipeline (DESIGN.md §15)::
+long-running shared service — ``predict``, ``what-if`` and
+``campaign-status`` — and wraps *every* request in the same pipeline
+(DESIGN.md §15)::
 
     admission (token bucket, 429 + Retry-After)
       → deadline budget (absolute, checked by every later stage)
@@ -23,6 +23,10 @@ The service's contract, checked by the chaos harness
 - the entire request log replays byte-identically for the same
   ``(seed, scenario)`` pair under a :class:`VirtualClock`.
 
+``broker-submit`` is the fourth endpoint class: it keeps its bulkhead
+and its share of the seeded request mix, and is answered
+``501 unconfigured`` because no broker runs behind this service.
+
 The service itself is single-threaded and deterministic; the HTTP
 shell (:mod:`repro.service.http`) serializes real concurrent
 connections in front of it.
@@ -34,7 +38,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.broker.calibration import OnlineCalibrator
 from repro.core import GlobalReductionModel, ModelClasses
 from repro.core.durable import content_digest, json_number
 from repro.core.fingerprint import (
@@ -42,13 +45,13 @@ from repro.core.fingerprint import (
     prediction_fingerprint,
     profile_fingerprint,
 )
-from repro.core.models import PredictedBreakdown, PredictionModel
+from repro.core.models import PredictionModel
 from repro.core.predcache import PredictionCache
 from repro.core.profile import Profile
 from repro.core.target import PredictionTarget
 from repro.errors import InternalError
 from repro.middleware.scheduler import RunConfig
-from repro.service.backends import ServiceBackend, breakdown_to_dict
+from repro.service.backends import ServiceBackend
 from repro.service.clock import ServiceClock, VirtualClock
 from repro.service.errors import (
     AdmissionError,
@@ -267,8 +270,8 @@ class PredictionService:
     ----------
     profiles:
         Named reference profiles the ``predict`` / ``what-if``
-        endpoints resolve against (e.g. a
-        :meth:`~repro.core.store.ProfileStore.scan` result).
+        endpoints resolve against (``repro serve`` passes
+        :func:`~repro.service.workload.demo_profiles`).
     clock:
         Time source; defaults to a fresh deterministic
         :class:`~repro.service.clock.VirtualClock`.
@@ -277,15 +280,8 @@ class PredictionService:
     backend:
         The evaluation door — pass one with a seeded fault injector to
         run a chaos scenario.
-    broker:
-        Optional :class:`~repro.broker.engine.GridBroker` behind
-        ``broker-submit``; without one the endpoint answers 501.
     campaign_journals:
         ``name -> journal path`` map behind ``campaign-status``.
-    calibrator:
-        Optional online calibration state; corrections are applied to
-        predictions and the state can be persisted for warm restarts
-        (:meth:`save_calibration`).
     cache:
         Last-known-good prediction store for graceful degradation.
     """
@@ -297,18 +293,14 @@ class PredictionService:
         clock: Optional[ServiceClock] = None,
         config: Optional[ResilienceConfig] = None,
         backend: Optional[ServiceBackend] = None,
-        broker: Optional[Any] = None,
         campaign_journals: Optional[Mapping[str, str]] = None,
-        calibrator: Optional[OnlineCalibrator] = None,
         cache: Optional[PredictionCache] = None,
     ) -> None:
         self.profiles = dict(profiles)
         self.clock = clock if clock is not None else VirtualClock()
         self.config = config if config is not None else ResilienceConfig()
         self.backend = backend if backend is not None else ServiceBackend()
-        self.broker = broker
         self.campaign_journals = dict(campaign_journals or {})
-        self.calibrator = calibrator
         self.cache = cache if cache is not None else PredictionCache()
         self.log = RequestLog()
         self.bucket = TokenBucket(
@@ -409,7 +401,7 @@ class PredictionService:
         self,
         request: ServiceRequest,
         arrival: float,
-        fingerprint: Optional[str],
+        fingerprint: str,
         reason: str,
         refusal_status: int,
         message: str,
@@ -419,7 +411,7 @@ class PredictionService:
     ) -> ServiceResponse:
         """Serve last-known-good if we have it; otherwise refuse loudly."""
         settled = (at_s if at_s is not None else arrival) + DEGRADED_COST_S
-        entry = self.cache.get(fingerprint) if fingerprint else None
+        entry = self.cache.get(fingerprint)
         if entry is not None:
             body = dict(entry.payload)
             body["stale"] = True
@@ -444,12 +436,11 @@ class PredictionService:
         request: ServiceRequest,
         arrival: float,
         budget: DeadlineBudget,
-        fingerprint: Optional[str],
+        fingerprint: str,
         estimated_cost_s: float,
         call: Any,
         *,
         breaker_key: Optional[Tuple[str, str]] = None,
-        cacheable: bool = True,
     ) -> ServiceResponse:
         """The bulkhead → breaker → retry → degrade tail of the pipeline.
 
@@ -542,11 +533,8 @@ class PredictionService:
             bulkhead.commit(end)
             if breaker is not None:
                 breaker.record_success(end)
-            if cacheable and fingerprint:
-                self.cache.put(fingerprint, payload, end)
-            body = dict(payload) if isinstance(payload, dict) else {
-                "results": payload
-            }
+            self.cache.put(fingerprint, payload, end)
+            body = dict(payload)
             body["stale"] = False
             return self._settle(
                 request, arrival, end, 200, "ok", body, retries=retries
@@ -595,21 +583,6 @@ class PredictionService:
         )
         return config, self._cluster_digests[name]
 
-    def _apply_calibration(
-        self, app: str, cluster: str, payload: Dict[str, float]
-    ) -> Dict[str, float]:
-        if self.calibrator is None:
-            return dict(payload, calibrated=False)
-        raw = PredictedBreakdown(
-            t_disk=payload["t_disk"],
-            t_network=payload["t_network"],
-            t_compute=payload["t_compute"],
-            t_ro=payload["t_ro"],
-            t_g=payload["t_g"],
-        )
-        corrected = self.calibrator.correct(app, cluster, cluster, raw)
-        return dict(breakdown_to_dict(corrected), calibrated=True)
-
     def _handle_predict(
         self, request: ServiceRequest, arrival: float, budget: DeadlineBudget
     ) -> ServiceResponse:
@@ -644,7 +617,6 @@ class PredictionService:
 
         def call() -> Tuple[Dict[str, Any], float]:
             payload, cost = self.backend.predict(model, profile, target)
-            payload = self._apply_calibration(profile.app, cluster, payload)
             payload["fingerprint"] = fingerprint
             payload["app"] = profile.app
             payload["target"] = target.label
@@ -721,47 +693,10 @@ class PredictionService:
     def _handle_broker_submit(
         self, request: ServiceRequest, arrival: float, budget: DeadlineBudget
     ) -> ServiceResponse:
-        if self.broker is None:
-            return self._reject(
-                request, arrival,
-                "no broker is configured behind this service",
-                status=501, outcome="unconfigured",
-            )
-        jobs_raw = request.params.get("jobs")
-        if not isinstance(jobs_raw, (list, tuple)) or not jobs_raw:
-            return self._reject(
-                request, arrival,
-                "broker-submit needs a non-empty 'jobs' list",
-            )
-        policy = str(request.params.get("policy", "min-completion"))
-        try:
-            from repro.broker.jobs import BrokerJob
-
-            jobs = [
-                BrokerJob(
-                    job_id=str(job["job_id"]),
-                    workload=str(job["workload"]),
-                    size=job.get("size"),
-                    arrival=float(job.get("arrival", 0.0)),
-                )
-                for job in jobs_raw
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            return self._reject(
-                request, arrival, f"malformed job list: {exc}"
-            )
-
-        def call() -> Tuple[Dict[str, Any], float]:
-            return self.backend.broker_submit(self.broker, jobs, policy)
-
-        return self._evaluate(
-            request,
-            arrival,
-            budget,
-            None,  # a submission is a mutation: never served stale
-            self.backend.cost_model.broker_job_s * len(jobs),
-            call,
-            cacheable=False,
+        return self._reject(
+            request, arrival,
+            "no broker is configured behind this service",
+            status=501, outcome="unconfigured",
         )
 
     def _handle_campaign_status(
@@ -855,30 +790,6 @@ class PredictionService:
             "campaign-status": self._handle_campaign_status,
         }[request.endpoint]
         return handler(request, arrival, budget)
-
-    # ------------------------------------------------------------------
-    # Calibration persistence (warm restarts)
-    # ------------------------------------------------------------------
-
-    def observe_actual(
-        self,
-        app: str,
-        cluster: str,
-        raw: PredictedBreakdown,
-        actual: Tuple[float, float, float],
-    ) -> None:
-        """Feed one observed execution into the calibration state."""
-        if self.calibrator is None:
-            raise ConfigurationError(
-                "service has no calibrator to feed observations into"
-            )
-        self.calibrator.observe(app, cluster, cluster, raw, actual)
-
-    def save_calibration(self, path: str) -> None:
-        """Persist the calibration state for the next process."""
-        if self.calibrator is None:
-            raise ConfigurationError("service has no calibrator to save")
-        self.calibrator.save(path)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -57,11 +57,10 @@ class ServiceCostModel:
 
     predict_s: float = 0.004
     whatif_pair_s: float = 0.0015
-    broker_job_s: float = 0.02
     status_s: float = 0.001
 
     def __post_init__(self) -> None:
-        for name in ("predict_s", "whatif_pair_s", "broker_job_s", "status_s"):
+        for name in ("predict_s", "whatif_pair_s", "status_s"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
 
@@ -258,40 +257,6 @@ class ServiceBackend:
             }
             for f, total in zip(forecasts, totals)
         ]
-        return payload, cost
-
-    def broker_submit(
-        self,
-        broker: Any,
-        jobs: Sequence[Any],
-        policy: str,
-    ) -> Tuple[Dict[str, Any], float]:
-        base = self.cost_model.broker_job_s * max(1, len(jobs))
-        corrupt, cost = self._fault(base)
-        if corrupt:
-            exc = CorruptResponseError(
-                "corrupt broker response: placement ledger failed checksum"
-            )
-            exc.cost_s = cost
-            raise exc
-        run = broker.run(jobs, policy)
-        payload = {
-            "policy": policy,
-            "submitted": len(jobs),
-            "placed": len(run.placements),
-            "rejected": len(run.rejections),
-            "failed": len(run.failures),
-            "makespan_s": run.makespan,
-            "placements": [
-                {
-                    "job_id": p.job_id,
-                    "site": p.compute_site,
-                    "predicted_s": p.predicted_total,
-                    "actual_s": p.actual_total,
-                }
-                for p in run.placements
-            ],
-        }
         return payload, cost
 
     def campaign_status(

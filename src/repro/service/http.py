@@ -15,7 +15,7 @@ Routes::
 
     POST /v1/predict            {"params": {...}, "deadline_s": 0.25}
     POST /v1/what-if            {"params": {...}}
-    POST /v1/broker-submit      {"params": {...}}
+    POST /v1/broker-submit      (501: no broker runs behind the service)
     POST /v1/campaign-status    {"params": {...}}
     GET  /v1/metrics
     GET  /v1/healthz

@@ -11,7 +11,7 @@ The service wraps every request in this pipeline (DESIGN.md §15):
    every later stage of the same request checks its work against.
 3. :class:`Bulkhead` — a bounded worker pool per endpoint class with a
    bounded FIFO wait queue, modeled in the service clock's time.  One slow
-   endpoint (broker submissions) can exhaust only its own pool; predict
+   endpoint (a long what-if sweep) can exhaust only its own pool; predict
    traffic keeps flowing.  A full pool+queue refuses (HTTP 503) instead
    of queueing unboundedly — the REP009 contract at the architecture
    level.

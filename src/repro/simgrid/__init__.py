@@ -51,7 +51,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "CommCostModel",
             "LinkModel",
             "fit_linear_cost",
-            "maxmin_fair_share",
         ),
         "repro.simgrid.topology": ("GridTopology", "SiteKind"),
         "repro.simgrid.trace": ("PassRecord", "TimeBreakdown"),

@@ -1,15 +1,12 @@
 """Network transfer models.
 
-Three pieces live here:
+Two pieces live here:
 
 - :class:`LinkModel` — latency + bandwidth cost of a point-to-point link,
   used for repository-to-compute chunk shipping.  The available bandwidth
   between storage and compute nodes is a *parameter* (the paper varies it
   synthetically in Section 5.3), so the middleware passes the experiment's
   bandwidth in rather than reading a fixed hardware value.
-- :func:`maxmin_fair_share` — progressive-filling allocation for flows that
-  share a capacity, used to model concurrent chunk streams sharing the
-  repository egress.
 - :class:`CommCostModel` — the experimentally determined ``(w, l)`` of
   Section 3.3.1 ("w and l are experimentally determined bandwidth and
   latency for the target processing configuration"), obtained by fitting a
@@ -29,7 +26,7 @@ from repro.hotpath import hot
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import ClusterSpec
 
-__all__ = ["LinkModel", "maxmin_fair_share", "fit_linear_cost", "CommCostModel"]
+__all__ = ["LinkModel", "fit_linear_cost", "CommCostModel"]
 
 
 @dataclass(frozen=True)
@@ -69,44 +66,6 @@ class LinkModel:
                 raise ConfigurationError("cannot transfer a negative size")
             total += latency + size / bw
         return total
-
-
-def maxmin_fair_share(
-    demands: Sequence[float], capacity: float
-) -> list[float]:
-    """Max-min fair allocation of ``capacity`` among flows with rate caps.
-
-    Classic progressive filling: repeatedly give every unfrozen flow an
-    equal share; a flow whose demand is below its share is frozen at its
-    demand and the slack is redistributed.
-
-    >>> maxmin_fair_share([10.0, 10.0], 30.0)
-    [10.0, 10.0]
-    >>> maxmin_fair_share([5.0, 50.0], 30.0)
-    [5.0, 25.0]
-    >>> maxmin_fair_share([50.0, 50.0, 50.0], 30.0)
-    [10.0, 10.0, 10.0]
-    """
-    if capacity <= 0:
-        raise ConfigurationError("shared capacity must be > 0")
-    if any(d < 0 for d in demands):
-        raise ConfigurationError("flow demands must be >= 0")
-    n = len(demands)
-    alloc = [0.0] * n
-    active = [i for i in range(n) if demands[i] > 0]
-    remaining = float(capacity)
-    while active:
-        share = remaining / len(active)
-        bounded = [i for i in active if demands[i] <= share]
-        if not bounded:
-            for i in active:
-                alloc[i] = share
-            return alloc
-        for i in bounded:
-            alloc[i] = demands[i]
-            remaining -= demands[i]
-        active = [i for i in active if i not in set(bounded)]
-    return alloc
 
 
 def fit_linear_cost(

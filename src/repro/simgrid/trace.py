@@ -163,31 +163,3 @@ class TimeBreakdown:
             "num_passes": float(self.num_passes),
             "max_reduction_object_bytes": self.max_reduction_object_bytes,
         }
-
-    def scaled(self, factor: float) -> "TimeBreakdown":
-        """A copy with every component multiplied by ``factor``.
-
-        Used by tests and by the heterogeneous-cluster analysis, which
-        rescales component times between machine types.
-        """
-        if factor < 0:
-            raise ConfigurationError("scale factor must be >= 0")
-        out = TimeBreakdown(
-            max_reduction_object_bytes=self.max_reduction_object_bytes,
-            metadata=dict(self.metadata),
-        )
-        for p in self.passes:
-            out.add_pass(
-                PassRecord(
-                    index=p.index,
-                    t_disk=p.t_disk * factor,
-                    t_network=p.t_network * factor,
-                    t_local_compute=p.t_local_compute * factor,
-                    t_cache=p.t_cache * factor,
-                    t_ro=p.t_ro * factor,
-                    t_g=p.t_g * factor,
-                    t_ckpt=p.t_ckpt * factor,
-                    events=p.events,
-                )
-            )
-        return out

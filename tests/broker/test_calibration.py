@@ -105,126 +105,8 @@ class TestSnapshot:
         assert OnlineCalibrator().snapshot() == {}
 
 
-class TestPersistence:
-    def seeded(self):
-        calibrator = OnlineCalibrator(alpha=0.5)
-        raw = PredictedBreakdown(
-            t_disk=10.0, t_network=20.0, t_compute=30.0, t_ro=2.0, t_g=1.0
-        )
-        calibrator.observe("kmeans", "repo-a", "hpc-1", raw, (5.0, 20.0, 45.0))
-        calibrator.observe("kmeans", "repo-a", "hpc-1", raw, (6.0, 18.0, 42.0))
-        calibrator.observe("em", "repo-a", "hpc-2", raw, (12.0, 22.0, 33.0))
-        return calibrator
-
-    def test_round_trip_preserves_factors_and_counts(self, tmp_path):
-        calibrator = self.seeded()
-        path = tmp_path / "calibration.json"
-        calibrator.save(path)
-        loaded = OnlineCalibrator.load(path)
-        assert loaded.alpha == calibrator.alpha
-        assert loaded.clamp == calibrator.clamp
-        assert loaded.snapshot() == calibrator.snapshot()
-        assert loaded.total_observations == calibrator.total_observations
-
-    def test_reloaded_calibrator_resumes_learning_identically(self, tmp_path):
-        calibrator = self.seeded()
-        path = tmp_path / "calibration.json"
-        calibrator.save(path)
-        loaded = OnlineCalibrator.load(path)
-        raw = PredictedBreakdown(t_disk=10.0, t_network=20.0, t_compute=30.0)
-        calibrator.observe("kmeans", "repo-a", "hpc-1", raw, (7.0, 21.0, 40.0))
-        loaded.observe("kmeans", "repo-a", "hpc-1", raw, (7.0, 21.0, 40.0))
-        assert loaded.snapshot() == calibrator.snapshot()
-
-    def test_saved_state_is_canonical_and_versioned(self, tmp_path):
-        import json
-
-        path = tmp_path / "calibration.json"
-        self.seeded().save(path)
-        data = json.loads(path.read_text())
-        assert data["format_version"] == 1
-        assert path.read_text().endswith("\n")
-
-    def test_corrupt_state_names_remedy(self, tmp_path):
-        from repro.core.durable import CorruptStoreError
-
-        path = tmp_path / "calibration.json"
-        path.write_text("{ torn")
-        with pytest.raises(CorruptStoreError, match="re-learns"):
-            OnlineCalibrator.load(path)
-
-    def test_unknown_component_rejected_on_load(self, tmp_path):
-        import json
-
-        path = tmp_path / "calibration.json"
-        self.seeded().save(path)
-        data = json.loads(path.read_text())
-        data["factors"][0]["component"] = "quantum"
-        path.write_text(json.dumps(data))
-        with pytest.raises(ConfigurationError):
-            OnlineCalibrator.load(path)
-
-    @pytest.mark.parametrize(
-        "field,text",
-        [
-            ("value", "NaN"),
-            ("value", "Infinity"),
-            ("value", "-3.0"),
-            ("observations", "-5"),
-            ("observations", "true"),
-        ],
-    )
-    def test_impossible_factor_state_rejected_on_load(
-        self, tmp_path, field, text
-    ):
-        # observe() only ever produces finite factors > 0 and
-        # non-negative integer counts; a saved file claiming otherwise
-        # is refused, naming the key, rather than poisoning predictions.
-        import json
-
-        path = tmp_path / "calibration.json"
-        self.seeded().save(path)
-        data = json.loads(path.read_text())
-        data["factors"][0][field] = "@"
-        path.write_text(json.dumps(data).replace('"@"', text))
-        with pytest.raises(
-            ConfigurationError, match=f"compute/em/hpc-2: '{field}' "
-        ):
-            OnlineCalibrator.load(path)
-
-    @pytest.mark.parametrize(
-        "key,text",
-        [
-            ("alpha", "1" + "0" * 400),
-            ("alpha", '"0.5"'),
-            ("alpha", "true"),
-            ("alpha", "NaN"),
-            ("clamp", "[1" + "0" * 400 + ", 10.0]"),
-            ("clamp", "[0.1, 1" + "0" * 400 + "]"),
-            ("clamp", '["0.1", 10.0]'),
-        ],
-        ids=["alpha-huge", "alpha-string", "alpha-bool", "alpha-nan",
-             "clamp-lo-huge", "clamp-hi-huge", "clamp-string"],
-    )
-    def test_impossible_settings_rejected_on_load(self, tmp_path, key, text):
-        # alpha and both clamp bounds are JSON numbers like the factors:
-        # a string, a boolean or an integer past float range is refused
-        # by name instead of loading or escaping as an OverflowError.
-        import json
-
-        path = tmp_path / "calibration.json"
-        self.seeded().save(path)
-        data = json.loads(path.read_text())
-        data[key] = "@"
-        path.write_text(json.dumps(data).replace('"@"', text))
-        with pytest.raises(
-            ConfigurationError, match=f"calibration state: '{key}' "
-        ):
-            OnlineCalibrator.load(path)
-
-
 # ----------------------------------------------------------------------
-# Property: the read-cached correction is the factor arithmetic, exactly.
+# Property: the correction is the factor arithmetic, exactly.
 # ----------------------------------------------------------------------
 
 _APPS = st.sampled_from(["kmeans", "knn"])
@@ -241,8 +123,9 @@ _RAWS = st.builds(
     t_ro=_TIMES,
     t_g=_TIMES,
 )
-#: ``("observe", ...)`` folds a run in; ``("check", ...)`` reads the
-#: caches (so later observations must invalidate what it filled).
+#: ``("observe", ...)`` folds a run in; ``("check", ...)`` compares the
+#: corrections with the factors in between (so a later observation must
+#: show up in the next check).
 _CALIBRATION_OPS = st.lists(
     st.one_of(
         st.tuples(

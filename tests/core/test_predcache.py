@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.durable import CorruptStoreError, FormatVersionError
 from repro.core.fingerprint import (
     _profile_dict,
     cluster_fingerprint,
@@ -164,85 +162,9 @@ class TestPredictionCache:
         assert cache.get("b") is None
         assert cache.get("a").payload == {"fresh": True}
 
-    def test_round_trip_preserves_order_and_counters(self, tmp_path):
-        cache = PredictionCache(max_entries=3)
-        cache.put("a", {"total": 1.0}, 1.0)
-        cache.put("b", {"total": 2.0}, 2.0)
-        cache.get("b")
-        path = tmp_path / "cache.json"
-        cache.save(path)
-        loaded = PredictionCache.load(path)
-        assert len(loaded) == 2
-        assert loaded.get("b").payload == {"total": 2.0}
-        # Eviction order survives the round trip.
-        loaded.put("c", {}, 3.0)
-        loaded.put("d", {}, 4.0)
-        assert loaded.get("a") is None
-        assert loaded.get("b") is not None
-
-    def test_corrupt_cache_file_names_remedy(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{ torn")
-        with pytest.raises(CorruptStoreError, match="rebuilds"):
-            PredictionCache.load(path)
-
-    def test_undecodable_cache_file_names_remedy(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_bytes(b"\xff\xfe\x00not text")
-        with pytest.raises(CorruptStoreError, match="rebuilds") as excinfo:
-            PredictionCache.load(path)
-        assert str(path) in str(excinfo.value)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PredictionCache(max_entries=0)
-
-
-def saved_cache():
-    cache = PredictionCache(max_entries=3)
-    cache.put("a", {"total": 1.0}, 1.0)
-    cache.put("b", {"total": 2.0}, 2.0)
-    return cache.to_dict()
-
-
-class TestStrictLoad:
-    """Every field is read through ``json_number``; failures name it."""
-
-    @pytest.mark.parametrize(
-        "edit, field",
-        [
-            (lambda d: d.update(max_entries="7"), "max_entries"),
-            (lambda d: d.update(max_entries=2.9), "max_entries"),
-            (lambda d: d.update(max_entries=1), "max_entries"),  # holds 2
-            (lambda d: d["entries"]["a"].update(hits=-3), "hits"),
-            (lambda d: d["entries"]["a"].update(hits="1"), "hits"),
-            # max(0.0, now - nan) is 0.0: served as if stored just now.
-            (lambda d: d["entries"]["a"].update(stored_at_s=float("nan")), "stored_at_s"),
-            (lambda d: d["entries"]["a"].update(stored_at_s="1.0"), "stored_at_s"),
-            (lambda d: d["entries"]["a"].pop("stored_at_s"), "stored_at_s"),
-            (lambda d: d["entries"]["a"].update(payload=[["total", 1.0]]), "payload"),
-            (lambda d: d.update(order=["a", "a"]), "order"),
-            (lambda d: d.update(order=["a", "b", "c"]), "order"),
-            (lambda d: d.update(order=["a"]), "order"),
-            (lambda d: d.update(order=[["a"], "b"]), "order"),
-            (lambda d: d.update(entries=[]), "entries"),
-        ],
-    )
-    def test_bad_field_is_a_configuration_error_naming_it(self, edit, field):
-        document = saved_cache()
-        edit(document)
-        with pytest.raises(ConfigurationError, match=field):
-            PredictionCache.from_dict(document)
-
-    def test_format_1_is_refused_with_the_delete_remedy(self, tmp_path):
-        # Its keys hashed the indented encoding: none can match again.
-        path = tmp_path / "cache.json"
-        PredictionCache.from_dict(saved_cache()).save(path)
-        document = json.loads(path.read_text())
-        document["format_version"] = 1
-        path.write_text(json.dumps(document, sort_keys=True))
-        with pytest.raises(FormatVersionError, match="delete the file; the cache rebuilds"):
-            PredictionCache.load(path)
 
 
 class TestCachedPrediction:

@@ -53,13 +53,12 @@ class TestNetworkPredictor:
             2.0 * predict_network_time(profile, fast)
         )
 
-    def test_data_node_scaling_can_be_disabled(self):
+    def test_time_scales_inversely_with_data_nodes(self):
         profile = make_profile(n=1)
         target = make_target(n=4, c=4, s=profile.dataset_bytes, b=profile.bandwidth)
-        with_scaling = predict_network_time(profile, target)
-        without = predict_network_time(profile, target, scale_with_data_nodes=False)
-        assert without == pytest.approx(profile.t_network)
-        assert with_scaling == pytest.approx(profile.t_network / 4.0)
+        assert predict_network_time(profile, target) == pytest.approx(
+            profile.t_network / 4.0
+        )
 
 
 class TestComputePredictorNaive:

@@ -37,13 +37,6 @@ class TestProfileValidation:
         with pytest.raises(ConfigurationError):
             make_profile(n=0)
 
-    def test_with_breakdown_rescales_serial_parts(self):
-        profile = make_profile(t_compute=4.0, t_ro=0.4, t_g=0.2)
-        scaled = profile.with_breakdown(t_disk=2.0, t_network=3.0, t_compute=2.0)
-        assert scaled.t_disk == 2.0
-        assert scaled.t_ro == pytest.approx(0.2)
-        assert scaled.t_g == pytest.approx(0.1)
-
 
 class TestProfileFromRun:
     def test_round_trip_from_middleware(self):

@@ -8,7 +8,6 @@ import re
 import pytest
 
 from repro.core.store import (
-    ProfileStore,
     load_profile,
     profile_from_dict,
     profile_to_dict,
@@ -138,26 +137,6 @@ class TestFileRoundTrip:
             load_profile(path)
 
 
-class TestProfileStore:
-    def test_save_load_list(self, tmp_path):
-        store = ProfileStore(tmp_path / "profiles")
-        store.save("kmeans-1-1", make_profile(app="kmeans"))
-        store.save("em-1-1", make_profile(app="em"))
-        assert store.names() == ["em-1-1", "kmeans-1-1"]
-        assert "kmeans-1-1" in store
-        assert len(store) == 2
-        assert store.load("kmeans-1-1").app == "kmeans"
-
-    def test_invalid_names_rejected(self, tmp_path):
-        store = ProfileStore(tmp_path)
-        with pytest.raises(ConfigurationError):
-            store.save("", make_profile())
-        with pytest.raises(ConfigurationError):
-            store.save("../escape", make_profile())
-        with pytest.raises(ConfigurationError):
-            store.save(".hidden", make_profile())
-
-
 class TestDurableStore:
     def test_corrupt_file_names_path_and_remedy(self, tmp_path):
         from repro.core.durable import CorruptStoreError
@@ -202,66 +181,3 @@ class TestDurableStore:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
         assert load_profile(path).app == "kmeans"
-
-
-class TestScanQuarantine:
-    def seed_store(self, tmp_path):
-        store = ProfileStore(tmp_path)
-        store.save("kmeans", make_profile(app="kmeans"))
-        store.save("apriori", make_profile(app="apriori"))
-        return store
-
-    def test_clean_scan_loads_everything(self, tmp_path):
-        store = self.seed_store(tmp_path)
-        profiles = store.scan()
-        assert sorted(profiles) == ["apriori", "kmeans"]
-        assert profiles["kmeans"].app == "kmeans"
-
-    def test_truncated_profile_is_quarantined_and_scan_continues(
-        self, tmp_path
-    ):
-        store = self.seed_store(tmp_path)
-        victim = tmp_path / "kmeans.json"
-        # Truncate mid-document: invalid JSON, a classic torn write.
-        victim.write_text(victim.read_text()[: len(victim.read_text()) // 2])
-        with pytest.warns(UserWarning, match="quarantined"):
-            profiles = store.scan()
-        assert sorted(profiles) == ["apriori"]
-        quarantined = list(tmp_path.glob("kmeans.json.corrupt-*"))
-        assert len(quarantined) == 1
-        assert not victim.exists()
-
-    def test_undecodable_profile_is_quarantined_too(self, tmp_path):
-        store = self.seed_store(tmp_path)
-        (tmp_path / "kmeans.json").write_bytes(b"\xff\xfe\x00not text")
-        with pytest.warns(UserWarning, match="not UTF-8"):
-            profiles = store.scan()
-        assert sorted(profiles) == ["apriori"]
-        assert len(list(tmp_path.glob("kmeans.json.corrupt-*"))) == 1
-
-    def test_quarantined_files_leave_later_scans_clean(self, tmp_path):
-        store = self.seed_store(tmp_path)
-        (tmp_path / "kmeans.json").write_text("{ not json")
-        with pytest.warns(UserWarning):
-            store.scan()
-        # Second scan: the corpse no longer matches *.json.
-        profiles = store.scan()
-        assert sorted(profiles) == ["apriori"]
-        assert "kmeans" not in store
-
-    def test_quarantine_name_is_content_addressed(self, tmp_path):
-        from repro.core.durable import quarantine_corrupt
-
-        path = tmp_path / "bad.json"
-        path.write_text("{ torn")
-        target = quarantine_corrupt(path)
-        assert target.name.startswith("bad.json.corrupt-")
-        assert target.read_text() == "{ torn"
-
-    def test_quarantine_missing_file_raises_corrupt_store_error(
-        self, tmp_path
-    ):
-        from repro.core.durable import CorruptStoreError, quarantine_corrupt
-
-        with pytest.raises(CorruptStoreError, match="cannot quarantine"):
-            quarantine_corrupt(tmp_path / "ghost.json")

@@ -1,4 +1,4 @@
-"""Unit tests for the fault injector, schedules, and failover selection."""
+"""Unit tests for the fault injector, schedules, and replica failover."""
 
 import pytest
 
@@ -15,9 +15,7 @@ from repro.faults import (
     SlowNode,
     injector_from_dict,
     schedule_from_dict,
-    select_failover_replica,
 )
-from repro.middleware.replica import ReplicaCatalog
 from repro.middleware.runtime import FreerideGRuntime
 from tests.conftest import SumApp, make_tiny_points
 
@@ -141,38 +139,12 @@ class TestScheduledQueries:
 
 
 class TestFailover:
-    def test_select_lexicographically_first_unexcluded(self):
-        catalog = ReplicaCatalog()
-        for site in ("repo-c", "repo-a", "repo-b"):
-            catalog.add("points", site)
-        assert select_failover_replica(catalog, "points") == "repo-a"
-        assert select_failover_replica(
-            catalog, "points", excluded_sites=["repo-a"]
-        ) == "repo-b"
-        with pytest.raises(RecoveryExhaustedError):
-            select_failover_replica(
-                catalog, "points",
-                excluded_sites=["repo-a", "repo-b", "repo-c"],
-            )
-
     def test_injector_consumes_standby_replicas(self):
         injector = FaultInjector(
             FaultSchedule(), replica_sites=["standby-1", "standby-2"]
         )
         assert injector.failover_site(0) == "standby-1"
         assert injector.failover_site(1) == "standby-2"
-        with pytest.raises(RecoveryExhaustedError):
-            injector.failover_site(0)
-
-    def test_catalog_failover_excludes_primary_and_used_sites(self):
-        catalog = ReplicaCatalog()
-        for site in ("primary", "repo-a", "repo-b"):
-            catalog.add("points", site)
-        injector = FaultInjector(FaultSchedule()).with_catalog(
-            catalog, "points", primary_site="primary"
-        )
-        assert injector.failover_site(0) == "repo-a"
-        assert injector.failover_site(1) == "repo-b"
         with pytest.raises(RecoveryExhaustedError):
             injector.failover_site(0)
 

@@ -321,35 +321,3 @@ class TestServeSequence:
         assert metrics["admission"]["admitted"] == 10
         assert metrics["served"] == metrics["by_outcome"].get("ok", 0)
         assert metrics["p99_latency_s"] >= metrics["p50_latency_s"] > 0.0
-
-
-class TestCalibrationIntegration:
-    def test_calibrated_predictions_round_trip_service_restart(
-        self, profiles, tmp_path
-    ):
-        from repro.broker.calibration import OnlineCalibrator
-        from repro.core.models import PredictedBreakdown
-
-        calibrator = OnlineCalibrator(alpha=1.0)
-        raw = PredictedBreakdown(
-            t_disk=10.0, t_network=10.0, t_compute=10.0, t_ro=1.0, t_g=1.0
-        )
-        service = PredictionService(profiles, calibrator=calibrator)
-        service.observe_actual(
-            "kmeans", "pentium-myrinet", raw, (5.0, 10.0, 10.0)
-        )
-        before = service.handle(predict_request("r1", 0.0))
-        assert before.body["calibrated"] is True
-
-        path = tmp_path / "calibration.json"
-        service.save_calibration(str(path))
-        restarted = PredictionService(
-            profiles, calibrator=OnlineCalibrator.load(str(path))
-        )
-        after = restarted.handle(predict_request("r1", 0.0))
-        assert after.body["t_disk"] == pytest.approx(before.body["t_disk"])
-        assert after.body["t_disk"] < after.body["t_network"]
-
-    def test_uncalibrated_service_reports_it(self, service):
-        response = service.handle(predict_request("r1", 0.0))
-        assert response.body["calibrated"] is False

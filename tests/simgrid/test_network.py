@@ -1,17 +1,15 @@
-"""Tests for links, fair sharing and the fitted communication cost model."""
+"""Tests for links and the fitted communication cost model."""
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.network import (
     CommCostModel,
     LinkModel,
     fit_linear_cost,
-    maxmin_fair_share,
 )
 
 from tests.conftest import small_cluster_spec
@@ -36,46 +34,6 @@ class TestLinkModel:
             LinkModel(latency_s=0, bw=0)
         with pytest.raises(ConfigurationError):
             LinkModel(latency_s=0, bw=1e6).message_time(-1)
-
-
-class TestMaxMinFairShare:
-    def test_under_capacity_everyone_satisfied(self):
-        assert maxmin_fair_share([10, 10], 30) == [10, 10]
-
-    def test_over_capacity_equal_split(self):
-        assert maxmin_fair_share([50, 50, 50], 30) == [10, 10, 10]
-
-    def test_bounded_flow_frozen_slack_redistributed(self):
-        assert maxmin_fair_share([5, 50], 30) == [5, 25]
-
-    def test_zero_demand_gets_zero(self):
-        assert maxmin_fair_share([0, 50], 30) == [0, 30]
-
-    def test_empty(self):
-        assert maxmin_fair_share([], 30) == []
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            maxmin_fair_share([1.0], 0.0)
-        with pytest.raises(ConfigurationError):
-            maxmin_fair_share([-1.0], 10.0)
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1e3), max_size=20),
-        st.floats(min_value=1e-3, max_value=1e3),
-    )
-    def test_invariants(self, demands, capacity):
-        alloc = maxmin_fair_share(demands, capacity)
-        assert len(alloc) == len(demands)
-        # Feasibility: never above demand, total never above capacity
-        for a, d in zip(alloc, demands):
-            assert a <= d + 1e-9
-        assert sum(alloc) <= capacity + 1e-6
-        # Work conservation: either all demands met or capacity exhausted.
-        if sum(demands) >= capacity:
-            assert sum(alloc) == pytest.approx(capacity, rel=1e-6)
-        else:
-            assert alloc == pytest.approx(demands)
 
 
 class TestFitLinearCost:

@@ -68,18 +68,6 @@ class TestTimeBreakdown:
         assert d["max_reduction_object_bytes"] == 123.0
         assert d["num_passes"] == 1.0
 
-    def test_scaled(self):
-        bd = TimeBreakdown()
-        bd.add_pass(make_pass())
-        doubled = bd.scaled(2.0)
-        assert doubled.total == pytest.approx(2.0 * bd.total)
-        assert doubled.t_ro == pytest.approx(2.0 * bd.t_ro)
-        assert bd.total == pytest.approx(make_pass().total)  # original intact
-
-    def test_scaled_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TimeBreakdown().scaled(-1.0)
-
 
 class TestLeftSum:
     """``left_sum`` is ``sum()`` as Python 3.11 evaluates it, everywhere."""

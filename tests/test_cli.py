@@ -141,6 +141,26 @@ class TestCommandTable:
         assert [m for m in loaded if m.startswith(foreign)] == []
         assert [m for m in loaded if m.startswith("scipy")] == []
 
+    def test_serve_loads_no_broker(self):
+        """``broker-submit`` is answered 501 without a broker behind it,
+        so a served run never imports the broker package."""
+        script = (
+            "import json, sys\n"
+            "from repro.cli import build_parser, main\n"
+            "build_parser(only='serve')\n"
+            "code = main(['serve', '--requests', '20'])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        assert [m for m in loaded if m.startswith("repro.broker")] == []
+
 
 class TestParser:
     def test_requires_subcommand(self):

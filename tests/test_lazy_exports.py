@@ -26,7 +26,11 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 #: two-engine broker throughput benchmark, deleted with that benchmark;
 #: ``repro.lint.perf``'s call-profile names, deleted with the profile;
 #: ``repro.core``'s batch scheduler names, deleted with
-#: ``core/allocation.py`` (``GridBroker`` places a batch).
+#: ``core/allocation.py`` (``GridBroker`` places a batch);
+#: ``repro.faults``'s ``select_failover_replica``, deleted with the
+#: injector's replica-catalog failover (a scenario's ``replicas`` list
+#: is the one failover path); ``repro.simgrid``'s ``maxmin_fair_share``,
+#: which nothing outside its own tests called.
 PARENT_ALL = {
     "repro": """
         FaultError RecoveryExhaustedError ReproError
@@ -95,7 +99,7 @@ PARENT_ALL = {
         TransientJobFailure WATCHDOG_RETRY_POLICY WanDegradation
         grid_scenario_from_dict grid_schedule_from_dict
         injector_from_dict load_grid_scenario load_scenario
-        results_equal schedule_from_dict select_failover_replica
+        results_equal schedule_from_dict
     """,
     "repro.lint": """
         Baseline BaselinePartition CERTIFICATE_NAME EFFECT_CODES
@@ -141,7 +145,7 @@ PARENT_ALL = {
         DiskSpec Event GridTopology LinkModel NICSpec
         NodeSpec OpCategory OpVector PassRecord RepositoryDiskSystem
         SimulationError Simulator SiteKind TimeBreakdown TopologyError
-        fit_linear_cost maxmin_fair_share
+        fit_linear_cost
     """,
     "repro.workloads": """
         DEFAULT_BANDWIDTH PAPER_CONFIG_GRID StreamSpec WORKLOADS

@@ -3,11 +3,10 @@ framework stores (ROADMAP 4(a)).
 
 Each document is damaged by the shared ``tests.fuzzing`` mutator, in
 every format a reader still accepts: campaign journals 1 (one
-document), 2 and 3 (JSON lines), trace artifacts 1 and 2, prediction
-caches, campaign manifests, fault scenarios of both scopes, profiles,
-calibrator state, the ``stream`` section of broker workload
-documents, trace specs, and ``.gwf`` traces (their lines and fields as
-nested lists).
+document), 2 and 3 (JSON lines), trace artifacts 1 and 2, campaign
+manifests, fault scenarios of both scopes, profiles, the ``stream``
+section of broker workload documents, trace specs, and ``.gwf`` traces
+(their lines and fields as nested lists).
 Loading may only raise a ``ReproError``, and never touches the file:
 the bytes after a load, failed or not, are the bytes before it.  A
 path the operating system will not read as text (a directory, bytes
@@ -22,13 +21,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.results_io import load_result
-from repro.broker.calibration import OnlineCalibrator
 from repro.broker.jobs import load_workload_document
 from repro.campaign import CampaignJournal
 from repro.campaign.manifest import load_manifest
 from repro.core.durable import canonical_json
-from repro.core.models import PredictedBreakdown
-from repro.core.predcache import PredictionCache
 from repro.core.store import load_profile, profile_to_dict
 from repro.errors import ReproError
 from repro.faults.scenario import load_grid_scenario, load_scenario
@@ -126,31 +122,6 @@ def test_only_repro_errors_escape_a_trace_artifact_load(tmp_path, document):
     path = tmp_path / "trace.json"
     path.write_text(canonical_json(document))
     loads_or_refuses(path, TraceWorkload.load)
-
-
-def cache_document():
-    cache = PredictionCache(max_entries=3)
-    cache.put("a" * 64, {"total": 1.5, "app": "kmeans"}, 1.0)
-    cache.put("b" * 64, {"total": 2.5, "app": "em"}, 2.0)
-    cache.get("b" * 64)
-    return cache.to_dict()
-
-
-@FUZZ
-@given(document=mutated(cache_document()))
-def test_only_repro_errors_escape_a_prediction_cache_load(tmp_path, document):
-    path = tmp_path / "cache.json"
-    path.write_text(canonical_json(document))
-
-    def load(path):
-        cache = PredictionCache.load(path)
-        assert len(cache) <= cache.max_entries
-        for key in list(cache._entries):
-            entry = cache._entries[key]
-            assert math.isfinite(entry.stored_at_s) and entry.hits >= 0
-            assert isinstance(entry.payload, dict)
-
-    loads_or_refuses(path, load)
 
 
 MANIFEST_DOCUMENT = {
@@ -255,35 +226,6 @@ def test_only_repro_errors_escape_a_profile_load(tmp_path, document):
     loads_or_refuses(path, load_checked_profile)
 
 
-def calibration_document():
-    calibrator = OnlineCalibrator(alpha=0.5, clamp=(0.2, 5.0))
-    raw = PredictedBreakdown(t_disk=10.0, t_network=20.0, t_compute=30.0)
-    calibrator.observe("kmeans", "repo-a", "hpc-1", raw, (5.0, 20.0, 45.0))
-    calibrator.observe("em", "repo-b", "hpc-2", raw, (12.0, 22.0, 33.0))
-    return calibrator.to_dict()
-
-
-CALIBRATION_DOCUMENT = calibration_document()
-
-
-def load_checked_calibrator(path):
-    """What a warm-starting service relies on: every number it will
-    multiply a prediction by is finite and in range."""
-    calibrator = OnlineCalibrator.load(path)
-    lo, hi = calibrator.clamp
-    assert 0.0 < calibrator.alpha <= 1.0 and 0.0 < lo < hi < math.inf
-    for factor in calibrator._factors.values():
-        assert 0.0 < factor.value < math.inf and factor.observations >= 0
-
-
-@FUZZ
-@given(document=mutated(CALIBRATION_DOCUMENT))
-def test_only_repro_errors_escape_a_calibration_load(tmp_path, document):
-    path = tmp_path / "calibration.json"
-    path.write_text(canonical_json(document))
-    loads_or_refuses(path, load_checked_calibrator)
-
-
 STREAM = {
     "count": 12, "seed": 3, "mean_interarrival": 0.05,
     "mix": [["kmeans", None, 2.0], ["knn", "350 MB", 1.0], ["em"]],
@@ -364,11 +306,10 @@ def test_the_unmutated_gwf_loads(tmp_path):
     [(load_manifest, MANIFEST_DOCUMENT), (load_scenario, EXECUTION_SCENARIO),
      (load_grid_scenario, GRID_SCENARIO),
      (load_checked_profile, PROFILE_DOCUMENT),
-     (load_checked_calibrator, CALIBRATION_DOCUMENT),
      (load_stream, dict(GRID, stream=STREAM)),
      *((load_trace_spec, spec) for spec in TRACE_SPECS)],
-    ids=["manifest", "scenario", "grid-scenario", "profile", "calibration",
-         "stream", *TRACE_PRESETS],
+    ids=["manifest", "scenario", "grid-scenario", "profile", "stream",
+         *TRACE_PRESETS],
 )
 def test_the_unmutated_documents_load(tmp_path, load, document):
     path = tmp_path / "document.json"
@@ -385,13 +326,11 @@ UNREADABLE_LOADERS = {
     "scenario": load_scenario,
     "grid-scenario": load_grid_scenario,
     "profile": load_checked_profile,
-    "calibration": load_checked_calibrator,
     "stream": load_stream,
     "gwf": parse_gwf,
     "trace-artifact": TraceWorkload.load,
     "journal": load_journal,
     "result": load_result,
-    "prediction-cache": PredictionCache.load,
 }
 
 
