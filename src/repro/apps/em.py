@@ -21,13 +21,15 @@ configuration performs identical work.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+import itertools
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps.base import farthest_point_init
 from repro.hotpath import hot
 from repro.middleware.api import GeneralizedReduction
+from repro.middleware.dataset import ArrayDataset
 from repro.middleware.instrument import OpCounter
 from repro.middleware.reduction import ArrayReductionObject
 from repro.simgrid.errors import ConfigurationError
@@ -35,6 +37,11 @@ from repro.simgrid.errors import ConfigurationError
 __all__ = ["EMClustering"]
 
 _COV_EPS = 1.0e-4
+
+#: Points per block of a batched pass.  Whole-dataset blocks were slower
+#: than per-chunk calls (their ``(k, d, n)`` temporaries leave the cache and
+#: BLAS goes multi-threaded); a few thousand points keep both in check.
+_BLOCK_ROWS = 4096
 
 
 class EMClustering(GeneralizedReduction):
@@ -117,32 +124,86 @@ class EMClustering(GeneralizedReduction):
         self, obj: ArrayReductionObject, payload: np.ndarray, ops: OpCounter
     ) -> None:
         points = np.asarray(payload, dtype=np.float64)
-        n, d = points.shape
-        # resp is (k, n); diff is the (k, d, n) centring it was built from.
-        resp, log_evidence, diff = self._responsibilities(points)
+        values, counts, rows = self._fold(points, [len(points)])
+        obj.accumulate(values[0], count=counts[0])
+        ops.charge(*rows[0].tolist())
 
-        if self._phase == "E":
-            contribution = np.empty(self.k * (d + 1) + 1)
-            contribution[: self.k] = resp.sum(axis=1)
-            contribution[self.k : -1] = (resp @ points).ravel()
-            contribution[-1] = log_evidence.sum()
-        else:
-            # One (d, n) @ (n, d) GEMM per component.
-            weighted = resp[:, None, :] * diff
-            contribution = np.matmul(weighted, diff.transpose(0, 2, 1)).ravel()
-        obj.accumulate(contribution, count=float(n))
+    @hot
+    def process_pass(
+        self, dataset: ArrayDataset
+    ) -> Tuple[List[ArrayReductionObject], np.ndarray]:
+        """Every chunk of ``dataset`` as :meth:`process_chunk` folds it into
+        a fresh object, in one call: the pieces and their ``(chunks, 3)``
+        (flop, mem, branch), bit for bit."""
+        values, counts, rows = self._fold(dataset.records, dataset.chunk_ends)
+        # The fresh object's 0.0 + x: a GEMM over a short chunk can sum
+        # -0.0 products to -0.0, which the fresh object turns into 0.0.
+        values += 0.0
+        pieces = [
+            ArrayReductionObject(piece, count)
+            for piece, count in zip(values, counts)
+        ]
+        return pieces, rows
+
+    @hot
+    def _fold(
+        self, points: np.ndarray, ends: Sequence[int]
+    ) -> Tuple[np.ndarray, List[float], np.ndarray]:
+        """The chunks of ``points`` ending at rows ``ends``, each folded
+        alone: per chunk, its contribution, row count and the (flop, mem,
+        branch) it charges.
+
+        Chunks go through :meth:`_responsibilities` a block at a time
+        (:func:`_blocks`), in workspaces reused by every block.  Each
+        per-chunk reduction keeps that chunk's own shapes — sums over its
+        ``s`` points, one ``(k, s) @ (s, d)`` and one ``(d, s) @ (s, d)``
+        product per component — never one product across chunks, so a
+        block gives each chunk the bits it gets alone.
+        """
+        k, d = self.k, points.shape[1]
+        sizes = np.diff(ends, prepend=0)
+        e_pass = self._phase == "E"
+        values = np.empty((len(sizes), k * (d + 1) + 1 if e_pass else k * d * d))
+        blocks = _blocks(sizes.tolist())
+        spaces = _workspaces(k, d, max(chunks * size for _, chunks, size in blocks))
+        lo = 0
+        for first, chunks, size in blocks:
+            block = np.asarray(points[lo : lo + chunks * size], dtype=np.float64)
+            lo += chunks * size
+            resp, log_evidence, diff = self._responsibilities(block, spaces)
+            out = values[first : first + chunks]
+            by_chunk = resp.reshape(k, chunks, size)
+            if e_pass:
+                out[:, :k] = by_chunk.sum(axis=2).T
+                sums = np.matmul(
+                    by_chunk.transpose(1, 0, 2), block.reshape(chunks, size, d)
+                )
+                out[:, k:-1] = sums.reshape(chunks, k * d)
+                out[:, -1] = log_evidence.reshape(chunks, size).sum(axis=1)
+            else:
+                # _responsibilities is done with its second workspace.
+                weighted = spaces[1][: diff.size].reshape(diff.shape)
+                np.multiply(resp[:, None, :], diff, out=weighted)
+                scatter = np.matmul(
+                    weighted.reshape(k, d, chunks, size).transpose(2, 0, 1, 3),
+                    diff.reshape(k, d, chunks, size).transpose(2, 0, 3, 1),
+                )
+                out[:] = scatter.reshape(chunks, k * d * d)
 
         # The density evaluation (Mahalanobis forms) dominates: n*k*d^2
         # multiply-adds, plus exponentials — a FLOP-heavy mix, giving EM a
         # *higher* cross-cluster compute factor than the branchy kNN scan.
-        nk = float(n) * self.k
-        ops.charge(
-            flop=nk * (d * d + 3.0 * d + 12.0),
-            mem=float(n) * d + self.k * d * d + nk,
-            branch=nk,
-        )
-        if self._phase == "M":
-            ops.charge(flop=nk * d * d, mem=nk * d)
+        # OpCounter's order: (0.0 + the density charge) + the M scatter's.
+        n = sizes.astype(np.float64)
+        nk = n * k
+        rows = np.empty((len(n), 3))
+        rows[:, 0] = 0.0 + nk * (d * d + 3.0 * d + 12.0)
+        rows[:, 1] = 0.0 + (n * d + k * d * d + nk)
+        rows[:, 2] = 0.0 + nk
+        if not e_pass:
+            rows[:, 0] += nk * d * d
+            rows[:, 1] += nk * d
+        return values, n.tolist(), rows
 
     def object_nbytes(self, obj: ArrayReductionObject) -> float:
         return obj.nbytes
@@ -205,20 +266,56 @@ class EMClustering(GeneralizedReduction):
 
     @hot
     def _responsibilities(
-        self, points: np.ndarray
+        self,
+        points: np.ndarray,
+        spaces: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Posterior component probabilities ``(k, n)``, per-point log
         evidence, and the centred points ``(k, d, n)`` (the M pass's scatter
         reuses them); points run along the last, contiguous axis throughout,
-        so reductions over components are element-wise on length-``n`` rows."""
+        so reductions over components are element-wise on length-``n`` rows.
+        The arrays are views of ``spaces`` (:func:`_workspaces`), fresh
+        ones by default."""
         assert self.means is not None and self._precisions is not None
         assert self._log_prior is not None
-        diff = np.ascontiguousarray(points.T) - self.means[:, :, None]  # (k, d, n)
-        projected = np.matmul(self._precisions, diff)
-        maha = np.einsum("kdn,kdn->kn", projected, diff)
-        log_weighted = self._log_prior - 0.5 * maha
-        top = log_weighted.max(axis=0)
-        resp = np.exp(log_weighted - top)
+        k, (n, d) = self.k, points.shape
+        diff_space, work_space, resp_space = spaces or _workspaces(k, d, n)
+        diff = diff_space[: k * d * n].reshape(k, d, n)
+        np.subtract(points.T, self.means[:, :, None], out=diff)
+        projected = work_space[: k * d * n].reshape(k, d, n)
+        np.matmul(self._precisions, diff, out=projected)
+        resp = resp_space[: k * n].reshape(k, n)
+        np.einsum("kdn,kdn->kn", projected, diff, out=resp)
+        resp *= 0.5
+        np.subtract(self._log_prior, resp, out=resp)
+        top = resp.max(axis=0)
+        resp -= top
+        np.exp(resp, out=resp)
         norm = resp.sum(axis=0)
         resp /= norm
         return resp, top + np.log(norm), diff
+
+
+def _workspaces(
+    k: int, d: int, rows: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat buffers for :meth:`EMClustering._responsibilities` on up to
+    ``rows`` points: two of ``k * d * rows`` elements, one of ``k * rows``."""
+    return np.empty(k * d * rows), np.empty(k * d * rows), np.empty(k * rows)
+
+
+def _blocks(sizes: List[int]) -> List[Tuple[int, int, int]]:
+    """``(first chunk, chunks, rows per chunk)`` of each block of a pass:
+    contiguous runs of equal-length chunks, cut to about ``_BLOCK_ROWS``
+    points.  A one-row chunk is a block alone: BLAS runs its products as
+    GEMVs, whose bits differ from a longer GEMM's (an empty chunk is alone
+    too)."""
+    blocks: List[Tuple[int, int, int]] = []
+    first = 0
+    for size, run in itertools.groupby(sizes):
+        end = first + sum(1 for _ in run)
+        step = 1 if size <= 1 else max(1, _BLOCK_ROWS // size)
+        for start in range(first, end, step):
+            blocks.append((start, min(step, end - start), size))
+        first = end
+    return blocks

@@ -15,8 +15,8 @@ a ``GridBroker``).
 A pass is recorded by one ``process_chunk`` call per chunk, unless the
 application defines a batched kernel, ``process_pass(dataset)``, and the
 dataset is an :class:`ArrayDataset`: then one call returns every chunk's
-piece and op row, bit for bit what the per-chunk calls would (k-means;
-EM and kNN stay per-chunk, see DESIGN.md §5).
+piece and op row, bit for bit what the per-chunk calls would (k-means and
+EM; kNN stays per-chunk, see DESIGN.md §5).
 
 What is exact
 -------------

@@ -97,10 +97,11 @@ class DiurnalSpec:
 
 
 def _json_typed(name: str, value: Any, kind: type, where: str = "") -> Any:
-    """``value`` if it is a JSON list (``kind=list``) or object
-    (``kind=Mapping``), else an error naming the field."""
+    """``value`` if it is a JSON list (``kind=list``), object
+    (``kind=Mapping``) or string (``kind=str``), else an error naming the
+    field."""
     if not isinstance(value, kind):
-        noun = "a list" if kind is list else "an object"
+        noun = {list: "a list", str: "a string"}.get(kind, "an object")
         raise ConfigurationError(f"{where}'{name}' must be {noun}, got {value!r:.40}")
     return value
 
@@ -194,9 +195,10 @@ class VoSpec:
     def from_dict(cls, doc: Mapping[str, Any]) -> "VoSpec":
         if "name" not in doc:
             raise ConfigurationError("VO spec needs a 'name'")
-        where = f"VO '{doc['name']!s:.40}': "
+        name = _json_typed("name", doc["name"], str, "VO spec: ")
+        where = f"VO '{name:.40}': "
         kwargs: Dict[str, Any] = {
-            "name": str(doc["name"]),
+            "name": name,
             "weight": json_number("weight", doc.get("weight", 1.0), where=where),
             "deadline_fraction": json_number(
                 "deadline_fraction", doc.get("deadline_fraction", 0.0),
@@ -314,7 +316,7 @@ class TraceSpec:
                 _json_typed("modulation", doc["modulation"], Mapping, where)
             )
         return cls(
-            name=str(doc["name"]),
+            name=_json_typed("name", doc["name"], str, where),
             count=json_number("count", doc["count"], True, where=where),
             seed=json_number("seed", doc.get("seed", 0), True, where=where),
             vos=tuple(

@@ -16,6 +16,7 @@ kept here, and only here, as references.  Each new kernel must
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,24 @@ def finish_pass(app, obj):
     return app.update(app.combine([obj], ops), ops)
 
 
+def assert_batched_passes(app, dataset, passes):
+    """``passes`` passes of ``app.process_pass``: each piece and op row must
+    be the bytes one ``process_chunk`` into a fresh object gives, and the
+    application's state must be left as it was."""
+    for _ in range(passes):
+        before = snapshot(app)
+        pieces, rows = app.process_pass(dataset)
+        assert_state_untouched(app, before)
+        assert len(pieces) == rows.shape[0] == dataset.num_chunks
+        for index, (piece, row) in enumerate(zip(pieces, rows)):
+            obj, ops = run_chunk(app, dataset.chunk_payload(index))
+            assert piece.values.tobytes() == obj.values.tobytes(), index
+            assert repr(piece.count) == repr(obj.count)
+            charged = np.array([ops.flop, ops.mem, ops.branch])
+            assert row.tobytes() == charged.tobytes()
+        finish_pass(app, app.combine(pieces, OpCounter()))
+
+
 def assert_close(new, old):
     scale = float(np.max(np.abs(old))) if old.size else 0.0
     np.testing.assert_allclose(new, old, rtol=RTOL, atol=1e-12 * scale)
@@ -191,6 +210,16 @@ class TestEMEquivalence:
             assert_close(obj.values, expected)
             finish_pass(app, obj)
 
+    def test_an_empty_chunk_contributes_nothing(self):
+        app = EMClustering(k=3, num_iterations=1, seed=1)
+        app.begin({"num_dims": 2})
+        for phase in ("E", "M"):
+            app._phase = phase
+            _, expected_ops = oracle_em(app, np.empty((0, 2)))
+            obj, ops = run_chunk(app, np.empty((0, 2), dtype=np.float32))
+            assert ops == expected_ops
+            assert obj.count == 0.0 and not obj.values.any()
+
     def test_result_drift_is_within_tolerance_end_to_end(self):
         """A whole run on unequal chunks lands where the oracle kernels do."""
         points = blobs(5, 1003, 3)
@@ -211,6 +240,57 @@ class TestEMEquivalence:
         expected = oracle.result()
         for field in ("means", "covariances", "weights", "loglik_history"):
             assert_close(np.asarray(run.result[field]), np.asarray(expected[field]))
+
+
+class TestEMBatchedPass:
+    """``process_pass`` folds every chunk in blocks of equal-length chunks;
+    each piece and op row must be the bytes one ``process_chunk`` into a
+    fresh object gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        d=st.integers(1, 6),
+        k=st.integers(1, 8),
+        chunks=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=10007, d=4, k=6, chunks=37, seed=1)  # 270- and 271-row chunks
+    @example(n=37, d=3, k=4, chunks=29, seed=2)  # one- and two-row chunks
+    @example(n=60, d=1, k=3, chunks=4, seed=3)  # d = 1
+    @example(n=60, d=3, k=1, chunks=4, seed=4)  # k = 1
+    @example(n=12, d=2, k=8, chunks=4, seed=5)  # chunks shorter than k
+    @example(n=9000, d=4, k=6, chunks=20, seed=6)  # blocks of 9, 9, 2 chunks
+    @example(n=162, d=8, k=11, chunks=79, seed=42709)  # a -0.0 F_k sum
+    def test_pass_is_bit_identical_to_chunk_by_chunk(self, n, d, k, chunks, seed):
+        points = blobs(seed, n, d)
+        dataset = ArrayDataset(
+            "batched", points, num_chunks=min(chunks, n), meta={"num_dims": d}
+        )
+        app = EMClustering(k=k, num_iterations=2, seed=seed)
+        app.begin(dict(dataset.meta))
+        # Two iterations: E and M on the initial parameters, then on
+        # refreshed (no longer isotropic) covariances.
+        assert_batched_passes(app, dataset, passes=4)
+
+    def test_a_pass_works_in_bounded_blocks(self):
+        """A pass over 200k 4-D points stays far below one whole-dataset
+        ``(k, d, n)`` temporary (38.4 MB at k = 6) in both phases."""
+        points = blobs(7, 200_000, 4)
+        dataset = ArrayDataset("big", points, num_chunks=400, meta={"num_dims": 4})
+        app = EMClustering(k=6, num_iterations=1, seed=7)
+        app.begin(dict(dataset.meta))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                pieces, _ = app.process_pass(dataset)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                finish_pass(app, app.combine(pieces, OpCounter()))
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 6_000_000, peaks
 
 
 # ----------------------------------------------------------------------
@@ -285,18 +365,8 @@ class TestKMeansBatchedPass:
         )
         app = KMeansClustering(k=k, num_iterations=2, seed=seed)
         app.begin(dict(dataset.meta))
-        for _ in range(2):  # box-drawn centres, then recomputed ones
-            before = snapshot(app)
-            pieces, rows = app.process_pass(dataset)
-            assert_state_untouched(app, before)
-            assert len(pieces) == rows.shape[0] == dataset.num_chunks
-            for index, (piece, row) in enumerate(zip(pieces, rows)):
-                obj, ops = run_chunk(app, dataset.chunk_payload(index))
-                assert piece.values.tobytes() == obj.values.tobytes()
-                assert repr(piece.count) == repr(obj.count)
-                charged = np.array([ops.flop, ops.mem, ops.branch])
-                assert row.tobytes() == charged.tobytes()
-            finish_pass(app, app.combine(pieces, OpCounter()))
+        # Box-drawn centres, then recomputed ones.
+        assert_batched_passes(app, dataset, passes=2)
 
 
 # ----------------------------------------------------------------------

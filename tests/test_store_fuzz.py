@@ -18,7 +18,7 @@ import math
 import pathlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.analysis.results_io import load_result
 from repro.broker.jobs import load_workload_document
@@ -254,14 +254,20 @@ TRACE_SPECS = [make_preset(name, 6, seed=3).to_dict() for name in TRACE_PRESETS]
 
 
 def load_trace_spec(path):
-    """A trace spec read back, then expanded into the jobs it describes."""
-    spec = TraceSpec.from_dict(json.loads(path.read_text()))
+    """A trace spec read back, its names as written (never coerced with
+    ``str()``), then expanded into the jobs it describes."""
+    doc = json.loads(path.read_text())
+    spec = TraceSpec.from_dict(doc)
+    assert spec.name == doc["name"]
+    assert [vo.name for vo in spec.vos] == [vo["name"] for vo in doc["vos"]]
     trace = TraceWorkload.from_spec(spec, baselines=lambda workload, size: 2.0)
     assert len(trace.jobs) == spec.count
 
 
 @FUZZ
 @given(spec=mutated(*TRACE_SPECS))
+@example(spec={"name": None, "count": 5, "vos": [{"name": None}, {"name": ["x"]}]})
+@example(spec=dict(TRACE_SPECS[0], vos=[dict(TRACE_SPECS[0]["vos"][0], name=None)]))
 def test_only_repro_errors_escape_a_trace_spec_load(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(canonical_json(spec))

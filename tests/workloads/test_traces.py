@@ -144,12 +144,30 @@ class TestSpecs:
             (lambda d: d["vos"][0].update(weight=1e308), "VO weights"),
             (lambda d: d["vos"][0].update(deadline_slack=5), "'deadline_slack'"),
             (lambda d: d["vos"][0].update(interarrival=3), "'interarrival'"),
+            (lambda d: d.update(name=None), "'name' must be a string"),
+            (lambda d: d.update(name=7), "'name' must be a string"),
+            (lambda d: d["vos"][0].update(name=None), "'name' must be a string"),
+            (lambda d: d["vos"][1].update(name=["x"]), "'name' must be a string"),
         ],
     )
     def test_trace_spec_load_names_the_bad_field(self, edit, field):
         doc = make_preset("gwa-mixed", 500, seed=4).to_dict()
         edit(doc)
         with pytest.raises(ConfigurationError, match=re.escape(field)):
+            TraceSpec.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"name": None, "count": 5, "vos": [{"name": "a"}]},
+            {"name": "t", "count": 5, "vos": [{"name": None}]},
+            {"name": "t", "count": 5, "vos": [{"name": "a"}, {"name": ["x"]}]},
+            {"name": {"a": 1}, "count": 5, "vos": [{"name": "a"}]},
+        ],
+    )
+    def test_names_are_checked_not_coerced(self, doc):
+        # str() used to load these as 'None' and "['x']".
+        with pytest.raises(ConfigurationError, match="'name' must be a string"):
             TraceSpec.from_dict(doc)
 
     def test_duplicate_vo_names_rejected(self):
