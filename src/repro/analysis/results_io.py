@@ -15,6 +15,8 @@ from typing import Any, Dict, List
 from repro.core.durable import (
     atomic_write_json,
     check_format_version,
+    json_field,
+    json_value,
     read_json_document,
 )
 from repro.simgrid.errors import ConfigurationError
@@ -61,27 +63,28 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
 
 def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     """Rebuild an experiment result from :func:`result_to_dict` output."""
+    where = "experiment result: "
+    json_value("experiment result", data, dict)
     check_format_version(data, "experiment result", _FORMAT_VERSION)
-    try:
-        result = ExperimentResult(
-            experiment_id=str(data["experiment_id"]),
-            title=str(data["title"]),
-            workload=str(data["workload"]),
-            metadata=dict(data.get("metadata", {})),
-        )
-        for row in data["rows"]:
-            result.rows.append(
-                ExperimentRow(
-                    data_nodes=int(row["data_nodes"]),
-                    compute_nodes=int(row["compute_nodes"]),
-                    model=str(row["model"]),
-                    actual=float(row["actual"]),
-                    predicted=float(row["predicted"]),
-                )
+    result = ExperimentResult(
+        experiment_id=json_field(data, "experiment_id", str, where=where),
+        title=json_field(data, "title", str, where=where),
+        workload=json_field(data, "workload", str, where=where),
+        metadata=dict(json_field(data, "metadata", dict, {}, where=where)),
+    )
+    rows = json_field(data, "rows", list, of=dict, where=where)
+    for index, row in enumerate(rows):
+        where = f"experiment result row {index}: "
+        result.rows.append(
+            ExperimentRow(
+                data_nodes=json_field(row, "data_nodes", int, where=where),
+                compute_nodes=json_field(row, "compute_nodes", int, where=where),
+                model=json_field(row, "model", str, where=where),
+                actual=json_field(row, "actual", float, where=where),
+                predicted=json_field(row, "predicted", float, where=where),
             )
-        return result
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed experiment result: {exc}") from exc
+        )
+    return result
 
 
 def save_result(

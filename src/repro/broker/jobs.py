@@ -35,7 +35,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.durable import json_number, read_json_document
+from repro.core.durable import json_field, json_value, read_json_document
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.topology import GridTopology, SiteKind
 from repro.workloads.clusters import CLUSTERS
@@ -133,139 +133,98 @@ class BrokerWorkloadDoc:
         return topology
 
 
-def _objects(doc: Mapping[str, Any], key: str) -> List[Mapping[str, Any]]:
-    """The list of JSON objects under ``key`` (absent = empty)."""
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise ConfigurationError(f"'{key}' must be a list of JSON objects")
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError(
-                f"{key}[{index}] must be a JSON object, got {entry!r:.40}"
-            )
-    return entries
-
-
-def _require(entry: Mapping[str, Any], keys: Sequence[str], what: str) -> None:
-    for key in keys:
-        if key not in entry:
-            raise ConfigurationError(f"every {what} needs a '{key}'")
+#: A job's optional fields and their JSON kinds.
+_JOB_FIELDS = (
+    ("size", str), ("arrival", float), ("deadline", float), ("priority", int),
+    ("vo", str), ("arrival_index", int),
+)
 
 
 def _parse_job(entry: Mapping[str, Any], index: Optional[int]) -> BrokerJob:
-    _require(entry, ("id", "workload"), "job")
-    job_id = str(entry["id"])
-
-    def number(key: str, default: Any = None, integer: bool = False) -> Any:
-        value = entry.get(key)
-        if value is None:
-            return default
-        return json_number(key, value, integer, where=f"job '{job_id}': ")
-
-    def text(key: str) -> Optional[str]:
-        value = entry.get(key)
-        return None if value is None else str(value)
-
+    job_id = json_field(entry, "id", str, where="job: ")
+    where = f"job '{job_id}': "
+    # Every optional field of a job may be null, which means absent.
+    fields = {
+        key: json_field(entry, key, kind, None, where=where)
+        for key, kind in _JOB_FIELDS
+    }
+    arrival, priority = fields["arrival"], fields["priority"]
     return BrokerJob(
         job_id=job_id,
-        workload=str(entry["workload"]),
-        size=text("size"),
-        arrival=number("arrival", 0.0),
-        deadline=number("deadline"),
-        priority=number("priority", 0, integer=True),
-        vo=text("vo"),
-        arrival_index=number("arrival_index", integer=True) if index is None else index,
+        workload=json_field(entry, "workload", str, where=where),
+        size=fields["size"],
+        arrival=0.0 if arrival is None else arrival,
+        deadline=fields["deadline"],
+        priority=0 if priority is None else priority,
+        vo=fields["vo"],
+        arrival_index=fields["arrival_index"] if index is None else index,
     )
 
 
 def parse_jobs(doc: Mapping[str, Any], stamp: bool = False) -> Tuple[BrokerJob, ...]:
     """The document's ``jobs`` list, strictly; ``stamp`` sets each job's
     ``arrival_index`` to its position (a list already in arrival order)."""
-    entries = enumerate(_objects(doc, "jobs"))
+    entries = enumerate(json_field(doc, "jobs", list, [], of=dict))
     return tuple(_parse_job(entry, i if stamp else None) for i, entry in entries)
 
 
 def parse_workload_document(doc: Mapping[str, Any]) -> BrokerWorkloadDoc:
     """Validate and parse a broker workload dictionary."""
-    if not isinstance(doc, Mapping):
-        raise ConfigurationError("broker workload must be a JSON object")
-    name = str(doc.get("name", "broker-workload"))
-
-    raw_sites = _objects(doc, "sites")
-    if not raw_sites:
-        raise ConfigurationError("broker workload needs a 'sites' list")
+    doc = json_value("broker workload", doc, dict)
     sites: List[Dict[str, Any]] = []
-    for entry in raw_sites:
-        _require(entry, ("name", "kind", "cluster"), "site")
+    for index, entry in enumerate(json_field(doc, "sites", list, [], of=dict)):
+        name = json_field(entry, "name", str, where=f"sites[{index}]: ")
+        where = f"site '{name}': "
+        kind = json_field(entry, "kind", str, where=where)
         try:
-            SiteKind(entry["kind"])
+            SiteKind(kind)
         except ValueError as exc:
-            raise ConfigurationError(
-                f"site '{entry['name']}': unknown kind '{entry['kind']}'"
-            ) from exc
+            raise ConfigurationError(f"{where}unknown kind '{kind}'") from exc
         sites.append(
             {
-                "name": str(entry["name"]),
-                "kind": str(entry["kind"]),
-                "cluster": str(entry["cluster"]),
-                "nodes": json_number(
-                    "nodes", entry.get("nodes", 8), True,
-                    where=f"site '{entry['name']}': ",
-                ),
+                "name": name,
+                "kind": kind,
+                "cluster": json_field(entry, "cluster", str, where=where),
+                "nodes": json_field(entry, "nodes", int, 8, where=where),
             }
         )
+    if not sites:
+        raise ConfigurationError("broker workload needs a 'sites' list")
 
-    raw_allocations = doc.get("allocations", [[1, 2], [2, 4]])
-    if not isinstance(raw_allocations, list):
-        raise ConfigurationError("'allocations' must be a list of pairs")
     allocations: List[Tuple[int, int]] = []
-    for index, pair in enumerate(raw_allocations):
-        if not isinstance(pair, list) or len(pair) != 2:
+    pairs = json_field(doc, "allocations", list, [[1, 2], [2, 4]], of=list)
+    for index, pair in enumerate(pairs):
+        name = f"allocations[{index}]"
+        if len(pair) != 2:
             raise ConfigurationError(
-                f"allocations[{index}] must be a [data_nodes, compute_nodes] "
-                f"pair, got {pair!r:.40}"
+                f"'{name}' must be a [data_nodes, compute_nodes] pair, "
+                f"got {pair!r:.40}"
             )
-        data_nodes, compute_nodes = (
-            json_number(f"allocations[{index}]", count, True) for count in pair
-        )
+        data_nodes, compute_nodes = json_value(name, pair, list, of=int)
         allocations.append((data_nodes, compute_nodes))
 
     links: List[Dict[str, Any]] = []
-    for link in _objects(doc, "links"):
-        _require(link, ("a", "b", "bw"), "link")
-        where = f"link {link['a']}~{link['b']}: "
+    for index, link in enumerate(json_field(doc, "links", list, [], of=dict)):
+        a, b = (json_field(link, key, str, where=f"links[{index}]: ") for key in "ab")
+        where = f"link {a}~{b}: "
         links.append(
             {
-                "a": str(link["a"]),
-                "b": str(link["b"]),
-                "bw": json_number("bw", link["bw"], where=where),
-                "latency_s": json_number(
-                    "latency_s", link.get("latency_s", 0.0), where=where
-                ),
+                "a": a,
+                "b": b,
+                "bw": json_field(link, "bw", float, where=where),
+                "latency_s": json_field(link, "latency_s", float, 0.0, where=where),
             }
         )
 
-    raw_replicas = doc.get("replicas", {})
-    if not isinstance(raw_replicas, Mapping):
-        raise ConfigurationError(
-            "'replicas' must be an object of dataset key -> site list"
-        )
-    replicas: Dict[str, List[str]] = {}
-    for key, holders in raw_replicas.items():
-        if not isinstance(holders, list):
-            raise ConfigurationError(
-                f"replicas['{key}'] must be a list of site names"
-            )
-        replicas[str(key)] = [str(site) for site in holders]
+    replicas = {
+        key: json_value(f"replicas['{key}']", holders, list, of=str)
+        for key, holders in json_field(doc, "replicas", dict, {}).items()
+    }
 
     jobs = parse_jobs(doc)
     require_unique_ids(jobs)
 
-    stream = doc.get("stream")
-    if stream is not None:
-        if not isinstance(stream, Mapping):
-            raise ConfigurationError("'stream' must be a JSON object")
-        stream = dict(stream)
+    stream = json_field(doc, "stream", dict, None)
     if not jobs and stream is None:
         raise ConfigurationError(
             "broker workload needs either 'jobs' or a 'stream' spec"
@@ -276,13 +235,13 @@ def parse_workload_document(doc: Mapping[str, Any]) -> BrokerWorkloadDoc:
         )
 
     return BrokerWorkloadDoc(
-        name=name,
+        name=json_field(doc, "name", str, "broker-workload"),
         allocations=allocations,
         sites=sites,
         links=links,
         replicas=replicas,
         jobs=jobs,
-        stream=stream,
+        stream=None if stream is None else dict(stream),
     )
 
 

@@ -28,6 +28,7 @@ while a campaign may be appending) and trusts nothing:
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 from dataclasses import dataclass, field
@@ -40,7 +41,8 @@ from repro.core.durable import (
     check_format_version,
     compact_json,
     content_digest,
-    json_number,
+    json_field,
+    json_value,
     legacy_digest,
     read_text_document,
 )
@@ -116,23 +118,21 @@ def _record_line(record: JournalRecord) -> str:
 def _record_from_dict(data: Any, path: pathlib.Path, legacy: bool) -> JournalRecord:
     # Outside the payload's checksum: nothing but this parse checks these.
     try:
-        entry_id = str(data["entry_id"])
+        data = json_value("record", data, dict)
+        entry_id = json_field(data, "entry_id", str)
         where = f"entry '{entry_id}': "
-        stored_digest = data["sha256"]
-        payload = data["payload"]
-        violations = data["violations"]
+        stored_digest = json_field(data, "sha256", str, where=where)
+        payload = json_field(data, "payload", object, where=where)
         record = JournalRecord(
             entry_id=entry_id,
-            status=str(data["status"]),
-            attempts=json_number("attempts", data["attempts"], True, where=where),
-            elapsed_s=json_number("elapsed_s", data["elapsed_s"], where=where),
+            status=json_field(data, "status", str, where=where),
+            attempts=json_field(data, "attempts", int, where=where),
+            elapsed_s=json_field(data, "elapsed_s", float, where=where),
             payload=payload,
-            violations=violations,
+            violations=json_field(data, "violations", list, of=str, where=where),
         )
-    except (KeyError, TypeError, ValueError, ReproError) as exc:
+    except ReproError as exc:
         raise _corrupt(path, f"malformed record: {exc}") from exc
-    if not (isinstance(violations, list) and all(type(v) is str for v in violations)):
-        raise _corrupt(path, f"{where}'violations' is not a list of strings")
     if stored_digest != (legacy_digest(payload) if legacy else content_digest(payload)):
         raise _corrupt(path, f"checksum mismatch on entry '{entry_id}'")
     return record
@@ -201,11 +201,10 @@ class CampaignJournal:
         header = _parse_line(first) or _parse_line(text)
         if header is None:
             raise _corrupt(self.path, "no readable header line")
+        corrupt = functools.partial(_corrupt, self.path)
         version = header.get("format_version")
         if version == 1:
-            stale, raws = True, header.get("entries")
-            if not isinstance(raws, list):
-                raise _corrupt(self.path, "'entries' is not a list")
+            stale, raws = True, json_field(header, "entries", list, error=corrupt)
         else:
             if version != 2:
                 check_format_version(
@@ -221,11 +220,10 @@ class CampaignJournal:
                 stale = True
             if None in raws:
                 raise _corrupt(self.path, f"unreadable line {raws.index(None) + 2}")
-        try:
-            campaign = str(header["campaign"])
-            fingerprint = str(header["manifest_sha256"])
-        except KeyError as exc:
-            raise _corrupt(self.path, f"missing key {exc}") from exc
+        campaign, fingerprint = (
+            json_field(header, key, str, error=corrupt)
+            for key in ("campaign", "manifest_sha256")
+        )
         legacy = version != JOURNAL_FORMAT_VERSION
         if expected_fingerprint is not None and fingerprint != (
             legacy_fingerprint if legacy else expected_fingerprint

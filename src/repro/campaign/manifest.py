@@ -39,8 +39,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.durable import (
+    REQUIRED,
     content_digest,
-    json_number,
+    json_field,
+    json_value,
     legacy_digest,
     read_json_document,
 )
@@ -188,87 +190,53 @@ class CampaignManifest:
         )
 
 
-def _take(data: Mapping[str, Any], known: Dict[str, Any], what: str) -> Dict[str, Any]:
-    """Extract ``known`` keys (name -> default, ``...`` = required)."""
-    unknown = set(data) - set(known)
-    if unknown:
-        raise CampaignError(f"unknown key(s) {sorted(unknown)} in {what}")
-    out: Dict[str, Any] = {}
-    for key, default in known.items():
-        if key in data:
-            out[key] = data[key]
-        elif default is ...:
-            raise CampaignError(f"{what} requires key '{key}'")
-        else:
-            out[key] = default
-    return out
+#: A manifest entry's keys: the JSON kind and default of each, as
+#: :func:`~repro.core.durable.json_field` reads them.
+_ENTRY_FIELDS: Dict[str, Tuple[type, Any]] = {
+    "id": (str, REQUIRED),
+    "kind": (str, "experiment"),
+    "experiment_id": (str, None),
+    "workload": (str, None),
+    "scenario": (dict, None),
+    "size_label": (str, None),
+    "fast": (bool, False),
+    "deadline_s": (float, None),
+}
+_MANIFEST_KEYS = ("name", "entries", "default_deadline_s", "metadata")
 
 
-def _optional(args: Dict[str, Any], key: str, of_type: type, what: str) -> Any:
-    """``args[key]`` if it is ``None`` or an ``of_type``, else an error
-    naming the field; a number goes through :func:`json_number`."""
-    value = args[key]
-    if value is None:
-        return None
-    if of_type is float:
-        return json_number(key, value, where=f"{what}: ")
-    if isinstance(value, of_type):
-        return value
-    expected = "a string" if of_type is str else "an object"
-    raise CampaignError(f"{what}: '{key}' must be {expected}, got {value!r:.40}")
-
-
-def _entry_from_dict(data: Mapping[str, Any]) -> CampaignEntry:
-    if not isinstance(data, Mapping):
-        raise CampaignError("each manifest entry must be a JSON object")
-    what = f"manifest entry {data.get('id', '?')!r:.40}"
-    args = _take(
-        data,
-        {
-            "id": ...,
-            "kind": "experiment",
-            "experiment_id": None,
-            "workload": None,
-            "scenario": None,
-            "size_label": None,
-            "fast": False,
-            "deadline_s": None,
-        },
-        what,
+def _entry_from_dict(index: int, data: Mapping[str, Any]) -> CampaignEntry:
+    json_value(
+        f"entries[{index}]", data, dict, known=_ENTRY_FIELDS, error=CampaignError
     )
-    return CampaignEntry(
-        entry_id=str(args["id"]),
-        kind=str(args["kind"]),
-        experiment_id=_optional(args, "experiment_id", str, what),
-        workload=_optional(args, "workload", str, what),
-        scenario=_optional(args, "scenario", dict, what),
-        size_label=_optional(args, "size_label", str, what),
-        fast=bool(args["fast"]),
-        deadline_s=_optional(args, "deadline_s", float, what),
-    )
+    where = f"manifest entry {data.get('id', '?')!r:.40}: "
+    args = {
+        key: json_field(data, key, kind, default, where=where, error=CampaignError)
+        for key, (kind, default) in _ENTRY_FIELDS.items()
+    }
+    return CampaignEntry(entry_id=args.pop("id"), **args)
 
 
 def manifest_from_dict(data: Mapping[str, Any]) -> CampaignManifest:
     """Build a manifest from a decoded JSON mapping."""
-    args = _take(
-        data,
-        {
-            "name": ...,
-            "entries": ...,
-            "default_deadline_s": None,
-            "metadata": None,
-        },
-        "campaign manifest",
+    json_value(
+        "campaign manifest", data, dict, known=_MANIFEST_KEYS, error=CampaignError
     )
-    entries_raw = args["entries"]
-    if not isinstance(entries_raw, list):
-        raise CampaignError("'entries' must be a list of entry objects")
-    what = "campaign manifest"
+    where = "campaign manifest: "
+    name = json_field(data, "name", str, where=where, error=CampaignError)
+    entries = json_field(
+        data, "entries", list, of=dict, where=where, error=CampaignError
+    )
+    metadata = json_field(
+        data, "metadata", dict, None, where=where, error=CampaignError
+    )
     return CampaignManifest(
-        name=str(args["name"]),
-        entries=tuple(_entry_from_dict(e) for e in entries_raw),
-        default_deadline_s=_optional(args, "default_deadline_s", float, what),
-        metadata=dict(_optional(args, "metadata", dict, what) or {}),
+        name=name,
+        entries=tuple(_entry_from_dict(*entry) for entry in enumerate(entries)),
+        default_deadline_s=json_field(
+            data, "default_deadline_s", float, None, where=where
+        ),
+        metadata=dict(metadata or {}),
     )
 
 

@@ -21,9 +21,11 @@ single place that guarantees it:
   ``format_version`` into a :class:`FormatVersionError`, instead of a
   raw decode error or a silently partial object.
 - A destination the operating system refuses (a directory, a read-only
-  location, a full disk) is a :class:`StoreWriteError` naming the path,
-  and :func:`json_number` is the one strict reading of a numeric field
-  (finite, optionally integral) every document parser shares.
+  location, a full disk) is a :class:`StoreWriteError` naming the path.
+- :func:`json_field` is the one strict reading of a parsed field every
+  document loader shares (:func:`json_value` for a value that is not
+  under a key, :func:`json_number` for a number): typed, present when
+  required, never coerced.
 - JSON has two sorted-key encodings: :func:`canonical_json` (indented)
   for *documents* a person reads or a golden pins, :func:`compact_json`
   (C encoder) for bytes *hashed or sent* — digests, journal lines, HTTP
@@ -42,7 +44,7 @@ import json
 import os
 import pathlib
 import sys
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Callable, Collection, Dict, Iterable, Mapping, Optional
 
 from repro.errors import ReproError
 from repro.simgrid.errors import ConfigurationError
@@ -61,6 +63,9 @@ __all__ = [
     "read_text_document",
     "read_json_document",
     "json_number",
+    "json_value",
+    "json_field",
+    "REQUIRED",
 ]
 
 
@@ -274,6 +279,74 @@ def json_number(
             f"{where}'{name}' must be {kind}, got {value!r:.40}"
         )
     return int(value) if integer else float(value)
+
+
+#: ``json_field``'s default for a key the document must hold.
+REQUIRED: Any = ...
+
+#: The JSON kinds :func:`json_value` checks by type; ``int`` and
+#: ``float`` are :func:`json_number`'s, ``object`` is any JSON value.
+_NOUNS = {str: "a string", bool: "a boolean", list: "a list", dict: "an object"}
+
+
+def json_value(
+    name: str,
+    value: Any,
+    kind: type,
+    *,
+    of: Optional[type] = None,
+    known: Optional[Collection[str]] = None,
+    where: str = "",
+    error: Callable[[str], Exception] = ConfigurationError,
+) -> Any:
+    """``value`` as a JSON ``kind``, or ``error`` naming the field ``name``.
+
+    ``kind`` is ``str``, ``bool``, ``list``, ``dict`` (any mapping),
+    ``object`` (anything), or ``int`` / ``float`` — a number read by
+    :func:`json_number`, whose error is a ``ConfigurationError`` in
+    every loader.  A list is returned as a new list of its items read as
+    ``of`` (named ``name[i]``) when ``of`` is given; an object holding a
+    key outside ``known`` is refused.
+    """
+    if kind is int or kind is float:
+        return json_number(name, value, kind is int, where=where)
+    if not isinstance(value, Mapping if kind is dict else kind):
+        raise error(f"{where}'{name}' must be {_NOUNS[kind]}, got {value!r:.40}")
+    unknown = () if known is None else sorted(set(value).difference(known))
+    if unknown:
+        raise error(f"{where}unknown key(s) {unknown} in '{name}'")
+    if of is None:
+        return value
+    return [
+        json_value(f"{name}[{index}]", item, of, where=where, error=error)
+        for index, item in enumerate(value)
+    ]
+
+
+def json_field(
+    doc: Mapping[str, Any],
+    key: str,
+    kind: type,
+    default: Any = REQUIRED,
+    *,
+    of: Optional[type] = None,
+    known: Optional[Collection[str]] = None,
+    where: str = "",
+    error: Callable[[str], Exception] = ConfigurationError,
+) -> Any:
+    """``doc[key]`` read by :func:`json_value`: the reader of every loader.
+
+    An absent key is ``default``, or ``error`` when the key is
+    ``REQUIRED``; ``null`` stands for absent only where the default is
+    ``None``.  ``where`` prefixes every message with the entry the field
+    belongs to (``"job 'j0': "``).
+    """
+    value = doc.get(key, default)
+    if value is REQUIRED:
+        raise error(f"{where}requires key '{key}'")
+    if value is None and default is None:
+        return None
+    return json_value(key, value, kind, of=of, known=known, where=where, error=error)
 
 
 def check_format_version(

@@ -15,7 +15,7 @@ from typing import Any, Dict
 from repro.core.durable import (
     atomic_write_json,
     check_format_version,
-    json_number,
+    json_field,
     read_json_document,
 )
 from repro.core.fingerprint import _profile_dict
@@ -40,47 +40,34 @@ def profile_to_dict(profile: Profile) -> Dict[str, Any]:
 
 
 def profile_from_dict(data: Dict[str, Any]) -> Profile:
-    """Rebuild a profile from :func:`profile_to_dict` output.
-
-    Strict: ``app`` is a string, node counts and gather rounds are
-    integers, every other number is finite.  Anything else is a
-    :class:`ConfigurationError` naming the field — never a NaN
-    prediction further down.
-    """
+    """Rebuild a profile from :func:`profile_to_dict` output."""
     check_format_version(data, "profile", _FORMAT_VERSION)
-
-    def number(key: str, default: Any = None, integer: bool = False) -> Any:
-        return json_number(key, data.get(key, default), integer, where="profile: ")
+    where = "profile: "
 
     def cluster(key: str) -> ClusterSpec:
         try:
             return cluster_from_dict(data.get(key))
         except ConfigurationError as exc:
-            raise ConfigurationError(f"profile: '{key}': {exc}") from exc
+            raise ConfigurationError(f"{where}'{key}': {exc}") from exc
 
-    app = data.get("app")
-    if not isinstance(app, str):
-        raise ConfigurationError(
-            f"profile: 'app' must be a string, got {app!r:.40}"
-        )
     return Profile(
-        app=app,
+        app=json_field(data, "app", str, where=where),
         storage_cluster=cluster("storage_cluster"),
         compute_cluster=cluster("compute_cluster"),
-        data_nodes=number("data_nodes", integer=True),
-        compute_nodes=number("compute_nodes", integer=True),
-        bandwidth=number("bandwidth"),
-        dataset_bytes=number("dataset_bytes"),
-        t_disk=number("t_disk"),
-        t_network=number("t_network"),
-        t_compute=number("t_compute"),
-        t_ro=number("t_ro"),
-        t_g=number("t_g"),
-        max_object_bytes=number("max_object_bytes"),
-        broadcast_bytes=number("broadcast_bytes", 0.0),
-        gather_rounds=number("gather_rounds", 1, integer=True),
-        processes_per_node=number("processes_per_node", 1, integer=True),
-        t_cache=number("t_cache", 0.0),
+        data_nodes=json_field(data, "data_nodes", int, where=where),
+        compute_nodes=json_field(data, "compute_nodes", int, where=where),
+        bandwidth=json_field(data, "bandwidth", float, where=where),
+        dataset_bytes=json_field(data, "dataset_bytes", float, where=where),
+        t_disk=json_field(data, "t_disk", float, where=where),
+        t_network=json_field(data, "t_network", float, where=where),
+        t_compute=json_field(data, "t_compute", float, where=where),
+        t_ro=json_field(data, "t_ro", float, where=where),
+        t_g=json_field(data, "t_g", float, where=where),
+        max_object_bytes=json_field(data, "max_object_bytes", float, where=where),
+        broadcast_bytes=json_field(data, "broadcast_bytes", float, 0.0, where=where),
+        gather_rounds=json_field(data, "gather_rounds", int, 1, where=where),
+        processes_per_node=json_field(data, "processes_per_node", int, 1, where=where),
+        t_cache=json_field(data, "t_cache", float, 0.0, where=where),
     )
 
 
@@ -94,13 +81,7 @@ def save_profile(profile: Profile, path: str | pathlib.Path) -> pathlib.Path:
 
 
 def load_profile(path: str | pathlib.Path) -> Profile:
-    """Read a profile from a JSON file.
-
-    A truncated or tampered file raises
-    :class:`~repro.core.durable.CorruptStoreError`, an unknown
-    ``format_version`` raises
-    :class:`~repro.core.durable.FormatVersionError`.
-    """
+    """Read a profile from a JSON file."""
     data = read_json_document(
         path,
         "profile",

@@ -52,12 +52,13 @@ silently produce a fault-free run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.durable import json_number
+from repro.core.durable import REQUIRED, json_field, json_number, json_value
 from repro.errors import FaultError
 from repro.faults.grid import (
     GridFaultSchedule,
@@ -78,7 +79,6 @@ from repro.faults.specs import (
     ComputeNodeCrash,
     DataNodeCrash,
     FaultSchedule,
-    FaultSpec,
     LinkDegradation,
     SlowNode,
 )
@@ -140,9 +140,9 @@ def _scope_mismatch(kind: str, found_in: str) -> ConfigurationError:
     )
 
 
-#: fault kind -> (spec class, JSON key -> (spec field, default, type)).
-#: A ``...`` default marks a required key; only a ``None`` default lets
-#: the key be ``null``.  Numbers are read by :func:`json_number`.
+#: fault kind -> (spec class, JSON key -> (spec field, default, type)),
+#: each key read by :func:`~repro.core.durable.json_field` (``...`` is
+#: its ``REQUIRED``).
 _FieldTable = Dict[str, Tuple[type, Dict[str, Tuple[str, Any, type]]]]
 _EXECUTION_SPECS: _FieldTable = {
     "data-node-crash": (DataNodeCrash, {
@@ -201,17 +201,6 @@ _GRID_SPECS: _FieldTable = {
 }
 
 
-def _typed(value: Any, key: str, of_type: type, kind: str) -> Any:
-    """One field of a ``kind`` fault spec, or an error naming it."""
-    where = f"'{kind}' fault spec: "
-    if of_type is int or of_type is float:
-        return json_number(key, value, of_type is int, where=where)
-    if not isinstance(value, of_type):
-        expected = "a string" if of_type is str else "an object"
-        raise FaultError(f"{where}'{key}' must be {expected}, got {value!r:.40}")
-    return value
-
-
 def _chunk_failures(failures: Mapping[str, Any]) -> Dict[int, int]:
     """A chunk-read-error's ``{"<chunk index>": <failures>}`` object."""
     out: Dict[int, int] = {}
@@ -227,35 +216,27 @@ def _chunk_failures(failures: Mapping[str, Any]) -> Dict[int, int]:
     return out
 
 
-def _parse_fault(data: Any, scope: str) -> Any:
+def _parse_fault(data: Mapping[str, Any], scope: str) -> Any:
     """One fault spec of ``scope`` (``"execution"`` or ``"grid"``)."""
-    if not isinstance(data, Mapping):
-        raise FaultError(
-            f"each fault spec must be a JSON object, got {type(data).__name__}"
-        )
     kind = data.get("type")
     specs, others = (
         (_EXECUTION_SPECS, _GRID_SPECS) if scope == "execution"
         else (_GRID_SPECS, _EXECUTION_SPECS)
     )
-    if isinstance(kind, str) and kind in others:
+    # Compared, not hashed: ``type`` may be any JSON value.
+    if kind in [*others]:
         raise _scope_mismatch(kind, scope)
-    if not isinstance(kind, str) or kind not in specs:
+    if kind not in [*specs]:
         raise _unknown_kind(kind, scope)
     spec_class, fields = specs[kind]
-    unknown = set(data) - set(fields) - {"type"}
-    if unknown:
-        raise FaultError(
-            f"unknown key(s) {sorted(unknown)} in '{kind}' fault spec"
-        )
-    args: Dict[str, Any] = {}
-    for key, (name, default, of_type) in fields.items():
-        value = data.get(key, default)
-        if value is ...:
-            raise FaultError(f"'{kind}' fault spec requires key '{key}'")
-        if value is not None or default is not None:
-            value = _typed(value, key, of_type, kind)
-        args[name] = value
+    where = f"'{kind}' fault spec: "
+    json_value(
+        f"{kind} fault spec", data, dict, known=[*fields, "type"], error=FaultError
+    )
+    args = {
+        name: json_field(data, key, of_type, default, where=where, error=FaultError)
+        for key, (name, default, of_type) in fields.items()
+    }
     if kind == "chunk-read-error" and args["failures"] is not None:
         args["failures"] = _chunk_failures(args["failures"])
     return spec_class(**args)
@@ -267,56 +248,60 @@ def grid_fault_from_dict(data: Mapping[str, Any]) -> GridFaultSpec:
     return fault
 
 
-def _retry_policy(raw: Any, what: str) -> RetryPolicy:
-    """A :class:`RetryPolicy` from the scenario's ``what`` object."""
-    if not isinstance(raw, Mapping):
-        raise FaultError(f"bad {what}: expected an object, got {raw!r:.40}")
-    try:
-        return RetryPolicy(**{
-            key: None if value is None and key == "per_chunk_timeout_s"
-            else json_number(key, value, key == "max_attempts", where=f"{what}: ")
-            for key, value in raw.items()
-        })
-    except TypeError as exc:  # a key RetryPolicy does not have
-        raise FaultError(f"bad {what}: {exc}") from exc
+def _fault_list(data: Mapping[str, Any], key: str) -> List[Mapping[str, Any]]:
+    """The scenario's list of fault specs under ``key`` (absent = none)."""
+    return json_field(data, key, list, [], of=dict, error=FaultError)
+
+
+#: A retry policy object's keys and the JSON kind of each.
+_RETRY_KINDS = {
+    field.name: int if field.name == "max_attempts" else float
+    for field in dataclasses.fields(RetryPolicy)
+}
+
+
+def _retry_policy(
+    data: Mapping[str, Any], key: str, default: RetryPolicy
+) -> RetryPolicy:
+    """The scenario's ``key`` object as a :class:`RetryPolicy`."""
+    where = f"bad {key}: "
+    raw = json_field(
+        data, key, dict, None, known=_RETRY_KINDS, where=where, error=FaultError
+    )
+    if raw is None:
+        return default
+    return RetryPolicy(**{
+        name: json_field(
+            raw, name, _RETRY_KINDS[name],
+            None if name == "per_chunk_timeout_s" else REQUIRED, where=where,
+        )
+        for name in raw
+    })
 
 
 def schedule_from_dict(data: Mapping[str, Any]) -> FaultSchedule:
     """Build an execution-scoped :class:`FaultSchedule` from a mapping."""
-    faults_raw = data.get("faults", [])
-    if not isinstance(faults_raw, list):
-        raise FaultError("'faults' must be a list of fault specs")
-    faults: List[FaultSpec] = [_parse_fault(f, "execution") for f in faults_raw]
-    checkpoints = data.get("checkpoints")
-    if checkpoints is not None and not isinstance(checkpoints, bool):
-        raise FaultError("'checkpoints' must be a boolean when present")
-    return FaultSchedule(faults=faults, checkpoints=checkpoints)
+    return FaultSchedule(
+        faults=[_parse_fault(f, "execution") for f in _fault_list(data, "faults")],
+        checkpoints=json_field(data, "checkpoints", bool, None, error=FaultError),
+    )
 
 
 def grid_schedule_from_dict(data: Mapping[str, Any]) -> GridFaultSchedule:
     """Build a :class:`GridFaultSchedule` from a decoded scenario mapping."""
-    faults_raw = data.get("grid_faults", data.get("faults", []))
-    if not isinstance(faults_raw, list):
-        raise FaultError("'grid_faults' must be a list of fault specs")
-    return GridFaultSchedule([grid_fault_from_dict(f) for f in faults_raw])
+    key = "grid_faults" if "grid_faults" in data else "faults"
+    return GridFaultSchedule([grid_fault_from_dict(f) for f in _fault_list(data, key)])
 
 
 def injector_from_dict(data: Mapping[str, Any]) -> FaultInjector:
     """Build a fully configured :class:`FaultInjector` from a mapping."""
-    schedule = schedule_from_dict(data)
-    policy_raw = data.get("retry_policy")
-    policy = (
-        DEFAULT_RETRY_POLICY if policy_raw is None
-        else _retry_policy(policy_raw, "retry_policy")
-    )
-    replicas = data.get("replicas", ["standby-replica"])
-    if not isinstance(replicas, list):
-        raise FaultError("'replicas' must be a list of site names")
     return FaultInjector(
-        schedule,
-        policy=policy,
-        seed=json_number("seed", data.get("seed", 0), True),
-        replica_sites=[str(site) for site in replicas],
+        schedule_from_dict(data),
+        policy=_retry_policy(data, "retry_policy", DEFAULT_RETRY_POLICY),
+        seed=json_field(data, "seed", int, 0),
+        replica_sites=json_field(
+            data, "replicas", list, ["standby-replica"], of=str, error=FaultError
+        ),
     )
 
 
@@ -336,16 +321,11 @@ class GridFaultScenario:
 
 def grid_scenario_from_dict(data: Mapping[str, Any]) -> GridFaultScenario:
     """Build a :class:`GridFaultScenario` from a decoded mapping."""
-    schedule = grid_schedule_from_dict(data)
-    retry_raw = data.get("retry")
-    retry = (
-        DEFAULT_BROKER_RETRY_POLICY if retry_raw is None
-        else _retry_policy(retry_raw, "retry")
+    return GridFaultScenario(
+        schedule=grid_schedule_from_dict(data),
+        retry=_retry_policy(data, "retry", DEFAULT_BROKER_RETRY_POLICY),
+        recovery=json_field(data, "recovery", str, None, error=FaultError),
     )
-    recovery = data.get("recovery")
-    if recovery is not None:
-        recovery = str(recovery)
-    return GridFaultScenario(schedule=schedule, retry=retry, recovery=recovery)
 
 
 def _load_json_object(path: Union[str, pathlib.Path]) -> Dict[str, Any]:

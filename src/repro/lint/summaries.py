@@ -110,7 +110,9 @@ class SummaryCache(Generic[E]):
                     entry["digest"],
                     from_dict(entry["extract"]),
                 )
-            except (KeyError, TypeError, ValueError):
+            except (  # what ``from_dict`` raises on a shape it cannot read
+                AttributeError, ArithmeticError, LookupError, TypeError, ValueError
+            ):
                 continue  # malformed entry == no entry
         self._dirty = len(self._modules) != len(modules)
 

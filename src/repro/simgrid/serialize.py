@@ -8,9 +8,9 @@ nested specs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import Any, Dict
 
-from repro.core.durable import json_number
+from repro.core.durable import json_field, json_number, json_value
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import (
     ClusterSpec,
@@ -28,22 +28,8 @@ def _disk_to_dict(disk: DiskSpec) -> Dict[str, float]:
     return {"seek_s": disk.seek_s, "stream_bw": disk.stream_bw}
 
 
-def _object(value: Any, name: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"'{name}' must be a JSON object, got {value!r:.40}"
-        )
-    return value
-
-
-def _text(value: Any, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigurationError(f"'{name}' must be a string, got {value!r:.40}")
-    return value
-
-
 def _disk_from_dict(value: Any, name: str) -> DiskSpec:
-    data = _object(value, name)
+    data = json_value(name, value, dict)
     return DiskSpec(
         seek_s=json_number(f"{name}.seek_s", data.get("seek_s")),
         stream_bw=json_number(f"{name}.stream_bw", data.get("stream_bw")),
@@ -81,31 +67,21 @@ def cluster_to_dict(cluster: ClusterSpec) -> Dict[str, Any]:
 
 
 def cluster_from_dict(value: Any) -> ClusterSpec:
-    """Rebuild a cluster spec from :func:`cluster_to_dict` output.
-
-    Strict, like every loader of a stored file: nested specs are JSON
-    objects, names are strings, counts are integers and every other
-    number is finite; anything else is a :class:`ConfigurationError`
-    naming the field.
-    """
-    data = _object(value, "cluster")
-    cpu = _object(data.get("cpu"), "cpu")
-    rates = _object(cpu.get("rates"), "cpu.rates")
-    nic = _object(data.get("nic"), "nic")
-    cache_disk = data.get("cache_disk")
+    """Rebuild a cluster spec from :func:`cluster_to_dict` output."""
+    data = json_value("cluster", value, dict)
+    cpu = json_value("cpu", data.get("cpu"), dict)
+    rates = json_value("cpu.rates", cpu.get("rates"), dict)
+    nic = json_value("nic", data.get("nic"), dict)
     try:
         categories = [OpCategory(cat) for cat in rates]
     except ValueError as exc:
         raise ConfigurationError(f"'cpu.rates': {exc}") from exc
-
-    def number(key: str, default: Any = None, integer: bool = False) -> Any:
-        return json_number(key, data.get(key, default), integer)
-
+    cache_disk = data.get("cache_disk")
     return ClusterSpec(
-        name=_text(data.get("name"), "name"),
+        name=json_field(data, "name", str),
         node=NodeSpec(
             cpu=CPUSpec(
-                name=_text(cpu.get("name"), "cpu.name"),
+                name=json_value("cpu.name", cpu.get("name"), str),
                 rates={
                     cat: json_number(f"cpu.rates.{cat.value}", rates[cat.value])
                     for cat in categories
@@ -117,19 +93,23 @@ def cluster_from_dict(value: Any) -> ClusterSpec:
                 bw=json_number("nic.bw", nic.get("bw")),
             ),
         ),
-        num_nodes=number("num_nodes", integer=True),
-        repository_backplane_bw=number("repository_backplane_bw"),
-        node_startup_s=number("node_startup_s", 0.0),
-        compute_pass_startup_s=number("compute_pass_startup_s", 0.0),
-        chunk_dispatch_overhead_s=number("chunk_dispatch_overhead_s", 0.0),
-        chunk_receive_overhead_s=number("chunk_receive_overhead_s", 0.0),
-        intra_latency_s=number("intra_latency_s", 0.0),
-        intra_bw=number("intra_bw", 1.0e12),
-        gather_deserialize_s=number("gather_deserialize_s", 0.0),
+        num_nodes=json_field(data, "num_nodes", int),
+        repository_backplane_bw=json_field(data, "repository_backplane_bw", float),
+        node_startup_s=json_field(data, "node_startup_s", float, 0.0),
+        compute_pass_startup_s=json_field(data, "compute_pass_startup_s", float, 0.0),
+        chunk_dispatch_overhead_s=json_field(
+            data, "chunk_dispatch_overhead_s", float, 0.0
+        ),
+        chunk_receive_overhead_s=json_field(
+            data, "chunk_receive_overhead_s", float, 0.0
+        ),
+        intra_latency_s=json_field(data, "intra_latency_s", float, 0.0),
+        intra_bw=json_field(data, "intra_bw", float, 1.0e12),
+        gather_deserialize_s=json_field(data, "gather_deserialize_s", float, 0.0),
         cache_disk=(
             None if cache_disk is None
             else _disk_from_dict(cache_disk, "cache_disk")
         ),
-        smp_width=number("smp_width", 1, integer=True),
-        smp_memory_contention=number("smp_memory_contention", 0.0),
+        smp_width=json_field(data, "smp_width", int, 1),
+        smp_memory_contention=json_field(data, "smp_memory_contention", float, 0.0),
     )

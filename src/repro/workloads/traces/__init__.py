@@ -1,18 +1,19 @@
 """Trace-realistic workloads: seeded generators, GWF traces, artifacts.
 
-The trace layer generalizes Poisson job streams (``StreamSpec``, now
-one case of :mod:`~repro.workloads.traces.generate`) to the shapes real
-grid traces exhibit (see DESIGN.md §16):
+The trace layer generalizes Poisson job streams (``StreamSpec``, the
+single-VO case of a trace spec) to the shapes real grid traces exhibit
+(see DESIGN.md §16):
 
 - :mod:`~repro.workloads.traces.distributions` — the parametric family
   (exponential, Weibull, lognormal, gamma, Pareto, uniform, constant)
   every arrival process draws from;
 - :mod:`~repro.workloads.traces.spec` — per-VO submission mixes
   (:class:`VoSpec`) under day/week modulation (:class:`DiurnalSpec`),
-  composed into a seeded :class:`TraceSpec`;
+  composed into a seeded :class:`TraceSpec`, and the Poisson
+  ``StreamSpec``;
 - :mod:`~repro.workloads.traces.generate` — deterministic expansion
   into broker jobs (child seeds per VO, largest-remainder counts,
-  merged arrival order), and the seeded ``StreamSpec`` streams;
+  merged arrival order), and ``StreamSpec`` streams;
 - :mod:`~repro.workloads.traces.artifact` — the durable, fingerprinted
   :class:`TraceWorkload` JSON artifact;
 - :mod:`~repro.workloads.traces.gwf` — the Grid Workload Archive

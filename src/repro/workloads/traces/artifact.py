@@ -27,7 +27,7 @@ from repro.core.durable import (
     atomic_write_json,
     check_format_version,
     content_digest,
-    json_number,
+    json_field,
     legacy_digest,
     read_json_document,
 )
@@ -180,12 +180,12 @@ class TraceWorkload:
             raise ConfigurationError(
                 "trace workload document needs a non-empty 'jobs' list"
             )
-        spec = doc.get("spec")
+        spec = json_field(doc, "spec", dict, None)
         trace = cls(
-            name=str(doc.get("name", "")),
+            name=json_field(doc, "name", str, ""),
             jobs=jobs,
-            spec=dict(spec) if isinstance(spec, Mapping) else None,
-            source=str(doc.get("source", "generated")),
+            spec=None if spec is None else dict(spec),
+            source=json_field(doc, "source", str, "generated"),
         )
         where = source_path or "trace workload document"
         recorded = doc.get("fingerprint")
@@ -197,8 +197,8 @@ class TraceWorkload:
                 "the jobs it claims to carry; regenerate it with "
                 "'repro trace generate'"
             )
-        count = doc.get("job_count")
-        if count is not None and json_number("job_count", count, True) != len(jobs):
+        count = json_field(doc, "job_count", int, None)
+        if count is not None and count != len(jobs):
             raise CorruptStoreError(
                 f"{where}: job_count {count} does not match the "
                 f"{len(jobs)} jobs present"

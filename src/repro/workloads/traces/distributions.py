@@ -30,7 +30,7 @@ from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
-from repro.core.durable import json_number
+from repro.core.durable import json_field
 from repro.simgrid.errors import ConfigurationError
 
 __all__ = ["DistributionSpec", "DISTRIBUTION_KINDS"]
@@ -201,30 +201,17 @@ class DistributionSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "DistributionSpec":
-        """Parse ``{"kind": ..., "params": {...}}`` (strict keys)."""
-        kind = str(doc.get("kind", ""))
+        """Parse ``{"kind": ..., "params": {...}}``."""
+        kind = json_field(doc, "kind", str, where="distribution: ")
         names = DISTRIBUTION_KINDS.get(kind)
         if names is None:
             raise ConfigurationError(
                 f"unknown distribution kind '{kind}'; known: "
                 + ", ".join(sorted(DISTRIBUTION_KINDS))
             )
-        raw = doc.get("params")
-        if not isinstance(raw, Mapping):
-            raise ConfigurationError(
-                f"{kind} distribution needs a 'params' mapping"
-            )
-        extra = set(raw) - set(names)
-        if extra:
-            raise ConfigurationError(
-                f"{kind} distribution got unknown params {sorted(extra)}"
-            )
-        missing = [n for n in names if n not in raw]
-        if missing:
-            raise ConfigurationError(
-                f"{kind} distribution missing params {missing}"
-            )
         where = f"{kind} distribution: "
+        params = json_field(doc, "params", dict, known=names, where=where)
         return cls(
-            kind, tuple((n, json_number(n, raw[n], where=where)) for n in names)
+            kind,
+            tuple((n, json_field(params, n, float, where=where)) for n in names),
         )

@@ -10,7 +10,8 @@ The per-VO draw discipline of :func:`generate_trace`:
 3. then per job, in order: mix index, priority index, deadline coin,
    slack uniform.
 
-Step 3 is :func:`realize_jobs`.  A :class:`StreamSpec` — Poisson
+Step 3 is :func:`realize_jobs`.  A
+:class:`~repro.workloads.traces.spec.StreamSpec` — Poisson
 arrivals, one workload mix, optional deadlines drawn as a slack multiple
 of each workload's best predicted execution time, a priority
 distribution — is the single-VO exponential special case:
@@ -32,26 +33,15 @@ can aggregate per VO and per arrival window without a join back here.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import replace
+from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.broker.jobs import BrokerJob
-from repro.core.durable import json_number
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.traces.distributions import DistributionSpec
-from repro.workloads.traces.spec import (
-    _DEFAULT_MIX,
-    DiurnalSpec,
-    Mix,
-    TraceSpec,
-    _check_count_and_seed,
-    _check_submissions,
-    _json_numbers,
-    _parse_mix,
-    _parse_slack,
-)
+from repro.workloads.traces.spec import DiurnalSpec, Mix, StreamSpec, TraceSpec
 
 __all__ = [
     "StreamSpec",
@@ -68,71 +58,6 @@ __all__ = [
 Baselines = Union[
     Callable[[str, Optional[str]], float], Mapping[str, float], None
 ]
-
-
-@dataclass(frozen=True)
-class StreamSpec:
-    """A deterministic recipe for a synthetic job stream.
-
-    ``mix`` entries are ``(workload, size, weight)``; ``size`` may be
-    ``None`` for the workload's default dataset.  ``deadline_fraction``
-    of jobs get a deadline ``arrival + slack * baseline`` where slack is
-    uniform over ``deadline_slack`` and baseline is the workload's best
-    predicted execution time on the target grid.
-    """
-
-    count: int
-    seed: int = 0
-    mean_interarrival: float = 0.1
-    mix: Mix = _DEFAULT_MIX
-    deadline_fraction: float = 0.0
-    deadline_slack: Tuple[float, float] = (1.5, 3.0)
-    priorities: Tuple[int, ...] = (0,)
-    priority_weights: Tuple[float, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        _check_count_and_seed("stream", self.count, self.seed)
-        if self.mean_interarrival <= 0:
-            raise ConfigurationError("mean inter-arrival must be positive")
-        _check_submissions("stream: ", self)
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "StreamSpec":
-        """Parse the ``stream`` section of a broker workload document.
-
-        Example::
-
-            {"count": 200, "seed": 7, "mean_interarrival": 0.05,
-             "mix": [["kmeans", null, 2.0], ["em", null, 1.0]],
-             "deadline_fraction": 0.4, "deadline_slack": [1.5, 3.0],
-             "priorities": [0, 1]}
-
-        Parsed as strictly as the rest of the document
-        (:func:`~repro.broker.jobs.parse_workload_document`): counts and
-        priorities are integers, every other number is finite, and a
-        violation is a :class:`ConfigurationError` naming the field.
-        """
-        where = "stream: "
-        if "count" not in doc:
-            raise ConfigurationError("stream spec needs a 'count'")
-
-        def number(key: str, default: Any, integer: bool = False) -> Any:
-            return json_number(key, doc.get(key, default), integer, where=where)
-
-        kwargs: dict = {
-            "count": number("count", None, integer=True),
-            "seed": number("seed", 0, integer=True),
-            "mean_interarrival": number("mean_interarrival", 0.1),
-            "deadline_fraction": number("deadline_fraction", 0.0),
-        }
-        if "mix" in doc:
-            kwargs["mix"] = _parse_mix(doc["mix"], where)
-        if "deadline_slack" in doc:
-            kwargs["deadline_slack"] = _parse_slack(doc, where)
-        for key, integer in (("priorities", True), ("priority_weights", False)):
-            if key in doc:
-                kwargs[key] = _json_numbers(doc, key, integer, where)
-        return cls(**kwargs)
 
 
 def split_counts(total: int, weights: Sequence[float]) -> List[int]:

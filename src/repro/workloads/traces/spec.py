@@ -22,11 +22,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.durable import json_number
+from repro.core.durable import json_field, json_value
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.traces.distributions import DistributionSpec
 
-__all__ = ["DiurnalSpec", "VoSpec", "TraceSpec", "Mix"]
+__all__ = ["DiurnalSpec", "VoSpec", "TraceSpec", "StreamSpec", "Mix"]
 
 #: ``(workload, size-or-None, weight)`` triples (``VoSpec`` and ``StreamSpec``).
 Mix = Tuple[Tuple[str, Optional[str], float], ...]
@@ -91,62 +91,58 @@ class DiurnalSpec:
     def from_dict(cls, doc: Mapping[str, Any]) -> "DiurnalSpec":
         defaults = cls().to_dict()
         return cls(**{
-            key: json_number(key, doc.get(key, default), where="modulation: ")
+            key: json_field(doc, key, float, default, where="modulation: ")
             for key, default in defaults.items()
         })
 
 
-def _json_typed(name: str, value: Any, kind: type, where: str = "") -> Any:
-    """``value`` if it is a JSON list (``kind=list``), object
-    (``kind=Mapping``) or string (``kind=str``), else an error naming the
-    field."""
-    if not isinstance(value, kind):
-        noun = {list: "a list", str: "a string"}.get(kind, "an object")
-        raise ConfigurationError(f"{where}'{name}' must be {noun}, got {value!r:.40}")
-    return value
-
-
-def _json_numbers(
-    doc: Mapping[str, Any], key: str, integer: bool = False, where: str = ""
-) -> Tuple[Any, ...]:
-    """``doc[key]``: a list of numbers, each parsed by :func:`json_number`."""
-    return tuple(
-        json_number(f"{key}[{i}]", v, integer, where=where)
-        for i, v in enumerate(_json_typed(key, doc[key], list, where))
-    )
-
-
-def _parse_slack(doc: Mapping[str, Any], where: str = "") -> Tuple[float, float]:
-    """``doc["deadline_slack"]``: a ``[lo, hi]`` pair."""
-    slack = _json_numbers(doc, "deadline_slack", where=where)
-    if len(slack) != 2:
-        raise ConfigurationError(
-            f"{where}'deadline_slack' must be a [lo, hi] pair"
-        )
-    return slack
-
-
-def _parse_mix(entries: Any, where: str = "") -> Mix:
+def _parse_mix(entries: Sequence[Any], where: str) -> Mix:
     """``[[workload, size-or-null, weight], ...]`` with size and weight
     optional; anything else is an error naming the entry."""
     mix: List[Tuple[str, Optional[str], float]] = []
-    for index, entry in enumerate(_json_typed("mix", entries, list, where)):
+    for index, entry in enumerate(entries):
         name = f"mix[{index}]"
-        if not isinstance(entry, list) or not 1 <= len(entry) <= 3:
+        if not 1 <= len(entry) <= 3:
             raise ConfigurationError(
                 f"{where}'{name}' must be a [workload, size, weight] list, "
                 f"got {entry!r:.40}"
             )
-        workload = entry[0]
         size = entry[1] if len(entry) > 1 else None
-        if not isinstance(workload, str) or not isinstance(size, (str, type(None))):
-            raise ConfigurationError(
-                f"{where}'{name}' needs a workload name and a size label "
-                f"or null, got {entry!r:.40}"
-            )
         weight = entry[2] if len(entry) > 2 else 1.0
-        mix.append((workload, size, json_number(f"{name}[2]", weight, where=where)))
+        mix.append((
+            json_value(f"{name}[0]", entry[0], str, where=where),
+            None if size is None else json_value(f"{name}[1]", size, str, where=where),
+            json_value(f"{name}[2]", weight, float, where=where),
+        ))
     return tuple(mix)
+
+
+#: The list fields of :func:`_submissions` and the JSON kind of their items.
+_SUBMISSION_LISTS = (
+    ("mix", list), ("deadline_slack", float), ("priorities", int),
+    ("priority_weights", float),
+)
+
+
+def _submissions(doc: Mapping[str, Any], where: str) -> Dict[str, Any]:
+    """The fields ``VoSpec`` and ``StreamSpec`` share, as constructor
+    keywords; an absent list keeps the class default."""
+    kwargs: Dict[str, Any] = {
+        "deadline_fraction": json_field(
+            doc, "deadline_fraction", float, 0.0, where=where
+        ),
+    }
+    for key, of in _SUBMISSION_LISTS:
+        if key in doc:
+            kwargs[key] = tuple(json_field(doc, key, list, of=of, where=where))
+    if "mix" in kwargs:
+        kwargs["mix"] = _parse_mix(kwargs["mix"], where)
+    slack = kwargs.get("deadline_slack")
+    if slack is not None and len(slack) != 2:
+        raise ConfigurationError(
+            f"{where}'deadline_slack' must be a [lo, hi] pair"
+        )
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -193,29 +189,17 @@ class VoSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "VoSpec":
-        if "name" not in doc:
-            raise ConfigurationError("VO spec needs a 'name'")
-        name = _json_typed("name", doc["name"], str, "VO spec: ")
+        name = json_field(doc, "name", str, where="VO spec: ")
         where = f"VO '{name:.40}': "
         kwargs: Dict[str, Any] = {
             "name": name,
-            "weight": json_number("weight", doc.get("weight", 1.0), where=where),
-            "deadline_fraction": json_number(
-                "deadline_fraction", doc.get("deadline_fraction", 0.0),
-                where=where,
-            ),
+            "weight": json_field(doc, "weight", float, 1.0, where=where),
+            **_submissions(doc, where),
         }
         if "interarrival" in doc:
             kwargs["interarrival"] = DistributionSpec.from_dict(
-                _json_typed("interarrival", doc["interarrival"], Mapping, where)
+                json_field(doc, "interarrival", dict, where=where)
             )
-        if "mix" in doc:
-            kwargs["mix"] = _parse_mix(doc["mix"], where)
-        if "deadline_slack" in doc:
-            kwargs["deadline_slack"] = _parse_slack(doc, where)
-        for key, integer in (("priorities", True), ("priority_weights", False)):
-            if key in doc:
-                kwargs[key] = _json_numbers(doc, key, integer, where)
         return cls(**kwargs)
 
 
@@ -304,24 +288,68 @@ class TraceSpec:
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "TraceSpec":
         where = "trace spec: "
-        for key in ("name", "count"):
-            if key not in doc:
-                raise ConfigurationError(f"trace spec needs a '{key}'")
-        vos_doc = doc.get("vos")
-        if not vos_doc:
+        name = json_field(doc, "name", str, where=where)
+        count = json_field(doc, "count", int, where=where)
+        vos = json_field(doc, "vos", list, [], of=dict, where=where)
+        if not vos:
             raise ConfigurationError("trace spec needs a non-empty 'vos'")
-        modulation = None
-        if doc.get("modulation") is not None:
-            modulation = DiurnalSpec.from_dict(
-                _json_typed("modulation", doc["modulation"], Mapping, where)
-            )
+        modulation = json_field(doc, "modulation", dict, None, where=where)
         return cls(
-            name=_json_typed("name", doc["name"], str, where),
-            count=json_number("count", doc["count"], True, where=where),
-            seed=json_number("seed", doc.get("seed", 0), True, where=where),
-            vos=tuple(
-                VoSpec.from_dict(_json_typed(f"vos[{i}]", vo, Mapping, where))
-                for i, vo in enumerate(_json_typed("vos", vos_doc, list, where))
+            name=name,
+            count=count,
+            seed=json_field(doc, "seed", int, 0, where=where),
+            vos=tuple(VoSpec.from_dict(vo) for vo in vos),
+            modulation=(
+                None if modulation is None else DiurnalSpec.from_dict(modulation)
             ),
-            modulation=modulation,
+        )
+
+
+@dataclass(frozen=True)
+class StreamSpec:
+    """A deterministic recipe for a synthetic job stream: the single-VO
+    Poisson case that :func:`~repro.workloads.traces.generate.generate_stream`
+    expands.
+
+    ``mix`` entries are ``(workload, size, weight)``; ``size`` may be
+    ``None`` for the workload's default dataset.  ``deadline_fraction``
+    of jobs get a deadline ``arrival + slack * baseline`` where slack is
+    uniform over ``deadline_slack`` and baseline is the workload's best
+    predicted execution time on the target grid.
+    """
+
+    count: int
+    seed: int = 0
+    mean_interarrival: float = 0.1
+    mix: Mix = _DEFAULT_MIX
+    deadline_fraction: float = 0.0
+    deadline_slack: Tuple[float, float] = (1.5, 3.0)
+    priorities: Tuple[int, ...] = (0,)
+    priority_weights: Tuple[float, ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        _check_count_and_seed("stream", self.count, self.seed)
+        if self.mean_interarrival <= 0:
+            raise ConfigurationError("mean inter-arrival must be positive")
+        _check_submissions("stream: ", self)
+
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, Any]) -> "StreamSpec":
+        """Parse the ``stream`` section of a broker workload document.
+
+        Example::
+
+            {"count": 200, "seed": 7, "mean_interarrival": 0.05,
+             "mix": [["kmeans", null, 2.0], ["em", null, 1.0]],
+             "deadline_fraction": 0.4, "deadline_slack": [1.5, 3.0],
+             "priorities": [0, 1]}
+        """
+        where = "stream: "
+        return cls(
+            count=json_field(doc, "count", int, where=where),
+            seed=json_field(doc, "seed", int, 0, where=where),
+            mean_interarrival=json_field(
+                doc, "mean_interarrival", float, 0.1, where=where
+            ),
+            **_submissions(doc, where),
         )

@@ -1,5 +1,8 @@
 """Tests for experiment-result persistence and comparison."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.analysis.results_io import (
@@ -55,6 +58,30 @@ class TestRoundTrip:
         data["format_version"] = 99
         with pytest.raises(ConfigurationError):
             result_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("actual", "NaN"), ("predicted", "inf"), ("actual", float("nan")),
+         ("data_nodes", 1.9), ("compute_nodes", "4"), ("model", 7)],
+    )
+    def test_rows_are_strict(self, field, value):
+        # float() and int() used to load these as nan, inf, 1 and 4.
+        data = result_to_dict(make_result())
+        data["rows"][1][field] = value
+        with pytest.raises(
+            ConfigurationError, match=re.escape(f"row 1: '{field}'")
+        ):
+            result_from_dict(data)
+
+
+RESULTS = pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(RESULTS.glob("*.json")), ids=lambda path: path.stem
+)
+def test_every_committed_result_loads(path):
+    assert load_result(path).rows
 
 
 class TestCompareResults:

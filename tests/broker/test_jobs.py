@@ -143,7 +143,7 @@ class TestParseDocument:
     @pytest.mark.parametrize(
         "mutate,names",
         [
-            (lambda d: d["jobs"][0].pop("id"), "job needs a 'id'"),
+            (lambda d: d["jobs"][0].pop("id"), "job: requires key 'id'"),
             (lambda d: d["jobs"][0].update(arrival="soon"),
              "job 'j0': 'arrival'"),
             (lambda d: d["jobs"][0].update(priority="high"),
@@ -166,7 +166,7 @@ class TestParseDocument:
             (lambda d: d.update(allocations=[[1, "2"]]),
              r"allocations\[0\]"),
             (lambda d: d.update(allocations=7), "'allocations'"),
-            (lambda d: d["links"][0].pop("bw"), "link needs a 'bw'"),
+            (lambda d: d["links"][0].pop("bw"), "link repo~hpc: requires key 'bw'"),
             (lambda d: d["links"][0].update(bw=math.nan),
              "link repo~hpc: 'bw'"),
             (lambda d: d["links"][0].update(latency_s="slow"),

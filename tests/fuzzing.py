@@ -3,8 +3,9 @@
 A valid document is damaged the way hand-edited or bit-rotted JSON goes
 wrong — a field dropped, retyped, made non-finite, or nested one level
 too deep — at any position below its root.  Every loader's property is
-the same: only a ``ReproError`` escapes, and the file it read is left as
-it was.
+the same: only a ``ReproError`` escapes, the file it read is left as it
+was, and a load that succeeds keeps every string and boolean field as
+written (:func:`kept`).
 """
 
 import copy
@@ -55,3 +56,10 @@ def mutated(draw, *documents, mutations=3):
         else:
             holder[last] = {"value": holder[last]}
     return doc
+
+
+def kept(loaded, written):
+    """Whether a loader kept a string or boolean field as the document
+    wrote it: the same value of the same type, so neither ``7`` read as
+    ``'7'`` nor ``"no"`` read as ``True`` passes."""
+    return type(loaded) is type(written) and loaded == written

@@ -21,6 +21,7 @@ import types
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.lint import all_rules, analyze_effects, analyze_paths
 from repro.lint import engine as lint_engine
@@ -29,6 +30,8 @@ from repro.lint.effects import EffectPass
 from repro.lint.engine import Pass, RulesPass, scan
 from repro.lint.flow import FlowPass
 from repro.lint.perf import PerfPass, analyze_perf
+
+from tests.fuzzing import mutated
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -192,6 +195,58 @@ def test_malformed_entry_is_a_miss_for_that_module_only(layer):
     assert result.cache_misses == 1
     assert result.cache_hits == len(layer.files) - 1
     assert result.findings == cold.findings
+
+
+def test_an_entry_of_the_wrong_shape_is_a_miss(tmp_path):
+    """``classes`` of 7 once escaped as an ``AttributeError`` from
+    ``PerfExtract.from_dict``; any entry ``from_dict`` cannot read is a
+    miss."""
+    layer = Layer("perf", tmp_path)
+    cold = layer.run()
+
+    def edit(data):
+        data["modules"][sorted(data["modules"])[0]]["extract"]["classes"] = 7
+
+    layer.rewrite_cache(edit)
+    result = layer.run()
+    assert (result.cache_hits, result.cache_misses) == (len(layer.files) - 1, 1)
+    assert result.findings == cold.findings
+
+
+#: pass -> what opens (and so reads) its cache file
+OPENERS = {
+    "rules": lambda path: RulesPass(None, path),
+    "flow": FlowPass,
+    "effects": EffectPass,
+    "perf": PerfPass,
+}
+
+
+@pytest.fixture(scope="module")
+def cold_caches(tmp_path_factory):
+    caches = {}
+    for name in sorted(LAYERS):
+        layer = Layer(name, tmp_path_factory.mktemp(name))
+        layer.run()
+        caches[name] = json.loads(layer.cache.read_text())
+    return caches
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_a_mutated_cache_loads_without_error_and_is_left_alone(
+    tmp_path, cold_caches, data
+):
+    name = data.draw(st.sampled_from(sorted(cold_caches)))
+    path = tmp_path / f"{name}-cache.json"
+    path.write_text(json.dumps(data.draw(mutated(cold_caches[name])), sort_keys=True))
+    before = path.read_bytes()
+    OPENERS[name](path)
+    assert path.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
