@@ -16,32 +16,48 @@ arrivals, one workload mix, optional deadlines drawn as a slack multiple
 of each workload's best predicted execution time, a priority
 distribution — is the single-VO exponential special case:
 :func:`generate_stream` draws its gaps from
-``DistributionSpec.exponential(mean)`` and runs the same loop, issuing
-exactly the NumPy calls the pre-trace stream generator made, so every
+``DistributionSpec.exponential(mean)`` and runs the same loop, consuming
+exactly the bits the pre-trace stream generator drew, so every
 historical seeded stream replays byte-identically (the golden under
 ``tests/workloads/goldens/stream_golden.json`` pins this).
+
+A weighted index is ``cdf.searchsorted(random(), "right")`` over the CDF
+that ``Generator.choice(n, p=…)`` builds (normalise, ``cumsum``, divide
+by the last entry), found with :func:`bisect.bisect_right` on the same
+doubles; an unweighted one is ``integers(0, n)``, which is what
+``choice(n)`` calls.  The oracle property in
+``tests/workloads/test_trace_property.py`` holds the jobs and the
+generator's final state to the ``choice`` loop these draws replaced.
 
 Draw order is fixed (all inter-arrival gaps first, then step 3 per
 job): changing it would silently change every seeded experiment, so
 treat it as part of the format.
 
-VO streams are merged by ``(arrival, job_id)`` and each job is stamped
-with its zero-based ``arrival_index`` in the merged order, so reports
-can aggregate per VO and per arrival window without a join back here.
+VO streams are merged by ``(arrival, job_id)`` as field rows and each
+job is built once, with its zero-based ``arrival_index`` in the merged
+order, so reports can aggregate per VO and per arrival window without a
+join back here.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import replace
-from typing import Callable, List, Mapping, Optional, Sequence, Union
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.broker.jobs import BrokerJob
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.traces.distributions import DistributionSpec
-from repro.workloads.traces.spec import DiurnalSpec, Mix, StreamSpec, TraceSpec
+from repro.workloads.traces.spec import (
+    DiurnalSpec,
+    Mix,
+    StreamSpec,
+    TraceSpec,
+    _check_weights,
+)
 
 __all__ = [
     "StreamSpec",
@@ -100,8 +116,8 @@ def modulated_arrivals(
         t = 0.0
         rate_factor = modulation.rate_factor
         with contextlib.suppress(ValueError):  # math.sin of an infinite phase
-            for i, gap in enumerate(gaps):
-                t += float(gap) / rate_factor(t)
+            for i, gap in enumerate(gaps.tolist()):
+                t += gap / rate_factor(t)
                 arrivals[i] = t
     if not np.isfinite(arrivals).all():
         raise ConfigurationError("interarrival draws overflow the simulated clock")
@@ -129,6 +145,72 @@ def _baseline_for(
     return value
 
 
+def _cdf(weights: Sequence[float]) -> List[float]:
+    """The CDF ``Generator.choice(n, p=…)`` searches, built the same way."""
+    cdf = np.array(weights, dtype=float)
+    cdf /= cdf.sum()
+    cdf = cdf.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+#: A drawn job's fields, in :class:`BrokerJob` order up to ``vo``.
+_Row = Tuple[str, str, Optional[str], float, Optional[float], int, Optional[str]]
+
+
+def _draw_rows(
+    rng: np.random.Generator,
+    arrivals: np.ndarray,
+    *,
+    mix: Mix,
+    priorities: Sequence[int],
+    priority_weights: Sequence[float],
+    deadline_fraction: float,
+    deadline_slack: Sequence[float],
+    baselines: Baselines,
+    job_id_for: Callable[[int, str], str],
+    vo: Optional[str] = None,
+) -> List[_Row]:
+    """The step-3 loop behind :func:`realize_jobs`, as field rows."""
+    where = f"VO '{vo}': " if vo else ""
+    mix_weights = [w for _, _, w in mix]
+    _check_weights(f"{where}mix weights", mix_weights)
+    _check_weights(f"{where}priority_weights", priority_weights)
+    if priority_weights and len(priority_weights) != len(priorities):
+        raise ConfigurationError(
+            f"{where}priority_weights must match priorities in length"
+        )
+    mix_cdf = _cdf(mix_weights)
+    prio_cdf = _cdf(priority_weights) if priority_weights else None
+    n_priorities = len(priorities)
+
+    rows: List[_Row] = []
+    for i, arrival in enumerate(np.asarray(arrivals, dtype=float).tolist()):
+        workload, size, _ = mix[bisect_right(mix_cdf, rng.random())]
+        if prio_cdf is None:
+            prio_index = int(rng.integers(0, n_priorities))
+        else:
+            prio_index = bisect_right(prio_cdf, rng.random())
+        deadline = None
+        if rng.random() < deadline_fraction:
+            slack = float(rng.uniform(*deadline_slack))
+            deadline = arrival + slack * _baseline_for(
+                baselines, workload, size
+            )
+        rows.append(
+            (
+                job_id_for(i, workload),
+                workload,
+                size,
+                arrival,
+                deadline,
+                priorities[prio_index],
+                vo,
+            )
+        )
+    return rows
+
+
 def realize_jobs(
     rng: np.random.Generator,
     arrivals: np.ndarray,
@@ -146,42 +228,24 @@ def realize_jobs(
 
     The draw order per job — mix index, priority index, deadline coin,
     slack uniform — is part of the seeded-workload format; both the
-    trace generator and the Poisson stream generator call this one
-    loop so the order can never fork.
+    trace generator and the Poisson stream generator run this one loop
+    (``generate_trace`` takes its rows, to build each job once) so the
+    order can never fork.  Mix and priority weights must be positive
+    with a finite sum, or ``ConfigurationError`` names them.
     """
-    mix_weights = np.array([w for _, _, w in mix], dtype=float)
-    mix_weights /= mix_weights.sum()
-    if priority_weights:
-        prio_weights = np.array(priority_weights, dtype=float)
-        prio_weights /= prio_weights.sum()
-    else:
-        prio_weights = None
-
-    jobs: List[BrokerJob] = []
-    for i in range(len(arrivals)):
-        mix_index = int(rng.choice(len(mix), p=mix_weights))
-        workload, size, _ = mix[mix_index]
-        prio_index = int(rng.choice(len(priorities), p=prio_weights))
-        priority = priorities[prio_index]
-        arrival = float(arrivals[i])
-        deadline = None
-        if rng.random() < deadline_fraction:
-            slack = float(rng.uniform(*deadline_slack))
-            deadline = arrival + slack * _baseline_for(
-                baselines, workload, size
-            )
-        jobs.append(
-            BrokerJob(
-                job_id=job_id_for(i, workload),
-                workload=workload,
-                size=size,
-                arrival=arrival,
-                deadline=deadline,
-                priority=priority,
-                vo=vo,
-            )
-        )
-    return jobs
+    rows = _draw_rows(
+        rng,
+        arrivals,
+        mix=mix,
+        priorities=priorities,
+        priority_weights=priority_weights,
+        deadline_fraction=deadline_fraction,
+        deadline_slack=deadline_slack,
+        baselines=baselines,
+        job_id_for=job_id_for,
+        vo=vo,
+    )
+    return [BrokerJob(*row) for row in rows]
 
 
 def generate_stream(
@@ -220,7 +284,7 @@ def generate_trace(
     ``baselines`` is only consulted by VOs that draw deadlines.
     """
     counts = split_counts(spec.count, [vo.weight for vo in spec.vos])
-    merged: List[BrokerJob] = []
+    merged: List[_Row] = []
     for vo_index, (vo, n) in enumerate(zip(spec.vos, counts)):
         if n == 0:
             continue
@@ -229,7 +293,7 @@ def generate_trace(
         arrivals = modulated_arrivals(gaps, spec.modulation)
         vo_name = vo.name
         merged.extend(
-            realize_jobs(
+            _draw_rows(
                 rng,
                 arrivals,
                 mix=vo.mix,
@@ -246,10 +310,8 @@ def generate_trace(
                 vo=vo_name,
             )
         )
-    merged.sort(key=lambda job: (job.arrival, job.job_id))
-    return [
-        replace(job, arrival_index=index) for index, job in enumerate(merged)
-    ]
+    merged.sort(key=itemgetter(3, 0))  # (arrival, job_id)
+    return [BrokerJob(*row, index) for index, row in enumerate(merged)]
 
 
 def stream_horizon(jobs) -> float:

@@ -8,11 +8,16 @@ handful of presets:
   spec and regenerating from the round-tripped copy changes nothing;
 - **GWF round trip** — any generated trace survives
   ``trace_to_gwf`` -> ``parse_gwf`` with every job field intact, and
-  the serialization is idempotent.
+  the serialization is idempotent;
+- **draw oracle** — ``realize_jobs`` makes the jobs, and leaves the
+  generator in the state, that the ``Generator.choice`` loop it
+  replaced does.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.broker.jobs import BrokerJob
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.traces import (
     DistributionSpec,
@@ -21,6 +26,7 @@ from repro.workloads.traces import (
     TraceWorkload,
     VoSpec,
     parse_gwf,
+    realize_jobs,
     trace_to_gwf,
 )
 
@@ -140,3 +146,88 @@ def test_gwf_round_trip_preserves_every_job(spec):
     back = parse_gwf(text, name=trace.name)
     assert back.jobs == trace.jobs
     assert trace_to_gwf(back) == text
+
+
+def choice_oracle(
+    rng,
+    arrivals,
+    *,
+    mix,
+    priorities,
+    priority_weights,
+    deadline_fraction,
+    deadline_slack,
+    baselines,
+    job_id_for,
+    vo=None,
+):
+    """The ``Generator.choice`` draw loop ``realize_jobs`` replaced, verbatim
+    (``_baseline_for`` reduced to the callable case)."""
+    mix_weights = np.array([w for _, _, w in mix], dtype=float)
+    mix_weights /= mix_weights.sum()
+    if priority_weights:
+        prio_weights = np.array(priority_weights, dtype=float)
+        prio_weights /= prio_weights.sum()
+    else:
+        prio_weights = None
+
+    jobs = []
+    for i in range(len(arrivals)):
+        mix_index = int(rng.choice(len(mix), p=mix_weights))
+        workload, size, _ = mix[mix_index]
+        prio_index = int(rng.choice(len(priorities), p=prio_weights))
+        priority = priorities[prio_index]
+        arrival = float(arrivals[i])
+        deadline = None
+        if rng.random() < deadline_fraction:
+            slack = float(rng.uniform(*deadline_slack))
+            deadline = arrival + slack * float(baselines(workload, size))
+        jobs.append(
+            BrokerJob(
+                job_id=job_id_for(i, workload),
+                workload=workload,
+                size=size,
+                arrival=arrival,
+                deadline=deadline,
+                priority=priority,
+                vo=vo,
+            )
+        )
+    return jobs
+
+
+@st.composite
+def draw_fields(draw):
+    priorities = tuple(
+        draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+    )
+    weights = st.lists(
+        st.floats(1e-3, 1e3, allow_nan=False),
+        min_size=len(priorities),
+        max_size=len(priorities),
+    )
+    return {
+        "mix": draw(mixes),
+        "priorities": priorities,
+        "priority_weights": tuple(draw(st.one_of(st.just(()), weights))),
+        "deadline_fraction": draw(st.sampled_from([0.0, 0.3, 1.0])),
+        "deadline_slack": (1.5, 3.0),
+        "baselines": lambda workload, size: 2.0 + len(workload),
+        "job_id_for": lambda i, workload: f"j{i:04d}-{workload}",
+        "vo": draw(st.sampled_from([None, "vo-0"])),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    count=st.integers(0, 40),
+    fields=draw_fields(),
+)
+def test_draws_match_the_choice_oracle(seed, count, fields):
+    arrivals = np.cumsum(np.random.default_rng(seed).exponential(1.0, count))
+    rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    jobs = realize_jobs(rng, arrivals, **fields)
+    assert jobs == choice_oracle(oracle_rng, arrivals, **fields)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state

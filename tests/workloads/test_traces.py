@@ -21,6 +21,7 @@ from repro.workloads.traces import (
     make_preset,
     modulated_arrivals,
     parse_gwf,
+    realize_jobs,
     split_counts,
     trace_to_gwf,
 )
@@ -273,6 +274,50 @@ class TestGeneration:
         for vo in ("atlas", "cms"):
             assert key(jobs, vo) == key(jobs2, vo)
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"mix": (("kmeans", None, 0.0),)}, "mix weights"),
+            (
+                {"mix": (("kmeans", None, 1.0), ("knn", None, -1.0))},
+                "mix weights",
+            ),
+            (
+                {"mix": (("kmeans", None, float("nan")),)},
+                "mix weights",
+            ),
+            (
+                {"priorities": (0, 1), "priority_weights": (1.0, -0.5)},
+                "priority_weights",
+            ),
+            (
+                {"priorities": (0, 1), "priority_weights": (0.0, 0.0)},
+                "priority_weights",
+            ),
+            (
+                {"priorities": (0, 1), "priority_weights": (1.0,)},
+                "priority_weights",
+            ),
+        ],
+    )
+    def test_realize_jobs_refuses_bad_weights(self, fields, named):
+        """Refused before any draw, naming the field, not NumPy's error."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        kwargs = {
+            "mix": (("kmeans", None, 1.0),),
+            "priorities": (0,),
+            "priority_weights": (),
+            "deadline_fraction": 0.0,
+            "deadline_slack": (1.5, 3.0),
+            "baselines": None,
+            "job_id_for": lambda i, workload: f"j{i}",
+            **fields,
+        }
+        with pytest.raises(ConfigurationError, match=named):
+            realize_jobs(rng, np.array([1.0, 2.0]), **kwargs)
+        assert rng.bit_generator.state == state
+
     def test_every_job_tagged_with_vo(self):
         jobs = generate_trace(
             make_preset("gwa-mixed", 120, seed=1), baselines=flat_baseline
@@ -296,6 +341,17 @@ class TestArtifact:
         assert self.make().fingerprint == self.make().fingerprint
         assert (
             self.make(seed=6).fingerprint != self.make(seed=7).fingerprint
+        )
+
+    def test_benchmark_trace_fingerprint_is_pinned(self):
+        """The 10,000-job trace ``broker_trace`` brokers, recorded from
+        the ``Generator.choice`` draw loop: a faster generator must
+        still produce it byte for byte."""
+        trace = TraceWorkload.from_spec(
+            make_preset("gwa-mixed", 10000, seed=1), baselines=flat_baseline
+        )
+        assert trace.fingerprint == (
+            "712233d0fc85d6513f32ef2a863a3217858f6dd438e57df7ae51de3700d886e8"
         )
 
     def test_save_load_round_trip(self, tmp_path):
