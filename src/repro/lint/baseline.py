@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 from collections import Counter
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.durable import atomic_write_json, read_json_document
 from repro.lint.errors import LintError
@@ -127,21 +127,12 @@ class Baseline:
             if entry_code == code
         )
 
-    def partition(
-        self,
-        findings: Sequence[Finding],
-        *,
-        scanned_paths: Optional[Collection[str]] = None,
-    ) -> BaselinePartition:
+    def partition(self, findings: Sequence[Finding]) -> BaselinePartition:
         """Split findings into new vs suppressed; report stale entries.
 
         Within one identity group, the earliest occurrences (by line) are
         the suppressed ones — so when an extra duplicate of a baselined
         violation appears, exactly one finding is reported as new.
-
-        A partial run (``--changed``) passes ``scanned_paths``: entries
-        for files outside the scan were never given a chance to match,
-        so staleness is only reported for files actually linted.
         """
         remaining = dict(self.entries)
         new: List[Finding] = []
@@ -157,7 +148,6 @@ class Baseline:
             (identity, count)
             for identity, count in sorted(remaining.items())
             if count > 0
-            and (scanned_paths is None or identity[1] in scanned_paths)
         )
         return BaselinePartition(
             new=tuple(new), suppressed=tuple(suppressed), stale=stale

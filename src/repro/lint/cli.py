@@ -18,12 +18,12 @@ import argparse
 import dataclasses
 import pathlib
 import sys
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.lint.baseline import Baseline
 from repro.lint.effects import EFFECT_RULES, EffectPass, write_certificate
-from repro.lint.engine import Pass, RulesPass, relative_finding_path, scan
+from repro.lint.engine import RulesPass, scan
 from repro.lint.errors import LintError
 from repro.lint.findings import CachedFindings, Finding
 from repro.lint.fixes import apply_fixes
@@ -81,37 +81,14 @@ def register_lint(parser: argparse.ArgumentParser) -> None:
         "--list-rules", action="store_true",
         help="print the rule table (code, name, summary) and exit",
     )
-    flow_group = parser.add_mutually_exclusive_group()
-    flow_group.add_argument(
+    parser.add_argument(
         "--flow", action="store_true",
-        help="force the whole-program pass (REP101-REP104) on",
-    )
-    flow_group.add_argument(
-        "--no-flow", action="store_true",
-        help="force the whole-program pass off (it defaults to on for "
-        "directory runs, off for single-file and --changed runs)",
+        help="run the whole-program pass (REP101-REP104); it runs "
+        "anyway when a PATH is a directory and no --select is given",
     )
     parser.add_argument(
-        "--flow-cache", default=None, metavar="FILE",
-        help="per-module summary cache for the flow pass "
-        f"(default: ROOT/{DEFAULT_FLOW_CACHE})",
-    )
-    effects_group = parser.add_mutually_exclusive_group()
-    effects_group.add_argument(
         "--effects", action="store_true",
-        help="run the effect/determinism pass (REP201-REP205); always "
-        "analyzes the full PATH scope, even under --changed, so "
-        "certificate regressions in unchanged files are caught",
-    )
-    effects_group.add_argument(
-        "--no-effects", action="store_true",
-        help="force the effect pass off even when --select names a "
-        "REP2xx code",
-    )
-    parser.add_argument(
-        "--effects-cache", default=None, metavar="FILE",
-        help="per-module summary cache for the effect pass "
-        f"(default: ROOT/{DEFAULT_EFFECTS_CACHE})",
+        help="run the effect/determinism pass (REP201-REP205)",
     )
     parser.add_argument(
         "--certificate", default=None, metavar="FILE",
@@ -128,37 +105,9 @@ def register_lint(parser: argparse.ArgumentParser) -> None:
         help="let --write-certificate record tier demotions after "
         "review",
     )
-    perf_group = parser.add_mutually_exclusive_group()
-    perf_group.add_argument(
+    parser.add_argument(
         "--perf", action="store_true",
-        help="run the performance-contract pass (REP301-REP304); like "
-        "--effects it always analyzes the full PATH scope, even under "
-        "--changed, because hot-region membership is a whole-program "
-        "property",
-    )
-    perf_group.add_argument(
-        "--no-perf", action="store_true",
-        help="force the perf pass off even when --select names a "
-        "REP3xx code",
-    )
-    parser.add_argument(
-        "--perf-cache", default=None, metavar="FILE",
-        help="per-module summary cache for the perf pass "
-        f"(default: ROOT/{DEFAULT_PERF_CACHE})",
-    )
-    parser.add_argument(
-        "--clear-cache", action="store_true",
-        help="delete the flow, effect, and perf summary caches before "
-        "running",
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="lint only Python files changed since --base (plus "
-        "untracked ones), intersected with PATH scope",
-    )
-    parser.add_argument(
-        "--base", default="HEAD", metavar="REF",
-        help="git ref --changed diffs against (default: HEAD)",
+        help="run the performance-contract pass (REP301-REP304)",
     )
     parser.set_defaults(func=_cmd_lint)
 
@@ -167,20 +116,13 @@ def register_lint(parser: argparse.ArgumentParser) -> None:
 class _Layer:
     """One whole-program layer as the CLI sees it.
 
-    ``name`` is the flag stem: ``--NAME`` forces the layer on,
-    ``--no-NAME`` off, ``--NAME-cache`` moves its summary cache.
+    ``name`` is the flag stem: ``--NAME`` turns the layer on.  Its
+    summary cache is always ``ROOT/<cache_name>``.
     """
 
     name: str
     rules: Tuple[ProgramRule, ...]
     cache_name: str
-    #: Analyze the original PATH scope even under --changed.  Tier
-    #: regressions surface in *unchanged* files (a helper edit demotes a
-    #: distant entry point) and decorating one function can pull a
-    #: distant, unchanged callee into the hot region, so a diff-narrowed
-    #: file list would miss exactly the regressions these layers exist
-    #: to catch.  The summary cache keeps the full pass cheap.
-    full_scope: bool
     #: (cache path, certificate path or None, the rules pass's
     #: findings cache) -> the pass
     make_pass: Callable[
@@ -192,10 +134,6 @@ class _Layer:
     def codes(self) -> FrozenSet[str]:
         return frozenset(rule.code for rule in self.rules)
 
-    def cache_path(self, args: argparse.Namespace, root: pathlib.Path) -> str:
-        given = getattr(args, f"{self.name}_cache")
-        return given or str(root / self.cache_name)
-
     def enabled(
         self,
         args: argparse.Namespace,
@@ -204,36 +142,34 @@ class _Layer:
     ) -> bool:
         """Whether this run includes the layer.
 
-        Explicit flags win; an explicit --select decides by whether it
-        names any of the layer's codes.  Otherwise flow defaults on for
-        directory runs (single-file and --changed runs stay fast and
-        intraprocedural), while effects and perf — whole-program passes
-        with committed artifacts of their own — run when asked for.
+        Its flag turns it on, as --write-certificate turns effects on;
+        otherwise an explicit --select decides by whether it names any
+        of the layer's codes.  Without one, flow runs when a PATH is a
+        directory (a single-file run stays intraprocedural), while
+        effects and perf run only when asked for.
         """
-        if getattr(args, f"no_{self.name}"):
-            return False
         if getattr(args, self.name):
             return True
         if self.name == "effects" and args.write_certificate:
             return True
         if selected is not None:
             return bool(selected & self.codes)
-        if self.name == "flow" and not args.changed:
-            return any(pathlib.Path(p).is_dir() for p in paths)
-        return False
+        return self.name == "flow" and any(
+            pathlib.Path(p).is_dir() for p in paths
+        )
 
 
 LAYERS: Tuple[_Layer, ...] = (
     _Layer(
-        "flow", FLOW_RULES, DEFAULT_FLOW_CACHE, False,
+        "flow", FLOW_RULES, DEFAULT_FLOW_CACHE,
         lambda cache, certificate, found: FlowPass(cache, found),
     ),
     _Layer(
-        "effects", EFFECT_RULES, DEFAULT_EFFECTS_CACHE, True,
+        "effects", EFFECT_RULES, DEFAULT_EFFECTS_CACHE,
         lambda cache, certificate, found: EffectPass(cache, certificate),
     ),
     _Layer(
-        "perf", PERF_RULES, DEFAULT_PERF_CACHE, True,
+        "perf", PERF_RULES, DEFAULT_PERF_CACHE,
         lambda cache, certificate, found: PerfPass(cache, certificate),
     ),
 )
@@ -245,53 +181,30 @@ def run_lint_command(args: argparse.Namespace) -> int:
         print(_rule_table())
         return 0
     root = pathlib.Path(args.root) if args.root else pathlib.Path.cwd()
-    rules_cache = root / DEFAULT_RULES_CACHE
-    if args.clear_cache:
-        rules_cache.unlink(missing_ok=True)
-        for layer in LAYERS:
-            pathlib.Path(layer.cache_path(args, root)).unlink(missing_ok=True)
     rules, selected = _selected_rules(args.select)
-    paths: List[str] = list(args.paths)
-    if args.changed:
-        from repro.lint.gitdiff import changed_python_files
-
-        paths = [
-            str(p)
-            for p in changed_python_files(
-                args.base, scope=[pathlib.Path(p) for p in args.paths]
-            )
-        ]
     layers = [
-        layer for layer in LAYERS if layer.enabled(args, paths, selected)
+        layer for layer in LAYERS if layer.enabled(args, args.paths, selected)
     ]
     certificate = args.certificate or str(root / DEFAULT_CERTIFICATE)
 
     def scan_once() -> Tuple[List[Finding], int, List[SummaryPass]]:
-        """Every enabled pass over its scope; one scan unless --changed
-        gives the rules and the full-scope layers different file sets."""
+        """Every enabled pass over PATH, in one scan."""
         # The rules pass caches exactly when a summary layer does: a run
         # that wrote no cache file before this one existed writes none.
-        rules_pass = RulesPass(rules, rules_cache if layers else None)
+        rules_pass = RulesPass(
+            rules, root / DEFAULT_RULES_CACHE if layers else None
+        )
         layer_passes = [
             layer.make_pass(
-                layer.cache_path(args, root),
+                str(root / layer.cache_name),
                 # A certificate about to be rewritten judges nothing.
                 None if args.write_certificate else certificate,
                 rules_pass.cache,
             )
             for layer in layers
         ]
-        scopes: Dict[Tuple[str, ...], List[Pass]] = {
-            tuple(paths): [rules_pass]
-        }
-        for layer, layer_pass in zip(layers, layer_passes):
-            scope = args.paths if layer.full_scope else paths
-            scopes.setdefault(tuple(scope), []).append(layer_pass)
-        scanned = {
-            scope: scan(scope, root, passes)
-            for scope, passes in scopes.items()
-        }
-        return rules_pass.finish(), scanned[tuple(paths)], layer_passes
+        files_scanned = scan(args.paths, root, [rules_pass, *layer_passes])
+        return rules_pass.finish(), files_scanned, layer_passes
 
     findings, files_scanned, layer_passes = scan_once()
     fixed = 0
@@ -327,17 +240,8 @@ def run_lint_command(args: argparse.Namespace) -> int:
     baseline = (
         Baseline.load(args.baseline) if args.baseline else Baseline.empty()
     )
-    scanned_paths = None
-    if args.changed:
-        # Partial scan: only files in the diff were linted, so baseline
-        # entries elsewhere must not be reported as stale.
-        scanned_paths = frozenset(
-            relative_finding_path(pathlib.Path(p), root) for p in paths
-        )
     report = LintReport(
-        partition=baseline.partition(
-            findings, scanned_paths=scanned_paths
-        ),
+        partition=baseline.partition(findings),
         files_scanned=files_scanned,
         fixed=fixed,
     )
@@ -372,11 +276,15 @@ def _selected_rules(
     """Split a --select list into engine rules and the selected codes.
 
     Returns ``(engine_rules, codes)``, both ``None`` when no --select
-    was given (meaning: everything).
+    was given (meaning: everything); a list that names no code is a
+    usage error.
     """
-    if not select:
+    if select is None:
         return None, None
     codes = [c.strip().upper() for c in select.split(",") if c.strip()]
+    if not codes:
+        # Zero rules would pass any tree: a gate that checks nothing.
+        raise LintError(f"--select {select!r} names no rule code")
     all_instances = {rule.code: rule for rule in all_rules()}
     layer_codes = [code for layer in LAYERS for code in sorted(layer.codes)]
     unknown = [

@@ -10,7 +10,7 @@ findings — a reviewed artifact that may only *shrink* in risk:
   any *demotion* (a function whose recorded tier outranks its current
   one) unless ``--allow-demotions`` acknowledges the review.
 - ``repro lint --effects`` reports demotions against the committed
-  certificate as REP205 findings, so a pre-commit ``--changed`` run
+  certificate as REP205 findings, so the pre-commit hook (CI's gate)
   catches a certificate regression before push.
 - ``repro campaign --workers N`` re-runs the (cached) analysis and
   refuses to start unless every submitted entry point still certifies

