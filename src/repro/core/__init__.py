@@ -10,14 +10,13 @@ separately (Section 3 of the paper):
 - :mod:`repro.core.profile`       — the profile artefact collected from one
   execution.
 - :mod:`repro.core.target`        — the configuration being predicted.
-- :mod:`repro.core.predictors`    — component predictors (Sections 3.2-3.3).
 - :mod:`repro.core.classes`       — the reduction-object-size and
   global-reduction-time application classes (Sections 3.3.1-3.3.2).
 - :mod:`repro.core.classify`      — class auto-detection from multiple
   profile runs.
-- :mod:`repro.core.models`        — the three nested model levels compared
-  in Section 5.1 (*no communication*, *reduction communication*, *global
-  reduction*).
+- :mod:`repro.core.models`        — the component equations (Sections
+  3.2-3.3) and the three nested model levels compared in Section 5.1 (*no
+  communication*, *reduction communication*, *global reduction*).
 - :mod:`repro.core.heterogeneous` — cross-cluster prediction via averaged
   component scaling factors (Section 3.4).
 - :mod:`repro.core.selection`     — replica + computing-configuration

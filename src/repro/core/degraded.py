@@ -24,11 +24,11 @@ prediction degrades exactly as the base model does — perfectly when the
 target equals the profile configuration, within the base model's error
 otherwise.
 
-What-if queries — "predict T_exec if one data node fails at 50% of
-retrieval" — are one-line conveniences over :meth:`predict`::
+A what-if query — "predict T_exec if one data node fails at 50% of
+retrieval" — is a one-fault schedule handed to :meth:`predict`::
 
-    DegradedModePredictor(model).predict_data_node_crash(
-        profile, target, at_fraction=0.5
+    DegradedModePredictor(model).predict(
+        profile, target, FaultSchedule([DataNodeCrash(0, 0, at_fraction=0.5)])
     )
 """
 
@@ -203,23 +203,6 @@ class DegradedModePredictor:
                 t_ckpt=t_ckpt,
                 t_degraded_links=degraded,
                 t_slow_nodes=slowed,
-            ),
-        )
-
-    def predict_data_node_crash(
-        self,
-        profile: Profile,
-        target: PredictionTarget,
-        data_node: int = 0,
-        at_fraction: float = 0.5,
-        pass_index: int = 0,
-    ) -> DegradedPrediction:
-        """What-if: one data node fails at ``at_fraction`` of retrieval."""
-        return self.predict(
-            profile,
-            target,
-            FaultSchedule(
-                [DataNodeCrash(pass_index, data_node, at_fraction)]
             ),
         )
 

@@ -189,11 +189,7 @@ def run_lint_command(args: argparse.Namespace) -> int:
 
     def scan_once() -> Tuple[List[Finding], int, List[SummaryPass]]:
         """Every enabled pass over PATH, in one scan."""
-        # The rules pass caches exactly when a summary layer does: a run
-        # that wrote no cache file before this one existed writes none.
-        rules_pass = RulesPass(
-            rules, root / DEFAULT_RULES_CACHE if layers else None
-        )
+        rules_pass = RulesPass(rules, root / DEFAULT_RULES_CACHE)
         layer_passes = [
             layer.make_pass(
                 str(root / layer.cache_name),

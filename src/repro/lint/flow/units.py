@@ -29,7 +29,7 @@ guessing.
 
 This checker deliberately re-derives its (small) module set every run
 instead of going through the summary cache: unit facts are cross-module
-(the attribute map) and a stale map is worse than a re-parse of seven
+(the attribute map) and a stale map is worse than a re-parse of five
 files.
 """
 
@@ -65,7 +65,6 @@ _ALIAS_UNITS = {
 UNITS_SCOPE_STEMS = frozenset(
     {
         "models",
-        "predictors",
         "profile",
         "heterogeneous",
         "degraded",

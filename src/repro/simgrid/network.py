@@ -16,7 +16,6 @@ Two pieces live here:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -131,21 +130,6 @@ class CommCostModel:
         if num_compute_nodes < 1:
             raise ConfigurationError("need at least one compute node")
         return (num_compute_nodes - 1) * self.message_time(object_bytes)
-
-    def tree_gather_time(
-        self, num_compute_nodes: int, object_bytes: float
-    ) -> float:
-        """Predicted time for a binomial-tree gather (ablation).
-
-        ``ceil(log2 c)`` rounds of parallel pairwise messages; constant
-        object size assumed (for linear-class applications the merged
-        objects grow along the tree, which this first-order formula
-        ignores).
-        """
-        if num_compute_nodes < 1:
-            raise ConfigurationError("need at least one compute node")
-        rounds = math.ceil(math.log2(num_compute_nodes)) if num_compute_nodes > 1 else 0
-        return rounds * self.message_time(object_bytes)
 
     @classmethod
     def fit_for_cluster(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.models import NoCommunicationModel
 from repro.core.profile import Profile
 from repro.core.target import PredictionTarget
 from repro.middleware.scheduler import RunConfig
@@ -57,6 +58,21 @@ def make_target(n=2, c=4, s=2.0e6, b=5.0e5, cluster=None):
         bandwidth=b,
     )
     return PredictionTarget(config=config, dataset_bytes=s)
+
+
+def disk_term(profile, target):
+    """T̂_disk, as every model level predicts it."""
+    return NoCommunicationModel().predict(profile, target).t_disk
+
+
+def network_term(profile, target):
+    """T̂_network, as every model level predicts it."""
+    return NoCommunicationModel().predict(profile, target).t_network
+
+
+def naive_compute_term(profile, target):
+    """T̂_compute = (ŝ/s)(c/ĉ) t_c, the no-communication level's."""
+    return NoCommunicationModel().predict(profile, target).t_compute
 
 
 @pytest.fixture

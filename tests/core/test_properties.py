@@ -24,15 +24,17 @@ from repro.core.models import (
     NoCommunicationModel,
     ReductionCommunicationModel,
 )
-from repro.core.predictors import (
-    predict_compute_naive,
-    predict_disk_time,
-    predict_network_time,
+
+from tests.core.conftest import (
+    disk_term,
+    make_profile,
+    make_target,
+    naive_compute_term,
+    network_term,
 )
 
-from tests.core.conftest import make_profile, make_target
-
 CLASSES = ModelClasses.parse("constant", "linear-constant")
+
 
 sizes = st.floats(min_value=1e4, max_value=1e9)
 scales = st.floats(min_value=0.1, max_value=10.0)
@@ -48,8 +50,8 @@ class TestComponentHomogeneity:
         profile = make_profile(s=s, t_disk=t_disk)
         base = make_target(n=n, c=16, s=s)
         scaled = make_target(n=n, c=16, s=s * k)
-        assert predict_disk_time(profile, scaled) == pytest.approx(
-            k * predict_disk_time(profile, base), rel=1e-9
+        assert disk_term(profile, scaled) == pytest.approx(
+            k * disk_term(profile, base), rel=1e-9
         )
 
     @given(sizes, scales, nodes)
@@ -57,8 +59,8 @@ class TestComponentHomogeneity:
         profile = make_profile(s=s)
         base = make_target(n=n, c=16, s=s)
         scaled = make_target(n=n, c=16, s=s * k)
-        assert predict_network_time(profile, scaled) == pytest.approx(
-            k * predict_network_time(profile, base), rel=1e-9
+        assert network_term(profile, scaled) == pytest.approx(
+            k * network_term(profile, base), rel=1e-9
         )
 
     @given(sizes, scales, nodes)
@@ -66,8 +68,8 @@ class TestComponentHomogeneity:
         profile = make_profile(s=s, t_ro=0.0, t_g=0.0)
         base = make_target(n=1, c=c, s=s)
         scaled = make_target(n=1, c=c, s=s * k)
-        assert predict_compute_naive(profile, scaled) == pytest.approx(
-            k * predict_compute_naive(profile, base), rel=1e-9
+        assert naive_compute_term(profile, scaled) == pytest.approx(
+            k * naive_compute_term(profile, base), rel=1e-9
         )
 
 
@@ -77,8 +79,8 @@ class TestBandwidthReciprocity:
         profile = make_profile(b=b)
         base = make_target(n=1, c=1, s=profile.dataset_bytes, b=b)
         scaled = make_target(n=1, c=1, s=profile.dataset_bytes, b=b * k)
-        assert predict_network_time(profile, scaled) == pytest.approx(
-            predict_network_time(profile, base) / k, rel=1e-9
+        assert network_term(profile, scaled) == pytest.approx(
+            network_term(profile, base) / k, rel=1e-9
         )
 
 
@@ -106,10 +108,10 @@ class TestMonotonicity:
     @given(nodes)
     def test_disk_nonincreasing_in_data_nodes(self, n):
         profile = make_profile()
-        current = predict_disk_time(
+        current = disk_term(
             profile, make_target(n=n, c=16, s=profile.dataset_bytes)
         )
-        more = predict_disk_time(
+        more = disk_term(
             profile, make_target(n=min(n + 1, 16), c=16, s=profile.dataset_bytes)
         )
         assert more <= current + 1e-12

@@ -127,16 +127,14 @@ class TestDegradedModePrediction:
         target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
         predictor = degraded_predictor(name)
 
-        via_query = predictor.predict_data_node_crash(
-            profile, target, data_node=1, at_fraction=0.5
-        )
-        via_schedule = predictor.predict(
+        # "What if data node 1 fails halfway through retrieval?" is a
+        # one-crash schedule handed to ``predict``.
+        what_if = predictor.predict(
             profile, target,
             FaultSchedule([DataNodeCrash(0, 1, at_fraction=0.5)]),
         )
-        assert via_query.total == via_schedule.total
         # The what-if total always exceeds the healthy prediction.
-        assert via_query.total > via_query.base.total
+        assert what_if.total > what_if.base.total
 
 
 class TestChunkReadErrorRateSweep:

@@ -309,6 +309,39 @@ def test_each_file_is_read_and_parsed_at_most_once(counted_tree, capsys):
     assert {"REP000", "REP104", "REP204", "REP301"} <= codes
 
 
+def test_a_rules_only_run_lints_no_module_twice(
+    counted_tree, monkeypatch, capsys
+):
+    """A run that enables no whole-program layer still fills and reads
+    the rules cache: the second ``--select REP001`` run lints nothing."""
+    tree, files, counts = counted_tree
+    linted = []
+    real_lint_module = lint_engine.lint_module
+
+    def counting_lint_module(module, *args, **kwargs):
+        linted.append(module.relpath)
+        return real_lint_module(module, *args, **kwargs)
+
+    monkeypatch.setattr(lint_engine, "lint_module", counting_lint_module)
+    argv = [
+        str(tree / "src"), "--root", str(tree), "--format", "json",
+        "--select", "REP001",
+    ]
+    reports = []
+    for temperature in ("cold", "warm"):
+        linted.clear()
+        counts.update(parse=0, read=0)
+        lint_main(argv)
+        reports.append(json.loads(capsys.readouterr().out))
+        if temperature == "cold":
+            assert linted
+        else:
+            assert linted == []
+            assert counts["parse"] == 0
+    assert reports[0] == reports[1]
+    assert (tree / ".repro-rules-cache.json").exists()
+
+
 def test_trees_are_not_retained_across_files(tmp_path):
     tree = tmp_path / "tree"
     shutil.copytree(FIXTURES / "flow" / "rep101_bad", tree)
@@ -435,19 +468,6 @@ def test_unparsable_file_is_rep000_cold_and_warm(tmp_path):
     assert [f.code for f in cold.findings] == ["REP000"]
     assert warm.findings == cold.findings
     assert warm.findings == lint_engine.lint_paths([root], root=root)
-
-
-def test_a_run_with_no_layer_enabled_writes_no_rules_cache(
-    tmp_path, fixtures_dir, capsys
-):
-    target = tmp_path / "bad.py"
-    shutil.copy(fixtures_dir / "rep003_bad.py", target)
-    assert lint_main([str(target), "--root", str(tmp_path)]) == 1
-    assert (
-        lint_main([str(tmp_path), "--root", str(tmp_path), "--select", "REP003"])
-        == 1
-    )
-    assert [p.name for p in tmp_path.iterdir()] == ["bad.py"]
 
 
 def test_clear_cache_removes_all_four_files(tmp_path, fixtures_dir, capsys):

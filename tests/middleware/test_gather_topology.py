@@ -83,18 +83,6 @@ class TestGatherTopology:
         assert key(serial.result) == key(tree.result)
 
 
-class TestTreeGatherPredictor:
-    def test_tree_rounds_formula(self):
-        from repro.simgrid.network import CommCostModel
-
-        model = CommCostModel(w=1e-6, l=1e-4)
-        msg = model.message_time(1000.0)
-        assert model.tree_gather_time(1, 1000.0) == 0.0
-        assert model.tree_gather_time(2, 1000.0) == pytest.approx(msg)
-        assert model.tree_gather_time(16, 1000.0) == pytest.approx(4 * msg)
-        assert model.tree_gather_time(9, 1000.0) == pytest.approx(4 * msg)
-
-
 class TestSerializedGatherDrivesTheModel:
     """FREERIDE-G serializes the gather at the master, which is why the
     paper's T_ro grows with c and the no-communication model degrades at
