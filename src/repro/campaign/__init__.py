@@ -18,7 +18,7 @@ stopped:
   records in manifest order (journal open/resume, commit, result
   artifact, outcome, SIGINT/SIGTERM checkpointing).
 - :mod:`repro.campaign.parallel` — :class:`ParallelCampaignRunner`:
-  the same runner fed by a certificate-gated process pool, behind
+  the same runner fed by a process pool, behind
   ``repro campaign --workers N`` (submission window, cancel-on-stop,
   broken-pool handling; journals and artifacts stay byte-identical).
 - :mod:`repro.campaign.report`   — :class:`CampaignReport`:
@@ -55,11 +55,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "CampaignOutcome",
             "CampaignReport",
         ),
-        "repro.campaign.parallel": (
-            "ParallelCampaignRunner",
-            "PoolSafetyError",
-            "verify_pool_safety",
-        ),
+        "repro.campaign.parallel": ("ParallelCampaignRunner",),
         "repro.campaign.runner": ("CampaignRunner",),
         "repro.campaign.watchdog": (
             "CampaignInterruptedError",

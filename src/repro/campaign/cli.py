@@ -64,9 +64,7 @@ def register_campaign(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="run entries on N worker processes; refuses to start "
-        "unless every entry point is certified process-pool-safe by "
-        "the effect analysis (journals and artifacts stay "
-        "byte-identical to a serial run)",
+        help="run entries on N worker processes (journals and "
+        "artifacts stay byte-identical to a serial run)",
     )
     p.set_defaults(func=_cmd_campaign)

@@ -1,4 +1,4 @@
-"""Certificate-gated process-pool record source for campaigns.
+"""Process-pool record source for campaigns.
 
 ``repro campaign --workers N`` computes campaign entries in a
 :class:`concurrent.futures.ProcessPoolExecutor`.  Everything else —
@@ -9,23 +9,10 @@ back its :class:`~repro.campaign.journal.JournalRecord`; all journal
 and artifact I/O happens in the parent's settle loop, so two processes
 never race on a file and the bytes match a serial run (only the
 wall-clock ``elapsed_s`` fields differ, as they do between any two
-serial runs).  This module holds what is specific to the pool, plus
-one additional precondition: **no entry point may run in a worker
-process unless the effect analysis proves it process-pool-safe.**
-
-Why a proof, not a convention
------------------------------
-Parallel results are only trustworthy if running an experiment in a
-worker process is observationally identical to running it in-process:
-no writes to module state another entry could read, no ambient
-nondeterminism (clock/RNG/pid), no argument mutation, no
-order-sensitive iteration feeding the serialized output.  Those are
-exactly the effect tiers the lint layer's interprocedural analysis
-(:mod:`repro.lint.effects`) computes, so :func:`verify_pool_safety`
-re-runs that analysis at startup and refuses to start the pool if any
-submitted entry point fails to certify ``process-pool-safe`` or better
-— the campaign falls back to an error, never to silently-wrong
-parallel output.
+serial runs).  That an entry point computes the same record in a worker
+as in-process is the effect analysis's ``process-pool-safe`` tier for
+its certified roots, proved by CI's lint gate and the tier-1 suite
+(DESIGN §17), not at start-up.
 
 Submission window
 -----------------
@@ -49,102 +36,15 @@ import collections
 import concurrent.futures
 import pathlib
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Generator, List, Mapping, Optional, Sequence
+from typing import Dict, Generator, Optional, Sequence
 
 from repro.errors import CampaignError
-from repro.workloads.experiments import ExperimentResult
 
 from repro.campaign.journal import JournalRecord
 from repro.campaign.manifest import CampaignEntry, CampaignManifest
-from repro.campaign.report import CampaignReport
 from repro.campaign.runner import CampaignRunner, execute_entry
 
-__all__ = [
-    "ParallelCampaignRunner",
-    "PoolSafetyError",
-    "verify_pool_safety",
-]
-
-
-class PoolSafetyError(CampaignError):
-    """An entry point failed (or lost) its process-pool-safety proof."""
-
-
-def verify_pool_safety(
-    registry: Optional[Mapping[str, Callable[[], ExperimentResult]]] = None,
-    *,
-    cache_path: Optional[pathlib.Path] = None,
-) -> Dict[str, str]:
-    """Prove every campaign entry point process-pool-safe, or refuse.
-
-    Re-runs the effect analysis (:func:`repro.lint.effects.analyze_effects`)
-    over the installed ``repro`` source tree and requires every certified
-    campaign root — and every registry override defined inside the tree —
-    to analyze at tier ``process-pool-safe`` or better.  This checks the
-    *source as it exists now*, so an edit that quietly introduces shared
-    state or ambient nondeterminism revokes parallelism immediately, even
-    if a stale committed certificate still claims otherwise.
-
-    Returns the proven tier per entry-point qualname.  Raises
-    :class:`PoolSafetyError` listing every failure (with its inferred
-    effects) when any entry point cannot be certified.
-    """
-    # Imported lazily: the campaign layer must not pay the lint layer's
-    # import cost (or require its presence) for serial runs.
-    from repro.lint.effects import (
-        CERTIFIED_ROOTS,
-        TIER_POOL_SAFE,
-        TIER_RANK,
-        analyze_effects,
-    )
-
-    import repro
-
-    package_dir = pathlib.Path(repro.__file__).resolve().parent
-    result = analyze_effects(
-        [package_dir], root=package_dir.parent, cache_path=cache_path
-    )
-    analysis = result.analysis
-
-    required: List[str] = list(CERTIFIED_ROOTS)
-    for entry_id, fn in sorted((registry or {}).items()):
-        module = getattr(fn, "__module__", "") or ""
-        qualname = getattr(fn, "__qualname__", "") or repr(fn)
-        if module == "repro" or module.startswith("repro."):
-            required.append(f"{module}.{qualname}")
-        else:
-            raise PoolSafetyError(
-                f"registry override for entry '{entry_id}' "
-                f"({module}.{qualname}) is defined outside the analyzed "
-                "'repro' tree, so it cannot be certified process-pool-"
-                "safe; run it serially, or construct "
-                "ParallelCampaignRunner(certify=False) if you accept "
-                "uncertified parallelism in a test harness"
-            )
-
-    proven: Dict[str, str] = {}
-    failures: List[str] = []
-    floor = TIER_RANK[TIER_POOL_SAFE]
-    for qualname in required:
-        tier = analysis.tiers.get(qualname)
-        if tier is None:
-            failures.append(f"{qualname}: not found by the effect analysis")
-            continue
-        proven[qualname] = tier
-        if TIER_RANK[tier] < floor:
-            failures.append(
-                f"{qualname}: analyzes as '{tier}' "
-                f"(effects: {analysis.effect_words(qualname)})"
-            )
-    if failures:
-        raise PoolSafetyError(
-            "refusing to start the process pool; entry point(s) lost "
-            "their process-pool-safety certificate:\n  "
-            + "\n  ".join(failures)
-            + "\nfix the effect regression (repro lint src/repro "
-            "--effects) or run the campaign serially"
-        )
-    return proven
+__all__ = ["ParallelCampaignRunner"]
 
 
 class ParallelCampaignRunner(CampaignRunner):
@@ -155,11 +55,6 @@ class ParallelCampaignRunner(CampaignRunner):
 
     workers:
         Worker process count (``>= 1``).
-    certify:
-        Run :func:`verify_pool_safety` before starting the pool
-        (default).  ``certify=False`` is a test-harness seam only —
-        registry callables from test modules live outside the analyzed
-        tree and cannot be certified.
 
     Registry overrides must be module-level functions (they cross the
     process boundary by pickle reference).
@@ -171,23 +66,12 @@ class ParallelCampaignRunner(CampaignRunner):
         journal_path: str | pathlib.Path,
         *,
         workers: int,
-        certify: bool = True,
         **kwargs,
     ) -> None:
         if workers < 1:
             raise CampaignError(f"workers must be >= 1, got {workers}")
         super().__init__(manifest, journal_path, **kwargs)
         self.workers = workers
-        self.certify = certify
-
-    def run(self, resume: bool = False) -> CampaignReport:
-        """Prove the pool safe, then run the campaign as usual.
-
-        The gate fires before any durable state is touched.
-        """
-        if self.certify:
-            verify_pool_safety(self.registry)
-        return super().run(resume)
 
     def _records(
         self, live: Sequence[CampaignEntry]

@@ -138,8 +138,17 @@ class CrossClusterPredictor(PredictionModel):
     def predict(
         self, profile: Profile, target: PredictionTarget
     ) -> PredictedBreakdown:
-        same_cluster_config = target.config.with_clusters(
-            profile.storage_cluster, profile.compute_cluster
+        # The equations read only the target's slot counts and cluster A's
+        # comm-model fit, so A takes on B's size and SMP width instead of
+        # refusing a shape only B can host.
+        config = target.config
+        same_cluster_config = config.with_clusters(
+            profile.storage_cluster.with_nodes(config.storage_cluster.num_nodes),
+            replace(
+                profile.compute_cluster,
+                num_nodes=config.compute_cluster.num_nodes,
+                smp_width=config.compute_cluster.smp_width,
+            ),
         )
         target_on_a = replace(target, config=same_cluster_config)
         on_a = self.base_model.predict(profile, target_on_a)

@@ -20,8 +20,7 @@ pair.  This module turns that guarantee into an executable harness:
 - :func:`run_campaign` sweeps many seeds: for each it generates a
   timeline, brokers the stream under it, verifies the invariants, and
   re-runs the identical (seed, scenario) pair asserting a byte-identical
-  report.  The result is a :class:`ChaosReport` the resilience benchmark
-  serializes.
+  report.  The result is a :class:`ChaosReport`.
 
 The same guarantee extends to the prediction service: a seeded request
 workload against a seeded faulty backend must answer every request
@@ -265,19 +264,6 @@ class ChaosCase:
     def ok(self) -> bool:
         return self.replay_identical and not self.violations
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "faults": self.faults,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "failed": self.failed,
-            "preemptions": self.preemptions,
-            "goodput": self.goodput,
-            "replay_identical": self.replay_identical,
-            "violations": list(self.violations),
-        }
-
 
 @dataclass(frozen=True)
 class ChaosReport:
@@ -302,15 +288,6 @@ class ChaosReport:
             if not case.replay_identical:
                 out.append(f"seed {case.seed}: replay diverged")
         return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "chaos-report",
-            "policy": self.policy,
-            "recovery": self.recovery,
-            "ok": self.ok,
-            "cases": [case.to_dict() for case in self.cases],
-        }
 
 
 def _run_bytes(run: PolicyRun) -> bytes:
@@ -562,19 +539,6 @@ class ServiceChaosCase:
     def ok(self) -> bool:
         return self.replay_identical and not self.violations
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "requests": self.requests,
-            "served": self.served,
-            "shed": self.shed,
-            "stale_served": self.stale_served,
-            "breaker_opens": self.breaker_opens,
-            "injected": {kind: count for kind, count in self.injected},
-            "replay_identical": self.replay_identical,
-            "violations": list(self.violations),
-        }
-
 
 @dataclass(frozen=True)
 class ServiceChaosReport:
@@ -598,23 +562,6 @@ class ServiceChaosReport:
             if not case.replay_identical:
                 out.append(f"seed {case.seed}: replay diverged")
         return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "service-chaos-report",
-            "spec": {
-                "requests": self.spec.requests,
-                "rate_hz": self.spec.rate_hz,
-                "slow_probability": self.spec.slow_probability,
-                "crash_probability": self.spec.crash_probability,
-                "corrupt_probability": self.spec.corrupt_probability,
-                "tight_deadline_fraction": (
-                    self.spec.tight_deadline_fraction
-                ),
-            },
-            "ok": self.ok,
-            "cases": [case.to_dict() for case in self.cases],
-        }
 
 
 def _serve_case(seed: int, spec: ServiceChaosSpec) -> Any:

@@ -73,21 +73,6 @@ class ChunkAssignment:
     def num_compute_nodes(self) -> int:
         return len(self.compute_node_chunks)
 
-    def served_compute_nodes(self, data_node: int) -> List[int]:
-        """Compute nodes fed by ``data_node``.
-
-        Raises :class:`~repro.simgrid.errors.ConfigurationError` for an
-        out-of-range ``data_node`` rather than silently returning ``[]``.
-        """
-        if not 0 <= data_node < self.num_data_nodes:
-            raise ConfigurationError(
-                f"data node index {data_node} out of range "
-                f"(0..{self.num_data_nodes - 1})"
-            )
-        return [
-            j for j, src in enumerate(self.compute_source) if src == data_node
-        ]
-
 
 def assign_chunks(
     num_chunks: int, data_nodes: int, compute_nodes: int

@@ -129,22 +129,6 @@ class ServiceResponse:
     def latency_s(self) -> float:
         return self.settled_s - self.arrival_s
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "request_id": self.request_id,
-            "endpoint": self.endpoint,
-            "status": self.status,
-            "outcome": self.outcome,
-            "body": self.body,
-            "arrival_s": self.arrival_s,
-            "settled_s": self.settled_s,
-            "stale": self.stale,
-            "retries": self.retries,
-        }
-        if self.retry_after_s is not None:
-            out["retry_after_s"] = self.retry_after_s
-        return out
-
 
 @dataclass(frozen=True, slots=True)
 class RequestRecord:

@@ -136,17 +136,6 @@ class CPUSpec:
             branch / rates[OpCategory.BRANCH]
         )
 
-    def speedup_over(self, other: "CPUSpec", ops: OpVector) -> float:
-        """Ratio time(other)/time(self) for a given operation mix.
-
-        This is the *application-specific* compute scaling factor whose
-        variation across applications the paper reports in Section 5.4.
-        """
-        mine = self.compute_time(ops)
-        if mine <= 0.0:
-            raise ConfigurationError("cannot compute speedup for an empty op vector")
-        return other.compute_time(ops) / mine
-
 
 @dataclass(frozen=True)
 class DiskSpec:

@@ -38,7 +38,7 @@ def make_runner(kind, manifest, journal, **kwargs):
     if kind == "serial":
         return CampaignRunner(manifest, journal, **kwargs)
     return ParallelCampaignRunner(
-        manifest, journal, workers=2, certify=False, **kwargs
+        manifest, journal, workers=2, **kwargs
     )
 
 

@@ -3,14 +3,16 @@
 ``ParallelCampaignRunner`` produces journals, result artifacts, and
 reports *byte-identical* to the serial ``CampaignRunner`` (modulo the
 wall-clock ``elapsed_s`` fields, which differ between any two runs),
-refuses to start without a process-pool-safety proof, and on interrupt
-drains running entries while skipping pending ones.  The behaviour both
-runners share is in ``test_executor_contract.py``.
+runs without the lint layer, and on interrupt drains running entries
+while skipping pending ones.  The effect analysis proves the real entry
+points process-pool-safe here, not when a pool starts.  The behaviour
+both runners share is in ``test_executor_contract.py``.
 """
 
 from __future__ import annotations
 
 import pathlib
+import sys
 import threading
 import time
 
@@ -21,9 +23,7 @@ from hypothesis import strategies as st
 from repro.campaign import (
     CampaignRunner,
     ParallelCampaignRunner,
-    PoolSafetyError,
     paper_suite_manifest,
-    verify_pool_safety,
 )
 from repro.errors import CampaignError
 from repro.workloads.experiments import EXPERIMENTS
@@ -66,7 +66,6 @@ def run_both(tmp_path, ids, workers=2):
         manifest,
         tmp_path / "parallel.journal.json",
         workers=workers,
-        certify=False,
         registry=picklable_registry(ids),
         results_dir=parallel_dir,
         check_claims=False,
@@ -162,7 +161,6 @@ def test_interrupt_drains_running_entry_and_skips_pending(tmp_path):
         manifest,
         tmp_path / "journal.json",
         workers=1,  # one worker => entries 2..n are still queued
-        certify=False,
         registry=registry,
         check_claims=False,
         handle_signals=False,
@@ -207,7 +205,6 @@ def test_interrupt_drains_running_entry_and_skips_pending(tmp_path):
         manifest,
         tmp_path / "journal.json",
         workers=2,
-        certify=False,
         registry=registry,
         check_claims=False,
     ).run(resume=True)
@@ -228,36 +225,46 @@ def test_interrupt_drains_running_entry_and_skips_pending(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The certificate gate
+# Pool safety: proved over the source, not at start-up
 # ----------------------------------------------------------------------
 
 
-def test_gate_rejects_registry_outside_the_analyzed_tree(tmp_path):
-    ids = FAKE_IDS[:2]
-    runner = ParallelCampaignRunner(
-        make_manifest(ids),
-        tmp_path / "journal.json",
-        workers=2,
-        registry=picklable_registry(ids),  # test module: uncertifiable
-        check_claims=False,
-    )
-    with pytest.raises(PoolSafetyError, match="cannot be certified"):
-        runner.run()
-    # The gate fires before any durable state is touched.
-    assert not (tmp_path / "journal.json").exists()
-
-
 def test_gate_proves_the_real_entry_points(tmp_path):
-    from repro.lint.effects import CERTIFIED_ROOTS, TIER_POOL_SAFE, TIER_RANK
-
-    proven = verify_pool_safety(
-        cache_path=tmp_path / "effects-cache.json"
+    """Every certified root analyzes ``process-pool-safe`` or better."""
+    import repro
+    from repro.lint.effects import (
+        CERTIFIED_ROOTS,
+        TIER_POOL_SAFE,
+        TIER_RANK,
+        analyze_effects,
     )
+
+    package_dir = pathlib.Path(repro.__file__).resolve().parent
+    analysis = analyze_effects(
+        [package_dir],
+        root=package_dir.parent,
+        cache_path=tmp_path / "effects-cache.json",
+    ).analysis
     floor = TIER_RANK[TIER_POOL_SAFE]
     for qualname in CERTIFIED_ROOTS:
-        assert TIER_RANK[proven[qualname]] >= floor, (
-            f"{qualname} lost its process-pool-safety proof"
+        tier = analysis.tiers.get(qualname)
+        assert tier is not None, f"{qualname}: not found by the analysis"
+        assert TIER_RANK[tier] >= floor, (
+            f"{qualname} analyzes as '{tier}' "
+            f"(effects: {analysis.effect_words(qualname)})"
         )
+
+
+def test_pool_runs_without_the_lint_layer(tmp_path, monkeypatch):
+    """A pool starts and settles with ``repro.lint`` unimportable."""
+    for name in [m for m in sys.modules if m.startswith("repro.lint")]:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setitem(sys.modules, "repro.lint", None)
+    serial, parallel, serial_dir, parallel_dir = run_both(
+        tmp_path, FAKE_IDS[:2]
+    )
+    assert parallel.ok
+    assert_identical(tmp_path, serial, parallel, serial_dir, parallel_dir)
 
 
 def test_workers_must_be_positive(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for cross-cluster scaling factors and prediction."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.classes import ModelClasses
@@ -122,8 +124,6 @@ class TestCrossClusterPredictor:
         size and bandwidth still apply)."""
         profile = make_profile(r=1000.0, rounds=1)
         slow_interconnect = small_cluster_spec(name="slow")
-        import dataclasses
-
         slow_interconnect = dataclasses.replace(
             slow_interconnect, intra_latency_s=1.0  # absurdly slow
         )
@@ -137,6 +137,27 @@ class TestCrossClusterPredictor:
         # If the gather were fitted on the target's (absurd) interconnect,
         # T_ro would be ~3 seconds; on the profile's cluster it is tiny.
         assert pred.t_ro < 0.01
+
+    def test_target_shape_beyond_the_profile_cluster(self):
+        """Targets wider (2 processes per node) or larger (8 nodes) than
+        the 4-node, SMP-width-1 Pentium profile cluster are predicted on
+        its comm-model fit; A's shape does not refuse them."""
+        profile = make_profile(n=2, c=4, cluster=pentium_myrinet_cluster(4))
+        target = make_target(n=2, c=4, cluster=opteron_infiniband_cluster())
+        smp = dataclasses.replace(
+            target, config=target.config.with_processes_per_node(2)
+        )
+        larger = dataclasses.replace(target, config=target.config.with_nodes(2, 8))
+        factors = ComponentScalingFactors(sd=0.5, sn=0.5, sc=0.25)
+        classes = ModelClasses.parse("constant", "linear-constant")
+        predictor = CrossClusterPredictor(GlobalReductionModel(classes), factors)
+        base, two, eight = (
+            predictor.predict(profile, t) for t in (target, smp, larger)
+        )
+        assert (two.t_disk, two.t_network) == (base.t_disk, base.t_network)
+        assert two.t_ro == base.t_ro  # one object per node either way
+        assert two.t_compute < base.t_compute  # twice the slots
+        assert eight.t_ro > base.t_ro  # more objects gathered
 
 
 class TestMeasuredComputeFactors:

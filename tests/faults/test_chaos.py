@@ -112,10 +112,3 @@ class TestVerifyRun:
     def test_campaign_requires_seeds(self):
         with pytest.raises(ConfigurationError):
             run_campaign(_CHAOS_BROKER, chaos_stream(), [], _SPEC)
-
-    def test_campaign_report_serializes(self):
-        report = run_campaign(_CHAOS_BROKER, chaos_stream(), [3, 5], _SPEC)
-        data = report.to_dict()
-        assert data["kind"] == "chaos-report"
-        assert data["ok"] is True
-        assert [case["seed"] for case in data["cases"]] == [3, 5]

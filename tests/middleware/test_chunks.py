@@ -62,17 +62,6 @@ class TestAssignChunks:
         # contiguous blocks of 4 compute nodes per data node
         assert plan.compute_source == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
 
-    def test_served_compute_nodes(self):
-        plan = assign_chunks(64, data_nodes=4, compute_nodes=16)
-        assert plan.served_compute_nodes(1) == [4, 5, 6, 7]
-
-    def test_served_compute_nodes_rejects_out_of_range(self):
-        plan = assign_chunks(64, data_nodes=4, compute_nodes=16)
-        with pytest.raises(ConfigurationError):
-            plan.served_compute_nodes(4)
-        with pytest.raises(ConfigurationError):
-            plan.served_compute_nodes(-1)
-
     def test_compute_chunks_come_from_the_node_source(self):
         plan = assign_chunks(64, data_nodes=4, compute_nodes=8)
         for j, chunks in enumerate(plan.compute_node_chunks):

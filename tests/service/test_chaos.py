@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.durable import canonical_json
 from repro.faults.chaos import (
     ServiceChaosSpec,
     run_service_campaign,
@@ -72,14 +71,6 @@ class TestCampaign:
         assert case.shed > 0
         # Shed + served + everything else still equals the workload.
         assert case.requests == 200
-
-    def test_report_serializes_canonically(self):
-        report = run_service_campaign(
-            [31], ServiceChaosSpec(requests=40, rate_hz=200.0)
-        )
-        data = report.to_dict()
-        assert data["kind"] == "service-chaos-report"
-        assert canonical_json(data) == canonical_json(report.to_dict())
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -275,14 +275,14 @@ class TestWhatAnAttemptCost:
                 assert service.handle(submitted[0]).outcome == "ok"
             if service is priced:
                 service.backend = slow  # 75 x 4 ms = 0.3 s per attempt
-            replies.append(service.handle(submitted[-1]).to_dict())
+            replies.append(service.handle(submitted[-1]))
             assert verify_service_log(service, submitted) == []
             breaker = service.breakers.breaker("kmeans", "pentium-myrinet")
             assert breaker.consecutive_failures == 1
         assert replies[0] == replies[1]
         expected = (200, "stale") if warm else (504, "deadline")
-        assert (replies[0]["status"], replies[0]["outcome"]) == expected
-        assert replies[0]["settled_s"] == pytest.approx(1.25 + 2.0e-4)
+        assert (replies[0].status, replies[0].outcome) == expected
+        assert replies[0].settled_s == pytest.approx(1.25 + 2.0e-4)
 
 
 @pytest.fixture()

@@ -483,10 +483,12 @@ class TestCampaign:
     def test_one_worker_is_the_serial_path(self, tmp_path, capsys, monkeypatch):
         import repro.campaign.parallel as parallel
 
-        def gate_must_not_run(*args, **kwargs):
+        def pool_must_not_be_built(*args, **kwargs):
             raise AssertionError("--workers 1 must not start the pool")
 
-        monkeypatch.setattr(parallel, "verify_pool_safety", gate_must_not_run)
+        monkeypatch.setattr(
+            parallel, "ParallelCampaignRunner", pool_must_not_be_built
+        )
         manifest = self._write_manifest(tmp_path)
         assert main(["campaign", str(manifest), "--workers", "1"]) == 0
         assert "1 completed" in capsys.readouterr().out

@@ -30,7 +30,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 #: ``repro.faults``'s ``select_failover_replica``, deleted with the
 #: injector's replica-catalog failover (a scenario's ``replicas`` list
 #: is the one failover path); ``repro.simgrid``'s ``maxmin_fair_share``,
-#: which nothing outside its own tests called.
+#: which nothing outside its own tests called; ``repro.campaign``'s
+#: process-pool start-up proof and its error, deleted because tier-1
+#: and CI's ``--effects`` gate make the same proof.
 PARENT_ALL = {
     "repro": """
         FaultError RecoveryExhaustedError ReproError
@@ -64,9 +66,8 @@ PARENT_ALL = {
         CampaignManifest CampaignOutcome CampaignReport CampaignRunner
         DeadlineExceededError ENTRY_STATUSES EXIT_INTERRUPTED EXIT_OK
         EXIT_PROBLEMS JOURNAL_FORMAT_VERSION JournalRecord
-        ParallelCampaignRunner PoolSafetyError load_manifest
-        manifest_from_dict manifest_to_dict paper_suite_manifest
-        run_with_deadline verify_pool_safety
+        ParallelCampaignRunner load_manifest manifest_from_dict
+        manifest_to_dict paper_suite_manifest run_with_deadline
     """,
     "repro.core": """
         ComponentScalingFactors ConfigurationForecast CorruptStoreError
