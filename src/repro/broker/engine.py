@@ -136,7 +136,7 @@ from repro.faults.grid import (
 )
 from repro.faults.retry import RetryPolicy
 from repro.middleware.dataset import Dataset
-from repro.middleware.kernels import KernelTrace
+from repro.middleware.kernels import KernelBook, KernelTrace
 from repro.middleware.replica import ReplicaCatalog
 from repro.middleware.runtime import FreerideGRuntime
 from repro.middleware.scheduler import RunConfig
@@ -292,11 +292,10 @@ class GridBroker:
         self.alpha = alpha
 
         self.catalog = ReplicaCatalog(topology)
-        self._datasets: Dict[DatasetKey, Dataset] = {}
-        #: One kernel trace per dataset key: the reference profile and
-        #: every candidate configuration are priced from one execution of
-        #: the chunk kernels.
-        self._kernels: Dict[DatasetKey, KernelTrace] = {}
+        #: One (dataset, kernel trace) pair per dataset key: the
+        #: reference profile and every candidate configuration are
+        #: priced from one execution of the chunk kernels.
+        self._book = KernelBook()
         self._profiles: Dict[DatasetKey, Profile] = {}
         self._models: Dict[str, PredictionModel] = {}
         self._selections: Dict[DatasetKey, SelectionOutcome] = {}
@@ -358,34 +357,34 @@ class GridBroker:
         """The dataset ``job`` reads, as the broker's caches key it."""
         return (job.workload, job.size or self._spec(job.workload).default_size)
 
+    def _pair(self, key: DatasetKey) -> Tuple[Dataset, KernelTrace]:
+        """``key``'s dataset and kernel trace, from the broker's book."""
+        workload, size = key
+        return self._book.lookup(self._spec(workload), size)
+
     def _dataset(self, key: DatasetKey, job: BrokerJob) -> Dataset:
-        dataset = self._datasets.get(key)
-        if dataset is None:
-            workload, size = key
-            dataset = self._spec(workload).make_dataset(size)
-            if dataset.name not in self.catalog:
-                # Replica maps are written in the job's own terms.
-                sites = self._replica_map.get(job.dataset_key)
-                if sites is None:
-                    sites = sorted(
-                        s.name for s in self.topology.repositories()
-                    )
-                if not sites:
-                    raise ConfigurationError(
-                        f"no replica sites for dataset '{job.dataset_key}'"
-                    )
-                for site in sites:
-                    self.catalog.add(dataset.name, site)
-            self._datasets[key] = dataset
+        """``key``'s dataset, entered in the replica catalog on first use."""
+        dataset, _ = self._pair(key)
+        if dataset.name not in self.catalog:
+            # Replica maps are written in the job's own terms.
+            sites = self._replica_map.get(job.dataset_key)
+            if sites is None:
+                sites = sorted(s.name for s in self.topology.repositories())
+            if not sites:
+                raise ConfigurationError(
+                    f"no replica sites for dataset '{job.dataset_key}'"
+                )
+            for site in sites:
+                self.catalog.add(dataset.name, site)
         return dataset
 
     def _run_middleware(
         self, key: DatasetKey, config: RunConfig
     ) -> TimeBreakdown:
         """Execute ``key``'s workload under ``config`` (kernels shared)."""
-        kernels = self._kernels.setdefault(key, KernelTrace())
+        dataset, kernels = self._pair(key)
         run = FreerideGRuntime(config, kernels=kernels).execute(
-            self._spec(key[0]).make_app(), self._datasets[key]
+            self._spec(key[0]).make_app(), dataset
         )
         return run.breakdown
 
@@ -512,7 +511,7 @@ class GridBroker:
                 bandwidth=cand.bandwidth,
             )
             target = PredictionTarget(
-                config=config, dataset_bytes=self._datasets[key].nbytes
+                config=config, dataset_bytes=self._pair(key)[0].nbytes
             )
             what_if = DegradedModePredictor(
                 self._model(key[0])

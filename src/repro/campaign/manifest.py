@@ -123,17 +123,11 @@ class CampaignEntry:
                     f"entry '{self.entry_id}': fault-scenario entries "
                     "require an inline 'scenario' mapping"
                 )
-            # Build the record run_fault_scenario will run, so an unknown
+            # Build the record the entry will run, so an unknown
             # workload, size label or fault type fails the manifest load
             # rather than surfacing hours into the campaign.
             try:
-                ExperimentSpec(
-                    self.entry_id,
-                    self.entry_id,
-                    self.workload,
-                    target_size=self.size_label,
-                    scenario=self.scenario,
-                )
+                self.spec()
             except (ConfigurationError, FaultError) as exc:
                 raise CampaignError(f"entry '{self.entry_id}': {exc}") from exc
 
@@ -141,6 +135,20 @@ class CampaignEntry:
     def resolved_experiment_id(self) -> str:
         """The experiment id an ``experiment`` entry runs."""
         return self.experiment_id or self.entry_id
+
+    def spec(self) -> ExperimentSpec:
+        """The record this entry runs: its registered experiment, or the
+        one :func:`~repro.workloads.experiments.run_fault_scenario`
+        builds for a fault-scenario sweep."""
+        if self.kind == "experiment":
+            return EXPERIMENTS[self.resolved_experiment_id]
+        return ExperimentSpec(
+            self.entry_id,
+            f"Fault scenario '{self.entry_id}' on {self.workload}",
+            self.workload or "",
+            target_size=self.size_label,
+            scenario=self.scenario,
+        )
 
     def effective_deadline_s(
         self, default: Optional[float]

@@ -15,7 +15,11 @@ handler is installed):
    :class:`~repro.campaign.journal.JournalRecord` and touches no file,
    so *where* it runs (inline here, in a worker process under
    :class:`~repro.campaign.parallel.ParallelCampaignRunner`) is a
-   dispatch detail.
+   dispatch detail.  Inline, every entry takes its datasets and kernel
+   traces from the run's one book (a dataset is built and its kernels
+   recorded once per run), lent to one attempt at a time so an
+   abandoned attempt never shares it; a pool worker runs the certified
+   roots, each entry on a private book.
 2. **Durability.**  :meth:`CampaignRunner.run` settles records strictly
    in manifest order: each is committed to the
    :class:`~repro.campaign.journal.CampaignJournal` (one line, append +
@@ -36,11 +40,13 @@ handler is installed):
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import pathlib
 import signal
 import threading
 import time
-from typing import Callable, Generator, List, Mapping, Optional, Sequence
+from typing import Callable, Generator, Iterator, List, Mapping, Optional, Sequence
 
 from repro.analysis.expectations import EXPECTATIONS, check_expectation
 from repro.analysis.results_io import (
@@ -50,10 +56,12 @@ from repro.analysis.results_io import (
 )
 from repro.errors import CampaignError, InternalError
 from repro.faults.retry import WATCHDOG_RETRY_POLICY, RetryPolicy
+from repro.middleware.kernels import KernelBook
 from repro.workloads.experiments import (
     ExperimentResult,
     run_experiment,
     run_fault_scenario,
+    run_grid_experiment,
 )
 
 from repro.campaign.journal import CampaignJournal, JournalRecord
@@ -103,7 +111,7 @@ def execute_entry(
         fn = lambda: run_fault_scenario(
             workload=entry.workload,
             experiment_id=entry.entry_id,
-            title=f"Fault scenario '{entry.entry_id}' on {entry.workload}",
+            title=entry.spec().title,
             scenario=entry.scenario,
             size_label=entry.size_label,
             fast=entry.fast,
@@ -152,6 +160,38 @@ def execute_entry(
             violations=violations,
         )
     raise InternalError("retry loop must settle or return")
+
+
+class _BookShelf:
+    """A serial run's one :class:`KernelBook`, lent to one attempt at a time.
+
+    An attempt borrows the book and returns it when it finishes.  The
+    watchdog leaves a timed-out or interrupted attempt running on its
+    daemon thread, still holding (and maybe writing) the book, so while
+    the book is out a later attempt, retry or entry gets a fresh one.
+    The first book returned is kept; a book is never shared by two
+    attempts that may run at once.
+    """
+
+    def __init__(self) -> None:
+        self._book: Optional[KernelBook] = KernelBook()
+        self._lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def lend(self) -> Iterator[KernelBook]:
+        """The book, or a fresh one while it is out; taken back unless
+        the borrower raised."""
+        with self._lock:
+            book, self._book = self._book or KernelBook(), None
+        yield book
+        with self._lock:
+            if self._book is None:
+                self._book = book
+
+    def run(self, entry: CampaignEntry) -> ExperimentResult:
+        """``entry``'s experiment, its datasets and traces from the book."""
+        with self.lend() as book:
+            return run_grid_experiment(entry.spec(), entry.fast, book)
 
 
 class CampaignRunner:
@@ -220,14 +260,20 @@ class CampaignRunner:
     # Record sources
     # ------------------------------------------------------------------
 
-    def _entry_args(self, entry: CampaignEntry) -> tuple:
-        """Positional arguments of :func:`execute_entry` (all picklable)."""
+    def _entry_args(
+        self,
+        entry: CampaignEntry,
+        driver: Optional[Callable[[], ExperimentResult]] = None,
+    ) -> tuple:
+        """Positional arguments of :func:`execute_entry`; a ``registry``
+        override wins over ``driver``.  Without either they are all
+        picklable, and the entry runs a certified root."""
         return (
             entry,
             self.manifest.default_deadline_s,
             self.retry_policy,
             self.check_claims,
-            self.registry.get(entry.entry_id),
+            self.registry.get(entry.entry_id, driver),
         )
 
     def _records(
@@ -237,14 +283,19 @@ class CampaignRunner:
 
         ``None`` means the entry did not run to a settled record (the
         operator interrupted) and re-runs on resume.  This runner
-        executes each entry inline, when the settle loop asks for it.
+        executes each entry inline, when the settle loop asks for it,
+        and every entry takes its datasets and kernel traces from the
+        run's one book: a dataset is built and its kernels recorded once
+        per run, not once per entry.  The book goes when the run closes
+        this generator.
         """
+        shelf = _BookShelf()
         for entry in live:
             if self._stop.is_set():
                 yield None
                 continue
             yield execute_entry(
-                *self._entry_args(entry),
+                *self._entry_args(entry, functools.partial(shelf.run, entry)),
                 stop=self._stop,
                 sleep=self._sleep,
                 poll_interval_s=self._poll_interval_s,

@@ -11,8 +11,13 @@ runner can checkpoint and exit gracefully.
 
 An abandoned worker cannot be killed from Python; it is left to finish
 on its daemon thread and its result is discarded.  That is sound here
-because experiment drivers are pure functions of their inputs — they
-mutate no shared state and their only effect is the returned result.
+because a driver shares nothing writable with a later attempt: it is a
+deterministic function of its inputs whose only effect is the returned
+result, plus, on the serial runner, writes to the book of datasets and
+kernel traces it was lent for the attempt.  The runner lends that book
+to one attempt at a time and takes it back only when the attempt
+finishes, so a book an abandoned thread still holds is never handed to a
+later attempt, retry or entry: they get a fresh book while it is out.
 """
 
 from __future__ import annotations

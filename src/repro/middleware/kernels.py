@@ -9,8 +9,12 @@ and a ``(chunks, 3)`` array of the (flop, mem, branch) its kernel charged.
 Runtimes fold each node's pieces in hand-out order, price chunks from the
 array, and run merges, gathers, ``combine``, ``update`` and fault
 recovery for real.  A runtime not handed a trace records a private one; a
-shared trace lives as long as its owner (a ``run_grid_experiment`` call,
-a ``GridBroker``).
+shared trace lives as long as its owner.  Owners hold their traces in a
+:class:`KernelBook`, one ``(dataset, trace)`` pair per (workload, dataset
+seed, size label): a ``run_grid_experiment`` call (its own book unless
+handed one), a serial campaign run (one book for all its entries,
+dropped when the run returns) and a ``GridBroker`` (one book for its
+lifetime).
 
 A pass is recorded by one ``process_chunk`` call per chunk, unless the
 application defines a batched kernel, ``process_pass(dataset)``, and the
@@ -40,7 +44,7 @@ pieces matches a fresh run's up to float association in passes >= 2.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +57,14 @@ from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import CPUSpec
 from repro.simgrid.trace import left_sum
 
-__all__ = ["KernelTrace", "PassPieces", "fold_pieces", "MAX_PASSES"]
+__all__ = [
+    "DatasetSource",
+    "KernelBook",
+    "KernelTrace",
+    "PassPieces",
+    "fold_pieces",
+    "MAX_PASSES",
+]
 
 #: Safety valve for iterative applications that never converge.
 MAX_PASSES = 1000
@@ -148,6 +159,47 @@ class KernelTrace:
         recorded = PassPieces(objects, ops, app.make_local_object())
         self.passes.append(recorded)
         return recorded
+
+
+class DatasetSource(Protocol):
+    """What a :class:`KernelBook` builds a dataset from (a workload)."""
+
+    @property
+    def name(self) -> str: ...
+
+    @property
+    def seed(self) -> int: ...
+
+    def make_dataset(self, size_label: Optional[str] = None) -> Dataset: ...
+
+
+class KernelBook:
+    """Datasets and their kernel traces, one pair per (workload name,
+    dataset seed, size label), built on first lookup.
+
+    Every execution over a dataset looked up here shares one recording
+    of its kernels.  A book is written by whoever looks a pair up, so it
+    belongs to one owner at a time and is dropped with that owner.
+    """
+
+    def __init__(self) -> None:
+        self._pairs: Dict[Tuple[str, int, str], Tuple[Dataset, KernelTrace]] = {}
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def lookup(
+        self, workload: DatasetSource, size_label: str
+    ) -> Tuple[Dataset, KernelTrace]:
+        """The dataset ``workload`` builds at ``size_label``, and its trace."""
+        key = (workload.name, workload.seed, size_label)
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = (
+                workload.make_dataset(size_label),
+                KernelTrace(),
+            )
+        return pair
 
 
 @hot

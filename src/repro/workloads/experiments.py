@@ -37,7 +37,8 @@ from repro.core import (
     relative_error,
 )
 from repro.faults import injector_from_dict, schedule_from_dict
-from repro.middleware import FreerideGRuntime, KernelTrace
+from repro.middleware import FreerideGRuntime
+from repro.middleware.kernels import KernelBook
 from repro.simgrid.errors import ConfigurationError
 from repro.simgrid.hardware import ClusterSpec
 from repro.workloads.clusters import (
@@ -184,7 +185,10 @@ class ExperimentSpec:
 
 
 def _measure_cluster_factors(
-    representatives: Sequence[str], cluster_a: ClusterSpec, cluster_b: ClusterSpec
+    representatives: Sequence[str],
+    cluster_a: ClusterSpec,
+    cluster_b: ClusterSpec,
+    book: KernelBook,
 ) -> ComponentScalingFactors:
     """Section 3.4: run each representative application on the same
     configuration on both clusters and average the component ratios."""
@@ -192,8 +196,7 @@ def _measure_cluster_factors(
     pairs = []
     for rep_name in representatives:
         rep = _workload(rep_name)
-        dataset = rep.make_dataset(None)
-        kernels = KernelTrace()
+        dataset, kernels = book.lookup(rep, rep.default_size)
         profiles = []
         for cluster in (cluster_a, cluster_b):
             config = make_run_config(rep_n, rep_c, storage_cluster=cluster)
@@ -205,26 +208,29 @@ def _measure_cluster_factors(
     return measure_scaling_factors(pairs)
 
 
-def run_grid_experiment(spec: ExperimentSpec, fast: bool = False) -> ExperimentResult:
+def run_grid_experiment(
+    spec: ExperimentSpec, fast: bool = False, book: Optional[KernelBook] = None
+) -> ExperimentResult:
     """Run one :class:`ExperimentSpec` through the paper's protocol.
 
     Owns the only base-profile run, the only grid loop and the only
     metadata assembly: every figure and every fault-scenario sweep is
     this function applied to a different record.  The workload is looked
-    up when the experiment runs, and each distinct dataset is built once
-    (datasets are read-only) and shared by all of the experiment's runs,
-    as is the :class:`KernelTrace` of its chunk kernels — the base
-    profile and every grid cell are priced from one execution of the
-    kernels, which this call owns and drops when it returns.
+    up when the experiment runs.  Datasets and the :class:`KernelTrace`
+    of their chunk kernels come from ``book`` — the base profile, every
+    grid cell and the cross-cluster representatives are priced from one
+    execution of the kernels per dataset.  Without a book the call keeps
+    a private one and drops it when it returns; a caller running several
+    experiments hands them one book, and the rows are the same bits
+    either way (a breakdown is exact from any recording run).
     """
+    if book is None:
+        book = KernelBook()
     workload = _workload(spec.workload)
     target_label = spec.target_size or workload.default_size
     profile_label = spec.profile_size or target_label
-    profile_dataset = dataset = workload.make_dataset(target_label)
-    profile_kernels = kernels = KernelTrace()
-    if profile_label != target_label:
-        profile_dataset = workload.make_dataset(profile_label)
-        profile_kernels = KernelTrace()
+    dataset, kernels = book.lookup(workload, target_label)
+    profile_dataset, profile_kernels = book.lookup(workload, profile_label)
 
     pn, pc = spec.profile_nodes
     metadata: Dict[str, object] = {"base_profile": f"{pn}-{pc}"}
@@ -254,7 +260,7 @@ def run_grid_experiment(spec: ExperimentSpec, fast: bool = False) -> ExperimentR
         profile_cluster = pentium_myrinet_cluster()
         target_cluster = opteron_infiniband_cluster()
         factors = _measure_cluster_factors(
-            spec.representatives, profile_cluster, target_cluster
+            spec.representatives, profile_cluster, target_cluster, book
         )
         models = [CrossClusterPredictor(full_model, factors)]
         per_app = (factors.per_app or {}).items()

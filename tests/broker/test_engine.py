@@ -48,7 +48,7 @@ class TestColdCacheFill:
         ]
         run = broker.run(jobs, "min-completion")
         assert len(run.placements) == len(jobs)
-        assert len(broker._exec_cache) > len(broker._kernels) == 2
+        assert len(broker._exec_cache) > len(broker._book) == 2
         # 96 chunks each: kNN is one pass, k-means ten.
         assert dict(kernel_calls) == {"knn": 96, "kmeans": 960}
         broker.run(jobs, "min-completion")
@@ -68,7 +68,7 @@ class TestColdCacheFill:
             ),
         ]
         run = broker.run(jobs, "min-completion")
-        assert len(broker._datasets) == len(broker._kernels) == 1
+        assert len(broker._book) == 1
         assert dict(kernel_calls) == {"kmeans": 3520}
         path = BrokerReport(name="one-dataset", runs=(run,)).save(
             tmp_path / "report.json"

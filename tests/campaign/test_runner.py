@@ -8,17 +8,26 @@ process-pool one is in ``test_executor_contract.py``.
 """
 
 import hashlib
+import sys
+import threading
 import time
 
 import pytest
 
+from repro.analysis import save_result
 from repro.campaign import (
     EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_PROBLEMS,
+    CampaignEntry,
+    CampaignManifest,
     CampaignRunner,
 )
+from repro.campaign import runner as runner_module
 from repro.errors import CampaignError
+from repro.faults import RetryPolicy
+from repro.workloads.experiments import run_experiment
+from repro.workloads.registry import WorkloadSpec
 
 from tests.campaign.conftest import (
     FAKE_IDS,
@@ -172,3 +181,138 @@ class TestClaimChecking:
         assert outcome.violations
         assert not report.ok
         assert report.exit_code == EXIT_PROBLEMS
+
+
+class TestOneBookPerRun:
+    """Inline entries share the run's datasets and kernel traces; an
+    attempt the watchdog abandoned keeps its book to itself."""
+
+    def test_defect_campaign_records_its_dataset_once(
+        self, tmp_path, kernel_calls, monkeypatch
+    ):
+        """Three entries over defect 130 MB (32 chunks, one pass): one
+        dataset and 32 kernel calls, where a book per entry makes three
+        and 96."""
+        built = []
+        make_dataset = WorkloadSpec.make_dataset
+
+        def counted(spec, size_label=None):
+            built.append((spec.name, size_label))
+            return make_dataset(spec, size_label)
+
+        monkeypatch.setattr(WorkloadSpec, "make_dataset", counted)
+        scenario = {
+            "seed": 3,
+            "faults": [{"type": "chunk-read-error", "rate": 0.05}],
+        }
+        manifest = CampaignManifest(
+            name="defect-three",
+            entries=(
+                CampaignEntry("fig04", fast=True),
+                CampaignEntry("fig09", fast=True),
+                CampaignEntry(
+                    "defect-faults",
+                    kind="fault-scenario",
+                    workload="defect",
+                    fast=True,
+                    scenario=scenario,
+                ),
+            ),
+        )
+        report = CampaignRunner(
+            manifest, tmp_path / "journal", handle_signals=False
+        ).run()
+        assert report.exit_code == EXIT_OK
+        assert built == [("defect", "130 MB")]
+        assert dict(kernel_calls) == {"defect": 32}
+
+    def test_retry_after_timeout_never_gets_the_abandoned_book(
+        self, tmp_path, monkeypatch
+    ):
+        """fig04's first attempt hangs past its deadline holding the
+        run's book; the retry and the next entry get another book and
+        save the bytes a standalone ``run_experiment`` saves."""
+        ids = ["fig04", "fig09"]
+        fresh = tmp_path / "fresh"
+        for entry_id in ids:
+            save_result(
+                run_experiment(entry_id, fast=True), fresh / f"{entry_id}.json"
+            )
+        real = runner_module.run_grid_experiment
+        books = []
+        release = threading.Event()
+
+        def first_attempt_hangs(spec, fast, book):
+            books.append(book)
+            if len(books) == 1:
+                release.wait(30.0)
+            return real(spec, fast, book)
+
+        monkeypatch.setattr(
+            runner_module, "run_grid_experiment", first_attempt_hangs
+        )
+        manifest = CampaignManifest(
+            name="abandoned-attempt",
+            entries=(
+                CampaignEntry("fig04", fast=True, deadline_s=1.0),
+                CampaignEntry("fig09", fast=True),
+            ),
+        )
+        try:
+            report = CampaignRunner(
+                manifest,
+                tmp_path / "journal",
+                retry_policy=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
+                results_dir=tmp_path / "results",
+                handle_signals=False,
+            ).run()
+        finally:
+            release.set()
+            for thread in threading.enumerate():
+                if thread.name == "campaign-fig04":  # the watchdog's worker
+                    thread.join(30.0)
+        assert report.exit_code == EXIT_OK
+        assert report.outcome("fig04").status == "retried"
+        abandoned, retry, next_entry = books
+        assert retry is not abandoned and next_entry is not abandoned
+        assert next_entry is retry
+        for entry_id in ids:
+            name = f"{entry_id}.json"
+            assert (tmp_path / "results" / name).read_bytes() == (
+                fresh / name
+            ).read_bytes()
+
+    def test_a_book_is_never_lent_twice_at_once(self):
+        """Stress: more borrowers than cores and a short switch interval;
+        a shelf that lent a book still out, or lost a check-out to a
+        race, would lend one book to two borrowers at once."""
+        shelf = runner_module._BookShelf()
+        held = set()
+        guard = threading.Lock()
+        clashes = []
+
+        def borrow(rounds):
+            for _ in range(rounds):
+                with shelf.lend() as book:
+                    with guard:
+                        if id(book) in held:
+                            clashes.append(id(book))
+                        held.add(id(book))
+                    time.sleep(0.001)  # an attempt holds its book a while
+                    with guard:
+                        held.discard(id(book))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=borrow, args=(300,)) for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert clashes == []

@@ -5,6 +5,7 @@ another run's pieces must reproduce a from-scratch execution field for
 field, events included.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults import injector_from_dict
 from repro.middleware import FreerideGRuntime, GatherTopology, KernelTrace
-from repro.middleware.kernels import MAX_PASSES
+from repro.middleware.kernels import MAX_PASSES, KernelBook
 from repro.middleware.scheduler import RunConfig
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.configs import make_run_config
@@ -120,6 +121,22 @@ class TestTraceBinding:
             FreerideGRuntime(small_config(1, 1)).execute(
                 SumApp(passes=MAX_PASSES + 1), make_tiny_points(16, 1, 1)
             )
+
+
+class TestKernelBook:
+    def test_one_pair_per_workload_seed_and_size(self):
+        book = KernelBook()
+        defect = WORKLOADS["defect"]
+        dataset, kernels = book.lookup(defect, "130 MB")
+        assert isinstance(kernels, KernelTrace) and not kernels.passes
+        again, again_kernels = book.lookup(defect, "130 MB")
+        assert again is dataset and again_kernels is kernels
+        reseeded = dataclasses.replace(defect, seed=defect.seed + 1)
+        other, other_kernels = book.lookup(reseeded, "130 MB")
+        assert other is not dataset and other_kernels is not kernels
+        bigger, _ = book.lookup(defect, "1.8 GB")
+        assert bigger.num_chunks > dataset.num_chunks
+        assert len(book) == 3
 
 
 def _variants(n, c):

@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from repro.analysis import compare_results, load_result, result_to_dict
+from repro.middleware.kernels import KernelBook
 from repro.simgrid.errors import ConfigurationError
 from repro.workloads.experiments import (
     EXPERIMENTS,
@@ -14,6 +15,7 @@ from repro.workloads.experiments import (
     ExperimentSpec,
     run_experiment,
     run_fault_scenario,
+    run_grid_experiment,
 )
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -139,6 +141,23 @@ class TestKernelsRunOncePerExperiment:
         second = run_experiment("fig05", fast=True)
         assert kernel_calls["em"] == 2 * after_first > 0
         assert second.rows == first.rows
+
+
+@pytest.mark.slow
+class TestOneBookForManyExperiments:
+    def test_every_experiment_in_reverse_through_one_book(self):
+        """Order independence: each experiment priced from traces other
+        experiments recorded (here in reverse table order) gives the
+        document a standalone run gives."""
+        book = KernelBook()
+        for experiment_id in reversed(list(EXPERIMENTS)):
+            shared = run_grid_experiment(
+                EXPERIMENTS[experiment_id], fast=True, book=book
+            )
+            alone = run_experiment(experiment_id, fast=True)
+            assert result_to_dict(shared) == result_to_dict(alone), experiment_id
+        # 14 experiments over 11 distinct (workload, size) datasets.
+        assert len(book) == 11
 
 
 def assert_same_result(baseline: ExperimentResult, fresh: ExperimentResult):
