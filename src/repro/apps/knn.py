@@ -5,10 +5,14 @@ each node scans the samples it owns to maintain the k nearest neighbours of
 every query (Euclidean distance); a global reduction computes the overall
 k nearest from the per-node candidate sets.
 
-The per-query candidate set is a *min-k semilattice*: merging candidate
-sets is associative, commutative and idempotent, so chunk placement cannot
-change the answer.  The reduction object holds ``q x k`` (distance, label)
-pairs — **constant object size** — and merging ``c`` such objects makes the
+The per-query candidate set is a *min-k semilattice* on distances:
+merging candidate sets is associative, commutative and idempotent, so
+chunk placement cannot change the distances.  It can change which of two
+equally distant samples is kept, so ties follow one rule: candidates are
+ordered by (distance, column), which puts the lower record index first
+within a chunk and the earlier piece in hand-out order first across
+pieces.  The reduction object holds ``q x k`` (distance, label) pairs —
+**constant object size** — and merging ``c`` such objects makes the
 global reduction **linear-constant**.
 """
 
@@ -47,17 +51,47 @@ class KNNCandidates:
 
     def absorb(self, new_dists: np.ndarray, new_labels: np.ndarray) -> None:
         """Merge candidate columns and keep the k smallest per query."""
-        dists = np.concatenate([self.dists, new_dists], axis=1)
-        labels = np.concatenate([self.labels, new_labels], axis=1)
-        k = self.dists.shape[1]
-        order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-        rows = np.arange(dists.shape[0])[:, None]
-        self.dists = dists[rows, order]
-        self.labels = labels[rows, order]
+        self._keep(
+            np.concatenate([self.dists, new_dists], axis=1),
+            np.concatenate([self.labels, new_labels], axis=1),
+        )
 
-    def merge(self, other: "KNNCandidates") -> None:
-        """Fold another candidate set into this one."""
-        self.absorb(other.dists, other.labels)
+    def merge(self, *others: "KNNCandidates") -> None:
+        """Fold other candidate sets into this one, in order, with one
+        selection: the first k of a stable sort of ``A + B`` where ``A``
+        is the stable first k of ``X`` are the first k of ``X + B``, so
+        this is the one-at-a-time fold."""
+        if not others:
+            return
+        self._keep(
+            np.concatenate([self.dists, *(o.dists for o in others)], axis=1),
+            np.concatenate([self.labels, *(o.labels for o in others)], axis=1),
+        )
+
+    def _keep(self, dists: np.ndarray, labels: np.ndarray) -> None:
+        """Keep each row's k smallest columns, ordered by (distance, column)."""
+        rows = np.arange(dists.shape[0])[:, None]
+        cols = _smallest(dists, self.dists.shape[1])
+        cols = cols[rows, np.argsort(dists[rows, cols], axis=1, kind="stable")]
+        self.dists = dists[rows, cols]
+        self.labels = labels[rows, cols]
+
+
+def _smallest(d: np.ndarray, k: int) -> np.ndarray:
+    """The columns of each row's ``k`` smallest values by (value, column),
+    in ascending column order (``k <= d.shape[1]``).
+
+    A k-th-value threshold picks them when it is exact: every row then
+    has exactly ``k`` values at or below its k-th smallest.  Ties at the
+    k-th value, +inf padding past it or NaN fall back to the stable sort
+    that defines the answer.
+    """
+    q, n = d.shape
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+    flat = np.flatnonzero(d <= kth)
+    if flat.size == q * k and not np.isnan(kth).any():
+        return flat.reshape(q, k) - np.arange(0, q * n, n)[:, None]
+    return np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
 
 
 class KNNSearch(GeneralizedReduction):
@@ -111,10 +145,7 @@ class KNNSearch(GeneralizedReduction):
         n = features.shape[0]
 
         d2 = pairwise_sq_dists(self.queries, features)  # (q, n)
-        take = min(self.k, n)
-        part = np.argpartition(d2, take - 1, axis=1)[:, :take]
-        rows = np.arange(self.num_queries)[:, None]
-        obj.absorb(d2[rows, part], np.broadcast_to(labels, d2.shape)[rows, part])
+        obj.absorb(d2, np.broadcast_to(labels, d2.shape))
 
         ops.charge(*distance_ops(float(n), self.num_queries, self._num_dims))
         # Selection and candidate-set maintenance are branch-heavy: kNN has
@@ -135,9 +166,9 @@ class KNNSearch(GeneralizedReduction):
         merged = KNNCandidates(
             dists=objs[0].dists.copy(), labels=objs[0].labels.copy()
         )
+        merged.merge(*objs[1:])
         per_merge = float(self.num_queries) * self.k
-        for other in objs[1:]:
-            merged.merge(other)
+        for _ in objs[1:]:
             ops.charge(branch=4.0 * per_merge, mem=2.0 * per_merge)
         return merged
 
@@ -156,15 +187,20 @@ class KNNSearch(GeneralizedReduction):
 
     def result(self) -> Dict[str, Any]:
         assert self._final is not None, "run has not completed"
-        labels = self._final.labels
-        votes = np.empty(self.num_queries, dtype=np.int64)
-        for q in range(self.num_queries):
-            vals, counts = np.unique(
-                labels[q][labels[q] >= 0], return_counts=True
-            )
-            votes[q] = int(vals[np.argmax(counts)]) if len(vals) else -1
         return {
             "neighbors_dists": np.sqrt(self._final.dists),
             "neighbors_labels": self._final.labels.astype(np.int64),
-            "predictions": votes,
+            "predictions": _majority(self._final.labels),
         }
+
+
+def _majority(labels: np.ndarray) -> np.ndarray:
+    """Each row's most frequent label >= 0, the smallest on a count tie,
+    -1 for a row with none (``np.unique`` + ``argmax`` per row)."""
+    valid = labels >= 0
+    votes = ((labels[:, :, None] == labels[:, None, :]) & valid[:, None, :]).sum(
+        axis=2
+    )
+    top = votes == votes.max(axis=1, keepdims=True)
+    winner = np.where(top, labels, np.inf).min(axis=1)
+    return np.where(valid.any(axis=1), winner, -1.0).astype(np.int64)

@@ -46,7 +46,17 @@ import pathlib
 import signal
 import threading
 import time
-from typing import Callable, Generator, Iterator, List, Mapping, Optional, Sequence
+from typing import (
+    Callable,
+    Collection,
+    FrozenSet,
+    Generator,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from repro.analysis.expectations import EXPECTATIONS, check_expectation
 from repro.analysis.results_io import (
@@ -182,11 +192,19 @@ class _BookShelf:
         """The book, or a fresh one while it is out; taken back unless
         the borrower raised."""
         with self._lock:
-            book, self._book = self._book or KernelBook(), None
+            book = self._book if self._book is not None else KernelBook()
+            self._book = None
         yield book
         with self._lock:
             if self._book is None:
                 self._book = book
+
+    def retain(self, workloads: Collection[str]) -> None:
+        """Drop the book's pairs for every workload not in ``workloads``
+        (a book that is out is left to its borrower)."""
+        with self._lock:
+            if self._book is not None:
+                self._book.retain(workloads)
 
     def run(self, entry: CampaignEntry) -> ExperimentResult:
         """``entry``'s experiment, its datasets and traces from the book."""
@@ -286,20 +304,28 @@ class CampaignRunner:
         executes each entry inline, when the settle loop asks for it,
         and every entry takes its datasets and kernel traces from the
         run's one book: a dataset is built and its kernels recorded once
-        per run, not once per entry.  The book goes when the run closes
-        this generator.
+        per run, not once per entry.  Once an entry settles, the book
+        drops the workloads no later entry names (as its workload or a
+        representative); the rest goes when the run closes this
+        generator.
         """
         shelf = _BookShelf()
-        for entry in live:
+        later: List[FrozenSet[str]] = [frozenset()]
+        for entry in reversed(live[1:]):
+            spec = entry.spec()
+            later.append(later[-1].union(spec.representatives, [spec.workload]))
+        for entry, keep in zip(live, reversed(later)):
             if self._stop.is_set():
                 yield None
                 continue
-            yield execute_entry(
+            record = execute_entry(
                 *self._entry_args(entry, functools.partial(shelf.run, entry)),
                 stop=self._stop,
                 sleep=self._sleep,
                 poll_interval_s=self._poll_interval_s,
             )
+            shelf.retain(keep)
+            yield record
 
     # ------------------------------------------------------------------
     # Signal handling

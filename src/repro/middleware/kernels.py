@@ -12,9 +12,9 @@ recovery for real.  A runtime not handed a trace records a private one; a
 shared trace lives as long as its owner.  Owners hold their traces in a
 :class:`KernelBook`, one ``(dataset, trace)`` pair per (workload, dataset
 seed, size label): a ``run_grid_experiment`` call (its own book unless
-handed one), a serial campaign run (one book for all its entries,
-dropped when the run returns) and a ``GridBroker`` (one book for its
-lifetime).
+handed one), a serial campaign run (one book for all its entries, which
+drops a workload's pairs once no later entry names it, and goes when the
+run returns) and a ``GridBroker`` (one book for its lifetime).
 
 A pass is recorded by one ``process_chunk`` call per chunk, unless the
 application defines a batched kernel, ``process_pass(dataset)``, and the
@@ -44,7 +44,7 @@ pieces matches a fresh run's up to float association in passes >= 2.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Collection, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -188,6 +188,12 @@ class KernelBook:
     def __len__(self) -> int:
         return len(self._pairs)
 
+    def retain(self, workloads: Collection[str]) -> None:
+        """Drop every pair whose workload is not named in ``workloads``."""
+        self._pairs = {
+            key: pair for key, pair in self._pairs.items() if key[0] in workloads
+        }
+
     def lookup(
         self, workload: DatasetSource, size_label: str
     ) -> Tuple[Dataset, KernelTrace]:
@@ -209,9 +215,10 @@ def fold_pieces(
     """A fresh reduction object holding the pieces of ``chunks``, in order.
 
     Uncharged: the kernels already charged their accumulation.  A stacked
-    pass adds its rows' running sum (rule 3); otherwise pieces fold through
-    an in-place ``merge`` (feature lists, kNN candidates) or, lacking one,
-    ``app.merge_local`` with a discarded counter.
+    pass adds its rows' running sum (rule 3); otherwise the pieces fold
+    through one in-place ``merge(*pieces)`` call (feature lists, kNN
+    candidates) or, lacking one, ``app.merge_local`` with a discarded
+    counter.
     """
     obj = app.make_local_object()
     if pieces.stack is not None:
@@ -223,8 +230,7 @@ def fold_pieces(
         return obj
     merge = getattr(obj, "merge", None)
     if merge is not None:
-        for chunk in chunks:
-            merge(pieces.objects[chunk])
+        merge(*map(pieces.objects.__getitem__, chunks))
         return obj
     scratch = OpCounter()
     for chunk in chunks:

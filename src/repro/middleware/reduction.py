@@ -55,9 +55,10 @@ class ArrayReductionObject:
         self.count += count
 
     @hot
-    def merge(self, other: "ArrayReductionObject") -> None:
-        """Fold another accumulator into this one."""
-        self.accumulate(other.values, other.count)
+    def merge(self, *others: "ArrayReductionObject") -> None:
+        """Fold other accumulators into this one, in order."""
+        for other in others:
+            self.accumulate(other.values, other.count)
 
     def copy(self) -> "ArrayReductionObject":
         """An independent copy."""
@@ -94,11 +95,14 @@ class FeatureListReductionObject:
         """Append many extracted features."""
         self.features.extend(features)
 
-    def merge(self, other: "FeatureListReductionObject") -> None:
-        """Concatenate another node's feature list (order-independent)."""
-        if other.bytes_per_feature != self.bytes_per_feature:
-            raise ConfigurationError("cannot merge feature lists of different widths")
-        self.features.extend(other.features)
+    def merge(self, *others: "FeatureListReductionObject") -> None:
+        """Concatenate other nodes' feature lists, in order."""
+        for other in others:
+            if other.bytes_per_feature != self.bytes_per_feature:
+                raise ConfigurationError(
+                    "cannot merge feature lists of different widths"
+                )
+            self.features.extend(other.features)
 
     def __len__(self) -> int:
         return len(self.features)

@@ -334,6 +334,8 @@ class FreerideGRuntime:
         cached = False
         max_object_bytes = 0.0
         network_fed_passes = 0
+        # Seconds each node takes to re-read its cache, set once it is filled.
+        cache_reads: List[float] = []
 
         for pass_index in itertools.count():
             events: List[Dict[str, Any]] = []
@@ -398,7 +400,7 @@ class FreerideGRuntime:
                             per_node_chunk_sizes[j]
                         )
                 else:
-                    cache_time = server.cache_read_time(per_node_chunk_sizes[j])
+                    cache_time = cache_reads[j]
 
                 kernel_time = server.compute_time(chunk_times, thread_chunks)
                 role_caches.append(cache_time)
@@ -537,10 +539,14 @@ class FreerideGRuntime:
                 )
             )
 
-            if fed_from_network and caching:
-                cached = True
             if not another_pass:
                 break
+            if fed_from_network and caching:
+                cached = True
+                cache_reads = [
+                    server.cache_read_time(sizes)
+                    for server, sizes in zip(compute_servers, per_node_chunk_sizes)
+                ]
 
         breakdown.max_reduction_object_bytes = max_object_bytes
         breakdown.metadata["gather_rounds"] = breakdown.num_passes

@@ -282,6 +282,48 @@ class TestOneBookPerRun:
                 fresh / name
             ).read_bytes()
 
+    def test_the_book_drops_workloads_no_later_entry_names(
+        self, tmp_path, monkeypatch
+    ):
+        """Once an entry settles, its workload's pairs leave the book
+        unless a later entry (or one of its representatives) names it;
+        every saved result keeps the bytes a standalone run saves."""
+        ids = ["fig04", "ext-apriori", "ext-neuralnet", "fig09"]
+        fresh = tmp_path / "fresh"
+        for entry_id in ids:
+            save_result(
+                run_experiment(entry_id, fast=True), fresh / f"{entry_id}.json"
+            )
+        books = []
+
+        class SpiedBook(runner_module.KernelBook):
+            def __init__(self):
+                super().__init__()
+                books.append(self)
+
+        monkeypatch.setattr(runner_module, "KernelBook", SpiedBook)
+        held = []
+        manifest = CampaignManifest(
+            name="book-retain",
+            entries=tuple(CampaignEntry(i, fast=True) for i in ids),
+        )
+        report = CampaignRunner(
+            manifest,
+            tmp_path / "journal",
+            results_dir=tmp_path / "results",
+            handle_signals=False,
+            progress=lambda _line: held.append(len(books[0])),
+        ).run()
+        assert report.exit_code == EXIT_OK
+        assert len(books) == 1
+        # defect 130 MB stays for fig09; apriori and neural net go at once.
+        assert held == [1, 1, 1, 0]
+        for entry_id in ids:
+            name = f"{entry_id}.json"
+            assert (tmp_path / "results" / name).read_bytes() == (
+                fresh / name
+            ).read_bytes()
+
     def test_a_book_is_never_lent_twice_at_once(self):
         """Stress: more borrowers than cores and a short switch interval;
         a shelf that lent a book still out, or lost a check-out to a

@@ -57,6 +57,28 @@ class TestFreerideGRuntime:
             assert later.t_disk == 0.0 and later.t_network == 0.0
             assert later.t_cache > 0.0  # read from local cache instead
 
+    def test_cache_read_time_is_computed_once_per_node(self, monkeypatch):
+        """A node's cache re-read costs the same every cache-fed pass, so
+        an execution prices it once per node, not once per pass."""
+        from repro.middleware.caching import CacheModel
+
+        calls = []
+        read_time = CacheModel.read_time
+
+        def counted(model, chunk_sizes):
+            calls.append(tuple(chunk_sizes))
+            return read_time(model, chunk_sizes)
+
+        monkeypatch.setattr(CacheModel, "read_time", counted)
+        dataset = make_tiny_points()
+        run = FreerideGRuntime(make_config(c=4)).execute(
+            SumApp(passes=5, cache=True), dataset
+        )
+        assert run.breakdown.num_passes == 5
+        assert len(calls) == 4  # compute nodes, not 4 x (passes - 1)
+        later = [p.t_cache for p in run.breakdown.passes[1:]]
+        assert later == [later[0]] * 4
+
     def test_uncached_multi_pass_refetches(self):
         dataset = make_tiny_points()
         run = FreerideGRuntime(make_config()).execute(
