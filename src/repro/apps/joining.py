@@ -5,27 +5,38 @@ spatially, extract features locally, and then — in the serialized global
 combination — join feature *fragments* that straddle partition boundaries
 (Sections 4.4-4.5 of the paper).  The joining machinery (a union-find over
 fragments plus boundary-adjacency tests) is shared here, and so is the
-local connected-component labelling that produces the fragments.
+local connected-component labelling that produces the fragments, built
+on the same union-find.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["UnionFind", "join_fragments", "label_components"]
 
 
 def label_components(mask: Any) -> Tuple[Any, int]:
-    """``scipy.ndimage.label(mask)``: each face-connected component of a
-    boolean grid numbered ``1..count`` in scan order, and the count.
-
-    The one place the package imports SciPy, on the first call: the
-    prediction commands (``serve``, ``predict``, ``whatif``) never
-    label a chunk, so they start without it.
+    """Each face-connected component of a grid's set cells numbered
+    ``1..count`` in scan order of its first cell, and the count: the
+    ``(labels, count)`` of ``scipy.ndimage.label(mask)``, ``int32``
+    labels included.
     """
-    from scipy import ndimage
-
-    return ndimage.label(mask)
+    cells = np.flatnonzero(mask).tolist()
+    forest = UnionFind(cells)
+    stride = 1
+    for size in reversed(mask.shape):
+        for cell in cells:
+            if (cell // stride) % size != size - 1 and cell + stride in forest:
+                forest.union(cell, cell + stride)
+        stride *= size
+    labels = np.zeros(mask.size, dtype=np.int32)
+    groups = forest.groups()
+    for number, group in enumerate(groups, start=1):
+        labels[group] = number
+    return labels.reshape(mask.shape), len(groups)
 
 
 class UnionFind:

@@ -1,8 +1,10 @@
-"""Tests for union-find and fragment joining."""
+"""Tests for union-find, fragment joining and chunk labelling."""
 
-from hypothesis import given, strategies as st
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.apps.joining import UnionFind, join_fragments
+from repro.apps.joining import UnionFind, join_fragments, label_components
 
 
 class TestUnionFind:
@@ -121,3 +123,34 @@ class TestJoinFragments:
 
     def test_empty_input(self):
         assert join_fragments([], self.always) == []
+
+
+@pytest.fixture(scope="module")
+def ndimage():
+    return pytest.importorskip("scipy.ndimage")
+
+
+@st.composite
+def masks(draw):
+    """1-D to 3-D grids, singleton axes included, at 0-100 % fill; some
+    as 0/1 integers rather than booleans."""
+    shape = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    fill = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mask = np.random.default_rng(seed).random(shape) < fill
+    return mask.astype(draw(st.sampled_from([bool, np.int64, np.uint8])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mask=masks())
+# The last cell of row 0 and the first of row 1 are neighbours in flat
+# order but not on the grid: two components, not one.
+@example(mask=np.array([[0, 0, 1], [1, 0, 0]], dtype=bool))
+@example(mask=np.zeros((3, 1, 4), dtype=bool))
+@example(mask=np.ones((3, 1, 4), dtype=bool))
+def test_labels_match_ndimage(ndimage, mask):
+    labels, count = label_components(mask)
+    expected, expected_count = ndimage.label(mask)
+    assert count == expected_count
+    assert labels.dtype == expected.dtype
+    assert np.array_equal(labels, expected)

@@ -1,13 +1,14 @@
 """Which processes load SciPy and networkx (docs/architecture.md, "The
 import rule").
 
-The prediction model is closed-form, so the service answers without
-running a kernel and never needs ``scipy.ndimage``; the two scientific
-kernels load it through ``repro.apps.joining.label_components`` when they
-label their first chunk.  The grid topology's path search is plain
-Python, so no command loads networkx.  Each check runs in a fresh child
-process, where ``sys.modules`` shows exactly what the code under test
-imported.
+No command loads either.  The prediction model is closed-form, so the
+service answers without running a kernel; the two scientific kernels
+label their chunks with the package's own union-find
+(``repro.apps.joining.label_components``), so they run with SciPy
+unimportable and give the same results.  The grid topology's path search
+is plain Python, so no command loads networkx.  Each check runs in a
+fresh child process, where ``sys.modules`` shows exactly what the code
+under test imported.
 """
 
 import json
@@ -84,22 +85,18 @@ def vortex_and_defect():
     return repr((vortex.result, defect.result))
 
 
-#: The same two runs in a child, reporting when ``scipy`` arrived.
+#: The same two runs in a child where ``import scipy`` fails.
 _KERNELS = """
 import json, sys
+sys.modules["scipy"] = None
 from tests.test_cold_start import vortex_and_defect
 
-imported = "scipy" in sys.modules
-results = vortex_and_defect()
-print(json.dumps({"imported": imported, "ran": "scipy.ndimage" in sys.modules,
-                  "results": results}))
+print(json.dumps({"results": vortex_and_defect()}))
 """
 
 
-def test_vortex_and_defect_load_scipy_at_their_first_chunk():
+def test_vortex_and_defect_run_without_scipy():
     result = run_child(_KERNELS)
-    assert result["imported"] is False
-    assert result["ran"] is True
     assert result["results"] == vortex_and_defect()
 
 
