@@ -12,15 +12,12 @@ stopped:
 - :mod:`repro.campaign.watchdog` — per-entry wall-clock deadlines and
   graceful-interrupt supervision.
 - :mod:`repro.campaign.runner`   — the pipeline: ``execute_entry``
-  runs one entry to a journal record (callable resolution, deadline,
+  runs one entry's driver to a journal record (deadline,
   retry-after-timeout with :class:`~repro.faults.retry.RetryPolicy`
-  semantics, claim check; no I/O) and :class:`CampaignRunner` settles
-  records in manifest order (journal open/resume, commit, result
-  artifact, outcome, SIGINT/SIGTERM checkpointing).
-- :mod:`repro.campaign.parallel` — :class:`ParallelCampaignRunner`:
-  the same runner fed by a process pool, behind
-  ``repro campaign --workers N`` (submission window, cancel-on-stop,
-  broken-pool handling; journals and artifacts stay byte-identical).
+  semantics, claim check; no I/O) and :class:`CampaignRunner` runs the
+  entries in manifest order on one kernel book and settles each record
+  (journal open/resume, commit, result artifact, outcome,
+  SIGINT/SIGTERM checkpointing).
 - :mod:`repro.campaign.report`   — :class:`CampaignReport`:
   completed/resumed/retried/timed-out/skipped classification and the
   process exit codes.
@@ -55,7 +52,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "CampaignOutcome",
             "CampaignReport",
         ),
-        "repro.campaign.parallel": ("ParallelCampaignRunner",),
         "repro.campaign.runner": ("CampaignRunner",),
         "repro.campaign.watchdog": (
             "CampaignInterruptedError",

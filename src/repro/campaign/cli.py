@@ -25,18 +25,13 @@ def _cmd_campaign(args) -> int:
     policy = None
     if args.max_attempts is not None:
         policy = replace(WATCHDOG_RETRY_POLICY, max_attempts=args.max_attempts)
-    kwargs = dict(
-        retry_policy=policy, results_dir=args.results_dir, progress=print
+    runner = CampaignRunner(
+        manifest,
+        journal,
+        retry_policy=policy,
+        results_dir=args.results_dir,
+        progress=print,
     )
-    if args.workers is None or args.workers == 1:
-        runner = CampaignRunner(manifest, journal, **kwargs)
-    else:
-        from repro.campaign.parallel import ParallelCampaignRunner
-
-        # Validates the count (a non-positive one is a CampaignError).
-        runner = ParallelCampaignRunner(
-            manifest, journal, workers=args.workers, **kwargs
-        )
     report = runner.run(resume=args.resume)
     print()
     print(format_campaign(report))
@@ -61,10 +56,5 @@ def register_campaign(p: argparse.ArgumentParser) -> None:
         "--max-attempts", type=int, default=None,
         help="watchdog attempts per entry before classifying it "
         "timed-out (default: 2, immediate retry)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run entries on N worker processes (journals and "
-        "artifacts stay byte-identical to a serial run)",
     )
     p.set_defaults(func=_cmd_campaign)

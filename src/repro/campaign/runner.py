@@ -12,14 +12,11 @@ handler is installed):
    (real sleeps, same backoff semantics the simulated chunk retries
    use), and finally classified ``timed-out`` — without aborting the
    rest of the campaign.  It returns a
-   :class:`~repro.campaign.journal.JournalRecord` and touches no file,
-   so *where* it runs (inline here, in a worker process under
-   :class:`~repro.campaign.parallel.ParallelCampaignRunner`) is a
-   dispatch detail.  Inline, every entry takes its datasets and kernel
-   traces from the run's one book (a dataset is built and its kernels
-   recorded once per run), lent to one attempt at a time so an
-   abandoned attempt never shares it; a pool worker runs the certified
-   roots, each entry on a private book.
+   :class:`~repro.campaign.journal.JournalRecord` and touches no file.
+   Every entry takes its datasets and kernel traces from the run's one
+   book (a dataset is built and its kernels recorded once per run),
+   lent to one attempt at a time so an abandoned attempt never shares
+   it.
 2. **Durability.**  :meth:`CampaignRunner.run` settles records strictly
    in manifest order: each is committed to the
    :class:`~repro.campaign.journal.CampaignJournal` (one line, append +
@@ -67,12 +64,7 @@ from repro.analysis.results_io import (
 from repro.errors import CampaignError, InternalError
 from repro.faults.retry import WATCHDOG_RETRY_POLICY, RetryPolicy
 from repro.middleware.kernels import KernelBook
-from repro.workloads.experiments import (
-    ExperimentResult,
-    run_experiment,
-    run_fault_scenario,
-    run_grid_experiment,
-)
+from repro.workloads.experiments import ExperimentResult, run_grid_experiment
 
 from repro.campaign.journal import CampaignJournal, JournalRecord
 from repro.campaign.manifest import CampaignEntry, CampaignManifest
@@ -90,48 +82,30 @@ _HANDLED_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 def execute_entry(
     entry: CampaignEntry,
+    driver: Callable[[], ExperimentResult],
     default_deadline_s: Optional[float],
     retry_policy: RetryPolicy,
     check_claims: bool,
-    override: Optional[Callable[[], ExperimentResult]] = None,
     *,
     stop: Optional[threading.Event] = None,
     sleep: Callable[[float], None] = time.sleep,
     poll_interval_s: float = 0.02,
 ) -> Optional[JournalRecord]:
-    """Run one campaign entry to a settled record.
+    """Run one campaign entry's ``driver`` to a settled record.
 
-    Module-level and picklable on purpose: the positional arguments
-    cross a process boundary unchanged, and nothing is written here —
-    journal and artifact I/O belong to the settle loop, so completion
-    order can never reorder durable state.  ``override`` replaces the
-    default experiment driver (the runner's ``registry`` seam).
+    ``driver`` is the entry's experiment on the run's book, or the
+    runner's ``registry`` override.  Nothing is written here: journal
+    and artifact I/O belong to the settle loop.
 
     Returns ``None`` when ``stop`` was set mid-attempt: the attempt is
     abandoned, nothing is journaled and the entry re-runs on resume.
     """
-    fn: Callable[[], ExperimentResult]
-    if override is not None:
-        fn = override
-    elif entry.kind == "experiment":
-        fn = lambda: run_experiment(
-            entry.resolved_experiment_id, fast=entry.fast
-        )
-    else:
-        fn = lambda: run_fault_scenario(
-            workload=entry.workload,
-            experiment_id=entry.entry_id,
-            title=entry.spec().title,
-            scenario=entry.scenario,
-            size_label=entry.size_label,
-            fast=entry.fast,
-        )
     deadline_s = entry.effective_deadline_s(default_deadline_s)
     for attempt in range(1, retry_policy.max_attempts + 1):
         start = time.perf_counter()
         try:
             result = run_with_deadline(
-                fn,
+                driver,
                 deadline_s,
                 stop=stop,
                 label=entry.entry_id,
@@ -232,7 +206,7 @@ class CampaignRunner:
         resumed entries, so a resumed campaign leaves byte-identical
         artifacts.
     registry:
-        Test seam: per-entry-id callables that override the default
+        Test seam: per-entry-id callables that override the book-backed
         experiment drivers.
     check_claims:
         Check results against the paper's recorded expectations.
@@ -275,24 +249,8 @@ class CampaignRunner:
         self._signal_name: Optional[str] = None
 
     # ------------------------------------------------------------------
-    # Record sources
+    # Records
     # ------------------------------------------------------------------
-
-    def _entry_args(
-        self,
-        entry: CampaignEntry,
-        driver: Optional[Callable[[], ExperimentResult]] = None,
-    ) -> tuple:
-        """Positional arguments of :func:`execute_entry`; a ``registry``
-        override wins over ``driver``.  Without either they are all
-        picklable, and the entry runs a certified root."""
-        return (
-            entry,
-            self.manifest.default_deadline_s,
-            self.retry_policy,
-            self.check_claims,
-            self.registry.get(entry.entry_id, driver),
-        )
 
     def _records(
         self, live: Sequence[CampaignEntry]
@@ -300,14 +258,13 @@ class CampaignRunner:
         """One record per live entry, in manifest order.
 
         ``None`` means the entry did not run to a settled record (the
-        operator interrupted) and re-runs on resume.  This runner
-        executes each entry inline, when the settle loop asks for it,
-        and every entry takes its datasets and kernel traces from the
-        run's one book: a dataset is built and its kernels recorded once
-        per run, not once per entry.  Once an entry settles, the book
-        drops the workloads no later entry names (as its workload or a
-        representative); the rest goes when the run closes this
-        generator.
+        operator interrupted) and re-runs on resume.  Each entry runs
+        when the settle loop asks for it, and takes its datasets and
+        kernel traces from the run's one book: a dataset is built and
+        its kernels recorded once per run, not once per entry.  Once an
+        entry settles, the book drops the workloads no later entry names
+        (as its workload or a representative); the rest goes when the
+        run closes this generator.
         """
         shelf = _BookShelf()
         later: List[FrozenSet[str]] = [frozenset()]
@@ -319,7 +276,13 @@ class CampaignRunner:
                 yield None
                 continue
             record = execute_entry(
-                *self._entry_args(entry, functools.partial(shelf.run, entry)),
+                entry,
+                self.registry.get(
+                    entry.entry_id, functools.partial(shelf.run, entry)
+                ),
+                self.manifest.default_deadline_s,
+                self.retry_policy,
+                self.check_claims,
                 stop=self._stop,
                 sleep=self._sleep,
                 poll_interval_s=self._poll_interval_s,
@@ -393,10 +356,9 @@ class CampaignRunner:
         )
         previous_handlers = self._install_signal_handlers()
         try:
-            # Settle strictly in manifest order, whatever order the
-            # records were computed in: commits, artifact writes, and
-            # outcome/progress ordering are the same bytes for every
-            # record source.
+            # Settle strictly in manifest order: each record is
+            # committed and its artifact written before the next entry
+            # runs.
             for entry in self.manifest.entries:
                 record = journaled.get(entry.entry_id)
                 resumed = record is not None

@@ -23,8 +23,6 @@ resources; this package supplies the unreliable part.  It provides:
 - :mod:`repro.faults.chaos`    — seeded randomized grid-fault timelines
   and the invariant checker behind the chaos campaigns (imported
   directly, not re-exported here, because it drives the broker).
-- :mod:`repro.faults.verify`   — bitwise faulted-vs-fault-free result
-  comparison.
 
 The execution-level recovery semantics live in
 :class:`repro.middleware.runtime.FreerideGRuntime`; grid-level recovery
@@ -73,6 +71,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "LinkDegradation",
             "SlowNode",
         ),
-        "repro.faults.verify": ("results_equal",),
     },
 )

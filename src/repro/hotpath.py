@@ -9,8 +9,8 @@ declared set.  What is actually hot is measured, not declared: the
 benchmark's ``--trace 1`` run times each layer.
 
 ``hot`` is an identity decorator: it returns the function object
-unchanged, so decorated functions stay picklable (the process-pool
-campaign executor submits some of them) and pay zero per-call overhead.
+unchanged, so decorated functions keep their identity (and stay
+picklable) and pay zero per-call overhead.
 """
 
 from __future__ import annotations

@@ -28,19 +28,15 @@ REP104    dimensional-consistency     prediction-core unit coherence
 
 ``--effects`` adds the interprocedural effect-and-determinism family
 (``repro.lint.effects``), which also emits the ``.repro-effects.json``
-determinism certificate gating ``repro campaign --workers N``:
+determinism certificate:
 
 ========  ==============================  ===================================
-REP201    shared-state-write              no pool-reachable function writes
-                                          shared module state
-REP202    closure-over-pool-boundary      no closure capture crosses a
-                                          process-pool submit
 REP203    unordered-iteration-to-sink     no set-iteration order reaches a
                                           serialized artifact
 REP204    mutable-default-or-aliased-ret  no mutable defaults / mutate-and-
                                           return aliasing
-REP205    uncertified-pool-submit         only certified process-pool-safe
-                                          functions are submitted
+REP205    certificate-demotion            no function analyzes below its
+                                          certified tier
 ========  ==============================  ===================================
 
 Run it as ``repro lint [PATHS]`` or ``python -m repro.lint``; see

@@ -88,7 +88,7 @@ def register_lint(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--effects", action="store_true",
-        help="run the effect/determinism pass (REP201-REP205)",
+        help="run the effect/determinism pass (REP203-REP205)",
     )
     parser.add_argument(
         "--certificate", default=None, metavar="FILE",

@@ -1,10 +1,10 @@
-"""Interprocedural effect-and-determinism analysis (REP201-REP205).
+"""Interprocedural effect-and-determinism analysis (REP203-REP205).
 
 The third lint layer: per-function effect summaries, bottom-up fixpoint
 propagation over the shared call graph, certificate tiers
 (``pure`` / ``process-pool-safe`` / ``deterministic``), and the
-committed ``.repro-effects.json`` determinism certificate that gates
-``repro campaign --workers N``.
+committed ``.repro-effects.json`` determinism certificate, whose
+demotions are REP205 findings and whose tiers the perf layer reads.
 """
 
 from repro._lazy import lazy_exports
@@ -26,7 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "propagate_effects",
         ),
         "repro.lint.effects.ruledefs": (
-            "CERTIFIED_ROOTS",
             "EFFECT_CODES",
             "EFFECT_RULES",
             "TIER_DETERMINISTIC",

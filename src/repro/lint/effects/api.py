@@ -1,11 +1,12 @@
-"""The effect layer's entry point: files in, REP201-REP205 findings out.
+"""The effect layer's entry point: files in, REP203-REP205 findings out.
 
 :class:`EffectPass` is the layer as a scan pass (see
 :mod:`repro.lint.summaries` for the shared cache-or-extract pipeline);
 ``analyze_effects`` runs it alone, ``repro lint`` runs it beside the
 other passes in one scan.  When a committed determinism certificate is
-present, tier regressions against it are reported as REP205 findings
-anchored on the demoted function's definition line.
+present, tier regressions against it are reported as REP205
+(certificate-demotion) findings anchored on the demoted function's
+definition line.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.lint.summaries import LayerResult, SummaryPass
 __all__ = ["EffectPass", "analyze_effects", "EFFECT_ANALYSIS_VERSION"]
 
 # Semantic version of effects/extract.py; see SummaryCache.
-EFFECT_ANALYSIS_VERSION = 1
+EFFECT_ANALYSIS_VERSION = 2
 
 
 class EffectPass(SummaryPass[EffectExtract, EffectAnalysis]):

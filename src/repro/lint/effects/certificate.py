@@ -10,12 +10,11 @@ findings — a reviewed artifact that may only *shrink* in risk:
   any *demotion* (a function whose recorded tier outranks its current
   one) unless ``--allow-demotions`` acknowledges the review.
 - ``repro lint --effects`` reports demotions against the committed
-  certificate as REP205 findings, so the pre-commit hook (CI's gate)
-  catches a certificate regression before push.
-- ``repro campaign --workers N`` re-runs the (cached) analysis and
-  refuses to start unless every submitted entry point still certifies
-  at the pool-safe tier — the certificate file documents the contract,
-  the gate re-proves it.
+  certificate as REP205 (certificate-demotion) findings, so the
+  pre-commit hook (CI's gate) catches a certificate regression before
+  push.
+- The perf layer (``repro lint --perf``) reads the certificate's tiers:
+  a hot loop may call a certified function without declaring it hot.
 
 The document is canonical JSON through the same durable layer as every
 other artifact: ``format_version``, per-module source digests, and the
@@ -76,7 +75,7 @@ def load_certificate(
 
     Unlike the summary caches, a *corrupt* certificate is an error, not
     a silent re-derive: the file is a reviewed artifact and quietly
-    ignoring it would un-gate the parallel executor.
+    ignoring it would drop every demotion check it backs.
     """
     cert_path = pathlib.Path(path)
     if not cert_path.exists():

@@ -7,15 +7,11 @@ propagation pass closes over the call graph:
 - ``direct`` — effect kinds observed in the body itself (``ambient``,
   ``global-write``, ``param-mutation``, ``io``), with the first line
   and a short human detail for messages.
-- ``global_writes`` / ``param_mutations`` — the individual write and
-  mutation sites (name, line), for REP201/REP204 anchoring.
+- ``param_mutations`` — the individual parameter mutation sites
+  (name, line), for REP204 anchoring and mutation propagation.
 - ``returned_params`` / ``mutable_defaults`` — REP204's two local
   shapes: a bare ``return param`` after mutating it, and a mutable
   default argument.
-- ``submits`` / ``closure_submits`` — callables handed across an
-  executor boundary (REP202/REP205).  Executors are tracked as a value
-  mark, so ``with ProcessPoolExecutor() as ex:`` and plain assignment
-  both work.
 - ``sink_flows`` / ``arg_flows`` / ``ret_atoms`` — order-sensitivity
   taint: ``setlike`` marks a set-typed value, ``unordered`` marks a
   value derived from *iterating* one; ``sorted()`` and friends launder
@@ -46,8 +42,6 @@ from repro.lint.effects.ruledefs import (
     EFFECT_GLOBAL_WRITE,
     EFFECT_IO,
     EFFECT_PARAM_MUTATION,
-    EXECUTOR_SUBMIT_ATTRS,
-    EXECUTOR_TYPES,
     MUTATOR_ATTRS,
     ORDER_SANITIZERS,
     SET_CONSTRUCTORS,
@@ -75,7 +69,6 @@ __all__ = [
 #: Value marks carried in atom sets beside ``param:``/``call:`` atoms.
 ATOM_SETLIKE = "setlike"  # the value is a set/frozenset
 ATOM_UNORDERED = "unordered"  # derived from iterating an unordered value
-ATOM_EXECUTOR = "executor"  # the value is a pool/executor instance
 
 #: Calls that expose iteration order of their (first) argument.
 _ITERATING_CALLS = frozenset(
@@ -105,10 +98,6 @@ class EffectSummary(AtomSummary):
     direct: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: direct effect kind -> short human detail ("time.time", "CACHE")
     detail: Dict[str, str] = dataclasses.field(default_factory=dict)
-    #: (module-level name written, line)
-    global_writes: List[Tuple[str, int]] = dataclasses.field(
-        default_factory=list
-    )
     #: (formal parameter mutated, line)
     param_mutations: List[Tuple[str, int]] = dataclasses.field(
         default_factory=list
@@ -119,29 +108,15 @@ class EffectSummary(AtomSummary):
     mutable_defaults: List[Tuple[str, int]] = dataclasses.field(
         default_factory=list
     )
-    #: (display, line, captured enclosing names) — REP202 sites
-    closure_submits: List[Tuple[str, int, Tuple[str, ...]]] = (
-        dataclasses.field(default_factory=list)
-    )
-    #: (resolved qualname or '', line, display) — REP205 sites
-    submits: List[Tuple[str, int, str]] = dataclasses.field(
-        default_factory=list
-    )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             **super().to_dict(),
             "direct": dict(self.direct),
             "detail": dict(self.detail),
-            "global_writes": [[n, ln] for n, ln in self.global_writes],
             "param_mutations": [[n, ln] for n, ln in self.param_mutations],
             "returned_params": sorted(self.returned_params),
             "mutable_defaults": [[n, ln] for n, ln in self.mutable_defaults],
-            "closure_submits": [
-                [d, ln, list(captured)]
-                for d, ln, captured in self.closure_submits
-            ],
-            "submits": [[q, ln, d] for q, ln, d in self.submits],
         }
 
     @classmethod
@@ -150,22 +125,12 @@ class EffectSummary(AtomSummary):
             **cls.shared_fields(data),
             direct={str(k): int(v) for k, v in data["direct"].items()},
             detail={str(k): str(v) for k, v in data["detail"].items()},
-            global_writes=[
-                (str(n), int(ln)) for n, ln in data["global_writes"]
-            ],
             param_mutations=[
                 (str(n), int(ln)) for n, ln in data["param_mutations"]
             ],
             returned_params=[str(n) for n in data["returned_params"]],
             mutable_defaults=[
                 (str(n), int(ln)) for n, ln in data["mutable_defaults"]
-            ],
-            closure_submits=[
-                (str(d), int(ln), tuple(str(c) for c in captured))
-                for d, ln, captured in data["closure_submits"]
-            ],
-            submits=[
-                (str(q), int(ln), str(d)) for q, ln, d in data["submits"]
             ],
         )
 
@@ -241,33 +206,8 @@ def _mutable_defaults(
     return found
 
 
-def _free_names(node: ast.AST) -> Set[str]:
-    """Names a function/lambda loads without binding them itself."""
-    bound: Set[str] = set()
-    loaded: Set[str] = set()
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        args = node.args
-        bound.update(a.arg for a in args.posonlyargs + args.args)
-        bound.update(a.arg for a in args.kwonlyargs)
-        if args.vararg:
-            bound.add(args.vararg.arg)
-        if args.kwarg:
-            bound.add(args.kwarg.arg)
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            if isinstance(child.ctx, ast.Load):
-                loaded.add(child.id)
-            else:
-                bound.add(child.id)
-        elif isinstance(child, (ast.Global, ast.Nonlocal)):
-            bound.update(child.names)
-        elif isinstance(child, ast.ExceptHandler) and child.name:
-            bound.add(child.name)
-    return loaded - bound
-
-
 class _EffectWalker(AtomWalker):
-    """Atom propagation reading off writes, mutations, and submits."""
+    """Atom propagation reading off writes and mutations."""
 
     summary_type = EffectSummary
     summary: EffectSummary
@@ -297,13 +237,6 @@ class _EffectWalker(AtomWalker):
         self._locals: Set[str] = set()
         self._declared_globals: Set[str] = set()
 
-    def run(self, body: Sequence[ast.stmt]) -> EffectSummary:
-        super().run(body)
-        self.summary.ret_atoms = [
-            a for a in self.summary.ret_atoms if a != ATOM_EXECUTOR
-        ]
-        return self.summary
-
     # ---- effect recording --------------------------------------------
 
     def _record(self, kind: str, line: int, detail: str) -> None:
@@ -313,19 +246,13 @@ class _EffectWalker(AtomWalker):
         self.summary.detail.setdefault(kind, detail)
 
     def _global_write(self, name: str, line: int) -> None:
-        if not self._collect:
-            return
         self._record(EFFECT_GLOBAL_WRITE, line, name)
-        self.summary.global_writes.append((name, line))
 
     def _param_mutation(self, name: str, line: int) -> None:
         if not self._collect:
             return
         self._record(EFFECT_PARAM_MUTATION, line, name)
         self.summary.param_mutations.append((name, line))
-
-    def _is_local(self, name: str) -> bool:
-        return name in self._locals or name in self.summary.params
 
     def _classify_write(self, base: Optional[str], line: int) -> None:
         """Mutation through ``base[...]``/``base.attr`` — whose state?"""
@@ -463,15 +390,6 @@ class _EffectWalker(AtomWalker):
         elif not isinstance(node.func, ast.Name):
             recv_atoms = self._atoms(node.func)
 
-        # Executor boundary: ``pool.submit(fn, ...)`` / ``pool.map(fn, xs)``
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in EXECUTOR_SUBMIT_ATTRS
-            and ATOM_EXECUTOR in recv_atoms
-            and node.args
-        ):
-            self._submitted(node.args[0], node.lineno)
-
         # Receiver mutation: ``x.append(v)`` on a param or module global.
         if (
             isinstance(node.func, ast.Attribute)
@@ -497,17 +415,11 @@ class _EffectWalker(AtomWalker):
             self._record(EFFECT_IO, node.lineno, callee)
             if self._collect:
                 self.summary.sink_flows.append(
-                    (
-                        callee,
-                        node.lineno,
-                        tuple(sorted(arg_union - {ATOM_EXECUTOR})),
-                    )
+                    (callee, node.lineno, tuple(sorted(arg_union)))
                 )
             return arg_union | recv_atoms
 
         # Value-mark algebra.
-        if callee in EXECUTOR_TYPES:
-            return {ATOM_EXECUTOR}
         if callee in SET_CONSTRUCTORS:
             return (arg_union - {ATOM_UNORDERED, ATOM_SETLIKE}) | {
                 ATOM_SETLIKE
@@ -539,53 +451,6 @@ class _EffectWalker(AtomWalker):
                 callee, node.lineno, pos_atoms, kw_atoms, arg_union
             )
         return result
-
-    # ---- executor submissions ----------------------------------------
-
-    def _submitted(self, arg: ast.expr, line: int) -> None:
-        """Classify the callable handed across an executor boundary."""
-        if not self._collect:
-            return
-        if isinstance(arg, ast.Lambda):
-            captured = sorted(
-                name
-                for name in _free_names(arg)
-                if self._is_local(name)
-            )
-            if captured:
-                self.summary.closure_submits.append(
-                    ("lambda", line, tuple(captured))
-                )
-            else:
-                self.summary.submits.append(("", line, "lambda"))
-            return
-        if isinstance(arg, ast.Call):
-            inner = self.symbols.resolve(dotted(arg.func))
-            if inner == "functools.partial" and arg.args:
-                self._submitted(arg.args[0], line)
-                return
-            self.summary.submits.append(("", line, dotted(arg.func) or "<call>"))
-            return
-        if isinstance(arg, ast.Name):
-            nested = f"{self.summary.qualname}.{arg.id}"
-            nested_node = self.index.by_qualname.get(nested)
-            if nested_node is not None:
-                captured = sorted(
-                    name
-                    for name in _free_names(nested_node)
-                    if self._is_local(name)
-                )
-                if captured:
-                    self.summary.closure_submits.append(
-                        (arg.id, line, tuple(captured))
-                    )
-                else:
-                    self.summary.submits.append((nested, line, arg.id))
-                return
-        resolved = self._resolve_callee(arg)
-        self.summary.submits.append(
-            (resolved, line, dotted(arg) or "<dynamic>")
-        )
 
 
 def _base_name(expr: ast.expr) -> Optional[str]:

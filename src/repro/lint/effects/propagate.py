@@ -1,4 +1,4 @@
-"""Bottom-up effect propagation, tier assignment, REP201-REP205.
+"""Bottom-up effect propagation, tier assignment, REP203 and REP204.
 
 Three propagated facts close over the SCC condensation of the call
 graph (the flow layer's graph builder runs unchanged over effect
@@ -25,10 +25,10 @@ summaries), callees first:
     launders the mark.
 
 Tier assignment (:data:`~repro.lint.effects.ruledefs.TIER_RANK`) reads
-those three facts; finding generation anchors REP201 on write sites
-reachable from the certified roots (plus every resolved pool-submit
-target), REP203 on sink flows and serialization-module argument edges,
-and REP205 on submit sites whose target misses the pool-safe tier.
+those three facts; finding generation anchors REP203 on sink flows and
+serialization-module argument edges, and REP204 on mutable defaults
+and mutate-and-return sites.  REP205, a tier below the committed
+certificate's, is the API's (:mod:`repro.lint.effects.api`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.lint.effects.extract import (
     EffectSummary,
 )
 from repro.lint.effects.ruledefs import (
-    CERTIFIED_ROOTS,
     EFFECT_AMBIENT,
     EFFECT_GLOBAL_WRITE,
     EFFECT_IO,
@@ -55,7 +54,6 @@ from repro.lint.effects.ruledefs import (
     TIER_EFFECTFUL,
     TIER_POOL_SAFE,
     TIER_PURE,
-    TIER_RANK,
 )
 
 __all__ = ["EffectAnalysis", "propagate_effects", "effect_findings"]
@@ -273,76 +271,22 @@ def _tier(
 def effect_findings(
     analysis: EffectAnalysis,
     sources: Dict[str, Sequence[str]],
-    roots: Sequence[str] = CERTIFIED_ROOTS,
 ) -> List[Finding]:
-    """REP201-REP205 findings from a propagated effect analysis."""
+    """REP203 and REP204 findings from a propagated effect analysis."""
     sink = FindingSink(sources)
     emit = sink.emit
-    functions: Dict[str, EffectSummary] = analysis.graph.functions
-    sink_params = _serialization_params(functions, analysis.graph.modules)
-
-    submit_targets = sorted(
-        {
-            target
-            for summary in functions.values()
-            for target, _line, _display in summary.submits
-            if target
-        }
+    sink_params = _serialization_params(
+        analysis.graph.functions, analysis.graph.modules
     )
-    guarded = analysis.graph.reachable(list(roots) + submit_targets)
-
     for extract in analysis.extracts:
         for qualname, summary in extract.functions.items():
             if qualname.endswith(MODULE_BODY):
                 continue
-            _shared_state_findings(
-                extract, summary, qualname in guarded, emit
-            )
-            _closure_findings(extract, summary, emit)
             _unordered_findings(
                 analysis, extract, summary, sink_params, emit
             )
             _aliasing_findings(extract, summary, emit)
-            _submit_findings(analysis, extract, summary, functions, emit)
     return sink.sorted()
-
-
-def _shared_state_findings(
-    extract: EffectExtract,
-    summary: EffectSummary,
-    guarded: bool,
-    emit: Callable[[str, str, int, str], None],
-) -> None:
-    if not guarded:
-        return
-    for name, line in summary.global_writes:
-        emit(
-            "REP201",
-            extract.relpath,
-            line,
-            (
-                f"write to module-level '{name}' in code reachable "
-                "from a certified campaign entry point"
-            ),
-        )
-
-
-def _closure_findings(
-    extract: EffectExtract,
-    summary: EffectSummary,
-    emit: Callable[[str, str, int, str], None],
-) -> None:
-    for display, line, captured in summary.closure_submits:
-        names = ", ".join(f"'{name}'" for name in captured)
-        emit(
-            "REP202",
-            extract.relpath,
-            line,
-            (
-                f"closure '{display}' capturing enclosing state "
-                f"({names}) crosses an executor boundary"
-            ),
-        )
 
 
 def _unordered_findings(
@@ -407,40 +351,6 @@ def _aliasing_findings(
                 (
                     f"parameter '{param}' is mutated and returned — "
                     "the result aliases the caller's argument"
-                ),
-            )
-
-
-def _submit_findings(
-    analysis: EffectAnalysis,
-    extract: EffectExtract,
-    summary: EffectSummary,
-    functions: Dict[str, EffectSummary],
-    emit: Callable[[str, str, int, str], None],
-) -> None:
-    for target, line, display in summary.submits:
-        if not target or target not in functions:
-            label = target or display
-            emit(
-                "REP205",
-                extract.relpath,
-                line,
-                (
-                    f"cannot certify '{label}' submitted to an "
-                    "executor: callee is not statically analyzable"
-                ),
-            )
-            continue
-        tier = analysis.tier_of(target)
-        if TIER_RANK[tier] < TIER_RANK[TIER_POOL_SAFE]:
-            emit(
-                "REP205",
-                extract.relpath,
-                line,
-                (
-                    f"'{target}' submitted to an executor but its "
-                    f"certified tier is '{tier}' "
-                    f"(effects: {analysis.effect_words(target)})"
                 ),
             )
 

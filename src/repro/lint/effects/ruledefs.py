@@ -1,13 +1,14 @@
-"""The effect rule family REP201-REP205: parallel-safety contracts.
+"""The effect rule family REP203-REP205: determinism contracts.
 
 The third lint layer.  REP00x checks one AST node at a time; the flow
 layer (REP10x) follows *values* from nondeterministic sources to
 durable sinks.  This family follows *effects*: writes to shared state,
 mutation of arguments, reads of ambient process state, I/O, and
 order-sensitive iteration over unordered collections.  Its propagated
-result is the determinism certificate (``.repro-effects.json``) that
-gates the process-pool campaign executor — the same purity discipline
-history-based predictors assume when replaying recorded workloads.
+result is the determinism certificate (``.repro-effects.json``), a
+reviewed tier per function that may only shrink in risk: REP205
+reports a function whose tier fell below the committed one, and the
+perf layer reads the certificate's tiers.
 
 Whole-program rules (:class:`repro.lint.registry.ProgramRule`).
 """
@@ -39,50 +40,14 @@ __all__ = [
     "AMBIENT_CALLS",
     "AMBIENT_KIND_BY_CALL",
     "AMBIENT_ALLOWLIST",
-    "EXECUTOR_TYPES",
-    "EXECUTOR_SUBMIT_ATTRS",
     "MUTATOR_ATTRS",
     "ORDER_SANITIZERS",
     "SET_CONSTRUCTORS",
     "SET_RETURNING_ATTRS",
-    "CERTIFIED_ROOTS",
 ]
 
 
 EFFECT_RULES: Tuple[ProgramRule, ...] = (
-    ProgramRule(
-        code="REP201",
-        name="shared-state-write",
-        summary=(
-            "no write to module-level mutable state from code reachable "
-            "from a certified entry point or a pool-submitted function"
-        ),
-        rationale=(
-            "A module-global counter or cache written under a campaign "
-            "driver is invisible shared state: serial runs thread it "
-            "through every entry, worker processes each get a private "
-            "copy, and the two executions silently diverge.  The effect "
-            "summary propagates the write up the call graph to every "
-            "certified root it can reach."
-        ),
-    ),
-    ProgramRule(
-        code="REP202",
-        name="closure-over-pool-boundary",
-        summary=(
-            "no closure or lambda capturing enclosing function state may "
-            "cross an executor submit/map boundary"
-        ),
-        rationale=(
-            "A closure submitted to a process pool captures variables by "
-            "reference in the parent but by pickled copy in the worker; "
-            "a captured list that the parent keeps appending to is a "
-            "data race in thread pools and a silent stale snapshot in "
-            "process pools.  Neither the AST rules nor value-taint "
-            "tracking see it: the capture is an effect, not a value "
-            "flow."
-        ),
-    ),
     ProgramRule(
         code="REP203",
         name="unordered-iteration-to-sink",
@@ -117,19 +82,19 @@ EFFECT_RULES: Tuple[ProgramRule, ...] = (
     ),
     ProgramRule(
         code="REP205",
-        name="uncertified-pool-submit",
+        name="certificate-demotion",
         summary=(
-            "only functions certified process-pool-safe may be "
-            "submitted to an executor"
+            "no function may analyze below the tier the committed "
+            "determinism certificate records for it"
         ),
         rationale=(
-            "Parallel speedup is only trustworthy if every submitted "
-            "function provably has no effect that distinguishes worker "
-            "processes from in-process calls: no ambient "
-            "nondeterminism, no shared-state writes, no argument "
-            "mutation, no order-sensitive output.  The certificate is "
-            "that proof; submitting anything else is parallelism by "
-            "hope."
+            "The certificate is a reviewed claim that a function is "
+            "pure, process-pool-safe or deterministic.  An edit that "
+            "adds a clock read, a shared-state write or an argument "
+            "mutation quietly voids that claim; reporting the demotion "
+            "makes weakening a proof a visible, reviewed change "
+            "(--write-certificate --allow-demotions) rather than a "
+            "silent one."
         ),
     ),
 )
@@ -218,29 +183,6 @@ AMBIENT_ALLOWLIST: Tuple[str, ...] = (
 )
 
 # ---------------------------------------------------------------------------
-# Executor boundaries
-# ---------------------------------------------------------------------------
-
-#: Constructors whose instances are executors; a ``.submit``/``.map``
-#: attribute call on a value built from one of these is a pool boundary.
-EXECUTOR_TYPES: FrozenSet[str] = frozenset(
-    {
-        "concurrent.futures.ProcessPoolExecutor",
-        "concurrent.futures.ThreadPoolExecutor",
-        "concurrent.futures.Executor",
-        "multiprocessing.Pool",
-        "multiprocessing.pool.Pool",
-    }
-)
-
-#: Attribute names that hand a callable to an executor.  The first
-#: argument of ``submit``/``apply_async`` and of the map family is the
-#: submitted callable.
-EXECUTOR_SUBMIT_ATTRS: FrozenSet[str] = frozenset(
-    {"submit", "map", "imap", "imap_unordered", "apply_async", "starmap"}
-)
-
-# ---------------------------------------------------------------------------
 # Mutation and ordering vocabularies
 # ---------------------------------------------------------------------------
 
@@ -270,18 +212,4 @@ SET_RETURNING_ATTRS: FrozenSet[str] = frozenset(
         "union", "intersection", "difference", "symmetric_difference",
         "copy",
     }
-)
-
-# ---------------------------------------------------------------------------
-# Certified roots: the two callables ``campaign.runner.execute_entry``
-# submits to the process-pool executor.  Everything they reach — the one
-# grid driver, the workloads, the runtime, the models — is a statically
-# resolved call edge from here.  REP201 anchors shared-state findings on
-# reachability from these, and the certificate-coverage test walks the
-# call graph from them.
-# ---------------------------------------------------------------------------
-
-CERTIFIED_ROOTS: Tuple[str, ...] = (
-    "repro.workloads.experiments.run_experiment",
-    "repro.workloads.experiments.run_fault_scenario",
 )

@@ -7,10 +7,10 @@ precisely without waiting on real figure reproductions.  Entry ids must
 still be registered experiment ids (the manifest validates them), so
 the fakes borrow real figure ids.
 
-Two kinds of fake: ``fake_registry`` builds closures (serial-only, they
-can log into a list), ``picklable_registry`` wraps module-level drivers
-in ``functools.partial`` — registry callables cross the process
-boundary by pickle reference, so those work under both runners.
+Two kinds of fake: ``fake_registry`` builds closures (they can log
+into a list), ``picklable_registry`` wraps module-level drivers in
+``functools.partial`` (slow, hanging or refusing drivers, bound to
+their entry id).
 """
 
 import dataclasses

@@ -3,8 +3,8 @@
 The fakes are instant and instrumented (see conftest), so crash/resume
 behavior is asserted precisely: which entries re-ran, what the journal
 holds, and that a resumed campaign's result artifacts are byte-identical
-to an uninterrupted run's.  The behaviour this runner shares with the
-process-pool one is in ``test_executor_contract.py``.
+to an uninterrupted run's.  The executor contract (timeouts, retries,
+resume, a driver's exception) is in ``test_executor_contract.py``.
 """
 
 import hashlib
@@ -26,7 +26,7 @@ from repro.campaign import (
 from repro.campaign import runner as runner_module
 from repro.errors import CampaignError
 from repro.faults import RetryPolicy
-from repro.workloads.experiments import run_experiment
+from repro.workloads.experiments import run_experiment, run_fault_scenario
 from repro.workloads.registry import WorkloadSpec
 
 from tests.campaign.conftest import (
@@ -192,7 +192,8 @@ class TestOneBookPerRun:
     ):
         """Three entries over defect 130 MB (32 chunks, one pass): one
         dataset and 32 kernel calls, where a book per entry makes three
-        and 96."""
+        and 96.  The fault scenario, run on the shared book, saves the
+        bytes a standalone ``run_fault_scenario`` saves."""
         built = []
         make_dataset = WorkloadSpec.make_dataset
 
@@ -220,11 +221,29 @@ class TestOneBookPerRun:
             ),
         )
         report = CampaignRunner(
-            manifest, tmp_path / "journal", handle_signals=False
+            manifest,
+            tmp_path / "journal",
+            results_dir=tmp_path / "results",
+            handle_signals=False,
         ).run()
         assert report.exit_code == EXIT_OK
         assert built == [("defect", "130 MB")]
         assert dict(kernel_calls) == {"defect": 32}
+        faults = manifest.entries[2]
+        standalone = tmp_path / "standalone.json"
+        save_result(
+            run_fault_scenario(
+                workload="defect",
+                experiment_id="defect-faults",
+                title=faults.spec().title,
+                scenario=scenario,
+                fast=True,
+            ),
+            standalone,
+        )
+        assert (tmp_path / "results" / "defect-faults.json").read_bytes() == (
+            standalone.read_bytes()
+        )
 
     def test_retry_after_timeout_never_gets_the_abandoned_book(
         self, tmp_path, monkeypatch

@@ -90,6 +90,34 @@ def tiny_points() -> ArrayDataset:
     return make_tiny_points()
 
 
+def results_equal(a, b) -> bool:
+    """Exact structural equality of two application results.
+
+    Recovery must never change what an application computes, so a
+    faulted run's result is compared with the fault-free run's bit for
+    bit.  Arrays compare element-wise with ``==`` (no tolerance) and
+    must match in shape and dtype; containers compare recursively;
+    scalars compare with ``==``.  NaNs compare equal to NaNs in the same
+    positions, so a legitimately-NaN statistic does not spuriously fail.
+    """
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        x, y = np.asarray(a), np.asarray(b)
+        if x.shape != y.shape or x.dtype != y.dtype:
+            return False
+        return bool(np.array_equal(x, y, equal_nan=x.dtype.kind == "f"))
+    if isinstance(a, dict) and isinstance(b, dict):
+        if set(a) != set(b):
+            return False
+        return all(results_equal(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        if len(a) != len(b):
+            return False
+        return all(results_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return (a == b) or (np.isnan(a) and np.isnan(b))
+    return bool(a == b)
+
+
 from repro.middleware.api import GeneralizedReduction
 
 

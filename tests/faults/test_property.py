@@ -17,11 +17,15 @@ from repro.faults import (
     FaultSchedule,
     LinkDegradation,
     SlowNode,
-    results_equal,
 )
 from repro.middleware.runtime import FreerideGRuntime
 from repro.middleware.scheduler import RunConfig
-from tests.conftest import SumApp, make_tiny_points, small_cluster_spec
+from tests.conftest import (
+    SumApp,
+    make_tiny_points,
+    results_equal,
+    small_cluster_spec,
+)
 
 DATA_NODES = 2
 COMPUTE_NODES = 4

@@ -27,11 +27,11 @@ from repro.faults import (
     FaultInjector,
     FaultSchedule,
     LinkDegradation,
-    results_equal,
 )
 from repro.middleware import FreerideGRuntime
 from repro.workloads.configs import make_run_config
 from repro.workloads.registry import WORKLOADS
+from tests.conftest import results_equal
 
 SMALL_SIZE = {
     "kmeans": "350 MB",

@@ -270,13 +270,13 @@ LAYER_TABLE = [
     ("dir", ["--select", "REP003,REP004"], set()),
     ("file", ["--select", "REP101"], {"flow"}),
     ("dir", ["--select", "REP104"], {"flow"}),
-    ("dir", ["--select", "REP201"], {"effects"}),
+    ("dir", ["--select", "REP204"], {"effects"}),
     ("file", ["--select", "REP205"], {"effects"}),
     ("dir", ["--select", "REP301"], {"perf"}),
     ("file", ["--select", "rep302"], {"perf"}),
     ("file", ["--select", "REP001,REP102,REP203"], {"flow", "effects"}),
     ("dir", ["--select", "REP001", "--effects"], {"effects"}),
-    ("dir", ["--select", "REP201", "--perf"], {"effects", "perf"}),
+    ("dir", ["--select", "REP203", "--perf"], {"effects", "perf"}),
     ("file", ["--write-certificate"], {"effects"}),
     ("dir", ["--write-certificate"], {"flow", "effects"}),
     ("dir", ["--select", "REP001", "--write-certificate"], {"effects"}),

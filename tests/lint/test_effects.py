@@ -1,9 +1,9 @@
-"""The interprocedural effect-and-determinism layer (REP201-REP205).
+"""The interprocedural effect-and-determinism layer (REP203-REP205).
 
 Covers the analysis itself (effect extraction, bottom-up propagation,
-tier assignment), every rule's positive and negative fixture, the
-determinism certificate (round-trip, shrink-only refusal, demotion
-findings, corruption), and the ``--effects`` CLI surface.  The
+tier assignment), REP203's and REP204's positive and negative fixtures,
+the determinism certificate (round-trip, shrink-only refusal, REP205
+demotion findings, corruption), and the ``--effects`` CLI surface.  The
 content-hash cache is covered once for all layers in
 ``test_summary_cache.py``.
 """
@@ -16,7 +16,7 @@ import shutil
 
 import pytest
 
-from repro.lint import Baseline, LintError, lint_source
+from repro.lint import Baseline, LintError
 from repro.lint.effects import (
     TIER_DETERMINISTIC,
     TIER_EFFECTFUL,
@@ -123,56 +123,11 @@ class TestTiers:
 
 
 # ----------------------------------------------------------------------
-# The five rules, fixture by fixture
+# REP203 and REP204, fixture by fixture
 # ----------------------------------------------------------------------
 
 
 class TestRules:
-    def test_rep201_shared_state_write(self, tmp_path):
-        result = analyze_fixture(tmp_path, "rep201_bad.py")
-        lines = {f.line for f in result.findings if f.code == "REP201"}
-        # Both the direct subscript write and the ``global`` rebind.
-        assert len(lines) == 2
-
-    def test_rep201_clean_counterpart(self, tmp_path):
-        result = analyze_fixture(tmp_path, "rep201_good.py")
-        assert result.findings == []
-
-    def test_rep201_requires_pool_reachability(self, tmp_path):
-        # The same shared-state write without any executor submit is
-        # ordinary (serial) module state — not a REP201 finding.
-        result = analyze_source(
-            tmp_path,
-            "STATE = {}\n\n\ndef f(k, v):\n    STATE[k] = v\n",
-        )
-        assert codes_of(result) == []
-
-    def test_rep202_closure_capture(self, tmp_path):
-        result = analyze_fixture(tmp_path, "rep202_bad.py")
-        rep202 = [f for f in result.findings if f.code == "REP202"]
-        # Both the lambda and the named nested def capture ``scale``.
-        assert len(rep202) == 2
-        assert all("scale" in f.message for f in rep202)
-
-    def test_rep202_clean_counterpart(self, tmp_path):
-        result = analyze_fixture(tmp_path, "rep202_good.py")
-        assert result.findings == []
-
-    def test_rep202_is_missed_by_plain_lint_and_flow(self, tmp_path):
-        """Acceptance: the planted fixture only the effect layer catches."""
-        from repro.lint import analyze_paths
-
-        source = (EFFECT_FIXTURES / "rep202_bad.py").read_text()
-        assert lint_source(source, "src/repro/injected/rep202_bad.py") == []
-
-        target = tmp_path / "rep202_bad.py"
-        target.write_text(source)
-        flow = analyze_paths([target], root=tmp_path)
-        assert flow.findings == []
-
-        effects = analyze_fixture(tmp_path, "rep202_bad.py")
-        assert "REP202" in codes_of(effects)
-
     def test_rep203_unordered_to_sink(self, tmp_path):
         result = analyze_fixture(tmp_path, "rep203_bad.py")
         assert codes_of(result) == ["REP203"]
@@ -189,17 +144,6 @@ class TestRules:
 
     def test_rep204_fluent_builder_is_exempt(self, tmp_path):
         result = analyze_fixture(tmp_path, "rep204_good.py")
-        assert result.findings == []
-
-    def test_rep205_uncertified_and_dynamic_submits(self, tmp_path):
-        result = analyze_fixture(tmp_path, "rep205_bad.py")
-        rep205 = [f for f in result.findings if f.code == "REP205"]
-        assert len(rep205) == 2
-        messages = " | ".join(f.message for f in rep205)
-        assert "not statically analyzable" in messages
-
-    def test_rep205_pure_submit_is_clean(self, tmp_path):
-        result = analyze_fixture(tmp_path, "rep205_good.py")
         assert result.findings == []
 
 

@@ -31,7 +31,7 @@ REPRESENTATIVE_ARGV = {
     "classify": [["classify", "knn"]],
     "figure": [["figure", "fig09", "--fast", "--chart"]],
     "suite": [["suite", "--fast", "--only", "fig09", "--journal", "j"]],
-    "campaign": [["campaign", "m.json", "--workers", "2", "--resume"]],
+    "campaign": [["campaign", "m.json", "--resume"]],
     "broker": [
         ["broker", "w.json", "--policy", "min-cost", "--recovery", "migrate"],
         ["broker", "t.gwf"],
@@ -92,7 +92,7 @@ class TestCommandTable:
         assert sum(
             len(re.findall(r"\.add_argument\(", path.read_text()))
             for path in sources
-        ) == 77
+        ) == 76
 
     def test_cli_module_is_the_table_plus_main(self):
         """No command lives in ``repro/cli.py``, and importing it imports
@@ -470,28 +470,6 @@ class TestCampaign:
         # Refused at manifest load: nothing ran, no journal exists.
         assert "fig09" not in captured.out
         assert not (tmp_path / "campaign.json.journal.json").exists()
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_non_positive_workers_rejected(self, tmp_path, capsys, workers):
-        manifest = self._write_manifest(tmp_path)
-        code = main(["campaign", str(manifest), "--workers", workers])
-        assert code == 1
-        assert "workers must be >= 1" in capsys.readouterr().err
-        # Refused before any durable state is touched.
-        assert not (tmp_path / "campaign.json.journal.json").exists()
-
-    def test_one_worker_is_the_serial_path(self, tmp_path, capsys, monkeypatch):
-        import repro.campaign.parallel as parallel
-
-        def pool_must_not_be_built(*args, **kwargs):
-            raise AssertionError("--workers 1 must not start the pool")
-
-        monkeypatch.setattr(
-            parallel, "ParallelCampaignRunner", pool_must_not_be_built
-        )
-        manifest = self._write_manifest(tmp_path)
-        assert main(["campaign", str(manifest), "--workers", "1"]) == 0
-        assert "1 completed" in capsys.readouterr().out
 
 
 class TestBroker:

@@ -32,7 +32,10 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 #: is the one failover path); ``repro.simgrid``'s ``maxmin_fair_share``,
 #: which nothing outside its own tests called; ``repro.campaign``'s
 #: process-pool start-up proof and its error, deleted because tier-1
-#: and CI's ``--effects`` gate make the same proof.
+#: and CI's ``--effects`` gate make the same proof; the process-pool
+#: campaign runner with the effect layer's list of its entry points,
+#: since campaigns run serially on one kernel book; ``repro.faults``'s
+#: ``results_equal``, a test-only helper now in ``tests/conftest.py``.
 PARENT_ALL = {
     "repro": """
         FaultError RecoveryExhaustedError ReproError
@@ -66,7 +69,7 @@ PARENT_ALL = {
         CampaignManifest CampaignOutcome CampaignReport CampaignRunner
         DeadlineExceededError ENTRY_STATUSES EXIT_INTERRUPTED EXIT_OK
         EXIT_PROBLEMS JOURNAL_FORMAT_VERSION JournalRecord
-        ParallelCampaignRunner load_manifest manifest_from_dict
+        load_manifest manifest_from_dict
         manifest_to_dict paper_suite_manifest run_with_deadline
     """,
     "repro.core": """
@@ -100,7 +103,7 @@ PARENT_ALL = {
         TransientJobFailure WATCHDOG_RETRY_POLICY WanDegradation
         grid_scenario_from_dict grid_schedule_from_dict
         injector_from_dict load_grid_scenario load_scenario
-        results_equal schedule_from_dict
+        schedule_from_dict
     """,
     "repro.lint": """
         Baseline BaselinePartition CERTIFICATE_NAME EFFECT_CODES
@@ -112,7 +115,7 @@ PARENT_ALL = {
         render_github render_json render_text write_certificate
     """,
     "repro.lint.effects": """
-        CERTIFICATE_NAME CERTIFIED_ROOTS EFFECT_CODES EFFECT_RULES
+        CERTIFICATE_NAME EFFECT_CODES EFFECT_RULES
         EffectAnalysis EffectPass TIER_DETERMINISTIC TIER_EFFECTFUL
         TIER_POOL_SAFE TIER_PURE TIER_RANK analyze_effects
         build_certificate certificate_demotions effect_findings
