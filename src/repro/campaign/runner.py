@@ -6,17 +6,19 @@ one engine behind ``repro campaign`` and every ``repro suite`` run
 (without ``--journal`` the journal is a scratch file and no signal
 handler is installed):
 
-1. **Deadlines.**  :func:`execute_entry` runs one entry under the
-   watchdog; an entry that exceeds its wall-clock deadline is
-   abandoned, retried per the :class:`~repro.faults.retry.RetryPolicy`
-   (real sleeps, same backoff semantics the simulated chunk retries
-   use), and finally classified ``timed-out`` — without aborting the
-   rest of the campaign.  It returns a
-   :class:`~repro.campaign.journal.JournalRecord` and touches no file.
-   Every entry takes its datasets and kernel traces from the run's one
-   book (a dataset is built and its kernels recorded once per run),
-   lent to one attempt at a time so an abandoned attempt never shares
-   it.
+1. **Deadlines.**  :func:`execute_entry` runs one entry.  An entry with
+   no deadline (its own ``deadline_s`` or the manifest default) has
+   nothing to time out and runs inline on the campaign thread; an entry
+   with one runs under the watchdog, and when it exceeds its wall-clock
+   deadline it is abandoned, retried per the
+   :class:`~repro.faults.retry.RetryPolicy` (real sleeps, same backoff
+   semantics the simulated chunk retries use), and finally classified
+   ``timed-out`` — without aborting the rest of the campaign.  It
+   returns a :class:`~repro.campaign.journal.JournalRecord` and touches
+   no file.  Every entry takes its datasets and kernel traces from the
+   run's one book (a dataset is built and its kernels recorded once per
+   run), lent to one attempt at a time so an abandoned attempt never
+   shares it.
 2. **Durability.**  :meth:`CampaignRunner.run` settles records strictly
    in manifest order: each is committed to the
    :class:`~repro.campaign.journal.CampaignJournal` (one line, append +
@@ -27,12 +29,17 @@ handler is installed):
    journaled entries without re-running them and produces results
    byte-identical to an uninterrupted run (experiment drivers are
    deterministic and the serialization is canonical).
-3. **Graceful interruption.**  SIGINT/SIGTERM set a stop flag; the
-   runner finishes the in-progress journal commit, marks entries that
-   produced no record ``skipped``, restores the previous signal
-   handlers, and reports ``interrupted`` so the CLI can exit with the
-   distinct resumable status code
-   (:data:`~repro.campaign.report.EXIT_INTERRUPTED`).
+3. **Graceful interruption.**  SIGINT/SIGTERM set a stop flag.  While
+   an inline attempt runs, the handler also raises
+   :class:`~repro.campaign.watchdog.CampaignInterruptedError` into it;
+   a deadline attempt's watchdog sees the flag on its next poll.
+   Either way the attempt is abandoned un-journaled.  A signal during a
+   commit, an artifact write or a progress line only sets the flag.
+   The runner marks entries that produced no record ``skipped``,
+   restores the previous signal handlers, and reports ``interrupted``
+   so the CLI can exit with the distinct resumable status code
+   (:data:`~repro.campaign.report.EXIT_INTERRUPTED`).  With no handler
+   installed, Ctrl-C is a plain :class:`KeyboardInterrupt`.
 """
 
 from __future__ import annotations
@@ -87,6 +94,7 @@ def execute_entry(
     retry_policy: RetryPolicy,
     check_claims: bool,
     *,
+    run_inline: Callable[[Callable[[], ExperimentResult]], ExperimentResult],
     stop: Optional[threading.Event] = None,
     sleep: Callable[[float], None] = time.sleep,
     poll_interval_s: float = 0.02,
@@ -94,23 +102,31 @@ def execute_entry(
     """Run one campaign entry's ``driver`` to a settled record.
 
     ``driver`` is the entry's experiment on the run's book, or the
-    runner's ``registry`` override.  Nothing is written here: journal
-    and artifact I/O belong to the settle loop.
+    runner's ``registry`` override.  With no deadline it runs on the
+    calling thread through ``run_inline``, which flags the attempt for
+    the runner's signal handler; with one it runs under the watchdog,
+    which polls ``stop``.  Nothing is written here: journal and artifact
+    I/O belong to the settle loop.
 
-    Returns ``None`` when ``stop`` was set mid-attempt: the attempt is
-    abandoned, nothing is journaled and the entry re-runs on resume.
+    Returns ``None`` when the attempt was interrupted (``stop`` set
+    under the watchdog, or :class:`CampaignInterruptedError` raised into
+    an inline attempt): it is abandoned, nothing is journaled and the
+    entry re-runs on resume.
     """
     deadline_s = entry.effective_deadline_s(default_deadline_s)
     for attempt in range(1, retry_policy.max_attempts + 1):
         start = time.perf_counter()
         try:
-            result = run_with_deadline(
-                driver,
-                deadline_s,
-                stop=stop,
-                label=entry.entry_id,
-                poll_interval_s=poll_interval_s,
-            )
+            if deadline_s is None:
+                result = run_inline(driver)
+            else:
+                result = run_with_deadline(
+                    driver,
+                    deadline_s,
+                    stop=stop,
+                    label=entry.entry_id,
+                    poll_interval_s=poll_interval_s,
+                )
         except CampaignInterruptedError:
             return None
         except DeadlineExceededError as exc:
@@ -149,12 +165,14 @@ def execute_entry(
 class _BookShelf:
     """A serial run's one :class:`KernelBook`, lent to one attempt at a time.
 
-    An attempt borrows the book and returns it when it finishes.  The
-    watchdog leaves a timed-out or interrupted attempt running on its
-    daemon thread, still holding (and maybe writing) the book, so while
-    the book is out a later attempt, retry or entry gets a fresh one.
-    The first book returned is kept; a book is never shared by two
-    attempts that may run at once.
+    An attempt borrows the book and returns it when it finishes.  An
+    inline attempt (no deadline) always finishes before the next one
+    starts; one a signal interrupted has raised, so its book is dropped
+    rather than taken back.  The watchdog leaves a timed-out or interrupted deadline
+    attempt running on its daemon thread, still holding (and maybe
+    writing) the book, so while the book is out a later attempt, retry
+    or entry gets a fresh one.  The first book returned is kept; a book
+    is never shared by two attempts that may run at once.
     """
 
     def __init__(self) -> None:
@@ -246,6 +264,7 @@ class CampaignRunner:
         self._sleep = sleep
         self._poll_interval_s = poll_interval_s
         self._stop = threading.Event()
+        self._inline_running = False
         self._signal_name: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -283,12 +302,30 @@ class CampaignRunner:
                 self.manifest.default_deadline_s,
                 self.retry_policy,
                 self.check_claims,
+                run_inline=self._run_inline,
                 stop=self._stop,
                 sleep=self._sleep,
                 poll_interval_s=self._poll_interval_s,
             )
             shelf.retain(keep)
             yield record
+
+    def _run_inline(
+        self, driver: Callable[[], ExperimentResult]
+    ) -> ExperimentResult:
+        """One attempt with no deadline, on the campaign thread.
+
+        The flag tells the signal handler to raise into the attempt, as
+        no watchdog polls it.  Only this thread sets and clears it, and
+        only inside :func:`execute_entry`'s ``try`` that abandons an
+        interrupted attempt; a watchdog worker never touches it, so one
+        that finishes late cannot clear it.
+        """
+        try:
+            self._inline_running = True
+            return driver()
+        finally:
+            self._inline_running = False
 
     # ------------------------------------------------------------------
     # Signal handling
@@ -304,6 +341,9 @@ class CampaignRunner:
         def _handler(signum, _frame):
             self._signal_name = signal.Signals(signum).name
             self._stop.set()
+            if self._inline_running:
+                # No watchdog polls an inline attempt: abandon it here.
+                raise CampaignInterruptedError
 
         for signum in _HANDLED_SIGNALS:
             previous[signum] = signal.signal(signum, _handler)

@@ -1,13 +1,16 @@
 """Wall-clock deadline enforcement for campaign entries.
 
-A hung or runaway experiment must not block the whole campaign.  The
-watchdog runs the experiment callable on a supervised daemon worker
-thread and polls it; when the deadline passes, it raises
-:class:`DeadlineExceededError` in the *campaign* thread so the runner
-can retry or classify the entry as timed-out and move on.  When the
-operator interrupts the campaign (SIGINT/SIGTERM set the stop event),
-the poll loop raises :class:`CampaignInterruptedError` instead, so the
-runner can checkpoint and exit gracefully.
+A hung or runaway experiment must not block the whole campaign.  For an
+entry with a deadline, the watchdog runs the experiment callable on a
+supervised daemon worker thread and polls it; when the deadline passes,
+it raises :class:`DeadlineExceededError` in the *campaign* thread so the
+runner can retry or classify the entry as timed-out and move on.  When
+the operator interrupts the campaign (SIGINT/SIGTERM set the stop
+event), the poll loop raises :class:`CampaignInterruptedError` instead,
+so the runner can checkpoint and exit gracefully.  An entry with no
+deadline has nothing to time out: the runner calls its driver inline and
+starts no thread, and its signal handler raises
+:class:`CampaignInterruptedError` into that attempt itself.
 
 An abandoned worker cannot be killed from Python; it is left to finish
 on its daemon thread and its result is discarded.  That is sound here

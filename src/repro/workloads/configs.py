@@ -41,6 +41,10 @@ def config_grid(
 #: The 14 configurations of the paper's figures.
 PAPER_CONFIG_GRID: List[Tuple[int, int]] = config_grid()
 
+#: The default cluster, built once: a ``ClusterSpec`` is frozen, and a
+#: campaign builds hundreds of configurations on it.
+_PENTIUM_MYRINET = pentium_myrinet_cluster()
+
 
 def make_run_config(
     data_nodes: int,
@@ -54,7 +58,7 @@ def make_run_config(
     Both clusters default to the Pentium/Myrinet testbed, matching the
     paper's within-cluster experiments.
     """
-    storage = storage_cluster or pentium_myrinet_cluster()
+    storage = storage_cluster or _PENTIUM_MYRINET
     compute = compute_cluster or storage
     return RunConfig(
         storage_cluster=storage,

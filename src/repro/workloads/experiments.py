@@ -222,7 +222,10 @@ def run_grid_experiment(
     execution of the kernels per dataset.  Without a book the call keeps
     a private one and drops it when it returns; a caller running several
     experiments hands them one book, and the rows are the same bits
-    either way (a breakdown is exact from any recording run).
+    either way (a breakdown is exact from any recording run).  A
+    fault-free grid cell with the profile's configuration and dataset
+    (Figures 2-6's 1-1) is the base-profile run and is not executed
+    again.
     """
     if book is None:
         book = KernelBook()
@@ -295,9 +298,13 @@ def run_grid_experiment(
             n, c, storage_cluster=target_cluster, bandwidth=spec.target_bandwidth
         )
         faults = None if scenario is None else injector_from_dict(scenario)
-        run = FreerideGRuntime(config, faults, kernels).execute(
-            workload.make_app(), dataset
-        )
+        if faults is None and config == profile_config and dataset is profile_dataset:
+            # This cell is the base-profile run (the paper's 1-1 profile).
+            run = profile_run
+        else:
+            run = FreerideGRuntime(config, faults, kernels).execute(
+                workload.make_app(), dataset
+            )
         target = PredictionTarget(config=config, dataset_bytes=dataset.nbytes)
         if schedule is None:
             totals = [(m.label, m.predict(profile, target).total) for m in models]

@@ -8,6 +8,7 @@ resume, a driver's exception) is in ``test_executor_contract.py``.
 """
 
 import hashlib
+import signal
 import sys
 import threading
 import time
@@ -20,6 +21,7 @@ from repro.campaign import (
     EXIT_OK,
     EXIT_PROBLEMS,
     CampaignEntry,
+    CampaignJournal,
     CampaignManifest,
     CampaignRunner,
 )
@@ -37,8 +39,10 @@ from tests.campaign.conftest import (
 )
 
 
-def run_campaign(tmp_path, subdir, *, crash_at=None, log=None, **kwargs):
-    manifest = make_manifest()
+def run_campaign(
+    tmp_path, subdir, *, crash_at=None, log=None, deadline_s=None, **kwargs
+):
+    manifest = make_manifest(deadline_s=deadline_s)
     root = tmp_path / subdir
     runner = CampaignRunner(
         manifest,
@@ -133,12 +137,13 @@ class TestInterruption:
     def test_stop_mid_campaign_checkpoints_and_skips(self, tmp_path):
         manifest = make_manifest()
         runner = run_campaign(tmp_path, "c")
+        runner.handle_signals = True
 
-        # Trip the stop flag from inside the third entry, as a signal
-        # handler would; the entry then lingers long enough for the
-        # watchdog poll loop to abandon it.
+        # SIGINT from inside the third entry, which runs inline (no
+        # deadline): the runner's handler raises into the attempt, so
+        # it never reaches its sleep.
         def stopping_fig04():
-            runner._stop.set()
+            signal.raise_signal(signal.SIGINT)
             time.sleep(5.0)
             return fake_result("fig04")
 
@@ -162,6 +167,99 @@ class TestInterruption:
         assert [resumed.outcome(i).status for i in FAKE_IDS] == (
             ["resumed"] * 2 + ["completed"] * 4
         )
+
+    def test_stop_mid_deadline_attempt_abandons_it(self, tmp_path):
+        """A deadline attempt runs on the watchdog's worker; a stop flag
+        set there abandons it at the supervisor's next poll."""
+        runner = run_campaign(tmp_path, "c", deadline_s=30.0)
+
+        def stopping_fig04():
+            runner._stop.set()
+            time.sleep(5.0)
+            return fake_result("fig04")
+
+        runner.registry["fig04"] = stopping_fig04
+        start = time.monotonic()
+        report = runner.run()
+        assert time.monotonic() - start < 4.0
+        assert report.exit_code == EXIT_INTERRUPTED
+        assert [report.outcome(i).status for i in FAKE_IDS] == [
+            "completed", "completed", "skipped", "skipped", "skipped",
+            "skipped",
+        ]
+
+        log = []
+        resumed = run_campaign(tmp_path, "c", log=log, deadline_s=30.0).run(
+            resume=True
+        )
+        assert resumed.ok
+        assert log == FAKE_IDS[2:]
+
+    def test_signal_after_a_commit_only_stops(self, tmp_path):
+        """SIGINT from the progress line, after fig03's commit: fig03
+        stays completed, nothing raises, and the rest is skipped."""
+        lines = []
+
+        def progress(line):
+            lines.append(line)
+            if line.startswith("fig03 "):
+                signal.raise_signal(signal.SIGINT)
+
+        log = []
+        runner = run_campaign(tmp_path, "c", log=log, progress=progress)
+        runner.handle_signals = True
+        previous = signal.getsignal(signal.SIGINT)
+        report = runner.run()
+        assert report.exit_code == EXIT_INTERRUPTED
+        assert report.signal_name == "SIGINT"
+        assert log == FAKE_IDS[:2]
+        assert [report.outcome(i).status for i in FAKE_IDS] == [
+            "completed", "completed", "skipped", "skipped", "skipped",
+            "skipped",
+        ]
+        assert len(lines) == 2
+        journaled = CampaignJournal(tmp_path / "c/journal.json").load()
+        assert list(journaled) == FAKE_IDS[:2]
+        # The runner restored the handler it replaced.
+        assert signal.getsignal(signal.SIGINT) is previous
+
+
+class TestWhichThread:
+    """An entry with no deadline runs on the thread that called ``run``;
+    one with a deadline runs on the watchdog's ``campaign-<id>`` worker."""
+
+    def _threads(self, tmp_path, deadline_s):
+        seen = {}
+
+        def spy(entry_id):
+            def run():
+                thread = threading.current_thread()
+                seen[entry_id] = (threading.get_ident(), thread.name)
+                return fake_result(entry_id)
+
+            return run
+
+        ids = FAKE_IDS[:2]
+        report = CampaignRunner(
+            make_manifest(ids, deadline_s=deadline_s),
+            tmp_path / "journal.json",
+            registry={i: spy(i) for i in ids},
+            check_claims=False,
+            handle_signals=False,
+        ).run()
+        assert report.ok
+        assert sorted(seen) == sorted(ids)
+        return seen
+
+    def test_no_deadline_runs_on_the_calling_thread(self, tmp_path):
+        seen = self._threads(tmp_path, None)
+        assert {ident for ident, _ in seen.values()} == {threading.get_ident()}
+
+    def test_deadline_runs_on_the_watchdog_thread(self, tmp_path):
+        seen = self._threads(tmp_path, 30.0)
+        for entry_id, (ident, name) in seen.items():
+            assert ident != threading.get_ident()
+            assert name == f"campaign-{entry_id}"
 
 
 class TestClaimChecking:

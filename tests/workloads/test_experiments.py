@@ -1,12 +1,19 @@
 """Tests for the experiment table and the one grid driver."""
 
+import dataclasses
+import functools
 import pathlib
 
 import pytest
 
 from repro.analysis import compare_results, load_result, result_to_dict
+from repro.core.durable import canonical_json
+from repro.middleware import FreerideGRuntime
 from repro.middleware.kernels import KernelBook
+from repro.middleware.scheduler import RunConfig
 from repro.simgrid.errors import ConfigurationError
+from repro.workloads import experiments
+from repro.workloads.configs import make_run_config
 from repro.workloads.experiments import (
     EXPERIMENTS,
     FAST_CONFIG_GRID,
@@ -158,6 +165,77 @@ class TestOneBookForManyExperiments:
             assert result_to_dict(shared) == result_to_dict(alone), experiment_id
         # 14 experiments over 11 distinct (workload, size) datasets.
         assert len(book) == 11
+
+
+class _UnequalConfig(RunConfig):
+    """A :class:`RunConfig` equal only to itself, so no grid cell can
+    stand for the base-profile run."""
+
+    __eq__ = object.__eq__
+    __hash__ = RunConfig.__hash__
+
+
+def _unequal_run_config(*args, **kwargs):
+    config = make_run_config(*args, **kwargs)
+    return _UnequalConfig(
+        **{f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    )
+
+
+@pytest.mark.slow
+class TestBaseProfileIsItsGridCell:
+    """The 1-1 base-profile run of Figures 2-6 (and the extensions) is
+    also their 1-1 grid cell: it runs once, and every document keeps the
+    bytes a run that executes the cell again writes."""
+
+    REUSED = {
+        "fig02", "fig03", "fig04", "fig05", "fig06",
+        "ext-apriori", "ext-neuralnet",
+    }
+    SCENARIO = {"seed": 3, "faults": [{"type": "chunk-read-error", "rate": 0.05}]}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """One item per ``FreerideGRuntime.execute`` call."""
+        calls = []
+        execute = FreerideGRuntime.execute
+
+        def counted(runtime, app, dataset):
+            calls.append(None)
+            return execute(runtime, app, dataset)
+
+        monkeypatch.setattr(FreerideGRuntime, "execute", counted)
+        return calls
+
+    def _run_all(self, calls):
+        """``(executions, document)`` per registered experiment, plus a
+        fault scenario, which runs under faults and reuses nothing."""
+        book = KernelBook()
+        runs = {
+            experiment_id: functools.partial(run_grid_experiment, spec, True, book)
+            for experiment_id, spec in EXPERIMENTS.items()
+        }
+        runs["defect-faults"] = functools.partial(
+            run_fault_scenario, "defect", "defect-faults", "t", self.SCENARIO,
+            fast=True,
+        )
+        out = {}
+        for name, run in runs.items():
+            before = len(calls)
+            document = canonical_json(result_to_dict(run()))
+            out[name] = (len(calls) - before, document)
+        return out
+
+    def test_one_execution_fewer_and_the_same_bytes(self, calls, monkeypatch):
+        reused = self._run_all(calls)
+        monkeypatch.setattr(experiments, "make_run_config", _unequal_run_config)
+        bypassed = self._run_all(calls)
+        assert reused.keys() == bypassed.keys()
+        for name, (count, document) in reused.items():
+            saved = 1 if name in self.REUSED else 0
+            assert (count + saved, document) == bypassed[name], name
+        totals = [sum(n for n, _ in r.values()) for r in (bypassed, reused)]
+        assert totals == [93, 86]
 
 
 def assert_same_result(baseline: ExperimentResult, fresh: ExperimentResult):
