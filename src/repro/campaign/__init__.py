@@ -9,15 +9,17 @@ stopped:
 - :mod:`repro.campaign.journal`  — the durable journal: one appended,
   fsynced line per commit, checksum corruption detection, torn-tail
   repair, manifest-fingerprint binding.
-- :mod:`repro.campaign.watchdog` — per-entry wall-clock deadlines and
-  graceful-interrupt supervision.
+- :mod:`repro.campaign.watchdog` — per-entry wall-clock deadlines: a
+  ``SIGALRM`` raises into the attempt, on the main thread only, with
+  ``ITIMER_REAL`` owned just while a deadline attempt runs (an attempt
+  overruns by at most its longest single C call).
 - :mod:`repro.campaign.runner`   — the pipeline: ``execute_entry``
   runs one entry's driver to a journal record (deadline,
   retry-after-timeout with :class:`~repro.faults.retry.RetryPolicy`
   semantics, claim check; no I/O) and :class:`CampaignRunner` runs the
-  entries in manifest order on one kernel book and settles each record
-  (journal open/resume, commit, result artifact, outcome,
-  SIGINT/SIGTERM checkpointing).
+  entries in manifest order, on its one thread and one kernel book, and
+  settles each record (journal open/resume, commit, result artifact,
+  outcome, SIGINT/SIGTERM checkpointing).
 - :mod:`repro.campaign.report`   — :class:`CampaignReport`:
   completed/resumed/retried/timed-out/skipped classification and the
   process exit codes.

@@ -1,39 +1,41 @@
 """The crash-safe campaign runner.
 
 Executes a :class:`~repro.campaign.manifest.CampaignManifest` as an
-executor → settle pipeline with three operational guards.  It is the
-one engine behind ``repro campaign`` and every ``repro suite`` run
-(without ``--journal`` the journal is a scratch file and no signal
-handler is installed):
+execute → settle loop with three operational guards.  It is the one
+engine behind ``repro campaign`` and every ``repro suite`` run (without
+``--journal`` the journal is a scratch file and no signal handler is
+installed).  Every attempt runs on the thread that called
+:meth:`CampaignRunner.run`; nothing runs beside it.
 
 1. **Deadlines.**  :func:`execute_entry` runs one entry.  An entry with
-   no deadline (its own ``deadline_s`` or the manifest default) has
-   nothing to time out and runs inline on the campaign thread; an entry
-   with one runs under the watchdog, and when it exceeds its wall-clock
+   a deadline (its own ``deadline_s`` or the manifest default) runs
+   under the watchdog's ``SIGALRM``; when it exceeds its wall-clock
    deadline it is abandoned, retried per the
    :class:`~repro.faults.retry.RetryPolicy` (real sleeps, same backoff
    semantics the simulated chunk retries use), and finally classified
-   ``timed-out`` — without aborting the rest of the campaign.  It
-   returns a :class:`~repro.campaign.journal.JournalRecord` and touches
-   no file.  Every entry takes its datasets and kernel traces from the
-   run's one book (a dataset is built and its kernels recorded once per
-   run), lent to one attempt at a time so an abandoned attempt never
-   shares it.
+   ``timed-out`` — without aborting the rest of the campaign.  A run
+   with a deadline entry needs the main thread and a free
+   ``ITIMER_REAL`` (the watchdog owns it only while a deadline attempt
+   runs), and an attempt can overrun its deadline by at most the
+   longest single C call it makes.  :func:`execute_entry` returns a
+   :class:`~repro.campaign.journal.JournalRecord` and touches no file.
+   Every entry takes its datasets and kernel traces from the run's one
+   book (a dataset is built and its kernels recorded once per run); an
+   attempt that raised leaves a fresh book behind it.
 2. **Durability.**  :meth:`CampaignRunner.run` settles records strictly
    in manifest order: each is committed to the
    :class:`~repro.campaign.journal.CampaignJournal` (one line, append +
    fsync), then its result artifact is written (atomic
-   write-then-rename), *before* the next record is asked for.  A killed
-   process loses at most the entries that were in flight — a commit cut
-   short mid-line counts as never made; a ``resume=True`` run restores
+   write-then-rename), *before* the next entry runs.  A killed process
+   loses at most the entry that was running — a commit cut short
+   mid-line counts as never made; a ``resume=True`` run restores
    journaled entries without re-running them and produces results
    byte-identical to an uninterrupted run (experiment drivers are
    deterministic and the serialization is canonical).
 3. **Graceful interruption.**  SIGINT/SIGTERM set a stop flag.  While
-   an inline attempt runs, the handler also raises
-   :class:`~repro.campaign.watchdog.CampaignInterruptedError` into it;
-   a deadline attempt's watchdog sees the flag on its next poll.
-   Either way the attempt is abandoned un-journaled.  A signal during a
+   an attempt runs, the handler also raises
+   :class:`~repro.campaign.watchdog.CampaignInterruptedError` into it,
+   and the attempt is abandoned un-journaled.  A signal during a
    commit, an artifact write or a progress line only sets the flag.
    The runner marks entries that produced no record ``skipped``,
    restores the previous signal handlers, and reports ``interrupted``
@@ -44,30 +46,15 @@ handler is installed):
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import pathlib
 import signal
 import threading
 import time
-from typing import (
-    Callable,
-    Collection,
-    FrozenSet,
-    Generator,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-)
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional
 
 from repro.analysis.expectations import EXPECTATIONS, check_expectation
-from repro.analysis.results_io import (
-    result_from_dict,
-    result_to_dict,
-    save_result,
-)
+from repro.analysis.results_io import result_from_dict, result_to_dict, save_result
 from repro.errors import CampaignError, InternalError
 from repro.faults.retry import WATCHDOG_RETRY_POLICY, RetryPolicy
 from repro.middleware.kernels import KernelBook
@@ -79,6 +66,7 @@ from repro.campaign.report import CampaignOutcome, CampaignReport
 from repro.campaign.watchdog import (
     CampaignInterruptedError,
     DeadlineExceededError,
+    require_alarm,
     run_with_deadline,
 )
 
@@ -95,38 +83,28 @@ def execute_entry(
     check_claims: bool,
     *,
     run_inline: Callable[[Callable[[], ExperimentResult]], ExperimentResult],
-    stop: Optional[threading.Event] = None,
     sleep: Callable[[float], None] = time.sleep,
-    poll_interval_s: float = 0.02,
 ) -> Optional[JournalRecord]:
     """Run one campaign entry's ``driver`` to a settled record.
 
     ``driver`` is the entry's experiment on the run's book, or the
-    runner's ``registry`` override.  With no deadline it runs on the
-    calling thread through ``run_inline``, which flags the attempt for
-    the runner's signal handler; with one it runs under the watchdog,
-    which polls ``stop``.  Nothing is written here: journal and artifact
-    I/O belong to the settle loop.
+    runner's ``registry`` override.  Each attempt runs on the calling
+    thread under :func:`run_with_deadline`, through ``run_inline``,
+    which flags the attempt for the runner's signal handler.  Nothing
+    is written here: journal and artifact I/O belong to the settle loop.
 
-    Returns ``None`` when the attempt was interrupted (``stop`` set
-    under the watchdog, or :class:`CampaignInterruptedError` raised into
-    an inline attempt): it is abandoned, nothing is journaled and the
+    Returns ``None`` when :class:`CampaignInterruptedError` was raised
+    into the attempt: it is abandoned, nothing is journaled and the
     entry re-runs on resume.
     """
     deadline_s = entry.effective_deadline_s(default_deadline_s)
+    attempt_fn = functools.partial(
+        run_with_deadline, driver, deadline_s, label=entry.entry_id
+    )
     for attempt in range(1, retry_policy.max_attempts + 1):
         start = time.perf_counter()
         try:
-            if deadline_s is None:
-                result = run_inline(driver)
-            else:
-                result = run_with_deadline(
-                    driver,
-                    deadline_s,
-                    stop=stop,
-                    label=entry.entry_id,
-                    poll_interval_s=poll_interval_s,
-                )
+            result = run_inline(attempt_fn)
         except CampaignInterruptedError:
             return None
         except DeadlineExceededError as exc:
@@ -163,45 +141,23 @@ def execute_entry(
 
 
 class _BookShelf:
-    """A serial run's one :class:`KernelBook`, lent to one attempt at a time.
+    """A run's one :class:`KernelBook`.
 
-    An attempt borrows the book and returns it when it finishes.  An
-    inline attempt (no deadline) always finishes before the next one
-    starts; one a signal interrupted has raised, so its book is dropped
-    rather than taken back.  The watchdog leaves a timed-out or interrupted deadline
-    attempt running on its daemon thread, still holding (and maybe
-    writing) the book, so while the book is out a later attempt, retry
-    or entry gets a fresh one.  The first book returned is kept; a book
-    is never shared by two attempts that may run at once.
+    An attempt that raised (timed out, interrupted, or failed) may have
+    left the book half-written, so the shelf replaces it with a fresh
+    one; otherwise the one book serves every attempt of the run.
     """
 
     def __init__(self) -> None:
-        self._book: Optional[KernelBook] = KernelBook()
-        self._lock = threading.Lock()
-
-    @contextlib.contextmanager
-    def lend(self) -> Iterator[KernelBook]:
-        """The book, or a fresh one while it is out; taken back unless
-        the borrower raised."""
-        with self._lock:
-            book = self._book if self._book is not None else KernelBook()
-            self._book = None
-        yield book
-        with self._lock:
-            if self._book is None:
-                self._book = book
-
-    def retain(self, workloads: Collection[str]) -> None:
-        """Drop the book's pairs for every workload not in ``workloads``
-        (a book that is out is left to its borrower)."""
-        with self._lock:
-            if self._book is not None:
-                self._book.retain(workloads)
+        self.book = KernelBook()
 
     def run(self, entry: CampaignEntry) -> ExperimentResult:
         """``entry``'s experiment, its datasets and traces from the book."""
-        with self.lend() as book:
-            return run_grid_experiment(entry.spec(), entry.fast, book)
+        try:
+            return run_grid_experiment(entry.spec(), entry.fast, self.book)
+        except BaseException:
+            self.book = KernelBook()
+            raise
 
 
 class CampaignRunner:
@@ -249,7 +205,6 @@ class CampaignRunner:
         handle_signals: bool = True,
         progress: Optional[Callable[[str], None]] = None,
         sleep: Callable[[float], None] = time.sleep,
-        poll_interval_s: float = 0.02,
     ) -> None:
         self.manifest = manifest
         self.journal_path = pathlib.Path(journal_path)
@@ -262,70 +217,23 @@ class CampaignRunner:
         self.handle_signals = handle_signals
         self.progress = progress
         self._sleep = sleep
-        self._poll_interval_s = poll_interval_s
-        self._stop = threading.Event()
-        self._inline_running = False
+        self._stop = False
+        self._attempt_running = False
         self._signal_name: Optional[str] = None
 
-    # ------------------------------------------------------------------
-    # Records
-    # ------------------------------------------------------------------
-
-    def _records(
-        self, live: Sequence[CampaignEntry]
-    ) -> Generator[Optional[JournalRecord], None, None]:
-        """One record per live entry, in manifest order.
-
-        ``None`` means the entry did not run to a settled record (the
-        operator interrupted) and re-runs on resume.  Each entry runs
-        when the settle loop asks for it, and takes its datasets and
-        kernel traces from the run's one book: a dataset is built and
-        its kernels recorded once per run, not once per entry.  Once an
-        entry settles, the book drops the workloads no later entry names
-        (as its workload or a representative); the rest goes when the
-        run closes this generator.
-        """
-        shelf = _BookShelf()
-        later: List[FrozenSet[str]] = [frozenset()]
-        for entry in reversed(live[1:]):
-            spec = entry.spec()
-            later.append(later[-1].union(spec.representatives, [spec.workload]))
-        for entry, keep in zip(live, reversed(later)):
-            if self._stop.is_set():
-                yield None
-                continue
-            record = execute_entry(
-                entry,
-                self.registry.get(
-                    entry.entry_id, functools.partial(shelf.run, entry)
-                ),
-                self.manifest.default_deadline_s,
-                self.retry_policy,
-                self.check_claims,
-                run_inline=self._run_inline,
-                stop=self._stop,
-                sleep=self._sleep,
-                poll_interval_s=self._poll_interval_s,
-            )
-            shelf.retain(keep)
-            yield record
-
     def _run_inline(
-        self, driver: Callable[[], ExperimentResult]
+        self, attempt: Callable[[], ExperimentResult]
     ) -> ExperimentResult:
-        """One attempt with no deadline, on the campaign thread.
+        """One attempt, flagged so the signal handler raises into it.
 
-        The flag tells the signal handler to raise into the attempt, as
-        no watchdog polls it.  Only this thread sets and clears it, and
-        only inside :func:`execute_entry`'s ``try`` that abandons an
-        interrupted attempt; a watchdog worker never touches it, so one
-        that finishes late cannot clear it.
+        The flag is set and cleared only inside :func:`execute_entry`'s
+        ``try`` that abandons an interrupted attempt.
         """
         try:
-            self._inline_running = True
-            return driver()
+            self._attempt_running = True
+            return attempt()
         finally:
-            self._inline_running = False
+            self._attempt_running = False
 
     # ------------------------------------------------------------------
     # Signal handling
@@ -340,9 +248,8 @@ class CampaignRunner:
 
         def _handler(signum, _frame):
             self._signal_name = signal.Signals(signum).name
-            self._stop.set()
-            if self._inline_running:
-                # No watchdog polls an inline attempt: abandon it here.
+            self._stop = True
+            if self._attempt_running:
                 raise CampaignInterruptedError
 
         for signum in _HANDLED_SIGNALS:
@@ -366,8 +273,16 @@ class CampaignRunner:
         ``resume=True`` continues an existing journal (a missing journal
         simply starts fresh, so resume is safe to pass unconditionally);
         ``resume=False`` refuses to touch an existing journal rather
-        than silently discarding its state.
+        than silently discarding its state.  A manifest with a deadline
+        is refused (:class:`CampaignError`) off the main thread or while
+        ``ITIMER_REAL`` is armed, before anything runs.
         """
+        default_deadline_s = self.manifest.default_deadline_s
+        if any(
+            e.effective_deadline_s(default_deadline_s) is not None
+            for e in self.manifest.entries
+        ):
+            require_alarm()
         journal = CampaignJournal(self.journal_path)
         fingerprint = self.manifest.fingerprint()
         if journal.exists:
@@ -385,15 +300,23 @@ class CampaignRunner:
             journal.initialize(self.manifest.name, fingerprint)
             journaled = {}
 
-        self._stop.clear()
+        self._stop = False
         self._signal_name = None
         report = CampaignReport(
             campaign=self.manifest.name,
             journal_path=self.journal_path,
         )
-        records = self._records(
-            [e for e in self.manifest.entries if e.entry_id not in journaled]
-        )
+        # Each entry takes its datasets and kernel traces from the run's
+        # one book; once it settles, the book drops the workloads no
+        # later entry names (as its workload or a representative).
+        live = [e for e in self.manifest.entries if e.entry_id not in journaled]
+        shelf = _BookShelf()
+        keep: Dict[str, FrozenSet[str]] = {}
+        later: FrozenSet[str] = frozenset()
+        for entry in reversed(live):
+            keep[entry.entry_id] = later
+            spec = entry.spec()
+            later = later.union(spec.representatives, [spec.workload])
         previous_handlers = self._install_signal_handlers()
         try:
             # Settle strictly in manifest order: each record is
@@ -402,8 +325,19 @@ class CampaignRunner:
             for entry in self.manifest.entries:
                 record = journaled.get(entry.entry_id)
                 resumed = record is not None
-                if not resumed:
-                    record = next(records)
+                if not resumed and not self._stop:
+                    record = execute_entry(
+                        entry,
+                        self.registry.get(
+                            entry.entry_id, functools.partial(shelf.run, entry)
+                        ),
+                        default_deadline_s,
+                        self.retry_policy,
+                        self.check_claims,
+                        run_inline=self._run_inline,
+                        sleep=self._sleep,
+                    )
+                    shelf.book.retain(keep[entry.entry_id])
                     if record is not None:
                         journal.commit(record)
                 if record is None:
@@ -446,7 +380,6 @@ class CampaignRunner:
                         f"({outcome.elapsed_s:.1f}s)"
                     )
         finally:
-            records.close()
             self._restore_signal_handlers(previous_handlers)
         report.signal_name = self._signal_name
         return report

@@ -1,32 +1,30 @@
 """Wall-clock deadline enforcement for campaign entries.
 
-A hung or runaway experiment must not block the whole campaign.  For an
-entry with a deadline, the watchdog runs the experiment callable on a
-supervised daemon worker thread and polls it; when the deadline passes,
-it raises :class:`DeadlineExceededError` in the *campaign* thread so the
-runner can retry or classify the entry as timed-out and move on.  When
-the operator interrupts the campaign (SIGINT/SIGTERM set the stop
-event), the poll loop raises :class:`CampaignInterruptedError` instead,
-so the runner can checkpoint and exit gracefully.  An entry with no
-deadline has nothing to time out: the runner calls its driver inline and
-starts no thread, and its signal handler raises
-:class:`CampaignInterruptedError` into that attempt itself.
+A hung or runaway experiment must not block the whole campaign.  Every
+attempt runs on the campaign thread; for one with a deadline the
+watchdog arms ``ITIMER_REAL``, and when it expires the ``SIGALRM``
+handler raises :class:`DeadlineExceededError` into the attempt so the
+runner can retry or classify the entry as timed-out and move on.  The
+runner's SIGINT/SIGTERM handler raises :class:`CampaignInterruptedError`
+into an attempt the same way, so the runner can checkpoint and exit
+gracefully.
 
-An abandoned worker cannot be killed from Python; it is left to finish
-on its daemon thread and its result is discarded.  That is sound here
-because a driver shares nothing writable with a later attempt: it is a
-deterministic function of its inputs whose only effect is the returned
-result, plus, on the serial runner, writes to the book of datasets and
-kernel traces it was lent for the attempt.  The runner lends that book
-to one attempt at a time and takes it back only when the attempt
-finishes, so a book an abandoned thread still holds is never handed to a
-later attempt, retry or entry: they get a fresh book while it is out.
+Python runs a signal handler between bytecodes on the main thread, so:
+
+- deadlines need the main thread (a deadline run elsewhere is refused);
+- the watchdog owns ``ITIMER_REAL`` and ``SIGALRM`` only while a
+  deadline attempt runs, and refuses to start one while another owner
+  has the timer armed rather than silently disarm it;
+- an attempt can overrun its deadline by at most the longest single C
+  call it makes (a NumPy kernel, a ``sleep`` is interrupted at once).
+
+Nothing is left running after an attempt is abandoned: it has unwound.
 """
 
 from __future__ import annotations
 
+import signal
 import threading
-import time
 from typing import Any, Callable, Optional
 
 from repro.errors import CampaignError
@@ -34,6 +32,7 @@ from repro.errors import CampaignError
 __all__ = [
     "DeadlineExceededError",
     "CampaignInterruptedError",
+    "require_alarm",
     "run_with_deadline",
 ]
 
@@ -57,57 +56,49 @@ class CampaignInterruptedError(CampaignError):
         self.reason = reason
 
 
+def require_alarm() -> None:
+    """Raise :class:`CampaignError` unless a deadline can be enforced
+    here: on the main thread, with ``ITIMER_REAL`` not armed."""
+    if threading.current_thread() is not threading.main_thread():
+        raise CampaignError(
+            "deadlines need the main thread (SIGALRM is delivered there); "
+            "run a campaign with deadlines on the main thread"
+        )
+    if signal.getitimer(signal.ITIMER_REAL) != (0.0, 0.0):
+        raise CampaignError(
+            "deadlines need ITIMER_REAL, which another owner has armed"
+        )
+
+
 def run_with_deadline(
     fn: Callable[[], Any],
     deadline_s: Optional[float],
     *,
-    stop: Optional[threading.Event] = None,
     label: str = "entry",
-    poll_interval_s: float = 0.02,
 ) -> Any:
-    """Run ``fn()`` under a wall-clock deadline and a stop event.
+    """Run ``fn()`` on this thread under a wall-clock deadline.
 
     Returns ``fn()``'s value; re-raises its exception unchanged.  Raises
-    :class:`DeadlineExceededError` when ``deadline_s`` elapses first and
-    :class:`CampaignInterruptedError` when ``stop`` is set first.  With
-    neither a deadline nor a stop event there is nothing to supervise
-    and ``fn`` runs inline on the calling thread.
+    :class:`DeadlineExceededError` into ``fn`` when ``deadline_s``
+    elapses first.  With no deadline it just calls ``fn()``.
     """
-    if deadline_s is not None and deadline_s <= 0:
-        raise CampaignError("deadline_s must be positive")
-    if deadline_s is None and stop is None:
+    if deadline_s is None:
         return fn()
+    if deadline_s <= 0:
+        raise CampaignError("deadline_s must be positive")
+    require_alarm()
 
-    box: dict = {}
-    done = threading.Event()
-
-    def _worker() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # re-raised on the campaign thread
-            box["error"] = exc
-        finally:
-            box["finished"] = time.monotonic()
-            done.set()
-
-    worker = threading.Thread(
-        target=_worker, name=f"campaign-{label}", daemon=True
-    )
-    start = time.monotonic()
-    worker.start()
-    while not done.is_set():
-        if stop is not None and stop.is_set():
-            raise CampaignInterruptedError
-        wait = poll_interval_s
-        if deadline_s is not None:
-            remaining = deadline_s - (time.monotonic() - start)
-            if remaining <= 0:
-                raise DeadlineExceededError(label, deadline_s)
-            wait = min(wait, remaining)
-        done.wait(wait)
-    if deadline_s is not None and box["finished"] - start > deadline_s:
-        # Finished before this loop looked, but late all the same.
+    def _alarm(_signum, _frame):
         raise DeadlineExceededError(label, deadline_s)
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
+
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, deadline_s)
+        try:
+            return fn()
+        finally:
+            # An alarm that fires here has still been handled by the
+            # time the outer block restores the previous handler.
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

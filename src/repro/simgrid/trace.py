@@ -148,18 +148,3 @@ class TimeBreakdown:
     def total(self) -> float:
         """Total execution time (``T_exec``)."""
         return self.t_disk + self.t_network + self.t_compute + self.t_ckpt
-
-    def to_dict(self) -> Dict[str, float]:
-        """Flat dictionary view used by reports and tests."""
-        return {
-            "t_disk": self.t_disk,
-            "t_network": self.t_network,
-            "t_compute": self.t_compute,
-            "t_ro": self.t_ro,
-            "t_g": self.t_g,
-            "t_cache": self.t_cache,
-            "t_ckpt": self.t_ckpt,
-            "total": self.total,
-            "num_passes": float(self.num_passes),
-            "max_reduction_object_bytes": self.max_reduction_object_bytes,
-        }

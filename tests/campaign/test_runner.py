@@ -9,7 +9,6 @@ resume, a driver's exception) is in ``test_executor_contract.py``.
 
 import hashlib
 import signal
-import sys
 import threading
 import time
 
@@ -169,12 +168,14 @@ class TestInterruption:
         )
 
     def test_stop_mid_deadline_attempt_abandons_it(self, tmp_path):
-        """A deadline attempt runs on the watchdog's worker; a stop flag
-        set there abandons it at the supervisor's next poll."""
+        """A deadline attempt runs on the campaign thread too: SIGINT
+        from inside it raises into it, before its sleep, and the
+        watchdog's alarm is disarmed on the way out."""
         runner = run_campaign(tmp_path, "c", deadline_s=30.0)
+        runner.handle_signals = True
 
         def stopping_fig04():
-            runner._stop.set()
+            signal.raise_signal(signal.SIGINT)
             time.sleep(5.0)
             return fake_result("fig04")
 
@@ -183,10 +184,12 @@ class TestInterruption:
         report = runner.run()
         assert time.monotonic() - start < 4.0
         assert report.exit_code == EXIT_INTERRUPTED
+        assert report.signal_name == "SIGINT"
         assert [report.outcome(i).status for i in FAKE_IDS] == [
             "completed", "completed", "skipped", "skipped", "skipped",
             "skipped",
         ]
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
         log = []
         resumed = run_campaign(tmp_path, "c", log=log, deadline_s=30.0).run(
@@ -225,8 +228,8 @@ class TestInterruption:
 
 
 class TestWhichThread:
-    """An entry with no deadline runs on the thread that called ``run``;
-    one with a deadline runs on the watchdog's ``campaign-<id>`` worker."""
+    """Every entry runs on the thread that called ``run``, with a
+    deadline or without; a run starts no thread."""
 
     def _threads(self, tmp_path, deadline_s):
         seen = {}
@@ -255,11 +258,78 @@ class TestWhichThread:
         seen = self._threads(tmp_path, None)
         assert {ident for ident, _ in seen.values()} == {threading.get_ident()}
 
-    def test_deadline_runs_on_the_watchdog_thread(self, tmp_path):
+    def test_deadline_runs_on_the_calling_thread(self, tmp_path):
+        before = threading.active_count()
         seen = self._threads(tmp_path, 30.0)
-        for entry_id, (ident, name) in seen.items():
-            assert ident != threading.get_ident()
-            assert name == f"campaign-{entry_id}"
+        assert {ident for ident, _ in seen.values()} == {threading.get_ident()}
+        assert threading.active_count() == before
+
+    def test_an_abandoned_attempt_stops_running(self, tmp_path):
+        """A driver that never returns, under a 0.1 s deadline and two
+        attempts: both attempts unwind, so once ``run`` returns no
+        thread is left and the driver's loop no longer advances."""
+        ticks = []
+
+        def hangs():
+            while True:
+                time.sleep(0.01)
+                ticks.append(None)
+
+        before = threading.active_count()
+        report = CampaignRunner(
+            make_manifest(["fig02"], deadline_s=0.1),
+            tmp_path / "journal.json",
+            registry={"fig02": hangs},
+            check_claims=False,
+            handle_signals=False,
+        ).run()
+        outcome = report.outcome("fig02")
+        assert (outcome.status, outcome.attempts) == ("timed-out", 2)
+        assert threading.active_count() == before
+        settled = len(ticks)
+        time.sleep(0.3)
+        assert len(ticks) == settled
+
+    def _deadline_runner(self, tmp_path, deadline_s):
+        ids = FAKE_IDS[:2]
+        return CampaignRunner(
+            make_manifest(ids, deadline_s=deadline_s),
+            tmp_path / "journal.json",
+            registry=fake_registry(ids),
+            check_claims=False,
+        )
+
+    def test_a_deadline_run_off_the_main_thread_is_refused(self, tmp_path):
+        """Off the main thread a deadline run is refused before anything
+        runs; a run with no deadline completes there."""
+        outcome = {}
+
+        def off_main():
+            try:
+                self._deadline_runner(tmp_path / "timed", 30.0).run()
+            except CampaignError as exc:
+                outcome["error"] = exc
+            outcome["plain"] = self._deadline_runner(tmp_path, None).run()
+
+        thread = threading.Thread(target=off_main)
+        thread.start()
+        thread.join(30.0)
+        assert "main thread" in str(outcome["error"])
+        assert not (tmp_path / "timed").exists()
+        assert outcome["plain"].exit_code == EXIT_OK
+
+    def test_a_deadline_run_under_an_armed_timer_is_refused(self, tmp_path):
+        """Another owner's ``ITIMER_REAL`` is neither disarmed nor
+        shared: the run is refused and the timer keeps running."""
+        previous = signal.signal(signal.SIGALRM, lambda *_: None)
+        signal.setitimer(signal.ITIMER_REAL, 30.0)
+        try:
+            with pytest.raises(CampaignError, match="ITIMER_REAL"):
+                self._deadline_runner(tmp_path, 30.0).run()
+            assert signal.getitimer(signal.ITIMER_REAL)[0] > 0.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestClaimChecking:
@@ -282,8 +352,8 @@ class TestClaimChecking:
 
 
 class TestOneBookPerRun:
-    """Inline entries share the run's datasets and kernel traces; an
-    attempt the watchdog abandoned keeps its book to itself."""
+    """Entries share the run's datasets and kernel traces; an attempt
+    that raised leaves a fresh book behind it."""
 
     def test_defect_campaign_records_its_dataset_once(
         self, tmp_path, kernel_calls, monkeypatch
@@ -385,9 +455,6 @@ class TestOneBookPerRun:
             ).run()
         finally:
             release.set()
-            for thread in threading.enumerate():
-                if thread.name == "campaign-fig04":  # the watchdog's worker
-                    thread.join(30.0)
         assert report.exit_code == EXIT_OK
         assert report.outcome("fig04").status == "retried"
         abandoned, retry, next_entry = books
@@ -440,38 +507,3 @@ class TestOneBookPerRun:
             assert (tmp_path / "results" / name).read_bytes() == (
                 fresh / name
             ).read_bytes()
-
-    def test_a_book_is_never_lent_twice_at_once(self):
-        """Stress: more borrowers than cores and a short switch interval;
-        a shelf that lent a book still out, or lost a check-out to a
-        race, would lend one book to two borrowers at once."""
-        shelf = runner_module._BookShelf()
-        held = set()
-        guard = threading.Lock()
-        clashes = []
-
-        def borrow(rounds):
-            for _ in range(rounds):
-                with shelf.lend() as book:
-                    with guard:
-                        if id(book) in held:
-                            clashes.append(id(book))
-                        held.add(id(book))
-                    time.sleep(0.001)  # an attempt holds its book a while
-                    with guard:
-                        held.discard(id(book))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=borrow, args=(300,)) for _ in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert clashes == []

@@ -1,16 +1,12 @@
 """Tests for wall-clock deadline enforcement."""
 
+import signal
 import sys
-import threading
 import time
 
 import pytest
 
-from repro.campaign import (
-    CampaignInterruptedError,
-    DeadlineExceededError,
-    run_with_deadline,
-)
+from repro.campaign import DeadlineExceededError, run_with_deadline
 from repro.errors import CampaignError
 
 
@@ -39,20 +35,15 @@ class TestPassthrough:
 class TestDeadline:
     def test_slow_entry_times_out(self):
         with pytest.raises(DeadlineExceededError) as excinfo:
-            run_with_deadline(
-                lambda: time.sleep(5.0),
-                0.05,
-                label="fig99",
-                poll_interval_s=0.01,
-            )
+            run_with_deadline(lambda: time.sleep(5.0), 0.05, label="fig99")
         assert excinfo.value.label == "fig99"
         assert excinfo.value.deadline_s == 0.05
         assert "wall-clock deadline" in str(excinfo.value)
 
     def test_result_past_the_deadline_is_late_even_unobserved(self):
-        """A worker that holds the interpreter until it is done (here: a
-        busy loop under a 1 s switch interval) finishes before the
-        supervisor polls; finishing after the deadline still times out."""
+        """A busy loop that never sleeps or yields the interpreter (here
+        under a 1 s switch interval) is still interrupted: the alarm's
+        handler runs between its bytecodes."""
 
         def busy():
             end = time.monotonic() + 0.05
@@ -75,27 +66,17 @@ class TestDeadline:
             run_with_deadline(lambda: 1, -1.0)
 
 
-class TestStopEvent:
-    def test_preset_stop_interrupts(self):
-        stop = threading.Event()
-        stop.set()
-        with pytest.raises(CampaignInterruptedError):
-            run_with_deadline(
-                lambda: time.sleep(5.0), None, stop=stop, poll_interval_s=0.01
-            )
+class TestTheAlarm:
+    """The watchdog owns ``SIGALRM`` and ``ITIMER_REAL`` only while a
+    deadline attempt runs (the refusals are in ``test_runner.py``)."""
 
-    def test_stop_set_mid_run_interrupts(self):
-        stop = threading.Event()
-
-        def fn():
-            stop.set()
-            time.sleep(5.0)
-
-        start = time.monotonic()
-        with pytest.raises(CampaignInterruptedError):
-            run_with_deadline(fn, None, stop=stop, poll_interval_s=0.01)
-        assert time.monotonic() - start < 2.0
-
-    def test_fast_entry_beats_stop(self):
-        stop = threading.Event()
-        assert run_with_deadline(lambda: 7, 5.0, stop=stop) == 7
+    @pytest.mark.parametrize("slow", [False, True])
+    def test_timer_and_handler_are_restored(self, slow):
+        previous = signal.getsignal(signal.SIGALRM)
+        if slow:
+            with pytest.raises(DeadlineExceededError):
+                run_with_deadline(lambda: time.sleep(5.0), 0.02)
+        else:
+            assert run_with_deadline(lambda: 1, 5.0) == 1
+        assert signal.getsignal(signal.SIGALRM) is previous
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)

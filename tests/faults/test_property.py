@@ -150,4 +150,4 @@ def test_survivable_schedules_complete_with_identical_results(
             ],
         ),
     ).execute(SumApp(passes=passes, cache=cache), dataset)
-    assert repeat.breakdown.to_dict() == faulted.breakdown.to_dict()
+    assert repeat.breakdown.passes == faulted.breakdown.passes

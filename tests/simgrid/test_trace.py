@@ -60,14 +60,6 @@ class TestTimeBreakdown:
         assert bd.total == 0.0
         assert bd.num_passes == 0
 
-    def test_to_dict_round_trip(self):
-        bd = TimeBreakdown(max_reduction_object_bytes=123.0)
-        bd.add_pass(make_pass())
-        d = bd.to_dict()
-        assert d["total"] == pytest.approx(bd.total)
-        assert d["max_reduction_object_bytes"] == 123.0
-        assert d["num_passes"] == 1.0
-
 
 class TestLeftSum:
     """``left_sum`` is ``sum()`` as Python 3.11 evaluates it, everywhere."""
