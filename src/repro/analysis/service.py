@@ -36,14 +36,6 @@ def format_service_metrics(metrics: Dict[str, Any]) -> str:
     lines.append(f"  breaker opens: {breakers.get('opens', 0)}")
     for key in sorted(states):
         lines.append(f"    {key}: {states[key]}")
-    bulkheads = metrics.get("bulkheads", {})
-    for endpoint in sorted(bulkheads):
-        stats = bulkheads[endpoint]
-        if stats["refused"] or stats["peak_queue"]:
-            lines.append(
-                f"  bulkhead {endpoint}: refused {stats['refused']}  "
-                f"peak queue {stats['peak_queue']}"
-            )
     cache = metrics.get("cache")
     if cache is not None:
         lines.append(

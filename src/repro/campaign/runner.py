@@ -20,8 +20,10 @@ installed).  Every attempt runs on the thread that called
    longest single C call it makes.  :func:`execute_entry` returns a
    :class:`~repro.campaign.journal.JournalRecord` and touches no file.
    Every entry takes its datasets and kernel traces from the run's one
-   book (a dataset is built and its kernels recorded once per run); an
-   attempt that raised leaves a fresh book behind it.
+   book (a dataset is built and its kernels recorded once per run),
+   retries included: an attempt that raised leaves the book whole,
+   because the book stores a dataset only once it is built and a trace
+   a pass only once all its kernels ran.
 2. **Durability.**  :meth:`CampaignRunner.run` settles records strictly
    in manifest order: each is committed to the
    :class:`~repro.campaign.journal.CampaignJournal` (one line, append +
@@ -54,7 +56,8 @@ import time
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional
 
 from repro.analysis.expectations import EXPECTATIONS, check_expectation
-from repro.analysis.results_io import result_from_dict, result_to_dict, save_result
+from repro.analysis.results_io import result_from_dict, result_to_dict
+from repro.core.durable import atomic_write_json
 from repro.errors import CampaignError, InternalError
 from repro.faults.retry import WATCHDOG_RETRY_POLICY, RetryPolicy
 from repro.middleware.kernels import KernelBook
@@ -138,26 +141,6 @@ def execute_entry(
             violations=violations,
         )
     raise InternalError("retry loop must settle or return")
-
-
-class _BookShelf:
-    """A run's one :class:`KernelBook`.
-
-    An attempt that raised (timed out, interrupted, or failed) may have
-    left the book half-written, so the shelf replaces it with a fresh
-    one; otherwise the one book serves every attempt of the run.
-    """
-
-    def __init__(self) -> None:
-        self.book = KernelBook()
-
-    def run(self, entry: CampaignEntry) -> ExperimentResult:
-        """``entry``'s experiment, its datasets and traces from the book."""
-        try:
-            return run_grid_experiment(entry.spec(), entry.fast, self.book)
-        except BaseException:
-            self.book = KernelBook()
-            raise
 
 
 class CampaignRunner:
@@ -310,7 +293,7 @@ class CampaignRunner:
         # one book; once it settles, the book drops the workloads no
         # later entry names (as its workload or a representative).
         live = [e for e in self.manifest.entries if e.entry_id not in journaled]
-        shelf = _BookShelf()
+        book = KernelBook()
         keep: Dict[str, FrozenSet[str]] = {}
         later: FrozenSet[str] = frozenset()
         for entry in reversed(live):
@@ -329,7 +312,10 @@ class CampaignRunner:
                     record = execute_entry(
                         entry,
                         self.registry.get(
-                            entry.entry_id, functools.partial(shelf.run, entry)
+                            entry.entry_id,
+                            functools.partial(
+                                run_grid_experiment, entry.spec(), entry.fast, book
+                            ),
                         ),
                         default_deadline_s,
                         self.retry_policy,
@@ -337,7 +323,7 @@ class CampaignRunner:
                         run_inline=self._run_inline,
                         sleep=self._sleep,
                     )
-                    shelf.book.retain(keep[entry.entry_id])
+                    book.retain(keep[entry.entry_id])
                     if record is not None:
                         journal.commit(record)
                 if record is None:
@@ -356,11 +342,14 @@ class CampaignRunner:
                 result = None
                 if record.payload is not None:
                     # Resumed entries are re-saved too, so a resumed
-                    # campaign leaves byte-identical artifacts.
+                    # campaign leaves byte-identical artifacts.  The
+                    # artifact is the journaled payload itself, written
+                    # once it has decoded.
                     result = result_from_dict(record.payload)
                     if self.results_dir is not None:
-                        save_result(
-                            result, self.results_dir / f"{entry.entry_id}.json"
+                        atomic_write_json(
+                            self.results_dir / f"{entry.entry_id}.json",
+                            record.payload,
                         )
                 status = record.status
                 if resumed and status != "timed-out":

@@ -5,8 +5,8 @@ runner — must never block forever on an external party: every socket,
 subprocess, queue, lock, and thread interaction needs an explicit
 timeout, or one stuck peer wedges the whole process and the deadline
 budgets above it become fiction.  This is the micro-level twin of the
-service's bulkhead contract (a bounded queue refuses instead of waiting
-unboundedly).
+service's admission contract (over capacity, a request is shed at once
+instead of waiting unboundedly).
 
 The rule flags, inside the scoped paths:
 

@@ -12,9 +12,10 @@ recovery for real.  A runtime not handed a trace records a private one; a
 shared trace lives as long as its owner.  Owners hold their traces in a
 :class:`KernelBook`, one ``(dataset, trace)`` pair per (workload, dataset
 seed, size label): a ``run_grid_experiment`` call (its own book unless
-handed one), a serial campaign run (one book for all its entries, which
-drops a workload's pairs once no later entry names it, and goes when the
-run returns) and a ``GridBroker`` (one book for its lifetime).
+handed one), a serial campaign run (one book for all its entries and
+their retries, which drops a workload's pairs once no later entry names
+it, and goes when the run returns) and a ``GridBroker`` (one book for its
+lifetime).
 
 A pass is recorded by one ``process_chunk`` call per chunk, unless the
 application defines a batched kernel, ``process_pass(dataset)``, and the
@@ -157,6 +158,8 @@ class KernelTrace:
                 objects.append(piece)
                 ops[chunk] = counter.drain()
         recorded = PassPieces(objects, ops, app.make_local_object())
+        # Appended only whole: an execution abandoned inside this pass (a
+        # campaign deadline raising into it) leaves the trace as it was.
         self.passes.append(recorded)
         return recorded
 
@@ -201,6 +204,8 @@ class KernelBook:
         key = (workload.name, workload.seed, size_label)
         pair = self._pairs.get(key)
         if pair is None:
+            # Stored only once ``make_dataset`` returns, so an execution
+            # abandoned while it builds leaves no half pair behind.
             pair = self._pairs[key] = (
                 workload.make_dataset(size_label),
                 KernelTrace(),

@@ -7,7 +7,7 @@ not — overload, slow backends, crashing backends, corrupt responses.
 This package is that service, resilience-first (DESIGN.md §15):
 
 - :mod:`repro.service.app` — the four endpoints behind one pipeline:
-  admission → deadline budget → bulkhead → circuit breaker → graceful
+  admission → deadline budget → circuit breaker → graceful
   degradation.
 - :mod:`repro.service.resilience` — the pipeline's primitives, its
   constants, and ``ResilienceConfig`` (admission, the one caller-set
@@ -51,14 +51,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "AdmissionError",
             "BackendCrashError",
             "BackendError",
-            "BulkheadFullError",
             "CircuitOpenError",
             "CorruptResponseError",
             "ServiceError",
         ),
         "repro.service.resilience": (
-            "Bulkhead",
-            "BulkheadConfig",
             "BreakerBank",
             "BreakerState",
             "CircuitBreaker",

@@ -7,10 +7,9 @@ long-running shared service — ``predict``, ``what-if`` and
 
     admission (token bucket, 429 + Retry-After)
       → deadline budget (absolute, checked by every later stage)
-        → bulkhead (per-endpoint worker pool, 503 when full)
-          → circuit breaker (per (app, cluster), around evaluation)
-            → backend evaluation (bounded retries within the budget)
-              → graceful degradation (last-known-good, marked stale)
+        → circuit breaker (per (app, cluster), around evaluation; 503)
+          → backend evaluation (bounded retries within the budget)
+            → graceful degradation (last-known-good, marked stale)
 
 The service's contract, checked by the chaos harness
 (:mod:`repro.faults.chaos`):
@@ -23,9 +22,9 @@ The service's contract, checked by the chaos harness
 - the entire request log replays byte-identically for the same
   ``(seed, scenario)`` pair under a :class:`VirtualClock`.
 
-``broker-submit`` is the fourth endpoint class: it keeps its bulkhead
-and its share of the seeded request mix, and is answered
-``501 unconfigured`` because no broker runs behind this service.
+``broker-submit`` is the fourth endpoint class: it keeps its share of
+the seeded request mix, and is answered ``501 unconfigured`` because no
+broker runs behind this service.
 
 The service itself is single-threaded and deterministic; the HTTP
 shell (:mod:`repro.service.http`) serializes real concurrent
@@ -53,22 +52,15 @@ from repro.errors import InternalError
 from repro.middleware.scheduler import RunConfig
 from repro.service.backends import ServiceBackend
 from repro.service.clock import ServiceClock, VirtualClock
-from repro.service.errors import (
-    AdmissionError,
-    BackendError,
-    BulkheadFullError,
-    CircuitOpenError,
-)
+from repro.service.errors import AdmissionError, BackendError, CircuitOpenError
 from repro.service.resilience import (
     BREAKER_COOLDOWN,
     BREAKER_FAILURE_THRESHOLD,
-    BULKHEADS,
     DEFAULT_DEADLINE_S,
     DEGRADED_COST_S,
     RETRY,
     BreakerBank,
     BreakerState,
-    Bulkhead,
     DeadlineBudget,
     ResilienceConfig,
     TokenBucket,
@@ -87,7 +79,7 @@ __all__ = [
     "serve_sequence",
 ]
 
-#: The service's endpoint classes, each with its own bulkhead.
+#: The service's endpoint classes.
 ENDPOINTS = ("predict", "what-if", "broker-submit", "campaign-status")
 
 _LOG_FORMAT_VERSION = 1
@@ -290,9 +282,6 @@ class PredictionService:
         self.bucket = TokenBucket(
             self.config.admission_rate, self.config.admission_burst
         )
-        self.bulkheads: Dict[str, Bulkhead] = {
-            endpoint: Bulkhead(BULKHEADS[endpoint]) for endpoint in ENDPOINTS
-        }
         self.breakers = BreakerBank(BREAKER_FAILURE_THRESHOLD, BREAKER_COOLDOWN)
         self._models: Dict[str, PredictionModel] = {}
         # Request-invariant, so computed here and never per request: the
@@ -426,7 +415,7 @@ class PredictionService:
         *,
         breaker_key: Optional[Tuple[str, str]] = None,
     ) -> ServiceResponse:
-        """The bulkhead → breaker → retry → degrade tail of the pipeline.
+        """The breaker → retry → degrade tail of the pipeline.
 
         ``call`` performs one backend attempt and returns
         ``(payload, cost_s)``; failures raise
@@ -438,16 +427,9 @@ class PredictionService:
         the retry check adds stay prices on both — conservative upper
         bounds for the admission checks.
         """
-        bulkhead = self.bulkheads[request.endpoint]
-        try:
-            start = bulkhead.reserve(arrival)
-        except BulkheadFullError as exc:
-            return self._degrade(
-                request, arrival, fingerprint, "bulkhead-full", 503, str(exc)
-            )
-        # Refuse before burning a worker when even a clean attempt
-        # cannot finish inside the budget (queue wait included).
-        if not budget.allows(start, estimated_cost_s):
+        # Refuse before calling the backend when even a clean attempt
+        # cannot finish inside the budget.
+        if not budget.allows(arrival, estimated_cost_s):
             return self._degrade(
                 request, arrival, fingerprint, "deadline", 504,
                 f"deadline budget of {budget.deadline_s - arrival:.6f}s "
@@ -474,7 +456,7 @@ class PredictionService:
             except BackendError as exc:
                 spent += self.clock.charge(exc.cost_s, began)
                 if breaker is not None:
-                    breaker.record_failure(min(start + spent, budget.deadline_s))
+                    breaker.record_failure(min(arrival + spent, budget.deadline_s))
                 backoff = RETRY.backoff_s(attempt)
                 can_retry = (
                     attempt < RETRY.max_attempts
@@ -484,28 +466,25 @@ class PredictionService:
                     # transition) rather than merely ask.
                     and (breaker is None or breaker.state is BreakerState.CLOSED)
                     and budget.allows(
-                        start, spent + backoff + estimated_cost_s
+                        arrival, spent + backoff + estimated_cost_s
                     )
                 )
                 if can_retry:
                     spent += self.clock.charge(backoff, self.clock.now())
                     retries += 1
                     continue
-                bulkhead.commit(min(start + spent, budget.deadline_s))
                 return self._degrade(
                     request, arrival, fingerprint, "backend-error", 500,
                     f"backend failed after {attempt} attempt(s): {exc}",
-                    at_s=min(start + spent, budget.deadline_s),
+                    at_s=min(arrival + spent, budget.deadline_s),
                     retries=retries,
                 )
             spent += self.clock.charge(cost, began)
-            end = start + spent
+            end = arrival + spent
             if end > budget.deadline_s:
                 # The work finished, but past the deadline: the call is
-                # abandoned at the deadline (the client is gone).  The
-                # worker time until the deadline is still charged, and
+                # abandoned at the deadline (the client is gone), and
                 # the breaker counts the timeout as a failure.
-                bulkhead.commit(budget.deadline_s)
                 if breaker is not None:
                     breaker.record_failure(budget.deadline_s)
                 return self._degrade(
@@ -514,7 +493,6 @@ class PredictionService:
                     at_s=budget.deadline_s,
                     retries=retries,
                 )
-            bulkhead.commit(end)
             if breaker is not None:
                 breaker.record_success(end)
             self.cache.put(fingerprint, payload, end)
@@ -785,13 +763,6 @@ class PredictionService:
         out["admission"] = {
             "admitted": self.bucket.admitted,
             "shed": self.bucket.shed,
-        }
-        out["bulkheads"] = {
-            endpoint: {
-                "refused": self.bulkheads[endpoint].refused,
-                "peak_queue": self.bulkheads[endpoint].peak_queue,
-            }
-            for endpoint in sorted(self.bulkheads)
         }
         out["breakers"] = {
             "opens": self.breakers.total_opens(),

@@ -49,10 +49,10 @@ class ServiceCostModel:
 
     The price list of simulated time — the service analogue of the
     simulator's per-chunk costs.  Under a ``VirtualClock`` an attempt is
-    charged its price, so bulkhead queues and deadline budgets are
-    evaluated against these; under a ``MonotonicClock`` an attempt is
-    charged the time it took and a price is only the pre-admission
-    estimate, a conservative upper bound (DESIGN.md §15).
+    charged its price, so deadline budgets are evaluated against these;
+    under a ``MonotonicClock`` an attempt is charged the time it took
+    and a price is only the pre-admission estimate, a conservative upper
+    bound (DESIGN.md §15).
     """
 
     predict_s: float = 0.004

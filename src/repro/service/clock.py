@@ -21,8 +21,7 @@ the latency invariant ("settled latency stays under the declared
 deadline + ε") is checked against in every seeded scenario.  Under
 :class:`MonotonicClock` the charge is *measured*: the time the attempt
 really took, and ≈ 0 for a backoff, because nothing in the service ever
-sleeps.  Every booked end is then in the past, so on the real clock a
-bulkhead never queues.
+sleeps.
 """
 
 from __future__ import annotations

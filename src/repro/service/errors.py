@@ -14,7 +14,6 @@ from repro.errors import ReproError
 __all__ = [
     "ServiceError",
     "AdmissionError",
-    "BulkheadFullError",
     "CircuitOpenError",
     "BackendError",
     "BackendCrashError",
@@ -36,10 +35,6 @@ class AdmissionError(ServiceError):
     def __init__(self, message: str, retry_after_s: float) -> None:
         super().__init__(message)
         self.retry_after_s = retry_after_s
-
-
-class BulkheadFullError(ServiceError):
-    """The endpoint's worker pool and its wait queue are full (HTTP 503)."""
 
 
 class CircuitOpenError(ServiceError):

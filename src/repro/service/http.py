@@ -21,9 +21,9 @@ Routes::
     GET  /v1/healthz
 
 Responses carry the pipeline's verdict: 200 (fresh or ``stale: true``),
-429 with ``Retry-After`` (shed), 503 (bulkhead full / breaker open),
-504 (deadline unmeetable), 400/404 (client errors), 500 (a handler bug:
-answered, never a silent EOF).  Every body is one line of compact
+429 with ``Retry-After`` (shed), 503 (breaker open), 504 (deadline
+unmeetable), 400/404 (client errors), 500 (a handler bug: answered,
+never a silent EOF).  Every body is one line of compact
 sorted-key JSON (:func:`~repro.core.durable.compact_json`), framing
 errors included.  The server keeps the connection alive
 (pipelined requests are answered in order) except after a 500 or a

@@ -1,27 +1,22 @@
-"""Resilience primitives: admission → deadline → bulkhead → breaker.
+"""Resilience primitives: admission → deadline → breaker.
 
 The service wraps every request in this pipeline (DESIGN.md §15):
 
 1. :class:`TokenBucket` — admission control.  Over any window the
    service accepts at most ``burst + rate·window`` requests; the rest
    are *shed* with a deterministic ``Retry-After`` hint (HTTP 429).
-   Shedding early is the cheapest possible failure: no worker time, no
-   backend call, no queue growth.
+   Shedding early is the cheapest possible failure: no backend call,
+   no queue growth.  Admission is the only stage that sheds overload.
 2. :class:`DeadlineBudget` — the request's absolute deadline, which
    every later stage of the same request checks its work against.
-3. :class:`Bulkhead` — a bounded worker pool per endpoint class with a
-   bounded FIFO wait queue, modeled in the service clock's time.  One slow
-   endpoint (a long what-if sweep) can exhaust only its own pool; predict
-   traffic keeps flowing.  A full pool+queue refuses (HTTP 503) instead
-   of queueing unboundedly — the REP009 contract at the architecture
-   level.
-4. :class:`CircuitBreaker` — per-(app, cluster) failure isolation
+3. :class:`CircuitBreaker` — per-(app, cluster) failure isolation
    around predictor evaluation.  Repeated backend failures open the
    circuit; while open, requests go straight to degraded mode (cached
-   prediction marked stale) without burning a worker on a doomed call.
-   After a cool-down (reusing :class:`~repro.faults.retry.RetryPolicy`
-   backoff, escalating with consecutive opens) one half-open probe is
-   admitted; success closes the circuit, failure re-opens it.
+   prediction marked stale, else HTTP 503) without a doomed backend
+   call.  After a cool-down (reusing
+   :class:`~repro.faults.retry.RetryPolicy` backoff, escalating with
+   consecutive opens) one half-open probe is admitted; success closes
+   the circuit, failure re-opens it.
 
 Everything is deterministic given request arrival times: no threads, no
 sleeps, no host clock — so the chaos harness can replay a scenario and
@@ -36,18 +31,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.faults.retry import RetryPolicy
-from repro.service.errors import (
-    AdmissionError,
-    BulkheadFullError,
-    CircuitOpenError,
-)
+from repro.service.errors import AdmissionError, CircuitOpenError
 from repro.simgrid.errors import ConfigurationError
 
 __all__ = [
     "DeadlineBudget",
     "TokenBucket",
-    "BulkheadConfig",
-    "Bulkhead",
     "BreakerState",
     "BreakerTransition",
     "CircuitBreaker",
@@ -134,77 +123,6 @@ class TokenBucket:
             f"{retry_after:.6f}s",
             retry_after_s=retry_after,
         )
-
-
-# ----------------------------------------------------------------------
-# Bulkheads
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BulkheadConfig:
-    """Size of one endpoint class's isolated worker pool."""
-
-    workers: int = 4
-    queue_depth: int = 16
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError("bulkhead needs at least one worker")
-        if self.queue_depth < 0:
-            raise ConfigurationError("bulkhead queue depth must be >= 0")
-
-
-class Bulkhead:
-    """A bounded worker pool in the service clock's time.
-
-    No thread waits here: the pool is bookkeeping over the *end times*
-    of all admitted work, which are priced under a virtual clock and
-    measured under a real one (where work serialized by the HTTP
-    gateway's mutex never overlaps, so the pool is idle).  A new request
-    at ``now`` starts immediately if a worker is free, otherwise queues
-    FIFO behind the in-flight work; when pool + queue are full it is
-    refused outright.  :meth:`reserve` answers "when would this start?"
-    without committing, so the caller can first check the request's
-    deadline; :meth:`commit` then books the work.
-    """
-
-    def __init__(self, config: BulkheadConfig) -> None:
-        self.config = config
-        self._ends: List[float] = []
-        self.refused = 0
-        self.peak_queue = 0
-
-    def _prune(self, now: float) -> None:
-        self._ends = [end for end in self._ends if end > now]
-
-    def reserve(self, now: float) -> float:
-        """Earliest start time for new work arriving at ``now``.
-
-        Raises :class:`BulkheadFullError` when the pool and its queue
-        are both full — the refusal that keeps one endpoint class from
-        starving the others.
-        """
-        self._prune(now)
-        waiting = len(self._ends) - self.config.workers
-        if waiting >= self.config.queue_depth:
-            self.refused += 1
-            raise BulkheadFullError(
-                f"bulkhead full at t={now:.6f}: {self.config.workers} "
-                f"worker(s) busy and {waiting} request(s) queued "
-                f"(depth {self.config.queue_depth})"
-            )
-        self.peak_queue = max(self.peak_queue, max(0, waiting + 1))
-        if len(self._ends) < self.config.workers:
-            return now
-        # FIFO behind current work: the new request starts when enough
-        # earlier work has drained that a worker frees up for it.
-        ordered = sorted(self._ends)
-        return ordered[len(ordered) - self.config.workers]
-
-    def commit(self, end_s: float) -> None:
-        """Book admitted work that will occupy a worker until ``end_s``."""
-        self._ends.append(end_s)
 
 
 # ----------------------------------------------------------------------
@@ -363,14 +281,6 @@ class BreakerBank:
 # Configuration
 # ----------------------------------------------------------------------
 
-
-#: Worker pool and wait queue per endpoint class.
-BULKHEADS = {
-    "predict": BulkheadConfig(workers=4, queue_depth=16),
-    "what-if": BulkheadConfig(workers=2, queue_depth=8),
-    "broker-submit": BulkheadConfig(workers=1, queue_depth=2),
-    "campaign-status": BulkheadConfig(workers=2, queue_depth=8),
-}
 
 #: Budget for a request that does not declare its own ``deadline_s``.
 DEFAULT_DEADLINE_S = 0.25

@@ -27,6 +27,7 @@ from repro.campaign import (
 from repro.campaign import runner as runner_module
 from repro.errors import CampaignError
 from repro.faults import RetryPolicy
+from repro.middleware import kernels as kernels_module
 from repro.workloads.experiments import run_experiment, run_fault_scenario
 from repro.workloads.registry import WorkloadSpec
 
@@ -352,8 +353,8 @@ class TestClaimChecking:
 
 
 class TestOneBookPerRun:
-    """Entries share the run's datasets and kernel traces; an attempt
-    that raised leaves a fresh book behind it."""
+    """Entries share the run's datasets and kernel traces, and so do the
+    retries of an attempt that raised."""
 
     def test_defect_campaign_records_its_dataset_once(
         self, tmp_path, kernel_calls, monkeypatch
@@ -413,57 +414,82 @@ class TestOneBookPerRun:
             standalone.read_bytes()
         )
 
-    def test_retry_after_timeout_never_gets_the_abandoned_book(
-        self, tmp_path, monkeypatch
-    ):
-        """fig04's first attempt hangs past its deadline holding the
-        run's book; the retry and the next entry get another book and
-        save the bytes a standalone ``run_experiment`` saves."""
-        ids = ["fig04", "fig09"]
-        fresh = tmp_path / "fresh"
-        for entry_id in ids:
-            save_result(
-                run_experiment(entry_id, fast=True), fresh / f"{entry_id}.json"
-            )
-        real = runner_module.run_grid_experiment
-        books = []
-        release = threading.Event()
+    def test_a_timeout_in_pass_two_keeps_the_book(self, tmp_path, monkeypatch):
+        """fig02's first attempt times out inside k-means' second pass,
+        after that pass's kernels ran and before its trace stored it.  The
+        retry and the next entry use the same book, so each dataset is
+        built once, and both save the bytes an uninterrupted run saves."""
+        built = []
+        make_dataset = WorkloadSpec.make_dataset
 
-        def first_attempt_hangs(spec, fast, book):
+        def counted(spec, size_label=None):
+            built.append((spec.name, size_label))
+            return make_dataset(spec, size_label)
+
+        monkeypatch.setattr(WorkloadSpec, "make_dataset", counted)
+        books = []
+        real = runner_module.run_grid_experiment
+
+        def spied(spec, fast, book):
             books.append(book)
-            if len(books) == 1:
-                release.wait(30.0)
             return real(spec, fast, book)
 
-        monkeypatch.setattr(
-            runner_module, "run_grid_experiment", first_attempt_hangs
-        )
-        manifest = CampaignManifest(
-            name="abandoned-attempt",
-            entries=(
-                CampaignEntry("fig04", fast=True, deadline_s=1.0),
-                CampaignEntry("fig09", fast=True),
-            ),
-        )
-        try:
-            report = CampaignRunner(
+        monkeypatch.setattr(runner_module, "run_grid_experiment", spied)
+
+        def run(subdir):
+            manifest = CampaignManifest(
+                name="pass-two",
+                entries=(
+                    CampaignEntry("fig02", fast=True, deadline_s=1.0),
+                    CampaignEntry("fig11", fast=True),
+                ),
+            )
+            return CampaignRunner(
                 manifest,
-                tmp_path / "journal",
+                tmp_path / subdir / "journal",
                 retry_policy=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
-                results_dir=tmp_path / "results",
+                results_dir=tmp_path / subdir / "results",
                 handle_signals=False,
             ).run()
-        finally:
-            release.set()
-        assert report.exit_code == EXIT_OK
-        assert report.outcome("fig04").status == "retried"
-        abandoned, retry, next_entry = books
-        assert retry is not abandoned and next_entry is not abandoned
-        assert next_entry is retry
-        for entry_id in ids:
-            name = f"{entry_id}.json"
-            assert (tmp_path / "results" / name).read_bytes() == (
-                fresh / name
+
+        assert run("plain").outcome("fig02").status == "completed"
+        plain_built = list(built)
+        assert len(set(plain_built)) == len(plain_built)
+        built.clear()
+        books.clear()
+        real_pieces = kernels_module.KernelTrace.pieces
+        real_pass = kernels_module.PassPieces
+        recording = []
+        hung = []
+
+        def pieces(trace, app, dataset, pass_index):
+            if pass_index == len(trace.passes):
+                recording.append((app.name, pass_index))
+            return real_pieces(trace, app, dataset, pass_index)
+
+        def hangs_in_pass_two(objects, ops, zero):
+            recorded = real_pass(objects, ops, zero)
+            if not hung and recording[-1] == ("kmeans", 1):
+                hung.append(recording[-1])
+                for _ in range(3000):  # the 1 s deadline raises into a sleep
+                    time.sleep(0.01)
+            return recorded
+
+        monkeypatch.setattr(kernels_module.KernelTrace, "pieces", pieces)
+        monkeypatch.setattr(kernels_module, "PassPieces", hangs_in_pass_two)
+        report = run("timed-out")
+        assert hung == [("kmeans", 1)]
+        # The retry records k-means' second pass again, not its first.
+        assert recording.count(("kmeans", 0)) == 1
+        assert recording.count(("kmeans", 1)) == 2
+        assert report.outcome("fig02").status == "retried"
+        assert report.outcome("fig11").status == "completed"
+        first, retry, next_entry = books
+        assert first is retry is next_entry
+        assert built == plain_built
+        for name in ("fig02.json", "fig11.json"):
+            assert (tmp_path / "timed-out" / "results" / name).read_bytes() == (
+                tmp_path / "plain" / "results" / name
             ).read_bytes()
 
     def test_the_book_drops_workloads_no_later_entry_names(

@@ -17,7 +17,6 @@ from repro.service import (
 )
 from repro.service.resilience import (
     BREAKER_FAILURE_THRESHOLD,
-    BULKHEADS,
     DEADLINE_EPSILON_S,
     BreakerState,
 )
@@ -209,26 +208,15 @@ class TestResiliencePaths:
         assert probe.outcome == "ok"
         assert breaker.state is BreakerState.CLOSED
 
-    def test_bulkhead_refusal_isolated_per_endpoint(self, service):
-        pool = BULKHEADS["predict"]
-        capacity = pool.workers + pool.queue_depth  # 4 + 16
+    def test_simultaneous_arrivals_each_settle_at_their_price(self, service):
+        """Admission alone sheds: five predicts admitted at one instant
+        each settle at their arrival plus their price."""
+        price = service.backend.cost_model.predict_s
         burst = [
-            service.handle(predict_request(f"r{i}", 0.0, deadline_s=10.0))
-            for i in range(capacity + 1)
+            service.handle(predict_request(f"r{i}", 1.0)) for i in range(5)
         ]
-        assert {r.outcome for r in burst[:capacity]} == {"ok"}
-        # Arrives while every worker is busy and the queue is full.
-        assert burst[-1].outcome == "stale"
-        assert burst[-1].body["degraded_reason"] == "bulkhead-full"
-        assert service.bulkheads["predict"].refused == 1
-        # Other endpoint classes keep their own pools.
-        whatif = service.handle(
-            ServiceRequest(
-                "w1", "what-if", {"profile": "kmeans", "pairs": [[1, 2]]},
-                arrival_s=0.0,
-            )
-        )
-        assert whatif.outcome == "ok"
+        assert [r.outcome for r in burst] == ["ok"] * 5
+        assert [r.settled_s for r in burst] == [1.0 + price] * 5
 
     def test_corrupt_response_never_served_or_cached(self, profiles):
         service = PredictionService(

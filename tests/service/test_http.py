@@ -502,7 +502,7 @@ class TestThreadedServer:
     @pytest.mark.parametrize(
         "live_service",
         # No 429s (and the clients send a deadline no scheduler stall on
-        # a shared box reaches): the subject is the default bulkheads.
+        # a shared box reaches): the subject is what stays behind admission.
         [{"config": ResilienceConfig(admission_rate=1.0e6, admission_burst=64.0)}],
         indirect=True,
         ids=["admission-raised"],
@@ -511,8 +511,8 @@ class TestThreadedServer:
         self, live_server, live_service
     ):
         """ROADMAP 5(a): more than two connections, admission out of the
-        way, default bulkheads.  Behind the gateway's one mutex real work
-        never overlaps, so nothing is stale and nothing is refused."""
+        way.  Behind the gateway's one mutex real work never overlaps, so
+        nothing is stale and nothing is refused."""
         service = live_service
         host, port = live_server.server_address[:2]
         pairs = [(d, c) for d in (1, 2, 4) for c in (d, 2 * d, 4 * d)]
@@ -570,7 +570,6 @@ class TestThreadedServer:
         assert verify_service_log(service, submitted) == []
         bound = 10.0 + DEADLINE_EPSILON_S
         assert all(body["latency_s"] <= bound for _, _, _, body in answered)
-        assert [b.refused for b in service.bulkheads.values()] == [0, 0, 0, 0]
 
     def test_concurrent_keep_alive_load_settles_exactly_once(
         self, live_server, live_service
@@ -657,8 +656,7 @@ class TestLiveChaos:
         self, live_server, live_service
     ):
         """The chaos invariants over real sockets, threads and time: the
-        log verifies, every 429 says when to retry, a breaker opens, and
-        the serialized bulkheads never queue or refuse."""
+        log verifies, every 429 says when to retry, and a breaker opens."""
         host, port = live_server.server_address[:2]
         pairs = [(d, c) for d in (1, 2, 4) for c in (d, 2 * d, 4 * d)]
         replies = [[] for _ in range(4)]
@@ -721,6 +719,3 @@ class TestLiveChaos:
         )
         assert service.breakers.total_opens() >= 1
         assert all(service.backend.injector.injected.values())  # all three kinds
-        assert [
-            (b.refused, b.peak_queue) for b in service.bulkheads.values()
-        ] == [(0, 0)] * 4

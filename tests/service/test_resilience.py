@@ -7,9 +7,6 @@ import pytest
 from repro.faults.retry import RetryPolicy
 from repro.service import (
     AdmissionError,
-    Bulkhead,
-    BulkheadConfig,
-    BulkheadFullError,
     BreakerState,
     CircuitBreaker,
     CircuitOpenError,
@@ -67,37 +64,6 @@ class TestTokenBucket:
             bucket.admit(0.0)
         # Waiting exactly the advertised hint earns admission.
         bucket.admit(0.0 + excinfo.value.retry_after_s)
-
-
-class TestBulkhead:
-    def test_free_worker_starts_now(self):
-        bulkhead = Bulkhead(BulkheadConfig(workers=2, queue_depth=2))
-        assert bulkhead.reserve(1.0) == 1.0
-        bulkhead.commit(2.0)
-        assert bulkhead.reserve(1.0) == 1.0
-
-    def test_fifo_queueing_behind_busy_workers(self):
-        bulkhead = Bulkhead(BulkheadConfig(workers=1, queue_depth=2))
-        bulkhead.commit(5.0)  # worker busy until t=5
-        start = bulkhead.reserve(1.0)
-        assert start == 5.0
-        bulkhead.commit(7.0)
-        assert bulkhead.reserve(1.0) == 7.0
-
-    def test_full_pool_refuses(self):
-        bulkhead = Bulkhead(BulkheadConfig(workers=1, queue_depth=1))
-        bulkhead.commit(5.0)
-        bulkhead.commit(6.0)  # one queued
-        with pytest.raises(BulkheadFullError):
-            bulkhead.reserve(0.0)
-        assert bulkhead.refused == 1
-
-    def test_finished_work_frees_slots(self):
-        bulkhead = Bulkhead(BulkheadConfig(workers=1, queue_depth=0))
-        bulkhead.commit(5.0)
-        with pytest.raises(BulkheadFullError):
-            bulkhead.reserve(4.9)
-        assert bulkhead.reserve(5.1) == 5.1
 
 
 class TestCircuitBreaker:

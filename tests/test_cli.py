@@ -743,7 +743,7 @@ class TestServe:
         assert capsys.readouterr().out == first
 
     def test_smoke_output_is_the_parent_commits(self, capsys):
-        """Virtual time did not move: stdout at 571355b, byte for byte."""
+        """Virtual time did not move: stdout, byte for byte."""
         assert main(["serve", "--requests", "200", "--seed", "1"]) == 0
         golden = GOLDENS / "serve_smoke_seed1.txt"
         assert capsys.readouterr().out == golden.read_text()

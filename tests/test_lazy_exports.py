@@ -135,8 +135,7 @@ PARENT_ALL = {
     """,
     "repro.service": """
         AdmissionError BackendCrashError BackendError BackendFaultSpec
-        BreakerBank BreakerState Bulkhead BulkheadConfig
-        BulkheadFullError CircuitBreaker CircuitOpenError
+        BreakerBank BreakerState CircuitBreaker CircuitOpenError
         CorruptResponseError DeadlineBudget ENDPOINTS MonotonicClock
         PredictionService RequestLog RequestMix RequestRecord
         ResilienceConfig ServiceBackend ServiceClock ServiceCostModel
