@@ -5,14 +5,23 @@ the header (``format_version``, ``campaign``, ``manifest_sha256``),
 written atomically (temp file + fsync + rename, :mod:`repro.core.durable`);
 every settled entry is then **one appended line**, encoded once and
 fsynced before ``commit`` returns, so a commit costs what it adds and no
-earlier record is ever re-encoded or rewritten.  A process killed at any
+earlier record is ever re-encoded or rewritten.  The journal is opened
+for appending once, at its first commit, and that one held
+:class:`~repro.core.durable.DurableAppender` takes every later commit:
+one write and one ``fsync`` each, no reopen.  :meth:`CampaignJournal.close`
+releases it.  A process killed at any
 byte leaves every complete line plus at most a fragment of the one
 commit that was never acknowledged.  The reader drops that fragment —
 ``--resume`` re-runs its entry, deterministically, so the drop cannot
 change a result — and the first commit after such a load rewrites the
-file atomically without it, then appends.  Formats 1 (one document)
-and 2 (lines, indented-JSON digests) are read, their digests checked
-their way, and upgraded to format 3 by that same rewrite.
+file atomically without it, then opens the appender on the new file.
+Formats 1 (one document) and 2 (lines, indented-JSON digests) are
+read, their digests checked their way, and upgraded to format 3 by
+that same rewrite.
+
+The journal is the campaign's only durable write: the result artifacts
+a run leaves are rebuildable copies of its payloads, which ``--resume``
+rewrites.
 
 :meth:`CampaignJournal.load` never writes (``campaign-status`` calls it
 while a campaign may be appending) and trusts nothing:
@@ -36,7 +45,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.durable import (
     CorruptStoreError,
-    append_text,
+    DurableAppender,
     atomic_write_text,
     check_format_version,
     compact_json,
@@ -148,6 +157,9 @@ class CampaignJournal:
         self._records: Dict[str, JournalRecord] = {}
         #: ``load`` saw a torn tail or an older format: rewrite, then append.
         self._stale = False
+        #: Opened by the first commit, after any rewrite: a rewrite
+        #: replaces the file, and a handle stays on the inode it opened.
+        self._appender: Optional[DurableAppender] = None
 
     @property
     def exists(self) -> bool:
@@ -182,7 +194,7 @@ class CampaignJournal:
         self.campaign = campaign
         self.fingerprint = fingerprint
         self._records = {}
-        atomic_write_text(self.path, self._header_line())
+        self._rewrite(self._header_line())
 
     def load(
         self, expected_fingerprint: Optional[str] = None, *,
@@ -247,7 +259,8 @@ class CampaignJournal:
         return self.records
 
     def commit(self, record: JournalRecord) -> None:
-        """Durably append one settled entry: one line, one ``fsync``."""
+        """Durably append one settled entry: one line, one ``fsync``,
+        through the handle the first commit opened."""
         if self.fingerprint is None:
             raise CampaignError(
                 "journal must be initialized or loaded with its fingerprint first"
@@ -258,11 +271,31 @@ class CampaignJournal:
             )
         line = _record_line(record)
         if self._stale:
-            atomic_write_text(
-                self.path,
+            self._rewrite(
                 self._header_line()
-                + "".join(_record_line(r) for r in self._records.values()),
+                + "".join(_record_line(r) for r in self._records.values())
             )
             self._stale = False
-        append_text(self.path, line)
+        if self._appender is None:
+            self._appender = DurableAppender(self.path)
+        try:
+            self._appender.append(line)
+        except BaseException:
+            # Part of the line may be on disk or still in the handle's
+            # buffer: drop the handle, and the next commit rewrites the
+            # file without it.
+            self.close()
+            self._stale = True
+            raise
         self._records[record.entry_id] = record
+
+    def close(self) -> None:
+        """Release the append handle; the next commit opens a new one."""
+        if self._appender is not None:
+            self._appender.close()
+            self._appender = None
+
+    def _rewrite(self, text: str) -> None:
+        """Atomically replace the file, closing the handle on the old one."""
+        self.close()
+        atomic_write_text(self.path, text)

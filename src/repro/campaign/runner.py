@@ -18,7 +18,8 @@ installed).  Every attempt runs on the thread that called
    ``ITIMER_REAL`` (the watchdog owns it only while a deadline attempt
    runs), and an attempt can overrun its deadline by at most the
    longest single C call it makes.  :func:`execute_entry` returns a
-   :class:`~repro.campaign.journal.JournalRecord` and touches no file.
+   :class:`~repro.campaign.journal.JournalRecord` with the result it
+   encoded, and touches no file.
    Every entry takes its datasets and kernel traces from the run's one
    book (a dataset is built and its kernels recorded once per run),
    retries included: an attempt that raised leaves the book whole,
@@ -26,14 +27,19 @@ installed).  Every attempt runs on the thread that called
    a pass only once all its kernels ran.
 2. **Durability.**  :meth:`CampaignRunner.run` settles records strictly
    in manifest order: each is committed to the
-   :class:`~repro.campaign.journal.CampaignJournal` (one line, append +
-   fsync), then its result artifact is written (atomic
-   write-then-rename), *before* the next entry runs.  A killed process
+   :class:`~repro.campaign.journal.CampaignJournal` (one line through
+   the journal's one held append handle, one ``fsync``), then its
+   result artifact is written (write-then-rename, no ``fsync``),
+   *before* the next entry runs.  The journal is the only durable
+   write: an artifact is a rebuildable copy of the journaled payload
+   and never becomes durable by itself, so after an OS crash a
+   ``resume=True`` run (``--resume``) rewrites it.  A killed process
    loses at most the entry that was running — a commit cut short
    mid-line counts as never made; a ``resume=True`` run restores
-   journaled entries without re-running them and produces results
-   byte-identical to an uninterrupted run (experiment drivers are
-   deterministic and the serialization is canonical).
+   journaled entries without re-running them, re-saves every artifact
+   from the journal, and produces results byte-identical to an
+   uninterrupted run (experiment drivers are deterministic and the
+   serialization is canonical).
 3. **Graceful interruption.**  SIGINT/SIGTERM set a stop flag.  While
    an attempt runs, the handler also raises
    :class:`~repro.campaign.watchdog.CampaignInterruptedError` into it,
@@ -53,11 +59,11 @@ import pathlib
 import signal
 import threading
 import time
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.analysis.expectations import EXPECTATIONS, check_expectation
 from repro.analysis.results_io import result_from_dict, result_to_dict
-from repro.core.durable import atomic_write_json
+from repro.core.durable import atomic_copy_json
 from repro.errors import CampaignError, InternalError
 from repro.faults.retry import WATCHDOG_RETRY_POLICY, RetryPolicy
 from repro.middleware.kernels import KernelBook
@@ -87,8 +93,9 @@ def execute_entry(
     *,
     run_inline: Callable[[Callable[[], ExperimentResult]], ExperimentResult],
     sleep: Callable[[float], None] = time.sleep,
-) -> Optional[JournalRecord]:
-    """Run one campaign entry's ``driver`` to a settled record.
+) -> Optional[Tuple[JournalRecord, Optional[ExperimentResult]]]:
+    """Run one campaign entry's ``driver`` to a settled record, paired
+    with the result its payload encodes (``None`` when it timed out).
 
     ``driver`` is the entry's experiment on the run's book, or the
     runner's ``registry`` override.  Each attempt runs on the calling
@@ -123,7 +130,7 @@ def execute_entry(
                 elapsed_s=time.perf_counter() - start,
                 payload=None,
                 violations=[str(exc)],
-            )
+            ), None
         elapsed = time.perf_counter() - start
         violations: List[str] = []
         if (
@@ -139,7 +146,7 @@ def execute_entry(
             elapsed_s=elapsed,
             payload=result_to_dict(result),
             violations=violations,
-        )
+        ), result
     raise InternalError("retry loop must settle or return")
 
 
@@ -159,9 +166,10 @@ class CampaignRunner:
         (:data:`~repro.faults.retry.WATCHDOG_RETRY_POLICY` by default).
     results_dir:
         When set, every productive entry's result is also saved as
-        ``<results_dir>/<entry_id>.json`` (atomically) — including
-        resumed entries, so a resumed campaign leaves byte-identical
-        artifacts.
+        ``<results_dir>/<entry_id>.json`` (atomically, not fsynced: a
+        rebuildable copy of the journaled payload) — including resumed
+        entries, so a resumed campaign leaves byte-identical artifacts
+        and rebuilds any an OS crash lost.
     registry:
         Test seam: per-entry-id callables that override the book-backed
         experiment drivers.
@@ -308,8 +316,12 @@ class CampaignRunner:
             for entry in self.manifest.entries:
                 record = journaled.get(entry.entry_id)
                 resumed = record is not None
-                if not resumed and not self._stop:
-                    record = execute_entry(
+                result = None
+                if resumed:
+                    if record.payload is not None:
+                        result = result_from_dict(record.payload)
+                elif not self._stop:
+                    settled = execute_entry(
                         entry,
                         self.registry.get(
                             entry.entry_id,
@@ -324,7 +336,8 @@ class CampaignRunner:
                         sleep=self._sleep,
                     )
                     book.retain(keep[entry.entry_id])
-                    if record is not None:
+                    if settled is not None:
+                        record, result = settled
                         journal.commit(record)
                 if record is None:
                     report.interrupted = True
@@ -339,18 +352,15 @@ class CampaignRunner:
                         )
                     )
                     continue
-                result = None
-                if record.payload is not None:
+                if record.payload is not None and self.results_dir is not None:
                     # Resumed entries are re-saved too, so a resumed
-                    # campaign leaves byte-identical artifacts.  The
-                    # artifact is the journaled payload itself, written
-                    # once it has decoded.
-                    result = result_from_dict(record.payload)
-                    if self.results_dir is not None:
-                        atomic_write_json(
-                            self.results_dir / f"{entry.entry_id}.json",
-                            record.payload,
-                        )
+                    # campaign leaves byte-identical artifacts and
+                    # rebuilds any an OS crash lost.  The artifact is
+                    # the journaled payload itself: a copy, not synced.
+                    atomic_copy_json(
+                        self.results_dir / f"{entry.entry_id}.json",
+                        record.payload,
+                    )
                 status = record.status
                 if resumed and status != "timed-out":
                     status = "resumed"
@@ -369,6 +379,7 @@ class CampaignRunner:
                         f"({outcome.elapsed_s:.1f}s)"
                     )
         finally:
+            journal.close()
             self._restore_signal_handlers(previous_handlers)
         report.signal_name = self._signal_name
         return report

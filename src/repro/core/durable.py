@@ -11,10 +11,17 @@ single place that guarantees it:
   A reader therefore sees either the complete old document or the
   complete new one, never a truncated hybrid — even if the process dies
   at any instruction in between.
-- :func:`append_text` appends, flushes, ``fsync``: nothing already in
-  the file is rewritten, so a commit costs what it adds.  A crash can
-  leave a *prefix* of the text as the file's tail; the one format that
-  appends (the campaign journal) frames lines so its reader drops it.
+- :func:`atomic_copy_json` is the same temp file and ``os.replace``
+  with neither ``fsync``: no reader ever sees a torn file, but an OS
+  crash may lose the write.  It is only for *rebuildable copies* — the
+  campaign's result artifacts, which never become durable by
+  themselves and which ``--resume`` rewrites from the journal.
+- :class:`DurableAppender` is one file held open for appending; each
+  :meth:`~DurableAppender.append` writes, flushes and calls ``fsync``,
+  so a commit costs what it adds and one ``fsync`` — no reopen.
+  Nothing already in the file is rewritten.  A crash can leave a
+  *prefix* of the text as the file's tail; the one format that appends
+  (the campaign journal) frames lines so its reader drops it.
 - :func:`read_json_document` turns an undecodable / truncated / tampered
   / non-object file into a :class:`CorruptStoreError` that names the
   path and tells the operator how to regenerate it, and an unrecognized
@@ -34,6 +41,8 @@ single place that guarantees it:
 ``core/store`` (profiles), ``analysis/results_io`` (experiment
 results) and ``campaign/journal`` (suite journals) all route their I/O
 through here, so every persistence path inherits the same guarantees.
+Every store is fully synced except the campaign's result artifacts
+(:func:`atomic_copy_json`), whose durable original is the journal.
 """
 
 from __future__ import annotations
@@ -56,7 +65,8 @@ __all__ = [
     "StoreWriteError",
     "atomic_write_text",
     "atomic_write_json",
-    "append_text",
+    "atomic_copy_json",
+    "DurableAppender",
     "canonical_json",
     "compact_json",
     "content_digest",
@@ -119,6 +129,36 @@ def atomic_write_text(
     returning, so a crash after this call cannot lose the write and a
     crash during it cannot corrupt an existing file.
     """
+    return _replace(path, text, sync=True)
+
+
+def atomic_write_json(path: str | pathlib.Path, data: Any) -> pathlib.Path:
+    """Durably replace ``path`` with :func:`canonical_json` of ``data``,
+    streamed: the encoder's chunks go to the file as they are made, so
+    the document is never one string in memory."""
+    return atomic_write_text(path, _document_chunks(data))
+
+
+def atomic_copy_json(path: str | pathlib.Path, data: Any) -> pathlib.Path:
+    """Atomically replace ``path`` with :func:`canonical_json` of ``data``,
+    without ``fsync``: a rebuildable copy of something already durable.
+
+    A reader sees the old file or the new one, never a torn hybrid, but
+    after an OS crash the new file may be missing or empty; the caller
+    owns the durable original it is rebuilt from.
+    """
+    return _replace(path, _document_chunks(data), sync=False)
+
+
+def _document_chunks(data: Any) -> Iterable[str]:
+    return itertools.chain(_DOCUMENT.iterencode(data), ("\n",))
+
+
+def _replace(
+    path: str | pathlib.Path, text: str | Iterable[str], sync: bool
+) -> pathlib.Path:
+    """Write a temp file beside ``path`` and rename it over ``path``,
+    fsyncing file and directory when ``sync``."""
     path = pathlib.Path(path)
     tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
     try:
@@ -128,8 +168,9 @@ def atomic_write_text(
                 handle.write(text)
             else:
                 handle.writelines(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if sync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         raise StoreWriteError(
@@ -142,31 +183,52 @@ def atomic_write_text(
             tmp.unlink(missing_ok=True)
         except OSError:
             pass
-    _fsync_directory(path.parent)
+    if sync:
+        _fsync_directory(path.parent)
     return path
 
 
-def atomic_write_json(path: str | pathlib.Path, data: Any) -> pathlib.Path:
-    """Durably replace ``path`` with :func:`canonical_json` of ``data``,
-    streamed: the encoder's chunks go to the file as they are made, so
-    the document is never one string in memory."""
-    return atomic_write_text(
-        path, itertools.chain(_DOCUMENT.iterencode(data), ("\n",))
-    )
+class DurableAppender:
+    """``path`` held open for appending, each append durable.
 
+    Opening creates the file if it is missing; a destination the OS
+    refuses (a directory, a missing parent) is a
+    :class:`StoreWriteError` and creates nothing.  Hold one per run:
+    the handle stays on the inode it opened, so a caller that replaces
+    the file must :meth:`close` first and open a new appender after.
+    """
 
-def append_text(path: str | pathlib.Path, text: str) -> None:
-    """Durably append ``text``: returns after ``fsync``.  A crash mid-call
-    leaves the old bytes untouched, followed by some prefix of ``text``."""
-    try:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-    except OSError as exc:
-        raise StoreWriteError(
-            f"cannot append to '{path}': {exc.strerror or exc}"
-        ) from exc
+    def __init__(self, path: str | pathlib.Path) -> None:
+        self.path = pathlib.Path(path)
+        try:
+            self._handle = open(self.path, "a", encoding="utf-8")
+        except OSError as exc:
+            raise self._refused(exc) from exc
+
+    def _refused(self, exc: OSError) -> StoreWriteError:
+        return StoreWriteError(
+            f"cannot append to '{self.path}': {exc.strerror or exc}"
+        )
+
+    def append(self, text: str) -> None:
+        """Append ``text``, flush and ``fsync``: returns once durable.  A
+        crash mid-call leaves the old bytes untouched, followed by some
+        prefix of ``text``."""
+        try:
+            self._handle.write(text)
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+        except OSError as exc:
+            raise self._refused(exc) from exc
+
+    def close(self) -> None:
+        """Release the handle.  Every acknowledged append is already on
+        disk, so a flush failing here (the rest of a refused append) is
+        dropped rather than raised over the error that refused it."""
+        try:
+            self._handle.close()
+        except OSError:
+            pass
 
 
 def canonical_json(data: Any) -> str:

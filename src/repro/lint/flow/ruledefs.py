@@ -170,7 +170,8 @@ RNG_GLOBAL_SOURCES: FrozenSet[str] = frozenset(
 #: The durable writers: a tainted argument here is a tainted artifact.
 DURABLE_SINKS: FrozenSet[str] = frozenset(
     {
-        "repro.core.durable.append_text",
+        "repro.core.durable.DurableAppender",
+        "repro.core.durable.atomic_copy_json",
         "repro.core.durable.atomic_write_json",
         "repro.core.durable.atomic_write_text",
         "repro.core.durable.canonical_json",

@@ -2,10 +2,13 @@
 
 A crash mid-``write()`` leaves a truncated journal, profile, or report
 on disk — exactly the corruption class PR 2's campaign engine exists to
-rule out.  :mod:`repro.core.durable` is the single sanctioned writer: it
-stages to a same-directory temp file, fsyncs, renames, and fsyncs the
-directory.  Everything else in the library must call it rather than
-reimplement (or skip) those steps.
+rule out.  :mod:`repro.core.durable` is the single sanctioned writer:
+``atomic_write_text``/``_json`` stage to a same-directory temp file,
+fsync, rename, and fsync the directory; ``atomic_copy_json`` stages and
+renames without the fsyncs, for a copy rebuilt from a durable original;
+``DurableAppender`` holds one file open and fsyncs each append.
+Everything else in the library must call it rather than reimplement (or
+skip) those steps.
 
 The rule flags write/append/create-mode ``open(...)`` calls and
 ``.write_text(...)`` / ``.write_bytes(...)`` attribute calls.  Read-mode
@@ -33,6 +36,11 @@ from repro.lint.registry import ModuleContext, Rule, dotted_name, register
 
 _WRITE_MODE_CHARS = frozenset("wax+")
 _WRITE_ATTRS = frozenset({"write_text", "write_bytes"})
+#: What a finding tells the author to call instead.
+_WRITERS = (
+    "repro.core.durable.atomic_write_text/_json, atomic_copy_json "
+    "(a rebuildable copy) or DurableAppender"
+)
 
 
 @register
@@ -57,8 +65,7 @@ class DurableWritesRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"raw open(..., {mode!r}) is not crash-safe; use "
-                    "repro.core.durable.atomic_write_text/_json or append_text",
+                    f"raw open(..., {mode!r}) is not crash-safe; use {_WRITERS}",
                 )
             return
         if isinstance(node.func, ast.Attribute):
@@ -66,8 +73,7 @@ class DurableWritesRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f".{node.func.attr}() is not crash-safe; use "
-                    "repro.core.durable.atomic_write_text/_json or append_text",
+                    f".{node.func.attr}() is not crash-safe; use {_WRITERS}",
                 )
 
 

@@ -54,14 +54,7 @@ __all__ = [
 class DeadlineBudget:
     """A request's absolute deadline: immutable, set once on arrival."""
 
-    start_s: float
     deadline_s: float
-
-    def __post_init__(self) -> None:
-        if self.deadline_s < self.start_s:
-            raise ConfigurationError(
-                "deadline budget cannot end before it starts"
-            )
 
     @classmethod
     def begin(cls, now: float, budget_s: float) -> "DeadlineBudget":
@@ -70,7 +63,7 @@ class DeadlineBudget:
             raise ConfigurationError(
                 f"deadline budget must be positive and finite, got {budget_s}"
             )
-        return cls(start_s=now, deadline_s=now + budget_s)
+        return cls(deadline_s=now + budget_s)
 
     def allows(self, now: float, cost_s: float) -> bool:
         """Whether ``cost_s`` more seconds of work still fit."""

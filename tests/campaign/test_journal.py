@@ -36,6 +36,7 @@ def journal_with(path, ids, rows=3):
     journal.initialize("camp", "fp-1")
     for entry_id in ids:
         journal.commit(record(entry_id, rows=rows))
+    journal.close()  # a later commit opens the handle again
     return journal
 
 
@@ -54,6 +55,7 @@ class TestRoundTrip:
         journal.initialize("camp", "fp-1")
         journal.commit(record("fig02"))
         journal.commit(record("fig03", status="timed-out", attempts=2))
+        journal.close()
 
         fresh = CampaignJournal(tmp_path / "j.json")
         records = fresh.load(expected_fingerprint="fp-1")
@@ -69,6 +71,7 @@ class TestRoundTrip:
         journal = CampaignJournal(tmp_path / "j.json")
         journal.initialize("camp", "fp-1")
         journal.commit(record("fig02"))
+        journal.close()
         assert [p.name for p in tmp_path.iterdir()] == ["j.json"]
 
     def test_one_line_per_record_after_a_header_line(self, tmp_path):
@@ -101,6 +104,7 @@ class TestMisuse:
         journal.commit(record("fig02"))
         with pytest.raises(CampaignError, match="already journaled"):
             journal.commit(record("fig02"))
+        journal.close()
 
     def test_unsettled_status_rejected(self):
         with pytest.raises(CampaignError):
@@ -256,6 +260,7 @@ class TestCrashAtAnyByte:
             # The next commit leaves header + complete lines + its own
             # line: no fragment of the unacknowledged record survives.
             journal.commit(record("fig07", rows=1))
+            journal.close()
             assert path.read_bytes().startswith(whole[: ends[complete]])
             assert len(path.read_bytes().splitlines()) == complete + 2
             reloaded = CampaignJournal(path).load()
@@ -271,6 +276,7 @@ class TestCrashAtAnyByte:
         journal = CampaignJournal(path)
         assert list(journal.load()) == FAKE_IDS[:2]
         journal.commit(record("fig04"))
+        journal.close()
         assert path.read_bytes().startswith(intact)
         assert list(CampaignJournal(path).load()) == FAKE_IDS[:3]
 
@@ -315,6 +321,7 @@ class TestCommitCost:
             last_line = path.read_bytes().splitlines(keepends=True)[-1]
             assert grown == len(last_line)
             costs.append((calls["digest"], calls["dumps"], grown))
+        journal.close()
         # One digest; two encodes: the digest's and the line's.
         assert costs[0] == costs[49]
         assert costs[0][:2] == (1, 2)
@@ -370,6 +377,7 @@ class TestCommitAtomicity:
         assert list(CampaignJournal(path).load()) == ["fig02"]
         # The same journal object can still repair and commit.
         journal.commit(record("fig03"))
+        journal.close()
         assert list(CampaignJournal(path).load()) == ["fig02", "fig03"]
 
 
@@ -451,6 +459,7 @@ class TestLegacyFormats:
             legacy_fingerprint=manifest.fingerprint(legacy=True),
         )
         journal.commit(record("fig04"))
+        journal.close()
         header, *lines = path.read_text().splitlines()
         assert json.loads(header) == {
             "campaign": "fake-campaign",

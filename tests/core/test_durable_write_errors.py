@@ -5,7 +5,7 @@ import builtins
 import pytest
 
 from repro.core import durable
-from repro.core.durable import StoreError, append_text, atomic_write_text
+from repro.core.durable import DurableAppender, StoreError, atomic_write_text
 
 
 def listing(directory):
@@ -63,12 +63,12 @@ class TestAtomicWrite:
 class TestAppend:
     def test_destination_is_a_directory(self, tmp_path):
         with pytest.raises(StoreError, match="Is a directory") as caught:
-            append_text(tmp_path, "line\n")
+            DurableAppender(tmp_path)
         assert str(tmp_path) in str(caught.value)
 
     def test_missing_parent_directory(self, tmp_path):
         target = tmp_path / "absent" / "journal.jsonl"
         with pytest.raises(StoreError, match="No such file") as caught:
-            append_text(target, "line\n")
+            DurableAppender(target)
         assert str(target) in str(caught.value)
         assert not target.parent.exists()  # nothing half-created

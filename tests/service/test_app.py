@@ -91,6 +91,7 @@ class TestHappyPath:
         journal.initialize("demo", "fp")
         for entry_id, status in (("a", "completed"), ("b", "timed-out")):
             journal.commit(JournalRecord(entry_id, status, 1, 0.1, None))
+        journal.close()
         # A third commit caught halfway through its append.
         path.write_bytes(path.read_bytes() + b'{"attempts":1,"elapsed_s":0.')
         before = path.read_bytes()

@@ -22,7 +22,7 @@ from repro.simgrid.errors import ConfigurationError
 class TestDeadlineBudget:
     def test_begin_and_remaining(self):
         budget = DeadlineBudget.begin(10.0, 0.5)
-        assert (budget.start_s, budget.deadline_s) == (10.0, 10.5)
+        assert budget.deadline_s == 10.5
         assert budget.allows(10.2, 0.25)
         assert not budget.allows(10.2, 0.5)
 

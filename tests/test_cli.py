@@ -389,7 +389,7 @@ class TestSuiteWithoutJournal:
 
 
 class TestCampaign:
-    def _write_manifest(self, tmp_path):
+    def _write_manifest(self, tmp_path, ids=("fig09",)):
         import json
 
         path = tmp_path / "campaign.json"
@@ -397,7 +397,7 @@ class TestCampaign:
             json.dumps(
                 {
                     "name": "cli-campaign",
-                    "entries": [{"id": "fig09", "fast": True}],
+                    "entries": [{"id": i, "fast": True} for i in ids],
                 }
             )
         )
@@ -425,6 +425,22 @@ class TestCampaign:
         assert code == 0
         assert "1 resumed" in out
         assert (results / "fig09.json").exists()
+
+    def test_resume_rebuilds_lost_artifacts(self, tmp_path, capsys):
+        # Artifacts are unsynced copies of the journal: an OS crash may
+        # leave one empty or missing, and --resume writes it again.
+        manifest = self._write_manifest(tmp_path, ("fig09", "fig04"))
+        results = tmp_path / "results"
+        argv = ["campaign", str(manifest), "--results-dir", str(results)]
+        assert main(argv) == 0
+        written = {p.name: p.read_bytes() for p in results.iterdir()}
+        assert sorted(written) == ["fig04.json", "fig09.json"]
+        (results / "fig09.json").write_bytes(b"")
+        (results / "fig04.json").unlink()
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        assert "2 resumed" in capsys.readouterr().out
+        assert {p.name: p.read_bytes() for p in results.iterdir()} == written
 
     def test_missing_manifest_reports_error(self, tmp_path, capsys):
         code = main(["campaign", str(tmp_path / "absent.json")])

@@ -71,6 +71,7 @@ def journal_v3():
         for entry_id in ("fig02", "fig03"):
             journal.commit(record(entry_id, rows=1))
         journal.commit(record("fig04", status="timed-out", attempts=2))
+        journal.close()
         return lines_of(path)
 
 
