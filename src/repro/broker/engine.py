@@ -81,7 +81,6 @@ suite asks for them.
 
 from __future__ import annotations
 
-import gc
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -103,7 +102,7 @@ from repro.broker.policies import (
     make_policy,
 )
 from repro.broker.recovery import GiveUp, Incident, Requeue, make_recovery
-from repro.hotpath import hot
+from repro.hotpath import hot, paused_collector
 from repro.broker.report import (
     BrokerPlacement,
     BrokerPreemption,
@@ -625,19 +624,13 @@ class GridBroker:
         # (report rows, ledger grants); CPython's collector re-scans that
         # growing live set on every gen-2 pass, which turns the loop
         # superlinear.  Nothing here creates reference cycles, so the loop
-        # pauses automatic collection until the ``finally``.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # runs with automatic collection paused.
+        with paused_collector():
             while queue:
                 event = queue.pop()
                 state.now = event.time
                 handlers[event.kind](event.payload)
                 state.place_ready()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
         self.last_ledger = state.ledger
         self.last_queue_stats = {

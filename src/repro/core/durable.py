@@ -35,8 +35,9 @@ single place that guarantees it:
   required, never coerced.
 - JSON has two sorted-key encodings: :func:`canonical_json` (indented)
   for *documents* a person reads or a golden pins, :func:`compact_json`
-  (C encoder) for bytes *hashed or sent* — digests, journal lines, HTTP
-  bodies; :func:`legacy_digest` checks digests of formats before it.
+  (C encoder) for bytes *hashed, sent or cached* — digests, journal
+  lines, HTTP bodies, the linter's summary caches; :func:`legacy_digest`
+  checks digests of formats before it.
 
 ``core/store`` (profiles), ``analysis/results_io`` (experiment
 results) and ``campaign/journal`` (suite journals) all route their I/O
@@ -162,8 +163,14 @@ def _replace(
     path = pathlib.Path(path)
     tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(tmp, "w", encoding="utf-8")
+        except FileNotFoundError:
+            # Only a missing parent costs a ``mkdir``; most writes go
+            # to a directory that is already there.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = open(tmp, "w", encoding="utf-8")
+        with handle:
             if isinstance(text, str):
                 handle.write(text)
             else:
@@ -244,8 +251,9 @@ def canonical_json(data: Any) -> str:
 
 
 def compact_json(data: Any) -> str:
-    """The serialization of every byte hashed or sent, as one line: no
-    ``indent``, which would force CPython's pure-Python encoder."""
+    """The serialization of every byte hashed, sent or cached, as one
+    line: no ``indent``, which would force CPython's pure-Python
+    encoder."""
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -3,9 +3,10 @@
 Importable — and runnable, every layer included — without numpy, scipy
 or networkx, so the CI lint job stays light: this module and everything
 it pulls in (engine, rules, layers, baseline, reporters) is stdlib +
-:mod:`repro.errors` + :mod:`repro.core.durable` only, and no package
-``__init__`` on the way imports anything (``tests/lint/test_cli.py``
-runs the gate with the numeric stack blocked).
+:mod:`repro.errors` + :mod:`repro.core.durable` + :mod:`repro.hotpath`
+only, and no package ``__init__`` on the way imports anything
+(``tests/lint/test_cli.py`` runs the gate with the numeric stack
+blocked).
 
 Exit codes: 0 — clean modulo baseline; 1 — new findings (or a
 :class:`ReproError` surfaced by the top-level CLI); 2 — usage error from
@@ -21,6 +22,7 @@ import sys
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.hotpath import paused_collector
 from repro.lint.baseline import Baseline
 from repro.lint.effects import EFFECT_RULES, EffectPass, write_certificate
 from repro.lint.engine import RulesPass, scan
@@ -175,8 +177,15 @@ LAYERS: Tuple[_Layer, ...] = (
 )
 
 
+@paused_collector()
 def run_lint_command(args: argparse.Namespace) -> int:
-    """Execute one lint run from parsed arguments."""
+    """Execute one lint run from parsed arguments.
+
+    The run decodes caches, parses and walks every module and builds
+    call graphs: a live set of acyclic objects that reference counting
+    frees and that automatic collection would only re-scan, so the
+    whole run, report included, keeps the collector paused.
+    """
     if args.list_rules:
         print(_rule_table())
         return 0

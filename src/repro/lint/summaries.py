@@ -14,9 +14,13 @@ keyed by the SHA-256 of the module *source text* — any edit invalidates
 precisely that module's entry, and path moves key afresh under the new
 relpath.
 
-The file is one durable canonical-JSON document (the same
-``atomic_write_json`` the rest of the framework uses, which also keeps
-the cache itself inside the REP003 serialization contract).  A corrupt,
+The file is one durable JSON document on one line: ``compact_json``
+(sorted keys, C encoder) written by the same ``atomic_write_text`` the
+rest of the framework uses.  No person reads a cache and no golden pins
+one, so it is encoded as bytes that are cached, not as an indented
+document; the value is the same, so a cache written indented by an
+older build under the same ``CACHE_FORMAT_VERSION`` is still a warm
+start, and is left as it is until something changes.  A corrupt,
 missing, or version-skewed cache is never an error: an analysis must
 give the same answer with or without it, so any read problem degrades
 to a full re-extract and the file is rewritten on save.  A run that
@@ -39,7 +43,12 @@ from typing import (
     TypeVar,
 )
 
-from repro.core.durable import StoreError, atomic_write_json, read_json_document
+from repro.core.durable import (
+    StoreError,
+    atomic_write_text,
+    compact_json,
+    read_json_document,
+)
 from repro.lint.context import ModuleContext
 from repro.lint.engine import Pass, scan
 from repro.lint.findings import Finding
@@ -131,21 +140,18 @@ class SummaryCache(Generic[E]):
     def save(self) -> None:
         if self.path is None or not self._dirty:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(
-            self.path,
-            {
-                "format_version": CACHE_FORMAT_VERSION,
-                "analysis_version": self.analysis_version,
-                "modules": {
-                    relpath: {
-                        "digest": digest,
-                        "extract": extract.to_dict(),  # type: ignore[attr-defined]
-                    }
-                    for relpath, (digest, extract) in self._modules.items()
-                },
+        document = {
+            "format_version": CACHE_FORMAT_VERSION,
+            "analysis_version": self.analysis_version,
+            "modules": {
+                relpath: {
+                    "digest": digest,
+                    "extract": extract.to_dict(),  # type: ignore[attr-defined]
+                }
+                for relpath, (digest, extract) in self._modules.items()
             },
-        )
+        }
+        atomic_write_text(self.path, compact_json(document))
 
 
 @dataclasses.dataclass

@@ -92,6 +92,14 @@ def run_driver(root, sleep_s, *extra):
     )
 
 
+def finish(proc):
+    """``(exit code, stderr)`` of ``proc``, through ``communicate``: it
+    drains and closes both pipes, so a child filling one cannot block
+    and no pipe is left open."""
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err
+
+
 def results_digest(results_dir):
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -102,8 +110,8 @@ def results_digest(results_dir):
 @pytest.mark.slow
 def test_sigterm_then_resume_is_byte_identical(tmp_path):
     # Reference: the same campaign, uninterrupted.
-    ref = run_driver(tmp_path / "ref", 0.0)
-    assert ref.wait(timeout=60) == 0, ref.stderr.read()
+    code, err = finish(run_driver(tmp_path / "ref", 0.0))
+    assert code == 0, err
 
     # Victim: slow entries; SIGTERM once the first entry has settled
     # (its progress line proves a journal commit happened).
@@ -111,7 +119,7 @@ def test_sigterm_then_resume_is_byte_identical(tmp_path):
     first_line = victim.stdout.readline()
     assert "fig02 completed" in first_line
     victim.send_signal(signal.SIGTERM)
-    assert victim.wait(timeout=60) == EXIT_INTERRUPTED
+    assert finish(victim)[0] == EXIT_INTERRUPTED
 
     # The journal survived the kill and at least one entry is missing.
     journal = tmp_path / "victim" / "journal.json"
@@ -136,21 +144,21 @@ def test_sigint_also_exits_resumable(tmp_path):
     victim = run_driver(tmp_path / "v", 0.4)
     assert "completed" in victim.stdout.readline()
     victim.send_signal(signal.SIGINT)
-    assert victim.wait(timeout=60) == EXIT_INTERRUPTED
+    assert finish(victim)[0] == EXIT_INTERRUPTED
     assert (tmp_path / "v" / "journal.json").exists()
 
 
 @pytest.mark.slow
 def test_sigkill_then_resume_is_byte_identical(tmp_path):
-    ref = run_driver(tmp_path / "ref", 0.0)
-    assert ref.wait(timeout=60) == 0, ref.stderr.read()
+    code, err = finish(run_driver(tmp_path / "ref", 0.0))
+    assert code == 0, err
 
     # No handler runs and nothing is flushed on the way out: whatever
     # the journal holds is what ``commit`` fsynced before returning.
     victim = run_driver(tmp_path / "victim", 0.4)
     assert "fig02 completed" in victim.stdout.readline()
     victim.kill()
-    assert victim.wait(timeout=60) == -signal.SIGKILL
+    assert finish(victim)[0] == -signal.SIGKILL
 
     resumed = run_driver(tmp_path / "victim", 0.0, "--resume")
     out, err = resumed.communicate(timeout=60)
@@ -169,7 +177,7 @@ def test_interrupt_between_commits_loses_at_most_one_entry(tmp_path):
     victim = run_driver(tmp_path / "v", 0.4)
     assert "fig02 completed" in victim.stdout.readline()
     victim.kill()
-    victim.wait(timeout=60)
+    finish(victim)
 
     from repro.campaign import CampaignJournal
 

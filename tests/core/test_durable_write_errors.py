@@ -1,6 +1,7 @@
 """A destination the OS refuses is a ``StoreError`` naming the path."""
 
 import builtins
+import pathlib
 
 import pytest
 
@@ -48,6 +49,22 @@ class TestAtomicWrite:
         assert str(target) in str(caught.value)
         assert target.read_text() == "old"
         assert listing(tmp_path) == ["report.json"]
+
+    def test_missing_parents_are_created(self, tmp_path):
+        target = tmp_path / "a" / "b" / "report.json"
+        atomic_write_text(target, "x")
+        assert target.read_text() == "x"
+        assert listing(target.parent) == ["report.json"]
+
+    def test_an_existing_parent_costs_no_mkdir(self, tmp_path, monkeypatch):
+        made = []
+        monkeypatch.setattr(
+            pathlib.Path, "mkdir", lambda path, *a, **k: made.append(path)
+        )
+        atomic_write_text(tmp_path / "report.json", "x")
+        atomic_write_text(tmp_path / "report.json", "y")
+        assert made == []
+        assert (tmp_path / "report.json").read_text() == "y"
 
     def test_interrupt_still_unlinks_the_temp_file(self, tmp_path, monkeypatch):
         def interrupt(*_args):

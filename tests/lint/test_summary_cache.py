@@ -23,8 +23,11 @@ import weakref
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.durable import canonical_json
+from repro.hotpath import paused_collector
 from repro.lint import all_rules, analyze_effects, analyze_paths
 from repro.lint import engine as lint_engine
+from repro.lint import summaries
 from repro.lint.cli import main as lint_main
 from repro.lint.effects import EffectPass
 from repro.lint.engine import Pass, RulesPass, scan
@@ -128,6 +131,35 @@ def test_warm_run_hits_every_module(layer):
     assert warm.findings == cold.findings
     # A run that changed nothing leaves the file alone.
     assert layer.cache.stat().st_mtime_ns == written
+
+
+def test_a_saved_cache_is_one_line_holding_the_indented_value(
+    layer, monkeypatch
+):
+    layer.run()
+    compact = layer.cache.read_text()
+    assert compact.count("\n") == 1 and compact.endswith("\n")
+    # The value an indented writer (``canonical_json``, as builds before
+    # the compact caches wrote them) puts in the file for the same run.
+    layer.cache.unlink()
+    monkeypatch.setattr(summaries, "compact_json", canonical_json)
+    layer.run()
+    indented = layer.cache.read_text()
+    assert indented.count("\n") > 1
+    assert json.loads(compact) == json.loads(indented)
+
+
+def test_an_indented_cache_is_a_warm_start_left_as_it_is(layer, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(summaries, "compact_json", canonical_json)
+        cold = layer.run()
+    indented = layer.cache.read_bytes()
+    assert indented.count(b"\n") > 1
+    warm = layer.run()
+    assert warm.cache_hits == len(layer.files)
+    assert warm.cache_misses == 0
+    assert warm.findings == cold.findings
+    assert layer.cache.read_bytes() == indented
 
 
 def test_source_edit_invalidates_exactly_that_entry(layer):
@@ -342,25 +374,44 @@ def test_a_rules_only_run_lints_no_module_twice(
     assert (tree / ".repro-rules-cache.json").exists()
 
 
+class TreeSpy(Pass):
+    """Counts, at each visit, the earlier modules' trees still alive."""
+
+    def __init__(self, collect: bool) -> None:
+        self.collect = collect
+        self.trees = []
+        self.alive_at_visit = []
+
+    def visit(self, module):
+        if self.collect:
+            gc.collect()
+        self.alive_at_visit.append(
+            sum(1 for ref in self.trees if ref() is not None)
+        )
+        self.trees.append(weakref.ref(module.tree))
+
+
+def every_pass_with(spy):
+    return [spy, RulesPass(), FlowPass(None), EffectPass(None), PerfPass(None)]
+
+
 def test_trees_are_not_retained_across_files(tmp_path):
     tree = tmp_path / "tree"
     shutil.copytree(FIXTURES / "flow" / "rep101_bad", tree)
+    spy = TreeSpy(collect=True)
+    assert scan([tree], tree, every_pass_with(spy)) == len(spy.trees) > 1
+    assert spy.alive_at_visit == [0] * len(spy.trees)
 
-    class TreeSpy(Pass):
-        def __init__(self):
-            self.trees = []
-            self.alive_at_visit = []
 
-        def visit(self, module):
-            gc.collect()
-            self.alive_at_visit.append(
-                sum(1 for ref in self.trees if ref() is not None)
-            )
-            self.trees.append(weakref.ref(module.tree))
-
-    spy = TreeSpy()
-    passes = [spy, RulesPass(), FlowPass(None), EffectPass(None), PerfPass(None)]
-    assert scan([tree], tree, passes) == len(spy.trees) > 1
+def test_trees_die_by_reference_count_alone(repo_root):
+    """``repro lint`` runs with the cyclic collector paused: that costs
+    nothing only if no pass ties a syntax tree into a reference cycle,
+    so each module's tree is freed before the next is parsed."""
+    lint_tree = repo_root / "src" / "repro" / "lint"
+    spy = TreeSpy(collect=False)
+    with paused_collector():
+        files = scan([lint_tree], repo_root, every_pass_with(spy))
+    assert files == len(spy.trees) > 20
     assert spy.alive_at_visit == [0] * len(spy.trees)
 
 
