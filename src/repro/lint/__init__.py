@@ -7,8 +7,10 @@ rest on coding contracts this package makes machine-checked:
 ========  =======================  ==========================================
 code      name                     contract
 ========  =======================  ==========================================
-REP001    no-wall-clock            no host-clock reads outside the watchdog
-REP002    seeded-rng               every RNG constructed with an explicit seed
+REP001    no-wall-clock            no host-clock or environment reads outside
+                                   the watchdog allowlist
+REP002    seeded-rng               every RNG constructed with an explicit
+                                   seed; no global or OS-entropy draws
 REP003    canonical-json           json.dump(s) passes sort_keys=True
 REP004    durable-writes           persistence via repro.core.durable only
 REP005    repro-errors             raise ReproError subclasses, not builtins
@@ -17,12 +19,11 @@ REP007    ordered-serialization    no raw set iteration in report/serialize
 REP008    ledger-discipline        ledger mutation only in GridBroker's loop
 ========  =======================  ==========================================
 
-Directory runs add the whole-program flow family (``repro.lint.flow``):
+REP001 and REP002 match import-resolved names, so an alias
+(``from time import time as ticks``) hides nothing.  Directory runs add
+the flow layer (``repro.lint.flow``):
 
 ========  ==========================  =======================================
-REP101    clock-taint-to-sink         no clock/env value reaches an artifact
-REP102    rng-taint-to-sink           no unseeded draw reaches an artifact
-REP103    cross-module-error-escape   public APIs don't leak callee builtins
 REP104    dimensional-consistency     prediction-core unit coherence
 ========  ==========================  =======================================
 

@@ -1,11 +1,11 @@
-"""Atom-set dataflow: what the flow and effect extractors share.
+"""Atom-set dataflow: the effect extractor's walking machinery.
 
-Both extractors summarize a function by walking its body with the same
-machinery and differ only in *which* facts they read off it.  Values
-are tracked as sets of **atoms** — plain strings such as
-``param:<name>`` (a formal parameter) and ``call:<qualname>`` (the
-return value of a callee), plus each layer's own marks — so every
-summary is a JSON-ready dict, cacheable per module by content hash.
+The effect extractor summarizes a function by walking its body and
+reading facts off it.  Values are tracked as sets of **atoms** — plain
+strings such as ``param:<name>`` (a formal parameter) and
+``call:<qualname>`` (the return value of a callee), plus the layer's
+own marks — so every summary is a JSON-ready dict, cacheable per module
+by content hash.
 
 The intra-function dataflow is flow-insensitive per variable and
 iterates the statement walk twice, so atoms reach fixpoint through
@@ -13,9 +13,9 @@ loops and re-assignments; facts are only *recorded* on the second walk.
 Instance attribute state (``self.x = ...``) and closures over enclosing
 locals are not tracked — documented soundness caveats.
 
-Shared here: the summary fields every call-graph consumer reads
-(:class:`AtomSummary`), the per-module container
-(:class:`SummaryExtract`), the two-pass walker skeleton
+Here: the summary fields every call-graph consumer reads
+(:class:`AtomSummary`), the per-module container (:class:`SummaryExtract`,
+shared with the perf layer), the two-pass walker skeleton
 (:class:`AtomWalker`), and the module-body-then-definitions driver
 (:func:`extract_functions`).
 """
@@ -41,7 +41,6 @@ from typing import (
 from repro.lint.context import ModuleContext
 from repro.lint.symbols import (
     FunctionNode,
-    handler_names,
     is_public,
     param_names,
     resolve_callee,
@@ -72,8 +71,7 @@ ArgFlow = Tuple[
 class AtomSummary:
     """Identity, call edges, and atom flows of one function.
 
-    ``calls`` are resolved call edges, each with the exception names any
-    enclosing ``except`` clauses would catch; ``sink_flows`` are
+    ``calls`` are resolved call edges as (callee, line); ``sink_flows`` are
     durable-writer calls with the atoms of their arguments;
     ``arg_flows`` are arguments passed to resolvable callees with their
     atoms (how facts cross call edges); ``ret_atoms`` is what the return
@@ -86,9 +84,7 @@ class AtomSummary:
     is_public: bool
     is_method: bool
     ret_atoms: List[str] = dataclasses.field(default_factory=list)
-    calls: List[Tuple[str, int, Tuple[str, ...]]] = dataclasses.field(
-        default_factory=list
-    )
+    calls: List[Tuple[str, int]] = dataclasses.field(default_factory=list)
     sink_flows: List[Tuple[str, int, Tuple[str, ...]]] = dataclasses.field(
         default_factory=list
     )
@@ -102,7 +98,7 @@ class AtomSummary:
             "is_public": self.is_public,
             "is_method": self.is_method,
             "ret_atoms": sorted(self.ret_atoms),
-            "calls": [[c, ln, list(caught)] for c, ln, caught in self.calls],
+            "calls": [[c, ln] for c, ln in self.calls],
             "sink_flows": [
                 [s, ln, sorted(atoms)] for s, ln, atoms in self.sink_flows
             ],
@@ -127,10 +123,7 @@ class AtomSummary:
             "is_public": bool(data["is_public"]),
             "is_method": bool(data["is_method"]),
             "ret_atoms": list(data["ret_atoms"]),
-            "calls": [
-                (str(c), int(ln), tuple(caught))
-                for c, ln, caught in data["calls"]
-            ],
+            "calls": [(str(c), int(ln)) for c, ln in data["calls"]],
             "sink_flows": [
                 (str(s), int(ln), tuple(atoms))
                 for s, ln, atoms in data["sink_flows"]
@@ -217,7 +210,6 @@ class AtomWalker:
         self.cls = cls
         self.env: Dict[str, Set[str]] = {}
         self._ret: Set[str] = set()
-        self._caught: Tuple[str, ...] = ()
         self._collect = False
 
     def run(self, body: Sequence[ast.stmt]) -> Any:
@@ -243,10 +235,7 @@ class AtomWalker:
         ):
             return  # nested defs are indexed and summarized separately
         if isinstance(stmt, ast.Try):
-            caught = self._caught
-            self._caught = caught + handler_names(stmt.handlers)
             self._walk(stmt.body)
-            self._caught = caught
             for handler in stmt.handlers:
                 self._walk(handler.body)
             self._walk(stmt.orelse)
@@ -347,7 +336,7 @@ class AtomWalker:
         atoms, the argument flow across it."""
         if not self._collect:
             return
-        self.summary.calls.append((callee, lineno, self._caught))
+        self.summary.calls.append((callee, lineno))
         if arg_union or any(pos_atoms) or any(kw_atoms.values()):
             self.summary.arg_flows.append(
                 (
@@ -366,8 +355,8 @@ def extract_functions(
 ) -> Dict[str, Any]:
     """Summaries of the module body and every definition in ``ctx``.
 
-    ``walker`` builds one :class:`AtomWalker` per unit; sources read in
-    a module whose path ends with an ``allowlist`` suffix carry no taint.
+    ``walker`` builds one :class:`AtomWalker` per unit; ``allowlisted``
+    tells it the module's path ends with an ``allowlist`` suffix.
     """
     assert ctx.tree is not None
     module = ctx.module

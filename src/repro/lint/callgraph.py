@@ -1,7 +1,7 @@
 """Project call graph over extracted summaries, with SCC condensation.
 
-Shared by the flow, effect, and perf layers, whose summaries all carry
-identically shaped ``calls`` and ``arg_flows``.  Nodes are canonical
+Shared by the effect and perf layers, whose summaries both carry
+``calls`` edges as (callee, line) and ``arg_flows``.  Nodes are canonical
 function qualnames that have a summary (project functions); edges point
 caller → callee and only edges whose callee is itself a project function
 are kept — external calls stay in the summaries as atoms but do not
@@ -66,7 +66,7 @@ def build_callgraph(extracts: Sequence[Any]) -> CallGraph:
 
     edges: Dict[str, Set[str]] = {name: set() for name in sorted(functions)}
     for qualname, summary in functions.items():
-        for callee, _line, _caught in summary.calls:
+        for callee, _line in summary.calls:
             if callee in functions:
                 edges[qualname].add(callee)
         for callee, _line, _pos, _kw in summary.arg_flows:

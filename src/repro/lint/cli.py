@@ -19,7 +19,7 @@ import argparse
 import dataclasses
 import pathlib
 import sys
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
 from repro.hotpath import paused_collector
@@ -27,13 +27,13 @@ from repro.lint.baseline import Baseline
 from repro.lint.effects import EFFECT_RULES, EffectPass, write_certificate
 from repro.lint.engine import RulesPass, scan
 from repro.lint.errors import LintError
-from repro.lint.findings import CachedFindings, Finding
+from repro.lint.findings import Finding
 from repro.lint.fixes import apply_fixes
 from repro.lint.flow import FLOW_RULES, FlowPass
 from repro.lint.perf import PERF_RULES, PerfPass
 from repro.lint.registry import RULES, ProgramRule, Rule, all_rules
 from repro.lint.reporters import REPORT_FORMATS, LintReport, render
-from repro.lint.summaries import LayerResult, SummaryCache, SummaryPass
+from repro.lint.summaries import LayerResult, SummaryPass
 
 __all__ = ["register_lint", "run_lint_command", "main"]
 
@@ -43,6 +43,9 @@ DEFAULT_FLOW_CACHE = ".repro-flow-cache.json"
 DEFAULT_EFFECTS_CACHE = ".repro-effects-cache.json"
 DEFAULT_CERTIFICATE = ".repro-effects.json"
 DEFAULT_PERF_CACHE = ".repro-perf-cache.json"
+
+#: What a whole-program layer runs as: each ``finish()``es to a LayerResult.
+LayerPass = Union[FlowPass, SummaryPass]
 
 
 def register_lint(parser: argparse.ArgumentParser) -> None:
@@ -72,8 +75,8 @@ def register_lint(parser: argparse.ArgumentParser) -> None:
         "--select", default=None, metavar="CODES",
         help="comma-separated rule codes to run (default: all); e.g. "
         "REP003,REP004 for harness code where only the writer "
-        "contracts apply; flow codes (REP101-REP104) force the "
-        "whole-program pass on",
+        "contracts apply; a layer's code (REP104, REP2xx, REP3xx) "
+        "turns that layer on",
     )
     parser.add_argument(
         "--root", default=None, metavar="DIR",
@@ -85,8 +88,8 @@ def register_lint(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--flow", action="store_true",
-        help="run the whole-program pass (REP101-REP104); it runs "
-        "anyway when a PATH is a directory and no --select is given",
+        help="run the units pass over the prediction core (REP104); it "
+        "runs anyway when a PATH is a directory and no --select is given",
     )
     parser.add_argument(
         "--effects", action="store_true",
@@ -119,18 +122,14 @@ class _Layer:
     """One whole-program layer as the CLI sees it.
 
     ``name`` is the flag stem: ``--NAME`` turns the layer on.  Its
-    summary cache is always ``ROOT/<cache_name>``.
+    cache is always ``ROOT/<cache_name>``.
     """
 
     name: str
     rules: Tuple[ProgramRule, ...]
     cache_name: str
-    #: (cache path, certificate path or None, the rules pass's
-    #: findings cache) -> the pass
-    make_pass: Callable[
-        [str, Optional[str], Optional[SummaryCache[CachedFindings]]],
-        SummaryPass,
-    ]
+    #: (cache path, certificate path or None) -> the pass
+    make_pass: Callable[[str, Optional[str]], LayerPass]
 
     @property
     def codes(self) -> FrozenSet[str]:
@@ -164,16 +163,10 @@ class _Layer:
 LAYERS: Tuple[_Layer, ...] = (
     _Layer(
         "flow", FLOW_RULES, DEFAULT_FLOW_CACHE,
-        lambda cache, certificate, found: FlowPass(cache, found),
+        lambda cache, certificate: FlowPass(cache),
     ),
-    _Layer(
-        "effects", EFFECT_RULES, DEFAULT_EFFECTS_CACHE,
-        lambda cache, certificate, found: EffectPass(cache, certificate),
-    ),
-    _Layer(
-        "perf", PERF_RULES, DEFAULT_PERF_CACHE,
-        lambda cache, certificate, found: PerfPass(cache, certificate),
-    ),
+    _Layer("effects", EFFECT_RULES, DEFAULT_EFFECTS_CACHE, EffectPass),
+    _Layer("perf", PERF_RULES, DEFAULT_PERF_CACHE, PerfPass),
 )
 
 
@@ -196,7 +189,7 @@ def run_lint_command(args: argparse.Namespace) -> int:
     ]
     certificate = args.certificate or str(root / DEFAULT_CERTIFICATE)
 
-    def scan_once() -> Tuple[List[Finding], int, List[SummaryPass]]:
+    def scan_once() -> Tuple[List[Finding], int, List[LayerPass]]:
         """Every enabled pass over PATH, in one scan."""
         rules_pass = RulesPass(rules, root / DEFAULT_RULES_CACHE)
         layer_passes = [
@@ -204,7 +197,6 @@ def run_lint_command(args: argparse.Namespace) -> int:
                 str(root / layer.cache_name),
                 # A certificate about to be rewritten judges nothing.
                 None if args.write_certificate else certificate,
-                rules_pass.cache,
             )
             for layer in layers
         ]

@@ -2,7 +2,7 @@
 
 A scan loads each module exactly once and hands the same context to
 every enabled pass (the REP00x rules and the flow, effect, and perf
-extractors).  Everything derived from the source text is computed on
+layers).  Everything derived from the source text is computed on
 first use and then kept for the passes that follow: the SHA-256 that
 keys the summary caches, the parsed tree, the import/symbol table, and
 the definition index.  A warm whole-program pass that hits its cache

@@ -32,7 +32,7 @@ from repro.lint.summaries import LayerResult, SummaryPass
 __all__ = ["EffectPass", "analyze_effects", "EFFECT_ANALYSIS_VERSION"]
 
 # Semantic version of effects/extract.py; see SummaryCache.
-EFFECT_ANALYSIS_VERSION = 2
+EFFECT_ANALYSIS_VERSION = 3
 
 
 class EffectPass(SummaryPass[EffectExtract, EffectAnalysis]):

@@ -16,15 +16,13 @@ propagation pass closes over the call graph:
   taint: ``setlike`` marks a set-typed value, ``unordered`` marks a
   value derived from *iterating* one; ``sorted()`` and friends launder
   both (REP203).
-- ``calls`` — resolved call edges; shaped exactly like the flow
-  layer's so :func:`repro.lint.callgraph.build_callgraph` works
-  unchanged over effect extracts.
+- ``calls`` — resolved call edges, the shape
+  :func:`repro.lint.callgraph.build_callgraph` reads.
 
 The walker is the two-pass flow-insensitive scheme of
-:mod:`repro.lint.atoms`, shared with the flow extractor, with the same
-soundness caveats: instance-attribute state and dynamic dispatch are
-not tracked, and a method mutating ``self`` does not propagate to the
-caller's receiver value.
+:mod:`repro.lint.atoms`, with its soundness caveats: instance-attribute
+state and dynamic dispatch are not tracked, and a method mutating
+``self`` does not propagate to the caller's receiver value.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from repro.lint.effects.ruledefs import (
     AMBIENT_ALLOWLIST,
     AMBIENT_CALLS,
     AMBIENT_KIND_BY_CALL,
+    DURABLE_SINKS,
     EFFECT_AMBIENT,
     EFFECT_GLOBAL_WRITE,
     EFFECT_IO,
@@ -55,7 +54,6 @@ from repro.lint.atoms import (
     extract_functions,
 )
 from repro.lint.context import ModuleContext
-from repro.lint.flow.ruledefs import DURABLE_SINKS
 from repro.lint.symbols import FunctionNode, ModuleSymbols, dotted
 
 __all__ = [

@@ -1,14 +1,14 @@
 """Bottom-up effect propagation, tier assignment, REP203 and REP204.
 
 Three propagated facts close over the SCC condensation of the call
-graph (the flow layer's graph builder runs unchanged over effect
-summaries), callees first:
+graph (:func:`repro.lint.callgraph.build_callgraph`, shared with the
+perf layer), callees first:
 
 ``flags``
     transitive effect flags — ``ambient``, ``global-write``, ``io``,
     and ``unordered-sink`` (the function, or anything it calls, writes
     set-iteration-ordered data into a durable artifact).  Plain union
-    over call edges, like the flow layer's purity lattice.
+    over call edges.
 
 ``mutated_params``
     formals the function (transitively) mutates: seeded from local
@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.lint.atoms import MODULE_BODY
 from repro.lint.callgraph import CallGraph, slot_params
 from repro.lint.findings import Finding, FindingSink
-from repro.lint.flow.ruledefs import SINK_MODULE_FRAGMENTS
 from repro.lint.effects.extract import (
     ATOM_UNORDERED,
     EffectExtract,
@@ -50,6 +49,7 @@ from repro.lint.effects.ruledefs import (
     EFFECT_AMBIENT,
     EFFECT_GLOBAL_WRITE,
     EFFECT_IO,
+    SINK_MODULE_FRAGMENTS,
     TIER_DETERMINISTIC,
     TIER_EFFECTFUL,
     TIER_POOL_SAFE,
@@ -152,9 +152,8 @@ def _serialization_params(
 ) -> Dict[str, Tuple[str, ...]]:
     """Public serialization-module functions sink all their parameters.
 
-    Same contract as the flow layer's param-sink seeding: handing
-    order-sensitive data to a serializer is a violation even when the
-    durable write lives outside the analyzed tree.
+    Handing order-sensitive data to a serializer is a violation even
+    when the durable write lives outside the analyzed tree.
     """
     seeded: Dict[str, Tuple[str, ...]] = {}
     for qualname, summary in functions.items():
@@ -196,7 +195,7 @@ def _update_flags(
 ) -> bool:
     mine = flags[summary.qualname]
     before = len(mine)
-    for callee_name, _line, _caught in summary.calls:
+    for callee_name, _line in summary.calls:
         if callee_name in functions:
             mine |= flags[callee_name]
     for _sink, _line, atoms in summary.sink_flows:

@@ -1,10 +1,10 @@
 """The effect rule family REP203-REP205: determinism contracts.
 
-The third lint layer.  REP00x checks one AST node at a time; the flow
-layer (REP10x) follows *values* from nondeterministic sources to
-durable sinks.  This family follows *effects*: writes to shared state,
-mutation of arguments, reads of ambient process state, I/O, and
-order-sensitive iteration over unordered collections.  Its propagated
+REP00x checks one AST node at a time and the flow layer (REP104) the
+units of the prediction core.  This family follows *effects* across
+the call graph: writes to shared state, mutation of arguments, reads
+of ambient process state, I/O, and order-sensitive iteration over
+unordered collections.  Its propagated
 result is the determinism certificate (``.repro-effects.json``), a
 reviewed tier per function that may only shrink in risk: REP205
 reports a function whose tier fell below the committed one, and the
@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Tuple
 
-from repro.lint.flow.ruledefs import (
-    CLOCK_SOURCES,
+from repro.lint.registry import ProgramRule
+from repro.lint.rules.rep001_wall_clock import CLOCK_ALLOWLIST, CLOCK_SOURCES
+from repro.lint.rules.rep002_seeded_rng import (
     RNG_GLOBAL_SOURCES,
     RNG_SEEDED_CONSTRUCTORS,
 )
-from repro.lint.registry import ProgramRule
 
 __all__ = [
     "EFFECT_RULES",
@@ -40,6 +40,8 @@ __all__ = [
     "AMBIENT_CALLS",
     "AMBIENT_KIND_BY_CALL",
     "AMBIENT_ALLOWLIST",
+    "DURABLE_SINKS",
+    "SINK_MODULE_FRAGMENTS",
     "MUTATOR_ATTRS",
     "ORDER_SANITIZERS",
     "SET_CONSTRUCTORS",
@@ -138,9 +140,9 @@ TIER_RANK: Dict[str, int] = {
 
 # ---------------------------------------------------------------------------
 # Ambient-nondeterminism sources (canonical qualified names).  The
-# clock/env/rng sets are the flow layer's; the process-identity set is
-# new — os.getpid() is harmless in serial runs and a result-splitting
-# distinguisher under a process pool.
+# clock/env/rng sets are REP001's and REP002's; the process-identity set
+# is this layer's own — os.getpid() is harmless in serial runs and a
+# result-splitting distinguisher under a process pool.
 # ---------------------------------------------------------------------------
 
 _PROCESS_IDENTITY_CALLS: FrozenSet[str] = frozenset(
@@ -167,19 +169,42 @@ AMBIENT_KIND_BY_CALL: Dict[str, str] = (
 
 AMBIENT_CALLS: FrozenSet[str] = frozenset(AMBIENT_KIND_BY_CALL)
 
-#: RNG constructors are ambient only when called unseeded (no args) —
-#: re-exported so the extractor shares one definition with the flow
-#: layer.
+#: RNG constructors are ambient only when called unseeded (no args);
+#: REP002's definition.
 UNSEEDED_RNG_CONSTRUCTORS = RNG_SEEDED_CONSTRUCTORS
 
 #: Module-path suffixes whose *direct* ambient reads are sanctioned
-#: (reviewed operator-facing wall durations; never result-bearing).
-#: Mirrors the flow layer's SOURCE_ALLOWLIST.
-AMBIENT_ALLOWLIST: Tuple[str, ...] = (
-    "campaign/watchdog.py",
-    "campaign/runner.py",
-    "workloads/suite.py",
-    "service/clock.py",
+#: (reviewed operator-facing wall durations; never result-bearing):
+#: REP001's allowlist.
+AMBIENT_ALLOWLIST: Tuple[str, ...] = CLOCK_ALLOWLIST
+
+# ---------------------------------------------------------------------------
+# Sinks
+# ---------------------------------------------------------------------------
+
+#: The durable writers: an unordered argument here is an unordered
+#: artifact.
+DURABLE_SINKS: FrozenSet[str] = frozenset(
+    {
+        "repro.core.durable.DurableAppender",
+        "repro.core.durable.atomic_copy_json",
+        "repro.core.durable.atomic_write_json",
+        "repro.core.durable.atomic_write_text",
+        "repro.core.durable.canonical_json",
+        "repro.core.durable.compact_json",
+        "repro.core.durable.content_digest",
+    }
+)
+
+#: Project functions defined in modules whose path matches one of these
+#: fragments are sinks too (the REP007 serialization scope).
+SINK_MODULE_FRAGMENTS: Tuple[str, ...] = (
+    "serialize",
+    "report",
+    "reporter",
+    "journal",
+    "store",
+    "results_io",
 )
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 :func:`scan` is the only place lint reads source files: it loads each
 module once into a :class:`~repro.lint.context.ModuleContext` and hands
 it to every enabled :class:`Pass` — the REP00x rules here, the flow,
-effect, and perf extractors in their packages — before moving to the
-next file.
+effect, and perf passes in their packages — before moving to the next
+file.
 
 The rules pass builds a node-type → interested-rules dispatch table and
 hands every node of :func:`ast.walk` to exactly the rules that declared

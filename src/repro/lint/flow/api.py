@@ -1,84 +1,79 @@
-"""The flow layer's entry point: files in, REP101-REP104 findings out.
-
-:class:`FlowPass` is the layer as a scan pass (see
-:mod:`repro.lint.summaries` for the shared cache-or-extract pipeline);
-``analyze_paths`` runs it alone, ``repro lint`` runs it beside the other
-passes in one scan.  Findings are plain :class:`Finding` objects, so the
-CLI concatenates every pass's list and hands the lot to the same
-baseline partition and reporters.
+"""The flow layer's entry point: files in, REP104 findings out.
 
 REP104's dimensional check reads annotations across the handful of
-prediction-core modules at once, so the pass keeps *their* contexts (and
-only theirs) until ``finish()``.  Its verdict is a function of those
-sources alone: handed the rules pass's findings cache, the pass stores
-it there under :data:`UNITS_ENTRY`, keyed by all of their digests, and a
-warm run parses none of them.
+prediction-core modules at once, so :class:`FlowPass` keeps *their*
+contexts (and only theirs) until ``finish()``.  Its verdict is a
+function of those sources alone: the pass stores it in its own cache
+file under :data:`UNITS_ENTRY`, keyed by all of their digests, so a
+warm run parses none of them.  ``analyze_paths`` runs the pass alone,
+``repro lint`` beside the other passes in one scan.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pathlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.lint.callgraph import CallGraph
 from repro.lint.context import ModuleContext
-from repro.lint.findings import CachedFindings, Finding
-from repro.lint.flow.extract import ModuleExtract, extract_module
-from repro.lint.flow.propagate import FlowAnalysis, flow_findings, propagate
+from repro.lint.engine import Pass, scan
+from repro.lint.findings import CachedFindings
 from repro.lint.flow.units import applies_to_units, check_units
-from repro.lint.summaries import LayerResult, SummaryCache, SummaryPass
+from repro.lint.summaries import LayerResult, SummaryCache
 
 __all__ = ["FlowPass", "analyze_paths", "FLOW_ANALYSIS_VERSION", "UNITS_ENTRY"]
 
-# Semantic version of flow/extract.py; see SummaryCache.
-FLOW_ANALYSIS_VERSION = 1
+# Semantic version of what the flow cache holds; see SummaryCache.
+FLOW_ANALYSIS_VERSION = 2
 
-#: The findings-cache key of the REP104 verdict (no module has this path).
+#: The cache key of the REP104 verdict (no module has this path).
 UNITS_ENTRY = "REP104"
 
 
-class FlowPass(SummaryPass[ModuleExtract, FlowAnalysis]):
-    kind = "flow"
-    analysis_version = FLOW_ANALYSIS_VERSION
-    extract_type = ModuleExtract
-
-    def __init__(
-        self,
-        cache_path: Optional[str | pathlib.Path],
-        findings_cache: Optional[SummaryCache[CachedFindings]] = None,
-    ) -> None:
-        super().__init__(cache_path)
-        self.findings_cache = findings_cache
+class FlowPass(Pass):
+    def __init__(self, cache_path: Optional[str | pathlib.Path]) -> None:
+        self.cache: SummaryCache[CachedFindings] = SummaryCache(
+            pathlib.Path(cache_path) if cache_path is not None else None,
+            "flow",
+            FLOW_ANALYSIS_VERSION,
+            CachedFindings.from_dict,
+        )
         self.unit_modules: List[ModuleContext] = []
 
     def visit(self, module: ModuleContext) -> None:
-        super().visit(module)
         if applies_to_units(module.relpath):
             self.unit_modules.append(module)
 
-    def extract(self, module: ModuleContext) -> ModuleExtract:
-        return extract_module(module)
-
-    def analyze(self, graph: CallGraph) -> Tuple[FlowAnalysis, List[Finding]]:
-        analysis = propagate(self.extracts, graph)
-        findings = flow_findings(analysis, self.sources)
-        findings.extend(self._unit_findings())
-        return analysis, findings
-
-    def _unit_findings(self) -> List[Finding]:
-        cache, modules = self.findings_cache, self.unit_modules
+    def finish(self) -> LayerResult[None]:
+        """Check (or recall) the verdict and save the cache."""
+        modules = self.unit_modules
         key = hashlib.sha256(
             "".join(f"{m.relpath} {m.digest}\n" for m in modules).encode()
         ).hexdigest()
-        entry = cache.get(UNITS_ENTRY, key) if cache is not None else None
+        entry = self.cache.get(UNITS_ENTRY, key)
         if entry is None:
             parsed = [(m.relpath, m.tree) for m in modules if m.tree is not None]
-            entry = CachedFindings(check_units(parsed, self.sources))
-            if cache is not None:
-                cache.put(UNITS_ENTRY, key, entry)
-                cache.save()
-        return entry.findings
+            sources = {m.relpath: m.lines for m in modules}
+            entry = CachedFindings(check_units(parsed, sources))
+            self.cache.put(UNITS_ENTRY, key, entry)
+        self.cache.save()
+        return LayerResult(
+            findings=list(entry.findings),
+            analysis=None,
+            files_analyzed=len(modules),
+            cache_hits=self.cache.hits,
+            cache_misses=self.cache.misses,
+            module_digests={m.relpath: m.digest for m in modules},
+        )
+
+    def run(
+        self,
+        paths: Sequence[str | pathlib.Path],
+        root: Optional[str | pathlib.Path],
+    ) -> LayerResult[None]:
+        """Scan ``paths`` with this pass alone."""
+        scan(paths, root, [self])
+        return self.finish()
 
 
 def analyze_paths(
@@ -86,6 +81,6 @@ def analyze_paths(
     *,
     root: Optional[str | pathlib.Path] = None,
     cache_path: Optional[str | pathlib.Path] = None,
-) -> LayerResult[FlowAnalysis]:
-    """Run the whole-program flow analysis over files and directories."""
+) -> LayerResult[None]:
+    """Run the flow layer (REP104) over files and directories."""
     return FlowPass(cache_path).run(paths, root)

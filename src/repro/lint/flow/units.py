@@ -27,10 +27,9 @@ Numeric literals and anything unrecognized are ⊤ (unknown), which is
 compatible with everything — the checker under-reports rather than
 guessing.
 
-This checker deliberately re-derives its (small) module set every run
-instead of going through the summary cache: unit facts are cross-module
-(the attribute map) and a stale map is worse than a re-parse of five
-files.
+Unit facts are cross-module (the attribute map), so the verdict is one
+value over the whole module set: :class:`repro.lint.flow.FlowPass`
+caches it keyed by every checked module's digest, never per module.
 """
 
 from __future__ import annotations
@@ -38,13 +37,40 @@ from __future__ import annotations
 import ast
 import dataclasses
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.lint.findings import Finding
+from repro.lint.registry import ProgramRule
 
-__all__ = ["UNITS_SCOPE_STEMS", "applies_to_units", "check_units"]
+__all__ = [
+    "FLOW_CODES",
+    "FLOW_RULES",
+    "UNITS_SCOPE_STEMS",
+    "applies_to_units",
+    "check_units",
+]
 
 CODE = "REP104"
+
+FLOW_RULES: Tuple[ProgramRule, ...] = (
+    ProgramRule(
+        code=CODE,
+        name="dimensional-consistency",
+        summary=(
+            "prediction-model arithmetic must combine seconds, bytes, "
+            "bytes/s, counts, and ratios coherently"
+        ),
+        rationale=(
+            "T_exec = T_disk + T_network + T_compute only means "
+            "anything if every term is seconds; adding seconds to "
+            "bytes, multiplying two durations, or returning a ratio "
+            "from a *_time function is a silent modeling bug no unit "
+            "test of one formula catches."
+        ),
+    ),
+)
+
+FLOW_CODES: FrozenSet[str] = frozenset(rule.code for rule in FLOW_RULES)
 
 SECONDS = "s"
 BYTES = "B"

@@ -1,7 +1,7 @@
 """The performance-contract layer: REP301-REP304 (DESIGN.md §18).
 
-Fourth lint layer.  REP00x checks one AST node, the flow layer follows
-values, the effect layer follows effects; this layer follows *cost*:
+REP00x checks one AST node, the flow layer the prediction core's
+units, the effect layer follows effects; this layer follows *cost*:
 per-function summaries of loop structure, allocation sites, linear
 scans, and loop-invariant calls, closed over the SCC-condensed call
 graph from the declared hot set (``repro.hotpath``).

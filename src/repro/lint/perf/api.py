@@ -27,7 +27,7 @@ from repro.lint.summaries import LayerResult, SummaryPass
 __all__ = ["PerfPass", "analyze_perf", "PERF_ANALYSIS_VERSION"]
 
 # Semantic version of perf/extract.py; see SummaryCache.
-PERF_ANALYSIS_VERSION = 1
+PERF_ANALYSIS_VERSION = 2
 
 
 class PerfPass(SummaryPass[PerfExtract, PerfAnalysis]):

@@ -4,7 +4,7 @@ One parse per module produces, for every function, the *local* cost
 facts the hot-region pass (``hotset.py``) closes over the call graph:
 
 - ``calls`` / ``arg_flows`` — resolved call edges, shaped exactly like
-  the flow layer's so :func:`repro.lint.callgraph.build_callgraph`
+  the effect layer's so :func:`repro.lint.callgraph.build_callgraph`
   works unchanged over perf extracts (``arg_flows`` is always empty —
   the cost lattice needs edges, not argument taint).
 - ``is_hot`` — the function carries a resolved
@@ -25,7 +25,7 @@ only fires for classes that actually carry a per-instance ``__dict__``,
 so ``__slots__``, ``dataclass(slots=True)``, ``NamedTuple``/``Enum``
 layouts, and exception types (error-path, not steady-state) are exempt.
 
-Same soundness caveats as the flow/effect extractors (DESIGN.md §13):
+Same soundness caveats as the effect extractor (DESIGN.md §13):
 resolution is static and name-based; dynamic dispatch on values of
 unknown class produces dangling edges the hot-region closure cannot
 follow — which is why the inner-loop helpers of the broker and
@@ -65,10 +65,8 @@ class PerfSummary:
     qualname: str
     lineno: int
     is_hot: bool = False
-    #: (resolved callee, line, ()) — callgraph-builder compatible
-    calls: List[Tuple[str, int, Tuple[str, ...]]] = dataclasses.field(
-        default_factory=list
-    )
+    #: (resolved callee, line) — callgraph-builder compatible
+    calls: List[Tuple[str, int]] = dataclasses.field(default_factory=list)
     #: always empty; present so build_callgraph's unpacking works
     arg_flows: List[Any] = dataclasses.field(default_factory=list)
     #: (resolved callee, line) at loop depth >= 1
@@ -110,10 +108,7 @@ class PerfSummary:
             qualname=str(data["qualname"]),
             lineno=int(data["lineno"]),
             is_hot=bool(data["is_hot"]),
-            calls=[
-                (str(c[0]), int(c[1]), tuple(c[2]))
-                for c in data["calls"]
-            ],
+            calls=[(str(c[0]), int(c[1])) for c in data["calls"]],
             loop_calls=[
                 (str(c[0]), int(c[1])) for c in data["loop_calls"]
             ],
@@ -369,7 +364,7 @@ class _PerfWalker:
         callee = self._resolve_callee(node.func)
         line = node.lineno
         if callee:
-            self.summary.calls.append((callee, line, ()))
+            self.summary.calls.append((callee, line))
         in_loop = bool(self.loop_stack)
         if in_loop and callee:
             self.summary.loop_calls.append((callee, line))

@@ -7,7 +7,7 @@ because the cost of an inner loop is the cost of everything it calls.
 REP301-REP304 fire only inside the region — cold code may allocate,
 scan, and recompute freely.
 
-Resolution caveat (shared with the flow/effect layers, DESIGN.md §13):
+Resolution caveat (shared with the effect layer, DESIGN.md §13):
 the closure follows statically resolvable edges only.  A method call on
 a value of unknown class (``pool.acquire()``) is a dangling edge the
 closure cannot cross, which is why the broker and simulator decorate

@@ -1,8 +1,8 @@
 """The performance rule family REP301-REP304: hot-path cost contracts.
 
-The fourth lint layer.  REP00x checks one AST node at a time, the flow
-layer (REP10x) follows *values*, the effect layer (REP20x) follows
-*effects*; this family follows *cost*: what a function allocates,
+REP00x checks one AST node at a time, the flow layer (REP104) the
+prediction core's units, the effect layer (REP20x) follows *effects*;
+this family follows *cost*: what a function allocates,
 scans, and recomputes per iteration of its loops.
 
 The hot set is declared with :func:`repro.hotpath.hot` and closed

@@ -94,8 +94,9 @@ class Rule:
 class ProgramRule:
     """Identity card of one whole-program rule (for tables and docs).
 
-    The flow (REP10x), effect (REP20x), and perf (REP30x) families need
-    the call graph and per-function summaries, so they do not fit the
+    The flow (REP104), effect (REP20x), and perf (REP30x) families need
+    more than one node at a time — a module set, the call graph and
+    per-function summaries — so they do not fit the
     node-dispatch :class:`Rule` interface; they share its stable-code
     contract — reporters, baselines, and ``--select`` key on the codes —
     and surface through the same :class:`~repro.lint.findings.Finding`.

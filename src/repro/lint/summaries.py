@@ -1,6 +1,6 @@
-"""What the flow, effect, and perf layers share: cache, pass, result.
+"""What the whole-program layers share: cache, pass, result.
 
-Each whole-program layer is the same pipeline over a different fact:
+The effect and perf layers are the same pipeline over a different fact:
 per module, *look up my cached summary or extract it from the tree*;
 after the last module, *build the call graph over all summaries and
 turn them into findings*.  :class:`SummaryPass` is that pipeline as a
@@ -12,7 +12,8 @@ propagation over the summaries is cheap and re-runs every time.
 :class:`SummaryCache` therefore stores exactly the per-module extract,
 keyed by the SHA-256 of the module *source text* — any edit invalidates
 precisely that module's entry, and path moves key afresh under the new
-relpath.
+relpath.  The rules pass keeps its per-module findings in the same
+store, and the flow pass its one REP104 verdict.
 
 The file is one durable JSON document on one line: ``compact_json``
 (sorted keys, C encoder) written by the same ``atomic_write_text`` the
@@ -71,8 +72,8 @@ class SummaryCache(Generic[E]):
     """Per-module extract store; counts hits/misses for diagnostics.
 
     ``analysis_version`` is the semantic version of the layer's
-    *extractor* (a hand-bumped integer for the three summary layers, the
-    linter's own source digest for the rules pass).  Entries are keyed
+    *extractor* (a hand-bumped integer for the flow, effect and perf
+    layers, the linter's own source digest for the rules pass).  Entries are keyed
     by source digest, so a source file that has not changed would
     happily replay a summary produced by an older extractor with
     different rules; a cache whose recorded version differs (or is
@@ -179,7 +180,7 @@ class SummaryPass(Pass, Generic[E, A]):
     rather than aborting the whole-program analysis.
     """
 
-    #: label in cache diagnostics ("flow", "effect", "perf")
+    #: label in cache diagnostics ("effect", "perf")
     kind: str
     #: bump whenever the extractor changes what a summary contains
     analysis_version: int

@@ -1,23 +1,20 @@
 """The shared program representation: symbols, definitions, callees.
 
-Everything the whole-program extractors (flow, effects, perf) need to
-know about one module *before* they compute their own facts lives here,
-once: the import/symbol table, the index of function definitions, and
-the helpers that read parameters, ``except`` clauses, and assignment
+Everything the rules and the whole-program extractors (effects, perf)
+need to know about one module *before* they compute their own facts
+lives here, once: the import/symbol table, the index of function
+definitions, and the helpers that read parameters and assignment
 targets off the AST.  :class:`repro.lint.context.ModuleContext` builds
 the table and the index lazily, at most once per module per scan.
 
-The intraprocedural rules match call sites by their *surface* dotted
-name (``time.time()``), which an alias launders trivially::
+Every name is resolved through the module's import table and local
+definitions to a canonical fully qualified name ("time.time",
+"repro.core.durable.atomic_write_json", "pkg.mod.Helper.method") that
+rule vocabularies, sinks, and call-graph edges are keyed on.  An alias
+therefore launders nothing::
 
     from time import time as ticks
-    ticks()          # invisible to REP001
-
-The whole-program layers instead resolve every name through the
-module's import table and local definitions, producing a canonical fully qualified name
-("time.time", "repro.core.durable.atomic_write_json",
-"pkg.mod.Helper.method") that sources, sinks, and call-graph edges are
-keyed on.
+    ticks()          # REP001: resolves to time.time
 
 Soundness caveats (documented in DESIGN.md §13): resolution is static
 and name-based.  Dynamic dispatch (a method call on a value of unknown
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "ModuleSymbols",
@@ -42,7 +39,6 @@ __all__ = [
     "param_names",
     "is_public",
     "resolve_callee",
-    "handler_names",
     "target_names",
 ]
 
@@ -201,7 +197,11 @@ def is_public(qualname: str, module: str) -> bool:
 
 
 class DefIndex:
-    """All function/method/class definitions of a module, in source order."""
+    """All function/method/class definitions of a module, in source order.
+
+    A ``def`` nested in an ``if``/``with``/``for``/``while``/``try``/
+    ``match`` block belongs to the enclosing scope, as Python binds it.
+    """
 
     def __init__(self, tree: ast.Module, module: str) -> None:
         #: (qualname, def node, owning class name or None)
@@ -227,6 +227,16 @@ class DefIndex:
             self.classes.append((qual, node))
             for child in node.body:
                 self._scan_node(child, prefix=qual, cls=node.name)
+        else:  # a block statement: its defs belong to the enclosing scope
+            for _field, value in ast.iter_fields(node):
+                for item in value if isinstance(value, list) else ():
+                    if isinstance(item, (ast.excepthandler, ast.match_case)):
+                        item_body = item.body
+                    else:
+                        item_body = [item]
+                    for child in item_body:
+                        if isinstance(child, ast.stmt):
+                            self._scan_node(child, prefix, cls)
 
 
 def resolve_callee(
@@ -253,27 +263,6 @@ def resolve_callee(
         )
         return candidate if candidate in defs.by_qualname else ""
     return symbols.resolve(name)
-
-
-def handler_names(
-    handlers: Sequence[ast.ExceptHandler],
-) -> Tuple[str, ...]:
-    """The exception names a try-statement's handlers catch; bare = '*'."""
-    names: List[str] = []
-    for handler in handlers:
-        if handler.type is None:
-            names.append("*")
-            continue
-        caught = (
-            handler.type.elts
-            if isinstance(handler.type, ast.Tuple)
-            else [handler.type]
-        )
-        for element in caught:
-            name = dotted(element)
-            if name:
-                names.append(name.rsplit(".", 1)[-1])
-    return tuple(names)
 
 
 def target_names(target: ast.expr) -> List[str]:

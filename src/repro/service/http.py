@@ -30,7 +30,7 @@ errors included.  The server keeps the connection alive
 :class:`FramingError` — 400, 413, 414, 431, 501, 505; DESIGN.md §15 has
 the rules — where the request stream can no longer be trusted: those
 carry ``Connection: close``.  Request ids are counter-based
-(``http-1``, ``http-2``, …) — deterministic, no UUIDs (REP102) — unless
+(``http-1``, ``http-2``, …) — deterministic, no UUIDs (REP002) — unless
 the body carries its own ``request_id``: 1–128 visible ASCII characters
 outside the ``http-`` prefix, anything else a 400.
 """

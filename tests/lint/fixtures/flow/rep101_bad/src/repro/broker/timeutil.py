@@ -1,7 +1,7 @@
 """BAD: an aliased wall-clock read, laundered through two helpers.
 
-``ticks`` defeats REP001's surface-name match; only symbol resolution
-plus interprocedural taint sees ``flush`` writing a clock value.
+``ticks`` resolves to ``time.time``, so REP001 reports the read here,
+where it is written, whatever ``flush`` later does with the value.
 """
 
 from time import time as ticks

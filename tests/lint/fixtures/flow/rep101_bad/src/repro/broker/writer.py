@@ -1,4 +1,4 @@
-"""BAD: serializes the laundered clock value (REP101 fires here)."""
+"""Serializes the laundered clock value (REP001 fires at the read)."""
 
 from repro.broker.timeutil import _stamp
 from repro.core.durable import atomic_write_json

@@ -1,8 +1,8 @@
 """GOOD: sanctioned wall-clock read in an allowlisted module.
 
 The campaign watchdog legitimately journals operator-facing wall
-durations; reads originating here carry no taint (mirrors the REP001
-allowlist).
+durations; it is on the REP001 allowlist, which the effect layer
+shares.
 """
 
 import time

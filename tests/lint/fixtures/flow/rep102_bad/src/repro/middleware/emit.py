@@ -1,4 +1,4 @@
-"""BAD: serializes values perturbed by the unseeded draw (REP102)."""
+"""Serializes values perturbed by the unseeded draw (REP002 there)."""
 
 from repro.core.durable import canonical_json
 from repro.middleware.noise import _jitter

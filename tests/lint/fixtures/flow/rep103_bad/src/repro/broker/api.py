@@ -1,4 +1,4 @@
-"""BAD: public broker API leaks the helper's builtins (REP103 ×2)."""
+"""BAD: public broker API over helpers that raise builtins (REP005 ×2)."""
 
 from repro.broker.codec import _decode, _lookup
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.lint.cli import LAYERS, _selected_rules, register_lint
+from repro.lint.errors import LintError
 from repro.lint.cli import main as lint_main
 
 
@@ -67,7 +68,7 @@ def test_the_gate_runs_without_the_numeric_stack(tmp_path, fixtures_dir):
     importing the CLI or the durable layer loads none of numpy, scipy,
     networkx, and a full four-family run works with all three blocked."""
     tree = tmp_path / "tree"
-    shutil.copytree(fixtures_dir / "flow" / "rep101_bad", tree)
+    shutil.copytree(fixtures_dir / "flow" / "rep104_bad", tree)
     done = subprocess.run(
         [sys.executable, "-c", _NO_NUMERIC_STACK, str(tree)],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
@@ -83,7 +84,7 @@ def test_the_gate_runs_without_the_numeric_stack(tmp_path, fixtures_dir):
     )
     assert full["exit"] == standalone["exit"] == 1
     assert full["report"] == standalone["report"]
-    assert {f["code"] for f in full["report"]["findings"]} == {"REP101"}
+    assert {f["code"] for f in full["report"]["findings"]} == {"REP104"}
 
 
 def test_bad_file_fails_with_text_findings(tmp_path, fixtures_dir, capsys):
@@ -268,13 +269,15 @@ LAYER_TABLE = [
     ("dir", ["--flow", "--effects", "--perf"], {"flow", "effects", "perf"}),
     ("dir", ["--select", "REP001"], set()),
     ("dir", ["--select", "REP003,REP004"], set()),
-    ("file", ["--select", "REP101"], {"flow"}),
+    ("file", ["--select", "REP101"], LintError),
+    ("file", ["--select", "REP104"], {"flow"}),
     ("dir", ["--select", "REP104"], {"flow"}),
     ("dir", ["--select", "REP204"], {"effects"}),
     ("file", ["--select", "REP205"], {"effects"}),
     ("dir", ["--select", "REP301"], {"perf"}),
     ("file", ["--select", "rep302"], {"perf"}),
-    ("file", ["--select", "REP001,REP102,REP203"], {"flow", "effects"}),
+    ("file", ["--select", "REP001,REP102,REP203"], LintError),
+    ("file", ["--select", "REP001,REP104,REP203"], {"flow", "effects"}),
     ("dir", ["--select", "REP001", "--effects"], {"effects"}),
     ("dir", ["--select", "REP203", "--perf"], {"effects", "perf"}),
     ("file", ["--write-certificate"], {"effects"}),
@@ -289,10 +292,18 @@ LAYER_TABLE = [
     ids=[f"{kind}:{' '.join(argv) or '-'}" for kind, argv, _ in LAYER_TABLE],
 )
 def test_which_layers_run(tmp_path, kind, argv, expected):
+    """A layer runs by its flag, its codes or a directory PATH; a code no
+    layer or rule owns (the deleted REP101-REP103 among them) is a usage
+    error, even beside known ones."""
     target = tmp_path / "mod.py"
     target.write_text("x = 1\n")
     path = tmp_path if kind == "dir" else target
-    assert _layers_run(_parse_lint([str(path), *argv])) == expected
+    args = _parse_lint([str(path), *argv])
+    if expected is LintError:
+        with pytest.raises(LintError, match="unknown rule code"):
+            _layers_run(args)
+    else:
+        assert _layers_run(args) == expected
 
 
 def _hook_entry(repo_root):
@@ -364,20 +375,22 @@ def _flow_tree(case, tmp_path):
 
 
 def test_flow_defaults_on_for_directory_runs(tmp_path, capsys):
-    tree = _flow_tree("rep101_bad", tmp_path)
+    tree = _flow_tree("rep104_bad", tmp_path)
     code = lint_main([str(tree / "src"), "--root", str(tree)])
     assert code == 1
-    assert "REP101" in capsys.readouterr().out
+    assert "REP104" in capsys.readouterr().out
 
 
 def test_no_flow_suppresses_whole_program_findings(tmp_path, capsys):
-    """A single-file run stays intraprocedural: the REP101 a directory
-    run finds is not reported, and no flow summary cache is written."""
-    tree = _flow_tree("rep101_bad", tmp_path)
+    """A single-file run stays intraprocedural: the REP104 a directory
+    run finds in the same file is not reported, and no flow cache is
+    written."""
+    tree = _flow_tree("rep104_bad", tmp_path)
     code = lint_main(
-        [str(tree / "src/repro/broker/writer.py"), "--root", str(tree)]
+        [str(tree / "src/repro/core/models.py"), "--root", str(tree)]
     )
     assert code == 0
+    assert "REP104" not in capsys.readouterr().out
     assert not (tree / ".repro-flow-cache.json").exists()
 
 
@@ -395,18 +408,18 @@ def test_select_flow_code_forces_flow_and_scopes_output(
 
 
 def test_flow_findings_render_as_github_annotations(tmp_path, capsys):
-    tree = _flow_tree("rep102_bad", tmp_path)
+    tree = _flow_tree("rep104_bad", tmp_path)
     code = lint_main(
         [str(tree / "src"), "--root", str(tree), "--format", "github"]
     )
     assert code == 1
     out = capsys.readouterr().out
-    assert "::error file=src/repro/middleware/emit.py" in out
-    assert "REP102" in out
+    assert out.count("::error file=src/repro/core/models.py") == 3
+    assert "REP104" in out
 
 
 def test_flow_baseline_suppresses_known_findings(tmp_path, capsys):
-    tree = _flow_tree("rep101_bad", tmp_path)
+    tree = _flow_tree("rep104_bad", tmp_path)
     baseline = tree / "baseline.json"
     assert (
         lint_main(
@@ -428,9 +441,9 @@ def test_flow_baseline_suppresses_known_findings(tmp_path, capsys):
 def test_list_rules_includes_flow_family(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("REP101", "REP102", "REP103", "REP104"):
-        assert code in out
-    assert "(flow)" in out
+    assert "REP104  dimensional-consistency (flow)" in out
+    for code in ("REP101", "REP102", "REP103"):
+        assert code not in out
 
 
 # ----------------------------------------------------------------------

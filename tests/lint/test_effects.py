@@ -121,6 +121,47 @@ class TestTiers:
         assert "global-write" in words
         assert "mutates(rows)" in words
 
+    def test_defs_inside_blocks_get_summaries(self, tmp_path):
+        """A ``def`` inside a ``with``/``if``/``for``/``while``/``try``
+        block or ``match`` case is summarized under its enclosing scope."""
+        result = analyze_source(
+            tmp_path,
+            "import contextlib\n"
+            "import time\n\n\n"
+            "def run(flag, cases):\n"
+            "    with contextlib.nullcontext():\n"
+            "        def scan_once():\n"
+            "            return time.time()\n"
+            "    if flag:\n"
+            "        def chosen():\n"
+            "            return 1\n"
+            "    for case in cases:\n"
+            "        def per_case():\n"
+            "            return case\n"
+            "    while flag:\n"
+            "        def looped():\n"
+            "            return 2\n"
+            "    try:\n"
+            "        pass\n"
+            "    except OSError:\n"
+            "        def handled():\n"
+            "            return 3\n"
+            "    finally:\n"
+            "        def cleanup():\n"
+            "            return 4\n"
+            "    match flag:\n"
+            "        case True:\n"
+            "            def matched():\n"
+            "                return 5\n"
+            "    return scan_once()\n",
+        )
+        tiers = result.analysis.tiers
+        assert tiers["mod.run.scan_once"] == TIER_EFFECTFUL
+        for name in (
+            "chosen", "per_case", "looped", "handled", "cleanup", "matched"
+        ):
+            assert tiers[f"mod.run.{name}"] == TIER_PURE, name
+
 
 # ----------------------------------------------------------------------
 # REP203 and REP204, fixture by fixture

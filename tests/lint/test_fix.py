@@ -84,20 +84,18 @@ def test_fix_then_whole_program_passes_see_the_rewritten_text(
     tmp_path, capsys
 ):
     """One scan hands every pass the same text, so after ``--fix`` rewrote
-    a file the run must scan again: the REP101 finding below sits on the
+    a file the run must scan again: the REP104 finding below sits on the
     very line the REP003 fix edits, and its snippet is baseline identity."""
     import json
 
     from repro.lint.cli import main as lint_main
 
-    target = tmp_path / "src" / "repro" / "broker" / "stamp.py"
+    target = tmp_path / "src" / "repro" / "core" / "models.py"
     target.parent.mkdir(parents=True)
     target.write_text(
-        "import json\n"
-        "from time import time as ticks\n\n"
-        "from repro.core.durable import atomic_write_text\n\n\n"
-        "def flush(path):\n"
-        "    atomic_write_text(path, json.dumps({'at': ticks()}))\n"
+        "import json\n\n\n"
+        "def stage_time(base_s, chunk_bytes, meta):\n"
+        "    return base_s + len(json.dumps(meta)) * chunk_bytes\n"
     )
     argv = [
         str(tmp_path / "src"), "--root", str(tmp_path), "--flow",
@@ -112,5 +110,5 @@ def test_fix_then_whole_program_passes_see_the_rewritten_text(
     assert fixing["summary"]["fixed"] == 1
     assert fixing["findings"] == plain["findings"]
     (finding,) = plain["findings"]
-    assert finding["code"] == "REP101"
+    assert finding["code"] == "REP104"
     assert "sort_keys=True" in finding["snippet"]

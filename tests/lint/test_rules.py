@@ -50,6 +50,54 @@ def test_good_fixture_is_silent(fixtures_dir, code, stem, relpath, expected):
     assert lint_source(source, relpath) == []
 
 
+def _body(imports: str, expr: str) -> str:
+    return f"{imports}\n\n\ndef f(xs, seed):\n    return {expr}\n"
+
+
+#: (case, module source, the (code, line) findings) -- REP001 and REP002
+#: match the import-resolved name, so only the read line counts.
+RESOLVED_READS = [
+    ("aliased-clock", _body("from time import time as ticks", "ticks()"),
+     [("REP001", 5)]),
+    ("module-alias", _body("import time as t", "t.perf_counter()"),
+     [("REP001", 5)]),
+    ("getenv", _body("import os", "os.getenv('X')"), [("REP001", 5)]),
+    ("environ-get", _body("import os", "os.environ.get('X')"),
+     [("REP001", 5)]),
+    ("environ-imported", _body("from os import environ", "environ['X']"),
+     [("REP001", 5)]),
+    ("aliased-shuffle", _body("from random import shuffle as mix", "mix(xs)"),
+     [("REP002", 5)]),
+    ("uuid", _body("import uuid", "uuid.uuid4().hex"), [("REP002", 5)]),
+    ("secrets", _body("from secrets import token_hex", "token_hex(8)"),
+     [("REP002", 5)]),
+    ("urandom", _body("import os", "os.urandom(8)"), [("REP002", 5)]),
+    ("system-random", _body("import random", "random.SystemRandom(7)"),
+     [("REP002", 5)]),
+    ("aliased-constructor",
+     _body("from numpy.random import default_rng as make", "make(seed), make()"),
+     [("REP002", 5)]),
+    ("not-the-time-module",
+     _body("from repro.simgrid import engine as time", "time.time()"), []),
+]
+
+
+@pytest.mark.parametrize(
+    "case, source, expected",
+    RESOLVED_READS,
+    ids=[case for case, _, _ in RESOLVED_READS],
+)
+def test_rep001_and_rep002_match_resolved_names(case, source, expected):
+    findings = lint_source(source, "src/repro/simgrid/drawn.py")
+    assert [(f.code, f.line) for f in findings] == expected
+
+
+def test_an_aliased_read_names_what_it_resolves_to():
+    source = _body("from time import time as ticks", "ticks()")
+    (finding,) = lint_source(source, "src/repro/simgrid/clocked.py")
+    assert "ticks() (time.time)" in finding.message
+
+
 def test_rep001_allowlists_the_watchdog(fixtures_dir):
     source = (fixtures_dir / "rep001_bad.py").read_text()
     findings = lint_source(source, "src/repro/campaign/watchdog.py")

@@ -1,7 +1,7 @@
 """The shipped tree honors its own contracts.
 
 These tests are the lint gate in test form: ``src/repro`` has zero
-non-baselined findings — intraprocedural *and* whole-program (flow) —
+non-baselined findings — intraprocedural *and* whole-program —
 the checked-in baseline is empty — the REP006 exact-compare debt was
 burned down to zero by rewriting the fault-factor sentinels in
 ``middleware/runtime.py`` as inequalities — and introducing any bad
@@ -27,10 +27,7 @@ TRACKED_DEBT = {
     "REP007": 0,
     "REP008": 0,
     "REP009": 0,  # service/broker/campaign shipped with every wait bounded
-    # The flow family ships clean: no baselined whole-program findings.
-    "REP101": 0,
-    "REP102": 0,
-    "REP103": 0,
+    # The flow layer ships clean: no baselined units findings.
     "REP104": 0,
     # The effect family ships clean: the tree certifies with zero
     # baselined effect findings.

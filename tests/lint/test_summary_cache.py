@@ -3,7 +3,9 @@
 The REP00x rules pass and the flow, effects, and perf layers share one
 :class:`repro.lint.summaries.SummaryCache` and one scan loop, so their
 cache contract — hit, invalidated by edit, corrupt file, version skew,
-malformed entry — is one suite parametrised over the passes, and the
+malformed entry — is one suite parametrised over the passes (the flow
+pass keeps one entry, REP104's verdict over the prediction-core
+modules, so its tree is one such module), and the
 parse-once-cold, parse-nothing-warm guarantee is checked on the command
 that runs all of them together.  What only the rules cache does — a
 derived ``analysis_version``, entries shared between ``--select`` and
@@ -61,7 +63,7 @@ LAYERS = {
         ["REP003"],
         "findings",
     ),
-    "flow": (analyze_paths, "flow/rep101_bad", ["REP101"], "functions"),
+    "flow": (analyze_paths, "flow/rep104_bad", ["REP104"], "findings"),
     "effects": (
         analyze_effects,
         ["effects/rep204_bad.py", "effects/rep204_good.py"],
@@ -81,6 +83,7 @@ class Layer:
     """One layer's analysis over a scratch copy of its fixture tree."""
 
     def __init__(self, name: str, tmp_path: pathlib.Path) -> None:
+        self.name = name
         self.analyze, fixture, self.codes, self.required_key = LAYERS[name]
         self.root = tmp_path / "tree"
         if isinstance(fixture, str):
@@ -121,7 +124,8 @@ def assert_full_reextract(layer: Layer, result) -> None:
 def test_warm_run_hits_every_module(layer):
     cold = layer.run()
     assert cold.cache_hits == 0
-    assert cold.cache_misses == cold.files_analyzed == len(layer.files) > 1
+    assert cold.cache_misses == cold.files_analyzed == len(layer.files)
+    assert len(layer.files) > 1 or layer.name == "flow"
     assert codes_of(cold) == layer.codes
 
     written = layer.cache.stat().st_mtime_ns
