@@ -11,16 +11,20 @@ result depend on the shell that ran it.
 
 Names are matched after import resolution, so an alias is no hiding
 place: ``from time import time as ticks; ticks()`` is ``time.time()``.
+A formatter that reads the clock when given no time is a read too:
+``email.utils.formatdate()`` with no ``timeval`` (or ``timeval=None``).
 
 Bad::
 
     started = time.time()          # REP001
     started = ticks()              # REP001 (from time import time as ticks)
     scale = os.getenv("SCALE")     # REP001
+    stamp = formatdate(usegmt=True)  # REP001 (the time is now)
 
 Good::
 
     now = engine.now               # simulated clock owned by the engine
+    stamp = formatdate(when_s, usegmt=True)  # the caller's time
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ CLOCK_SOURCES: FrozenSet[str] = frozenset(
         "datetime.date.today",
     }
 )
+
+#: Reads the clock when its ``timeval`` (first positional) is absent or None.
+FORMATDATE = "email.utils.formatdate"
 
 #: Sanctioned wall-clock readers: the watchdog (real deadlines on real
 #: processes), the two harness drivers that report operator-facing wall
@@ -91,7 +98,9 @@ class WallClockRule(Rule):
         if isinstance(node, ast.Call):
             name = dotted_name(node.func)
             canonical = ctx.symbols.resolve(name)
-            if canonical in CLOCK_SOURCES:
+            if canonical in CLOCK_SOURCES or (
+                canonical == FORMATDATE and _untimed(node)
+            ):
                 yield self.finding(
                     ctx,
                     node,
@@ -123,3 +132,21 @@ class WallClockRule(Rule):
             f"environment read {shown_name} makes the result depend on "
             "the host; pass the value in explicitly",
         )
+
+
+def _untimed(call: ast.Call) -> bool:
+    """True when ``call`` passes no ``timeval``: none at all, or a None.
+
+    A ``*args`` or ``**kwargs`` that may carry one counts as timed.
+    """
+    if call.args:
+        first = call.args[0]
+        return not isinstance(first, ast.Starred) and _is_none(first)
+    for kw in call.keywords:
+        if kw.arg is None or kw.arg == "timeval":
+            return kw.arg is not None and _is_none(kw.value)
+    return True
+
+
+def _is_none(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None

@@ -35,7 +35,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core import GlobalReductionModel, ModelClasses
 from repro.core.durable import content_digest, json_number
@@ -83,6 +95,51 @@ __all__ = [
 ENDPOINTS = ("predict", "what-if", "broker-submit", "campaign-status")
 
 _LOG_FORMAT_VERSION = 1
+
+#: The parameters each handler reads, so the fields of its request key.
+_PREDICT_FIELDS = (
+    "profile", "cluster", "bandwidth", "data_nodes", "compute_nodes",
+    "processes_per_node", "dataset_bytes",
+)
+_WHATIF_FIELDS = ("profile", "cluster", "bandwidth", "pairs")
+_ABSENT = object()  # an absent field keys apart from any value
+_SCALARS = frozenset({str, int, float, bool, type(None), type(_ABSENT)})
+
+
+def _typed(values: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
+    """The exact type of each of ``values``, then the values themselves,
+    a list or tuple typed item by item: one flat tuple.
+
+    ``True == 1`` and ``2 == 2.0`` in Python, so bare values would key
+    a refused request onto a served one.  Only JSON's own types key; any
+    other (a dict, a subclass) gives ``None``, and such a request is
+    resolved afresh.  The one pair of distinct JSON values still equal,
+    ``0.0`` and ``-0.0``, fails every numeric field's validation and so
+    is never stored.
+    """
+    kinds = tuple(map(type, values))
+    if _SCALARS.issuperset(kinds):
+        return kinds + tuple(values)
+    typed = []
+    for kind, value in zip(kinds, values):
+        if kind is list or kind is tuple:
+            value = _typed(value)
+            if value is None:
+                return None
+        elif kind not in _SCALARS:
+            return None
+        typed.append(value)
+    return kinds + tuple(typed)
+
+
+class _Resolved(NamedTuple):
+    """What a predict or what-if request derives before ``_evaluate``."""
+
+    profile: Profile
+    model: PredictionModel
+    target: PredictionTarget  # what-if: the template at the profile's size
+    pairs: Tuple[Tuple[int, int], ...]  # what-if only
+    fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -284,9 +341,13 @@ class PredictionService:
         )
         self.breakers = BreakerBank(BREAKER_FAILURE_THRESHOLD, BREAKER_COOLDOWN)
         self._models: Dict[str, PredictionModel] = {}
-        # Request-invariant, so computed here and never per request: the
-        # named clusters and the content digests the cache key is built
-        # from (``profiles`` is therefore fixed at construction).
+        # One ``_Resolved`` per distinct request answered fresh, oldest
+        # evicted first, bounded like the prediction cache it feeds.
+        self._resolved: Dict[Hashable, _Resolved] = {}
+        # Request-invariant, so computed here once: the named clusters
+        # and the content digests the cache key is built from
+        # (``profiles`` is therefore fixed at construction).  What one
+        # request derives from them is kept in ``_resolved``.
         self._clusters = {name: make() for name, make in CLUSTERS.items()}
         self._cluster_digests = {
             name: cluster_fingerprint(cluster)
@@ -545,37 +606,81 @@ class PredictionService:
         )
         return config, self._cluster_digests[name]
 
-    def _handle_predict(
-        self, request: ServiceRequest, arrival: float, budget: DeadlineBudget
-    ) -> ServiceResponse:
+    def _resolve(
+        self,
+        request: ServiceRequest,
+        fields: Tuple[str, ...],
+        resolve: Callable[[Mapping[str, Any]], _Resolved],
+    ) -> Tuple[Optional[Hashable], _Resolved]:
+        """``resolve(request.params)``, once per distinct request answered.
+
+        The key is the endpoint and the typed value of every field the
+        handler reads.  Returns it beside the resolution when the request
+        is new (for :meth:`_remember`), ``None`` when it was remembered
+        or cannot be keyed; a refusal is raised by ``resolve`` itself.
+        """
         params = request.params
-        try:
-            profile, profile_digest = self._resolve_profile(params)
-            config, cluster_digest = self._resolve_config(
-                params,
-                json_number("data_nodes", params.get("data_nodes"), True),
-                json_number("compute_nodes", params.get("compute_nodes"), True),
-                json_number(
-                    "processes_per_node",
-                    params.get("processes_per_node", 1),
-                    True,
-                ),
-            )
-            target = PredictionTarget(
-                config,
-                json_number(
-                    "dataset_bytes",
-                    params.get("dataset_bytes", profile.dataset_bytes),
-                ),
-            )
-        except ConfigurationError as exc:
-            return self._reject(request, arrival, str(exc))
+        key = _typed(
+            [request.endpoint] + [params.get(name, _ABSENT) for name in fields]
+        )
+        if key is None:
+            return None, resolve(params)
+        resolved = self._resolved.get(key)
+        if resolved is not None:
+            return None, resolved
+        return key, resolve(params)
+
+    def _remember(
+        self,
+        key: Optional[Hashable],
+        resolved: _Resolved,
+        response: ServiceResponse,
+    ) -> ServiceResponse:
+        """Keep ``resolved`` once its request is answered fresh, as the
+        prediction cache keeps the payload: what a refused request
+        derived, however many pairs it holds, is dropped."""
+        if key is not None and response.outcome == "ok":
+            if len(self._resolved) >= self.cache.max_entries:
+                del self._resolved[next(iter(self._resolved))]
+            self._resolved[key] = resolved
+        return response
+
+    def _resolve_predict(self, params: Mapping[str, Any]) -> _Resolved:
+        profile, profile_digest = self._resolve_profile(params)
+        config, cluster_digest = self._resolve_config(
+            params,
+            json_number("data_nodes", params.get("data_nodes"), True),
+            json_number("compute_nodes", params.get("compute_nodes"), True),
+            json_number(
+                "processes_per_node",
+                params.get("processes_per_node", 1),
+                True,
+            ),
+        )
+        target = PredictionTarget(
+            config,
+            json_number(
+                "dataset_bytes",
+                params.get("dataset_bytes", profile.dataset_bytes),
+            ),
+        )
         model = self._model_for(profile.app)
         fingerprint = prediction_fingerprint(
             profile_digest, cluster_digest, cluster_digest, target,
             model.label,
         )
-        cluster = target.config.compute_cluster.name
+        return _Resolved(profile, model, target, (), fingerprint)
+
+    def _handle_predict(
+        self, request: ServiceRequest, arrival: float, budget: DeadlineBudget
+    ) -> ServiceResponse:
+        try:
+            key, resolved = self._resolve(
+                request, _PREDICT_FIELDS, self._resolve_predict
+            )
+        except ConfigurationError as exc:
+            return self._reject(request, arrival, str(exc))
+        profile, model, target, _, fingerprint = resolved
 
         def call() -> Tuple[Dict[str, Any], float]:
             payload, cost = self.backend.predict(model, profile, target)
@@ -584,37 +689,31 @@ class PredictionService:
             payload["target"] = target.label
             return payload, cost
 
-        return self._evaluate(
+        return self._remember(key, resolved, self._evaluate(
             request,
             arrival,
             budget,
             fingerprint,
             self.backend.cost_model.predict_s,
             call,
-            breaker_key=(profile.app, cluster),
-        )
+            breaker_key=(profile.app, target.config.compute_cluster.name),
+        ))
 
-    def _handle_whatif(
-        self, request: ServiceRequest, arrival: float, budget: DeadlineBudget
-    ) -> ServiceResponse:
-        params = request.params
-        try:
-            profile, profile_digest = self._resolve_profile(params)
-            pairs_raw = params.get("pairs")
-            if not isinstance(pairs_raw, (list, tuple)) or not pairs_raw:
-                raise ConfigurationError(
-                    "what-if needs a non-empty 'pairs' list of "
-                    "[data_nodes, compute_nodes]"
-                )
-            pairs = [
-                (json_number("pairs", n, True), json_number("pairs", c, True))
-                for n, c in pairs_raw
-            ]
-            template, cluster_digest = self._resolve_config(params)
-            for n, c in pairs:  # refuse here what the sweep would raise on
-                template.with_nodes(n, c)
-        except (ConfigurationError, TypeError, ValueError) as exc:
-            return self._reject(request, arrival, str(exc))
+    def _resolve_whatif(self, params: Mapping[str, Any]) -> _Resolved:
+        profile, profile_digest = self._resolve_profile(params)
+        pairs_raw = params.get("pairs")
+        if not isinstance(pairs_raw, (list, tuple)) or not pairs_raw:
+            raise ConfigurationError(
+                "what-if needs a non-empty 'pairs' list of "
+                "[data_nodes, compute_nodes]"
+            )
+        pairs = tuple(
+            (json_number("pairs", n, True), json_number("pairs", c, True))
+            for n, c in pairs_raw
+        )
+        template, cluster_digest = self._resolve_config(params)
+        for n, c in pairs:  # refuse here what the sweep would raise on
+            template.with_nodes(n, c)
         model = self._model_for(profile.app)
         target = PredictionTarget(
             config=template, dataset_bytes=profile.dataset_bytes
@@ -627,7 +726,19 @@ class PredictionService:
             model.label,
             extra=(("endpoint", "what-if"), ("pairs", [list(p) for p in pairs])),
         )
-        cluster = template.compute_cluster.name
+        return _Resolved(profile, model, target, pairs, fingerprint)
+
+    def _handle_whatif(
+        self, request: ServiceRequest, arrival: float, budget: DeadlineBudget
+    ) -> ServiceResponse:
+        try:
+            key, resolved = self._resolve(
+                request, _WHATIF_FIELDS, self._resolve_whatif
+            )
+        except (ConfigurationError, TypeError, ValueError) as exc:
+            return self._reject(request, arrival, str(exc))
+        profile, model, target, pairs, fingerprint = resolved
+        template = target.config
 
         def call() -> Tuple[Dict[str, Any], float]:
             forecasts, cost = self.backend.whatif(
@@ -642,15 +753,15 @@ class PredictionService:
             }
             return payload, cost
 
-        return self._evaluate(
+        return self._remember(key, resolved, self._evaluate(
             request,
             arrival,
             budget,
             fingerprint,
             self.backend.cost_model.whatif_pair_s * len(pairs),
             call,
-            breaker_key=(profile.app, cluster),
-        )
+            breaker_key=(profile.app, template.compute_cluster.name),
+        ))
 
     def _handle_broker_submit(
         self, request: ServiceRequest, arrival: float, budget: DeadlineBudget

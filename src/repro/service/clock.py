@@ -22,16 +22,22 @@ deadline + ε") is checked against in every seeded scenario.  Under
 :class:`MonotonicClock` the charge is *measured*: the time the attempt
 really took, and ≈ 0 for a backoff, because nothing in the service ever
 sleeps.
+
+:class:`HttpDate` is the HTTP shell's other host-clock read: the
+``Date`` header, which names the wall-clock second a response is built
+in and never reaches a result.
 """
 
 from __future__ import annotations
 
 import abc
 import time
+from email.utils import formatdate
+from typing import Callable, Tuple
 
 from repro.simgrid.errors import ConfigurationError
 
-__all__ = ["ServiceClock", "VirtualClock", "MonotonicClock"]
+__all__ = ["ServiceClock", "VirtualClock", "MonotonicClock", "HttpDate"]
 
 
 class ServiceClock(abc.ABC):
@@ -91,3 +97,28 @@ class MonotonicClock(ServiceClock):
 
     def charge(self, priced_s: float, began_s: float) -> float:
         return self.now() - began_s
+
+
+class HttpDate:
+    """The ``Date`` header's text, formatted once per wall-clock second.
+
+    Calling it returns ``formatdate(t, usegmt=True)`` for the second ``t``
+    falls in; the header has one-second resolution, so every response
+    built in that second shares one string.  The cache is one immutable
+    ``(second, text)`` pair replaced whole, so a handler thread reads the
+    old pair or the new one and never a mix; two threads crossing a
+    second together at worst both format it.  ``wall_time`` is the
+    host's clock unless a test injects one.
+    """
+
+    def __init__(self, wall_time: Callable[[], float] = time.time) -> None:
+        self._wall_time = wall_time
+        self._cached: Tuple[int, str] = (-1, "")
+
+    def __call__(self) -> str:
+        second = int(self._wall_time())
+        cached = self._cached
+        if cached[0] != second:
+            cached = (second, formatdate(second, usegmt=True))
+            self._cached = cached
+        return cached[1]

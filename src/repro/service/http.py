@@ -38,16 +38,17 @@ outside the ``http-`` prefix, anything else a 400.
 from __future__ import annotations
 
 import json
+import math
 import re
 import socket
 import socketserver
 import threading
-from email.utils import formatdate
 from http import HTTPStatus
 from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.durable import compact_json
 from repro.service.app import ENDPOINTS, PredictionService, ServiceRequest
+from repro.service.clock import HttpDate
 from repro.service.errors import ServiceError
 from repro.simgrid.errors import ConfigurationError
 
@@ -64,6 +65,12 @@ _REQUEST_LINE = re.compile(
 _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+").fullmatch  # a field name
 #: A client's own request id: the ``http-`` ids are the gateway's.
 _CLIENT_ID = re.compile(r"(?!http-)[!-~]{1,128}").fullmatch
+#: Every status line, reason phrase included, built once.
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+    for status in HTTPStatus
+}
+_DATE = HttpDate()
 
 
 class ServiceGateway:
@@ -249,12 +256,13 @@ def _response(
     """Status line + headers + compact-JSON body: the one buffer sent."""
     body = compact_json(payload).encode("utf-8")
     head = (
-        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-        f"Server: repro-serve\r\nDate: {formatdate(usegmt=True)}\r\n"
+        f"{_STATUS_LINES[status]}Server: repro-serve\r\nDate: {_DATE()}\r\n"
         f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
     )
     if retry_after is not None:
-        head += f"Retry-After: {retry_after:.6f}\r\n"
+        # delay-seconds is 1*DIGIT (RFC 9110 §10.2.3): rounded up, so a
+        # client never retries early; the body keeps the exact wait.
+        head += f"Retry-After: {math.ceil(retry_after)}\r\n"
     if close:
         head += "Connection: close\r\n"
     return head.encode("latin-1") + b"\r\n" + body

@@ -73,18 +73,8 @@ def fit_linear_cost(
     """Least-squares fit ``time = w * size + l``; returns ``(w, l)``.
 
     Used to turn microbenchmark (size, time) samples into the paper's
-    per-byte cost ``w`` and latency ``l``.  The solve is remembered by
-    the *values* of the samples, so equal clusters share one fit and
-    every prediction after a cluster's first reuses it — Section 3.3.1
-    determines ``w`` and ``l`` once per target configuration.
+    per-byte cost ``w`` and latency ``l``.
     """
-    return _fit_samples(tuple(sizes), tuple(times))
-
-
-@functools.lru_cache(maxsize=64)
-def _fit_samples(
-    sizes: tuple[float, ...], times: tuple[float, ...]
-) -> tuple[float, float]:
     if len(sizes) != len(times):
         raise ConfigurationError("sizes and times must have equal length")
     if len(sizes) < 2:
@@ -141,8 +131,26 @@ class CommCostModel:
 
         The microbenchmark measures single reduction-object messages on the
         intra-cluster interconnect, mirroring how a FREERIDE-G deployment
-        would calibrate ``w`` and ``l`` once per cluster.
+        would calibrate ``w`` and ``l`` once per cluster: the fitted model
+        is remembered by the two values
+        :meth:`~repro.simgrid.hardware.ClusterSpec.gather_message_time`
+        reads and the probe sizes, so equal interconnects share one fit
+        and every prediction after a cluster's first reuses it.
         """
-        times = [cluster.gather_message_time(size) for size in probe_sizes]
-        w, l = fit_linear_cost(probe_sizes, times)
-        return cls(w=max(w, 0.0), l=max(l, 0.0))
+        return _fit_interconnect(
+            cls, cluster.intra_latency_s, cluster.intra_bw, tuple(probe_sizes)
+        )
+
+
+@functools.lru_cache(maxsize=64)
+def _fit_interconnect(
+    cls: type[CommCostModel],
+    latency_s: float,
+    bw: float,
+    probe_sizes: tuple[float, ...],
+) -> CommCostModel:
+    # ClusterSpec.gather_message_time's message: latency + bytes / bw.
+    link = LinkModel(latency_s=latency_s, bw=bw)
+    times = [link.message_time(size) for size in probe_sizes]
+    w, l = fit_linear_cost(probe_sizes, times)
+    return cls(w=max(w, 0.0), l=max(l, 0.0))

@@ -287,26 +287,26 @@ class TestCommitCost:
     ):
         import repro.campaign.journal as journal_module
 
-        calls = {"digest": 0, "dumps": 0}
-        real_digest, real_dumps = durable.content_digest, json.dumps
+        calls = {"digest": 0, "encodes": 0}
+        real_digest, real_encode = durable.content_digest, durable._COMPACT.encode
 
         def counted_digest(data):
             calls["digest"] += 1
             return real_digest(data)
 
-        def counted_dumps(*args, **kwargs):
-            calls["dumps"] += 1
-            return real_dumps(*args, **kwargs)
+        def counted_encode(data):
+            calls["encodes"] += 1
+            return real_encode(data)
 
         monkeypatch.setattr(journal_module, "content_digest", counted_digest)
-        monkeypatch.setattr(json, "dumps", counted_dumps)
+        monkeypatch.setattr(durable._COMPACT, "encode", counted_encode)
 
         path = tmp_path / "j.json"
         journal = CampaignJournal(path)
         journal.initialize("camp", "fp-1")
         costs = []
         for i in range(50):
-            calls.update(digest=0, dumps=0)
+            calls.update(digest=0, encodes=0)
             size = path.stat().st_size
             journal.commit(
                 JournalRecord(
@@ -320,7 +320,7 @@ class TestCommitCost:
             grown = path.stat().st_size - size
             last_line = path.read_bytes().splitlines(keepends=True)[-1]
             assert grown == len(last_line)
-            costs.append((calls["digest"], calls["dumps"], grown))
+            costs.append((calls["digest"], calls["encodes"], grown))
         journal.close()
         # One digest; two encodes: the digest's and the line's.
         assert costs[0] == costs[49]

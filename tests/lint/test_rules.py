@@ -79,6 +79,14 @@ RESOLVED_READS = [
      [("REP002", 5)]),
     ("not-the-time-module",
      _body("from repro.simgrid import engine as time", "time.time()"), []),
+    ("formatdate-untimed",
+     _body("from email.utils import formatdate", "formatdate(usegmt=True)"),
+     [("REP001", 5)]),
+    ("formatdate-none",
+     _body("import email.utils as eu", "eu.formatdate(timeval=None)"),
+     [("REP001", 5)]),
+    ("formatdate-timed",
+     _body("from email.utils import formatdate", "formatdate(seed)"), []),
 ]
 
 
@@ -90,6 +98,18 @@ RESOLVED_READS = [
 def test_rep001_and_rep002_match_resolved_names(case, source, expected):
     findings = lint_source(source, "src/repro/simgrid/drawn.py")
     assert [(f.code, f.line) for f in findings] == expected
+
+
+def test_formatdate_without_a_time_is_a_clock_read(fixtures_dir):
+    bad = (fixtures_dir / "rep001_formatdate_bad.py").read_text()
+    findings = lint_source(bad, "src/repro/service/dated.py")
+    assert [(f.code, f.line) for f in findings] == [
+        ("REP001", 8), ("REP001", 9), ("REP001", 10)
+    ]
+    good = (fixtures_dir / "rep001_formatdate_good.py").read_text()
+    assert lint_source(good, "src/repro/service/dated.py") == []
+    # The service clock may read it, as it may read time.time().
+    assert lint_source(bad, "src/repro/service/clock.py") == []
 
 
 def test_an_aliased_read_names_what_it_resolves_to():

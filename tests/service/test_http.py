@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
+import re
 import socket
 import statistics
 import threading
 import time
 import urllib.request
+from email.utils import formatdate
 
 import pytest
 
@@ -25,6 +28,8 @@ from repro.service import (
     ServiceRequest,
     demo_profiles,
 )
+from repro.service import clock
+from repro.service import http as http_shell
 from repro.service.http import _MAX_BODY_BYTES, _SOCKET_TIMEOUT_S, make_server
 from repro.service.resilience import DEADLINE_EPSILON_S
 
@@ -176,8 +181,12 @@ class TestOneSendPerResponse:
             assert headers.get("Connection") == ("close" if status == 413 else None)
             statuses.append(status)
             if status == 429:
-                assert float(headers["Retry-After"]) > 0.0
-                assert headers["Retry-After"] == f"{body['retry_after_s']:.6f}"
+                # RFC 9110 delay-seconds: whole seconds, rounded up.
+                assert re.fullmatch(r"[0-9]+", headers["Retry-After"])
+                assert int(headers["Retry-After"]) >= 1
+                assert headers["Retry-After"] == str(
+                    math.ceil(body["retry_after_s"])
+                )
         assert statuses == [200, 429, 400, 404, 200, 413]
 
     @pytest.mark.parametrize(
@@ -246,6 +255,43 @@ class TestOneSendPerResponse:
         assert headers["Connection"] == "close"
         assert body == {"error": "internal server error"}
         assert "planted handler bug" in capsys.readouterr().err
+
+
+class TestDateHeader:
+    """``Date`` names the second a response is built in, formatted once."""
+
+    def test_formatted_once_per_second(self, monkeypatch):
+        formatted = []
+        monkeypatch.setattr(
+            clock, "formatdate",
+            lambda *args, **kwargs: formatted.append(args) or formatdate(
+                *args, **kwargs
+            ),
+        )
+        now = [1_700_000_000.0]
+        date = clock.HttpDate(lambda: now[0])
+        first = date()
+        for t in (1_700_000_000.25, 1_700_000_000.5, 1_700_000_000.999999):
+            now[0] = t
+            assert date() == first == formatdate(t, usegmt=True)
+        assert len(formatted) == 1
+        now[0] = 1_700_000_001.0  # the second boundary
+        assert date() == formatdate(now[0], usegmt=True) != first
+        assert len(formatted) == 2
+
+    def test_every_response_carries_the_shared_date(self, service, monkeypatch):
+        now = [1_700_000_000.5]
+        monkeypatch.setattr(http_shell, "_DATE", clock.HttpDate(lambda: now[0]))
+        predict = post("/v1/predict", {"params": PREDICT_PARAMS})
+        dates = []
+        for t in (1_700_000_000.5, 1_700_000_000.75, 1_700_000_001.0):
+            now[0] = t
+            (sent,) = handle_bytes(service, predict).sends
+            dates.append(read_responses(sent)[0][1]["Date"])
+        before, after = (
+            formatdate(t, usegmt=True) for t in (1_700_000_000, 1_700_000_001)
+        )
+        assert dates == [before, before, after]
 
 
 def raw_exchange(server, request_bytes):
@@ -715,7 +761,8 @@ class TestLiveChaos:
             if status == 429
         ]
         assert shed and all(
-            retry_after == f"{body['retry_after_s']:.6f}" for retry_after, body in shed
+            retry_after == str(math.ceil(body["retry_after_s"]))
+            for retry_after, body in shed
         )
         assert service.breakers.total_opens() >= 1
         assert all(service.backend.injector.injected.values())  # all three kinds

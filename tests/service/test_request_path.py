@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import durable, fingerprint
 from repro.core.durable import canonical_json, content_digest
+from repro.core.predcache import PredictionCache
 from repro.errors import InternalError
 from repro.faults.chaos import ServiceChaosSpec, _serve_case, verify_service_log
 from repro.service import (
@@ -39,6 +40,7 @@ from repro.service import app as service_app
 from repro.service.http import ServiceGateway, _route
 from repro.service.errors import BackendCrashError
 from repro.service.resilience import BREAKER_FAILURE_THRESHOLD, BreakerState
+from repro.middleware.scheduler import RunConfig
 from repro.simgrid.errors import ConfigurationError
 
 PREDICT = {"profile": "kmeans", "data_nodes": 2, "compute_nodes": 4}
@@ -306,12 +308,18 @@ def counts(monkeypatch):
             for name, make in service_app.CLUSTERS.items()
         },
     )
+    monkeypatch.setattr(
+        RunConfig, "__post_init__",
+        counting("run_config", RunConfig.__post_init__),
+    )
     return seen
 
 
 class TestPerRequestWorkIsCounted:
-    """A warm request is one key digest and the model: the 50th predict
-    costs what the 2nd did."""
+    """A request's key is digested once: the first request of a key costs
+    one digest, and its 50th repeat costs no digest and builds no
+    ``RunConfig`` of its own (a what-if sweep still builds one per pair,
+    inside the backend call)."""
 
     @pytest.mark.parametrize(
         "endpoint, params",
@@ -342,11 +350,116 @@ class TestPerRequestWorkIsCounted:
 
         targets = [(p, c) for p in sorted(profiles) for c in clusters]
         for index, (profile, cluster) in enumerate(targets):
-            serve(f"warm{index}", profile, cluster)
+            counts.clear()
+            serve(f"first{index}", profile, cluster)
+            assert counts["content_digest"] == 1, f"first request {index}"
+        sweep = len(params.get("pairs", ()))
         for index in range(2, 51):
             counts.clear()
             serve(index, *targets[index % len(targets)])
-            assert counts == {"content_digest": 1}, f"request {index}"
+            assert counts == (
+                {"run_config": sweep} if sweep else {}
+            ), f"request {index}"
+
+
+#: (label, endpoint, params): a request form per value Python compares
+#: equal to another form's (``True == 1``, ``2 == 2.0``), or refuses.
+KEY_FORMS = {
+    "1": ("predict", dict(PREDICT, data_nodes=1)),
+    "True": ("predict", dict(PREDICT, data_nodes=True)),
+    "2": ("predict", dict(PREDICT, data_nodes=2)),
+    "2.0": ("predict", dict(PREDICT, data_nodes=2.0)),
+    "'2'": ("predict", dict(PREDICT, data_nodes="2")),
+    "[2]": ("predict", dict(PREDICT, data_nodes=[2])),
+    "absent": ("predict", {"profile": "kmeans", "compute_nodes": 4}),
+    "None": ("predict", dict(PREDICT, data_nodes=None)),
+    "pairs-int": ("what-if", dict(WHATIF, pairs=[[1, 2], [2, 4]])),
+    "pairs-float": ("what-if", dict(WHATIF, pairs=[[1.0, 2], [2, 4]])),
+    "pairs-bool": ("what-if", dict(WHATIF, pairs=[[True, 2], [2, 4]])),
+    "pairs-tuple": ("what-if", dict(WHATIF, pairs=[(1, 2), (2, 4)])),
+}
+KEY_CLASHES = [
+    ("1", "True"), ("2", "2.0"), ("2", "'2'"), ("2", "[2]"), ("absent", "None"),
+    ("pairs-int", "pairs-float"), ("pairs-int", "pairs-bool"),
+    ("pairs-int", "pairs-tuple"),
+]
+
+
+class TestRequestKeysAreTypeExact:
+    """A repeated request reuses what its first one resolved, so two
+    requests may share an entry only when every field they read is the
+    same JSON value of the same type."""
+
+    @staticmethod
+    def _answer(service, index, label):
+        endpoint, params = KEY_FORMS[label]
+        response = service.handle(
+            ServiceRequest(f"{label}-{index}", endpoint, params)
+        )
+        return response.status, response.body
+
+    @pytest.mark.parametrize(
+        "first, second",
+        KEY_CLASHES + [(b, a) for a, b in KEY_CLASHES],
+        ids=[f"{a}-then-{b}" for a, b in KEY_CLASHES]
+        + [f"{b}-then-{a}" for a, b in KEY_CLASHES],
+    )
+    def test_each_form_is_answered_as_a_fresh_service_answers_it(
+        self, first, second
+    ):
+        service = PredictionService(demo_profiles())
+        served = [
+            self._answer(service, index, label)
+            for index, label in enumerate([first, second, first, second])
+        ]
+        for index, label in enumerate([first, second] * 2):
+            fresh = self._answer(PredictionService(demo_profiles()), 0, label)
+            assert served[index] == fresh, label
+        # Only a form that was served is stored, once.
+        assert len(service._resolved) == sum(
+            status == 200 for status, _ in served[:2]
+        )
+
+    def test_a_request_without_a_key_is_resolved_and_never_stored(self):
+        service = PredictionService(demo_profiles())
+        params = dict(PREDICT, bandwidth={"bytes_per_s": 1e6})
+        for index in range(2):
+            response = service.handle(ServiceRequest(f"r{index}", "predict", params))
+            assert (response.status, response.outcome) == (400, "rejected")
+            assert "bandwidth" in response.body["error"]
+        assert service._resolved == {}
+
+    def test_only_a_fresh_answer_is_remembered(self):
+        """A request refused before the backend (here, by its deadline)
+        keeps nothing, however many pairs it validated."""
+        service = PredictionService(demo_profiles())
+        params = dict(WHATIF, pairs=[[1, 2]] * 1000)
+        refused = service.handle(
+            ServiceRequest("tight", "what-if", params, deadline_s=1e-6)
+        )
+        assert (refused.status, refused.outcome) == (504, "deadline")
+        assert service._resolved == {}
+        service.clock.advance(0.05)
+        served = service.handle(
+            ServiceRequest("roomy", "what-if", params, deadline_s=60.0)
+        )
+        assert served.outcome == "ok" and len(service._resolved) == 1
+
+    def test_the_map_is_bounded_by_the_prediction_cache(self):
+        service = PredictionService(
+            demo_profiles(), cache=PredictionCache(max_entries=3)
+        )
+        for index in range(5):
+            service.clock.advance(0.05)
+            params = dict(PREDICT, bandwidth=1.0e6 + index)
+            assert service.handle(
+                ServiceRequest(f"r{index}", "predict", params)
+            ).outcome == "ok"
+        bandwidths = [
+            resolved.target.config.bandwidth
+            for resolved in service._resolved.values()
+        ]
+        assert bandwidths == [1.0e6 + i for i in (2, 3, 4)]  # oldest out
 
 
 #: sha256 of ``canonical_json(RequestLog.to_dict())`` (what
